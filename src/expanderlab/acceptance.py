@@ -38,6 +38,7 @@ from .geometry import (
     integrate,
     volume,
 )
+from .numerics import five_point
 from .reduced import (
     check_inequalities,
     ell_plus_field,
@@ -228,7 +229,7 @@ def crit_4_rate_cross_check(art: _Artifacts) -> CriterionResult:
             d = 0.005
             w = [expander_entropy(h.metric_at(tt), 1.0 / h.volume_at(tt), tt)
                  for tt in (t - 2 * d, t - d, t + d, t + 2 * d)]
-            fd = (-w[3] + 8 * w[2] - 8 * w[1] + w[0]) / (12 * d)
+            fd = five_point(*w, d)
             rhs = expander_residual(h.metric_at(t), 1.0 / h.volume_at(t), t)
             worst = max(worst, abs(fd - rhs))
     m_flat = ConformalTorusMetric(np.zeros((16, 16)))

@@ -15,7 +15,6 @@ are bitwise identical.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
@@ -42,7 +41,7 @@ from .entropy import (
     nu_plus,
 )
 from .flow import BlowdownSpec, blowdown, check_R_lower_bound, evolve, scaled_volume
-from .geometry import validate_model_json, volume
+from .geometry import ConformalTorusMetric, validate_model_json, volume
 from .reduced import (
     check_gradient_time_identities,
     check_inequalities,
@@ -56,6 +55,7 @@ __all__ = ["Scenario", "run_scenario", "run_scenario_doc", "builtin_scenarios", 
 
 KNOWN_CHECKS = ("entropy", "harnack", "mu_nu", "reduced", "theta",
                 "asymptotics", "blowdown")
+DEFAULT_TARGET_GRID = 12  # torus reduced-field targets per direction
 
 
 class ConfigError(ValueError):
@@ -98,13 +98,22 @@ class Scenario:
             raise ConfigError(
                 f"scenario {name!r}: unknown checks {unknown}; known: {list(KNOWN_CHECKS)}"
             )
+        params = dict(doc.get("params", {}))
+        if isinstance(model, ConformalTorusMetric) and {"reduced", "theta"} & set(checks):
+            nt = params.get("target_grid", DEFAULT_TARGET_GRID)
+            if (not isinstance(nt, int) or isinstance(nt, bool) or nt <= 0
+                    or any(n % nt for n in model.grid_size)):
+                raise ConfigError(
+                    f"scenario {name!r}: target_grid {nt!r} must be a positive integer "
+                    f"dividing the grid size {list(model.grid_size)}"
+                )
         return Scenario(
             name=name,
             model=model,
             t_span=(float(span[0]), float(span[1])),
             checks=tuple(checks),
             tolerances=dict(doc.get("tolerances", {})),
-            params=dict(doc.get("params", {})),
+            params=params,
         )
 
 
@@ -351,7 +360,7 @@ def _build_reduced_field(scn: Scenario, h):
             extra["reduced_eps_ladder"] = [1e-3, 1e-4, 1e-5]
             return extrapolate_fields(fields), extra
         return ell_plus_field(h, 0.0, radii, times, eps=0.0), extra
-    nt = int(scn.params.get("target_grid", 12))
+    nt = scn.params.get("target_grid", DEFAULT_TARGET_GRID)
     pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
     pts = pts * np.asarray(h.template.periods)
     t0, t1 = scn.t_span
@@ -375,7 +384,7 @@ def builtin_scenarios() -> dict:
     return out
 
 
-def run_scenario(config_path, out_dir=None, threads: int = 1) -> int:
+def run_scenario(config_path, out_dir=None) -> int:
     """Run a scenario config file; returns the process exit code."""
     path = Path(config_path)
     try:
@@ -404,16 +413,8 @@ def run_scenario(config_path, out_dir=None, threads: int = 1) -> int:
         return 2
     out = Path(out_dir) if out_dir else path.parent / "lab_out"
     exit_code = 0
-    if threads > 1 and len(docs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(run_scenario_doc, d, out): d for d in docs}
-            for fut in concurrent.futures.as_completed(futures):
-                rep = fut.result()
-                exit_code = _report_outcome(rep, out, exit_code)
-    else:
-        for d in docs:
-            rep = run_scenario_doc(d, out)
-            exit_code = _report_outcome(rep, out, exit_code)
+    for d in docs:
+        exit_code = _report_outcome(run_scenario_doc(d, out), out, exit_code)
     return exit_code
 
 
@@ -432,15 +433,13 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("config", help="path to a scenario JSON config")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads for multi-scenario configs")
     p_accept = sub.add_parser("accept", help="run the acceptance suite")
     p_accept.add_argument("--suite", choices=("fast", "full"), default="fast")
     sub.add_parser("list", help="list packaged scenario configs")
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        return run_scenario(args.config, args.out, args.threads)
+        return run_scenario(args.config, args.out)
     if args.command == "accept":
         from .acceptance import run_acceptance
 

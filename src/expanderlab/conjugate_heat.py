@@ -28,16 +28,24 @@ import numpy as np
 
 from .geometry import (
     MetricModel,
+    _lap0,
     curvature,
     grad_norm_sq,
     grad_pairing,
     integrate,
     laplacian,
+    laplacian_symbol,
     soliton_residual_sq,
     volume,
 )
 from .flow import FlowHistory
-from .numerics import ToleranceConfig
+from .numerics import (
+    ToleranceConfig,
+    conjugate_gradient,
+    hermite_cubic,
+    hermite_interval,
+    time_derivative,
+)
 
 __all__ = [
     "DensityState",
@@ -79,9 +87,6 @@ class DensityState:
         return DensityState(t=float(t), u=u, sigma=float(sigma),
                             f_plus=log_potential(u, sigma, n), n=n)
 
-    def with_sigma(self, sigma: float) -> "DensityState":
-        return DensityState.make(self.t, self.u, sigma, self.n)
-
     def export_csv(self, path) -> None:
         """Write the density grid as rows (i, j, u, f_plus); scalars as one row."""
         from .reports import write_csv
@@ -106,10 +111,6 @@ class ResidualReport:
     per_time: list
     rhs_min: float = math.inf
     extra: dict | None = None
-
-    @property
-    def ok_below(self):
-        return lambda tol: self.max_residual <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +162,7 @@ def solve_conjugate_backward(h: FlowHistory, t_final: float, u_final,
 
 
 def _fft_shift_solver(shape, spacing, coef):
-    nx, ny = shape
-    hx, hy = spacing
-    kx = np.arange(nx)
-    ky = np.arange(ny)
-    lam = (2.0 * np.cos(2 * math.pi * kx / nx) - 2.0)[:, None] / hx**2 + (
-        2.0 * np.cos(2 * math.pi * ky / ny) - 2.0
-    )[None, :] / hy**2
-    denom = 1.0 - coef * lam
+    denom = 1.0 - coef * laplacian_symbol(shape, spacing)
 
     def solve(r):
         return np.real(np.fft.ifft2(np.fft.fft2(r) / denom))
@@ -178,7 +172,6 @@ def _fft_shift_solver(shape, spacing, coef):
 
 def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap=None) -> list:
     template = h.template
-    nx, ny = template.phi.shape
     hx, hy = template.spacing
     grid_h = min(hx, hy)
     if dt_cap is None:
@@ -188,18 +181,13 @@ def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap=None) -> list:
     per_seg = max(1, math.ceil(seg / dt_cap))
     dt = seg / per_seg
 
-    def lap0(f):
-        return (np.roll(f, -1, 0) + np.roll(f, 1, 0) - 2 * f) / hx**2 + (
-            np.roll(f, -1, 1) + np.roll(f, 1, 1) - 2 * f
-        ) / hy**2
-
     def conj_op(t):
         m = h.metric_at(t)
         e2p = np.exp(2.0 * m.phi)
         r = curvature(m).scalar
 
         def apply_l(u):  # lap_g u - R u
-            return lap0(u) / e2p - r * u
+            return _lap0(u, hx, hy) / e2p - r * u
 
         return apply_l, e2p
 
@@ -217,31 +205,15 @@ def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap=None) -> list:
             c_bar = float(np.mean(np.exp(-2.0 * h.metric_at(t_new).phi)))
             key = round(c_bar, 6)
             if key not in solver_cache:
-                solver_cache[key] = _fft_shift_solver((nx, ny), (hx, hy), 0.5 * dt * key)
-            precond = solver_cache[key]
+                solver_cache[key] = _fft_shift_solver(template.phi.shape, template.spacing,
+                                                      0.5 * dt * key)
 
             def apply_a(x):
                 return x - 0.5 * dt * l_new(x)
 
             # PCG in the volume-weighted inner product (A self-adjoint there)
-            x = b.copy()
-            r_vec = b - apply_a(x)
-            z = precond(r_vec)
-            p = z.copy()
-            rz = float(np.sum(r_vec * z * w_new))
-            b_norm = math.sqrt(float(np.sum(b * b * w_new))) + 1e-300
-            for _ in range(200):
-                if math.sqrt(float(np.sum(r_vec * r_vec * w_new))) <= 1e-13 * b_norm:
-                    break
-                ap = apply_a(p)
-                alpha = rz / float(np.sum(p * ap * w_new))
-                x += alpha * p
-                r_vec -= alpha * ap
-                z = precond(r_vec)
-                rz_new = float(np.sum(r_vec * z * w_new))
-                p = z + (rz_new / rz) * p
-                rz = rz_new
-            u = x
+            u = conjugate_gradient(apply_a, b, w_new, solver_cache[key], rel_tol=1e-13,
+                                   max_iter=200, x0=b)
             if float(np.min(u)) <= 0.0:
                 raise RuntimeError(
                     f"conjugate solve lost positivity stepping to t = {t_new:.6g} "
@@ -277,29 +249,15 @@ class ImmortalDensity:
         if self.history.kind in ("homogeneous", "model_space"):
             return 1.0 / self.history.volume_at(t)
         times = np.array([s.t for s in self.states])
-        if not (times[0] - 1e-12 <= t <= times[-1] + 1e-12):
-            raise ValueError(f"time {t} outside immortal window {self.window}")
-        t = min(max(float(t), times[0]), times[-1])
-        i = int(np.searchsorted(times, t, side="right") - 1)
-        i = min(max(i, 0), len(times) - 2)
-        h_step = times[i + 1] - times[i]
-        s = (t - times[i]) / h_step
+        i, s, h_step = hermite_interval(times, float(t), 1e-12)
 
         def slope(k):
             m = self.history.metric_at(times[k])
             u = self.states[k].u
             return -laplacian(m, u) + curvature(m).scalar * u
 
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        return (
-            h00 * self.states[i].u
-            + h10 * h_step * slope(i)
-            + h01 * self.states[i + 1].u
-            + h11 * h_step * slope(i + 1)
-        )
+        return hermite_cubic(s, h_step, self.states[i].u, slope(i),
+                             self.states[i + 1].u, slope(i + 1))
 
     def state_at(self, t: float) -> DensityState:
         u = self.u_at(t)
@@ -384,36 +342,6 @@ def v_plus(s: DensityState, h: FlowHistory, birth_time: float = 0.0):
     return field, integrate(m, field)
 
 
-def _time_derivative(fields, times):
-    """Interior time derivatives of sampled fields, with interior indices.
-
-    Uses the five-point fourth-order stencil when five or more uniformly
-    spaced samples are available (the homogeneous checks need residuals
-    at the 1e-8 scale), otherwise centered differences.
-    """
-    times = np.asarray(times, dtype=float)
-    k = len(times)
-    if k < 3:
-        raise ValueError("need at least 3 consecutive states")
-    steps = np.diff(times)
-    uniform = np.max(np.abs(steps - steps[0])) < 1e-9 * steps[0]
-    out = []
-    idx = []
-    if uniform and k >= 5:
-        d = steps[0]
-        for i in range(2, k - 2):
-            out.append(
-                (-fields[i + 2] + 8 * fields[i + 1] - 8 * fields[i - 1] + fields[i - 2])
-                / (12 * d)
-            )
-            idx.append(i)
-    else:
-        for i in range(1, k - 1):
-            out.append((fields[i + 1] - fields[i - 1]) / (times[i + 1] - times[i - 1]))
-            idx.append(i)
-    return out, idx
-
-
 def check_harnack_identity(states, h: FlowHistory, birth_time: float = 0.0) -> ResidualReport:
     """Residual of the evolution identity for the entropy density.
 
@@ -438,8 +366,8 @@ def check_harnack_identity(states, h: FlowHistory, birth_time: float = 0.0) -> R
         q_fields.append(q)
         rhs_fields.append(2.0 * sigma * s.u * soliton_residual_sq(m, f, sigma))
         extras.append((m, f, r))
-    dv, idx = _time_derivative(v_fields, times)
-    dq, _ = _time_derivative(q_fields, times)
+    dv, idx = time_derivative(v_fields, times)
+    dq, _ = time_derivative(q_fields, times)
     res_max, per_time = 0.0, []
     rhs_min = math.inf
     q_res_max = 0.0
@@ -476,7 +404,7 @@ def check_steady_harnack(states, h: FlowHistory) -> ResidualReport:
         v_fields.append((2.0 * laplacian(m, f) - grad_norm_sq(m, f) + r) * s.u)
         rhs_fields.append(2.0 * s.u * soliton_residual_sq(m, f, None))
         extras.append((m, r))
-    dv, idx = _time_derivative(v_fields, times)
+    dv, idx = time_derivative(v_fields, times)
     res_max, per_time = 0.0, []
     rhs_min = math.inf
     for j, i in enumerate(idx):
@@ -502,7 +430,7 @@ def check_f_plus_evolution(states, h: FlowHistory, birth_time: float = 0.0) -> R
         m = h.metric_at(s.t)
         f_fields.append(log_potential(s.u, sigma, n))
         extras.append((m, sigma))
-    df, idx = _time_derivative(f_fields, times)
+    df, idx = time_derivative(f_fields, times)
     res_max, per_time = 0.0, []
     for j, i in enumerate(idx):
         m, sigma = extras[i]

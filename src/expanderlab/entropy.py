@@ -32,12 +32,14 @@ from .geometry import (
     grad_norm_sq,
     integrate,
     laplacian,
+    laplacian_symbol,
     measure_weights,
     soliton_residual_sq,
     volume,
 )
 from .numerics import (
     ToleranceConfig,
+    five_point,
     maximize_concave_1d,
     minimize_constrained,
     smallest_eigenpair,
@@ -128,17 +130,10 @@ def _eigen_precond(m: MetricModel, shift: float):
     """
     if not isinstance(m, ConformalTorusMetric):
         return None
-    nx, ny = m.phi.shape
-    hx, hy = m.spacing
-    kx = np.arange(nx)
-    ky = np.arange(ny)
-    lam = (2.0 * np.cos(2 * math.pi * kx / nx) - 2.0)[:, None] / hx**2 + (
-        2.0 * np.cos(2 * math.pi * ky / ny) - 2.0
-    )[None, :] / hy**2
     e2p = np.exp(2.0 * m.phi)
     r = curvature(m).scalar
     c0 = max(float(np.mean(e2p * (r - shift))), 1e-6)
-    denom = c0 - 4.0 * lam
+    denom = c0 - 4.0 * laplacian_symbol(m.phi.shape, m.spacing)
 
     def precond(v):
         return np.real(np.fft.ifft2(np.fft.fft2(e2p * v) / denom))
@@ -223,15 +218,8 @@ def _entropy_in_w_problem(m: MetricModel, sigma: float):
 
     precond = None
     if isinstance(m, ConformalTorusMetric):
-        nx, ny = m.phi.shape
-        hx, hy = m.spacing
-        kx = np.arange(nx)
-        ky = np.arange(ny)
-        lam = (2.0 * np.cos(2 * math.pi * kx / nx) - 2.0)[:, None] / hx**2 + (
-            2.0 * np.cos(2 * math.pi * ky / ny) - 2.0
-        )[None, :] / hy**2
         c_bar = float(np.mean(np.exp(-2.0 * m.phi)))
-        denom = 2.0 - 8.0 * sigma * c_bar * lam
+        denom = 2.0 - 8.0 * sigma * c_bar * laplacian_symbol(m.phi.shape, m.spacing)
 
         def precond(g):
             return np.real(np.fft.ifft2(np.fft.fft2(g) / denom))
@@ -320,9 +308,6 @@ class EntropyReport:
         ]
         write_csv(path, names, rows)
 
-    def summary(self) -> dict:
-        return {"verdicts": dict(self.verdicts), "tolerances": dict(self.tolerances)}
-
 
 def build_entropy_report(h: FlowHistory, dens: ImmortalDensity, times,
                          lam_tol: ToleranceConfig | None = None,
@@ -367,10 +352,8 @@ def build_entropy_report(h: FlowHistory, dens: ImmortalDensity, times,
         hi = dens.window[1] if h.kind == "conformal_torus" else h.t_max
         delta = min(delta, 0.49 * (t - lo), 0.49 * (hi - t)) if hi > t and t > lo else 0.0
         if delta > 0:
-            dw = (
-                -w_at(t + 2 * delta) + 8 * w_at(t + delta)
-                - 8 * w_at(t - delta) + w_at(t - 2 * delta)
-            ) / (12 * delta)
+            dw = five_point(w_at(t - 2 * delta), w_at(t - delta), w_at(t + delta),
+                            w_at(t + 2 * delta), delta)
         else:
             dw = math.nan
         cols["F"].append(f_val)

@@ -33,11 +33,19 @@ from .geometry import (
     HomogeneousMetric,
     MetricModel,
     ModelSpaceMetric,
+    _lap0,
     curvature,
+    laplacian_symbol,
     milnor_ricci_diag,
     volume,
 )
-from .numerics import ToleranceConfig, integrate_ode
+from .numerics import (
+    ToleranceConfig,
+    conjugate_gradient,
+    hermite_cubic,
+    hermite_interval,
+    integrate_ode,
+)
 
 __all__ = [
     "FlowHistory",
@@ -48,26 +56,6 @@ __all__ = [
     "check_R_lower_bound",
     "blowdown",
 ]
-
-
-def _hermite_eval(times, values, derivs, t):
-    """Cubic Hermite interpolation of sampled values with known slopes."""
-    t = float(t)
-    lo, hi = times[0], times[-1]
-    if t < lo - 1e-10 * (1 + abs(lo)) or t > hi + 1e-10 * (1 + abs(hi)):
-        raise ValueError(f"time {t} outside history range [{lo}, {hi}]")
-    t = min(max(t, lo), hi)
-    i = int(np.searchsorted(times, t, side="right") - 1)
-    i = min(max(i, 0), len(times) - 2)
-    h = times[i + 1] - times[i]
-    s = (t - times[i]) / h
-    h00 = 2 * s**3 - 3 * s**2 + 1
-    h10 = s**3 - 2 * s**2 + s
-    h01 = -2 * s**3 + 3 * s**2
-    h11 = s**3 - s**2
-    return (
-        h00 * values[i] + h10 * h * derivs[i] + h01 * values[i + 1] + h11 * h * derivs[i + 1]
-    )
 
 
 class FlowHistory:
@@ -107,7 +95,9 @@ class FlowHistory:
         return self.template.dim
 
     def params_at(self, t):
-        return _hermite_eval(self.times, self.params, self.param_rhs, t)
+        i, s, h = hermite_interval(self.times, float(t), 1e-10)
+        return hermite_cubic(s, h, self.params[i], self.param_rhs[i],
+                             self.params[i + 1], self.param_rhs[i + 1])
 
     def metric_at(self, t) -> MetricModel:
         p = self.params_at(t)
@@ -130,9 +120,6 @@ class FlowHistory:
 
     def volume_at(self, t) -> float:
         return volume(self.metric_at(t))
-
-    def snapshots(self):
-        return [(float(t), self.metric_at(t)) for t in self.times]
 
     def export_csv(self, path) -> None:
         """One row per sample: t, reduced parameters, V, R_min, R_max."""
@@ -295,56 +282,30 @@ class TorusStepper:
 
     def __init__(self, template: ConformalTorusMetric):
         self.template = template
-        nx, ny = template.phi.shape
-        hx, hy = template.spacing
-        self.hx, self.hy = hx, hy
-        kx = np.arange(nx)
-        ky = np.arange(ny)
-        self.lam = (2.0 * np.cos(2 * math.pi * kx / nx) - 2.0)[:, None] / hx**2 + (
-            2.0 * np.cos(2 * math.pi * ky / ny) - 2.0
-        )[None, :] / hy**2
-
-    def lap0(self, f):
-        return (np.roll(f, -1, 0) + np.roll(f, 1, 0) - 2 * f) / self.hx**2 + (
-            np.roll(f, -1, 1) + np.roll(f, 1, 1) - 2 * f
-        ) / self.hy**2
+        self.hx, self.hy = template.spacing
+        self.lam = laplacian_symbol(template.phi.shape, template.spacing)
 
     def rhs(self, phi):
-        return np.exp(-2.0 * phi) * self.lap0(phi)
+        return np.exp(-2.0 * phi) * _lap0(phi, self.hx, self.hy)
 
     def _solve_newton_system(self, psi, dt, g):
         """Solve (I - dt/2 J(psi)) delta = -g via symmetrized PCG."""
+        hx, hy = self.hx, self.hy
         d = np.exp(-2.0 * psi)
         sqrt_d = np.sqrt(d)
-        f_val = d * self.lap0(psi)
+        f_val = d * _lap0(psi, hx, hy)
         c_bar = float(np.exp(-2.0 * np.mean(psi)))
         denom = 1.0 - 0.5 * dt * c_bar * self.lam
 
         def apply_a(x):
-            return x + dt * f_val * x - 0.5 * dt * sqrt_d * self.lap0(sqrt_d * x)
+            return x + dt * f_val * x - 0.5 * dt * sqrt_d * _lap0(sqrt_d * x, hx, hy)
 
         def precond(r):
             return np.real(np.fft.ifft2(np.fft.fft2(r) / denom))
 
-        b = -g / sqrt_d
         # plain Euclidean inner product: the symmetrized operator is SPD
-        x = np.zeros_like(b)
-        r = b.copy()
-        z = precond(r)
-        p = z.copy()
-        rz = float(np.sum(r * z))
-        b_norm = math.sqrt(float(np.sum(b * b))) + 1e-300
-        for _ in range(200):
-            if math.sqrt(float(np.sum(r * r))) <= 1e-13 * b_norm:
-                break
-            ap = apply_a(p)
-            alpha = rz / float(np.sum(p * ap))
-            x += alpha * p
-            r -= alpha * ap
-            z = precond(r)
-            rz_new = float(np.sum(r * z))
-            p = z + (rz_new / rz) * p
-            rz = rz_new
+        x = conjugate_gradient(apply_a, -g / sqrt_d, None, precond, rel_tol=1e-13,
+                               max_iter=200)
         return sqrt_d * x
 
     def step(self, phi, dt):

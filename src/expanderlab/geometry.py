@@ -43,6 +43,7 @@ __all__ = [
     "grad_norm_sq",
     "grad_pairing",
     "hessian_covariant",
+    "laplacian_symbol",
     "soliton_residual_sq",
     "model_to_json",
     "model_from_json",
@@ -165,10 +166,28 @@ def _dy(f: np.ndarray, h: float) -> np.ndarray:
     return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * h)
 
 
+def _d2(f: np.ndarray, h: float, axis: int) -> np.ndarray:
+    return (np.roll(f, -1, axis=axis) + np.roll(f, 1, axis=axis) - 2.0 * f) / (h * h)
+
+
+def _dxy(f: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    fp, fm = np.roll(f, -1, axis=0), np.roll(f, 1, axis=0)
+    return (
+        np.roll(fp, -1, axis=1) - np.roll(fp, 1, axis=1)
+        - np.roll(fm, -1, axis=1) + np.roll(fm, 1, axis=1)
+    ) / (4.0 * hx * hy)
+
+
 def _lap0(f: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    return (np.roll(f, -1, axis=0) + np.roll(f, 1, axis=0) - 2.0 * f) / (hx * hx) + (
-        np.roll(f, -1, axis=1) + np.roll(f, 1, axis=1) - 2.0 * f
-    ) / (hy * hy)
+    return _d2(f, hx, 0) + _d2(f, hy, 1)
+
+
+def laplacian_symbol(shape, spacing) -> np.ndarray:
+    """Eigenvalues of _lap0 on the discrete Fourier modes, laid out like fft2."""
+    (nx, ny), (hx, hy) = shape, spacing
+    kx = 2.0 * np.cos(2 * math.pi * np.arange(nx) / nx) - 2.0
+    ky = 2.0 * np.cos(2 * math.pi * np.arange(ny) / ny) - 2.0
+    return kx[:, None] / hx**2 + ky[None, :] / hy**2
 
 
 def flat_gradient(m: ConformalTorusMetric, f: np.ndarray):
@@ -330,28 +349,25 @@ def grad_pairing(m: MetricModel, f, g):
     return 0.0
 
 
-def hessian_covariant(m: ConformalTorusMetric, f: np.ndarray):
-    """Covariant Hessian components (H_xx, H_xy, H_yy) on the conformal torus.
+def _hessian_conformal(f: np.ndarray, phi: np.ndarray, hx: float, hy: float):
+    """Covariant Hessian (H_xx, H_xy, H_yy) of f for exp(2 phi) * flat at spacing (hx, hy).
 
-    For g = exp(2 phi) * flat the Christoffel symbols reduce to first
-    derivatives of phi and the Hessian of f is the coordinate Hessian
-    corrected by phi-gradient terms.
+    The Christoffel symbols reduce to first derivatives of phi and the
+    Hessian of f is the coordinate Hessian corrected by phi-gradient
+    terms.
     """
-    hx, hy = m.spacing
-    fx, fy = flat_gradient(m, f)
-    px, py = flat_gradient(m, m.phi)
-    fxx = (np.roll(f, -1, 0) + np.roll(f, 1, 0) - 2.0 * f) / (hx * hx)
-    fyy = (np.roll(f, -1, 1) + np.roll(f, 1, 1) - 2.0 * f) / (hy * hy)
-    fxy = (
-        np.roll(np.roll(f, -1, 0), -1, 1)
-        - np.roll(np.roll(f, -1, 0), 1, 1)
-        - np.roll(np.roll(f, 1, 0), -1, 1)
-        + np.roll(np.roll(f, 1, 0), 1, 1)
-    ) / (4.0 * hx * hy)
-    h_xx = fxx - px * fx + py * fy
-    h_xy = fxy - py * fx - px * fy
-    h_yy = fyy + px * fx - py * fy
+    fx, fy = _dx(f, hx), _dy(f, hy)
+    px, py = _dx(phi, hx), _dy(phi, hy)
+    h_xx = _d2(f, hx, 0) - px * fx + py * fy
+    h_xy = _dxy(f, hx, hy) - py * fx - px * fy
+    h_yy = _d2(f, hy, 1) + px * fx - py * fy
     return h_xx, h_xy, h_yy
+
+
+def hessian_covariant(m: ConformalTorusMetric, f: np.ndarray):
+    """Covariant Hessian components (H_xx, H_xy, H_yy) on the conformal torus."""
+    hx, hy = m.spacing
+    return _hessian_conformal(f, m.phi, hx, hy)
 
 
 def soliton_residual_sq(m: MetricModel, f_potential, sigma: float | None):

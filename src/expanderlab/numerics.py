@@ -2,7 +2,9 @@
 
 Provides the small set of generic solvers the geometric modules are built
 on: an adaptive embedded Runge-Kutta integrator with cubic dense output,
-a shifted inverse-power smallest-eigenpair solver, golden-section
+the cubic Hermite interpolant and five-point time derivative shared by
+sampled histories, preconditioned conjugate gradients, a shifted
+inverse-power smallest-eigenpair solver, golden-section
 maximization of a concave function with bracket auto-expansion,
 projected-gradient minimization on the unit sphere of a weighted L2
 space, and a finite-difference identity checker with convergence-order
@@ -24,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "ToleranceConfig",
-    "TimeSeries",
     "OdeTrajectory",
     "OdeFailure",
     "EigenFailure",
@@ -38,6 +39,10 @@ __all__ = [
     "minimize_constrained",
     "fd_residual",
     "conjugate_gradient",
+    "hermite_interval",
+    "hermite_cubic",
+    "five_point",
+    "time_derivative",
 ]
 
 
@@ -60,27 +65,6 @@ class ToleranceConfig:
             raise ValueError("tolerances must be strictly positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """A sampled scalar signal along flow time: strictly increasing times."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
-            raise ValueError("times and values must be 1-d of equal length")
-        if t.size >= 2 and not np.all(np.diff(t) > 0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return int(self.times.size)
 
 
 class OdeFailure(RuntimeError):
@@ -131,32 +115,69 @@ class OdeTrajectory:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def component(self, i: int) -> TimeSeries:
-        return TimeSeries(self.times, self.states[:, i])
-
     def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        lo, hi = self.times[0], self.times[-1]
-        if np.any(t_arr < lo - 1e-12 * (1 + abs(lo))) or np.any(
-            t_arr > hi + 1e-12 * (1 + abs(hi))
-        ):
-            raise ValueError(f"dense evaluation outside [{lo}, {hi}]")
-        t_arr = np.clip(t_arr, lo, hi)
-        idx = np.searchsorted(self.times, t_arr, side="right") - 1
-        idx = np.clip(idx, 0, len(self.times) - 2)
-        ta = self.times[idx]
-        h = self.times[idx + 1] - ta
-        s = ((t_arr - ta) / h)[:, None]
-        ya, yb = self.states[idx], self.states[idx + 1]
-        fa, fb = self.derivs[idx], self.derivs[idx + 1]
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        out = h00 * ya + h10 * h[:, None] * fa + h01 * yb + h11 * h[:, None] * fb
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
+        def at(tt):
+            i, s, h = hermite_interval(self.times, float(tt), 1e-12)
+            return hermite_cubic(s, h, self.states[i], self.derivs[i],
+                                 self.states[i + 1], self.derivs[i + 1])
+
+        if np.ndim(t) == 0:
+            return at(t)
+        return np.array([at(tt) for tt in np.asarray(t, dtype=float)])
+
+
+def hermite_interval(times: np.ndarray, t: float, slack: float):
+    """Sample interval i, local coordinate s in [0, 1] and width h of t.
+
+    t may lie up to slack * (1 + |end|) beyond the ends of the increasing
+    sample times, where it is clamped; farther out is a ValueError.
+    Scalar-only: histories evaluate it once per dense lookup.
+    """
+    lo, hi = times[0], times[-1]
+    if not lo - slack * (1 + abs(lo)) <= t <= hi + slack * (1 + abs(hi)):
+        raise ValueError(f"time {t} outside the sampled range [{lo}, {hi}]")
+    t = min(max(t, lo), hi)
+    i = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
+    h = times[i + 1] - times[i]
+    return i, (t - times[i]) / h, h
+
+
+def hermite_cubic(s, h, ya, fa, yb, fb):
+    """Cubic Hermite interpolant at local coordinate s of an interval of
+    width h with end values ya, yb and end slopes fa, fb."""
+    h00 = 2 * s**3 - 3 * s**2 + 1
+    h10 = s**3 - 2 * s**2 + s
+    h01 = -2 * s**3 + 3 * s**2
+    h11 = s**3 - s**2
+    return h00 * ya + h10 * h * fa + h01 * yb + h11 * h * fb
+
+
+def five_point(f_m2, f_m1, f_p1, f_p2, d: float):
+    """Fourth-order centered first derivative from the samples at -2d, -d, +d, +2d."""
+    return (-f_p2 + 8 * f_p1 - 8 * f_m1 + f_m2) / (12 * d)
+
+
+def time_derivative(fields, times):
+    """Interior time derivatives of sampled fields, with interior indices.
+
+    Uses the five-point fourth-order stencil when five or more uniformly
+    spaced samples are available (the homogeneous checks need residuals
+    at the 1e-8 scale), otherwise centered differences.
+    """
+    times = np.asarray(times, dtype=float)
+    k = len(times)
+    if k < 3:
+        raise ValueError("need at least 3 consecutive states")
+    steps = np.diff(times)
+    uniform = np.max(np.abs(steps - steps[0])) < 1e-9 * steps[0]
+    if uniform and k >= 5:
+        idx = list(range(2, k - 2))
+        out = [five_point(fields[i - 2], fields[i - 1], fields[i + 1], fields[i + 2], steps[0])
+               for i in idx]
+    else:
+        idx = list(range(1, k - 1))
+        out = [(fields[i + 1] - fields[i - 1]) / (times[i + 1] - times[i - 1]) for i in idx]
+    return out, idx
 
 
 def _error_norm(err, y_old, y_new, tol: ToleranceConfig) -> float:
@@ -287,19 +308,24 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig | None = N
 
 def conjugate_gradient(apply_a, b: np.ndarray, weight: np.ndarray,
                        precond=None, rel_tol: float = 1e-12,
-                       max_iter: int = 2000) -> np.ndarray:
+                       max_iter: int = 2000, x0: np.ndarray | None = None) -> np.ndarray:
     """Matrix-free preconditioned CG in the weighted L2 inner product.
 
     apply_a must be self-adjoint positive definite with respect to
-    <f, g> = sum(f * g * weight).  weight may be a scalar or an array
-    shaped like b.
+    <f, g> = sum(f * g * weight).  weight may be a scalar, an array
+    shaped like b, or None for the plain Euclidean product.  x0 is the
+    initial guess (zero by default); the iteration stops once the
+    residual norm is below rel_tol * |b|.
     """
 
     def inner(u, v):
-        return float(np.sum(u * v * weight))
+        return float(np.sum(u * v if weight is None else u * v * weight))
 
-    x = np.zeros_like(b)
-    r = b.copy()
+    if x0 is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - apply_a(x)
     z = precond(r) if precond is not None else r
     p = z.copy()
     rz = inner(r, z)
@@ -309,8 +335,8 @@ def conjugate_gradient(apply_a, b: np.ndarray, weight: np.ndarray,
             return x
         ap = apply_a(p)
         alpha = rz / inner(p, ap)
-        x = x + alpha * p
-        r = r - alpha * ap
+        x += alpha * p
+        r -= alpha * ap
         z = precond(r) if precond is not None else r
         rz_new = inner(r, z)
         p = z + (rz_new / rz) * p

@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import FlowHistory, scaled_volume
-from .geometry import curvature, volume
+from .geometry import _dx, _dy, _hessian_conformal, _lap0, curvature, volume
+from .numerics import time_derivative
 
 __all__ = [
     "PathSample",
@@ -54,7 +55,6 @@ __all__ = [
     "ell_plus_field",
     "extrapolate_fields",
     "path_minimization_oracle",
-    "k_and_h",
     "check_gradient_time_identities",
     "check_inequalities",
     "theta_plus",
@@ -408,25 +408,13 @@ class _TorusSlices:
         m = self.h.metric_at(min(max(eta, self.h.t_min), self.h.t_max))
         phi = m.phi
         hx, hy = self.hx, self.hy
-
-        def dx(f):
-            return (np.roll(f, -1, 0) - np.roll(f, 1, 0)) / (2 * hx)
-
-        def dy(f):
-            return (np.roll(f, -1, 1) - np.roll(f, 1, 1)) / (2 * hy)
-
-        def lap0(f):
-            return (np.roll(f, -1, 0) + np.roll(f, 1, 0) - 2 * f) / hx**2 + (
-                np.roll(f, -1, 1) + np.roll(f, 1, 1) - 2 * f
-            ) / hy**2
-
         r = curvature(m).scalar
         e2p = np.exp(2.0 * phi)
         out = {
-            "phi": phi, "px": dx(phi), "py": dy(phi),
-            "r": r, "rx": dx(r), "ry": dy(r),
+            "phi": phi, "px": _dx(phi, hx), "py": _dy(phi, hy),
+            "r": r, "rx": _dx(r, hx), "ry": _dy(r, hy),
             # curvature evolution dR/dt = lap R + R^2 in two dimensions
-            "rdot": lap0(r) / e2p + r * r,
+            "rdot": _lap0(r, hx, hy) / e2p + r * r,
             "e2p": e2p,
         }
         self._cache[idx] = out
@@ -796,11 +784,6 @@ def geodesic_shoot(h: FlowHistory, x0, momentum, t_end: float,
     raise ValueError("geodesic shooting supports model-space and torus histories")
 
 
-def k_and_h(sol: GeodesicSolution):
-    """Harnack integral, its samples, and the interior identity residual."""
-    return sol.k_value, sol.h_samples, sol.identity_residual
-
-
 def path_minimization_oracle(h: FlowHistory, x0, target, t: float,
                              n_segments: int = 64, n_random: int = 5,
                              n_iter: int = 220, seed: int = 1234,
@@ -1140,30 +1123,13 @@ class ReducedCheckReport:
     details: dict = field(default_factory=dict)
 
 
-def _field_time_grid(fld: ReducedField):
+def _require_uniform_times(fld: ReducedField) -> None:
     ts = fld.times
     if len(ts) < 3:
         raise ValueError("need at least three field times for time differencing")
     steps = np.diff(ts)
     if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
         raise ValueError("field times must be uniform for differencing")
-    return float(steps[0])
-
-
-def _d_dt(stack: np.ndarray, dt: float):
-    """(derivatives, interior index list) along axis 0, five-point if possible."""
-    k = stack.shape[0]
-    if k >= 5:
-        idx = list(range(2, k - 2))
-        out = [
-            (-stack[i + 2] + 8 * stack[i + 1] - 8 * stack[i - 1] + stack[i - 2])
-            / (12 * dt)
-            for i in idx
-        ]
-    else:
-        idx = list(range(1, k - 1))
-        out = [(stack[i + 1] - stack[i - 1]) / (2 * dt) for i in idx]
-    return out, idx
 
 
 def _radial_derivatives(fld: ReducedField, values: np.ndarray):
@@ -1198,15 +1164,11 @@ def _torus_subgrid_ops(h: FlowHistory, fld: ReducedField, t: float):
     r_sub = np.asarray(curvature(m).scalar)[::sx, ::sy]
 
     def grad_sq(f):
-        fx = (np.roll(f, -1, 0) - np.roll(f, 1, 0)) / (2 * hsx)
-        fy = (np.roll(f, -1, 1) - np.roll(f, 1, 1)) / (2 * hsy)
+        fx, fy = _dx(f, hsx), _dy(f, hsy)
         return np.exp(-2 * phi_sub) * (fx * fx + fy * fy)
 
     def lap(f):
-        l0 = (np.roll(f, -1, 0) + np.roll(f, 1, 0) - 2 * f) / hsx**2 + (
-            np.roll(f, -1, 1) + np.roll(f, 1, 1) - 2 * f
-        ) / hsy**2
-        return np.exp(-2 * phi_sub) * l0
+        return np.exp(-2 * phi_sub) * _lap0(f, hsx, hsy)
 
     return phi_sub, r_sub, grad_sq, lap
 
@@ -1220,8 +1182,8 @@ def check_gradient_time_identities(fld: ReducedField, h: FlowHistory) -> Reduced
     normalization (the analytic head is a y-independent offset handled
     by its own time derivative).  Checked at FD-smooth points only.
     """
-    dt = _field_time_grid(fld)
-    d_ell, idx = _d_dt(fld.ell_tail, dt)
+    _require_uniform_times(fld)
+    d_ell, idx = time_derivative(fld.ell_tail, fld.times)
     grad_res_max, dt_res_max = 0.0, 0.0
     per_time = []
     excluded = 0.0
@@ -1274,8 +1236,8 @@ def check_inequalities(fld: ReducedField, h: FlowHistory) -> ReducedCheckReport:
     Positive values are violations; the report keeps the worst per
     check.  Cut-locus points are excluded by the smoothness mask.
     """
-    dt = _field_time_grid(fld)
-    d_ell, idx = _d_dt(fld.ell, dt)
+    _require_uniform_times(fld)
+    d_ell, idx = time_derivative(fld.ell, fld.times)
     n = h.dim
     worst = {"lap_bound": -math.inf, "subsolution": -math.inf,
              "heat_form": -math.inf, "entropy_form": -math.inf}
@@ -1348,9 +1310,7 @@ def theta_plus(fld: ReducedField, h: FlowHistory, super_tol: float = 1e-3) -> Th
         if fld.kind == "torus":
             ntx, nty = fld.grid_shape
             lx, ly = h.template.periods
-            m = h.metric_at(t)
-            nx, ny = m.phi.shape
-            phi_sub = m.phi[:: nx // ntx, :: ny // nty]
+            phi_sub = _torus_subgrid_ops(h, fld, t)[0]
             u_hat = np.exp(fld.ell[i].reshape(ntx, nty)) / norm
             theta[i] = float(np.sum(u_hat * np.exp(2 * phi_sub))) * (lx / ntx) * (ly / nty)
             u_hats.append(u_hat)
@@ -1362,8 +1322,8 @@ def theta_plus(fld: ReducedField, h: FlowHistory, super_tol: float = 1e-3) -> Th
     diffs = np.diff(theta)
     max_violation = float(np.max(diffs)) if len(diffs) else 0.0
     # supersolution residual at interior times
-    dt = _field_time_grid(fld)
-    du, idx = _d_dt(np.asarray(u_hats), dt)
+    _require_uniform_times(fld)
+    du, idx = time_derivative(np.asarray(u_hats), times)
     sup_max = -math.inf
     excluded = 0.0
     for j, i in enumerate(idx):
@@ -1443,20 +1403,10 @@ def hessian_check_cor21(h: FlowHistory, t: float, targets,
             raise ValueError("torus variant expects a subgrid ReducedField")
         i = int(np.argmin(np.abs(fld.times - t)))
         ntx, nty = fld.grid_shape
-        lx, ly = h.template.periods
-        hsx, hsy = lx / ntx, ly / nty
         l_vals = (2.0 * math.sqrt(t) * fld.ell[i]).reshape(ntx, nty)
-        nx, ny = m.phi.shape
-        phi_sub = m.phi[:: nx // ntx, :: ny // nty]
-        r_sub = np.asarray(curvature(m).scalar)[:: nx // ntx, :: ny // nty]
-        px = (np.roll(phi_sub, -1, 0) - np.roll(phi_sub, 1, 0)) / (2 * hsx)
-        py = (np.roll(phi_sub, -1, 1) - np.roll(phi_sub, 1, 1)) / (2 * hsy)
-        fx = (np.roll(l_vals, -1, 0) - np.roll(l_vals, 1, 0)) / (2 * hsx)
-        fy = (np.roll(l_vals, -1, 1) - np.roll(l_vals, 1, 1)) / (2 * hsy)
-        fxx = (np.roll(l_vals, -1, 0) + np.roll(l_vals, 1, 0) - 2 * l_vals) / hsx**2
-        fyy = (np.roll(l_vals, -1, 1) + np.roll(l_vals, 1, 1) - 2 * l_vals) / hsy**2
-        h_xx = fxx - px * fx + py * fy
-        h_yy = fyy + px * fx - py * fy
+        phi_sub, r_sub, _, _ = _torus_subgrid_ops(h, fld, t)
+        lx, ly = h.template.periods
+        h_xx, _, h_yy = _hessian_conformal(l_vals, phi_sub, lx / ntx, ly / nty)
         e2p = np.exp(2.0 * phi_sub)
         bound = 1.0 / math.sqrt(t) + 2.0 * math.sqrt(t) * 0.5 * r_sub
         mx = bound - h_xx / e2p

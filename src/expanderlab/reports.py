@@ -75,6 +75,11 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return out
 
 
+def _xml_text(s: str) -> str:
+    """Escape text for an XML text node (titles carry user-chosen names)."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
@@ -110,7 +115,7 @@ def write_svg_chart(path, title: str, x, series: dict, x_label: str = "t",
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">{_xml_text(title)}</text>',
         f'<rect x="{ml}" y="{mt}" width="{width - ml - mr}" height="{height - mt - mb}" '
         f'fill="none" stroke="#333" stroke-width="1"/>',
     ]
@@ -133,13 +138,13 @@ def write_svg_chart(path, title: str, x, series: dict, x_label: str = "t",
         )
     parts.append(
         f'<text x="{(ml + width - mr) / 2:.1f}" y="{height - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
+        f'font-family="sans-serif" font-size="13">{_xml_text(x_label)}</text>'
     )
     if y_label:
         parts.append(
             f'<text x="18" y="{(mt + height - mb) / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {(mt + height - mb) / 2:.1f})">{y_label}</text>'
+            f'transform="rotate(-90 18 {(mt + height - mb) / 2:.1f})">{_xml_text(y_label)}</text>'
         )
     for idx, (label, ys) in enumerate(series.items()):
         ys = np.asarray(ys, dtype=float)
@@ -157,7 +162,7 @@ def write_svg_chart(path, title: str, x, series: dict, x_label: str = "t",
         )
         parts.append(
             f'<text x="{width - mr - 104}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
+            f'font-size="12">{_xml_text(label)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as f:

@@ -1,4 +1,5 @@
 import json
+from xml.etree import ElementTree
 
 import pytest
 
@@ -85,9 +86,48 @@ def test_multi_scenario_threads(tmp_path, hyperbolic_doc):
     second["name"] = "hyperbolic_copy"
     cfg = write_config(tmp_path, {"scenarios": [hyperbolic_doc, second]})
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out), "--threads", "2"]) == 0
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
     assert (out / "hyperbolic_expander" / "report.json").exists()
     assert (out / "hyperbolic_copy" / "report.json").exists()
+
+
+def test_threads_option_is_gone(tmp_path, hyperbolic_doc):
+    cfg = write_config(tmp_path, hyperbolic_doc)
+    with pytest.raises(SystemExit):
+        main(["run", str(cfg), "--out", str(tmp_path / "out"), "--threads", "2"])
+    assert not (tmp_path / "out").exists()
+
+
+def test_target_grid_not_dividing_grid_exits_2(tmp_path, capsys):
+    # the default of 12 targets per direction does not divide the 32-point grid
+    doc = json.loads(builtin_scenarios()["flat_torus"].read_text())
+    del doc["params"]["target_grid"]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "target_grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [0, -4, 3, 8.0, True, "8"])
+def test_target_grid_validation(bad):
+    doc = json.loads(builtin_scenarios()["flat_torus"].read_text())
+    doc["params"]["target_grid"] = bad
+    with pytest.raises(ConfigError, match="target_grid"):
+        Scenario.from_doc(doc)
+
+
+def test_svg_titles_are_escaped(tmp_path, hyperbolic_doc):
+    doc = dict(hyperbolic_doc, name="a<b&c")
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    plots = sorted((out / "a<b&c" / "plots").glob("*.svg"))
+    assert plots
+    for svg in plots:
+        root = ElementTree.parse(svg).getroot()
+        titles = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert any(t and t.startswith("a<b&c: ") for t in titles)
 
 
 def test_duplicate_names_rejected(tmp_path, hyperbolic_doc):

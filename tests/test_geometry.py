@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from expanderlab.flow import FlowHistory
 from expanderlab.geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
@@ -13,13 +14,17 @@ from expanderlab.geometry import (
     curvature_model_space,
     curvature_operator_nonneg,
     hessian_covariant,
+    _dxy,
+    _lap0,
     integrate,
     laplacian,
+    laplacian_symbol,
     model_from_json,
     model_to_json,
     soliton_residual_sq,
     volume,
 )
+from expanderlab.numerics import OdeTrajectory, hermite_cubic, hermite_interval, time_derivative
 from oracles import koszul_ricci
 
 HEISENBERG = (1.0, 0.0, 0.0)
@@ -203,6 +208,61 @@ def test_hessian_covariant_flat_quadratic():
     assert np.max(np.abs(hxx + (2 * math.pi) ** 2 * f)) < (2 * math.pi) ** 4 / n**2
     assert np.max(np.abs(hxy)) < 1e-10
     assert np.max(np.abs(hyy)) < 1e-10
+
+
+@pytest.mark.parametrize("mode", [(1, 0), (0, 1), (3, 5), (7, 11)])
+def test_shared_kernels_on_non_square_torus(mode):
+    # unequal grid sizes and periods: an hx/hy or axis swap in any shared
+    # kernel moves the result far beyond round-off
+    nx, ny, periods = 16, 24, (1.0, 1.7)
+    hx, hy = periods[0] / nx, periods[1] / ny
+    kx, ky = mode
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    theta = 2 * math.pi * (kx * i / nx + ky * j / ny)
+    f = np.cos(theta)
+
+    # the FFT symbol is the exact eigenvalue of the periodic Laplacian
+    lam = laplacian_symbol((nx, ny), (hx, hy))
+    assert lam.shape == (nx, ny)
+    scale = float(np.max(np.abs(lam)))
+    assert np.max(np.abs(_lap0(f, hx, hy) - lam[kx, ky] * f)) <= 1e-12 * scale
+    # mixed difference; the covariant Hessian traces to lap0 for any phi
+    a, b = 2 * math.pi * kx / nx, 2 * math.pi * ky / ny
+    fxy = -math.sin(a) * math.sin(b) / (hx * hy) * f
+    assert np.max(np.abs(_dxy(f, hx, hy) - fxy)) <= 1e-12 * scale
+    m = ConformalTorusMetric(0.2 * np.sin(theta + 0.3), periods)
+    h_xx, _, h_yy = hessian_covariant(m, f)
+    assert np.max(np.abs(h_xx + h_yy - _lap0(f, hx, hy))) <= 1e-12 * scale
+
+    # the five-point time derivative is exact on a quartic in t
+    times = 0.3 + 0.05 * np.arange(7)
+    derivs, idx = time_derivative([(2 * t**4 - t**3 + 0.5 * t) * f for t in times], times)
+    assert idx == [2, 3, 4]
+    for d, k in zip(derivs, idx):
+        t = times[k]
+        assert np.max(np.abs(d - (8 * t**3 - 3 * t**2 + 0.5) * f)) <= 1e-11
+
+    # Hermite reproduces a cubic from exact slopes on uneven samples and
+    # refuses times outside them, directly and through both wrappers
+    ts = np.array([0.0, 0.2, 0.5, 0.55, 1.0])
+    vals = np.array([(t**3 - 2 * t**2 + 0.25) * f for t in ts])
+    slopes = np.array([(3 * t**2 - 4 * t) * f for t in ts])
+    hist = FlowHistory("conformal_torus", m, ts, vals.reshape(5, -1), slopes.reshape(5, -1))
+    traj = OdeTrajectory(ts, vals.reshape(5, -1), slopes.reshape(5, -1))
+    for t in (0.0, 0.13, 0.5, 0.77, 1.0):
+        exact = (t**3 - 2 * t**2 + 0.25) * f
+        k, s, h = hermite_interval(ts, t, 1e-12)
+        got = hermite_cubic(s, h, vals[k], slopes[k], vals[k + 1], slopes[k + 1])
+        assert np.max(np.abs(got - exact)) <= 1e-13
+        assert np.max(np.abs(hist.params_at(t).reshape(nx, ny) - exact)) <= 1e-13
+        assert np.max(np.abs(traj(t).reshape(nx, ny) - exact)) <= 1e-13
+    for bad in (-1e-6, 1.0 + 1e-6, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            hermite_interval(ts, bad, 1e-12)
+    with pytest.raises(ValueError, match="outside"):
+        hist.params_at(1.01)
+    with pytest.raises(ValueError, match="outside"):
+        traj(np.array([0.5, 1.01]))
 
 
 def test_model_json_round_trip():

@@ -10,6 +10,7 @@ from expanderlab.numerics import (
     EigenFailure,
     OdeFailure,
     ToleranceConfig,
+    conjugate_gradient,
     fd_residual,
     integrate_ode,
     maximize_concave_1d,
@@ -31,6 +32,27 @@ def nil_closed_form(t, a0, b0, c0):
     k = 3.0 * a0 / (b0 * c0)
     u = 1.0 + k * t
     return np.array([a0 * u ** (-1 / 3), b0 * u ** (1 / 3), c0 * u ** (1 / 3)])
+
+
+def test_conjugate_gradient_initial_guess():
+    # weighted SPD system: the solution is the same from zero and from a
+    # nearby start, and a start at the solution returns it unchanged
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal((12, 12))
+    mat = q @ q.T + 12.0 * np.eye(12)
+    weight = rng.uniform(0.5, 2.0, 12)
+
+    def apply_a(x):
+        return mat @ (weight * x)
+
+    b = rng.standard_normal(12)
+    exact = np.linalg.solve(mat * weight, b)
+    cold = conjugate_gradient(apply_a, b, weight, rel_tol=1e-13)
+    warm = conjugate_gradient(apply_a, b, weight, rel_tol=1e-13, x0=b)
+    assert np.max(np.abs(cold - exact)) < 1e-10
+    assert np.max(np.abs(warm - exact)) < 1e-10
+    at_solution = conjugate_gradient(apply_a, b, weight, rel_tol=1e-6, x0=exact)
+    assert np.array_equal(at_solution, exact)
 
 
 def test_exponential_growth():
