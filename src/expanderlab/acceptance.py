@@ -376,7 +376,7 @@ def crit_9_hessian_bound(art: _Artifacts) -> CriterionResult:
     )
 
 
-def crit_10_property_suite(art: _Artifacts, out_dir=None) -> CriterionResult:
+def crit_10_property_suite(art: _Artifacts) -> CriterionResult:
     t0 = time.perf_counter()
     measured = {}
     # mass, positivity on a torus solve

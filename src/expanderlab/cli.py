@@ -41,7 +41,7 @@ from .entropy import (
     nu_plus,
 )
 from .flow import BlowdownSpec, blowdown, check_R_lower_bound, evolve, scaled_volume
-from .geometry import ConformalTorusMetric, validate_model_json, volume
+from .geometry import ConformalTorusMetric, ModelSpaceMetric, validate_model_json, volume
 from .reduced import (
     check_gradient_time_identities,
     check_inequalities,
@@ -99,7 +99,9 @@ class Scenario:
                 f"scenario {name!r}: unknown checks {unknown}; known: {list(KNOWN_CHECKS)}"
             )
         params = dict(doc.get("params", {}))
-        if isinstance(model, ConformalTorusMetric) and {"reduced", "theta"} & set(checks):
+        torus = isinstance(model, ConformalTorusMetric)
+        reduced = {"reduced", "theta"} & set(checks)
+        if torus and reduced:
             nt = params.get("target_grid", DEFAULT_TARGET_GRID)
             if (not isinstance(nt, int) or isinstance(nt, bool) or nt <= 0
                     or any(n % nt for n in model.grid_size)):
@@ -107,14 +109,60 @@ class Scenario:
                     f"scenario {name!r}: target_grid {nt!r} must be a positive integer "
                     f"dividing the grid size {list(model.grid_size)}"
                 )
+        sigmas = params.get("sigmas")
+        if "mu_nu" in checks and sigmas is not None and not (
+                isinstance(sigmas, list) and sigmas
+                and all(_is_number(s) and s > 0 for s in sigmas)):
+            raise ConfigError(
+                f"scenario {name!r}: sigmas {sigmas!r} must be a nonempty list of "
+                f"positive finite numbers"
+            )
+        radii = params.get("radii")
+        if (isinstance(model, ModelSpaceMetric) and reduced and radii is not None
+                and not _uniform_radii(radii)):
+            raise ConfigError(
+                f"scenario {name!r}: radii {radii!r} must be at least 3 nonnegative, "
+                f"increasing, uniformly spaced numbers"
+            )
+        t0, t1 = float(span[0]), float(span[1])
+        if torus and {"entropy", "harnack", "asymptotics"} & set(checks):
+            if not all(_is_number(params[k]) for k in ("window_lo", "window_hi")
+                       if k in params):
+                raise ConfigError(f"scenario {name!r}: window_lo/window_hi must be numbers")
+            lo, hi = _torus_window(params, (t0, t1))
+            if not t0 <= lo < hi <= t1:
+                raise ConfigError(
+                    f"scenario {name!r}: density window [{lo!r}, {hi!r}] must satisfy "
+                    f"t0 <= window_lo < window_hi <= t1 on t_span [{t0!r}, {t1!r}]"
+                )
         return Scenario(
             name=name,
             model=model,
-            t_span=(float(span[0]), float(span[1])),
+            t_span=(t0, t1),
             checks=tuple(checks),
             tolerances=dict(doc.get("tolerances", {})),
             params=params,
         )
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _uniform_radii(radii) -> bool:
+    """At least three nonnegative, increasing, uniformly spaced numbers."""
+    if not (isinstance(radii, list) and len(radii) >= 3
+            and all(_is_number(r) for r in radii)):
+        return False
+    steps = np.diff(radii)
+    return (radii[0] >= 0 and steps[0] > 0
+            and float(np.max(np.abs(steps - steps[0]))) <= 1e-9 * steps[0])
+
+
+def _torus_window(params: dict, t_span) -> tuple:
+    t0, t1 = t_span
+    return (float(params.get("window_lo", max(t0, 0.02 * t1))),
+            float(params.get("window_hi", 0.45 * t1)))
 
 
 def _default_times(scn: Scenario, h) -> np.ndarray:
@@ -126,14 +174,10 @@ def _default_times(scn: Scenario, h) -> np.ndarray:
 
 
 def _density_window(scn: Scenario, h):
-    t0, t1 = scn.t_span
     if h.kind == "conformal_torus":
-        lo = float(scn.params.get("window_lo", max(t0, 0.02 * t1)))
-        hi = float(scn.params.get("window_hi", 0.45 * t1))
-    else:
-        lo = max(t0, t1 / 200.0, 1e-3)
-        hi = 0.9 * t1
-    return (lo, hi)
+        return _torus_window(scn.params, scn.t_span)
+    t0, t1 = scn.t_span
+    return (max(t0, t1 / 200.0, 1e-3), 0.9 * t1)
 
 
 def run_scenario_doc(doc: dict, out_dir) -> dict:

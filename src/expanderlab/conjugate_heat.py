@@ -40,7 +40,6 @@ from .geometry import (
 )
 from .flow import FlowHistory
 from .numerics import (
-    ToleranceConfig,
     conjugate_gradient,
     hermite_cubic,
     hermite_interval,
@@ -124,7 +123,6 @@ def _renormalized(m: MetricModel, u):
 
 
 def solve_conjugate_backward(h: FlowHistory, t_final: float, u_final,
-                             tol: ToleranceConfig | None = None,
                              t_start: float | None = None,
                              n_retain: int = 9,
                              dt_cap: float | None = None) -> list:
@@ -137,8 +135,6 @@ def solve_conjugate_backward(h: FlowHistory, t_final: float, u_final,
     offsets).  Positivity loss in the torus scheme aborts with a step
     diagnostic.
     """
-    if tol is None:
-        tol = ToleranceConfig()
     if t_start is None:
         t_start = h.t_min
     t_start, t_final = float(t_start), float(t_final)
@@ -181,47 +177,45 @@ def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap=None) -> list:
     per_seg = max(1, math.ceil(seg / dt_cap))
     dt = seg / per_seg
 
-    def conj_op(t):
+    def level(t):  # (metric, e^{2 phi}, R) at t; a step's new level is the next one's old
         m = h.metric_at(t)
-        e2p = np.exp(2.0 * m.phi)
-        r = curvature(m).scalar
+        return m, np.exp(2.0 * m.phi), curvature(m).scalar
 
-        def apply_l(u):  # lap_g u - R u
-            return _lap0(u, hx, hy) / e2p - r * u
-
-        return apply_l, e2p
+    def apply_l(x, lev):  # lap_g x - R x
+        _, e2p, r = lev
+        return _lap0(x, hx, hy) / e2p - r * x
 
     u = u_final.copy()
-    states = [DensityState.make(t_final, _renormalized(h.metric_at(t_final), u),
-                                t_final, h.dim)]
-    solver_cache = {}
     t = t_final
+    old = level(t)
+    states = [DensityState.make(t_final, _renormalized(old[0], u), t_final, h.dim)]
+    solver_cache = {}
     for k_out in range(len(times) - 1):
         for _ in range(per_seg):
             t_new = t - dt
-            l_old, _ = conj_op(t)
-            l_new, w_new = conj_op(t_new)
-            b = u + 0.5 * dt * l_old(u)
-            c_bar = float(np.mean(np.exp(-2.0 * h.metric_at(t_new).phi)))
+            new = level(t_new)
+            b = u + 0.5 * dt * apply_l(u, old)
+            c_bar = float(np.mean(np.exp(-2.0 * new[0].phi)))
             key = round(c_bar, 6)
             if key not in solver_cache:
                 solver_cache[key] = _fft_shift_solver(template.phi.shape, template.spacing,
                                                       0.5 * dt * key)
 
             def apply_a(x):
-                return x - 0.5 * dt * l_new(x)
+                return x - 0.5 * dt * apply_l(x, new)
 
             # PCG in the volume-weighted inner product (A self-adjoint there)
-            u = conjugate_gradient(apply_a, b, w_new, solver_cache[key], rel_tol=1e-13,
+            u = conjugate_gradient(apply_a, b, new[1], solver_cache[key], rel_tol=1e-13,
                                    max_iter=200, x0=b)
             if float(np.min(u)) <= 0.0:
                 raise RuntimeError(
                     f"conjugate solve lost positivity stepping to t = {t_new:.6g} "
                     f"(min u = {float(np.min(u)):.3e})"
                 )
-            u = _renormalized(h.metric_at(t_new), u)
-            t = t_new
+            u = _renormalized(new[0], u)
+            t, old = t_new, new
         t = float(times[len(times) - 2 - k_out])  # snap accumulated round-off
+        old = level(t)
         states.append(DensityState.make(t, u, max(t, 1e-300), h.dim))
     states.reverse()
     return states

@@ -6,9 +6,8 @@ the cubic Hermite interpolant and five-point time derivative shared by
 sampled histories, preconditioned conjugate gradients, a shifted
 inverse-power smallest-eigenpair solver, golden-section
 maximization of a concave function with bracket auto-expansion,
-projected-gradient minimization on the unit sphere of a weighted L2
-space, and a finite-difference identity checker with convergence-order
-fitting.
+and projected-gradient minimization on the unit sphere of a weighted
+L2 space.
 
 All kernels are pure functions of their arguments (no global state, no
 hidden randomness) and are safe to call from parallel workers.  Fields
@@ -32,12 +31,10 @@ __all__ = [
     "EigenResult",
     "ConcaveMaxResult",
     "ConstrainedMinResult",
-    "FdResidualReport",
     "integrate_ode",
     "smallest_eigenpair",
     "maximize_concave_1d",
     "minimize_constrained",
-    "fd_residual",
     "conjugate_gradient",
     "hermite_interval",
     "hermite_cubic",
@@ -567,41 +564,3 @@ def minimize_constrained(functional, gradient, normalize, inner, w0,
     return ConstrainedMinResult(
         w, fval, g_norm, False, tol.max_iter, message="iteration budget exhausted"
     )
-
-
-@dataclass
-class FdResidualReport:
-    levels: list
-    max_residuals: list
-    order: float
-    decaying: bool
-
-    def __str__(self) -> str:
-        rows = ", ".join(
-            f"N={lv}: {r:.3e}" for lv, r in zip(self.levels, self.max_residuals)
-        )
-        return f"residuals [{rows}]; fitted order {self.order:.2f}; decaying={self.decaying}"
-
-
-def fd_residual(claimed_identity, levels) -> FdResidualReport:
-    """Check a claimed identity lhs == rhs across grid refinement levels.
-
-    claimed_identity is a (lhs, rhs) pair of evaluators taking a level
-    (e.g. a grid size N, with mesh width proportional to 1/N) and
-    returning arrays on that level's grid.  Reports the max-norm
-    residual per level and the order fitted by least squares against the
-    mesh width; a non-decaying residual is flagged (decaying=False), it
-    is never an error.
-    """
-    lhs, rhs = claimed_identity
-    res = []
-    for lv in levels:
-        r = np.asarray(lhs(lv)) - np.asarray(rhs(lv))
-        res.append(float(np.max(np.abs(r))))
-    if all(r < 1e-13 for r in res):
-        return FdResidualReport(list(levels), res, math.inf, True)
-    logs_h = np.log([1.0 / float(lv) for lv in levels])
-    logs_r = np.log([max(r, 1e-300) for r in res])
-    order = float(np.polyfit(logs_h, logs_r, 1)[0]) if len(levels) >= 2 else math.nan
-    decaying = bool(order >= 0.5) and res[-1] < res[0]
-    return FdResidualReport(list(levels), res, order, decaying)

@@ -50,7 +50,6 @@ __all__ = [
     "GeodesicSolution",
     "ReducedField",
     "ThetaSeries",
-    "l_plus_of_path",
     "geodesic_shoot",
     "ell_plus_field",
     "extrapolate_fields",
@@ -663,66 +662,6 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float,
 # ---------------------------------------------------------------------------
 # public operations
 
-def l_plus_of_path(h: FlowHistory, p: PathSample) -> float:
-    """Action of an explicit discrete path by segment quadrature.
-
-    The curvature part uses sqrt(eta)-weighted trapezoid values at the
-    nodes; the kinetic part integrates the sqrt(eta) weight exactly per
-    segment against the segment's constant velocity (so constant-speed
-    straight lines are integrated exactly).  A positive start
-    regularization adds the analytic head estimate for the clipped
-    curvature part.
-    """
-    eta = np.asarray(p.eta_grid, dtype=float)
-    pos = np.asarray(p.positions, dtype=float)
-    if pos.shape[0] != eta.shape[0]:
-        raise ValueError("positions and eta_grid must align")
-    if eta[-1] > h.t_max + 1e-12:
-        raise ValueError("path leaves the history time range")
-    radial = pos.ndim == 1
-    n = h.dim
-
-    def bilinear(grid, pt, m):
-        nx, ny = grid.shape
-        hx, hy = m.spacing
-        fx = (pt[0] / hx) % nx
-        fy = (pt[1] / hy) % ny
-        i0, j0 = int(math.floor(fx)) % nx, int(math.floor(fy)) % ny
-        i1, j1 = (i0 + 1) % nx, (j0 + 1) % ny
-        ax, ay = fx - math.floor(fx), fy - math.floor(fy)
-        return float(
-            grid[i0, j0] * (1 - ax) * (1 - ay) + grid[i1, j0] * ax * (1 - ay)
-            + grid[i0, j1] * (1 - ax) * ay + grid[i1, j1] * ax * ay
-        )
-
-    r_nodes = np.empty(len(eta))
-    g_mid = np.empty(len(eta) - 1)
-    for i, e in enumerate(eta):
-        m = h.metric_at(max(e, h.t_min))
-        r = curvature(m).scalar
-        r_nodes[i] = float(r) if radial else bilinear(np.asarray(r), pos[i], m)
-    for j in range(len(eta) - 1):
-        e_mid = 0.5 * (eta[j] + eta[j + 1])
-        m = h.metric_at(max(e_mid, h.t_min))
-        if radial:
-            g_mid[j] = float(m.scale)
-        else:
-            mid = 0.5 * (pos[j] + pos[j + 1])
-            g_mid[j] = math.exp(2.0 * bilinear(np.asarray(m.phi), mid, m))
-    d_eta = np.diff(eta)
-    r_part = float(np.sum(0.5 * (np.sqrt(eta[:-1]) * r_nodes[:-1]
-                                 + np.sqrt(eta[1:]) * r_nodes[1:]) * d_eta))
-    seg_w = (2.0 / 3.0) * (eta[1:] ** 1.5 - eta[:-1] ** 1.5)
-    if radial:
-        speed_sq = (np.diff(pos) / d_eta) ** 2
-    else:
-        speed_sq = np.sum(np.diff(pos, axis=0) ** 2, axis=1) / d_eta**2
-    kin_part = float(np.sum(seg_w * g_mid * speed_sq))
-    eps = p.start_regularization
-    head = _analytic_head(r_nodes[0], eps, n) if eps > 0 else 0.0
-    return r_part + kin_part + head
-
-
 def geodesic_shoot(h: FlowHistory, x0, momentum, t_end: float,
                    eps: float = 0.0, n_steps: int = 192) -> GeodesicSolution:
     """Integrate the reduced geodesic system from a momentum datum."""
@@ -788,7 +727,7 @@ def path_minimization_oracle(h: FlowHistory, x0, target, t: float,
                              n_segments: int = 64, n_random: int = 5,
                              n_iter: int = 220, seed: int = 1234,
                              include_translates: bool = True):
-    """Direct descent over discrete paths; an upper-bound cross-check.
+    """Direct descent over discrete paths on a torus; an upper-bound cross-check.
 
     Piecewise-linear paths on the squared uniform s-grid, descended by
     the exact gradient of the discretized action from the straight path,
@@ -796,66 +735,13 @@ def path_minimization_oracle(h: FlowHistory, x0, target, t: float,
     Only an upper bound over the restricted path class: the value is
     never below the shooting value beyond quadrature error.
     """
-    if h.kind == "model_space":
-        return _oracle_radial(h, float(target), t, n_segments, n_random, n_iter, seed)
+    if h.kind != "conformal_torus":
+        raise ValueError("the path-minimization oracle supports torus histories")
     vals = _oracle_torus_batch(
         h, np.asarray(x0, float), np.asarray(target, float).reshape(1, 2), t,
         n_segments, n_random, n_iter, seed, include_translates,
     )
     return float(vals[0])
-
-
-def _oracle_radial(h, target, t, n_segments, n_random, n_iter, seed):
-    s = np.linspace(0.0, math.sqrt(t), n_segments + 1)
-    eta = s**2
-    a_nodes = np.array([float(h.params_at(e)[0]) for e in eta])
-    n = h.dim
-    r_nodes = n * h.template.rho0 / a_nodes
-    s_mid = 0.5 * (s[:-1] + s[1:])
-    a_mid = np.array([float(h.params_at(e)[0]) for e in s_mid**2])
-    d_eta = np.diff(eta)
-    seg_w = d_eta**2 / (2.0 * np.diff(s))
-    w_r = np.zeros(n_segments + 1)
-    w_r[:-1] += 0.5 * np.sqrt(eta[:-1]) * d_eta
-    w_r[1:] += 0.5 * np.sqrt(eta[1:]) * d_eta
-    r_part = float(np.sum(w_r * r_nodes))
-
-    def kinetic(interior):
-        pos = np.concatenate([[0.0], interior, [target]])
-        return float(np.sum(seg_w * a_mid * (np.diff(pos) / d_eta) ** 2))
-
-    def grad(interior):
-        pos = np.concatenate([[0.0], interior, [target]])
-        seg = 2.0 * seg_w * a_mid * np.diff(pos) / d_eta**2
-        return seg[:-1] - seg[1:]
-
-    rng = np.random.default_rng(seed)
-    starts = [np.linspace(0.0, target, n_segments + 1)[1:-1],
-              target * (s / s[-1])[1:-1]]
-    for _ in range(n_random):
-        starts.append(starts[1] + 0.1 * target * rng.standard_normal(n_segments - 1))
-    best = math.inf
-    for z in starts:
-        z = z.copy()
-        val = kinetic(z)
-        step = 1e-3
-        for _ in range(n_iter):
-            g = grad(z)
-            gn = float(np.max(np.abs(g)))
-            if gn < 1e-13:
-                break
-            alpha = step * 4.0
-            while alpha > 1e-16:
-                z_try = z - alpha * g
-                v_try = kinetic(z_try)
-                if v_try < val:
-                    z, val, step = z_try, v_try, alpha
-                    break
-                alpha *= 0.5
-            else:
-                break
-        best = min(best, val)
-    return r_part + best
 
 
 def _oracle_torus_batch(h, x0, targets, t, n_segments=64, n_random=5,
@@ -1153,24 +1039,56 @@ def _radial_derivatives(fld: ReducedField, values: np.ndarray):
     return first, second
 
 
-def _torus_subgrid_ops(h: FlowHistory, fld: ReducedField, t: float):
-    ntx, nty = fld.grid_shape
-    lx, ly = h.template.periods
-    hsx, hsy = lx / ntx, ly / nty
+def _subgrid(fld: ReducedField, m):
+    """Index of the field's target subgrid in the metric grid, and its spacing."""
+    if fld.grid_shape is None:
+        raise ValueError("torus checks need a subgrid ReducedField")
+    (ntx, nty), (nx, ny) = fld.grid_shape, m.phi.shape
+    lx, ly = m.periods
+    return np.s_[::nx // ntx, ::ny // nty], (lx / ntx, ly / nty)
+
+
+def _slice_ops(fld: ReducedField, h: FlowHistory, i: int):
+    """Spatial operators on the targets of field time i.
+
+    Returns (R, grad_sq, lap, keep, excluded): the scalar curvature on
+    the targets, |grad f|^2 and lap f of a target field, the points the
+    stencils may be trusted at (interior radii; smooth subgrid points),
+    and the fraction the smoothness mask excluded.
+    """
+    t = float(fld.times[i])
     m = h.metric_at(t)
-    nx, ny = m.phi.shape
-    sx, sy = nx // ntx, ny // nty
-    phi_sub = m.phi[::sx, ::sy]
-    r_sub = np.asarray(curvature(m).scalar)[::sx, ::sy]
+    if fld.kind == "radial":
+        a_t = float(h.params_at(t)[0])
+        ct = _radial_ct(h.template.sectional_sign, np.maximum(fld.targets, 1e-10))
+
+        def grad_sq(f):
+            first, _ = _radial_derivatives(fld, f)
+            return first**2 / a_t
+
+        def lap(f):
+            first, second = _radial_derivatives(fld, f)
+            return (second + (h.dim - 1) * ct * first) / a_t
+
+        keep = np.zeros(len(fld.targets), dtype=bool)
+        keep[1:-1] = True
+        return float(curvature(m).scalar), grad_sq, lap, keep, 0.0
+    sub, (hsx, hsy) = _subgrid(fld, m)
+    em2p = np.exp(-2 * m.phi[sub])
 
     def grad_sq(f):
+        f = f.reshape(fld.grid_shape)
         fx, fy = _dx(f, hsx), _dy(f, hsy)
-        return np.exp(-2 * phi_sub) * (fx * fx + fy * fy)
+        return (em2p * (fx * fx + fy * fy)).ravel()
 
     def lap(f):
-        return np.exp(-2 * phi_sub) * _lap0(f, hsx, hsy)
+        return (em2p * _lap0(f.reshape(fld.grid_shape), hsx, hsy)).ravel()
 
-    return phi_sub, r_sub, grad_sq, lap
+    r = curvature(m).scalar[sub].ravel()
+    if fld.smooth_mask is None:
+        return r, grad_sq, lap, np.ones(len(fld.targets), dtype=bool), 0.0
+    keep = fld.smooth_mask[i]
+    return r, grad_sq, lap, keep, 1.0 - float(np.mean(keep))
 
 
 def check_gradient_time_identities(fld: ReducedField, h: FlowHistory) -> ReducedCheckReport:
@@ -1191,31 +1109,12 @@ def check_gradient_time_identities(fld: ReducedField, h: FlowHistory) -> Reduced
         t = float(fld.times[i])
         ell = fld.ell_tail[i]
         k_eff = fld.k_effective[i]
-        if fld.kind == "radial":
-            r_val = float(curvature(h.metric_at(t)).scalar)
-            first, _ = _radial_derivatives(fld, ell)
-            a_t = float(h.params_at(t)[0])
-            grad_sq = first**2 / a_t
-            interior = slice(1, -1)
-            g_res = np.abs(grad_sq - (-r_val + ell / t + k_eff / t**1.5))[interior]
-            t_res = np.abs(d_ell[j] - (r_val - k_eff / (2 * t**1.5) - ell / t))[interior]
-        else:
-            ntx, nty = fld.grid_shape
-            _, r_sub, grad_sq_op, _ = _torus_subgrid_ops(h, fld, t)
-            e2 = ell.reshape(ntx, nty)
-            k2 = k_eff.reshape(ntx, nty)
-            g_res = np.abs(grad_sq_op(e2) - (-r_sub + e2 / t + k2 / t**1.5))
-            t_res = np.abs(
-                d_ell[j].reshape(ntx, nty)
-                - (r_sub - k2 / (2 * t**1.5) - e2.reshape(ntx, nty) / t)
-            )
-            if fld.smooth_mask is not None:
-                keep = fld.smooth_mask[i].reshape(ntx, nty)
-                excluded = max(excluded, 1.0 - float(np.mean(keep)))
-                g_res = g_res[keep]
-                t_res = t_res[keep]
-        g_max = float(np.max(g_res))
-        t_max_res = float(np.max(t_res))
+        r, grad_sq, _, keep, frac = _slice_ops(fld, h, i)
+        excluded = max(excluded, frac)
+        g_res = np.abs(grad_sq(ell) - (-r + ell / t + k_eff / t**1.5))
+        t_res = np.abs(d_ell[j] - (r - k_eff / (2 * t**1.5) - ell / t))
+        g_max = float(np.max(g_res[keep]))
+        t_max_res = float(np.max(t_res[keep]))
         per_time.append((fld.times[i], g_max, t_max_res))
         grad_res_max = max(grad_res_max, g_max)
         dt_res_max = max(dt_res_max, t_max_res)
@@ -1245,43 +1144,17 @@ def check_inequalities(fld: ReducedField, h: FlowHistory) -> ReducedCheckReport:
     excluded = 0.0
     for j, i in enumerate(idx):
         t = float(fld.times[i])
-        ell = fld.ell[i]
-        k_eff = fld.k_effective[i]
-        if fld.kind == "radial":
-            r_val = float(curvature(h.metric_at(t)).scalar)
-            a_t = float(h.params_at(t)[0])
-            first, second = _radial_derivatives(fld, ell)
-            sign = h.template.sectional_sign
-            ct = _radial_ct(sign, np.maximum(fld.targets, 1e-10))
-            lap = (second + (n - 1) * ct * first) / a_t
-            grad_sq = first**2 / a_t
-            sel = slice(1, -1)
-            lap, grad_sq, ell_v, k_v, dl = (
-                lap[sel], grad_sq[sel], ell[sel], k_eff[sel], d_ell[j][sel]
-            )
-            r_arr = r_val
-        else:
-            ntx, nty = fld.grid_shape
-            _, r_sub, grad_sq_op, lap_op = _torus_subgrid_ops(h, fld, t)
-            e2 = ell.reshape(ntx, nty)
-            lap = lap_op(e2)
-            grad_sq = grad_sq_op(e2)
-            ell_v, k_v, dl = e2, k_eff.reshape(ntx, nty), d_ell[j].reshape(ntx, nty)
-            r_arr = r_sub
-            if fld.smooth_mask is not None:
-                keep = fld.smooth_mask[i].reshape(ntx, nty)
-                excluded = max(excluded, 1.0 - float(np.mean(keep)))
-                lap, grad_sq, ell_v, k_v, dl, r_arr = (
-                    a[keep] for a in (lap, grad_sq, ell_v, k_v, dl,
-                                      np.broadcast_to(r_sub, e2.shape))
-                )
+        ell, k_v, dl = fld.ell[i], fld.k_effective[i], d_ell[j]
+        r, grad_sq_op, lap_op, keep, frac = _slice_ops(fld, h, i)
+        excluded = max(excluded, frac)
+        lap, grad_sq = lap_op(ell), grad_sq_op(ell)
         checks = {
-            "lap_bound": lap - (r_arr + n / (2 * t) - k_v / (2 * t**1.5)),
-            "subsolution": dl + lap + grad_sq - r_arr - n / (2 * t),
-            "heat_form": -(4 * ell_v + 4 * t * dl + 2 * n - 4 * t * lap),
-            "entropy_form": t * (2 * lap + grad_sq - r_arr) - ell_v - n,
+            "lap_bound": lap - (r + n / (2 * t) - k_v / (2 * t**1.5)),
+            "subsolution": dl + lap + grad_sq - r - n / (2 * t),
+            "heat_form": -(4 * ell + 4 * t * dl + 2 * n - 4 * t * lap),
+            "entropy_form": t * (2 * lap + grad_sq - r) - ell - n,
         }
-        row = {k: float(np.max(v)) for k, v in checks.items()}
+        row = {k: float(np.max(v[keep])) for k, v in checks.items()}
         per_time.append((fld.times[i], row))
         for k, v in row.items():
             worst[k] = max(worst[k], v)
@@ -1290,15 +1163,15 @@ def check_inequalities(fld: ReducedField, h: FlowHistory) -> ReducedCheckReport:
     )
 
 
-def theta_plus(fld: ReducedField, h: FlowHistory, super_tol: float = 1e-3) -> ThetaSeries:
+def theta_plus(fld: ReducedField, h: FlowHistory) -> ThetaSeries:
     """Forward reduced volume series with monotonicity and bound verdicts.
 
     The torus integral uses the field's uniform target subgrid; the
     radial variant averages exp(ell) over the radial samples against the
     total volume (the profiles of interest are spatially constant in the
-    extrapolated limit).  The pointwise supersolution check
-    d(u_hat)/dt + lap u_hat - R u_hat <= tol runs at FD-smooth interior
-    times.
+    extrapolated limit).  The pointwise supersolution residual
+    d(u_hat)/dt + lap u_hat - R u_hat (at most zero in theory) is
+    reported as its maximum over FD-smooth points at interior times.
     """
     n = h.dim
     times = fld.times
@@ -1307,17 +1180,14 @@ def theta_plus(fld: ReducedField, h: FlowHistory, super_tol: float = 1e-3) -> Th
     u_hats = []
     for i, t in enumerate(times):
         norm = (4.0 * math.pi * t) ** (n / 2.0)
+        u_hat = np.exp(fld.ell[i]) / norm
+        m = h.metric_at(t)
         if fld.kind == "torus":
-            ntx, nty = fld.grid_shape
-            lx, ly = h.template.periods
-            phi_sub = _torus_subgrid_ops(h, fld, t)[0]
-            u_hat = np.exp(fld.ell[i].reshape(ntx, nty)) / norm
-            theta[i] = float(np.sum(u_hat * np.exp(2 * phi_sub))) * (lx / ntx) * (ly / nty)
-            u_hats.append(u_hat)
+            sub, (hsx, hsy) = _subgrid(fld, m)
+            theta[i] = float(np.sum(u_hat * np.exp(2 * m.phi[sub]).ravel())) * hsx * hsy
         else:
-            u_hat = np.exp(fld.ell[i]) / norm
-            theta[i] = float(np.mean(u_hat)) * volume(h.metric_at(t))
-            u_hats.append(u_hat)
+            theta[i] = float(np.mean(u_hat)) * volume(m)
+        u_hats.append(u_hat)
         lower[i] = scaled_volume(h, float(t)) / (4.0 * math.pi * math.e) ** (n / 2.0)
     diffs = np.diff(theta)
     max_violation = float(np.max(diffs)) if len(diffs) else 0.0
@@ -1327,23 +1197,10 @@ def theta_plus(fld: ReducedField, h: FlowHistory, super_tol: float = 1e-3) -> Th
     sup_max = -math.inf
     excluded = 0.0
     for j, i in enumerate(idx):
-        t = float(times[i])
-        r = curvature(h.metric_at(t)).scalar
-        if fld.kind == "torus":
-            ntx, nty = fld.grid_shape
-            _, r_sub, _, lap_op = _torus_subgrid_ops(h, fld, t)
-            res = du[j] + lap_op(u_hats[i]) - r_sub * u_hats[i]
-            if fld.smooth_mask is not None:
-                keep = fld.smooth_mask[i].reshape(ntx, nty)
-                excluded = max(excluded, 1.0 - float(np.mean(keep)))
-                res = res[keep]
-        else:
-            first, second = _radial_derivatives(fld, np.asarray(u_hats[i]))
-            a_t = float(h.params_at(t)[0])
-            ct = _radial_ct(h.template.sectional_sign, np.maximum(fld.targets, 1e-10))
-            lap = (second + (n - 1) * ct * first) / a_t
-            res = (du[j] + lap - float(r) * u_hats[i])[1:-1]
-        sup_max = max(sup_max, float(np.max(res)))
+        r, _, lap, keep, frac = _slice_ops(fld, h, i)
+        excluded = max(excluded, frac)
+        res = du[j] + lap(u_hats[i]) - r * u_hats[i]
+        sup_max = max(sup_max, float(np.max(res[keep])))
     return ThetaSeries(
         times=times, theta=theta, lower_bound=lower,
         monotone_ok=bool(np.all(diffs <= 1e-5 * np.maximum(1.0, np.abs(theta[:-1])))),
@@ -1402,17 +1259,16 @@ def hessian_check_cor21(h: FlowHistory, t: float, targets,
         if not isinstance(fld, ReducedField) or fld.grid_shape is None:
             raise ValueError("torus variant expects a subgrid ReducedField")
         i = int(np.argmin(np.abs(fld.times - t)))
-        ntx, nty = fld.grid_shape
-        l_vals = (2.0 * math.sqrt(t) * fld.ell[i]).reshape(ntx, nty)
-        phi_sub, r_sub, _, _ = _torus_subgrid_ops(h, fld, t)
-        lx, ly = h.template.periods
-        h_xx, _, h_yy = _hessian_conformal(l_vals, phi_sub, lx / ntx, ly / nty)
+        l_vals = (2.0 * math.sqrt(t) * fld.ell[i]).reshape(fld.grid_shape)
+        sub, (hsx, hsy) = _subgrid(fld, m)
+        phi_sub, r_sub = m.phi[sub], curvature(m).scalar[sub]
+        h_xx, _, h_yy = _hessian_conformal(l_vals, phi_sub, hsx, hsy)
         e2p = np.exp(2.0 * phi_sub)
         bound = 1.0 / math.sqrt(t) + 2.0 * math.sqrt(t) * 0.5 * r_sub
         mx = bound - h_xx / e2p
         my = bound - h_yy / e2p
         if fld.smooth_mask is not None:
-            keep = fld.smooth_mask[i].reshape(ntx, nty)
+            keep = fld.smooth_mask[i].reshape(fld.grid_shape)
             mx, my = mx[keep], my[keep]
         min_margin = min(float(np.min(mx)), float(np.min(my)))
         return HessianReport("ok", t, {"xx_min": float(np.min(mx)),

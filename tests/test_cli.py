@@ -117,6 +117,21 @@ def test_target_grid_validation(bad):
         Scenario.from_doc(doc)
 
 
+@pytest.mark.parametrize("scenario, params, word", [
+    ("flat_torus", {"sigmas": [-1, 0.5]}, "sigmas"),
+    ("shrinking_sphere", {"radii": [0, 0.1, 0.5, 2]}, "radii"),
+    ("flat_torus", {"window_lo": 2.9, "window_hi": 5.0}, "window"),
+])
+def test_malformed_params_exit_2_without_output(tmp_path, capsys, scenario, params, word):
+    doc = json.loads(builtin_scenarios()[scenario].read_text())
+    doc["params"].update(params)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_svg_titles_are_escaped(tmp_path, hyperbolic_doc):
     doc = dict(hyperbolic_doc, name="a<b&c")
     cfg = write_config(tmp_path, doc)

@@ -11,7 +11,6 @@ from expanderlab.numerics import (
     OdeFailure,
     ToleranceConfig,
     conjugate_gradient,
-    fd_residual,
     integrate_ode,
     maximize_concave_1d,
     minimize_constrained,
@@ -319,38 +318,6 @@ def test_constrained_min_descent_property():
     res = minimize_constrained(functional, gradient, normalize, inner, w0,
                                ToleranceConfig(abs_tol=1e-7, max_iter=500))
     assert res.value <= functional(w0) + 1e-12
-
-
-def test_fd_residual_exact_identity():
-    rep = fd_residual((lambda n: np.zeros(n), lambda n: np.zeros(n)), [8, 16, 32])
-    assert rep.max_residuals == [0.0, 0.0, 0.0]
-    assert rep.decaying
-
-
-def test_fd_residual_second_order_ratio():
-    def lhs(n):
-        h = 2 * math.pi / n
-        x = np.arange(n) * h
-        f = np.sin(x)
-        return (np.roll(f, -1) + np.roll(f, 1) - 2 * f) / (h * h)
-
-    def rhs(n):
-        h = 2 * math.pi / n
-        return -np.sin(np.arange(n) * h)
-
-    rep = fd_residual((lhs, rhs), [32, 64])
-    ratio = rep.max_residuals[0] / rep.max_residuals[1]
-    assert abs(ratio - 4.0) < 0.8  # Richardson ratio within 20 percent
-    assert rep.decaying
-    assert 1.8 <= rep.order <= 2.2
-
-
-def test_fd_residual_negative_control():
-    def lhs(n):
-        return np.full(n, 0.1)
-
-    rep = fd_residual((lhs, lambda n: np.zeros(n)), [16, 32, 64])
-    assert not rep.decaying
 
 
 def test_nonfinite_initial_state_aborts():

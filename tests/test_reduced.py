@@ -1,19 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from expanderlab.entropy import nu_plus
 from expanderlab.flow import BlowdownSpec, blowdown, evolve
 from expanderlab.geometry import ConformalTorusMetric, ModelSpaceMetric
 from expanderlab.reduced import (
-    PathSample,
     check_gradient_time_identities,
     check_inequalities,
     ell_plus_field,
     extrapolate_fields,
     geodesic_shoot,
     hessian_check_cor21,
-    l_plus_of_path,
     path_minimization_oracle,
     theta_plus,
 )
@@ -44,25 +44,6 @@ def torus_distance_sq(y, x0=(0.0, 0.0), lx=1.0, ly=1.0):
     dx = min(abs(y[0] - x0[0]) % lx, lx - abs(y[0] - x0[0]) % lx)
     dy = min(abs(y[1] - x0[1]) % ly, ly - abs(y[1] - x0[1]) % ly)
     return dx * dx + dy * dy
-
-
-def test_path_action_constant_speed_straight():
-    h = flat_history()
-    t, d = 1.0, 0.4
-    eta = np.linspace(0.0, t, 65)
-    pos = np.stack([d * eta / t, np.zeros_like(eta)], axis=1)
-    val = l_plus_of_path(h, PathSample((0.0, 0.0), eta, pos))
-    assert abs(val - (2.0 / 3.0) * d * d / math.sqrt(t)) < 1e-12
-
-
-def test_path_action_optimal_profile():
-    h = flat_history()
-    t, d = 1.0, 0.4
-    s = np.linspace(0.0, math.sqrt(t), 513)
-    eta = s * s
-    pos = np.stack([d * s / math.sqrt(t), np.zeros_like(s)], axis=1)
-    val = l_plus_of_path(h, PathSample((0.0, 0.0), eta, pos))
-    assert abs(val - d * d / (2.0 * math.sqrt(t))) < 1e-3 * d * d
 
 
 def test_path_action_lower_bound_from_zero():
@@ -206,6 +187,43 @@ def test_identity_checks_flat():
     assert abs(ineq.details["entropy_form"]) < 1e-7
     assert ineq.details["lap_bound"] < 1e-7
     assert ineq.details["heat_form"] < 1e-7
+
+
+def test_checks_skip_masked_targets():
+    # a corrupted target and its four stencil neighbours, masked at every
+    # time, leave every check exactly where the clean field puts it
+    h = flat_history(32, 1.3)
+    nt = 8
+    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
+    times = np.linspace(0.98, 1.02, 5)
+    fld = ell_plus_field(h, (0.0, 0.0), pts, times, oracle_check=False,
+                         grid_shape=(nt, nt))
+    i0, j0 = 2, 5
+    masked = np.ones((nt, nt), dtype=bool)
+    for di, dj in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+        masked[(i0 + di) % nt, (j0 + dj) % nt] = False
+    mask = np.tile(masked.ravel(), (len(times), 1))
+    clean = dataclasses.replace(fld, smooth_mask=mask)
+    bad_ell = fld.ell.copy()
+    bad_ell[:, i0 * nt + j0] += 0.5
+    bad = dataclasses.replace(fld, ell=bad_ell, ell_tail=bad_ell.copy(), smooth_mask=mask)
+    for check in (check_gradient_time_identities, check_inequalities):
+        want, got = check(clean, h), check(bad, h)
+        assert got.max_residual == want.max_residual
+        assert got.details == want.details
+        assert got.excluded_fraction == 5 / 64
+    want, got = theta_plus(clean, h), theta_plus(bad, h)
+    assert got.supersolution_max == want.supersolution_max
+    assert got.excluded_fraction == 5 / 64
+    # without the mask the corruption shows
+    unmasked = dataclasses.replace(bad, smooth_mask=None)
+    assert check_inequalities(unmasked, h).max_residual > 1.0
+    # radial fields check interior radii and never report exclusions
+    hr = evolve(HYPERBOLIC3, (0.0, 3.0))
+    rad = ell_plus_field(hr, 0.0, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5))
+    assert check_gradient_time_identities(rad, hr).excluded_fraction == 0
+    assert check_inequalities(rad, hr).excluded_fraction == 0
+    assert theta_plus(rad, hr).excluded_fraction == 0
 
 
 def test_identity_checks_vertex_expander():
@@ -418,3 +436,6 @@ def test_path_minimization_oracle_direct():
     val = path_minimization_oracle(h, np.zeros(2), np.array([1.0, 0.0]), 1.0,
                                    n_segments=128, include_translates=False)
     assert abs(val - 0.5) < 1e-3
+    # radial fields are never oracle-checked: the oracle is torus-only
+    with pytest.raises(ValueError):
+        path_minimization_oracle(evolve(HYPERBOLIC3, (0.0, 1.0)), 0.0, 0.5, 0.5)
