@@ -101,6 +101,9 @@ class Scenario:
         params = dict(doc.get("params", {}))
         torus = isinstance(model, ConformalTorusMetric)
         reduced = {"reduced", "theta"} & set(checks)
+        if reduced and not (torus or isinstance(model, ModelSpaceMetric)):
+            raise ConfigError(f"scenario {name!r}: checks {sorted(reduced)} need a "
+                              f"conformal_torus or model_space model, not homogeneous")
         if torus and reduced:
             nt = params.get("target_grid", DEFAULT_TARGET_GRID)
             if (not isinstance(nt, int) or isinstance(nt, bool) or nt <= 0

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    MetricModel,
     _lap0,
     curvature,
     grad_norm_sq,
@@ -36,6 +35,7 @@ from .geometry import (
     laplacian,
     laplacian_symbol,
     soliton_residual_sq,
+    spectral_solve,
     volume,
 )
 from .flow import FlowHistory
@@ -115,8 +115,7 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 # backward solves
 
-def _renormalized(m: MetricModel, u):
-    mass = integrate(m, u)
+def _renormalized(u, mass: float):
     if mass <= 0:
         raise RuntimeError("density lost positivity of total mass")
     return u / mass
@@ -157,15 +156,6 @@ def solve_conjugate_backward(h: FlowHistory, t_final: float, u_final,
     return _solve_backward_torus(h, times, np.asarray(u_final, dtype=float), dt_cap)
 
 
-def _fft_shift_solver(shape, spacing, coef):
-    denom = 1.0 - coef * laplacian_symbol(shape, spacing)
-
-    def solve(r):
-        return np.real(np.fft.ifft2(np.fft.fft2(r) / denom))
-
-    return solve
-
-
 def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap=None) -> list:
     template = h.template
     hx, hy = template.spacing
@@ -177,42 +167,42 @@ def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap=None) -> list:
     per_seg = max(1, math.ceil(seg / dt_cap))
     dt = seg / per_seg
 
-    def level(t):  # (metric, e^{2 phi}, R) at t; a step's new level is the next one's old
+    def level(t):  # (metric, e^{2 phi}, R, e^{-2 phi}); a step's new level is the next's old
         m = h.metric_at(t)
-        return m, np.exp(2.0 * m.phi), curvature(m).scalar
+        em2p = np.exp(-2.0 * m.phi)
+        return m, np.exp(2.0 * m.phi), -2.0 * em2p * _lap0(m.phi, hx, hy), em2p
 
     def apply_l(x, lev):  # lap_g x - R x
-        _, e2p, r = lev
+        _, e2p, r, _ = lev
         return _lap0(x, hx, hy) / e2p - r * x
 
     u = u_final.copy()
     t = t_final
     old = level(t)
-    states = [DensityState.make(t_final, _renormalized(old[0], u), t_final, h.dim)]
-    solver_cache = {}
+    mass0 = float(np.sum(u * old[1])) * hx * hy  # integrate(m, u) from the level
+    states = [DensityState.make(t_final, _renormalized(u, mass0), t_final, h.dim)]
+    lam, denoms = laplacian_symbol(template.phi.shape, template.spacing), {}
     for k_out in range(len(times) - 1):
         for _ in range(per_seg):
             t_new = t - dt
             new = level(t_new)
             b = u + 0.5 * dt * apply_l(u, old)
-            c_bar = float(np.mean(np.exp(-2.0 * new[0].phi)))
-            key = round(c_bar, 6)
-            if key not in solver_cache:
-                solver_cache[key] = _fft_shift_solver(template.phi.shape, template.spacing,
-                                                      0.5 * dt * key)
+            key = round(float(np.mean(new[3])), 6)
+            if key not in denoms:
+                denoms[key] = 1.0 - 0.5 * dt * key * lam
 
             def apply_a(x):
                 return x - 0.5 * dt * apply_l(x, new)
 
             # PCG in the volume-weighted inner product (A self-adjoint there)
-            u = conjugate_gradient(apply_a, b, new[1], solver_cache[key], rel_tol=1e-13,
-                                   max_iter=200, x0=b)
+            u = conjugate_gradient(apply_a, b, new[1], lambda r: spectral_solve(r, denoms[key]),
+                                   rel_tol=1e-13, max_iter=200, x0=b)
             if float(np.min(u)) <= 0.0:
                 raise RuntimeError(
                     f"conjugate solve lost positivity stepping to t = {t_new:.6g} "
                     f"(min u = {float(np.min(u)):.3e})"
                 )
-            u = _renormalized(new[0], u)
+            u = _renormalized(u, float(np.sum(u * new[1])) * hx * hy)
             t, old = t_new, new
         t = float(times[len(times) - 2 - k_out])  # snap accumulated round-off
         old = level(t)
@@ -256,8 +246,8 @@ class ImmortalDensity:
     def state_at(self, t: float) -> DensityState:
         u = self.u_at(t)
         m = self.history.metric_at(t)
-        return DensityState.make(float(t), _renormalized(m, u), max(float(t), 1e-300),
-                                 self.history.dim)
+        return DensityState.make(float(t), _renormalized(u, integrate(m, u)),
+                                 max(float(t), 1e-300), self.history.dim)
 
 
 def construct_immortal_density(h: FlowHistory, window, tol: float = 1e-8,

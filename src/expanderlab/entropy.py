@@ -35,6 +35,7 @@ from .geometry import (
     laplacian_symbol,
     measure_weights,
     soliton_residual_sq,
+    spectral_solve,
     volume,
 )
 from .numerics import (
@@ -136,7 +137,7 @@ def _eigen_precond(m: MetricModel, shift: float):
     denom = c0 - 4.0 * laplacian_symbol(m.phi.shape, m.spacing)
 
     def precond(v):
-        return np.real(np.fft.ifft2(np.fft.fft2(e2p * v) / denom))
+        return spectral_solve(e2p * v, denom)
 
     return precond
 
@@ -222,7 +223,7 @@ def _entropy_in_w_problem(m: MetricModel, sigma: float):
         denom = 2.0 - 8.0 * sigma * c_bar * laplacian_symbol(m.phi.shape, m.spacing)
 
         def precond(g):
-            return np.real(np.fft.ifft2(np.fft.fft2(g) / denom))
+            return spectral_solve(g, denom)
 
     return functional, gradient, inner, normalize, precond
 

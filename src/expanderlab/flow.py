@@ -37,6 +37,7 @@ from .geometry import (
     curvature,
     laplacian_symbol,
     milnor_ricci_diag,
+    spectral_solve,
     volume,
 )
 from .numerics import (
@@ -301,7 +302,7 @@ class TorusStepper:
             return x + dt * f_val * x - 0.5 * dt * sqrt_d * _lap0(sqrt_d * x, hx, hy)
 
         def precond(r):
-            return np.real(np.fft.ifft2(np.fft.fft2(r) / denom))
+            return spectral_solve(r, denom)
 
         # plain Euclidean inner product: the symmetrized operator is SPD
         x = conjugate_gradient(apply_a, -g / sqrt_d, None, precond, rel_tol=1e-13,

@@ -44,6 +44,7 @@ __all__ = [
     "grad_pairing",
     "hessian_covariant",
     "laplacian_symbol",
+    "spectral_solve",
     "soliton_residual_sq",
     "model_to_json",
     "model_from_json",
@@ -158,23 +159,30 @@ class CurvatureData:
 # ---------------------------------------------------------------------------
 # periodic stencils (torus)
 
+def _shift(f: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """np.roll(f, k, axis) for k = +-1 on a 2-d grid, without roll's per-call cost."""
+    if axis == 0:
+        return np.concatenate((f[-k:], f[:-k]))
+    return np.concatenate((f[:, -k:], f[:, :-k]), axis=1)
+
+
 def _dx(f: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * h)
+    return (_shift(f, -1, 0) - _shift(f, 1, 0)) / (2.0 * h)
 
 
 def _dy(f: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * h)
+    return (_shift(f, -1, 1) - _shift(f, 1, 1)) / (2.0 * h)
 
 
 def _d2(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (np.roll(f, -1, axis=axis) + np.roll(f, 1, axis=axis) - 2.0 * f) / (h * h)
+    return (_shift(f, -1, axis) + _shift(f, 1, axis) - 2.0 * f) / (h * h)
 
 
 def _dxy(f: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    fp, fm = np.roll(f, -1, axis=0), np.roll(f, 1, axis=0)
+    fp, fm = _shift(f, -1, 0), _shift(f, 1, 0)
     return (
-        np.roll(fp, -1, axis=1) - np.roll(fp, 1, axis=1)
-        - np.roll(fm, -1, axis=1) + np.roll(fm, 1, axis=1)
+        _shift(fp, -1, 1) - _shift(fp, 1, 1)
+        - _shift(fm, -1, 1) + _shift(fm, 1, 1)
     ) / (4.0 * hx * hy)
 
 
@@ -190,15 +198,15 @@ def laplacian_symbol(shape, spacing) -> np.ndarray:
     return kx[:, None] / hx**2 + ky[None, :] / hy**2
 
 
+def spectral_solve(r: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Apply the constant-coefficient operator with Fourier symbol denom^-1 to r."""
+    return np.real(np.fft.ifft2(np.fft.fft2(r) / denom))
+
+
 def flat_gradient(m: ConformalTorusMetric, f: np.ndarray):
     """Coordinate gradient (f_x, f_y) by centered periodic differences."""
     hx, hy = m.spacing
     return _dx(f, hx), _dy(f, hy)
-
-
-def flat_laplacian(m: ConformalTorusMetric, f: np.ndarray) -> np.ndarray:
-    hx, hy = m.spacing
-    return _lap0(f, hx, hy)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +243,7 @@ def curvature_homogeneous(m: HomogeneousMetric) -> CurvatureData:
 
 def curvature_conformal(m: ConformalTorusMetric) -> CurvatureData:
     """Scalar curvature field R = -2 exp(-2 phi) lap0 phi of the conformal torus."""
-    r = -2.0 * np.exp(-2.0 * m.phi) * flat_laplacian(m, m.phi)
+    r = -2.0 * np.exp(-2.0 * m.phi) * _lap0(m.phi, *m.spacing)
     return CurvatureData(ricci=r, scalar=r, ricci_norm_sq=0.5 * r * r)
 
 
@@ -282,7 +290,7 @@ def laplacian(m: MetricModel, f):
         f = np.asarray(f, dtype=float)
         if f.shape != m.phi.shape:
             raise ValueError(f"field shape {f.shape} != grid {m.phi.shape}")
-        return np.exp(-2.0 * m.phi) * flat_laplacian(m, f)
+        return np.exp(-2.0 * m.phi) * _lap0(f, *m.spacing)
     if np.ndim(f) != 0:
         raise ValueError("fields on reduced models are scalars")
     return 0.0

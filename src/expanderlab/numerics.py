@@ -312,7 +312,8 @@ def conjugate_gradient(apply_a, b: np.ndarray, weight: np.ndarray,
     <f, g> = sum(f * g * weight).  weight may be a scalar, an array
     shaped like b, or None for the plain Euclidean product.  x0 is the
     initial guess (zero by default); the iteration stops once the
-    residual norm is below rel_tol * |b|.
+    residual norm is below rel_tol * |b| (tested before the
+    preconditioner, so an x0 that already meets it costs no call).
     """
 
     def inner(u, v):
@@ -323,21 +324,19 @@ def conjugate_gradient(apply_a, b: np.ndarray, weight: np.ndarray,
     else:
         x = np.array(x0, dtype=float)
         r = b - apply_a(x)
-    z = precond(r) if precond is not None else r
-    p = z.copy()
-    rz = inner(r, z)
     b_norm = math.sqrt(max(inner(b, b), 1e-300))
+    p = None
     for _ in range(max_iter):
         if math.sqrt(max(inner(r, r), 0.0)) <= rel_tol * b_norm:
             return x
+        z = precond(r) if precond is not None else r
+        rz_new = inner(r, z)
+        p = z.copy() if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         ap = apply_a(p)
         alpha = rz / inner(p, ap)
         x += alpha * p
         r -= alpha * ap
-        z = precond(r) if precond is not None else r
-        rz_new = inner(r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
     return x
 
 

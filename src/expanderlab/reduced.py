@@ -419,16 +419,18 @@ class _TorusSlices:
         self._cache[idx] = out
         return out
 
+    def _flat_taps(self, pts: np.ndarray):
+        """Flat (row-major) grid indices (4, 4, m) of the spline taps, and their weights."""
+        ix, wx = _spline_taps((pts[:, 0] / self.hx) % self.nx, self.nx)
+        jy, wy = _spline_taps((pts[:, 1] / self.hy) % self.ny, self.ny)
+        return ix[:, None, :] * self.ny + jy[None, :, :], wx, wy
+
     def sample(self, idx: int, names, pts: np.ndarray):
         """Smooth periodic samples of cached grids at points (m, 2)."""
         grids = self.fields_at(idx)
-        ix, wx = _spline_taps((pts[:, 0] / self.hx) % self.nx, self.nx)
-        jy, wy = _spline_taps((pts[:, 1] / self.hy) % self.ny, self.ny)
-        out = []
-        for name in names:
-            vals = grids[name][ix[:, None, :], jy[None, :, :]]
-            out.append(np.einsum("am,bm,abm->m", wx, wy, vals))
-        return out
+        flat, wx, wy = self._flat_taps(pts)
+        return [np.einsum("am,bm,abm->m", wx, wy, np.take(grids[name], flat))
+                for name in names]
 
     def stacks(self, names):
         """Stacked per-slice grids (n_slices, nx, ny) for vectorized gathers."""
@@ -444,13 +446,10 @@ class _TorusSlices:
 
     def sample_slices(self, stacks, slice_idx: np.ndarray, names, pts: np.ndarray):
         """Smooth samples with a per-point slice index (stacked gathers)."""
-        ix, wx = _spline_taps((pts[:, 0] / self.hx) % self.nx, self.nx)
-        jy, wy = _spline_taps((pts[:, 1] / self.hy) % self.ny, self.ny)
-        out = []
-        for name in names:
-            vals = stacks[name][slice_idx[None, None, :], ix[:, None, :], jy[None, :, :]]
-            out.append(np.einsum("am,bm,abm->m", wx, wy, vals))
-        return out
+        flat, wx, wy = self._flat_taps(pts)
+        flat += slice_idx * (self.nx * self.ny)
+        return [np.einsum("am,bm,abm->m", wx, wy, np.take(stacks[name], flat))
+                for name in names]
 
 
 
@@ -469,8 +468,7 @@ def _spline_taps(frac: np.ndarray, n: int):
     w[1] = 1.5 * u**3 - 2.5 * u**2 + 1.0
     w[2] = -1.5 * u**3 + 2.0 * u**2 + 0.5 * u
     w[3] = 0.5 * u**3 - 0.5 * u**2
-    idx = np.stack([(base + k - 1) % n for k in range(4)])
-    return idx, w
+    return (base[None] + np.arange(-1, 3)[:, None]) % n, w
 
 
 def _torus_rhs(slices: _TorusSlices, idx: int, s: float, x: np.ndarray, v: np.ndarray):

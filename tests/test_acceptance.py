@@ -7,7 +7,9 @@ import pytest
 
 from expanderlab.acceptance import run_acceptance
 
-RUNTIME_BOUNDS = {1: 1.0, 2: 10.0, 3: 60.0, 5: 30.0}
+# criteria 6 and 10 run the torus kernels (shooting, oracle, backward
+# solve); their bounds sit ~10x above the measured 3.5 s and 0.6 s
+RUNTIME_BOUNDS = {1: 1.0, 2: 10.0, 3: 60.0, 5: 30.0, 6: 35.0, 10: 6.0}
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +20,7 @@ def results():
     return out
 
 
-@pytest.mark.parametrize("number", sorted(RUNTIME_BOUNDS) + [4, 6, 7, 8, 9, 10])
+@pytest.mark.parametrize("number", sorted(RUNTIME_BOUNDS) + [4, 7, 8, 9])
 def test_criterion(results, number):
     res = results[number]
     print(res.line())

@@ -109,6 +109,18 @@ def test_target_grid_not_dividing_grid_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("checks", [["reduced"], ["entropy", "theta"]])
+def test_reduced_checks_on_homogeneous_model_exit_2(tmp_path, capsys, checks):
+    # reduced length is shot on torus and model-space histories only
+    doc = json.loads(builtin_scenarios()["nil_flow"].read_text())
+    doc["checks"] = checks
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "homogeneous" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [0, -4, 3, 8.0, True, "8"])
 def test_target_grid_validation(bad):
     doc = json.loads(builtin_scenarios()["flat_torus"].read_text())

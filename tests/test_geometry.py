@@ -14,7 +14,10 @@ from expanderlab.geometry import (
     curvature_model_space,
     curvature_operator_nonneg,
     hessian_covariant,
+    _d2,
+    _dx,
     _dxy,
+    _dy,
     _lap0,
     integrate,
     laplacian,
@@ -263,6 +266,27 @@ def test_shared_kernels_on_non_square_torus(mode):
         hist.params_at(1.01)
     with pytest.raises(ValueError, match="outside"):
         traj(np.array([0.5, 1.01]))
+
+
+def test_stencils_equal_roll_formulas_on_non_square_grid():
+    # the roll-free shifts must give np.roll's values bit for bit
+    rng = np.random.default_rng(7)
+    f = rng.standard_normal((16, 24))
+    hx, hy = 1.0 / 16, 1.7 / 24
+
+    def roll(k, axis, g=f):
+        return np.roll(g, k, axis=axis)
+
+    assert np.array_equal(_dx(f, hx), (roll(-1, 0) - roll(1, 0)) / (2.0 * hx))
+    assert np.array_equal(_dy(f, hy), (roll(-1, 1) - roll(1, 1)) / (2.0 * hy))
+    for axis, h in ((0, hx), (1, hy)):
+        expected = (roll(-1, axis) + roll(1, axis) - 2.0 * f) / (h * h)
+        assert np.array_equal(_d2(f, h, axis), expected)
+    fp, fm = roll(-1, 0), roll(1, 0)
+    expected = (roll(-1, 1, fp) - roll(1, 1, fp) - roll(-1, 1, fm) + roll(1, 1, fm)) / (
+        4.0 * hx * hy
+    )
+    assert np.array_equal(_dxy(f, hx, hy), expected)
 
 
 def test_model_json_round_trip():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from expanderlab.geometry import _lap0, laplacian_symbol, spectral_solve
 from expanderlab.numerics import (
     EigenFailure,
     OdeFailure,
@@ -52,6 +53,34 @@ def test_conjugate_gradient_initial_guess():
     assert np.max(np.abs(warm - exact)) < 1e-10
     at_solution = conjugate_gradient(apply_a, b, weight, rel_tol=1e-6, x0=exact)
     assert np.array_equal(at_solution, exact)
+
+
+def test_conjugate_gradient_skips_preconditioner_on_solved_start():
+    # periodic 16x24 system (I - c lap0) x = b with an FFT preconditioner:
+    # a start that already meets rel_tol comes back unchanged and the
+    # preconditioner is never applied
+    nx, ny, hx, hy, c = 16, 24, 1.0 / 16, 1.7 / 24, 1e-3
+    denom = 1.0 - c * laplacian_symbol((nx, ny), (hx, hy))
+    calls = []
+
+    def apply_a(x):
+        return x - c * _lap0(x, hx, hy)
+
+    def precond(r):
+        calls.append(1)
+        return spectral_solve(r, denom)
+
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((nx, ny))
+    exact = spectral_solve(b, denom)
+    const = np.full((nx, ny), 0.7)  # lap0 of a constant is exactly 0: zero residual
+    for x0, rhs in ((exact, b), (const, apply_a(const))):
+        x = conjugate_gradient(apply_a, rhs, None, precond, rel_tol=1e-10, x0=x0)
+        assert np.array_equal(x, x0) and x is not x0
+    assert calls == []
+    cold = conjugate_gradient(apply_a, b, None, precond, rel_tol=1e-13)
+    assert np.max(np.abs(cold - exact)) < 1e-12
+    assert 0 < len(calls) <= 5
 
 
 def test_exponential_growth():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from expanderlab.entropy import nu_plus
-from expanderlab.flow import BlowdownSpec, blowdown, evolve
+from expanderlab.flow import BlowdownSpec, FlowHistory, blowdown, evolve
 from expanderlab.geometry import ConformalTorusMetric, ModelSpaceMetric
 from expanderlab.reduced import (
     check_gradient_time_identities,
@@ -17,6 +17,7 @@ from expanderlab.reduced import (
     path_minimization_oracle,
     theta_plus,
 )
+from expanderlab.reduced import _spline_taps, _TorusSlices
 
 HYPERBOLIC3 = ModelSpaceMetric(dim=3, sectional_sign=-1, scale=1.0, base_volume=1.0)
 
@@ -439,3 +440,41 @@ def test_path_minimization_oracle_direct():
     # radial fields are never oracle-checked: the oracle is torus-only
     with pytest.raises(ValueError):
         path_minimization_oracle(evolve(HYPERBOLIC3, (0.0, 1.0)), 0.0, 0.5, 0.5)
+
+
+def test_torus_slice_samples_match_fancy_index_gather():
+    # 16x24 history with periods (1, 1.7): the flat-index gathers equal the
+    # (slice, i, j) fancy-index formula, wraparound taps included, and the
+    # spline passes through grid nodes
+    nx, ny, periods = 16, 24, (1.0, 1.7)
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    theta = 2 * math.pi * (i / nx + 2 * j / ny)
+    ts = np.array([0.0, 0.5, 1.0])
+    vals = np.array([(0.2 + 0.1 * t) * np.sin(theta + t) for t in ts]).reshape(3, -1)
+    m0 = ConformalTorusMetric(vals[0].reshape(nx, ny), periods)
+    h = FlowHistory("conformal_torus", m0, ts, vals, np.zeros_like(vals))
+    slices = _TorusSlices(h, 0.8, 4)
+    names = ("phi", "px", "ry", "e2p")
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-0.2, 1.2, (40, 2)) * periods
+    pts[:4] = [[0.0, 0.0], [-1e-9, 1.7 - 1e-9], [0.99, 0.01], [0.03, 1.69]]
+    slice_idx = rng.integers(0, len(slices.s_all), len(pts))
+
+    ix, wx = _spline_taps((pts[:, 0] / slices.hx) % nx, nx)
+    jy, wy = _spline_taps((pts[:, 1] / slices.hy) % ny, ny)
+    assert ix.min() == 0 and ix.max() == nx - 1 and jy.min() == 0 and jy.max() == ny - 1
+    stacks = slices.stacks(names)
+    got = slices.sample_slices(stacks, slice_idx, names, pts)
+    for name, g in zip(names, got):
+        ref = stacks[name][slice_idx[None, None, :], ix[:, None, :], jy[None, :, :]]
+        assert np.array_equal(g, np.einsum("am,bm,abm->m", wx, wy, ref))
+    for idx in (0, 3):
+        grids = slices.fields_at(idx)
+        for name, g in zip(names, slices.sample(idx, names, pts)):
+            ref = grids[name][ix[:, None, :], jy[None, :, :]]
+            assert np.array_equal(g, np.einsum("am,bm,abm->m", wx, wy, ref))
+
+    nodes = np.array([[-1, 0], [0, ny], [nx - 1, 5], [7, -3]])
+    node_vals = slices.sample(2, ("phi",), nodes * np.array([slices.hx, slices.hy]))[0]
+    phi = slices.fields_at(2)["phi"]
+    assert np.allclose(node_vals, phi[nodes[:, 0] % nx, nodes[:, 1] % ny], rtol=0, atol=1e-12)
