@@ -193,16 +193,20 @@ class ThetaSeries:
 # quadrature helpers
 
 def _simpson(vals: np.ndarray, ds: float, axis: int = 0) -> np.ndarray:
+    """Composite Simpson along `axis`; a 2-d batch sums in node order, so a
+    column's value does not depend on its batch (np.sum pairs a lone column)."""
     n = vals.shape[axis] - 1
     if n % 2 != 0:
         raise ValueError("simpson needs an even interval count")
-    sl = [slice(None)] * vals.ndim
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     shape = [1] * vals.ndim
     shape[axis] = n + 1
-    return np.sum(vals * w.reshape(shape), axis=axis) * ds / 3.0
+    terms = vals * w.reshape(shape)
+    if vals.ndim > 1:
+        return np.cumsum(terms, axis=axis).take(-1, axis=axis) * ds / 3.0
+    return np.sum(terms, axis=axis) * ds / 3.0
 
 
 def _log_grid_integral(fn, s_lo: float, s_hi: float, n: int = 800) -> float:
@@ -381,6 +385,12 @@ def extrapolate_fields(fields) -> ReducedField:
 # ---------------------------------------------------------------------------
 # torus machinery
 
+# slice fields; an RK4 stage of the path system reads six, a node also dR/dt
+_FIELDS = ("px", "py", "r", "rx", "ry", "e2p", "rdot", "phi")
+_RHS_FIELDS, _NODE_FIELDS = _FIELDS[:6], _FIELDS[:7]
+_GATHER_BLOCK = 8192  # points per stacked gather in `sample_slices`
+
+
 class _TorusSlices:
     """Cached field slices of a torus history along a fixed s-grid."""
 
@@ -400,37 +410,38 @@ class _TorusSlices:
         self.lx, self.ly = self.template.periods
         self._cache = {}
 
-    def fields_at(self, idx: int) -> dict:
-        if idx in self._cache:
-            return self._cache[idx]
-        eta = float(self.s_all[idx] ** 2)
-        m = self.h.metric_at(min(max(eta, self.h.t_min), self.h.t_max))
-        phi = m.phi
-        hx, hy = self.hx, self.hy
-        r = curvature(m).scalar
-        e2p = np.exp(2.0 * phi)
-        out = {
-            "phi": phi, "px": _dx(phi, hx), "py": _dy(phi, hy),
-            "r": r, "rx": _dx(r, hx), "ry": _dy(r, hy),
+    def grids(self, idx: int) -> np.ndarray:
+        """The `_FIELDS` grids (8, nx, ny) of slice idx, cached."""
+        if idx not in self._cache:
+            eta = float(self.s_all[idx] ** 2)
+            m = self.h.metric_at(min(max(eta, self.h.t_min), self.h.t_max))
+            phi = m.phi
+            hx, hy = self.hx, self.hy
+            r = curvature(m).scalar
+            e2p = np.exp(2.0 * phi)
             # curvature evolution dR/dt = lap R + R^2 in two dimensions
-            "rdot": _lap0(r, hx, hy) / e2p + r * r,
-            "e2p": e2p,
-        }
-        self._cache[idx] = out
-        return out
+            rdot = _lap0(r, hx, hy) / e2p + r * r
+            self._cache[idx] = np.stack([_dx(phi, hx), _dy(phi, hy), r, _dx(r, hx),
+                                         _dy(r, hy), e2p, rdot, phi])
+        return self._cache[idx]
 
-    def _flat_taps(self, pts: np.ndarray):
-        """Flat (row-major) grid indices (4, 4, m) of the spline taps, and their weights."""
+    def fields_at(self, idx: int) -> dict:
+        return dict(zip(_FIELDS, self.grids(idx)))
+
+    def _flat_taps(self, pts: np.ndarray, offset=0):
+        """Flat tap indices (4, 4, m) plus `offset` (a stacked slice), and the weights."""
         ix, wx = _spline_taps((pts[:, 0] / self.hx) % self.nx, self.nx)
         jy, wy = _spline_taps((pts[:, 1] / self.hy) % self.ny, self.ny)
-        return ix[:, None, :] * self.ny + jy[None, :, :], wx, wy
+        rows = ix * self.ny + offset
+        return rows[:, None, :] + jy[None, :, :], wx, wy
 
-    def sample(self, idx: int, names, pts: np.ndarray):
-        """Smooth periodic samples of cached grids at points (m, 2)."""
-        grids = self.fields_at(idx)
+    def sample(self, idx: int, names, pts: np.ndarray) -> np.ndarray:
+        """Smooth periodic samples (len(names), m) of cached grids at points (m, 2)."""
+        rows = [_FIELDS.index(n) for n in names]
+        rows = slice(len(rows)) if rows == list(range(len(rows))) else rows
+        grids = self.grids(idx).reshape(len(_FIELDS), -1)[rows]
         flat, wx, wy = self._flat_taps(pts)
-        return [np.einsum("am,bm,abm->m", wx, wy, np.take(grids[name], flat))
-                for name in names]
+        return np.einsum("am,bm,fabm->fm", wx, wy, np.take(grids, flat, axis=1))
 
     def stacks(self, names):
         """Stacked per-slice grids (n_slices, nx, ny) for vectorized gathers."""
@@ -445,12 +456,14 @@ class _TorusSlices:
         return stacks
 
     def sample_slices(self, stacks, slice_idx: np.ndarray, names, pts: np.ndarray):
-        """Smooth samples with a per-point slice index (stacked gathers)."""
-        flat, wx, wy = self._flat_taps(pts)
-        flat += slice_idx * (self.nx * self.ny)
-        return [np.einsum("am,bm,abm->m", wx, wy, np.take(stacks[name], flat))
-                for name in names]
-
+        """Smooth samples with a per-point slice index, in `_GATHER_BLOCK` blocks."""
+        out = [np.empty(len(pts)) for _ in names]
+        for lo in range(0, len(pts), _GATHER_BLOCK):
+            blk = slice(lo, lo + _GATHER_BLOCK)
+            flat, wx, wy = self._flat_taps(pts[blk], slice_idx[blk] * (self.nx * self.ny))
+            for o, name in zip(out, names):
+                np.einsum("am,bm,abm->m", wx, wy, np.take(stacks[name], flat), out=o[blk])
+        return out
 
 
 def _spline_taps(frac: np.ndarray, n: int):
@@ -459,21 +472,25 @@ def _spline_taps(frac: np.ndarray, n: int):
     C1 interpolation keeps shot geodesics smooth functions of the
     target, which the stencil checks on reduced fields rely on
     (piecewise-bilinear sampling leaves derivative kinks that a divided
-    second difference amplifies).
+    second difference amplifies).  Float `%` can round `frac` up to n, so
+    taps wrap through a table of -1 .. n + 2; non-finite points clip.
     """
     base = np.floor(frac).astype(int)
     u = frac - base
+    u2 = u**2
+    u3 = u**3
     w = np.empty((4, len(u)))
-    w[0] = -0.5 * u**3 + u**2 - 0.5 * u
-    w[1] = 1.5 * u**3 - 2.5 * u**2 + 1.0
-    w[2] = -1.5 * u**3 + 2.0 * u**2 + 0.5 * u
-    w[3] = 0.5 * u**3 - 0.5 * u**2
-    return (base[None] + np.arange(-1, 3)[:, None]) % n, w
+    w[0] = -0.5 * u3 + u2 - 0.5 * u
+    w[1] = 1.5 * u3 - 2.5 * u2 + 1.0
+    w[2] = -1.5 * u3 + 2.0 * u2 + 0.5 * u
+    w[3] = 0.5 * u3 - 0.5 * u2
+    wrap = np.arange(-1, n + 3) % n
+    return np.take(wrap, base + np.arange(4)[:, None], mode="clip"), w
 
 
-def _torus_rhs(slices: _TorusSlices, idx: int, s: float, x: np.ndarray, v: np.ndarray):
-    """Reduced-velocity system dv/ds on the torus (batched over paths)."""
-    px, py, r, rx, ry, e2p = slices.sample(idx, ("px", "py", "r", "rx", "ry", "e2p"), x)
+def _torus_rhs(s: float, v: np.ndarray, fields):
+    """Reduced-velocity system dv/ds on the torus from `_RHS_FIELDS` samples."""
+    px, py, r, rx, ry, e2p = fields[:6]
     vx, vy = v[:, 0], v[:, 1]
     gamma_x = px * vx * vx + 2 * py * vx * vy - px * vy * vy
     gamma_y = -py * vx * vx + 2 * px * vx * vy + py * vy * vy
@@ -484,11 +501,12 @@ def _torus_rhs(slices: _TorusSlices, idx: int, s: float, x: np.ndarray, v: np.nd
 
 
 def _torus_integrate(slices: _TorusSlices, x0: np.ndarray, momenta: np.ndarray,
-                     want_traces: bool = False, want_integrals: bool = True):
+                     want_traces: bool = False):
     """RK4 integration of the reduced system for a batch of momenta.
 
     Returns endpoints, the action tail, the Harnack integral, endpoint
-    speed data and, optionally, full traces.
+    speed data and, optionally, full traces.  One sample per node serves
+    the node integrands and the next step's first stage.
     """
     n_paths = momenta.shape[0]
     x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
@@ -499,9 +517,8 @@ def _torus_integrate(slices: _TorusSlices, x0: np.ndarray, momenta: np.ndarray,
     traces_x = [x.copy()] if want_traces else None
     traces_v = [v.copy()] if want_traces else None
 
-    def node_integrands(idx, s, x, v):
-        r, e2p = slices.sample(idx, ("r", "e2p"), x)
-        rx, ry, rdot = slices.sample(idx, ("rx", "ry", "rdot"), x)
+    def node_integrands(s, v, fields):
+        _, _, r, rx, ry, e2p, rdot = fields
         speed_sq = e2p * np.sum(v * v, axis=1)
         action = 2 * s * s * r + 0.5 * speed_sq
         hk = (
@@ -512,34 +529,30 @@ def _torus_integrate(slices: _TorusSlices, x0: np.ndarray, momenta: np.ndarray,
         )
         return action, hk
 
-    if want_integrals:
-        act[0], kin[0] = node_integrands(0, 0.0, x, v)
+    node = slices.sample(0, _NODE_FIELDS, x)
+    act[0], kin[0] = node_integrands(0.0, v, node)
     for k in range(slices.n_steps):
         s = slices.s_nodes[k]
-        i0, i1, i2 = 2 * k, 2 * k + 1, 2 * k + 2
-        k1x, k1v = v, _torus_rhs(slices, i0, s, x, v)
+        i1, i2 = 2 * k + 1, 2 * k + 2
+        k1x, k1v = v, _torus_rhs(s, v, node)
         x2, v2 = x + 0.5 * ds * k1x, v + 0.5 * ds * k1v
-        k2x, k2v = v2, _torus_rhs(slices, i1, s + 0.5 * ds, x2, v2)
+        k2x, k2v = v2, _torus_rhs(s + 0.5 * ds, v2, slices.sample(i1, _RHS_FIELDS, x2))
         x3, v3 = x + 0.5 * ds * k2x, v + 0.5 * ds * k2v
-        k3x, k3v = v3, _torus_rhs(slices, i1, s + 0.5 * ds, x3, v3)
+        k3x, k3v = v3, _torus_rhs(s + 0.5 * ds, v3, slices.sample(i1, _RHS_FIELDS, x3))
         x4, v4 = x + ds * k3x, v + ds * k3v
-        k4x, k4v = v4, _torus_rhs(slices, i2, s + ds, x4, v4)
+        k4x, k4v = v4, _torus_rhs(s + ds, v4, slices.sample(i2, _RHS_FIELDS, x4))
         x = x + ds / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + ds / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if want_integrals:
-            act[k + 1], kin[k + 1] = node_integrands(i2, s + ds, x, v)
+        node = slices.sample(i2, _NODE_FIELDS, x)
+        act[k + 1], kin[k + 1] = node_integrands(s + ds, v, node)
         if want_traces:
             traces_x.append(x.copy())
             traces_v.append(v.copy())
-    if want_integrals:
-        l_tail = _simpson(act, ds, axis=0)
-        k_val = _simpson(kin, ds, axis=0)
-    else:
-        l_tail = k_val = np.full(n_paths, np.nan)
-    r_end, e2p_end = slices.sample(2 * slices.n_steps, ("r", "e2p"), x)
+    r_end, e2p_end = node[2], node[5]
     x_speed_sq = e2p_end * np.sum(v * v, axis=1) / (4.0 * slices.t)
     out = {
-        "end": x, "v_end": v, "l_tail": l_tail, "k": k_val,
+        "end": x, "v_end": v,
+        "l_tail": _simpson(act, ds, axis=0), "k": _simpson(kin, ds, axis=0),
         "r_end": r_end, "x_speed_sq": x_speed_sq,
     }
     if want_traces:
@@ -585,6 +598,12 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float,
     k_val = np.full(q, np.inf)
     miss = np.full(q, np.inf)
     mom = p.copy()
+
+    def record(done, res, sel=slice(None)):
+        miss[done] = np.max(np.abs(res["end"][sel] - images[done]), axis=1)
+        l_tail[done] = res["l_tail"][sel]
+        k_val[done] = res["k"][sel]
+
     with np.errstate(over="ignore", invalid="ignore"):
         # warm phase with live masking; converged rows record their
         # action and Harnack integrals immediately
@@ -592,13 +611,15 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float,
         for _ in range(40):
             if len(live) == 0:
                 break
-            res = _torus_integrate(slices, x0, p[live], want_integrals=False)
+            res = _torus_integrate(slices, x0, p[live])
             f0 = res["end"] - images[live]
+            finite = np.all(np.isfinite(f0), axis=1)
             f0 = np.where(np.isfinite(f0), f0, 0.0)
             err = np.max(np.abs(f0), axis=1)
-            conv = err < 1e-11
+            conv = finite & (err < 1e-11)
             done = live[conv]
             mom[done] = p[done]
+            record(done, res, conv)
             p[live] = p[live] - f0 / two_rt
             live = live[~conv]
         if len(live):
@@ -630,22 +651,17 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float,
                 p_new[bad] = p_flat[live][bad]
                 p[live] = p_new
             mom[live] = p[live]
-        # one full-batch pass evaluates the action and Harnack integrals
-        res = _torus_integrate(slices, x0, mom)
-        f0 = np.where(np.isfinite(res["end"]), res["end"], np.inf) - images
-        miss = np.max(np.abs(f0), axis=1)
-        l_tail = np.where(np.isfinite(res["l_tail"]), res["l_tail"], np.inf)
-        k_val = res["k"]
-    miss = np.where(np.isfinite(miss), miss, np.inf)
+            # one pass evaluates the integrals of the rows Newton settled
+            record(live, _torus_integrate(slices, x0, mom[live]))
+    miss, l_tail = (np.where(np.isfinite(a), a, np.inf) for a in (miss, l_tail))
     # reduce (image rows) -> per-target winner; missed shots cannot win
     l_pick = np.where(miss < 1e-6, l_tail, np.inf)
     best = np.full(m_t, np.inf)
     np.minimum.at(best, rows, l_pick)
-    winner_of = np.full(m_t, -1, dtype=int)
+    win = np.full(m_t, -1, dtype=int)
     for idx in range(q):
         if l_pick[idx] <= best[rows[idx]]:
-            winner_of[rows[idx]] = idx
-    win = winner_of
+            win[rows[idx]] = idx
     return {
         "l_tail": l_tail[win],
         "k": k_val[win],
@@ -863,14 +879,16 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, n_random=5,
             x[:, k] = dp[:, k] - cp[k] * x[:, k + 1]
         return x
 
-    val, _ = evaluate(z, y_full, False)
+    # the start values come with the first gradient
+    val, g = evaluate(z, y_full, True)
     step = np.full(b, 1.0)
     live_idx = np.arange(b)
-    for _ in range(n_iter):
+    for it in range(n_iter):
         if len(live_idx) == 0:
             break
         z_l = z[live_idx]
-        _, g = evaluate(z_l, y_full[live_idx], True)
+        if it:
+            _, g = evaluate(z_l, y_full[live_idx], True)
         d = precondition(g)
         gn = np.max(np.abs(g), axis=(1, 2))
         still = gn > 1e-12

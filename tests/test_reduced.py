@@ -17,7 +17,14 @@ from expanderlab.reduced import (
     path_minimization_oracle,
     theta_plus,
 )
-from expanderlab.reduced import _spline_taps, _TorusSlices
+from expanderlab.reduced import (
+    _RHS_FIELDS,
+    _spline_taps,
+    _torus_integrate,
+    _torus_rhs,
+    _torus_shoot_targets,
+    _TorusSlices,
+)
 
 HYPERBOLIC3 = ModelSpaceMetric(dim=3, sectional_sign=-1, scale=1.0, base_volume=1.0)
 
@@ -39,6 +46,18 @@ def torus_flow_history(n=32, t_end=0.26):
     x = (np.arange(n) / n)[:, None]
     m0 = ConformalTorusMetric(0.3 * np.sin(2 * math.pi * x) * np.ones((n, n)))
     return evolve(m0, (0.0, t_end))
+
+
+def skewed_torus_slices():
+    # 16x24 history with periods (1, 1.7) and a field that moves in time
+    nx, ny, periods = 16, 24, (1.0, 1.7)
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    theta = 2 * math.pi * (i / nx + 2 * j / ny)
+    ts = np.array([0.0, 0.5, 1.0])
+    vals = np.array([(0.2 + 0.1 * t) * np.sin(theta + t) for t in ts]).reshape(3, -1)
+    m0 = ConformalTorusMetric(vals[0].reshape(nx, ny), periods)
+    h = FlowHistory("conformal_torus", m0, ts, vals, np.zeros_like(vals))
+    return _TorusSlices(h, 0.8, 4), periods
 
 
 def torus_distance_sq(y, x0=(0.0, 0.0), lx=1.0, ly=1.0):
@@ -446,14 +465,8 @@ def test_torus_slice_samples_match_fancy_index_gather():
     # 16x24 history with periods (1, 1.7): the flat-index gathers equal the
     # (slice, i, j) fancy-index formula, wraparound taps included, and the
     # spline passes through grid nodes
-    nx, ny, periods = 16, 24, (1.0, 1.7)
-    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    theta = 2 * math.pi * (i / nx + 2 * j / ny)
-    ts = np.array([0.0, 0.5, 1.0])
-    vals = np.array([(0.2 + 0.1 * t) * np.sin(theta + t) for t in ts]).reshape(3, -1)
-    m0 = ConformalTorusMetric(vals[0].reshape(nx, ny), periods)
-    h = FlowHistory("conformal_torus", m0, ts, vals, np.zeros_like(vals))
-    slices = _TorusSlices(h, 0.8, 4)
+    slices, periods = skewed_torus_slices()
+    nx, ny = slices.nx, slices.ny
     names = ("phi", "px", "ry", "e2p")
     rng = np.random.default_rng(11)
     pts = rng.uniform(-0.2, 1.2, (40, 2)) * periods
@@ -478,3 +491,97 @@ def test_torus_slice_samples_match_fancy_index_gather():
     node_vals = slices.sample(2, ("phi",), nodes * np.array([slices.hx, slices.hy]))[0]
     phi = slices.fields_at(2)["phi"]
     assert np.allclose(node_vals, phi[nodes[:, 0] % nx, nodes[:, 1] % ny], rtol=0, atol=1e-12)
+
+
+def test_blockwise_slice_gather_matches_single_block(monkeypatch):
+    # gathers in blocks of 7 points equal one block, and the table-wrapped
+    # taps equal (base + k) % n, also where float % rounds a point just
+    # below 0 up to n
+    slices, periods = skewed_torus_slices()
+    names = ("r", "rx", "e2p")
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-0.2, 1.2, (40, 2)) * periods
+    pts[:2] = [[-1e-18, 0.5], [0.3, -1e-18]]
+    slice_idx = rng.integers(0, len(slices.s_all), len(pts))
+    stacks = slices.stacks(names)
+    whole = slices.sample_slices(stacks, slice_idx, names, pts)
+    monkeypatch.setattr("expanderlab.reduced._GATHER_BLOCK", 7)
+    for got, want in zip(slices.sample_slices(stacks, slice_idx, names, pts), whole):
+        assert np.array_equal(got, want)
+    for col, h, n in ((0, slices.hx, slices.nx), (1, slices.hy, slices.ny)):
+        frac = (pts[:, col] / h) % n
+        assert frac[col] == n
+        taps, _ = _spline_taps(frac, n)
+        want = (np.floor(frac).astype(int) + np.arange(-1, 3)[:, None]) % n
+        assert np.array_equal(taps, want)
+
+
+def test_shoot_records_integrals_of_the_settling_sweep(monkeypatch):
+    # evolving 16x16 torus: warm sweeps settle rows after different numbers
+    # of sweeps, and each row keeps the integrals of the sweep that settled it
+    h = torus_flow_history(16, 0.26)
+    x0 = np.zeros(2)
+    pts = np.random.default_rng(7).uniform(0.0, 1.0, (12, 2))
+    sizes = []
+
+    def spy(slices, x0, momenta, **kw):
+        sizes.append(len(momenta))
+        return _torus_integrate(slices, x0, momenta, **kw)
+
+    monkeypatch.setattr("expanderlab.reduced._torus_integrate", spy)
+    shot = _torus_shoot_targets(h, x0, pts, 0.2, 32)
+    assert len(set(sizes)) > 3
+    assert np.all(shot["miss"] < 1e-6)
+    slices = shot["slices"]
+    fresh = _torus_integrate(slices, x0, shot["momenta"])
+    # batched Simpson sums run in node order, so the batch a row shared
+    # cannot move its integrals
+    assert np.array_equal(fresh["l_tail"], shot["l_tail"])
+    assert np.array_equal(fresh["k"], shot["k"])
+    alone = _torus_integrate(slices, x0, shot["momenta"][3:4])
+    assert alone["l_tail"][0] == fresh["l_tail"][3] and alone["k"][0] == fresh["k"][3]
+
+    # the endpoints are those of plain RK4 that samples every stage afresh
+    # and accumulates no integrals
+    x = np.tile(x0, (len(pts), 1))
+    v = 2.0 * shot["momenta"]
+    ds = slices.ds
+    for k in range(slices.n_steps):
+        s = slices.s_nodes[k]
+
+        def acc(i, s, x, v):
+            return _torus_rhs(s, v, slices.sample(i, _RHS_FIELDS, x))
+
+        k1x, k1v = v, acc(2 * k, s, x, v)
+        x2, v2 = x + 0.5 * ds * k1x, v + 0.5 * ds * k1v
+        k2x, k2v = v2, acc(2 * k + 1, s + 0.5 * ds, x2, v2)
+        x3, v3 = x + 0.5 * ds * k2x, v + 0.5 * ds * k2v
+        k3x, k3v = v3, acc(2 * k + 1, s + 0.5 * ds, x3, v3)
+        x4, v4 = x + ds * k3x, v + ds * k3v
+        k4x, k4v = v4, acc(2 * k + 2, s + ds, x4, v4)
+        x = x + ds / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + ds / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    assert np.array_equal(fresh["end"], x) and np.array_equal(fresh["v_end"], v)
+
+
+def test_shoot_retries_non_finite_endpoint(monkeypatch):
+    # a NaN endpoint on the first warm sweep must not count as converged:
+    # the row is integrated again from the same momentum and settles
+    h = torus_flow_history(16, 0.26)
+    x0 = np.zeros(2)
+    pts = np.array([(0.15, 0.1), (0.25, 0.0), (0.1, 0.2)])
+    clean = _torus_shoot_targets(h, x0, pts, 0.2, 32)
+    batches = []
+
+    def flaky(slices, x0, momenta, **kw):
+        res = _torus_integrate(slices, x0, momenta, **kw)
+        if not batches:
+            res["end"][0] = np.nan
+        batches.append(momenta.copy())
+        return res
+
+    monkeypatch.setattr("expanderlab.reduced._torus_integrate", flaky)
+    shot = _torus_shoot_targets(h, x0, pts, 0.2, 32)
+    assert np.array_equal(batches[1][0], batches[0][0])
+    assert shot["miss"][0] < 1e-6
+    assert shot["l_tail"][0] == pytest.approx(clean["l_tail"][0], rel=1e-9)
