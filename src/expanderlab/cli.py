@@ -112,6 +112,11 @@ class Scenario:
                     f"scenario {name!r}: target_grid {nt!r} must be a positive integer "
                     f"dividing the grid size {list(model.grid_size)}"
                 )
+        dt_cap, retain = params.get("dt_cap", 1.0), params.get("retain_every", 1)
+        if not (_is_number(dt_cap) and dt_cap > 0 and isinstance(retain, int)
+                and not isinstance(retain, bool) and retain > 0):
+            raise ConfigError(f"scenario {name!r}: need a positive finite dt_cap and a positive "
+                              f"integer retain_every (got {dt_cap!r}, {retain!r})")
         sigmas = params.get("sigmas")
         if "mu_nu" in checks and sigmas is not None and not (
                 isinstance(sigmas, list) and sigmas
@@ -149,7 +154,8 @@ class Scenario:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite int or float that fits a float; exact comparison, so a huge int cannot raise."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _uniform_radii(radii) -> bool:
@@ -205,11 +211,7 @@ def run_scenario_doc(doc: dict, out_dir) -> dict:
         "failures": [],
     }
 
-    evolve_kwargs = {}
-    if "dt_cap" in scn.params:
-        evolve_kwargs["dt_cap"] = float(scn.params["dt_cap"])
-    if "retain_every" in scn.params:
-        evolve_kwargs["retain_every"] = int(scn.params["retain_every"])
+    evolve_kwargs = {k: scn.params[k] for k in ("dt_cap", "retain_every") if k in scn.params}
     h = evolve(scn.model, scn.t_span, **evolve_kwargs)
     h.export_csv(series_dir / "flow.csv")
     if h.extinct_at is not None:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    _conformal_scalar,
     _lap0,
     curvature,
     grad_norm_sq,
@@ -38,7 +39,7 @@ from .geometry import (
     spectral_solve,
     volume,
 )
-from .flow import FlowHistory
+from .flow import LEVEL_BATCH_BYTES, FlowHistory
 from .numerics import (
     conjugate_gradient,
     hermite_cubic,
@@ -139,6 +140,8 @@ def solve_conjugate_backward(h: FlowHistory, t_final: float, u_final,
     t_start, t_final = float(t_start), float(t_final)
     if not (h.t_min - 1e-12 <= t_start < t_final <= h.t_max + 1e-12):
         raise ValueError("solve window must sit inside the history")
+    if n_retain < 2 or not (dt_cap is None or dt_cap > 0):
+        raise ValueError(f"need n_retain >= 2 and dt_cap > 0 (got {n_retain!r}, {dt_cap!r})")
     m_final = h.metric_at(t_final)
     mass = integrate(m_final, u_final)
     if abs(mass - 1.0) > 1e-8:
@@ -166,28 +169,30 @@ def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap=None) -> list:
     seg = (t_final - t_start) / (len(times) - 1)
     per_seg = max(1, math.ceil(seg / dt_cap))
     dt = seg / per_seg
+    block = max(1, LEVEL_BATCH_BYTES // (4 * template.phi.nbytes))
 
-    def level(t):  # (metric, e^{2 phi}, R, e^{-2 phi}); a step's new level is the next's old
-        m = h.metric_at(t)
-        em2p = np.exp(-2.0 * m.phi)
-        return m, np.exp(2.0 * m.phi), -2.0 * em2p * _lap0(m.phi, hx, hy), em2p
+    def levels(ts):  # (e^{2 phi}, R, mean of e^{-2 phi}) at each of the times ts
+        phi = h.params_at_times(ts).reshape(len(ts), *template.phi.shape)
+        em2p = np.exp(-2.0 * phi)
+        return list(zip(np.exp(2.0 * phi), _conformal_scalar(phi, hx, hy, em2p),
+                        np.mean(em2p.reshape(len(ts), -1), axis=1)))
 
     def apply_l(x, lev):  # lap_g x - R x
-        _, e2p, r, _ = lev
+        e2p, r, _ = lev
         return _lap0(x, hx, hy) / e2p - r * x
 
     u = u_final.copy()
     t = t_final
-    old = level(t)
-    mass0 = float(np.sum(u * old[1])) * hx * hy  # integrate(m, u) from the level
+    (old,) = levels([t])
+    mass0 = float(np.sum(u * old[0])) * hx * hy  # integrate(m, u) from the level
     states = [DensityState.make(t_final, _renormalized(u, mass0), t_final, h.dim)]
     lam, denoms = laplacian_symbol(template.phi.shape, template.spacing), {}
     for k_out in range(len(times) - 1):
-        for _ in range(per_seg):
-            t_new = t - dt
-            new = level(t_new)
+        ts = [t := t - dt for _ in range(per_seg)]
+        batched = (lev for lo in range(0, per_seg, block) for lev in levels(ts[lo:lo + block]))
+        for t_new, new in zip(ts, batched):
             b = u + 0.5 * dt * apply_l(u, old)
-            key = round(float(np.mean(new[3])), 6)
+            key = round(float(new[2]), 6)
             if key not in denoms:
                 denoms[key] = 1.0 - 0.5 * dt * key * lam
 
@@ -195,17 +200,17 @@ def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap=None) -> list:
                 return x - 0.5 * dt * apply_l(x, new)
 
             # PCG in the volume-weighted inner product (A self-adjoint there)
-            u = conjugate_gradient(apply_a, b, new[1], lambda r: spectral_solve(r, denoms[key]),
+            u = conjugate_gradient(apply_a, b, new[0], lambda r: spectral_solve(r, denoms[key]),
                                    rel_tol=1e-13, max_iter=200, x0=b)
             if float(np.min(u)) <= 0.0:
                 raise RuntimeError(
                     f"conjugate solve lost positivity stepping to t = {t_new:.6g} "
                     f"(min u = {float(np.min(u)):.3e})"
                 )
-            u = _renormalized(u, float(np.sum(u * new[1])) * hx * hy)
-            t, old = t_new, new
+            u = _renormalized(u, float(np.sum(u * new[0])) * hx * hy)
+            old = new
         t = float(times[len(times) - 2 - k_out])  # snap accumulated round-off
-        old = level(t)
+        (old,) = levels([t])
         states.append(DensityState.make(t, u, max(t, 1e-300), h.dim))
     states.reverse()
     return states

@@ -58,13 +58,17 @@ __all__ = [
     "blowdown",
 ]
 
+LEVEL_BATCH_BYTES = 1 << 21  # cap on one batch of stacked torus time levels and their fields
+
 
 class FlowHistory:
     """Time-sampled flow trajectory with Hermite dense evaluation.
 
     params holds the reduced representation per sample: the (A, B, C)
     triple, the scale a, or the full phi grid.  param_rhs holds the
-    evolution right-hand side at the same samples.
+    evolution right-hand side at the same samples.  params_at_times stacks
+    params_at over many times; the torus kernels build their time levels
+    from it in byte-capped batches.
     """
 
     def __init__(self, kind, template: MetricModel, times, params, param_rhs,
@@ -99,6 +103,10 @@ class FlowHistory:
         i, s, h = hermite_interval(self.times, float(t), 1e-10)
         return hermite_cubic(s, h, self.params[i], self.param_rhs[i],
                              self.params[i + 1], self.param_rhs[i + 1])
+
+    def params_at_times(self, ts):
+        """params_at at each of the times ts, stacked (len(ts), n_params)."""
+        return np.array([self.params_at(t) for t in ts])
 
     def metric_at(self, t) -> MetricModel:
         p = self.params_at(t)
@@ -225,6 +233,8 @@ def evolve(m0: MetricModel, t_span, tol: ToleranceConfig | None = None,
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t0 < 0 or t1 <= t0:
         raise ValueError("need 0 <= t0 < t1")
+    if not ((dt_cap is None or dt_cap > 0) and (retain_every is None or retain_every >= 1)):
+        raise ValueError(f"need dt_cap > 0, retain_every >= 1 (got {dt_cap!r}, {retain_every!r})")
     if isinstance(m0, ModelSpaceMetric):
         return _evolve_model_space(m0, t0, t1, n_snapshots)
     if isinstance(m0, HomogeneousMetric):

@@ -160,10 +160,10 @@ class CurvatureData:
 # periodic stencils (torus)
 
 def _shift(f: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """np.roll(f, k, axis) for k = +-1 on a 2-d grid, without roll's per-call cost."""
+    """np.roll(f, k, axis - 2) for k = +-1 on (..., nx, ny) grids, without roll's per-call cost."""
     if axis == 0:
-        return np.concatenate((f[-k:], f[:-k]))
-    return np.concatenate((f[:, -k:], f[:, :-k]), axis=1)
+        return np.concatenate((f[..., -k:, :], f[..., :-k, :]), axis=-2)
+    return np.concatenate((f[..., -k:], f[..., :-k]), axis=-1)
 
 
 def _dx(f: np.ndarray, h: float) -> np.ndarray:
@@ -241,9 +241,14 @@ def curvature_homogeneous(m: HomogeneousMetric) -> CurvatureData:
     return CurvatureData(ricci=rc, scalar=scalar, ricci_norm_sq=norm_sq)
 
 
+def _conformal_scalar(phi: np.ndarray, hx: float, hy: float, em2p=None) -> np.ndarray:
+    """R = -2 exp(-2 phi) lap0 phi on (..., nx, ny) grids; em2p may pass exp(-2 phi) in."""
+    return -2.0 * (np.exp(-2.0 * phi) if em2p is None else em2p) * _lap0(phi, hx, hy)
+
+
 def curvature_conformal(m: ConformalTorusMetric) -> CurvatureData:
     """Scalar curvature field R = -2 exp(-2 phi) lap0 phi of the conformal torus."""
-    r = -2.0 * np.exp(-2.0 * m.phi) * _lap0(m.phi, *m.spacing)
+    r = _conformal_scalar(m.phi, *m.spacing)
     return CurvatureData(ricci=r, scalar=r, ricci_norm_sq=0.5 * r * r)
 
 

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import FlowHistory, scaled_volume
-from .geometry import _dx, _dy, _hessian_conformal, _lap0, curvature, volume
+from .flow import LEVEL_BATCH_BYTES, FlowHistory, scaled_volume
+from .geometry import _conformal_scalar, _dx, _dy, _hessian_conformal, _lap0, curvature, volume
 from .numerics import time_derivative
 
 __all__ = [
@@ -392,41 +392,38 @@ _GATHER_BLOCK = 8192  # points per stacked gather in `sample_slices`
 
 
 class _TorusSlices:
-    """Cached field slices of a torus history along a fixed s-grid."""
+    """Field slices of a torus history along a fixed s-grid, in one store."""
 
     def __init__(self, h: FlowHistory, t: float, n_steps: int):
-        self.h = h
         self.t = float(t)
         if n_steps % 2:
             n_steps += 1
         self.n_steps = n_steps
         self.s_nodes = np.linspace(0.0, math.sqrt(t), n_steps + 1)
         self.ds = self.s_nodes[1] - self.s_nodes[0]
-        # RK4 needs half-step stages: cache on the refined ladder
+        # RK4 needs half-step stages: slices on the refined ladder
         self.s_all = np.linspace(0.0, math.sqrt(t), 2 * n_steps + 1)
-        self.template = h.template
-        self.nx, self.ny = self.template.phi.shape
-        self.hx, self.hy = self.template.spacing
-        self.lx, self.ly = self.template.periods
-        self._cache = {}
-
-    def grids(self, idx: int) -> np.ndarray:
-        """The `_FIELDS` grids (8, nx, ny) of slice idx, cached."""
-        if idx not in self._cache:
-            eta = float(self.s_all[idx] ** 2)
-            m = self.h.metric_at(min(max(eta, self.h.t_min), self.h.t_max))
-            phi = m.phi
-            hx, hy = self.hx, self.hy
-            r = curvature(m).scalar
+        self.nx, self.ny = h.template.phi.shape
+        self.hx, self.hy = h.template.spacing
+        self.lx, self.ly = h.template.periods
+        # the `_FIELDS` grids of every slice, (8, n_slices, nx, ny), built
+        # in batches of slices whose eight fields stay under the byte cap
+        self.store = np.empty((len(_FIELDS), len(self.s_all), self.nx, self.ny))
+        block = max(1, LEVEL_BATCH_BYTES // (len(_FIELDS) * h.template.phi.nbytes))
+        hx, hy = self.hx, self.hy
+        for lo in range(0, len(self.s_all), block):
+            etas = [min(max(float(s**2), h.t_min), h.t_max) for s in self.s_all[lo:lo + block]]
+            phi = h.params_at_times(etas).reshape(len(etas), self.nx, self.ny)
+            r = _conformal_scalar(phi, hx, hy)
             e2p = np.exp(2.0 * phi)
             # curvature evolution dR/dt = lap R + R^2 in two dimensions
             rdot = _lap0(r, hx, hy) / e2p + r * r
-            self._cache[idx] = np.stack([_dx(phi, hx), _dy(phi, hy), r, _dx(r, hx),
-                                         _dy(r, hy), e2p, rdot, phi])
-        return self._cache[idx]
+            np.stack((_dx(phi, hx), _dy(phi, hy), r, _dx(r, hx), _dy(r, hy), e2p, rdot, phi),
+                     out=self.store[:, lo:lo + len(etas)])
 
-    def fields_at(self, idx: int) -> dict:
-        return dict(zip(_FIELDS, self.grids(idx)))
+    def grids(self, idx: int) -> np.ndarray:
+        """The `_FIELDS` grids (8, nx, ny) of slice idx, a view of the store."""
+        return self.store[:, idx]
 
     def _flat_taps(self, pts: np.ndarray, offset=0):
         """Flat tap indices (4, 4, m) plus `offset` (a stacked slice), and the weights."""
@@ -436,24 +433,16 @@ class _TorusSlices:
         return rows[:, None, :] + jy[None, :, :], wx, wy
 
     def sample(self, idx: int, names, pts: np.ndarray) -> np.ndarray:
-        """Smooth periodic samples (len(names), m) of cached grids at points (m, 2)."""
+        """Smooth periodic samples (len(names), m) of slice idx at points (m, 2)."""
         rows = [_FIELDS.index(n) for n in names]
         rows = slice(len(rows)) if rows == list(range(len(rows))) else rows
-        grids = self.grids(idx).reshape(len(_FIELDS), -1)[rows]
+        grids = self.grids(idx).reshape(len(_FIELDS), -1)[rows]  # a view for a prefix of fields
         flat, wx, wy = self._flat_taps(pts)
         return np.einsum("am,bm,fabm->fm", wx, wy, np.take(grids, flat, axis=1))
 
     def stacks(self, names):
-        """Stacked per-slice grids (n_slices, nx, ny) for vectorized gathers."""
-        key = ("__stack__", tuple(names))
-        if key in self._cache:
-            return self._cache[key]
-        stacks = {
-            name: np.stack([self.fields_at(i)[name] for i in range(len(self.s_all))])
-            for name in names
-        }
-        self._cache[key] = stacks
-        return stacks
+        """Per-field views (n_slices, nx, ny) of the store for vectorized gathers."""
+        return {name: self.store[_FIELDS.index(name)] for name in names}
 
     def sample_slices(self, stacks, slice_idx: np.ndarray, names, pts: np.ndarray):
         """Smooth samples with a per-point slice index, in `_GATHER_BLOCK` blocks."""
@@ -582,8 +571,7 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float,
     m_t = len(targets)
     all_images = targets[:, None, :] + shifts[None, :, :]    # (m, 9, 2)
     dists = np.linalg.norm(all_images - x0, axis=2)
-    phis = [h.metric_at(min(max(e, h.t_min), h.t_max)).phi
-            for e in (0.0, 0.25 * t, t)]
+    phis = h.params_at_times([min(max(e, h.t_min), h.t_max) for e in (0.0, 0.25 * t, t)])
     spread = max(float(np.max(ph) - np.min(ph)) for ph in phis)
     cutoff = np.exp(spread) * dists.min(axis=1) + 0.12 * min(lx, ly)
     keep = dists <= cutoff[:, None]

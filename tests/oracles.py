@@ -1,4 +1,7 @@
-"""Independent brute-force oracles used only by the test suite."""
+"""Independent brute-force oracles and per-step reference implementations
+used only by the test suite."""
+
+import math
 
 import numpy as np
 
@@ -52,3 +55,73 @@ def koszul_ricci(structure_constants, diag):
             # trace of X -> R(X, e_j) e_k
             ricci[j, k] = sum(curv(i, j, k)[i] for i in range(3))
     return ricci
+
+
+def backward_torus_per_step(h, times, u_final, dt_cap=None):
+    """The torus conjugate solve with one time level built per step.
+
+    Reference for `conjugate_heat._solve_backward_torus`, which builds
+    the same levels in stacked batches: each level does its own history
+    lookup, metric object, `e^{+-2 phi}`, curvature and mean.  Returns
+    the density grids at `times`, increasing in t.
+    """
+    from expanderlab.geometry import _lap0, laplacian_symbol, spectral_solve
+    from expanderlab.numerics import conjugate_gradient
+
+    template = h.template
+    hx, hy = template.spacing
+    if dt_cap is None:
+        dt_cap = 0.5 * min(hx, hy) ** 2
+    t_start, t_final = float(times[0]), float(times[-1])
+    seg = (t_final - t_start) / (len(times) - 1)
+    per_seg = max(1, math.ceil(seg / dt_cap))
+    dt = seg / per_seg
+
+    def level(t):  # (metric, e^{2 phi}, R, e^{-2 phi})
+        m = h.metric_at(t)
+        em2p = np.exp(-2.0 * m.phi)
+        return m, np.exp(2.0 * m.phi), -2.0 * em2p * _lap0(m.phi, hx, hy), em2p
+
+    def apply_l(x, lev):
+        _, e2p, r, _ = lev
+        return _lap0(x, hx, hy) / e2p - r * x
+
+    u = np.asarray(u_final, dtype=float).copy()
+    t = t_final
+    old = level(t)
+    out = [u / (float(np.sum(u * old[1])) * hx * hy)]
+    lam, denoms = laplacian_symbol(template.phi.shape, template.spacing), {}
+    for k_out in range(len(times) - 1):
+        for _ in range(per_seg):
+            t_new = t - dt
+            new = level(t_new)
+            b = u + 0.5 * dt * apply_l(u, old)
+            key = round(float(np.mean(new[3])), 6)
+            if key not in denoms:
+                denoms[key] = 1.0 - 0.5 * dt * key * lam
+
+            def apply_a(x, new=new):
+                return x - 0.5 * dt * apply_l(x, new)
+
+            u = conjugate_gradient(apply_a, b, new[1],
+                                   lambda r, key=key: spectral_solve(r, denoms[key]),
+                                   rel_tol=1e-13, max_iter=200, x0=b)
+            u = u / (float(np.sum(u * new[1])) * hx * hy)
+            t, old = t_new, new
+        t = float(times[len(times) - 2 - k_out])
+        old = level(t)
+        out.append(u)
+    return out[::-1]
+
+
+def torus_slice_grids(h, eta, hx, hy):
+    """The eight `reduced._FIELDS` grids of a torus history at time eta,
+    each computed from its own metric lookup as one slice at a time."""
+    from expanderlab.geometry import _dx, _dy, _lap0, curvature
+
+    m = h.metric_at(min(max(eta, h.t_min), h.t_max))
+    phi = m.phi
+    r = curvature(m).scalar
+    e2p = np.exp(2.0 * phi)
+    rdot = _lap0(r, hx, hy) / e2p + r * r
+    return np.stack([_dx(phi, hx), _dy(phi, hy), r, _dx(r, hx), _dy(r, hy), e2p, rdot, phi])

@@ -8,8 +8,10 @@ import pytest
 from expanderlab.acceptance import run_acceptance
 
 # criteria 6, 8 and 10 run the torus kernels (shooting, oracle, backward
-# solve); their bounds sit ~10x above the measured 3.5 s, 0.6-1.3 s and 0.6 s
-RUNTIME_BOUNDS = {1: 1.0, 2: 10.0, 3: 60.0, 5: 30.0, 6: 35.0, 8: 15.0, 10: 6.0}
+# solve); their bounds sit ~10x above the measured 3.5 s, 0.6-1.3 s and 0.6 s.
+# Criteria 4 and 9 sit ~10x above their slowest of five runs, 0.06 s and 6 ms.
+RUNTIME_BOUNDS = {1: 1.0, 2: 10.0, 3: 60.0, 4: 0.6, 5: 30.0, 6: 35.0, 8: 15.0, 9: 0.06,
+                  10: 6.0}
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +22,7 @@ def results():
     return out
 
 
-@pytest.mark.parametrize("number", sorted(RUNTIME_BOUNDS) + [4, 7, 9])
+@pytest.mark.parametrize("number", sorted(RUNTIME_BOUNDS) + [7])
 def test_criterion(results, number):
     res = results[number]
     print(res.line())

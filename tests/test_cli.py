@@ -133,6 +133,16 @@ def test_target_grid_validation(bad):
     ("flat_torus", {"sigmas": [-1, 0.5]}, "sigmas"),
     ("shrinking_sphere", {"radii": [0, 0.1, 0.5, 2]}, "radii"),
     ("flat_torus", {"window_lo": 2.9, "window_hi": 5.0}, "window"),
+    ("flat_torus", {"dt_cap": 0}, "dt_cap"),
+    ("flat_torus", {"dt_cap": -0.05}, "dt_cap"),
+    ("flat_torus", {"dt_cap": float("nan")}, "dt_cap"),
+    ("flat_torus", {"dt_cap": 10**400}, "dt_cap"),
+    ("flat_torus", {"sigmas": [10**400]}, "sigmas"),
+    ("hyperbolic_expander", {"dt_cap": True}, "dt_cap"),
+    ("flat_torus", {"retain_every": 0}, "retain_every"),
+    ("flat_torus", {"retain_every": -3}, "retain_every"),
+    ("flat_torus", {"retain_every": 2.5}, "retain_every"),
+    ("flat_torus", {"retain_every": True}, "retain_every"),
 ])
 def test_malformed_params_exit_2_without_output(tmp_path, capsys, scenario, params, word):
     doc = json.loads(builtin_scenarios()[scenario].read_text())

@@ -13,7 +13,8 @@ from expanderlab.conjugate_heat import (
     solve_conjugate_backward,
     v_plus,
 )
-from expanderlab.flow import evolve
+from expanderlab.conjugate_heat import _solve_backward_torus
+from expanderlab.flow import LEVEL_BATCH_BYTES, evolve
 from expanderlab.geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
@@ -21,6 +22,7 @@ from expanderlab.geometry import (
     integrate,
     volume,
 )
+from oracles import backward_torus_per_step
 
 HYPERBOLIC3 = ModelSpaceMetric(dim=3, sectional_sign=-1, scale=1.0, base_volume=1.0)
 
@@ -220,6 +222,31 @@ def test_backward_solve_validates_input():
     h = evolve(HYPERBOLIC3, (0.0, 1.0))
     with pytest.raises(ValueError):
         solve_conjugate_backward(h, 1.0, 3.0)  # mass not one
+    ht = torus_history(16, t_end=0.01)
+    u_fin = np.full((16, 16), 1.0 / volume(ht.metric_at(0.01)))
+    for kwargs in ({"n_retain": 1}, {"n_retain": 0}, {"dt_cap": 0.0}, {"dt_cap": -0.05}):
+        with pytest.raises(ValueError):
+            solve_conjugate_backward(ht, 0.01, u_fin, **kwargs)
+
+
+def test_batched_backward_levels_equal_per_step_solve():
+    # 16x24 torus with periods (1, 1.7): each segment spans more than one
+    # level batch and ends in a partial one; the states are bit-equal to
+    # the solve that builds one level per step
+    i, j = np.meshgrid(np.arange(16) / 16, np.arange(24) / 24, indexing="ij")
+    phi = 0.3 * np.sin(2 * math.pi * i) + 0.1 * np.cos(2 * math.pi * (i + 2 * j))
+    h = evolve(ConformalTorusMetric(phi, (1.0, 1.7)), (0.0, 0.3))
+    times = np.linspace(0.02, 0.3, 3)
+    dt_cap = 0.14 / 200
+    per_seg = math.ceil(0.14 / dt_cap)
+    block = LEVEL_BATCH_BYTES // (4 * h.template.phi.nbytes)
+    assert per_seg > block and per_seg % block
+    u_fin = np.full((16, 24), 1.0 / volume(h.metric_at(0.3)))
+    got = _solve_backward_torus(h, times, u_fin, dt_cap)
+    want = backward_torus_per_step(h, times, u_fin, dt_cap)
+    assert [s.t for s in got] == list(times)
+    for s, u in zip(got, want):
+        assert np.array_equal(s.u, u)
 
 
 def test_integrated_identity_on_torus():

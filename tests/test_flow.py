@@ -147,6 +147,15 @@ def test_blowdown_flat_static_collapses():
     assert abs(volume(bd.metric_at(1e-3)) - 1.0 / 4.0) < 1e-12
 
 
+@pytest.mark.parametrize("kwargs", [{"dt_cap": 0.0}, {"dt_cap": -0.05}, {"dt_cap": math.nan},
+                                    {"retain_every": 0}, {"retain_every": -3}])
+def test_evolve_rejects_nonpositive_step_controls(kwargs):
+    # a zero cap or retention stride used to divide by zero, and a negative
+    # cap turned into one implicit step over the whole span
+    with pytest.raises(ValueError, match="dt_cap"):
+        evolve(sine_torus(16), (0.0, 0.01), **kwargs)
+
+
 def test_blowdown_requires_alpha_geq_one():
     with pytest.raises(ValueError):
         BlowdownSpec(alpha=0.5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from expanderlab.flow import FlowHistory
+from expanderlab.flow import BlowdownSpec, FlowHistory, blowdown
 from expanderlab.geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
@@ -287,6 +287,41 @@ def test_stencils_equal_roll_formulas_on_non_square_grid():
         4.0 * hx * hy
     )
     assert np.array_equal(_dxy(f, hx, hy), expected)
+
+
+def skewed_history():
+    # 16x24 history with periods (1, 1.7), uneven sample times and a
+    # nonzero evolution right-hand side
+    rng = np.random.default_rng(5)
+    ts = np.array([0.0, 0.013, 0.05, 0.0625])
+    vals = 0.2 * rng.standard_normal((4, 16 * 24))
+    m0 = ConformalTorusMetric(vals[0].reshape(16, 24), (1.0, 1.7))
+    return FlowHistory("conformal_torus", m0, ts, vals, rng.standard_normal((4, 16 * 24)))
+
+
+def test_batched_history_lookup_equals_params_at():
+    # sample nodes, times inside the intervals and times within the clamp
+    # slack, in increasing and decreasing order: every row bit for bit
+    h = skewed_history()
+    rng = np.random.default_rng(9)
+    lo, hi = h.t_min - 0.5e-10, h.t_max + 0.5e-10 * (1 + h.t_max)
+    ts = np.concatenate([h.times, rng.uniform(h.t_min, h.t_max, 400), [lo, hi]])
+    want = np.array([h.params_at(t) for t in ts])
+    assert np.array_equal(h.params_at_times(ts), want)
+    assert np.array_equal(h.params_at_times(ts[::-1]), want[::-1])
+    bd = blowdown(h, BlowdownSpec(alpha=4.0))
+    got = bd.params_at_times(ts[:20] / 4.0)
+    assert np.array_equal(got, want[:20] - 0.5 * math.log(4.0))
+    with pytest.raises(ValueError, match="outside"):
+        h.params_at_times([0.01, h.t_max + 1e-6])
+
+
+def test_stencils_on_stacks_equal_per_grid_calls():
+    stack = skewed_history().params.reshape(4, 16, 24)
+    hx, hy = 1.0 / 16, 1.7 / 24
+    for op in (lambda f: _dx(f, hx), lambda f: _dy(f, hy), lambda f: _d2(f, hx, 0),
+               lambda f: _d2(f, hy, 1), lambda f: _lap0(f, hx, hy)):
+        assert np.array_equal(op(stack), np.stack([op(f) for f in stack]))
 
 
 def test_model_json_round_trip():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from expanderlab.entropy import nu_plus
-from expanderlab.flow import BlowdownSpec, FlowHistory, blowdown, evolve
+from expanderlab.flow import LEVEL_BATCH_BYTES, BlowdownSpec, FlowHistory, blowdown, evolve
 from expanderlab.geometry import ConformalTorusMetric, ModelSpaceMetric
 from expanderlab.reduced import (
     check_gradient_time_identities,
@@ -18,6 +18,7 @@ from expanderlab.reduced import (
     theta_plus,
 )
 from expanderlab.reduced import (
+    _FIELDS,
     _RHS_FIELDS,
     _spline_taps,
     _torus_integrate,
@@ -25,6 +26,7 @@ from expanderlab.reduced import (
     _torus_shoot_targets,
     _TorusSlices,
 )
+from oracles import torus_slice_grids
 
 HYPERBOLIC3 = ModelSpaceMetric(dim=3, sectional_sign=-1, scale=1.0, base_volume=1.0)
 
@@ -482,15 +484,34 @@ def test_torus_slice_samples_match_fancy_index_gather():
         ref = stacks[name][slice_idx[None, None, :], ix[:, None, :], jy[None, :, :]]
         assert np.array_equal(g, np.einsum("am,bm,abm->m", wx, wy, ref))
     for idx in (0, 3):
-        grids = slices.fields_at(idx)
+        grids = dict(zip(_FIELDS, slices.grids(idx)))
         for name, g in zip(names, slices.sample(idx, names, pts)):
             ref = grids[name][ix[:, None, :], jy[None, :, :]]
             assert np.array_equal(g, np.einsum("am,bm,abm->m", wx, wy, ref))
 
     nodes = np.array([[-1, 0], [0, ny], [nx - 1, 5], [7, -3]])
     node_vals = slices.sample(2, ("phi",), nodes * np.array([slices.hx, slices.hy]))[0]
-    phi = slices.fields_at(2)["phi"]
+    phi = slices.stacks(("phi",))["phi"][2]
     assert np.allclose(node_vals, phi[nodes[:, 0] % nx, nodes[:, 1] % ny], rtol=0, atol=1e-12)
+
+
+def test_slice_store_equals_per_slice_formula():
+    # 16x24 history with periods (1, 1.7) and a nonzero evolution
+    # right-hand side; its 97 slices fill more than one batch, the last
+    # one partial
+    rng = np.random.default_rng(4)
+    ts = np.array([0.0, 0.3, 0.7, 1.0])
+    vals = 0.2 * rng.standard_normal((4, 16 * 24))
+    m0 = ConformalTorusMetric(vals[0].reshape(16, 24), (1.0, 1.7))
+    h = FlowHistory("conformal_torus", m0, ts, vals, rng.standard_normal((4, 16 * 24)))
+    slices = _TorusSlices(h, 1.0, 48)
+    block = LEVEL_BATCH_BYTES // (8 * m0.phi.nbytes)
+    assert block < len(slices.s_all) and len(slices.s_all) % block
+    for i, s in enumerate(slices.s_all):
+        want = torus_slice_grids(h, float(s**2), slices.hx, slices.hy)
+        assert np.array_equal(slices.grids(i), want)
+    for grid in slices.stacks(("px", "r", "e2p", "phi")).values():
+        assert np.shares_memory(grid, slices.store)
 
 
 def test_blockwise_slice_gather_matches_single_block(monkeypatch):
