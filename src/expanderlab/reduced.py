@@ -192,21 +192,21 @@ class ThetaSeries:
 # ---------------------------------------------------------------------------
 # quadrature helpers
 
-def _simpson(vals: np.ndarray, ds: float, axis: int = 0) -> np.ndarray:
-    """Composite Simpson along `axis`; a 2-d batch sums in node order, so a
-    column's value does not depend on its batch (np.sum pairs a lone column)."""
-    n = vals.shape[axis] - 1
+def _node_order_sum(terms: np.ndarray) -> np.ndarray:
+    """Node-order sums of (nodes, batch), batch of one included (np.sum pairs it)."""
+    return np.cumsum(terms, axis=0)[-1] if terms.shape[1] == 1 else np.sum(terms, axis=0)
+
+
+def _simpson(vals: np.ndarray, ds: float) -> np.ndarray:
+    """Composite Simpson along axis 0; a 2-d batch sums in node order."""
+    n = len(vals) - 1
     if n % 2 != 0:
         raise ValueError("simpson needs an even interval count")
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    shape = [1] * vals.ndim
-    shape[axis] = n + 1
-    terms = vals * w.reshape(shape)
-    if vals.ndim > 1:
-        return np.cumsum(terms, axis=axis).take(-1, axis=axis) * ds / 3.0
-    return np.sum(terms, axis=axis) * ds / 3.0
+    terms = vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
+    return (_node_order_sum(terms) if vals.ndim > 1 else np.sum(terms)) * ds / 3.0
 
 
 def _log_grid_integral(fn, s_lo: float, s_hi: float, n: int = 800) -> float:
@@ -541,7 +541,7 @@ def _torus_integrate(slices: _TorusSlices, x0: np.ndarray, momenta: np.ndarray,
     x_speed_sq = e2p_end * np.sum(v * v, axis=1) / (4.0 * slices.t)
     out = {
         "end": x, "v_end": v,
-        "l_tail": _simpson(act, ds, axis=0), "k": _simpson(kin, ds, axis=0),
+        "l_tail": _simpson(act, ds), "k": _simpson(kin, ds),
         "r_end": r_end, "x_speed_sq": x_speed_sq,
     }
     if want_traces:
@@ -596,6 +596,7 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float,
         # warm phase with live masking; converged rows record their
         # action and Harnack integrals immediately
         live = np.arange(q)
+        stuck = np.zeros(q, dtype=bool)  # the row's last endpoint was not finite
         for _ in range(40):
             if len(live) == 0:
                 break
@@ -609,7 +610,10 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float,
             mom[done] = p[done]
             record(done, res, conv)
             p[live] = p[live] - f0 / two_rt
-            live = live[~conv]
+            again = stuck[live] & ~finite  # twice from one momentum: Newton resets it
+            stuck[live] = ~finite
+            live = live[~conv & ~again]
+        live = np.union1d(live, np.flatnonzero(stuck))
         if len(live):
             # damped Newton sweeps for the stubborn images
             step_cap = 2.0 * (1.0 + np.linalg.norm(p[live], axis=1, keepdims=True))
@@ -751,11 +755,15 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, n_random=5,
                         n_keep_shifts=3):
     """Batched descent over discrete paths for many targets at once.
 
-    One descent sweep covers (target, translate, start) triples as a
-    single numpy batch; the gradient is the exact derivative of the
-    discretized action.  Per target only the closest lattice translates
-    by flat distance are explored (the conformal factor is bounded, so
-    far images cannot win).  Returns the per-target best value.
+    Each (target, translate, start) path descends on its own (live mask,
+    step, backtracking, stall test), so the paths run as numpy batches in
+    contiguous chunks of at most 2**16 path nodes, with the values of one
+    batch and a bounded working set.  The gradient is the exact derivative
+    of the discretized action; the first line-search trial brings its
+    gradient, so a path accepted there skips the next sweep's gather.  Per
+    target only the closest lattice translates by flat distance are
+    explored (the conformal factor is bounded, so far images cannot win).
+    Returns the per-target best value.
     """
     slices = _TorusSlices(h, t, n_segments)
     eta = slices.s_nodes**2
@@ -794,8 +802,8 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, n_random=5,
             starts[1] + 0.08 * scale * rng.standard_normal(starts[1].shape)
         )
     z = np.concatenate(starts)                                  # (B, M-1, 2)
+    del starts  # the descent keeps only z
     y_full = np.tile(ys, (n_starts, 1))
-    b = len(z)
     stacks = slices.stacks(("r", "rx", "ry", "e2p", "px", "py"))
 
     def evaluate(z_batch, y_batch, want_grad):
@@ -818,7 +826,7 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, n_random=5,
             grads[:, :, 1] += (node_w[1:-1, None] * ry[1:-1]).T
         else:
             (r,) = slices.sample_slices(stacks, node_slice, ("r",), node_pts)
-        val += np.sum(node_w[:, None] * r.reshape(n_segments + 1, bb), axis=0)
+        val += _node_order_sum(node_w[:, None] * r.reshape(n_segments + 1, bb))
         # segment kinetic part with midpoint conformal factor
         mids = 0.5 * (pos[:, :-1, :] + pos[:, 1:, :])
         mid_pts = mids.transpose(1, 0, 2).reshape(-1, 2)
@@ -832,7 +840,7 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, n_random=5,
         e2p = e2p.reshape(n_segments, bb)
         dxs = (pos[:, 1:, :] - pos[:, :-1, :]).transpose(1, 0, 2)  # (M, B, 2)
         sp = np.sum(dxs * dxs, axis=2) / d_eta[:, None] ** 2
-        val += np.sum(seg_w[:, None] * e2p * sp, axis=0)
+        val += _node_order_sum(seg_w[:, None] * e2p * sp)
         if want_grad:
             common = seg_w[:, None] * e2p                          # (M, B)
             dvec = 2.0 * common[:, :, None] * dxs / d_eta[:, None, None] ** 2
@@ -867,43 +875,54 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, n_random=5,
             x[:, k] = dp[:, k] - cp[k] * x[:, k + 1]
         return x
 
-    # the start values come with the first gradient
-    val, g = evaluate(z, y_full, True)
-    step = np.full(b, 1.0)
-    live_idx = np.arange(b)
-    for it in range(n_iter):
-        if len(live_idx) == 0:
-            break
-        z_l = z[live_idx]
-        if it:
-            _, g = evaluate(z_l, y_full[live_idx], True)
-        d = precondition(g)
-        gn = np.max(np.abs(g), axis=(1, 2))
-        still = gn > 1e-12
-        live_idx = live_idx[still]
-        if len(live_idx) == 0:
-            break
-        z_l, d = z_l[still], d[still]
-        v_l = val[live_idx]
-        alpha = np.minimum(step[live_idx] * 2.0, 1.0)
-        pending = np.arange(len(live_idx))
-        improved = np.zeros(len(live_idx), dtype=bool)
-        for _bt in range(24):
-            trial = z_l[pending] - alpha[pending, None, None] * d[pending]
-            v_try, _ = evaluate(trial, y_full[live_idx[pending]], False)
-            ok = v_try < v_l[pending] - 1e-14 * (1.0 + np.abs(v_l[pending]))
-            hit = pending[ok]
-            z_l[hit] = trial[ok]
-            v_l[hit] = v_try[ok]
-            step[live_idx[hit]] = alpha[hit]
-            improved[hit] = True
-            pending = pending[~ok]
-            if len(pending) == 0:
+    def descend(z, y):
+        """Descend a chunk of paths in place from its start values and gradient."""
+        val, g = evaluate(z, y, True)
+        step = np.full(len(z), 1.0)
+        live_idx = np.arange(len(z))
+        stale = np.zeros(len(z), dtype=bool)  # live paths whose row of g is not current
+        for _ in range(n_iter):
+            if len(live_idx) == 0:
                 break
-            alpha[pending] *= 0.5
-        z[live_idx] = z_l
-        val[live_idx] = v_l
-        live_idx = live_idx[improved]  # stalled paths are converged
+            z_l = z[live_idx]
+            if np.any(stale):
+                g[stale] = evaluate(z_l[stale], y[live_idx[stale]], True)[1]
+            d = precondition(g)
+            gn = np.max(np.abs(g), axis=(1, 2))
+            still = gn > 1e-12
+            live_idx = live_idx[still]
+            if len(live_idx) == 0:
+                break
+            z_l, d = z_l[still], d[still]
+            v_l = val[live_idx]
+            alpha = np.minimum(step[live_idx] * 2.0, 1.0)
+            pending = np.arange(len(live_idx))
+            improved = np.zeros(len(live_idx), dtype=bool)
+            for bt in range(24):
+                trial = z_l[pending] - alpha[pending, None, None] * d[pending]
+                # the first trial brings its gradient, kept where it is accepted
+                v_try, g_try = evaluate(trial, y[live_idx[pending]], bt == 0)
+                ok = v_try < v_l[pending] - 1e-14 * (1.0 + np.abs(v_l[pending]))
+                if bt == 0:
+                    g, stale = g_try, ~ok
+                hit = pending[ok]
+                z_l[hit] = trial[ok]
+                v_l[hit] = v_try[ok]
+                step[live_idx[hit]] = alpha[hit]
+                improved[hit] = True
+                pending = pending[~ok]
+                if len(pending) == 0:
+                    break
+                alpha[pending] *= 0.5
+            z[live_idx] = z_l
+            val[live_idx] = v_l
+            live_idx = live_idx[improved]  # stalled paths are converged
+            g, stale = g[improved], stale[improved]
+        return val
+
+    chunk = max(1, LEVEL_BATCH_BYTES // 32 // (n_segments + 1))  # at most 2**16 nodes a chunk
+    val = np.concatenate([descend(z[lo:lo + chunk], y_full[lo:lo + chunk])
+                          for lo in range(0, len(z), chunk)])
     # fold the (start, translate) axes back into per-target minima
     val = val.reshape(n_starts, -1)
     best_q = np.min(val, axis=0)
@@ -947,6 +966,7 @@ def ell_plus_field(h: FlowHistory, x0, targets, times, tol: float = 1e-3,
         translate[i] = shot["translate"]
         images[i] = shot["images"]
         missed = shot["miss"] > 1e-6
+        del shot  # its slice store would sit beside the oracle's
         if oracle_check or np.any(missed):
             o_vals = _oracle_torus_batch(
                 h, np.asarray(x0, float), targets, float(t),

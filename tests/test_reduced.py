@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from expanderlab.reduced import (
 from expanderlab.reduced import (
     _FIELDS,
     _RHS_FIELDS,
+    _oracle_torus_batch,
     _spline_taps,
     _torus_integrate,
     _torus_rhs,
@@ -606,3 +609,106 @@ def test_shoot_retries_non_finite_endpoint(monkeypatch):
     assert np.array_equal(batches[1][0], batches[0][0])
     assert shot["miss"][0] < 1e-6
     assert shot["l_tail"][0] == pytest.approx(clean["l_tail"][0], rel=1e-9)
+
+
+def test_shoot_sends_a_repeating_non_finite_endpoint_to_newton(monkeypatch):
+    # a NaN that repeats from the same momentum leaves the warm phase after
+    # its second sweep; its miss stays inf, so the row cannot win
+    h = torus_flow_history(16, 0.26)
+    x0 = np.zeros(2)
+    pts = np.array([(0.15, 0.1), (0.5, 0.45), (0.1, 0.2)])
+    clean = _torus_shoot_targets(h, x0, pts, 0.2, 32)
+    # poison the only image of target 0 and the winning image of target 1
+    two_rt = 2.0 * math.sqrt(0.2)
+    shift = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])[clean["translate"][1]]
+    bad = np.array([pts[0] - x0, pts[1] + shift - x0]) / two_rt
+    seen = []
+
+    def poisoned(slices, x0, momenta, **kw):
+        res = _torus_integrate(slices, x0, momenta, **kw)
+        hits = [np.all(momenta == p, axis=1) for p in bad]
+        for hit in hits:
+            res["end"][hit] = np.nan
+        # a batch that holds a perturbed copy of a poisoned momentum is a Newton sweep
+        newton = any(np.any(np.all(momenta == p + [1e-7, 0.0], axis=1)) for p in bad)
+        seen.append((newton, [int(hit.sum()) for hit in hits]))
+        return res
+
+    monkeypatch.setattr("expanderlab.reduced._torus_integrate", poisoned)
+    shot = _torus_shoot_targets(h, x0, pts, 0.2, 32)
+    warm = seen[:next(i for i, (newton, _) in enumerate(seen) if newton)]
+    assert [sum(counts[k] for _, counts in warm) for k in range(2)] == [2, 2]
+    assert shot["miss"][0] == np.inf
+    assert shot["translate"][1] != clean["translate"][1] and shot["miss"][1] < 1e-6
+    assert np.array_equal(shot["l_tail"][2], clean["l_tail"][2])
+
+
+def count_gathers(monkeypatch):
+    """Counts of `_TorusSlices.sample_slices` calls by field set."""
+    fields = collections.Counter()
+    sample_slices = _TorusSlices.sample_slices
+
+    def spy(self, stacks, slice_idx, names, pts):
+        fields[names] += 1
+        return sample_slices(self, stacks, slice_idx, names, pts)
+
+    monkeypatch.setattr(_TorusSlices, "sample_slices", spy)
+    return fields
+
+
+def test_oracle_chunks_match_one_batch(monkeypatch):
+    # evolving 16x16 torus where the line search backtracks: the descent in
+    # chunks of 40 paths (126 paths, four chunks, none aligned with a start
+    # group) or of one path, and runs of one target each, give the values of
+    # one batch bit for bit
+    h = torus_flow_history(16, 0.26)
+    x0 = np.zeros(2)
+    pts = np.random.default_rng(5).uniform(0.0, 1.0, (6, 2))
+    fields = count_gathers(monkeypatch)
+    whole = _oracle_torus_batch(h, x0, pts, 0.2, 32)
+    assert fields[("r",)] > 0  # value-only backtracks happened
+    # random starts are drawn per batch, so targets run alone from the
+    # deterministic starts only
+    plain = _oracle_torus_batch(h, x0, pts, 0.2, 32, n_random=0)
+    alone = [_oracle_torus_batch(h, x0, pts[i:i + 1], 0.2, 32, n_random=0)[0]
+             for i in range(len(pts))]
+    for n_paths in (40, 1):
+        monkeypatch.setattr("expanderlab.reduced.LEVEL_BATCH_BYTES", 32 * 33 * n_paths)
+        fields.clear()
+        chunked = _oracle_torus_batch(h, x0, pts, 0.2, 32)
+        assert fields[("r", "rx", "ry")] >= -(-126 // n_paths)  # a start gradient per chunk
+        assert np.array_equal(chunked, whole)
+    assert np.array_equal(np.array(alone), plain)
+
+
+def test_oracle_keeps_the_gradient_of_an_accepted_trial(monkeypatch):
+    # on a flat torus the preconditioned first step is exact and accepted:
+    # the start gradient and the first trial, evaluated with its gradient,
+    # are the only gathers; no sweep gathers again at the accepted point
+    h = flat_history(16, 1.0)
+    pts = np.random.default_rng(2).uniform(0.0, 1.0, (5, 2))
+    fields = count_gathers(monkeypatch)
+    vals = _oracle_torus_batch(h, np.zeros(2), pts, 1.0, 32)
+    assert fields == {("r", "rx", "ry"): 2, ("e2p", "px", "py"): 2}
+    want = [torus_distance_sq(p) / 2.0 for p in pts]
+    assert np.allclose(vals, want, rtol=1e-6, atol=0)
+
+
+def test_oracle_memory_is_bounded_by_the_chunk(monkeypatch):
+    # four times the targets in chunks of 2**12 path nodes: the traced peak
+    # (numpy reports its buffers to tracemalloc) grows by less than 1.5x;
+    # in one batch it grew nearly in proportion (16.3 -> 30.5 MB)
+    h = flat_history(32, 1.0)
+    x0 = np.zeros(2)
+    monkeypatch.setattr("expanderlab.reduced.LEVEL_BATCH_BYTES", 32 << 12)
+    rng = np.random.default_rng(8)
+    peaks = []
+    for m in (16, 64):
+        pts = rng.uniform(0.0, 1.0, (m, 2))
+        tracemalloc.start()
+        try:
+            _oracle_torus_batch(h, x0, pts, 1.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
