@@ -20,8 +20,8 @@ Two testbed families are supported:
   eta = eps > 0 with an analytic head estimate for the clipped R-part,
   and results are extrapolated over a ladder of eps values.
 * conformal torus -- full two-parameter shooting per target, batched
-  over targets and the nine nearest lattice translates of each, with a
-  damped Newton iteration on the momentum.
+  over targets and the nine nearest lattice translates of each, with one
+  secant (good Broyden) iteration on the momentum.
 
 Along a geodesic the weighted trace-Harnack integral
 
@@ -386,8 +386,8 @@ def extrapolate_fields(fields) -> ReducedField:
 # torus machinery
 
 # slice fields; an RK4 stage of the path system reads six, a node also dR/dt
-_FIELDS = ("px", "py", "r", "rx", "ry", "e2p", "rdot", "phi")
-_RHS_FIELDS, _NODE_FIELDS = _FIELDS[:6], _FIELDS[:7]
+_FIELDS = ("px", "py", "r", "rx", "ry", "e2p", "rdot")
+_RHS_FIELDS, _NODE_FIELDS = _FIELDS[:6], _FIELDS
 _GATHER_BLOCK = 8192  # points per stacked gather in `sample_slices`
 
 
@@ -406,8 +406,8 @@ class _TorusSlices:
         self.nx, self.ny = h.template.phi.shape
         self.hx, self.hy = h.template.spacing
         self.lx, self.ly = h.template.periods
-        # the `_FIELDS` grids of every slice, (8, n_slices, nx, ny), built
-        # in batches of slices whose eight fields stay under the byte cap
+        # the `_FIELDS` grids of every slice, (7, n_slices, nx, ny), built
+        # in batches of slices whose seven fields stay under the byte cap
         self.store = np.empty((len(_FIELDS), len(self.s_all), self.nx, self.ny))
         block = max(1, LEVEL_BATCH_BYTES // (len(_FIELDS) * h.template.phi.nbytes))
         hx, hy = self.hx, self.hy
@@ -418,11 +418,11 @@ class _TorusSlices:
             e2p = np.exp(2.0 * phi)
             # curvature evolution dR/dt = lap R + R^2 in two dimensions
             rdot = _lap0(r, hx, hy) / e2p + r * r
-            np.stack((_dx(phi, hx), _dy(phi, hy), r, _dx(r, hx), _dy(r, hy), e2p, rdot, phi),
+            np.stack((_dx(phi, hx), _dy(phi, hy), r, _dx(r, hx), _dy(r, hy), e2p, rdot),
                      out=self.store[:, lo:lo + len(etas)])
 
     def grids(self, idx: int) -> np.ndarray:
-        """The `_FIELDS` grids (8, nx, ny) of slice idx, a view of the store."""
+        """The `_FIELDS` grids (7, nx, ny) of slice idx, a view of the store."""
         return self.store[:, idx]
 
     def _flat_taps(self, pts: np.ndarray, offset=0):
@@ -558,11 +558,12 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float,
     Translates that cannot win are dropped up front: the conformal
     factor bounds the kinetic cost of any path between multiples of the
     flat one, so an image farther than the distortion factor times the
-    nearest image distance (plus a safety margin) is excluded.  The
-    momentum iteration warms up with scaled residual corrections (the
-    endpoint map is near p -> x0 + 2 sqrt(t) p), with converged images
-    dropping out of the batch, and falls back to damped finite-
-    difference Newton sweeps for whatever remains.
+    nearest image distance (plus a safety margin) is excluded.  One
+    secant iteration (good Broyden) finds each momentum: a row starts at
+    the flat guess with the inverse Jacobian I/(2 sqrt t) of the flat
+    endpoint map p -> x0 + 2 sqrt(t) p, and settled rows leave the batch.
+    A row still live after 50 sweeps keeps its last miss, which the
+    caller treats as a missed shot.
     """
     slices = _TorusSlices(h, t, n_steps)
     lx, ly = slices.lx, slices.ly
@@ -578,73 +579,52 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float,
     rows, shift_idx = np.nonzero(keep)
     images = all_images[rows, shift_idx]                     # (q, 2)
     q = len(images)
-    p = (images - x0) / (2.0 * math.sqrt(t))
-    p_flat = p.copy()
-    delta = 1e-7
     two_rt = 2.0 * math.sqrt(t)
-    l_tail = np.full(q, np.inf)
-    k_val = np.full(q, np.inf)
-    miss = np.full(q, np.inf)
-    mom = p.copy()
-
-    def record(done, res, sel=slice(None)):
-        miss[done] = np.max(np.abs(res["end"][sel] - images[done]), axis=1)
-        l_tail[done] = res["l_tail"][sel]
-        k_val[done] = res["k"][sel]
+    p_flat = (images - x0) / two_rt
+    p = p_flat.copy()
+    h_flat = np.eye(2) / two_rt
+    h_inv = np.tile(h_flat, (q, 1, 1))  # inverse Jacobian of each row's endpoint map
+    f_old = np.full((q, 2), np.nan)  # the row's last residual, paired with its last step
+    step = np.zeros((q, 2))
+    l_tail, k_val, miss = np.empty((3, q))
+    mom = np.empty((q, 2))  # the momentum of the row's last sweep
 
     with np.errstate(over="ignore", invalid="ignore"):
-        # warm phase with live masking; converged rows record their
-        # action and Harnack integrals immediately
+        # one secant iteration with live masking: every sweep records the
+        # integrals of the momenta it integrated, so a settled row keeps
+        # those of its settling sweep
         live = np.arange(q)
         stuck = np.zeros(q, dtype=bool)  # the row's last endpoint was not finite
-        for _ in range(40):
+        for _ in range(50):
             if len(live) == 0:
                 break
             res = _torus_integrate(slices, x0, p[live])
-            f0 = res["end"] - images[live]
-            finite = np.all(np.isfinite(f0), axis=1)
-            f0 = np.where(np.isfinite(f0), f0, 0.0)
-            err = np.max(np.abs(f0), axis=1)
-            conv = finite & (err < 1e-11)
-            done = live[conv]
-            mom[done] = p[done]
-            record(done, res, conv)
-            p[live] = p[live] - f0 / two_rt
-            again = stuck[live] & ~finite  # twice from one momentum: Newton resets it
-            stuck[live] = ~finite
-            live = live[~conv & ~again]
-        live = np.union1d(live, np.flatnonzero(stuck))
-        if len(live):
-            # damped Newton sweeps for the stubborn images
-            step_cap = 2.0 * (1.0 + np.linalg.norm(p[live], axis=1, keepdims=True))
-            for _ in range(10):
-                pl = p[live]
-                batch = np.concatenate([pl, pl + [delta, 0.0], pl + [0.0, delta]])
-                ends = _torus_integrate(slices, x0, batch)["end"]
-                n_l = len(pl)
-                f0 = ends[:n_l] - images[live]
-                ok = np.all(np.isfinite(f0), axis=1)
-                f0 = np.where(np.isfinite(f0), f0, 0.0)
-                if np.all(ok) and float(np.max(np.abs(f0))) < 1e-12:
-                    break
-                j00 = (ends[n_l:2 * n_l, 0] - ends[:n_l, 0]) / delta
-                j10 = (ends[n_l:2 * n_l, 1] - ends[:n_l, 1]) / delta
-                j01 = (ends[2 * n_l:, 0] - ends[:n_l, 0]) / delta
-                j11 = (ends[2 * n_l:, 1] - ends[:n_l, 1]) / delta
-                det = j00 * j11 - j01 * j10
-                det = np.where(np.abs(det) < 1e-14, 1e-14, det)
-                dp0 = (j11 * f0[:, 0] - j01 * f0[:, 1]) / det
-                dp1 = (-j10 * f0[:, 0] + j00 * f0[:, 1]) / det
-                dp = np.stack([dp0, dp1], axis=1)
-                norm = np.linalg.norm(dp, axis=1, keepdims=True)
-                dp = np.where(norm > step_cap, dp * step_cap / norm, dp)
-                p_new = pl - dp
-                bad = ~np.all(np.isfinite(p_new), axis=1)
-                p_new[bad] = p_flat[live][bad]
-                p[live] = p_new
+            f = res["end"] - images[live]
             mom[live] = p[live]
-            # one pass evaluates the integrals of the rows Newton settled
-            record(live, _torus_integrate(slices, x0, mom[live]))
+            miss[live] = np.max(np.abs(f), axis=1)
+            l_tail[live], k_val[live] = res["l_tail"], res["k"]
+            finite = np.all(np.isfinite(f), axis=1)
+            # good Broyden: H += (s - H y) s^T H / (s^T H y) after two finite residuals
+            pair = finite & np.all(np.isfinite(f_old[live]), axis=1)
+            up = live[pair]
+            s, hy = step[up], np.einsum("rij,rj->ri", h_inv[up], f[pair] - f_old[up])
+            sh = np.einsum("ri,rij->rj", s, h_inv[up])
+            denom = np.sum(s * hy, axis=1)[:, None, None]
+            h_inv[up] += (s - hy)[:, :, None] * sh[:, None, :] / denom
+            f_old[live] = f
+            conv = finite & (miss[live] < 1e-11)
+            move = finite & ~conv
+            mv = live[move]
+            step[mv] = -np.einsum("rij,rj->ri", h_inv[mv], f[move])
+            p[mv] += step[mv]
+            # a non-finite endpoint is retried once from the same momentum,
+            # then restarts from the flat guess, or leaves if it was there
+            again = stuck[live] & ~finite
+            at_flat = np.all(p[live] == p_flat[live], axis=1)
+            restart = live[again & ~at_flat]
+            p[restart], h_inv[restart] = p_flat[restart], h_flat
+            stuck[live] = ~finite & ~again
+            live = live[~conv & ~(again & at_flat)]
     miss, l_tail = (np.where(np.isfinite(a), a, np.inf) for a in (miss, l_tail))
     # reduce (image rows) -> per-target winner; missed shots cannot win
     l_pick = np.where(miss < 1e-6, l_tail, np.inf)

@@ -115,7 +115,7 @@ def backward_torus_per_step(h, times, u_final, dt_cap=None):
 
 
 def torus_slice_grids(h, eta, hx, hy):
-    """The eight `reduced._FIELDS` grids of a torus history at time eta,
+    """The seven `reduced._FIELDS` grids of a torus history at time eta,
     each computed from its own metric lookup as one slice at a time."""
     from expanderlab.geometry import _dx, _dy, _lap0, curvature
 
@@ -124,4 +124,4 @@ def torus_slice_grids(h, eta, hx, hy):
     r = curvature(m).scalar
     e2p = np.exp(2.0 * phi)
     rdot = _lap0(r, hx, hy) / e2p + r * r
-    return np.stack([_dx(phi, hx), _dy(phi, hy), r, _dx(r, hx), _dy(r, hy), e2p, rdot, phi])
+    return np.stack([_dx(phi, hx), _dy(phi, hy), r, _dx(r, hx), _dy(r, hy), e2p, rdot])

@@ -7,12 +7,14 @@ import pytest
 
 from expanderlab.acceptance import run_acceptance
 
-# criteria 6, 8 and 10 run the torus kernels (shooting, oracle, backward
+# criteria 6, 7, 8 and 10 run the torus kernels (shooting, oracle, backward
 # solve). Criterion 6 takes ~1.1 s with the chunked oracle; its bound is ~7x
-# that. The bounds of 8 and 10 sit ~10x above the measured 0.6-1.3 s and 0.6 s.
+# that. Criterion 7 takes 6-10 s with the secant shooting; its bound is ~3x
+# the slower figure. The bounds of 8 and 10 sit ~10x above the measured
+# 0.6-1.3 s and 0.6 s.
 # Criteria 4 and 9 sit ~10x above their slowest of five runs, 0.06 s and 6 ms.
-RUNTIME_BOUNDS = {1: 1.0, 2: 10.0, 3: 60.0, 4: 0.6, 5: 30.0, 6: 8.0, 8: 15.0, 9: 0.06,
-                  10: 6.0}
+RUNTIME_BOUNDS = {1: 1.0, 2: 10.0, 3: 60.0, 4: 0.6, 5: 30.0, 6: 8.0, 7: 30.0, 8: 15.0,
+                  9: 0.06, 10: 6.0}
 
 
 @pytest.fixture(scope="module")
@@ -23,15 +25,12 @@ def results():
     return out
 
 
-@pytest.mark.parametrize("number", sorted(RUNTIME_BOUNDS) + [7])
+@pytest.mark.parametrize("number", sorted(RUNTIME_BOUNDS))
 def test_criterion(results, number):
     res = results[number]
     print(res.line())
     assert res.passed, res.line()
-    if number in RUNTIME_BOUNDS:
-        assert res.elapsed < RUNTIME_BOUNDS[number], (
-            f"criterion {number} took {res.elapsed:.1f}s"
-        )
+    assert res.elapsed < RUNTIME_BOUNDS[number], f"criterion {number} took {res.elapsed:.1f}s"
 
 
 def test_full_suite_wall_time(results):

@@ -472,7 +472,7 @@ def test_torus_slice_samples_match_fancy_index_gather():
     # spline passes through grid nodes
     slices, periods = skewed_torus_slices()
     nx, ny = slices.nx, slices.ny
-    names = ("phi", "px", "ry", "e2p")
+    names = ("r", "px", "ry", "e2p")
     rng = np.random.default_rng(11)
     pts = rng.uniform(-0.2, 1.2, (40, 2)) * periods
     pts[:4] = [[0.0, 0.0], [-1e-9, 1.7 - 1e-9], [0.99, 0.01], [0.03, 1.69]]
@@ -493,27 +493,27 @@ def test_torus_slice_samples_match_fancy_index_gather():
             assert np.array_equal(g, np.einsum("am,bm,abm->m", wx, wy, ref))
 
     nodes = np.array([[-1, 0], [0, ny], [nx - 1, 5], [7, -3]])
-    node_vals = slices.sample(2, ("phi",), nodes * np.array([slices.hx, slices.hy]))[0]
-    phi = slices.stacks(("phi",))["phi"][2]
-    assert np.allclose(node_vals, phi[nodes[:, 0] % nx, nodes[:, 1] % ny], rtol=0, atol=1e-12)
+    node_vals = slices.sample(2, ("r",), nodes * np.array([slices.hx, slices.hy]))[0]
+    r = slices.stacks(("r",))["r"][2]
+    assert np.allclose(node_vals, r[nodes[:, 0] % nx, nodes[:, 1] % ny], rtol=0, atol=1e-12)
 
 
 def test_slice_store_equals_per_slice_formula():
     # 16x24 history with periods (1, 1.7) and a nonzero evolution
-    # right-hand side; its 97 slices fill more than one batch, the last
+    # right-hand side; its 101 slices fill more than one batch, the last
     # one partial
     rng = np.random.default_rng(4)
     ts = np.array([0.0, 0.3, 0.7, 1.0])
     vals = 0.2 * rng.standard_normal((4, 16 * 24))
     m0 = ConformalTorusMetric(vals[0].reshape(16, 24), (1.0, 1.7))
     h = FlowHistory("conformal_torus", m0, ts, vals, rng.standard_normal((4, 16 * 24)))
-    slices = _TorusSlices(h, 1.0, 48)
-    block = LEVEL_BATCH_BYTES // (8 * m0.phi.nbytes)
+    slices = _TorusSlices(h, 1.0, 50)
+    block = LEVEL_BATCH_BYTES // (len(_FIELDS) * m0.phi.nbytes)
     assert block < len(slices.s_all) and len(slices.s_all) % block
     for i, s in enumerate(slices.s_all):
         want = torus_slice_grids(h, float(s**2), slices.hx, slices.hy)
         assert np.array_equal(slices.grids(i), want)
-    for grid in slices.stacks(("px", "r", "e2p", "phi")).values():
+    for grid in slices.stacks(("px", "r", "e2p", "rdot")).values():
         assert np.shares_memory(grid, slices.store)
 
 
@@ -541,11 +541,11 @@ def test_blockwise_slice_gather_matches_single_block(monkeypatch):
 
 
 def test_shoot_records_integrals_of_the_settling_sweep(monkeypatch):
-    # evolving 16x16 torus: warm sweeps settle rows after different numbers
+    # evolving 16x16 torus: secant sweeps settle rows after different numbers
     # of sweeps, and each row keeps the integrals of the sweep that settled it
     h = torus_flow_history(16, 0.26)
     x0 = np.zeros(2)
-    pts = np.random.default_rng(7).uniform(0.0, 1.0, (12, 2))
+    pts = np.random.default_rng(7).uniform(0.0, 1.0, (24, 2))
     sizes = []
 
     def spy(slices, x0, momenta, **kw):
@@ -611,9 +611,9 @@ def test_shoot_retries_non_finite_endpoint(monkeypatch):
     assert shot["l_tail"][0] == pytest.approx(clean["l_tail"][0], rel=1e-9)
 
 
-def test_shoot_sends_a_repeating_non_finite_endpoint_to_newton(monkeypatch):
-    # a NaN that repeats from the same momentum leaves the warm phase after
-    # its second sweep; its miss stays inf, so the row cannot win
+def test_shoot_drops_a_repeating_non_finite_endpoint(monkeypatch):
+    # a NaN that repeats from the flat guess leaves the batch after its second
+    # sweep; its miss stays inf, so the row cannot win
     h = torus_flow_history(16, 0.26)
     x0 = np.zeros(2)
     pts = np.array([(0.15, 0.1), (0.5, 0.45), (0.1, 0.2)])
@@ -622,25 +622,67 @@ def test_shoot_sends_a_repeating_non_finite_endpoint_to_newton(monkeypatch):
     two_rt = 2.0 * math.sqrt(0.2)
     shift = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])[clean["translate"][1]]
     bad = np.array([pts[0] - x0, pts[1] + shift - x0]) / two_rt
-    seen = []
+    counts = np.zeros(2, dtype=int)
 
     def poisoned(slices, x0, momenta, **kw):
         res = _torus_integrate(slices, x0, momenta, **kw)
-        hits = [np.all(momenta == p, axis=1) for p in bad]
-        for hit in hits:
+        for k, p in enumerate(bad):
+            hit = np.all(momenta == p, axis=1)
             res["end"][hit] = np.nan
-        # a batch that holds a perturbed copy of a poisoned momentum is a Newton sweep
-        newton = any(np.any(np.all(momenta == p + [1e-7, 0.0], axis=1)) for p in bad)
-        seen.append((newton, [int(hit.sum()) for hit in hits]))
+            counts[k] += hit.sum()
         return res
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", poisoned)
     shot = _torus_shoot_targets(h, x0, pts, 0.2, 32)
-    warm = seen[:next(i for i, (newton, _) in enumerate(seen) if newton)]
-    assert [sum(counts[k] for _, counts in warm) for k in range(2)] == [2, 2]
+    assert list(counts) == [2, 2]
     assert shot["miss"][0] == np.inf
     assert shot["translate"][1] != clean["translate"][1] and shot["miss"][1] < 1e-6
     assert np.array_equal(shot["l_tail"][2], clean["l_tail"][2])
+
+
+def test_shoot_restarts_a_row_non_finite_twice_off_the_flat_guess(monkeypatch):
+    # a row poisoned on its second and third sweeps, after it has left the
+    # flat guess, is retried once, then restarts from the flat guess with a
+    # fresh inverse Jacobian and settles on the clean shot
+    h = torus_flow_history(16, 0.26)
+    x0 = np.zeros(2)
+    pts = np.array([(0.15, 0.1), (0.25, 0.0), (0.1, 0.2)])
+    clean = _torus_shoot_targets(h, x0, pts, 0.2, 32)
+    batches = []
+
+    def flaky(slices, x0, momenta, **kw):
+        res = _torus_integrate(slices, x0, momenta, **kw)
+        if len(batches) in (1, 2):
+            res["end"][0] = np.nan  # row 0 is the only image of target 0
+        batches.append(momenta.copy())
+        return res
+
+    monkeypatch.setattr("expanderlab.reduced._torus_integrate", flaky)
+    shot = _torus_shoot_targets(h, x0, pts, 0.2, 32)
+    p_flat = (pts[0] - x0) / (2.0 * math.sqrt(0.2))
+    assert not np.array_equal(batches[1][0], p_flat)
+    assert np.array_equal(batches[2][0], batches[1][0])
+    assert np.array_equal(batches[3][0], p_flat)
+    assert shot["miss"][0] < 1e-6
+    assert abs(shot["l_tail"][0] - clean["l_tail"][0]) <= 1e-9
+
+
+def test_secant_shot_takes_few_sweeps(monkeypatch):
+    # evolving 16x16 torus, 12 targets: the Broyden-updated inverse Jacobian
+    # settles every image within 12 sweeps; the fixed flat one I/(2 sqrt t)
+    # converges only linearly here
+    h = torus_flow_history(16, 0.26)
+    pts = np.random.default_rng(7).uniform(0.0, 1.0, (12, 2))
+    calls = []
+
+    def spy(slices, x0, momenta, **kw):
+        calls.append(len(momenta))
+        return _torus_integrate(slices, x0, momenta, **kw)
+
+    monkeypatch.setattr("expanderlab.reduced._torus_integrate", spy)
+    shot = _torus_shoot_targets(h, np.zeros(2), pts, 0.2, 32)
+    assert len(calls) <= 12, calls
+    assert np.all(shot["miss"] < 1e-6)
 
 
 def count_gathers(monkeypatch):
