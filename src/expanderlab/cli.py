@@ -88,8 +88,9 @@ class Scenario:
             raise ConfigError(f"scenario {name!r}: {exc}") from None
         span = doc.get("t_span")
         if (not isinstance(span, (list, tuple)) or len(span) != 2
-                or not span[1] > span[0] or span[0] < 0):
+                or not all(_is_number(v) for v in span) or not 0 <= span[0] < span[1]):
             raise ConfigError(f"scenario {name!r}: t_span must be [t0, t1], 0 <= t0 < t1")
+        t0, t1 = float(span[0]), float(span[1])
         checks = doc.get("checks")
         if not checks or not isinstance(checks, list):
             raise ConfigError(f"scenario {name!r}: checks must be a nonempty list")
@@ -106,15 +107,13 @@ class Scenario:
                               f"conformal_torus or model_space model, not homogeneous")
         if torus and reduced:
             nt = params.get("target_grid", DEFAULT_TARGET_GRID)
-            if (not isinstance(nt, int) or isinstance(nt, bool) or nt <= 0
-                    or any(n % nt for n in model.grid_size)):
+            if not _is_count(nt) or any(n % nt for n in model.grid_size):
                 raise ConfigError(
                     f"scenario {name!r}: target_grid {nt!r} must be a positive integer "
                     f"dividing the grid size {list(model.grid_size)}"
                 )
         dt_cap, retain = params.get("dt_cap", 1.0), params.get("retain_every", 1)
-        if not (_is_number(dt_cap) and dt_cap > 0 and isinstance(retain, int)
-                and not isinstance(retain, bool) and retain > 0):
+        if not (_is_number(dt_cap) and dt_cap > 0 and _is_count(retain)):
             raise ConfigError(f"scenario {name!r}: need a positive finite dt_cap and a positive "
                               f"integer retain_every (got {dt_cap!r}, {retain!r})")
         sigmas = params.get("sigmas")
@@ -132,7 +131,19 @@ class Scenario:
                 f"scenario {name!r}: radii {radii!r} must be at least 3 nonnegative, "
                 f"increasing, uniformly spaced numbers"
             )
-        t0, t1 = float(span[0]), float(span[1])
+        n_times, alpha, birth = (params.get(k, v) for k, v in
+                                 (("n_times", 17), ("alpha", 8.0), ("birth_time", 0.0)))
+        if not (_is_count(n_times) and _is_number(alpha) and alpha >= 1 and _is_number(birth)):
+            raise ConfigError(f"scenario {name!r}: need a positive integer n_times, a finite alpha "
+                              f">= 1 and a finite birth_time (got {n_times!r}, {alpha!r}, {birth!r})")
+        tolerances = doc.get("tolerances", {})
+        if not (isinstance(tolerances, dict) and all(map(_is_number, tolerances.values()))):
+            raise ConfigError(f"scenario {name!r}: tolerances must map names to finite numbers")
+        ts = _field_times(params, torus, (t0, t1)) if _is_number(params.get("reduced_t", 0)) else [-1]
+        if reduced and not (0 < ts[0] and t0 <= ts[0] and ts[-1] <= t1):
+            raise ConfigError(f"scenario {name!r}: the five reduced field times around reduced_t "
+                              f"{params.get('reduced_t', 'default')!r} must lie inside t_span "
+                              f"[{t0!r}, {t1!r}]")
         if torus and {"entropy", "harnack", "asymptotics"} & set(checks):
             if not all(_is_number(params[k]) for k in ("window_lo", "window_hi")
                        if k in params):
@@ -148,9 +159,14 @@ class Scenario:
             model=model,
             t_span=(t0, t1),
             checks=tuple(checks),
-            tolerances=dict(doc.get("tolerances", {})),
+            tolerances=dict(tolerances),
             params=params,
         )
+
+
+def _is_count(x) -> bool:
+    """A positive int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
 
 
 def _is_number(x) -> bool:
@@ -166,6 +182,16 @@ def _uniform_radii(radii) -> bool:
     steps = np.diff(radii)
     return (radii[0] >= 0 and steps[0] > 0
             and float(np.max(np.abs(steps - steps[0]))) <= 1e-9 * steps[0])
+
+
+def _field_times(params: dict, torus: bool, t_span) -> np.ndarray:
+    """The five field times of the reduced checks, around reduced_t."""
+    t0, t1 = t_span
+    if torus:
+        center = float(params.get("reduced_t", 0.75 * t1))
+        return np.linspace(center - 0.05 * t1, center + 0.05 * t1, 5)
+    t_mid = float(params.get("reduced_t", 0.5 * (t0 + t1)))
+    return np.linspace(0.8 * t_mid, 1.2 * t_mid, 5)
 
 
 def _torus_window(params: dict, t_span) -> tuple:
@@ -399,9 +425,7 @@ def _build_reduced_field(scn: Scenario, h):
     extra = {}
     if h.kind == "model_space":
         radii = np.asarray(scn.params.get("radii", np.linspace(0.0, 1.0, 9).tolist()))
-        t_mid = float(scn.params.get(
-            "reduced_t", 0.5 * (scn.t_span[0] + scn.t_span[1])))
-        times = np.linspace(0.8 * t_mid, 1.2 * t_mid, 5)
+        times = _field_times(scn.params, False, scn.t_span)
         birth_scale = h.metric_at(h.t_min).scale
         if birth_scale < 1e-6:  # flow born at zero size: regularized ladder
             fields = [ell_plus_field(h, 0.0, radii, times, eps=e)
@@ -412,10 +436,7 @@ def _build_reduced_field(scn: Scenario, h):
     nt = scn.params.get("target_grid", DEFAULT_TARGET_GRID)
     pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
     pts = pts * np.asarray(h.template.periods)
-    t0, t1 = scn.t_span
-    center = float(scn.params.get("reduced_t", 0.75 * t1))
-    half = 0.05 * t1
-    times = np.linspace(center - half, center + half, 5)
+    times = _field_times(scn.params, True, scn.t_span)
     oracle = bool(scn.params.get("oracle_check", h.kind == "conformal_torus"
                                  and nt <= 12))
     fld = ell_plus_field(h, (0.0, 0.0), pts, times, oracle_check=oracle,

@@ -385,16 +385,17 @@ def extrapolate_fields(fields) -> ReducedField:
 # ---------------------------------------------------------------------------
 # torus machinery
 
-# slice fields; an RK4 stage of the path system reads six, a node also dR/dt
-_FIELDS = ("px", "py", "r", "rx", "ry", "e2p", "rdot")
-_RHS_FIELDS, _NODE_FIELDS = _FIELDS[:6], _FIELDS
-_GATHER_BLOCK = 8192  # points per stacked gather in `sample_slices`
+# slice store rows, ordered so that every caller reads a contiguous run:
+# an RK4 stage rows 0-5, a path node 0-6, the oracle 0-2 at its nodes and
+# 3-5 at its segment midpoints
+_FIELDS = ("r", "rx", "ry", "e2p", "px", "py", "rdot")
 
 
 class _TorusSlices:
-    """Field slices of a torus history along a fixed s-grid, in one store."""
+    """Field slices of a torus history along a fixed s-grid, in one store of the
+    leading `n_rows` of `_FIELDS` (the oracle, which never reads dR/dt, builds six)."""
 
-    def __init__(self, h: FlowHistory, t: float, n_steps: int):
+    def __init__(self, h: FlowHistory, t: float, n_steps: int, n_rows: int = len(_FIELDS)):
         self.t = float(t)
         if n_steps % 2:
             n_steps += 1
@@ -406,52 +407,42 @@ class _TorusSlices:
         self.nx, self.ny = h.template.phi.shape
         self.hx, self.hy = h.template.spacing
         self.lx, self.ly = h.template.periods
-        # the `_FIELDS` grids of every slice, (7, n_slices, nx, ny), built
-        # in batches of slices whose seven fields stay under the byte cap
-        self.store = np.empty((len(_FIELDS), len(self.s_all), self.nx, self.ny))
-        block = max(1, LEVEL_BATCH_BYTES // (len(_FIELDS) * h.template.phi.nbytes))
+        # (n_rows, n_slices, nx, ny), built in batches of slices whose
+        # fields stay under the byte cap
+        self.store = np.empty((n_rows, len(self.s_all), self.nx, self.ny))
+        block = max(1, LEVEL_BATCH_BYTES // (n_rows * h.template.phi.nbytes))
         hx, hy = self.hx, self.hy
         for lo in range(0, len(self.s_all), block):
             etas = [min(max(float(s**2), h.t_min), h.t_max) for s in self.s_all[lo:lo + block]]
             phi = h.params_at_times(etas).reshape(len(etas), self.nx, self.ny)
             r = _conformal_scalar(phi, hx, hy)
             e2p = np.exp(2.0 * phi)
-            # curvature evolution dR/dt = lap R + R^2 in two dimensions
-            rdot = _lap0(r, hx, hy) / e2p + r * r
-            np.stack((_dx(phi, hx), _dy(phi, hy), r, _dx(r, hx), _dy(r, hy), e2p, rdot),
-                     out=self.store[:, lo:lo + len(etas)])
+            rows = [r, _dx(r, hx), _dy(r, hy), e2p, _dx(phi, hx), _dy(phi, hy)]
+            if n_rows > len(rows):
+                # curvature evolution dR/dt = lap R + R^2 in two dimensions
+                rows.append(_lap0(r, hx, hy) / e2p + r * r)
+            np.stack(rows[:n_rows], out=self.store[:, lo:lo + len(etas)])
 
-    def grids(self, idx: int) -> np.ndarray:
-        """The `_FIELDS` grids (7, nx, ny) of slice idx, a view of the store."""
-        return self.store[:, idx]
+    def sample(self, idx, fields: slice, pts: np.ndarray) -> np.ndarray:
+        """Smooth periodic samples (n_fields, m) of the store rows `fields` at
+        points (m, 2), from slice idx: one int, or one index per point.
 
-    def _flat_taps(self, pts: np.ndarray, offset=0):
-        """Flat tap indices (4, 4, m) plus `offset` (a stacked slice), and the weights."""
-        ix, wx = _spline_taps((pts[:, 0] / self.hx) % self.nx, self.nx)
-        jy, wy = _spline_taps((pts[:, 1] / self.hy) % self.ny, self.ny)
-        rows = ix * self.ny + offset
-        return rows[:, None, :] + jy[None, :, :], wx, wy
-
-    def sample(self, idx: int, names, pts: np.ndarray) -> np.ndarray:
-        """Smooth periodic samples (len(names), m) of slice idx at points (m, 2)."""
-        rows = [_FIELDS.index(n) for n in names]
-        rows = slice(len(rows)) if rows == list(range(len(rows))) else rows
-        grids = self.grids(idx).reshape(len(_FIELDS), -1)[rows]  # a view for a prefix of fields
-        flat, wx, wy = self._flat_taps(pts)
-        return np.einsum("am,bm,fabm->fm", wx, wy, np.take(grids, flat, axis=1))
-
-    def stacks(self, names):
-        """Per-field views (n_slices, nx, ny) of the store for vectorized gathers."""
-        return {name: self.store[_FIELDS.index(name)] for name in names}
-
-    def sample_slices(self, stacks, slice_idx: np.ndarray, names, pts: np.ndarray):
-        """Smooth samples with a per-point slice index, in `_GATHER_BLOCK` blocks."""
-        out = [np.empty(len(pts)) for _ in names]
-        for lo in range(0, len(pts), _GATHER_BLOCK):
-            blk = slice(lo, lo + _GATHER_BLOCK)
-            flat, wx, wy = self._flat_taps(pts[blk], slice_idx[blk] * (self.nx * self.ny))
-            for o, name in zip(out, names):
-                np.einsum("am,bm,abm->m", wx, wy, np.take(stacks[name], flat), out=o[blk])
+        Points run in blocks whose taps (16 of 8 bytes per field and point)
+        stay under the byte cap; every field of a block takes one gather.
+        """
+        grids = self.store[fields]
+        grids = grids.reshape(len(grids), -1)  # a view: the rows are contiguous
+        out = np.empty((len(grids), len(pts)))
+        offset = idx * (self.nx * self.ny)  # of the slice in a flattened row
+        per_point = isinstance(offset, np.ndarray)
+        block = max(1, LEVEL_BATCH_BYTES // (128 * len(grids)))
+        for lo in range(0, len(pts), block):
+            blk = slice(lo, lo + block)
+            ix, wx = _spline_taps((pts[blk, 0] / self.hx) % self.nx, self.nx)
+            jy, wy = _spline_taps((pts[blk, 1] / self.hy) % self.ny, self.ny)
+            rows = ix * self.ny + (offset[blk] if per_point else offset)
+            flat = rows[:, None, :] + jy[None, :, :]
+            np.einsum("am,bm,fabm->fm", wx, wy, np.take(grids, flat, axis=1), out=out[:, blk])
         return out
 
 
@@ -478,8 +469,8 @@ def _spline_taps(frac: np.ndarray, n: int):
 
 
 def _torus_rhs(s: float, v: np.ndarray, fields):
-    """Reduced-velocity system dv/ds on the torus from `_RHS_FIELDS` samples."""
-    px, py, r, rx, ry, e2p = fields[:6]
+    """Reduced-velocity system dv/ds on the torus from samples of store rows 0-5."""
+    r, rx, ry, e2p, px, py = fields[:6]
     vx, vy = v[:, 0], v[:, 1]
     gamma_x = px * vx * vx + 2 * py * vx * vy - px * vy * vy
     gamma_y = -py * vx * vx + 2 * px * vx * vy + py * vy * vy
@@ -507,7 +498,7 @@ def _torus_integrate(slices: _TorusSlices, x0: np.ndarray, momenta: np.ndarray,
     traces_v = [v.copy()] if want_traces else None
 
     def node_integrands(s, v, fields):
-        _, _, r, rx, ry, e2p, rdot = fields
+        r, rx, ry, e2p, _, _, rdot = fields
         speed_sq = e2p * np.sum(v * v, axis=1)
         action = 2 * s * s * r + 0.5 * speed_sq
         hk = (
@@ -518,26 +509,27 @@ def _torus_integrate(slices: _TorusSlices, x0: np.ndarray, momenta: np.ndarray,
         )
         return action, hk
 
-    node = slices.sample(0, _NODE_FIELDS, x)
+    stage, nodes = slice(6), slice(7)  # store rows of an RK4 stage and of a node
+    node = slices.sample(0, nodes, x)
     act[0], kin[0] = node_integrands(0.0, v, node)
     for k in range(slices.n_steps):
         s = slices.s_nodes[k]
         i1, i2 = 2 * k + 1, 2 * k + 2
         k1x, k1v = v, _torus_rhs(s, v, node)
         x2, v2 = x + 0.5 * ds * k1x, v + 0.5 * ds * k1v
-        k2x, k2v = v2, _torus_rhs(s + 0.5 * ds, v2, slices.sample(i1, _RHS_FIELDS, x2))
+        k2x, k2v = v2, _torus_rhs(s + 0.5 * ds, v2, slices.sample(i1, stage, x2))
         x3, v3 = x + 0.5 * ds * k2x, v + 0.5 * ds * k2v
-        k3x, k3v = v3, _torus_rhs(s + 0.5 * ds, v3, slices.sample(i1, _RHS_FIELDS, x3))
+        k3x, k3v = v3, _torus_rhs(s + 0.5 * ds, v3, slices.sample(i1, stage, x3))
         x4, v4 = x + ds * k3x, v + ds * k3v
-        k4x, k4v = v4, _torus_rhs(s + ds, v4, slices.sample(i2, _RHS_FIELDS, x4))
+        k4x, k4v = v4, _torus_rhs(s + ds, v4, slices.sample(i2, stage, x4))
         x = x + ds / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + ds / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        node = slices.sample(i2, _NODE_FIELDS, x)
+        node = slices.sample(i2, nodes, x)
         act[k + 1], kin[k + 1] = node_integrands(s + ds, v, node)
         if want_traces:
             traces_x.append(x.copy())
             traces_v.append(v.copy())
-    r_end, e2p_end = node[2], node[5]
+    r_end, e2p_end = node[0], node[3]
     x_speed_sq = e2p_end * np.sum(v * v, axis=1) / (4.0 * slices.t)
     out = {
         "end": x, "v_end": v,
@@ -745,7 +737,7 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, n_random=5,
     explored (the conformal factor is bounded, so far images cannot win).
     Returns the per-target best value.
     """
-    slices = _TorusSlices(h, t, n_segments)
+    slices = _TorusSlices(h, t, n_segments, n_rows=6)
     eta = slices.s_nodes**2
     d_eta = np.diff(eta)
     d_s = np.diff(slices.s_nodes)
@@ -784,52 +776,39 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, n_random=5,
     z = np.concatenate(starts)                                  # (B, M-1, 2)
     del starts  # the descent keeps only z
     y_full = np.tile(ys, (n_starts, 1))
-    stacks = slices.stacks(("r", "rx", "ry", "e2p", "px", "py"))
 
     def evaluate(z_batch, y_batch, want_grad):
         bb = len(z_batch)
         pos = np.concatenate(
             [np.tile(x0, (bb, 1, 1)), z_batch, y_batch[:, None, :]], axis=1
         )
-        node_slice = np.repeat(2 * np.arange(n_segments + 1), bb)
-        mid_slice = np.repeat(2 * np.arange(n_segments) + 1, bb)
+        n_rows = 3 if want_grad else 1  # a gradient also reads the gradients of r and phi
+        # node curvature part: r (rx, ry) at all nodes in one gather (node-major layout)
+        node = slices.sample(np.repeat(2 * np.arange(n_segments + 1), bb), slice(n_rows),
+                             pos.transpose(1, 0, 2).reshape(-1, 2)).reshape(n_rows, -1, bb)
         val = np.zeros(bb)
-        grads = np.zeros_like(z_batch) if want_grad else None
-        # node curvature part, all nodes in one gather (node-major layout)
-        node_pts = pos.transpose(1, 0, 2).reshape(-1, 2)
-        if want_grad:
-            r, rx, ry = slices.sample_slices(stacks, node_slice,
-                                             ("r", "rx", "ry"), node_pts)
-            rx = rx.reshape(n_segments + 1, bb)
-            ry = ry.reshape(n_segments + 1, bb)
-            grads[:, :, 0] += (node_w[1:-1, None] * rx[1:-1]).T
-            grads[:, :, 1] += (node_w[1:-1, None] * ry[1:-1]).T
-        else:
-            (r,) = slices.sample_slices(stacks, node_slice, ("r",), node_pts)
-        val += _node_order_sum(node_w[:, None] * r.reshape(n_segments + 1, bb))
-        # segment kinetic part with midpoint conformal factor
+        val += _node_order_sum(node_w[:, None] * node[0])
+        # segment kinetic part with midpoint conformal factor: e2p (px, py)
         mids = 0.5 * (pos[:, :-1, :] + pos[:, 1:, :])
-        mid_pts = mids.transpose(1, 0, 2).reshape(-1, 2)
-        if want_grad:
-            e2p, px, py = slices.sample_slices(stacks, mid_slice,
-                                               ("e2p", "px", "py"), mid_pts)
-            px = px.reshape(n_segments, bb)
-            py = py.reshape(n_segments, bb)
-        else:
-            (e2p,) = slices.sample_slices(stacks, mid_slice, ("e2p",), mid_pts)
-        e2p = e2p.reshape(n_segments, bb)
+        mid = slices.sample(np.repeat(2 * np.arange(n_segments) + 1, bb), slice(3, 3 + n_rows),
+                            mids.transpose(1, 0, 2).reshape(-1, 2)).reshape(n_rows, -1, bb)
         dxs = (pos[:, 1:, :] - pos[:, :-1, :]).transpose(1, 0, 2)  # (M, B, 2)
         sp = np.sum(dxs * dxs, axis=2) / d_eta[:, None] ** 2
-        val += _node_order_sum(seg_w[:, None] * e2p * sp)
-        if want_grad:
-            common = seg_w[:, None] * e2p                          # (M, B)
-            dvec = 2.0 * common[:, :, None] * dxs / d_eta[:, None, None] ** 2
-            # midpoint dependence: dE/dx at either end is E grad(phi)
-            gphi = common * sp
-            grads -= dvec[1:].transpose(1, 0, 2)
-            grads += dvec[:-1].transpose(1, 0, 2)
-            grads[:, :, 0] += (gphi[1:] * px[1:]).T + (gphi[:-1] * px[:-1]).T
-            grads[:, :, 1] += (gphi[1:] * py[1:]).T + (gphi[:-1] * py[:-1]).T
+        val += _node_order_sum(seg_w[:, None] * mid[0] * sp)
+        if not want_grad:
+            return val, None
+        (_, rx, ry), (e2p, px, py) = node, mid
+        grads = np.zeros_like(z_batch)
+        grads[:, :, 0] += (node_w[1:-1, None] * rx[1:-1]).T
+        grads[:, :, 1] += (node_w[1:-1, None] * ry[1:-1]).T
+        common = seg_w[:, None] * e2p                          # (M, B)
+        dvec = 2.0 * common[:, :, None] * dxs / d_eta[:, None, None] ** 2
+        # midpoint dependence: dE/dx at either end is E grad(phi)
+        gphi = common * sp
+        grads -= dvec[1:].transpose(1, 0, 2)
+        grads += dvec[:-1].transpose(1, 0, 2)
+        grads[:, :, 0] += (gphi[1:] * px[1:]).T + (gphi[:-1] * px[:-1]).T
+        grads[:, :, 1] += (gphi[1:] * py[1:]).T + (gphi[:-1] * py[:-1]).T
         return val, grads
 
     # Newton-like preconditioner: the kinetic part of the discrete action

@@ -124,4 +124,4 @@ def torus_slice_grids(h, eta, hx, hy):
     r = curvature(m).scalar
     e2p = np.exp(2.0 * phi)
     rdot = _lap0(r, hx, hy) / e2p + r * r
-    return np.stack([_dx(phi, hx), _dy(phi, hy), r, _dx(r, hx), _dy(r, hy), e2p, rdot])
+    return np.stack([r, _dx(r, hx), _dy(r, hy), e2p, _dx(phi, hx), _dy(phi, hy), rdot])

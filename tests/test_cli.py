@@ -143,14 +143,46 @@ def test_target_grid_validation(bad):
     ("flat_torus", {"retain_every": -3}, "retain_every"),
     ("flat_torus", {"retain_every": 2.5}, "retain_every"),
     ("flat_torus", {"retain_every": True}, "retain_every"),
+    # values the runner used to accept, or crash on with partial output
+    ("hyperbolic_expander", {"n_times": 0}, "n_times"),
+    ("hyperbolic_expander", {"n_times": "x"}, "n_times"),
+    ("hyperbolic_expander", {"alpha": 0.5}, "alpha"),
+    ("hyperbolic_expander", {"birth_time": "x"}, "birth_time"),
+    ("hyperbolic_expander", {"reduced_t": 100}, "reduced_t"),
+    ("hyperbolic_expander", {"tolerances": {"blowdown": "x"}}, "tolerances"),
+    ("hyperbolic_expander", {"n_times": 2.5}, "n_times"),
+    ("hyperbolic_expander", {"alpha": float("nan")}, "alpha"),
+    ("hyperbolic_expander", {"birth_time": float("inf")}, "birth_time"),
+    ("hyperbolic_expander", {"reduced_t": "x"}, "reduced_t"),
+    ("hyperbolic_expander", {"reduced_t": None}, "reduced_t"),
+    ("hyperbolic_expander", {"reduced_t": 0}, "reduced_t"),
+    ("flat_torus", {"reduced_t": 2.9}, "reduced_t"),
+    ("hyperbolic_expander", {"tolerances": {"monotonicity": float("nan")}}, "tolerances"),
+    ("hyperbolic_expander", {"tolerances": ["blowdown", 1e-6]}, "tolerances"),
 ])
 def test_malformed_params_exit_2_without_output(tmp_path, capsys, scenario, params, word):
     doc = json.loads(builtin_scenarios()[scenario].read_text())
+    params = dict(params)  # "tolerances" replaces the document's tolerances
+    if "tolerances" in params:
+        doc["tolerances"] = params.pop("tolerances")
     doc["params"].update(params)
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_default_reduced_field_times_outside_t_span_exit_2(tmp_path, capsys):
+    # without reduced_t the torus field times sit at 0.7-0.8 of t1, before t0
+    # here; the run used to fail on a history lookup and leave a partial tree
+    doc = json.loads(builtin_scenarios()["flat_torus"].read_text())
+    doc["t_span"], doc["checks"] = [2.9, 3.0], ["reduced"]
+    del doc["params"]["reduced_t"]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "reduced_t 'default'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -181,6 +213,13 @@ def test_scenario_validation_messages():
             "model": {"kind": "model_space", "dim": 3, "sectional_sign": -1,
                       "scale": 1.0},
             "t_span": [2.0, 1.0], "checks": ["entropy"],
+        })
+    with pytest.raises(ConfigError, match="t_span"):
+        Scenario.from_doc({
+            "schema": 1, "name": "x",
+            "model": {"kind": "model_space", "dim": 3, "sectional_sign": -1,
+                      "scale": 1.0},
+            "t_span": ["a", "b"], "checks": ["entropy"],
         })
     with pytest.raises(ConfigError, match="unknown checks"):
         Scenario.from_doc({

@@ -21,7 +21,6 @@ from expanderlab.reduced import (
 )
 from expanderlab.reduced import (
     _FIELDS,
-    _RHS_FIELDS,
     _oracle_torus_batch,
     _spline_taps,
     _torus_integrate,
@@ -467,12 +466,12 @@ def test_path_minimization_oracle_direct():
 
 
 def test_torus_slice_samples_match_fancy_index_gather():
-    # 16x24 history with periods (1, 1.7): the flat-index gathers equal the
-    # (slice, i, j) fancy-index formula, wraparound taps included, and the
-    # spline passes through grid nodes
+    # 16x24 history with periods (1, 1.7): gathers with a per-point and with
+    # one slice index equal the (slice, i, j) fancy-index formula,
+    # wraparound taps included, and the spline passes through grid nodes
     slices, periods = skewed_torus_slices()
     nx, ny = slices.nx, slices.ny
-    names = ("r", "px", "ry", "e2p")
+    rows = slice(1, 6)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-0.2, 1.2, (40, 2)) * periods
     pts[:4] = [[0.0, 0.0], [-1e-9, 1.7 - 1e-9], [0.99, 0.01], [0.03, 1.69]]
@@ -481,20 +480,22 @@ def test_torus_slice_samples_match_fancy_index_gather():
     ix, wx = _spline_taps((pts[:, 0] / slices.hx) % nx, nx)
     jy, wy = _spline_taps((pts[:, 1] / slices.hy) % ny, ny)
     assert ix.min() == 0 and ix.max() == nx - 1 and jy.min() == 0 and jy.max() == ny - 1
-    stacks = slices.stacks(names)
-    got = slices.sample_slices(stacks, slice_idx, names, pts)
-    for name, g in zip(names, got):
-        ref = stacks[name][slice_idx[None, None, :], ix[:, None, :], jy[None, :, :]]
+    got = slices.sample(slice_idx, rows, pts)
+    assert got.shape == (5, len(pts))
+    for grid, g in zip(slices.store[rows], got):
+        ref = grid[slice_idx[None, None, :], ix[:, None, :], jy[None, :, :]]
         assert np.array_equal(g, np.einsum("am,bm,abm->m", wx, wy, ref))
     for idx in (0, 3):
-        grids = dict(zip(_FIELDS, slices.grids(idx)))
-        for name, g in zip(names, slices.sample(idx, names, pts)):
-            ref = grids[name][ix[:, None, :], jy[None, :, :]]
+        for grid, g in zip(slices.store[rows, idx], slices.sample(idx, rows, pts)):
+            ref = grid[ix[:, None, :], jy[None, :, :]]
             assert np.array_equal(g, np.einsum("am,bm,abm->m", wx, wy, ref))
+        # one slice index equals that index repeated per point
+        assert np.array_equal(slices.sample(idx, rows, pts),
+                              slices.sample(np.full(len(pts), idx), rows, pts))
 
     nodes = np.array([[-1, 0], [0, ny], [nx - 1, 5], [7, -3]])
-    node_vals = slices.sample(2, ("r",), nodes * np.array([slices.hx, slices.hy]))[0]
-    r = slices.stacks(("r",))["r"][2]
+    node_vals = slices.sample(2, slice(1), nodes * np.array([slices.hx, slices.hy]))[0]
+    r = slices.store[_FIELDS.index("r"), 2]
     assert np.allclose(node_vals, r[nodes[:, 0] % nx, nodes[:, 1] % ny], rtol=0, atol=1e-12)
 
 
@@ -512,26 +513,54 @@ def test_slice_store_equals_per_slice_formula():
     assert block < len(slices.s_all) and len(slices.s_all) % block
     for i, s in enumerate(slices.s_all):
         want = torus_slice_grids(h, float(s**2), slices.hx, slices.hy)
-        assert np.array_equal(slices.grids(i), want)
-    for grid in slices.stacks(("px", "r", "e2p", "rdot")).values():
-        assert np.shares_memory(grid, slices.store)
+        assert np.array_equal(slices.store[:, i], want)
+    # the gather reads the store itself, not a copy of it
+    pts = rng.uniform(0.0, 1.0, (10, 2))
+    before = slices.sample(5, slice(3, 7), pts)
+    slices.store[3:7, 5] += 1.0
+    assert np.allclose(slices.sample(5, slice(3, 7), pts), before + 1.0, rtol=1e-12, atol=1e-12)
+
+    # a six-row store, built in other batches, is the leading rows of the
+    # seven-row one
+    six = _TorusSlices(h, 1.0, 50, n_rows=6)
+    assert six.store.shape == (6,) + slices.store.shape[1:]
+    assert np.array_equal(six.store, _TorusSlices(h, 1.0, 50).store[:6])
+
+
+def test_oracle_builds_no_rdot_row(monkeypatch):
+    # the oracle reads r, rx, ry at nodes and e2p, px, py at midpoints, so
+    # its store stops before dR/dt; shooting keeps all seven rows
+    h = torus_flow_history(16, 0.26)
+    shapes = []
+
+    class Recording(_TorusSlices):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            shapes.append(self.store.shape)
+
+    monkeypatch.setattr("expanderlab.reduced._TorusSlices", Recording)
+    pts = np.array([(0.15, 0.1), (0.25, 0.0)])
+    _oracle_torus_batch(h, np.zeros(2), pts, 0.2, 32)
+    assert shapes == [(6, 65, 16, 16)]
+    assert _FIELDS[:6] == ("r", "rx", "ry", "e2p", "px", "py")
+    _torus_shoot_targets(h, np.zeros(2), pts, 0.2, 32)
+    assert shapes[1] == (7, 65, 16, 16)
 
 
 def test_blockwise_slice_gather_matches_single_block(monkeypatch):
-    # gathers in blocks of 7 points equal one block, and the table-wrapped
-    # taps equal (base + k) % n, also where float % rounds a point just
-    # below 0 up to n
+    # gathers in blocks of 7 points equal one block, with a per-point and
+    # with one slice index, and the table-wrapped taps equal (base + k) % n,
+    # also where float % rounds a point just below 0 up to n
     slices, periods = skewed_torus_slices()
-    names = ("r", "rx", "e2p")
+    rows = slice(0, 4)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.2, 1.2, (40, 2)) * periods
     pts[:2] = [[-1e-18, 0.5], [0.3, -1e-18]]
     slice_idx = rng.integers(0, len(slices.s_all), len(pts))
-    stacks = slices.stacks(names)
-    whole = slices.sample_slices(stacks, slice_idx, names, pts)
-    monkeypatch.setattr("expanderlab.reduced._GATHER_BLOCK", 7)
-    for got, want in zip(slices.sample_slices(stacks, slice_idx, names, pts), whole):
-        assert np.array_equal(got, want)
+    whole = [slices.sample(idx, rows, pts) for idx in (slice_idx, 2)]
+    monkeypatch.setattr("expanderlab.reduced.LEVEL_BATCH_BYTES", 128 * 4 * 7)
+    for idx, want in zip((slice_idx, 2), whole):
+        assert np.array_equal(slices.sample(idx, rows, pts), want)
     for col, h, n in ((0, slices.hx, slices.nx), (1, slices.hy, slices.ny)):
         frac = (pts[:, col] / h) % n
         assert frac[col] == n
@@ -574,7 +603,7 @@ def test_shoot_records_integrals_of_the_settling_sweep(monkeypatch):
         s = slices.s_nodes[k]
 
         def acc(i, s, x, v):
-            return _torus_rhs(s, v, slices.sample(i, _RHS_FIELDS, x))
+            return _torus_rhs(s, v, slices.sample(i, slice(6), x))
 
         k1x, k1v = v, acc(2 * k, s, x, v)
         x2, v2 = x + 0.5 * ds * k1x, v + 0.5 * ds * k1v
@@ -686,15 +715,15 @@ def test_secant_shot_takes_few_sweeps(monkeypatch):
 
 
 def count_gathers(monkeypatch):
-    """Counts of `_TorusSlices.sample_slices` calls by field set."""
+    """Counts of `_TorusSlices.sample` calls by the field names of their row run."""
     fields = collections.Counter()
-    sample_slices = _TorusSlices.sample_slices
+    sample = _TorusSlices.sample
 
-    def spy(self, stacks, slice_idx, names, pts):
-        fields[names] += 1
-        return sample_slices(self, stacks, slice_idx, names, pts)
+    def spy(self, idx, rows, pts):
+        fields[_FIELDS[rows]] += 1
+        return sample(self, idx, rows, pts)
 
-    monkeypatch.setattr(_TorusSlices, "sample_slices", spy)
+    monkeypatch.setattr(_TorusSlices, "sample", spy)
     return fields
 
 
