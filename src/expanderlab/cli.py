@@ -25,12 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conjugate_heat import (
-    check_f_plus_evolution,
-    check_harnack_identity,
-    check_steady_harnack,
-    construct_immortal_density,
-)
+from .conjugate_heat import check_harnack_identity, construct_immortal_density
 from .entropy import (
     asymptotics_report,
     build_entropy_report,
@@ -41,7 +36,13 @@ from .entropy import (
     nu_plus,
 )
 from .flow import BlowdownSpec, blowdown, check_R_lower_bound, evolve, scaled_volume
-from .geometry import ConformalTorusMetric, ModelSpaceMetric, validate_model_json, volume
+from .geometry import (
+    ConformalTorusMetric,
+    ModelSpaceMetric,
+    _is_number,
+    validate_model_json,
+    volume,
+)
 from .reduced import (
     check_gradient_time_identities,
     check_inequalities,
@@ -144,16 +145,22 @@ class Scenario:
             raise ConfigError(f"scenario {name!r}: the five reduced field times around reduced_t "
                               f"{params.get('reduced_t', 'default')!r} must lie inside t_span "
                               f"[{t0!r}, {t1!r}]")
-        if torus and {"entropy", "harnack", "asymptotics"} & set(checks):
-            if not all(_is_number(params[k]) for k in ("window_lo", "window_hi")
-                       if k in params):
+        if {"entropy", "harnack", "asymptotics"} & set(checks):
+            if torus and not all(_is_number(params[k]) for k in ("window_lo", "window_hi")
+                                 if k in params):
                 raise ConfigError(f"scenario {name!r}: window_lo/window_hi must be numbers")
-            lo, hi = _torus_window(params, (t0, t1))
+            lo, hi = _density_window(params, torus, (t0, t1))
             if not t0 <= lo < hi <= t1:
                 raise ConfigError(
                     f"scenario {name!r}: density window [{lo!r}, {hi!r}] must satisfy "
                     f"t0 <= window_lo < window_hi <= t1 on t_span [{t0!r}, {t1!r}]"
                 )
+        if "harnack" in checks:
+            ts = _harnack_times(params, torus, (t0, t1))
+            if not (t0 <= ts[0] and ts[-1] <= t1 and birth < ts[0]):
+                raise ConfigError(f"scenario {name!r}: the harnack times [{ts[0]:.6g}, "
+                                  f"{ts[-1]:.6g}] must lie inside t_span [{t0!r}, {t1!r}] "
+                                  f"and after birth_time {birth!r}")
         return Scenario(
             name=name,
             model=model,
@@ -167,11 +174,6 @@ class Scenario:
 def _is_count(x) -> bool:
     """A positive int that is not a bool."""
     return isinstance(x, int) and not isinstance(x, bool) and x > 0
-
-
-def _is_number(x) -> bool:
-    """A finite int or float that fits a float; exact comparison, so a huge int cannot raise."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _uniform_radii(radii) -> bool:
@@ -194,10 +196,23 @@ def _field_times(params: dict, torus: bool, t_span) -> np.ndarray:
     return np.linspace(0.8 * t_mid, 1.2 * t_mid, 5)
 
 
-def _torus_window(params: dict, t_span) -> tuple:
+def _density_window(params: dict, torus: bool, t_span) -> tuple:
+    """The window of the immortal density."""
     t0, t1 = t_span
-    return (float(params.get("window_lo", max(t0, 0.02 * t1))),
-            float(params.get("window_hi", 0.45 * t1)))
+    if torus:
+        return (float(params.get("window_lo", max(t0, 0.02 * t1))),
+                float(params.get("window_hi", 0.45 * t1)))
+    return (max(t0, t1 / 200.0, 1e-3), 0.9 * t1)
+
+
+def _harnack_times(params: dict, torus: bool, t_span) -> np.ndarray:
+    """The state times of the harnack check: mid-window on the torus, near t = 1 elsewhere."""
+    if torus:
+        lo, hi = _density_window(params, True, t_span)
+        center = 0.5 * (lo + hi)
+        return np.linspace(center - 0.02 * (hi - lo), center + 0.02 * (hi - lo), 5)
+    center = min(max(1.0, 0.3 * t_span[1]), 0.9 * t_span[1])
+    return np.linspace(center - 0.02, center + 0.02, 9)
 
 
 def _default_times(scn: Scenario, h) -> np.ndarray:
@@ -206,13 +221,6 @@ def _default_times(scn: Scenario, h) -> np.ndarray:
     hi = 0.9 * t1
     n = int(scn.params.get("n_times", 17))
     return np.geomspace(lo, hi, n)
-
-
-def _density_window(scn: Scenario, h):
-    if h.kind == "conformal_torus":
-        return _torus_window(scn.params, scn.t_span)
-    t0, t1 = scn.t_span
-    return (max(t0, t1 / 200.0, 1e-3), 0.9 * t1)
 
 
 def run_scenario_doc(doc: dict, out_dir) -> dict:
@@ -249,7 +257,7 @@ def run_scenario_doc(doc: dict, out_dir) -> dict:
     dens = None
     if {"entropy", "harnack", "asymptotics"} & set(scn.checks):
         dens = construct_immortal_density(
-            h, _density_window(scn, h),
+            h, _density_window(scn.params, h.kind == "conformal_torus", scn.t_span),
             tol=float(scn.tolerances.get("immortal", 1e-8)),
         )
         report["fitted"]["immortal_tail"] = dens.construction_tail
@@ -288,26 +296,15 @@ def run_scenario_doc(doc: dict, out_dir) -> dict:
         )
 
     if "harnack" in scn.checks:
-        if h.kind == "conformal_torus":
-            lo, hi = dens.window
-            center = 0.5 * (lo + hi)
-            times = np.linspace(center - 0.02 * (hi - lo), center + 0.02 * (hi - lo), 5)
-        else:
-            t1 = scn.t_span[1]
-            center = min(max(1.0, 0.3 * t1), 0.9 * t1)
-            times = np.linspace(center - 0.02, center + 0.02, 9)
-        states = [dens.state_at(t) for t in times]
+        times = _harnack_times(scn.params, h.kind == "conformal_torus", scn.t_span)
         birth = float(scn.params.get("birth_time", h.birth_time))
-        rep_h = check_harnack_identity(states, h, birth_time=birth)
-        rep_s = check_steady_harnack(states, h)
-        rep_f = check_f_plus_evolution(states, h, birth_time=birth)
+        rep_h = check_harnack_identity([dens.state_at(t) for t in times], h, birth_time=birth)
         tol = float(scn.tolerances.get(
             "harnack", 1e-8 if h.kind != "conformal_torus" else 1e-2))
         report["residuals"]["harnack.identity"] = rep_h.max_residual
-        report["residuals"]["harnack.prefactor"] = rep_h.extra[
-            "prefactor_identity_residual"]
-        report["residuals"]["harnack.steady"] = rep_s.max_residual
-        report["residuals"]["harnack.potential_evolution"] = rep_f.max_residual
+        report["residuals"]["harnack.prefactor"] = rep_h.extra["prefactor"]
+        report["residuals"]["harnack.steady"] = rep_h.extra["steady"]
+        report["residuals"]["harnack.potential_evolution"] = rep_h.extra["potential"]
         report["verdicts"]["harnack.rhs_nonnegative"] = rep_h.rhs_min >= 0.0
         report["verdicts"]["harnack.identity_below_tol"] = rep_h.max_residual <= tol
         report["tolerances"]["harnack"] = tol

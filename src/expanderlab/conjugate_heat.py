@@ -4,8 +4,8 @@ The density u solves du/dt = -lap u + R u (well posed backward in t;
 integrating forward in tau = t_final - t makes it parabolic), keeps
 total mass one, and stays positive.  From u and a vertex offset sigma
 the log-density potential is f = -log u - (n/2) log(4 pi sigma); the
-module verifies, by finite differences across retained states, the
-pointwise evolution identity of the entropy density
+module verifies in one pass, by finite differences across retained
+states, the pointwise evolution identity of the entropy density
 
     v = [sigma (2 lap f - |grad f|^2 + R) - f + n] u,
 
@@ -55,8 +55,6 @@ __all__ = [
     "construct_immortal_density",
     "v_plus",
     "check_harnack_identity",
-    "check_steady_harnack",
-    "check_f_plus_evolution",
 ]
 
 
@@ -332,101 +330,46 @@ def v_plus(s: DensityState, h: FlowHistory, birth_time: float = 0.0):
 
 
 def check_harnack_identity(states, h: FlowHistory, birth_time: float = 0.0) -> ResidualReport:
-    """Residual of the evolution identity for the entropy density.
+    """Residuals of the entropy-density identities across interior states, in one pass.
 
-    Checks (d/dt + lap - R) v = 2 sigma u |Ricci + Hess f + g/(2 sigma)|^2
-    across interior states, plus the intermediate identity for the
-    pre-factor quantity 2 lap f - |grad f|^2 + R (whose heat-operator
-    image is twice the steady soliton residual squared plus a gradient
-    pairing term).  Report-only: returns residual maxima.
+    max_residual, per_time and rhs_min belong to (d/dt + lap - R) v =
+    2 sigma u |Ricci + Hess f + g/(2 sigma)|^2.  extra holds the maxima of
+    "prefactor" (the heat-operator image of q = 2 lap f - |grad f|^2 + R),
+    "steady" (the sigma-free identity, with f = -log u) and "potential"
+    (df/dt = -lap f + |grad f|^2 - R - n/(2 sigma)).  Report-only.
     """
     times = [s.t for s in states]
     n = h.dim
-    v_fields, q_fields, rhs_fields, extras = [], [], [], []
+    rows, v, q, v_s, f = [], [], [], [], []
     for s in states:
         sigma = s.t - birth_time
         if sigma <= 0:
             raise ValueError("all states must sit after the birth time")
         m = h.metric_at(s.t)
-        f = log_potential(s.u, sigma, n)
         r = curvature(m).scalar
-        q = 2.0 * laplacian(m, f) - grad_norm_sq(m, f) + r
-        v_fields.append((sigma * q - f + n) * s.u)
-        q_fields.append(q)
-        rhs_fields.append(2.0 * sigma * s.u * soliton_residual_sq(m, f, sigma))
-        extras.append((m, f, r))
-    dv, idx = time_derivative(v_fields, times)
-    dq, _ = time_derivative(q_fields, times)
-    res_max, per_time = 0.0, []
-    rhs_min = math.inf
-    q_res_max = 0.0
+        f.append(log_potential(s.u, sigma, n))
+        lap_f, grad_sq = laplacian(m, f[-1]), grad_norm_sq(m, f[-1])
+        q.append(2.0 * lap_f - grad_sq + r)
+        v.append((sigma * q[-1] - f[-1] + n) * s.u)
+        f_s = -np.log(s.u)  # the steady potential, differenced on its own
+        v_s.append((2.0 * laplacian(m, f_s) - grad_norm_sq(m, f_s) + r) * s.u)
+        rows.append((m, r, sigma, s.u, lap_f, grad_sq, f_s))
+    (dv, idx), (dq, _), (dv_s, _), (df, _) = (time_derivative(x, times) for x in (v, q, v_s, f))
+    per_time, rhs_min = [], math.inf
+    extra = dict.fromkeys(("prefactor", "steady", "potential"), 0.0)
     for j, i in enumerate(idx):
-        m, f, r = extras[i]
-        lhs = dv[j] + laplacian(m, v_fields[i]) - r * v_fields[i]
-        res = float(np.max(np.abs(lhs - rhs_fields[i])))
-        per_time.append(res)
-        res_max = max(res_max, res)
-        rhs_min = min(rhs_min, float(np.min(rhs_fields[i])))
-        q_rhs = 2.0 * soliton_residual_sq(m, f, None) + 2.0 * grad_pairing(
-            m, q_fields[i], f
-        )
-        q_lhs = dq[j] + laplacian(m, q_fields[i])
-        q_res_max = max(q_res_max, float(np.max(np.abs(q_lhs - q_rhs))))
-    return ResidualReport(
-        name="harnack_identity",
-        times=[times[i] for i in idx],
-        max_residual=res_max,
-        per_time=per_time,
-        rhs_min=rhs_min,
-        extra={"prefactor_identity_residual": q_res_max},
-    )
-
-
-def check_steady_harnack(states, h: FlowHistory) -> ResidualReport:
-    """Residual of the sigma-free (steady-case) evolution identity."""
-    times = [s.t for s in states]
-    v_fields, rhs_fields, extras = [], [], []
-    for s in states:
-        m = h.metric_at(s.t)
-        f = -np.log(s.u)
-        r = curvature(m).scalar
-        v_fields.append((2.0 * laplacian(m, f) - grad_norm_sq(m, f) + r) * s.u)
-        rhs_fields.append(2.0 * s.u * soliton_residual_sq(m, f, None))
-        extras.append((m, r))
-    dv, idx = time_derivative(v_fields, times)
-    res_max, per_time = 0.0, []
-    rhs_min = math.inf
-    for j, i in enumerate(idx):
-        m, r = extras[i]
-        lhs = dv[j] + laplacian(m, v_fields[i]) - r * v_fields[i]
-        res = float(np.max(np.abs(lhs - rhs_fields[i])))
-        per_time.append(res)
-        res_max = max(res_max, res)
-        rhs_min = min(rhs_min, float(np.min(rhs_fields[i])))
-    return ResidualReport("steady_harnack", [times[i] for i in idx], res_max,
-                          per_time, rhs_min)
-
-
-def check_f_plus_evolution(states, h: FlowHistory, birth_time: float = 0.0) -> ResidualReport:
-    """Residual of the potential evolution df/dt = -lap f + |grad f|^2 - R - n/(2 sigma)."""
-    times = [s.t for s in states]
-    n = h.dim
-    f_fields, extras = [], []
-    for s in states:
-        sigma = s.t - birth_time
-        if sigma <= 0:
-            raise ValueError("all states must sit after the birth time")
-        m = h.metric_at(s.t)
-        f_fields.append(log_potential(s.u, sigma, n))
-        extras.append((m, sigma))
-    df, idx = time_derivative(f_fields, times)
-    res_max, per_time = 0.0, []
-    for j, i in enumerate(idx):
-        m, sigma = extras[i]
-        f = f_fields[i]
-        r = curvature(m).scalar
-        res_field = df[j] + laplacian(m, f) - grad_norm_sq(m, f) + r + n / (2.0 * sigma)
-        res = float(np.max(np.abs(res_field)))
-        per_time.append(res)
-        res_max = max(res_max, res)
-    return ResidualReport("f_plus_evolution", [times[i] for i in idx], res_max, per_time)
+        m, r, sigma, u, lap_f, grad_sq, f_s = rows[i]
+        rhs = 2.0 * sigma * u * soliton_residual_sq(m, f[i], sigma)
+        per_time.append(float(np.max(np.abs(dv[j] + laplacian(m, v[i]) - r * v[i] - rhs))))
+        rhs_min = min(rhs_min, float(np.min(rhs)))
+        residuals = {
+            "prefactor": dq[j] + laplacian(m, q[i]) - (
+                2.0 * soliton_residual_sq(m, f[i], None) + 2.0 * grad_pairing(m, q[i], f[i])),
+            "steady": dv_s[j] + laplacian(m, v_s[i]) - r * v_s[i]
+            - 2.0 * u * soliton_residual_sq(m, f_s, None),
+            "potential": df[j] + lap_f - grad_sq + r + n / (2.0 * sigma),
+        }
+        for key, field in residuals.items():
+            extra[key] = max(extra[key], float(np.max(np.abs(field))))
+    return ResidualReport("harnack_identity", [times[i] for i in idx], max([0.0, *per_time]),
+                          per_time, rhs_min, extra)

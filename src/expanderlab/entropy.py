@@ -9,9 +9,9 @@ The expander entropy is computed in its density form
 
     W(g, u, sigma) = int [ sigma (|grad f|^2 + R) - f + n ] u dv
 
-with grad f taken as -grad u / u at the stencil level, and is
-cross-checked against the independent assembly sigma*F + N +
-(n/2) log(4 pi sigma) + n built from the energy and Nash entropy; the
+with grad f taken as -grad u / u at the stencil level.  The entropy
+report cross-checks it against the independent assembly sigma*F_+ + N_+
+built from the energy and Nash entropy (its decomposition_gap); the
 two routes share the Dirichlet integrand but test the potential
 bookkeeping against each other to round-off.
 """
@@ -52,7 +52,6 @@ __all__ = [
     "f_energy",
     "nash_entropy",
     "expander_entropy",
-    "expander_entropy_forms",
     "expander_residual",
     "lambda_min",
     "lambda_bar",
@@ -86,25 +85,13 @@ def nash_entropy(m: MetricModel, u, sigma: float):
     return n_val, n_plus
 
 
-def expander_entropy_forms(m: MetricModel, u, sigma: float):
-    """Both assemblies of the expander entropy (density form, split form)."""
+def expander_entropy(m: MetricModel, u, sigma: float) -> float:
+    """Expander entropy W(g, u, sigma) in its density form; see the module docstring."""
     n = m.dim
     r = curvature(m).scalar
     f = log_potential(u, sigma, n)
     dirichlet = integrate(m, grad_norm_sq(m, u) / u)
-    density_form = (
-        sigma * (dirichlet + integrate(m, r * u)) + integrate(m, (n - f) * u)
-    )
-    n_val, _ = nash_entropy(m, u, sigma)
-    split_form = (
-        sigma * f_energy(m, u) + n_val + 0.5 * n * math.log(4.0 * math.pi * sigma) + n
-    )
-    return density_form, split_form
-
-
-def expander_entropy(m: MetricModel, u, sigma: float) -> float:
-    """Expander entropy W(g, u, sigma); see the module docstring."""
-    return expander_entropy_forms(m, u, sigma)[0]
+    return sigma * (dirichlet + integrate(m, r * u)) + integrate(m, (n - f) * u)
 
 
 def expander_residual(m: MetricModel, u, sigma: float) -> float:
@@ -344,7 +331,7 @@ def build_entropy_report(h: FlowHistory, dens: ImmortalDensity, times,
         f_val = f_energy(m, s.u)
         f_plus = f_val + n / (2.0 * t)
         n_val, n_plus = nash_entropy(m, s.u, t)
-        w2, w1 = expander_entropy_forms(m, s.u, t)
+        w_plus = expander_entropy(m, s.u, t)
         lam, _ = lambda_min(m, lam_tol)
         lbar = volume(m) ** (2.0 / n) * lam
         delta = fd_halfstep if fd_halfstep is not None else min(0.005 * max(1.0, t),
@@ -361,7 +348,7 @@ def build_entropy_report(h: FlowHistory, dens: ImmortalDensity, times,
         cols["F_plus"].append(f_plus)
         cols["N"].append(n_val)
         cols["N_plus"].append(n_plus)
-        cols["W_plus"].append(w2)
+        cols["W_plus"].append(w_plus)
         cols["W_plus_vertex"].append(
             expander_entropy(m, s.u, t - birth_time) if t > birth_time else math.nan
         )
@@ -370,7 +357,7 @@ def build_entropy_report(h: FlowHistory, dens: ImmortalDensity, times,
         cols["lambda"].append(lam)
         cols["lambda_bar"].append(lbar)
         cols["V_tilde"].append(scaled_volume(h, t))
-        cols["decomposition_gap"].append(abs(w2 - (t * f_plus + n_plus)))
+        cols["decomposition_gap"].append(abs(w_plus - (t * f_plus + n_plus)))
 
     cols = {k: np.asarray(v) for k, v in cols.items()}
 

@@ -22,6 +22,7 @@ floats (spatially constant).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -438,8 +439,29 @@ def model_to_json(m: MetricModel) -> dict:
     raise TypeError(f"unknown metric model {type(m)!r}")
 
 
+def _is_number(x) -> bool:
+    """A finite int or float that fits a float; exact comparison, so a huge int cannot raise."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _finite(value) -> bool:
+    """A number as _is_number, or a list of such values at any depth."""
+    return all(map(_finite, value)) if isinstance(value, list) else _is_number(value)
+
+
 def model_from_json(doc: dict) -> MetricModel:
+    """Build a model from its JSON spec (outside input): every entry but kind
+    holds finite numbers, dim and sectional_sign are integral, periods a pair."""
+    if not isinstance(doc, dict):
+        raise TypeError("a model spec must be a JSON object")
     kind = doc.get("kind")
+    bad = [key for key, value in doc.items() if key != "kind" and not _finite(value)]
+    if bad:
+        raise ValueError(f"{bad} must hold finite numbers only")
+    if not all(float(doc[k]).is_integer() for k in ("dim", "sectional_sign") if k in doc):
+        raise ValueError("dim and sectional_sign must be integers")
+    if len(doc.get("periods", (1.0, 1.0))) != 2:
+        raise ValueError("periods must hold exactly two numbers")
     if kind == "homogeneous":
         return HomogeneousMetric(
             structure_constants=tuple(doc["structure_constants"]),

@@ -159,12 +159,28 @@ def test_target_grid_validation(bad):
     ("flat_torus", {"reduced_t": 2.9}, "reduced_t"),
     ("hyperbolic_expander", {"tolerances": {"monotonicity": float("nan")}}, "tolerances"),
     ("hyperbolic_expander", {"tolerances": ["blowdown", 1e-6]}, "tolerances"),
+    # a birth time at or after the harnack times, and harnack times or a
+    # density window outside t_span, on every model
+    ("hyperbolic_expander", {"birth_time": 100}, "birth_time"),
+    ("hyperbolic_expander", {"birth_time": 8.99, "checks": ["harnack"]}, "birth_time"),
+    ("nil_flow", {"t_span": [0, 0.001]}, "density window"),
+    ("nil_flow", {"t_span": [0, 0.1], "checks": ["harnack"]}, "harnack times"),
+    # model specs: non-finite numbers, non-integral dim or sign, not two periods
+    ("nil_flow", {"model": {"frame_volume": float("inf")}}, "frame_volume"),
+    ("hyperbolic_expander", {"model": {"base_volume": float("inf")}}, "base_volume"),
+    ("nil_flow", {"model": {"structure_constants": [float("nan"), 0, 0]}},
+     "structure_constants"),
+    ("flat_torus", {"model": {"periods": [1, 1, 5]}}, "periods"),
+    ("hyperbolic_expander", {"model": {"sectional_sign": 0.5}}, "sectional_sign"),
+    ("hyperbolic_expander", {"model": {"dim": 2.5}}, "dim"),
 ])
 def test_malformed_params_exit_2_without_output(tmp_path, capsys, scenario, params, word):
     doc = json.loads(builtin_scenarios()[scenario].read_text())
-    params = dict(params)  # "tolerances" replaces the document's tolerances
-    if "tolerances" in params:
-        doc["tolerances"] = params.pop("tolerances")
+    params = dict(params)  # these keys replace the document's, "model" updates its model
+    for key in ("tolerances", "t_span", "checks"):
+        if key in params:
+            doc[key] = params.pop(key)
+    doc["model"].update(params.pop("model", {}))
     doc["params"].update(params)
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"

@@ -5,9 +5,7 @@ import pytest
 
 from expanderlab.conjugate_heat import (
     DensityState,
-    check_f_plus_evolution,
     check_harnack_identity,
-    check_steady_harnack,
     construct_immortal_density,
     log_potential,
     solve_conjugate_backward,
@@ -22,7 +20,12 @@ from expanderlab.geometry import (
     integrate,
     volume,
 )
-from oracles import backward_torus_per_step
+from oracles import (
+    backward_torus_per_step,
+    harnack_identity_separate,
+    potential_evolution_separate,
+    steady_harnack_separate,
+)
 
 HYPERBOLIC3 = ModelSpaceMetric(dim=3, sectional_sign=-1, scale=1.0, base_volume=1.0)
 
@@ -85,7 +88,7 @@ def test_harnack_identity_homogeneous_exact():
     rep = check_harnack_identity(states, h, birth_time=-0.25)
     assert rep.max_residual < 1e-8
     assert rep.rhs_min >= 0.0
-    assert rep.extra["prefactor_identity_residual"] < 1e-8
+    assert rep.extra["prefactor"] < 1e-8
     # with the generic birth time zero the identity still holds
     rep0 = check_harnack_identity(states, h, birth_time=0.0)
     assert rep0.max_residual < 1e-8
@@ -122,9 +125,8 @@ def test_steady_harnack_flat_static_zero():
     h = evolve(ConformalTorusMetric(np.zeros((16, 16))), (0.0, 0.02))
     states = solve_conjugate_backward(h, 0.02, np.ones((16, 16)),
                                       t_start=0.004, n_retain=7)
-    rep = check_steady_harnack(states, h)
-    assert rep.max_residual < 1e-12
-    assert rep.rhs_min >= 0.0
+    rep = check_harnack_identity(states, h)
+    assert rep.extra["steady"] < 1e-12
 
 
 def test_steady_harnack_homogeneous_exact():
@@ -133,8 +135,8 @@ def test_steady_harnack_homogeneous_exact():
     states = [
         DensityState.make(t, 1.0 / h.volume_at(t), max(t, 1e-300), 3) for t in times
     ]
-    rep = check_steady_harnack(states, h)
-    assert rep.max_residual < 1e-8
+    rep = check_harnack_identity(states, h)
+    assert rep.extra["steady"] < 1e-8
 
 
 def test_f_plus_evolution_residuals():
@@ -142,24 +144,54 @@ def test_f_plus_evolution_residuals():
     h = evolve(ConformalTorusMetric(np.zeros((16, 16))), (0.0, 1.1), retain_every=10**9)
     times = np.linspace(1.0, 1.04, 9)
     states = [DensityState.make(t, np.ones((16, 16)), t, 2) for t in times]
-    rep = check_f_plus_evolution(states, h, birth_time=0.0)
-    assert rep.max_residual < 1e-8
+    rep = check_harnack_identity(states, h, birth_time=0.0)
+    assert rep.extra["potential"] < 1e-8
     # homogeneous flow
     hh = evolve(HYPERBOLIC3, (0.0, 3.0))
     states = [
         DensityState.make(t, 1.0 / hh.volume_at(t), t, 3)
         for t in np.linspace(1.0, 1.04, 9)
     ]
-    rep = check_f_plus_evolution(states, hh, birth_time=0.0)
-    assert rep.max_residual < 1e-8
+    rep = check_harnack_identity(states, hh, birth_time=0.0)
+    assert rep.extra["potential"] < 1e-8
     # torus flow: grid-level residual
     ht = torus_history(32, 0.3, 0.012)
     m_fin = ht.metric_at(0.012)
     u_fin = np.full((32, 32), 1.0)
     u_fin = u_fin / integrate(m_fin, u_fin)
     states = solve_conjugate_backward(ht, 0.012, u_fin, t_start=0.004, n_retain=9)
-    rep = check_f_plus_evolution(states[2:7], ht, birth_time=-0.05)
-    assert rep.max_residual < 5e-2
+    rep = check_harnack_identity(states[2:7], ht, birth_time=-0.05)
+    assert rep.extra["potential"] < 5e-2
+
+
+def _identity_state_sets():
+    ht = torus_history(32, 0.3, 0.012)
+    x = (np.arange(32) / 32)[:, None]
+    y = (np.arange(32) / 32)[None, :]
+    u_fin = 1.0 + 0.4 * np.sin(2 * math.pi * x) * np.cos(2 * math.pi * y)
+    u_fin = u_fin / integrate(ht.metric_at(0.012), u_fin)
+    torus = solve_conjugate_backward(ht, 0.012, u_fin, t_start=0.004, n_retain=9)
+    yield ht, torus[2:7], -0.05
+    hf = evolve(ConformalTorusMetric(np.zeros((16, 16))), (0.0, 0.02))
+    yield hf, solve_conjugate_backward(hf, 0.02, np.ones((16, 16)),
+                                       t_start=0.004, n_retain=7), 0.0
+    for model in (HYPERBOLIC3, HomogeneousMetric((1.0, 0.0, 0.0), (1.0, 1.0, 1.0))):
+        h = evolve(model, (0.0, 3.0))
+        yield h, [DensityState.make(t, 1.0 / h.volume_at(t), t, 3)
+                  for t in np.linspace(1.5, 1.54, 9)], -0.25
+
+
+def test_one_pass_matches_the_separate_checks_bitwise():
+    for h, states, birth in _identity_state_sets():
+        rep = check_harnack_identity(states, h, birth_time=birth)
+        ref = harnack_identity_separate(states, h, birth_time=birth)
+        assert rep.times == ref.times and rep.per_time == ref.per_time
+        assert rep.max_residual == ref.max_residual
+        assert rep.rhs_min == ref.rhs_min
+        assert rep.extra["prefactor"] == ref.extra["prefactor"]
+        assert rep.extra["steady"] == steady_harnack_separate(states, h).max_residual
+        assert rep.extra["potential"] == potential_evolution_separate(
+            states, h, birth_time=birth).max_residual
 
 
 def test_v_plus_integral_equals_entropy_homogeneous():

@@ -25,6 +25,7 @@ from expanderlab.geometry import (
     model_from_json,
     model_to_json,
     soliton_residual_sq,
+    validate_model_json,
     volume,
 )
 from expanderlab.numerics import OdeTrajectory, hermite_cubic, hermite_interval, time_derivative
@@ -335,3 +336,10 @@ def test_model_json_round_trip():
         m2 = model_from_json(doc)
         assert type(m2) is type(m)
         assert abs(volume(m2) - volume(m)) < 1e-12
+
+
+@pytest.mark.parametrize("doc", [5, [], {"kind": "model_space", "dim": 3, "sectional_sign": -1,
+                                         "scale": 10**400}])
+def test_model_spec_outside_json_objects_and_floats_rejected(doc):
+    with pytest.raises(ValueError, match="invalid metric model spec"):
+        validate_model_json(doc)
