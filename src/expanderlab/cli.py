@@ -145,6 +145,12 @@ class Scenario:
             raise ConfigError(f"scenario {name!r}: the five reduced field times around reduced_t "
                               f"{params.get('reduced_t', 'default')!r} must lie inside t_span "
                               f"[{t0!r}, {t1!r}]")
+        if reduced and isinstance(model, ModelSpaceMetric) and model.rho0 > 0:
+            t_ext = t0 + model.scale / (2.0 * model.rho0)  # a(t) = a0 - 2 rho0 (t - t0)
+            if ts[-1] >= t_ext:
+                raise ConfigError(f"scenario {name!r}: the five reduced field times around "
+                                  f"reduced_t {params.get('reduced_t', 'default')!r} must lie "
+                                  f"before the extinction time {t_ext!r} of the model")
         if {"entropy", "harnack", "asymptotics"} & set(checks):
             if torus and not all(_is_number(params[k]) for k in ("window_lo", "window_hi")
                                  if k in params):

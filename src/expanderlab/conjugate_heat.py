@@ -53,7 +53,6 @@ __all__ = [
     "ResidualReport",
     "solve_conjugate_backward",
     "construct_immortal_density",
-    "v_plus",
     "check_harnack_identity",
 ]
 
@@ -314,20 +313,6 @@ def construct_immortal_density(h: FlowHistory, window, tol: float = 1e-8,
 
 # ---------------------------------------------------------------------------
 # pointwise identities
-
-def v_plus(s: DensityState, h: FlowHistory, birth_time: float = 0.0):
-    """Entropy density v at a slice and its integral (the entropy itself)."""
-    sigma = s.t - birth_time
-    if sigma <= 0:
-        raise ValueError("state time must exceed the birth time")
-    m = h.metric_at(s.t)
-    f = log_potential(s.u, sigma, h.dim)
-    r = curvature(m).scalar
-    field = (
-        sigma * (2.0 * laplacian(m, f) - grad_norm_sq(m, f) + r) - f + h.dim
-    ) * s.u
-    return field, integrate(m, field)
-
 
 def check_harnack_identity(states, h: FlowHistory, birth_time: float = 0.0) -> ResidualReport:
     """Residuals of the entropy-density identities across interior states, in one pass.

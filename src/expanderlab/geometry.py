@@ -47,7 +47,6 @@ __all__ = [
     "laplacian_symbol",
     "spectral_solve",
     "soliton_residual_sq",
-    "model_to_json",
     "model_from_json",
 ]
 
@@ -411,33 +410,7 @@ def soliton_residual_sq(m: MetricModel, f_potential, sigma: float | None):
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip for scenario configs
-
-def model_to_json(m: MetricModel) -> dict:
-    if isinstance(m, HomogeneousMetric):
-        return {
-            "kind": "homogeneous",
-            "structure_constants": list(m.structure_constants),
-            "diag": list(m.diag),
-            "frame_volume": m.frame_volume,
-        }
-    if isinstance(m, ConformalTorusMetric):
-        return {
-            "kind": "conformal_torus",
-            "grid_size": list(m.phi.shape),
-            "periods": list(m.periods),
-            "phi": np.asarray(m.phi).tolist(),
-        }
-    if isinstance(m, ModelSpaceMetric):
-        return {
-            "kind": "model_space",
-            "dim": m.dim,
-            "sectional_sign": m.sectional_sign,
-            "scale": m.scale,
-            "base_volume": m.base_volume,
-        }
-    raise TypeError(f"unknown metric model {type(m)!r}")
-
+# JSON model specs of scenario configs
 
 def _is_number(x) -> bool:
     """A finite int or float that fits a float; exact comparison, so a huge int cannot raise."""

@@ -53,7 +53,6 @@ __all__ = [
     "geodesic_shoot",
     "ell_plus_field",
     "extrapolate_fields",
-    "path_minimization_oracle",
     "check_gradient_time_identities",
     "check_inequalities",
     "theta_plus",
@@ -385,17 +384,20 @@ def extrapolate_fields(fields) -> ReducedField:
 # ---------------------------------------------------------------------------
 # torus machinery
 
-# slice store rows, ordered so that every caller reads a contiguous run:
-# an RK4 stage rows 0-5, a path node 0-6, the oracle 0-2 at its nodes and
-# 3-5 at its segment midpoints
+# slice store rows of shooting, ordered so that every caller reads a
+# contiguous run: an RK4 stage rows 0-5, a path node 0-6
 _FIELDS = ("r", "rx", "ry", "e2p", "px", "py", "rdot")
+# the oracle reads r at its nodes and e2p at its segment midpoints, each
+# with the gradient of its interpolant
+_ORACLE_FIELDS = ("r", "e2p")
 
 
 class _TorusSlices:
-    """Field slices of a torus history along a fixed s-grid, in one store of the
-    leading `n_rows` of `_FIELDS` (the oracle, which never reads dR/dt, builds six)."""
+    """Field slices of a torus history along a fixed s-grid, in one store with
+    one row per name in `fields`."""
 
-    def __init__(self, h: FlowHistory, t: float, n_steps: int, n_rows: int = len(_FIELDS)):
+    def __init__(self, h: FlowHistory, t: float, n_steps: int, fields: tuple = _FIELDS):
+        self.fields = fields
         self.t = float(t)
         if n_steps % 2:
             n_steps += 1
@@ -407,47 +409,55 @@ class _TorusSlices:
         self.nx, self.ny = h.template.phi.shape
         self.hx, self.hy = h.template.spacing
         self.lx, self.ly = h.template.periods
-        # (n_rows, n_slices, nx, ny), built in batches of slices whose
+        # (n_fields, n_slices, nx, ny), built in batches of slices whose
         # fields stay under the byte cap
-        self.store = np.empty((n_rows, len(self.s_all), self.nx, self.ny))
-        block = max(1, LEVEL_BATCH_BYTES // (n_rows * h.template.phi.nbytes))
+        self.store = np.empty((len(fields), len(self.s_all), self.nx, self.ny))
+        block = max(1, LEVEL_BATCH_BYTES // (len(fields) * h.template.phi.nbytes))
         hx, hy = self.hx, self.hy
         for lo in range(0, len(self.s_all), block):
             etas = [min(max(float(s**2), h.t_min), h.t_max) for s in self.s_all[lo:lo + block]]
             phi = h.params_at_times(etas).reshape(len(etas), self.nx, self.ny)
             r = _conformal_scalar(phi, hx, hy)
             e2p = np.exp(2.0 * phi)
-            rows = [r, _dx(r, hx), _dy(r, hy), e2p, _dx(phi, hx), _dy(phi, hy)]
-            if n_rows > len(rows):
+            rows = {
+                "r": lambda: r, "rx": lambda: _dx(r, hx), "ry": lambda: _dy(r, hy),
+                "e2p": lambda: e2p, "px": lambda: _dx(phi, hx), "py": lambda: _dy(phi, hy),
                 # curvature evolution dR/dt = lap R + R^2 in two dimensions
-                rows.append(_lap0(r, hx, hy) / e2p + r * r)
-            np.stack(rows[:n_rows], out=self.store[:, lo:lo + len(etas)])
+                "rdot": lambda: _lap0(r, hx, hy) / e2p + r * r,
+            }
+            np.stack([rows[f]() for f in fields], out=self.store[:, lo:lo + len(etas)])
 
-    def sample(self, idx, fields: slice, pts: np.ndarray) -> np.ndarray:
+    def sample(self, idx, fields: slice, pts: np.ndarray, grad: bool = False) -> np.ndarray:
         """Smooth periodic samples (n_fields, m) of the store rows `fields` at
-        points (m, 2), from slice idx: one int, or one index per point.
+        points (m, 2), from slice idx: one int, or one index per point.  With
+        `grad`, (3, n_fields, m): the samples, then their x and y derivatives,
+        which are those of the same interpolant from the same taps.
 
         Points run in blocks whose taps (16 of 8 bytes per field and point)
         stay under the byte cap; every field of a block takes one gather.
         """
         grids = self.store[fields]
         grids = grids.reshape(len(grids), -1)  # a view: the rows are contiguous
-        out = np.empty((len(grids), len(pts)))
+        out = np.empty((3 if grad else 1, len(grids), len(pts)))
         offset = idx * (self.nx * self.ny)  # of the slice in a flattened row
         per_point = isinstance(offset, np.ndarray)
         block = max(1, LEVEL_BATCH_BYTES // (128 * len(grids)))
         for lo in range(0, len(pts), block):
             blk = slice(lo, lo + block)
-            ix, wx = _spline_taps((pts[blk, 0] / self.hx) % self.nx, self.nx)
-            jy, wy = _spline_taps((pts[blk, 1] / self.hy) % self.ny, self.ny)
+            ix, wx = _spline_taps((pts[blk, 0] / self.hx) % self.nx, self.nx, grad)
+            jy, wy = _spline_taps((pts[blk, 1] / self.hy) % self.ny, self.ny, grad)
             rows = ix * self.ny + (offset[blk] if per_point else offset)
-            flat = rows[:, None, :] + jy[None, :, :]
-            np.einsum("am,bm,fabm->fm", wx, wy, np.take(grids, flat, axis=1), out=out[:, blk])
-        return out
+            taps = np.take(grids, rows[:, None, :] + jy[None, :, :], axis=1)
+            np.einsum("am,bm,fabm->fm", wx[0], wy[0], taps, out=out[0, :, blk])
+            if grad:
+                np.einsum("am,bm,fabm->fm", wx[1] / self.hx, wy[0], taps, out=out[1, :, blk])
+                np.einsum("am,bm,fabm->fm", wx[0], wy[1] / self.hy, taps, out=out[2, :, blk])
+        return out if grad else out[0]
 
 
-def _spline_taps(frac: np.ndarray, n: int):
-    """Catmull-Rom tap indices (4, m) and weights (4, m) on a periodic axis.
+def _spline_taps(frac: np.ndarray, n: int, slopes: bool = False):
+    """Catmull-Rom tap indices (4, m) and weights (1, 4, m) on a periodic axis;
+    with `slopes`, weights (2, 4, m) whose second row differentiates in `frac`.
 
     C1 interpolation keeps shot geodesics smooth functions of the
     target, which the stencil checks on reduced fields rely on
@@ -459,11 +469,16 @@ def _spline_taps(frac: np.ndarray, n: int):
     u = frac - base
     u2 = u**2
     u3 = u**3
-    w = np.empty((4, len(u)))
-    w[0] = -0.5 * u3 + u2 - 0.5 * u
-    w[1] = 1.5 * u3 - 2.5 * u2 + 1.0
-    w[2] = -1.5 * u3 + 2.0 * u2 + 0.5 * u
-    w[3] = 0.5 * u3 - 0.5 * u2
+    w = np.empty((2 if slopes else 1, 4, len(u)))
+    w[0, 0] = -0.5 * u3 + u2 - 0.5 * u
+    w[0, 1] = 1.5 * u3 - 2.5 * u2 + 1.0
+    w[0, 2] = -1.5 * u3 + 2.0 * u2 + 0.5 * u
+    w[0, 3] = 0.5 * u3 - 0.5 * u2
+    if slopes:
+        w[1, 0] = -1.5 * u2 + 2.0 * u - 0.5
+        w[1, 1] = 4.5 * u2 - 5.0 * u
+        w[1, 2] = -4.5 * u2 + 4.0 * u + 0.5
+        w[1, 3] = 1.5 * u2 - u
     wrap = np.arange(-1, n + 3) % n
     return np.take(wrap, base + np.arange(4)[:, None], mode="clip"), w
 
@@ -701,123 +716,71 @@ def geodesic_shoot(h: FlowHistory, x0, momentum, t_end: float,
     raise ValueError("geodesic shooting supports model-space and torus histories")
 
 
-def path_minimization_oracle(h: FlowHistory, x0, target, t: float,
-                             n_segments: int = 64, n_random: int = 5,
-                             n_iter: int = 220, seed: int = 1234,
-                             include_translates: bool = True):
-    """Direct descent over discrete paths on a torus; an upper-bound cross-check.
+class _PathAction:
+    """Discretized action of piecewise-linear paths from x0 on the squared
+    uniform s-grid of a store of `_ORACLE_FIELDS`, and its gradient.
 
-    Piecewise-linear paths on the squared uniform s-grid, descended by
-    the exact gradient of the discretized action from the straight path,
-    the square-root start profile, and seeded random perturbations.
-    Only an upper bound over the restricted path class: the value is
-    never below the shooting value beyond quadrature error.
+    A batch of paths holds interior nodes z (B, M-1, 2) and endpoints y
+    (B, 2).  Straight segments are traversed linearly in s = sqrt(eta): the
+    kinetic weight integrates exactly and the square-root start profile is
+    represented without discretization loss.  The gradient samples the
+    derivatives of the interpolants the value samples, so it is the exact
+    derivative of the value.
     """
-    if h.kind != "conformal_torus":
-        raise ValueError("the path-minimization oracle supports torus histories")
-    vals = _oracle_torus_batch(
-        h, np.asarray(x0, float), np.asarray(target, float).reshape(1, 2), t,
-        n_segments, n_random, n_iter, seed, include_translates,
-    )
-    return float(vals[0])
 
+    def __init__(self, slices: _TorusSlices, x0):
+        self.slices = slices
+        self.x0 = np.asarray(x0, dtype=float)
+        self.n_segments = m = slices.n_steps
+        eta = slices.s_nodes**2
+        self.d_eta = np.diff(eta)
+        self.seg_w = self.d_eta**2 / (2.0 * np.diff(slices.s_nodes))
+        self.node_w = np.zeros(m + 1)
+        self.node_w[:-1] += 0.5 * np.sqrt(eta[:-1]) * self.d_eta
+        self.node_w[1:] += 0.5 * np.sqrt(eta[1:]) * self.d_eta
+        # the kinetic part is a quadratic form with a fixed tridiagonal
+        # Hessian per coordinate, which `precondition` solves against
+        self.c_seg = 2.0 * self.seg_w / self.d_eta**2
+        self.diag = self.c_seg[:-1] + self.c_seg[1:]
 
-def _oracle_torus_batch(h, x0, targets, t, n_segments=64, n_random=5,
-                        n_iter=200, seed=1234, include_translates=True,
-                        n_keep_shifts=3):
-    """Batched descent over discrete paths for many targets at once.
-
-    Each (target, translate, start) path descends on its own (live mask,
-    step, backtracking, stall test), so the paths run as numpy batches in
-    contiguous chunks of at most 2**16 path nodes, with the values of one
-    batch and a bounded working set.  The gradient is the exact derivative
-    of the discretized action; the first line-search trial brings its
-    gradient, so a path accepted there skips the next sweep's gather.  Per
-    target only the closest lattice translates by flat distance are
-    explored (the conformal factor is bounded, so far images cannot win).
-    Returns the per-target best value.
-    """
-    slices = _TorusSlices(h, t, n_segments, n_rows=6)
-    eta = slices.s_nodes**2
-    d_eta = np.diff(eta)
-    d_s = np.diff(slices.s_nodes)
-    # straight segments traversed linearly in s = sqrt(eta): the kinetic
-    # weight integrates exactly and the square-root start profile is
-    # represented without discretization loss
-    seg_w = d_eta**2 / (2.0 * d_s)
-    node_w = np.zeros(n_segments + 1)
-    node_w[:-1] += 0.5 * np.sqrt(eta[:-1]) * d_eta
-    node_w[1:] += 0.5 * np.sqrt(eta[1:]) * d_eta
-    m_t = len(targets)
-    if include_translates:
-        shifts = np.array(
-            [(i * slices.lx, j * slices.ly) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-        )
-        images = targets[:, None, :] + shifts[None, :, :]      # (m, 9, 2)
-        dist = np.linalg.norm(images - x0, axis=2)
-        order = np.argsort(dist, axis=1)[:, :n_keep_shifts]
-        rows = np.repeat(np.arange(m_t), n_keep_shifts)
-        ys = images[rows, order.ravel()]                        # (m*k, 2)
-    else:
-        rows = np.arange(m_t)
-        ys = targets.copy()
-    n_starts = 2 + n_random
-    rng = np.random.default_rng(seed)
-    s_prof = (slices.s_nodes / slices.s_nodes[-1])[1:-1]
-    lin_prof = np.linspace(0, 1, n_segments + 1)[1:-1]
-    disp = ys - x0                                              # (q, 2)
-    starts = [x0 + lin_prof[:, None] * disp[:, None, :],        # (q, M-1, 2)
-              x0 + s_prof[:, None] * disp[:, None, :]]
-    scale = np.linalg.norm(disp, axis=1)[:, None, None]
-    for _ in range(n_random):
-        starts.append(
-            starts[1] + 0.08 * scale * rng.standard_normal(starts[1].shape)
-        )
-    z = np.concatenate(starts)                                  # (B, M-1, 2)
-    del starts  # the descent keeps only z
-    y_full = np.tile(ys, (n_starts, 1))
-
-    def evaluate(z_batch, y_batch, want_grad):
-        bb = len(z_batch)
-        pos = np.concatenate(
-            [np.tile(x0, (bb, 1, 1)), z_batch, y_batch[:, None, :]], axis=1
-        )
-        n_rows = 3 if want_grad else 1  # a gradient also reads the gradients of r and phi
-        # node curvature part: r (rx, ry) at all nodes in one gather (node-major layout)
-        node = slices.sample(np.repeat(2 * np.arange(n_segments + 1), bb), slice(n_rows),
-                             pos.transpose(1, 0, 2).reshape(-1, 2)).reshape(n_rows, -1, bb)
+    def __call__(self, z: np.ndarray, y: np.ndarray, want_grad: bool):
+        """Values (B,) and, if wanted, gradients (B, M-1, 2) in z."""
+        bb, m = len(z), self.n_segments
+        pos = np.concatenate([np.tile(self.x0, (bb, 1, 1)), z, y[:, None, :]], axis=1)
+        # node curvature part: r at all nodes in one gather (node-major layout)
+        node = self.slices.sample(np.repeat(2 * np.arange(m + 1), bb), slice(0, 1),
+                                  pos.transpose(1, 0, 2).reshape(-1, 2),
+                                  want_grad).reshape(-1, m + 1, bb)
         val = np.zeros(bb)
-        val += _node_order_sum(node_w[:, None] * node[0])
-        # segment kinetic part with midpoint conformal factor: e2p (px, py)
+        val += _node_order_sum(self.node_w[:, None] * node[0])
+        # segment kinetic part with the midpoint conformal factor e2p
         mids = 0.5 * (pos[:, :-1, :] + pos[:, 1:, :])
-        mid = slices.sample(np.repeat(2 * np.arange(n_segments) + 1, bb), slice(3, 3 + n_rows),
-                            mids.transpose(1, 0, 2).reshape(-1, 2)).reshape(n_rows, -1, bb)
+        mid = self.slices.sample(np.repeat(2 * np.arange(m) + 1, bb), slice(1, 2),
+                                 mids.transpose(1, 0, 2).reshape(-1, 2),
+                                 want_grad).reshape(-1, m, bb)
         dxs = (pos[:, 1:, :] - pos[:, :-1, :]).transpose(1, 0, 2)  # (M, B, 2)
-        sp = np.sum(dxs * dxs, axis=2) / d_eta[:, None] ** 2
-        val += _node_order_sum(seg_w[:, None] * mid[0] * sp)
+        sp = np.sum(dxs * dxs, axis=2) / self.d_eta[:, None] ** 2
+        val += _node_order_sum(self.seg_w[:, None] * mid[0] * sp)
         if not want_grad:
             return val, None
-        (_, rx, ry), (e2p, px, py) = node, mid
-        grads = np.zeros_like(z_batch)
-        grads[:, :, 0] += (node_w[1:-1, None] * rx[1:-1]).T
-        grads[:, :, 1] += (node_w[1:-1, None] * ry[1:-1]).T
-        common = seg_w[:, None] * e2p                          # (M, B)
-        dvec = 2.0 * common[:, :, None] * dxs / d_eta[:, None, None] ** 2
-        # midpoint dependence: dE/dx at either end is E grad(phi)
-        gphi = common * sp
+        (_, rx, ry), (e2p, ex, ey) = node, mid
+        grads = np.zeros_like(z)
+        grads[:, :, 0] += (self.node_w[1:-1, None] * rx[1:-1]).T
+        grads[:, :, 1] += (self.node_w[1:-1, None] * ry[1:-1]).T
+        common = self.seg_w[:, None] * e2p                     # (M, B)
+        dvec = 2.0 * common[:, :, None] * dxs / self.d_eta[:, None, None] ** 2
         grads -= dvec[1:].transpose(1, 0, 2)
         grads += dvec[:-1].transpose(1, 0, 2)
-        grads[:, :, 0] += (gphi[1:] * px[1:]).T + (gphi[:-1] * px[:-1]).T
-        grads[:, :, 1] += (gphi[1:] * py[1:]).T + (gphi[:-1] * py[:-1]).T
+        # a segment's midpoint moves half as far as either end
+        half = 0.5 * self.seg_w[:, None] * sp
+        grads[:, :, 0] += (half[1:] * ex[1:]).T + (half[:-1] * ex[:-1]).T
+        grads[:, :, 1] += (half[1:] * ey[1:]).T + (half[:-1] * ey[:-1]).T
         return val, grads
 
-    # Newton-like preconditioner: the kinetic part of the discrete action
-    # is a quadratic form with a fixed tridiagonal Hessian (per coordinate);
-    # solving against it makes the descent mesh-independent.
-    c_seg = 2.0 * seg_w / d_eta**2
-    diag = c_seg[:-1] + c_seg[1:]
-
-    def precondition(g):
+    def precondition(self, g: np.ndarray) -> np.ndarray:
+        """Solve the kinetic Hessian against g (Thomas algorithm), which makes
+        the descent mesh-independent."""
+        c_seg, diag = self.c_seg, self.diag
         bb, m1, _ = g.shape
         x = np.empty_like(g)
         cp = np.empty(m1)
@@ -834,59 +797,100 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, n_random=5,
             x[:, k] = dp[:, k] - cp[k] * x[:, k + 1]
         return x
 
-    def descend(z, y):
-        """Descend a chunk of paths in place from its start values and gradient."""
-        val, g = evaluate(z, y, True)
-        step = np.full(len(z), 1.0)
-        live_idx = np.arange(len(z))
-        stale = np.zeros(len(z), dtype=bool)  # live paths whose row of g is not current
-        for _ in range(n_iter):
-            if len(live_idx) == 0:
-                break
-            z_l = z[live_idx]
-            if np.any(stale):
-                g[stale] = evaluate(z_l[stale], y[live_idx[stale]], True)[1]
-            d = precondition(g)
-            gn = np.max(np.abs(g), axis=(1, 2))
-            still = gn > 1e-12
-            live_idx = live_idx[still]
-            if len(live_idx) == 0:
-                break
-            z_l, d = z_l[still], d[still]
-            v_l = val[live_idx]
-            alpha = np.minimum(step[live_idx] * 2.0, 1.0)
-            pending = np.arange(len(live_idx))
-            improved = np.zeros(len(live_idx), dtype=bool)
-            for bt in range(24):
-                trial = z_l[pending] - alpha[pending, None, None] * d[pending]
-                # the first trial brings its gradient, kept where it is accepted
-                v_try, g_try = evaluate(trial, y[live_idx[pending]], bt == 0)
-                ok = v_try < v_l[pending] - 1e-14 * (1.0 + np.abs(v_l[pending]))
-                if bt == 0:
-                    g, stale = g_try, ~ok
-                hit = pending[ok]
-                z_l[hit] = trial[ok]
-                v_l[hit] = v_try[ok]
-                step[live_idx[hit]] = alpha[hit]
-                improved[hit] = True
-                pending = pending[~ok]
-                if len(pending) == 0:
-                    break
-                alpha[pending] *= 0.5
-            z[live_idx] = z_l
-            val[live_idx] = v_l
-            live_idx = live_idx[improved]  # stalled paths are converged
-            g, stale = g[improved], stale[improved]
-        return val
 
+def _descend(action: _PathAction, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Descend a chunk of paths in place from their starts; returns their values.
+
+    Each path runs on its own (live mask, step, backtracking, stall test).
+    The first line-search trial brings its gradient, so a path accepted
+    there skips the next sweep's gather.
+    """
+    val, g = action(z, y, True)
+    step = np.full(len(z), 1.0)
+    live_idx = np.arange(len(z))
+    stale = np.zeros(len(z), dtype=bool)  # live paths whose row of g is not current
+    for _ in range(200):
+        if len(live_idx) == 0:
+            break
+        z_l = z[live_idx]
+        if np.any(stale):
+            g[stale] = action(z_l[stale], y[live_idx[stale]], True)[1]
+        d = action.precondition(g)
+        gn = np.max(np.abs(g), axis=(1, 2))
+        still = gn > 1e-12
+        live_idx = live_idx[still]
+        if len(live_idx) == 0:
+            break
+        z_l, d = z_l[still], d[still]
+        v_l = val[live_idx]
+        alpha = np.minimum(step[live_idx] * 2.0, 1.0)
+        pending = np.arange(len(live_idx))
+        improved = np.zeros(len(live_idx), dtype=bool)
+        for bt in range(24):
+            trial = z_l[pending] - alpha[pending, None, None] * d[pending]
+            # the first trial brings its gradient, kept where it is accepted
+            v_try, g_try = action(trial, y[live_idx[pending]], bt == 0)
+            ok = v_try < v_l[pending] - 1e-14 * (1.0 + np.abs(v_l[pending]))
+            if bt == 0:
+                g, stale = g_try, ~ok
+            hit = pending[ok]
+            z_l[hit] = trial[ok]
+            v_l[hit] = v_try[ok]
+            step[live_idx[hit]] = alpha[hit]
+            improved[hit] = True
+            pending = pending[~ok]
+            if len(pending) == 0:
+                break
+            alpha[pending] *= 0.5
+        z[live_idx] = z_l
+        val[live_idx] = v_l
+        live_idx = live_idx[improved]  # stalled paths are converged
+        g, stale = g[improved], stale[improved]
+    return val
+
+
+def _oracle_torus_batch(h, x0, targets, t, n_segments=64, include_translates=True,
+                        n_keep_shifts=3):
+    """Direct descent over discrete paths on a torus for many targets at once;
+    an upper-bound cross-check of shooting.
+
+    Each (target, translate) row descends from two starts, the straight
+    path and the square-root start profile, in contiguous chunks of at most
+    2**16 path nodes, with the values of one batch and a bounded working
+    set.  Per target only the closest lattice translates by flat distance
+    are explored (the conformal factor is bounded, so far images cannot
+    win).  Only an upper bound over the restricted path class: a value is
+    never below the shooting value beyond quadrature error.  Returns the
+    per-target best value.
+    """
+    if h.kind != "conformal_torus":
+        raise ValueError("the path-minimization oracle supports torus histories")
+    action = _PathAction(_TorusSlices(h, t, n_segments, _ORACLE_FIELDS), x0)
+    slices, x0 = action.slices, action.x0
+    m_t = len(targets)
+    if include_translates:
+        shifts = np.array(
+            [(i * slices.lx, j * slices.ly) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+        )
+        images = targets[:, None, :] + shifts[None, :, :]      # (m, 9, 2)
+        dist = np.linalg.norm(images - x0, axis=2)
+        order = np.argsort(dist, axis=1)[:, :n_keep_shifts]
+        rows = np.repeat(np.arange(m_t), n_keep_shifts)
+        ys = images[rows, order.ravel()]                        # (m*k, 2)
+    else:
+        rows = np.arange(m_t)
+        ys = targets.copy()
+    disp = ys - x0                                              # (q, 2)
+    z = np.concatenate([x0 + prof[:, None] * disp[:, None, :]   # (2q, M-1, 2)
+                        for prof in (np.linspace(0, 1, n_segments + 1)[1:-1],
+                                     (slices.s_nodes / slices.s_nodes[-1])[1:-1])])
+    y = np.tile(ys, (2, 1))
     chunk = max(1, LEVEL_BATCH_BYTES // 32 // (n_segments + 1))  # at most 2**16 nodes a chunk
-    val = np.concatenate([descend(z[lo:lo + chunk], y_full[lo:lo + chunk])
+    val = np.concatenate([_descend(action, z[lo:lo + chunk], y[lo:lo + chunk])
                           for lo in range(0, len(z), chunk)])
     # fold the (start, translate) axes back into per-target minima
-    val = val.reshape(n_starts, -1)
-    best_q = np.min(val, axis=0)
     best = np.full(m_t, np.inf)
-    np.minimum.at(best, rows, best_q)
+    np.minimum.at(best, rows, np.min(val.reshape(2, -1), axis=0))
     return best
 
 

@@ -237,3 +237,53 @@ def potential_evolution_separate(states, h, birth_time=0.0):
         per_time.append(res)
         res_max = max(res_max, res)
     return ResidualReport("f_plus_evolution", [times[i] for i in idx], res_max, per_time)
+
+
+def v_plus(s, h, birth_time=0.0):
+    """Entropy density v at a slice and its integral (the entropy itself).
+
+    The density formula `conjugate_heat.check_harnack_identity` differences
+    in time, evaluated at one state.
+    """
+    from expanderlab.conjugate_heat import log_potential
+    from expanderlab.geometry import curvature, grad_norm_sq, integrate, laplacian
+
+    sigma = s.t - birth_time
+    if sigma <= 0:
+        raise ValueError("state time must exceed the birth time")
+    m = h.metric_at(s.t)
+    f = log_potential(s.u, sigma, h.dim)
+    r = curvature(m).scalar
+    field = (
+        sigma * (2.0 * laplacian(m, f) - grad_norm_sq(m, f) + r) - f + h.dim
+    ) * s.u
+    return field, integrate(m, field)
+
+
+def model_to_json(m):
+    """The JSON model spec of a metric model, the inverse of `geometry.model_from_json`."""
+    from expanderlab.geometry import ConformalTorusMetric, HomogeneousMetric, ModelSpaceMetric
+
+    if isinstance(m, HomogeneousMetric):
+        return {
+            "kind": "homogeneous",
+            "structure_constants": list(m.structure_constants),
+            "diag": list(m.diag),
+            "frame_volume": m.frame_volume,
+        }
+    if isinstance(m, ConformalTorusMetric):
+        return {
+            "kind": "conformal_torus",
+            "grid_size": list(m.phi.shape),
+            "periods": list(m.periods),
+            "phi": np.asarray(m.phi).tolist(),
+        }
+    if isinstance(m, ModelSpaceMetric):
+        return {
+            "kind": "model_space",
+            "dim": m.dim,
+            "sectional_sign": m.sectional_sign,
+            "scale": m.scale,
+            "base_volume": m.base_volume,
+        }
+    raise TypeError(f"unknown metric model {type(m)!r}")

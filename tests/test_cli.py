@@ -173,6 +173,8 @@ def test_target_grid_validation(bad):
     ("flat_torus", {"model": {"periods": [1, 1, 5]}}, "periods"),
     ("hyperbolic_expander", {"model": {"sectional_sign": 0.5}}, "sectional_sign"),
     ("hyperbolic_expander", {"model": {"dim": 2.5}}, "dim"),
+    # field times past the closed-form extinction of a positive model (t = 0.25)
+    ("shrinking_sphere", {"reduced_t": 0.45}, "reduced_t"),
 ])
 def test_malformed_params_exit_2_without_output(tmp_path, capsys, scenario, params, word):
     doc = json.loads(builtin_scenarios()[scenario].read_text())

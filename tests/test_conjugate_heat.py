@@ -9,7 +9,6 @@ from expanderlab.conjugate_heat import (
     construct_immortal_density,
     log_potential,
     solve_conjugate_backward,
-    v_plus,
 )
 from expanderlab.conjugate_heat import _solve_backward_torus
 from expanderlab.flow import LEVEL_BATCH_BYTES, evolve
@@ -25,6 +24,7 @@ from oracles import (
     harnack_identity_separate,
     potential_evolution_separate,
     steady_harnack_separate,
+    v_plus,
 )
 
 HYPERBOLIC3 = ModelSpaceMetric(dim=3, sectional_sign=-1, scale=1.0, base_volume=1.0)

@@ -23,13 +23,12 @@ from expanderlab.geometry import (
     laplacian,
     laplacian_symbol,
     model_from_json,
-    model_to_json,
     soliton_residual_sq,
     validate_model_json,
     volume,
 )
 from expanderlab.numerics import OdeTrajectory, hermite_cubic, hermite_interval, time_derivative
-from oracles import koszul_ricci
+from oracles import koszul_ricci, model_to_json
 
 HEISENBERG = (1.0, 0.0, 0.0)
 SU2 = (2.0, 2.0, 2.0)

@@ -16,12 +16,14 @@ from expanderlab.reduced import (
     extrapolate_fields,
     geodesic_shoot,
     hessian_check_cor21,
-    path_minimization_oracle,
     theta_plus,
 )
 from expanderlab.reduced import (
     _FIELDS,
+    _ORACLE_FIELDS,
+    _descend,
     _oracle_torus_batch,
+    _PathAction,
     _spline_taps,
     _torus_integrate,
     _torus_rhs,
@@ -457,12 +459,12 @@ def test_path_minimization_oracle_direct():
     # unit displacement in the covering plane at t = 1: best action is
     # half the squared distance over the square root of time
     h = flat_history()
-    val = path_minimization_oracle(h, np.zeros(2), np.array([1.0, 0.0]), 1.0,
-                                   n_segments=128, include_translates=False)
-    assert abs(val - 0.5) < 1e-3
+    val = _oracle_torus_batch(h, np.zeros(2), np.array([[1.0, 0.0]]), 1.0,
+                              n_segments=128, include_translates=False)
+    assert val.shape == (1,) and abs(val[0] - 0.5) < 1e-3
     # radial fields are never oracle-checked: the oracle is torus-only
     with pytest.raises(ValueError):
-        path_minimization_oracle(evolve(HYPERBOLIC3, (0.0, 1.0)), 0.0, 0.5, 0.5)
+        _oracle_torus_batch(evolve(HYPERBOLIC3, (0.0, 1.0)), 0.0, np.array([[0.5, 0.0]]), 0.5)
 
 
 def test_torus_slice_samples_match_fancy_index_gather():
@@ -477,14 +479,24 @@ def test_torus_slice_samples_match_fancy_index_gather():
     pts[:4] = [[0.0, 0.0], [-1e-9, 1.7 - 1e-9], [0.99, 0.01], [0.03, 1.69]]
     slice_idx = rng.integers(0, len(slices.s_all), len(pts))
 
-    ix, wx = _spline_taps((pts[:, 0] / slices.hx) % nx, nx)
-    jy, wy = _spline_taps((pts[:, 1] / slices.hy) % ny, ny)
+    ix, (wx,) = _spline_taps((pts[:, 0] / slices.hx) % nx, nx)
+    jy, (wy,) = _spline_taps((pts[:, 1] / slices.hy) % ny, ny)
     assert ix.min() == 0 and ix.max() == nx - 1 and jy.min() == 0 and jy.max() == ny - 1
     got = slices.sample(slice_idx, rows, pts)
     assert got.shape == (5, len(pts))
     for grid, g in zip(slices.store[rows], got):
         ref = grid[slice_idx[None, None, :], ix[:, None, :], jy[None, :, :]]
         assert np.array_equal(g, np.einsum("am,bm,abm->m", wx, wy, ref))
+    # the derivative gather brings the same samples and, from the same taps,
+    # the derivatives of the interpolant: its weights differentiated
+    _, (_, dwx) = _spline_taps((pts[:, 0] / slices.hx) % nx, nx, True)
+    _, (_, dwy) = _spline_taps((pts[:, 1] / slices.hy) % ny, ny, True)
+    val, ddx, ddy = slices.sample(slice_idx, rows, pts, grad=True)
+    assert np.array_equal(val, got)
+    for grid, gx, gy in zip(slices.store[rows], ddx, ddy):
+        ref = grid[slice_idx[None, None, :], ix[:, None, :], jy[None, :, :]]
+        assert np.array_equal(gx, np.einsum("am,bm,abm->m", dwx / slices.hx, wy, ref))
+        assert np.array_equal(gy, np.einsum("am,bm,abm->m", wx, dwy / slices.hy, ref))
     for idx in (0, 3):
         for grid, g in zip(slices.store[rows, idx], slices.sample(idx, rows, pts)):
             ref = grid[ix[:, None, :], jy[None, :, :]]
@@ -520,31 +532,31 @@ def test_slice_store_equals_per_slice_formula():
     slices.store[3:7, 5] += 1.0
     assert np.allclose(slices.sample(5, slice(3, 7), pts), before + 1.0, rtol=1e-12, atol=1e-12)
 
-    # a six-row store, built in other batches, is the leading rows of the
-    # seven-row one
-    six = _TorusSlices(h, 1.0, 50, n_rows=6)
-    assert six.store.shape == (6,) + slices.store.shape[1:]
-    assert np.array_equal(six.store, _TorusSlices(h, 1.0, 50).store[:6])
+    # the oracle's two-row store, built in other batches, is rows r and e2p
+    # of the seven-row one
+    two = _TorusSlices(h, 1.0, 50, _ORACLE_FIELDS)
+    assert two.store.shape == (2,) + slices.store.shape[1:]
+    assert np.array_equal(two.store, _TorusSlices(h, 1.0, 50).store[[0, 3]])
 
 
 def test_oracle_builds_no_rdot_row(monkeypatch):
-    # the oracle reads r, rx, ry at nodes and e2p, px, py at midpoints, so
-    # its store stops before dR/dt; shooting keeps all seven rows
+    # the oracle reads r at nodes and e2p at midpoints, with the gradients of
+    # their interpolants, so its store holds those two rows; shooting keeps
+    # all seven
     h = torus_flow_history(16, 0.26)
     shapes = []
 
     class Recording(_TorusSlices):
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
-            shapes.append(self.store.shape)
+            shapes.append((self.fields, self.store.shape))
 
     monkeypatch.setattr("expanderlab.reduced._TorusSlices", Recording)
     pts = np.array([(0.15, 0.1), (0.25, 0.0)])
     _oracle_torus_batch(h, np.zeros(2), pts, 0.2, 32)
-    assert shapes == [(6, 65, 16, 16)]
-    assert _FIELDS[:6] == ("r", "rx", "ry", "e2p", "px", "py")
+    assert shapes == [(("r", "e2p"), (2, 65, 16, 16))]
     _torus_shoot_targets(h, np.zeros(2), pts, 0.2, 32)
-    assert shapes[1] == (7, 65, 16, 16)
+    assert shapes[1] == (_FIELDS, (7, 65, 16, 16))
 
 
 def test_blockwise_slice_gather_matches_single_block(monkeypatch):
@@ -715,13 +727,14 @@ def test_secant_shot_takes_few_sweeps(monkeypatch):
 
 
 def count_gathers(monkeypatch):
-    """Counts of `_TorusSlices.sample` calls by the field names of their row run."""
+    """Counts of `_TorusSlices.sample` calls by the field names of their row
+    run and whether they gathered derivatives."""
     fields = collections.Counter()
     sample = _TorusSlices.sample
 
-    def spy(self, idx, rows, pts):
-        fields[_FIELDS[rows]] += 1
-        return sample(self, idx, rows, pts)
+    def spy(self, idx, rows, pts, grad=False):
+        fields[self.fields[rows], grad] += 1
+        return sample(self, idx, rows, pts, grad)
 
     monkeypatch.setattr(_TorusSlices, "sample", spy)
     return fields
@@ -729,40 +742,89 @@ def count_gathers(monkeypatch):
 
 def test_oracle_chunks_match_one_batch(monkeypatch):
     # evolving 16x16 torus where the line search backtracks: the descent in
-    # chunks of 40 paths (126 paths, four chunks, none aligned with a start
-    # group) or of one path, and runs of one target each, give the values of
-    # one batch bit for bit
+    # chunks of 14 paths (36 paths, three chunks, one across the boundary of
+    # the two start groups) or of one path, and runs of one target each,
+    # give the values of one batch bit for bit
     h = torus_flow_history(16, 0.26)
     x0 = np.zeros(2)
     pts = np.random.default_rng(5).uniform(0.0, 1.0, (6, 2))
     fields = count_gathers(monkeypatch)
     whole = _oracle_torus_batch(h, x0, pts, 0.2, 32)
-    assert fields[("r",)] > 0  # value-only backtracks happened
-    # random starts are drawn per batch, so targets run alone from the
-    # deterministic starts only
-    plain = _oracle_torus_batch(h, x0, pts, 0.2, 32, n_random=0)
-    alone = [_oracle_torus_batch(h, x0, pts[i:i + 1], 0.2, 32, n_random=0)[0]
-             for i in range(len(pts))]
-    for n_paths in (40, 1):
+    assert fields[("r",), False] > 0  # value-only backtracks happened
+    alone = [_oracle_torus_batch(h, x0, pts[i:i + 1], 0.2, 32)[0] for i in range(len(pts))]
+    for n_paths in (14, 1):
         monkeypatch.setattr("expanderlab.reduced.LEVEL_BATCH_BYTES", 32 * 33 * n_paths)
         fields.clear()
         chunked = _oracle_torus_batch(h, x0, pts, 0.2, 32)
-        assert fields[("r", "rx", "ry")] >= -(-126 // n_paths)  # a start gradient per chunk
+        assert fields[("r",), True] >= -(-36 // n_paths)  # a start gradient per chunk
         assert np.array_equal(chunked, whole)
-    assert np.array_equal(np.array(alone), plain)
+    assert np.array_equal(np.array(alone), whole)
 
 
 def test_oracle_keeps_the_gradient_of_an_accepted_trial(monkeypatch):
-    # on a flat torus the preconditioned first step is exact and accepted:
-    # the start gradient and the first trial, evaluated with its gradient,
-    # are the only gathers; no sweep gathers again at the accepted point
+    # on a flat torus the preconditioned first step from a bent path is
+    # exact and accepted: the start gradient and the first trial, evaluated
+    # with its gradient, are the only gathers; no sweep gathers again at the
+    # accepted point
     h = flat_history(16, 1.0)
-    pts = np.random.default_rng(2).uniform(0.0, 1.0, (5, 2))
+    rng = np.random.default_rng(2)
+    pts = rng.uniform(0.0, 1.0, (5, 2))
     fields = count_gathers(monkeypatch)
+    action = _PathAction(_TorusSlices(h, 1.0, 32, _ORACLE_FIELDS), np.zeros(2))
+    z = (np.linspace(0.0, 1.0, 33)[1:-1, None] * pts[:, None, :]
+         + 0.05 * rng.standard_normal((5, 31, 2)))
+    vals = _descend(action, z, pts)
+    assert fields == {(("r",), True): 2, (("e2p",), True): 2}
+    assert np.allclose(vals, np.sum(pts * pts, axis=1) / 2.0, rtol=1e-6, atol=0)
+    # the oracle's starts lie on the flat minimizer already: one gather each
+    fields.clear()
     vals = _oracle_torus_batch(h, np.zeros(2), pts, 1.0, 32)
-    assert fields == {("r", "rx", "ry"): 2, ("e2p", "px", "py"): 2}
+    assert fields == {(("r",), True): 1, (("e2p",), True): 1}
     want = [torus_distance_sq(p) / 2.0 for p in pts]
     assert np.allclose(vals, want, rtol=1e-6, atol=0)
+
+
+def test_oracle_gradient_is_the_derivative_of_its_value():
+    # evolving 16x16 torus at t = 0.2, bent paths to random targets: the
+    # gradient equals a central difference of the value (the stencil
+    # gradients of r and phi the oracle read before missed it by 2e-3)
+    h = torus_flow_history(16, 0.26)
+    action = _PathAction(_TorusSlices(h, 0.2, 32, _ORACLE_FIELDS), np.zeros(2))
+    rng = np.random.default_rng(0)
+    ys = rng.uniform(0.0, 1.0, (4, 2))
+    z = (np.linspace(0.0, 1.0, 33)[1:-1, None] * ys[:, None, :]
+         + 0.02 * rng.standard_normal((4, 31, 2)))
+    val, g = action(z, ys, True)
+    assert np.array_equal(val, action(z, ys, False)[0])
+    step = 1e-6
+    fd = np.empty_like(g)
+    for k in range(31):
+        for c in range(2):
+            zp, zm = z.copy(), z.copy()
+            zp[:, k, c] += step
+            zm[:, k, c] -= step
+            fd[:, k, c] = (action(zp, ys, False)[0] - action(zm, ys, False)[0]) / (2 * step)
+    assert np.max(np.abs(g - fd)) <= 1e-7 * np.max(np.abs(g))
+
+
+def test_oracle_starts_reach_one_value_per_row(monkeypatch):
+    # evolving 16x16 torus at t = 0.2: the straight start and the
+    # square-root start of every (target, translate) row descend to the
+    # same value
+    h = torus_flow_history(16, 0.26)
+    pts = np.random.default_rng(5).uniform(0.0, 1.0, (6, 2))
+    chunks = []
+
+    def spy(action, z, y):
+        chunks.append(_descend(action, z, y))
+        return chunks[-1]
+
+    monkeypatch.setattr("expanderlab.reduced._descend", spy)
+    best = _oracle_torus_batch(h, np.zeros(2), pts, 0.2, 32)
+    straight, root = np.concatenate(chunks).reshape(2, -1)
+    assert len(straight) == 3 * len(pts)
+    assert np.max(np.abs(straight - root) / np.abs(straight)) <= 1e-12
+    assert np.array_equal(best, np.min(np.minimum(straight, root).reshape(-1, 3), axis=1))
 
 
 def test_oracle_memory_is_bounded_by_the_chunk(monkeypatch):
