@@ -140,17 +140,18 @@ class Scenario:
         tolerances = doc.get("tolerances", {})
         if not (isinstance(tolerances, dict) and all(map(_is_number, tolerances.values()))):
             raise ConfigError(f"scenario {name!r}: tolerances must map names to finite numbers")
+        # a positive model goes extinct where a(t) = a0 - 2 rho0 (t - t0) = 0
+        t_ext = (t0 + model.scale / (2.0 * model.rho0)
+                 if isinstance(model, ModelSpaceMetric) and model.rho0 > 0 else math.inf)
+        late = []  # the times of checks that sample at or past t_ext
         ts = _field_times(params, torus, (t0, t1)) if _is_number(params.get("reduced_t", 0)) else [-1]
         if reduced and not (0 < ts[0] and t0 <= ts[0] and ts[-1] <= t1):
             raise ConfigError(f"scenario {name!r}: the five reduced field times around reduced_t "
                               f"{params.get('reduced_t', 'default')!r} must lie inside t_span "
                               f"[{t0!r}, {t1!r}]")
-        if reduced and isinstance(model, ModelSpaceMetric) and model.rho0 > 0:
-            t_ext = t0 + model.scale / (2.0 * model.rho0)  # a(t) = a0 - 2 rho0 (t - t0)
-            if ts[-1] >= t_ext:
-                raise ConfigError(f"scenario {name!r}: the five reduced field times around "
-                                  f"reduced_t {params.get('reduced_t', 'default')!r} must lie "
-                                  f"before the extinction time {t_ext!r} of the model")
+        if reduced and ts[-1] >= t_ext:
+            late.append(f"the five reduced field times around reduced_t "
+                        f"{params.get('reduced_t', 'default')!r}")
         if {"entropy", "harnack", "asymptotics"} & set(checks):
             if torus and not all(_is_number(params[k]) for k in ("window_lo", "window_hi")
                                  if k in params):
@@ -161,12 +162,21 @@ class Scenario:
                     f"scenario {name!r}: density window [{lo!r}, {hi!r}] must satisfy "
                     f"t0 <= window_lo < window_hi <= t1 on t_span [{t0!r}, {t1!r}]"
                 )
+            if hi >= t_ext:
+                late.append(f"the density window [{lo!r}, {hi!r}]")
         if "harnack" in checks:
             ts = _harnack_times(params, torus, (t0, t1))
             if not (t0 <= ts[0] and ts[-1] <= t1 and birth < ts[0]):
                 raise ConfigError(f"scenario {name!r}: the harnack times [{ts[0]:.6g}, "
                                   f"{ts[-1]:.6g}] must lie inside t_span [{t0!r}, {t1!r}] "
                                   f"and after birth_time {birth!r}")
+            if ts[-1] >= t_ext:
+                late.append(f"the harnack times [{ts[0]:.6g}, {ts[-1]:.6g}]")
+        if "mu_nu" in checks and 0.5 * (t0 + t1) >= t_ext:
+            late.append(f"the mu/nu time {0.5 * (t0 + t1)!r}")
+        if late:
+            raise ConfigError(f"scenario {name!r}: {', '.join(late)} must lie before the "
+                              f"extinction time {t_ext!r} of the model")
         return Scenario(
             name=name,
             model=model,

@@ -36,7 +36,7 @@ from .geometry import (
     laplacian,
     laplacian_symbol,
     soliton_residual_sq,
-    spectral_solve,
+    spectral_preconditioner,
     volume,
 )
 from .flow import LEVEL_BATCH_BYTES, FlowHistory
@@ -183,21 +183,24 @@ def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap=None) -> list:
     (old,) = levels([t])
     mass0 = float(np.sum(u * old[0])) * hx * hy  # integrate(m, u) from the level
     states = [DensityState.make(t_final, _renormalized(u, mass0), t_final, h.dim)]
-    lam, denoms = laplacian_symbol(template.phi.shape, template.spacing), {}
+    lam = laplacian_symbol(template.phi.shape, template.spacing)
+    # the preconditioner's symbol depends on the step only through the
+    # rounded mean of e^{-2 phi}; keep the current one, rebuild on a change
+    key = precond = None
     for k_out in range(len(times) - 1):
         ts = [t := t - dt for _ in range(per_seg)]
         batched = (lev for lo in range(0, per_seg, block) for lev in levels(ts[lo:lo + block]))
         for t_new, new in zip(ts, batched):
             b = u + 0.5 * dt * apply_l(u, old)
-            key = round(float(new[2]), 6)
-            if key not in denoms:
-                denoms[key] = 1.0 - 0.5 * dt * key * lam
+            new_key = round(float(new[2]), 6)
+            if new_key != key:
+                key, precond = new_key, spectral_preconditioner(1.0 - 0.5 * dt * new_key * lam)
 
             def apply_a(x):
                 return x - 0.5 * dt * apply_l(x, new)
 
             # PCG in the volume-weighted inner product (A self-adjoint there)
-            u = conjugate_gradient(apply_a, b, new[0], lambda r: spectral_solve(r, denoms[key]),
+            u = conjugate_gradient(apply_a, b, new[0], precond,
                                    rel_tol=1e-13, max_iter=200, x0=b)
             if float(np.min(u)) <= 0.0:
                 raise RuntimeError(

@@ -35,7 +35,7 @@ from .geometry import (
     laplacian_symbol,
     measure_weights,
     soliton_residual_sq,
-    spectral_solve,
+    spectral_preconditioner,
     volume,
 )
 from .numerics import (
@@ -107,28 +107,6 @@ def expander_residual(m: MetricModel, u, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 # first eigenvalue of the energy functional
 
-def _eigen_precond(m: MetricModel, shift: float):
-    """Approximate inverse of the shifted operator, self-adjoint in dv.
-
-    Multiplying (-4 lap_g + R - shift) w = r by the conformal factor
-    gives (-4 lap0 + e^(2 phi)(R - shift)) w = e^(2 phi) r, so the
-    constant-coefficient FFT solve applied to the conformally weighted
-    residual both approximates the inverse and stays symmetric in the
-    volume-weighted inner product (a requirement of the inner CG).
-    """
-    if not isinstance(m, ConformalTorusMetric):
-        return None
-    e2p = np.exp(2.0 * m.phi)
-    r = curvature(m).scalar
-    c0 = max(float(np.mean(e2p * (r - shift))), 1e-6)
-    denom = c0 - 4.0 * laplacian_symbol(m.phi.shape, m.spacing)
-
-    def precond(v):
-        return spectral_solve(e2p * v, denom)
-
-    return precond
-
-
 def lambda_min(m: MetricModel, tol: ToleranceConfig | None = None):
     """Infimum of the energy over unit-mass densities.
 
@@ -148,8 +126,14 @@ def lambda_min(m: MetricModel, tol: ToleranceConfig | None = None):
     if not isinstance(m, ConformalTorusMetric):
         # spatially constant representation: ground state is the constant
         return float(r), 1.0 / math.sqrt(volume(m))
-    res = smallest_eigenpair(op, measure, tol, shift=shift,
-                             precond=_eigen_precond(m, shift))
+    # preconditioner: multiplying (-4 lap_g + R - shift) w = v by the conformal
+    # factor gives (-4 lap0 + e^(2 phi)(R - shift)) w = e^(2 phi) v, so the FFT
+    # solve of the weighted residual both approximates the inverse and stays
+    # self-adjoint in dv (as the inner CG needs)
+    e2p = np.exp(2.0 * m.phi)
+    c0 = max(float(np.mean(e2p * (r - shift))), 1e-6)
+    solve = spectral_preconditioner(c0 - 4.0 * laplacian_symbol(m.phi.shape, m.spacing))
+    res = smallest_eigenpair(op, measure, tol, shift=shift, precond=lambda v: solve(e2p * v))
     return res.value, res.vector
 
 
@@ -207,11 +191,8 @@ def _entropy_in_w_problem(m: MetricModel, sigma: float):
     precond = None
     if isinstance(m, ConformalTorusMetric):
         c_bar = float(np.mean(np.exp(-2.0 * m.phi)))
-        denom = 2.0 - 8.0 * sigma * c_bar * laplacian_symbol(m.phi.shape, m.spacing)
-
-        def precond(g):
-            return spectral_solve(g, denom)
-
+        precond = spectral_preconditioner(
+            2.0 - 8.0 * sigma * c_bar * laplacian_symbol(m.phi.shape, m.spacing))
     return functional, gradient, inner, normalize, precond
 
 

@@ -37,7 +37,7 @@ from .geometry import (
     curvature,
     laplacian_symbol,
     milnor_ricci_diag,
-    spectral_solve,
+    spectral_preconditioner,
     volume,
 )
 from .numerics import (
@@ -292,44 +292,39 @@ class TorusStepper:
     """
 
     def __init__(self, template: ConformalTorusMetric):
-        self.template = template
         self.hx, self.hy = template.spacing
         self.lam = laplacian_symbol(template.phi.shape, template.spacing)
 
     def rhs(self, phi):
         return np.exp(-2.0 * phi) * _lap0(phi, self.hx, self.hy)
 
-    def _solve_newton_system(self, psi, dt, g):
-        """Solve (I - dt/2 J(psi)) delta = -g via symmetrized PCG."""
+    def step(self, phi, dt, f_old):
+        """One step from phi, whose rhs is f_old; returns (psi, rhs(psi)).
+        Each Newton system (I - dt/2 J(psi)) delta = -g reuses its residual's
+        exp(-2 psi) and rhs(psi)."""
         hx, hy = self.hx, self.hy
-        d = np.exp(-2.0 * psi)
-        sqrt_d = np.sqrt(d)
-        f_val = d * _lap0(psi, hx, hy)
-        c_bar = float(np.exp(-2.0 * np.mean(psi)))
-        denom = 1.0 - 0.5 * dt * c_bar * self.lam
-
-        def apply_a(x):
-            return x + dt * f_val * x - 0.5 * dt * sqrt_d * _lap0(sqrt_d * x, hx, hy)
-
-        def precond(r):
-            return spectral_solve(r, denom)
-
-        # plain Euclidean inner product: the symmetrized operator is SPD
-        x = conjugate_gradient(apply_a, -g / sqrt_d, None, precond, rel_tol=1e-13,
-                               max_iter=200)
-        return sqrt_d * x
-
-    def step(self, phi, dt):
-        f_old = self.rhs(phi)
         psi = phi + dt * f_old  # explicit predictor
         target = phi + 0.5 * dt * f_old
         scale = 1.0 + float(np.max(np.abs(phi)))
         for _ in range(12):
-            g = psi - target - 0.5 * dt * self.rhs(psi)
+            d = np.exp(-2.0 * psi)
+            f_val = d * _lap0(psi, hx, hy)
+            g = psi - target - 0.5 * dt * f_val
             if float(np.max(np.abs(g))) <= 1e-13 * scale:
-                break
-            psi = psi + self._solve_newton_system(psi, dt, g)
-        return psi
+                return psi, f_val
+            sqrt_d = np.sqrt(d)
+            dt_f, half_dt_sqrt_d = dt * f_val, 0.5 * dt * sqrt_d
+
+            def apply_a(x):
+                return x + dt_f * x - half_dt_sqrt_d * _lap0(sqrt_d * x, hx, hy)
+
+            c_bar = float(np.exp(-2.0 * np.mean(psi)))
+            # plain Euclidean inner product: the symmetrized operator is SPD
+            x = conjugate_gradient(apply_a, -g / sqrt_d, None,
+                                   spectral_preconditioner(1.0 - 0.5 * dt * c_bar * self.lam),
+                                   rel_tol=1e-13, max_iter=200)
+            psi = psi + sqrt_d * x
+        return psi, self.rhs(psi)
 
 
 def _evolve_torus(m0: ConformalTorusMetric, t0, t1, retain_every,
@@ -343,14 +338,13 @@ def _evolve_torus(m0: ConformalTorusMetric, t0, t1, retain_every,
     if retain_every is None:
         retain_every = max(1, n_steps // 64)
     phi = np.asarray(m0.phi, dtype=float).copy()
-    times, params, rhs_list = [t0], [phi.ravel().copy()], [stepper.rhs(phi).ravel()]
-    t = t0
+    f = stepper.rhs(phi)
+    times, params, rhs_list = [t0], [phi.ravel().copy()], [f.ravel()]
     for k in range(1, n_steps + 1):
-        phi = stepper.step(phi, dt)
-        t = t0 + k * dt
+        phi, f = stepper.step(phi, dt, f)
         if k % retain_every == 0 or k == n_steps:
-            times.append(t)
+            times.append(t0 + k * dt)
             params.append(phi.ravel().copy())
-            rhs_list.append(stepper.rhs(phi).ravel())
+            rhs_list.append(f.ravel())
     return FlowHistory("conformal_torus", m0, np.asarray(times), np.asarray(params),
                        np.asarray(rhs_list))

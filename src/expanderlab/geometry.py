@@ -45,7 +45,7 @@ __all__ = [
     "grad_pairing",
     "hessian_covariant",
     "laplacian_symbol",
-    "spectral_solve",
+    "spectral_preconditioner",
     "soliton_residual_sq",
     "model_from_json",
 ]
@@ -175,7 +175,11 @@ def _dy(f: np.ndarray, h: float) -> np.ndarray:
 
 
 def _d2(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (_shift(f, -1, axis) + _shift(f, 1, axis) - 2.0 * f) / (h * h)
+    out = _shift(f, -1, axis)  # (f+ + f- - 2 f) / h^2, accumulated in place
+    out += _shift(f, 1, axis)
+    out -= 2.0 * f
+    out /= h * h
+    return out
 
 
 def _dxy(f: np.ndarray, hx: float, hy: float) -> np.ndarray:
@@ -187,7 +191,9 @@ def _dxy(f: np.ndarray, hx: float, hy: float) -> np.ndarray:
 
 
 def _lap0(f: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    return _d2(f, hx, 0) + _d2(f, hy, 1)
+    out = _d2(f, hx, 0)
+    out += _d2(f, hy, 1)
+    return out
 
 
 def laplacian_symbol(shape, spacing) -> np.ndarray:
@@ -198,9 +204,18 @@ def laplacian_symbol(shape, spacing) -> np.ndarray:
     return kx[:, None] / hx**2 + ky[None, :] / hy**2
 
 
-def spectral_solve(r: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Apply the constant-coefficient operator with Fourier symbol denom^-1 to r."""
-    return np.real(np.fft.ifft2(np.fft.fft2(r) / denom))
+def spectral_preconditioner(denom: np.ndarray):
+    """r -> Re ifft2(fft2(r) / denom) for a real symbol denom laid out like fft2,
+    by an in-place multiply with the complex reciprocal, built once: complex
+    division by a real number is that multiply, so the bits are the divide's."""
+    inv = (1.0 / denom).astype(complex)
+
+    def apply(r):
+        spec = np.fft.fft2(r)
+        spec *= inv
+        return np.fft.ifft2(spec, out=spec).real
+
+    return apply
 
 
 def flat_gradient(m: ConformalTorusMetric, f: np.ndarray):

@@ -854,14 +854,14 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, include_translates=Tru
     """Direct descent over discrete paths on a torus for many targets at once;
     an upper-bound cross-check of shooting.
 
-    Each (target, translate) row descends from two starts, the straight
-    path and the square-root start profile, in contiguous chunks of at most
-    2**16 path nodes, with the values of one batch and a bounded working
-    set.  Per target only the closest lattice translates by flat distance
-    are explored (the conformal factor is bounded, so far images cannot
-    win).  Only an upper bound over the restricted path class: a value is
-    never below the shooting value beyond quadrature error.  Returns the
-    per-target best value.
+    Each (target, translate) row descends once, from the straight path
+    (nodes are uniform in s, so it is also the square-root start profile),
+    in contiguous chunks of at most 2**16 path nodes, with the values of
+    one batch and a bounded working set.  Per target only the closest
+    lattice translates by flat distance are explored (the conformal
+    factor is bounded, so far images cannot win).  Only an upper bound
+    over the restricted path class: a value is never below the shooting
+    value beyond quadrature error.  Returns the per-target best value.
     """
     if h.kind != "conformal_torus":
         raise ValueError("the path-minimization oracle supports torus histories")
@@ -880,17 +880,14 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, include_translates=Tru
     else:
         rows = np.arange(m_t)
         ys = targets.copy()
-    disp = ys - x0                                              # (q, 2)
-    z = np.concatenate([x0 + prof[:, None] * disp[:, None, :]   # (2q, M-1, 2)
-                        for prof in (np.linspace(0, 1, n_segments + 1)[1:-1],
-                                     (slices.s_nodes / slices.s_nodes[-1])[1:-1])])
-    y = np.tile(ys, (2, 1))
+    prof = np.linspace(0, 1, n_segments + 1)[1:-1]
+    z = x0 + prof[:, None] * (ys - x0)[:, None, :]             # (q, M-1, 2)
     chunk = max(1, LEVEL_BATCH_BYTES // 32 // (n_segments + 1))  # at most 2**16 nodes a chunk
-    val = np.concatenate([_descend(action, z[lo:lo + chunk], y[lo:lo + chunk])
+    val = np.concatenate([_descend(action, z[lo:lo + chunk], ys[lo:lo + chunk])
                           for lo in range(0, len(z), chunk)])
-    # fold the (start, translate) axes back into per-target minima
+    # fold the translate axis back into per-target minima
     best = np.full(m_t, np.inf)
-    np.minimum.at(best, rows, np.min(val.reshape(2, -1), axis=0))
+    np.minimum.at(best, rows, val)
     return best
 
 

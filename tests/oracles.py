@@ -57,6 +57,63 @@ def koszul_ricci(structure_constants, diag):
     return ricci
 
 
+def fft_divide(r, denom):
+    """The constant-coefficient operator with real Fourier symbol 1/denom
+    applied to r, by the literal divide of the complex spectrum."""
+    return np.real(np.fft.ifft2(np.fft.fft2(r) / denom))
+
+
+def evolve_torus_recomputing(m0, t1):
+    """The torus flow on [0, t1] at the default step cap and retention,
+    with each Newton iteration recomputing exp(-2 psi) and the
+    right-hand side and preconditioning by `fft_divide`.
+
+    Reference for `flow.TorusStepper`, which passes the residual's
+    exp(-2 psi) and right-hand side to the Newton system and reuses the
+    converged one as the next step's.  Returns (params, param_rhs).
+    """
+    from expanderlab.geometry import _lap0, laplacian_symbol
+    from expanderlab.numerics import conjugate_gradient
+
+    hx, hy = m0.spacing
+    lam = laplacian_symbol(m0.phi.shape, m0.spacing)
+
+    def rhs(phi):
+        return np.exp(-2.0 * phi) * _lap0(phi, hx, hy)
+
+    def newton_delta(psi, dt, g):
+        d = np.exp(-2.0 * psi)
+        sqrt_d = np.sqrt(d)
+        f_val = d * _lap0(psi, hx, hy)
+        denom = 1.0 - 0.5 * dt * float(np.exp(-2.0 * np.mean(psi))) * lam
+
+        def apply_a(x):
+            return x + dt * f_val * x - 0.5 * dt * sqrt_d * _lap0(sqrt_d * x, hx, hy)
+
+        x = conjugate_gradient(apply_a, -g / sqrt_d, None, lambda r: fft_divide(r, denom),
+                               rel_tol=1e-13, max_iter=200)
+        return sqrt_d * x
+
+    n_steps = max(1, math.ceil(t1 / (0.5 * min(hx, hy) ** 2)))
+    dt, every = t1 / n_steps, max(1, n_steps // 64)
+    phi = np.asarray(m0.phi, dtype=float).copy()
+    params, rhs_rows = [phi.ravel().copy()], [rhs(phi).ravel()]
+    for k in range(1, n_steps + 1):
+        f_old = rhs(phi)
+        psi, target = phi + dt * f_old, phi + 0.5 * dt * f_old
+        scale = 1.0 + float(np.max(np.abs(phi)))
+        for _ in range(12):
+            g = psi - target - 0.5 * dt * rhs(psi)
+            if float(np.max(np.abs(g))) <= 1e-13 * scale:
+                break
+            psi = psi + newton_delta(psi, dt, g)
+        phi = psi
+        if k % every == 0 or k == n_steps:
+            params.append(phi.ravel().copy())
+            rhs_rows.append(rhs(phi).ravel())
+    return np.asarray(params), np.asarray(rhs_rows)
+
+
 def backward_torus_per_step(h, times, u_final, dt_cap=None):
     """The torus conjugate solve with one time level built per step.
 
@@ -65,7 +122,7 @@ def backward_torus_per_step(h, times, u_final, dt_cap=None):
     lookup, metric object, `e^{+-2 phi}`, curvature and mean.  Returns
     the density grids at `times`, increasing in t.
     """
-    from expanderlab.geometry import _lap0, laplacian_symbol, spectral_solve
+    from expanderlab.geometry import _lap0, laplacian_symbol
     from expanderlab.numerics import conjugate_gradient
 
     template = h.template
@@ -104,7 +161,7 @@ def backward_torus_per_step(h, times, u_final, dt_cap=None):
                 return x - 0.5 * dt * apply_l(x, new)
 
             u = conjugate_gradient(apply_a, b, new[1],
-                                   lambda r, key=key: spectral_solve(r, denoms[key]),
+                                   lambda r, d=denoms[key]: fft_divide(r, d),
                                    rel_tol=1e-13, max_iter=200, x0=b)
             u = u / (float(np.sum(u * new[1])) * hx * hy)
             t, old = t_new, new

@@ -173,8 +173,14 @@ def test_target_grid_validation(bad):
     ("flat_torus", {"model": {"periods": [1, 1, 5]}}, "periods"),
     ("hyperbolic_expander", {"model": {"sectional_sign": 0.5}}, "sectional_sign"),
     ("hyperbolic_expander", {"model": {"dim": 2.5}}, "dim"),
-    # field times past the closed-form extinction of a positive model (t = 0.25)
+    # field times, a density window, harnack times or a mu/nu time past the
+    # closed-form extinction of a positive model (t = 0.25)
     ("shrinking_sphere", {"reduced_t": 0.45}, "reduced_t"),
+    ("shrinking_sphere", {"checks": ["entropy"]}, "density window"),
+    ("shrinking_sphere", {"checks": ["harnack"]}, "density window"),
+    ("shrinking_sphere", {"t_span": [0, 0.27], "checks": ["harnack"]}, "harnack times"),
+    ("shrinking_sphere", {"checks": ["asymptotics"]}, "density window"),
+    ("shrinking_sphere", {"checks": ["mu_nu"]}, "mu/nu time"),
 ])
 def test_malformed_params_exit_2_without_output(tmp_path, capsys, scenario, params, word):
     doc = json.loads(builtin_scenarios()[scenario].read_text())
@@ -189,6 +195,15 @@ def test_malformed_params_exit_2_without_output(tmp_path, capsys, scenario, para
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert word in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_packaged_shrinking_sphere_runs_before_extinction(tmp_path):
+    # its reduced field times (0.08-0.12) lie before the extinction at
+    # t = 0.25, inside a t_span [0, 1] that runs past it
+    out = tmp_path / "out"
+    assert main(["run", str(builtin_scenarios()["shrinking_sphere"]), "--out", str(out)]) == 0
+    report = json.loads((out / "shrinking_sphere" / "report.json").read_text())
+    assert report["failures"] == [] and report["fitted"]["extinct_at"] == 0.25
 
 
 def test_default_reduced_field_times_outside_t_span_exit_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,21 @@ def test_batched_backward_levels_equal_per_step_solve():
     assert [s.t for s in got] == list(times)
     for s, u in zip(got, want):
         assert np.array_equal(s.u, u)
+
+
+def test_backward_solve_memory_does_not_grow_with_window():
+    # every step of an evolving torus has its own preconditioner symbol;
+    # the solve keeps only the current one, so with each segment longer
+    # than a level batch the traced peak is the same for twice the steps
+    h = torus_history(64, t_end=0.02)
+    u_fin = np.full((64, 64), 1.0 / volume(h.metric_at(0.02)))
+    peaks = []
+    for window in (0.005, 0.01):
+        tracemalloc.start()
+        solve_conjugate_backward(h, 0.02, u_fin, t_start=0.02 - window, n_retain=2)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_integrated_identity_on_torus():

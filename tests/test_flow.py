@@ -18,6 +18,7 @@ from expanderlab.geometry import (
     integrate,
     volume,
 )
+from oracles import evolve_torus_recomputing
 
 HYPERBOLIC3 = ModelSpaceMetric(dim=3, sectional_sign=-1, scale=1.0, base_volume=1.0)
 SPHERE3 = ModelSpaceMetric(dim=3, sectional_sign=1, scale=1.0, base_volume=1.0)
@@ -168,3 +169,14 @@ def test_export_csv(tmp_path):
     text = out.read_text()
     assert text.splitlines()[0] == "t,a,V,R_min,R_max"
     assert len(text.splitlines()) == 6
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_torus_newton_reuse_is_bit_identical(n):
+    # the stepper hands each residual's exp(-2 psi) and right-hand side to
+    # its Newton system and the converged one to the next step; the
+    # stored samples equal a stepper that recomputes both every iteration
+    h = evolve(sine_torus(n), (0.0, 0.01))
+    params, param_rhs = evolve_torus_recomputing(sine_torus(n), 0.01)
+    assert np.array_equal(h.params, params)
+    assert np.array_equal(h.param_rhs, param_rhs)

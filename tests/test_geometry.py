@@ -24,10 +24,12 @@ from expanderlab.geometry import (
     laplacian_symbol,
     model_from_json,
     soliton_residual_sq,
+    spectral_preconditioner,
     validate_model_json,
     volume,
 )
 from expanderlab.numerics import OdeTrajectory, hermite_cubic, hermite_interval, time_derivative
+from oracles import fft_divide
 from oracles import koszul_ricci, model_to_json
 
 HEISENBERG = (1.0, 0.0, 0.0)
@@ -211,6 +213,34 @@ def test_hessian_covariant_flat_quadratic():
     assert np.max(np.abs(hxx + (2 * math.pi) ** 2 * f)) < (2 * math.pi) ** 4 / n**2
     assert np.max(np.abs(hxy)) < 1e-10
     assert np.max(np.abs(hyy)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_spectral_preconditioner_equals_fft_divide(n):
+    # the cached complex reciprocal reproduces the divide bit for bit on
+    # the symbol of every torus PCG: the backward conjugate step, the
+    # Newton system of the forward step, lambda_min and mu_plus
+    x = (np.arange(n) / n)[:, None]
+    phi = 0.3 * np.sin(2 * math.pi * x) * np.ones((n, n))
+    m = ConformalTorusMetric(phi)
+    hx, hy = m.spacing
+    lam = laplacian_symbol(phi.shape, m.spacing)
+    dt = 0.5 * hx * hy
+    c_bar = float(np.mean(np.exp(-2.0 * phi)))
+    e2p, r = np.exp(2.0 * phi), curvature(m).scalar
+    shift = float(np.min(r)) - 1.0
+    symbols = {
+        "backward": (1.0 - 0.5 * dt * round(c_bar, 6) * lam, 1.0),
+        "newton": (1.0 - 0.5 * dt * math.exp(-2.0 * float(np.mean(phi))) * lam, 1.0),
+        "lambda_min": (float(np.mean(e2p * (r - shift))) - 4.0 * lam, e2p),
+        "mu_plus": (2.0 - 8.0 * 0.7 * c_bar * lam, 1.0),
+    }
+    rng = np.random.default_rng(n)
+    for name, (denom, weight) in symbols.items():
+        apply = spectral_preconditioner(denom)
+        for scale in (1e-9, 1.0, 1e4):
+            v = weight * scale * rng.standard_normal((n, n))
+            assert np.array_equal(apply(v), fft_divide(v, denom)), name
 
 
 @pytest.mark.parametrize("mode", [(1, 0), (0, 1), (3, 5), (7, 11)])

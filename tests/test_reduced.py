@@ -807,24 +807,31 @@ def test_oracle_gradient_is_the_derivative_of_its_value():
     assert np.max(np.abs(g - fd)) <= 1e-7 * np.max(np.abs(g))
 
 
-def test_oracle_starts_reach_one_value_per_row(monkeypatch):
-    # evolving 16x16 torus at t = 0.2: the straight start and the
-    # square-root start of every (target, translate) row descend to the
-    # same value
+def test_oracle_descends_each_row_once(monkeypatch):
+    # evolving 16x16 torus at t = 0.2: every (target, translate) row
+    # descends once, from the straight path.  The nodes are uniform in s,
+    # so the square-root start profile is the same path, and it descends
+    # to the same value
     h = torus_flow_history(16, 0.26)
     pts = np.random.default_rng(5).uniform(0.0, 1.0, (6, 2))
-    chunks = []
+    calls = []
 
     def spy(action, z, y):
-        chunks.append(_descend(action, z, y))
-        return chunks[-1]
+        calls.append((action, z.copy(), y, _descend(action, z, y)))
+        return calls[-1][-1]
 
     monkeypatch.setattr("expanderlab.reduced._descend", spy)
     best = _oracle_torus_batch(h, np.zeros(2), pts, 0.2, 32)
-    straight, root = np.concatenate(chunks).reshape(2, -1)
+    straight = np.concatenate([c[-1] for c in calls])
     assert len(straight) == 3 * len(pts)
+    assert np.array_equal(best, np.min(straight.reshape(-1, 3), axis=1))
+    action = calls[0][0]
+    z, y = np.concatenate([c[1] for c in calls]), np.concatenate([c[2] for c in calls])
+    s = action.slices.s_nodes
+    z_root = (s / s[-1])[1:-1, None] * y[:, None, :]  # x0 = 0
+    assert np.max(np.abs(z_root - z)) <= 1e-15
+    root = _descend(action, z_root, y)
     assert np.max(np.abs(straight - root) / np.abs(straight)) <= 1e-12
-    assert np.array_equal(best, np.min(np.minimum(straight, root).reshape(-1, 3), axis=1))
 
 
 def test_oracle_memory_is_bounded_by_the_chunk(monkeypatch):
