@@ -120,10 +120,11 @@ class Scenario:
         sigmas = params.get("sigmas")
         if "mu_nu" in checks and sigmas is not None and not (
                 isinstance(sigmas, list) and sigmas
-                and all(_is_number(s) and s > 0 for s in sigmas)):
+                and all(_is_number(s) and s > 0 for s in sigmas)
+                and len(set(sigmas)) == len(sigmas)):
             raise ConfigError(
                 f"scenario {name!r}: sigmas {sigmas!r} must be a nonempty list of "
-                f"positive finite numbers"
+                f"distinct positive finite numbers"
             )
         radii = params.get("radii")
         if (isinstance(model, ModelSpaceMetric) and reduced and radii is not None
@@ -334,8 +335,9 @@ def run_scenario_doc(doc: dict, out_dir) -> dict:
             res = mu_plus(m_mid, float(s))
             mu_rows.append([float(s), res.value, float(res.converged)])
         write_csv(series_dir / "mu_plus.csv", ["sigma", "mu_plus", "converged"], mu_rows)
-        vals = [row[1] for row in mu_rows]
-        d2 = np.diff(vals, 2) if len(vals) >= 3 else np.array([])
+        # second divided differences: concavity in sigma at uneven samples
+        sig, vals = np.array(mu_rows)[:, :2].T
+        d2 = np.diff(np.diff(vals) / np.diff(sig)) / (sig[2:] - sig[:-2])
         report["verdicts"]["mu.concave_on_samples"] = bool(np.all(d2 <= 1e-8))
         nu = nu_plus(m_mid)
         report["fitted"]["nu_plus"] = None if nu.value is None else nu.value

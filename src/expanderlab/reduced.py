@@ -256,9 +256,7 @@ class _RadialEngine:
         self.rho0 = h.template.rho0
         self.eps = float(eps)
         self.t = float(t)
-        if n_steps % 2:
-            n_steps += 1
-        self.n_steps = n_steps
+        self.n_steps = n_steps = n_steps + n_steps % 2  # Simpson needs an even count
         self.s_lo = math.sqrt(eps) if eps > 0 else 0.0
         self.s_hi = math.sqrt(t)
         self.s_nodes = np.linspace(self.s_lo, self.s_hi, n_steps + 1)
@@ -384,24 +382,18 @@ def extrapolate_fields(fields) -> ReducedField:
 # ---------------------------------------------------------------------------
 # torus machinery
 
-# slice store rows of shooting, ordered so that every caller reads a
-# contiguous run: an RK4 stage rows 0-5, a path node 0-6
-_FIELDS = ("r", "rx", "ry", "e2p", "px", "py", "rdot")
-# the oracle reads r at its nodes and e2p at its segment midpoints, each
-# with the gradient of its interpolant
-_ORACLE_FIELDS = ("r", "e2p")
+# slice store rows: shooting reads all three, the oracle builds the leading
+# two; every caller gathers r and e2p with the gradients of their interpolants
+_FIELDS = ("r", "e2p", "rdot")
 
 
 class _TorusSlices:
     """Field slices of a torus history along a fixed s-grid, in one store with
-    one row per name in `fields`."""
+    the leading `n_fields` rows of `_FIELDS`."""
 
-    def __init__(self, h: FlowHistory, t: float, n_steps: int, fields: tuple = _FIELDS):
-        self.fields = fields
+    def __init__(self, h: FlowHistory, t: float, n_steps: int, n_fields: int = len(_FIELDS)):
         self.t = float(t)
-        if n_steps % 2:
-            n_steps += 1
-        self.n_steps = n_steps
+        self.n_steps = n_steps = n_steps + n_steps % 2  # Simpson needs an even count
         self.s_nodes = np.linspace(0.0, math.sqrt(t), n_steps + 1)
         self.ds = self.s_nodes[1] - self.s_nodes[0]
         # RK4 needs half-step stages: slices on the refined ladder
@@ -411,21 +403,17 @@ class _TorusSlices:
         self.lx, self.ly = h.template.periods
         # (n_fields, n_slices, nx, ny), built in batches of slices whose
         # fields stay under the byte cap
-        self.store = np.empty((len(fields), len(self.s_all), self.nx, self.ny))
-        block = max(1, LEVEL_BATCH_BYTES // (len(fields) * h.template.phi.nbytes))
+        self.store = np.empty((n_fields, len(self.s_all), self.nx, self.ny))
+        block = max(1, LEVEL_BATCH_BYTES // (n_fields * h.template.phi.nbytes))
         hx, hy = self.hx, self.hy
         for lo in range(0, len(self.s_all), block):
             etas = [min(max(float(s**2), h.t_min), h.t_max) for s in self.s_all[lo:lo + block]]
             phi = h.params_at_times(etas).reshape(len(etas), self.nx, self.ny)
-            r = _conformal_scalar(phi, hx, hy)
-            e2p = np.exp(2.0 * phi)
-            rows = {
-                "r": lambda: r, "rx": lambda: _dx(r, hx), "ry": lambda: _dy(r, hy),
-                "e2p": lambda: e2p, "px": lambda: _dx(phi, hx), "py": lambda: _dy(phi, hy),
-                # curvature evolution dR/dt = lap R + R^2 in two dimensions
-                "rdot": lambda: _lap0(r, hx, hy) / e2p + r * r,
-            }
-            np.stack([rows[f]() for f in fields], out=self.store[:, lo:lo + len(etas)])
+            out = self.store[:, lo:lo + len(etas)]
+            out[0] = r = _conformal_scalar(phi, hx, hy)
+            out[1] = e2p = np.exp(2.0 * phi)
+            if n_fields > 2:  # curvature evolution dR/dt = lap R + R^2 in two dimensions
+                out[2] = _lap0(r, hx, hy) / e2p + r * r
 
     def sample(self, idx, fields: slice, pts: np.ndarray, grad: bool = False) -> np.ndarray:
         """Smooth periodic samples (n_fields, m) of the store rows `fields` at
@@ -436,8 +424,7 @@ class _TorusSlices:
         Points run in blocks whose taps (16 of 8 bytes per field and point)
         stay under the byte cap; every field of a block takes one gather.
         """
-        grids = self.store[fields]
-        grids = grids.reshape(len(grids), -1)  # a view: the rows are contiguous
+        grids = self.store[fields].reshape(-1, self.store[0].size)  # a view: rows are contiguous
         out = np.empty((3 if grad else 1, len(grids), len(pts)))
         offset = idx * (self.nx * self.ny)  # of the slice in a flattened row
         per_point = isinstance(offset, np.ndarray)
@@ -455,6 +442,13 @@ class _TorusSlices:
         return out if grad else out[0]
 
 
+# Catmull-Rom weights of the taps -1 .. 2 as cubics in u: rows hold the
+# coefficients of u^3, u^2, u and 1.  Terms are summed from the highest
+# power down; flat-torus reduced values depend on the weights' round-off
+_CATMULL_ROM = np.array([[-0.5, 1.5, -1.5, 0.5], [1.0, -2.5, 2.0, -0.5],
+                         [-0.5, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0]])[:, :, None]
+
+
 def _spline_taps(frac: np.ndarray, n: int, slopes: bool = False):
     """Catmull-Rom tap indices (4, m) and weights (1, 4, m) on a periodic axis;
     with `slopes`, weights (2, 4, m) whose second row differentiates in `frac`.
@@ -468,24 +462,25 @@ def _spline_taps(frac: np.ndarray, n: int, slopes: bool = False):
     base = np.floor(frac).astype(int)
     u = frac - base
     u2 = u**2
-    u3 = u**3
+    c = _CATMULL_ROM
     w = np.empty((2 if slopes else 1, 4, len(u)))
-    w[0, 0] = -0.5 * u3 + u2 - 0.5 * u
-    w[0, 1] = 1.5 * u3 - 2.5 * u2 + 1.0
-    w[0, 2] = -1.5 * u3 + 2.0 * u2 + 0.5 * u
-    w[0, 3] = 0.5 * u3 - 0.5 * u2
+    np.multiply(c[0], u**3, out=w[0])
+    w[0] += c[1] * u2
+    w[0] += c[2] * u
+    w[0] += c[3]
     if slopes:
-        w[1, 0] = -1.5 * u2 + 2.0 * u - 0.5
-        w[1, 1] = 4.5 * u2 - 5.0 * u
-        w[1, 2] = -4.5 * u2 + 4.0 * u + 0.5
-        w[1, 3] = 1.5 * u2 - u
+        np.multiply(3.0 * c[0], u2, out=w[1])
+        w[1] += 2.0 * c[1] * u
+        w[1] += c[2]
     wrap = np.arange(-1, n + 3) % n
     return np.take(wrap, base + np.arange(4)[:, None], mode="clip"), w
 
 
 def _torus_rhs(s: float, v: np.ndarray, fields):
-    """Reduced-velocity system dv/ds on the torus from samples of store rows 0-5."""
-    r, rx, ry, e2p, px, py = fields[:6]
+    """Reduced-velocity system dv/ds on the torus from a derivative gather of
+    store rows r and e2p, the interpolants the action samples."""
+    (r, e2p), (rx, ex), (ry, ey) = fields[:, :2]
+    px, py = ex / (2 * e2p), ey / (2 * e2p)
     vx, vy = v[:, 0], v[:, 1]
     gamma_x = px * vx * vx + 2 * py * vx * vy - px * vy * vy
     gamma_y = -py * vx * vx + 2 * px * vx * vy + py * vy * vy
@@ -500,8 +495,8 @@ def _torus_integrate(slices: _TorusSlices, x0: np.ndarray, momenta: np.ndarray,
     """RK4 integration of the reduced system for a batch of momenta.
 
     Returns endpoints, the action tail, the Harnack integral, endpoint
-    speed data and, optionally, full traces.  One sample per node serves
-    the node integrands and the next step's first stage.
+    speed data and, optionally, full traces.  One derivative gather per
+    node serves the node integrands and the next step's first stage.
     """
     n_paths = momenta.shape[0]
     x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
@@ -513,7 +508,7 @@ def _torus_integrate(slices: _TorusSlices, x0: np.ndarray, momenta: np.ndarray,
     traces_v = [v.copy()] if want_traces else None
 
     def node_integrands(s, v, fields):
-        r, rx, ry, e2p, _, _, rdot = fields
+        (r, e2p, rdot), (rx, _, _), (ry, _, _) = fields
         speed_sq = e2p * np.sum(v * v, axis=1)
         action = 2 * s * s * r + 0.5 * speed_sq
         hk = (
@@ -524,27 +519,27 @@ def _torus_integrate(slices: _TorusSlices, x0: np.ndarray, momenta: np.ndarray,
         )
         return action, hk
 
-    stage, nodes = slice(6), slice(7)  # store rows of an RK4 stage and of a node
-    node = slices.sample(0, nodes, x)
+    stage, nodes = slice(2), slice(3)  # store rows of an RK4 stage and of a node
+    node = slices.sample(0, nodes, x, grad=True)
     act[0], kin[0] = node_integrands(0.0, v, node)
     for k in range(slices.n_steps):
         s = slices.s_nodes[k]
         i1, i2 = 2 * k + 1, 2 * k + 2
         k1x, k1v = v, _torus_rhs(s, v, node)
         x2, v2 = x + 0.5 * ds * k1x, v + 0.5 * ds * k1v
-        k2x, k2v = v2, _torus_rhs(s + 0.5 * ds, v2, slices.sample(i1, stage, x2))
+        k2x, k2v = v2, _torus_rhs(s + 0.5 * ds, v2, slices.sample(i1, stage, x2, grad=True))
         x3, v3 = x + 0.5 * ds * k2x, v + 0.5 * ds * k2v
-        k3x, k3v = v3, _torus_rhs(s + 0.5 * ds, v3, slices.sample(i1, stage, x3))
+        k3x, k3v = v3, _torus_rhs(s + 0.5 * ds, v3, slices.sample(i1, stage, x3, grad=True))
         x4, v4 = x + ds * k3x, v + ds * k3v
-        k4x, k4v = v4, _torus_rhs(s + ds, v4, slices.sample(i2, stage, x4))
+        k4x, k4v = v4, _torus_rhs(s + ds, v4, slices.sample(i2, stage, x4, grad=True))
         x = x + ds / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + ds / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        node = slices.sample(i2, nodes, x)
+        node = slices.sample(i2, nodes, x, grad=True)
         act[k + 1], kin[k + 1] = node_integrands(s + ds, v, node)
         if want_traces:
             traces_x.append(x.copy())
             traces_v.append(v.copy())
-    r_end, e2p_end = node[0], node[3]
+    r_end, e2p_end = node[0, :2]
     x_speed_sq = e2p_end * np.sum(v * v, axis=1) / (4.0 * slices.t)
     out = {
         "end": x, "v_end": v,
@@ -556,6 +551,14 @@ def _torus_integrate(slices: _TorusSlices, x0: np.ndarray, momenta: np.ndarray,
         out["trace_v"] = np.asarray(traces_v)
         out["kin_nodes"] = kin
     return out
+
+
+def _lattice_images(slices: _TorusSlices, targets: np.ndarray, x0: np.ndarray):
+    """The nine nearest lattice translates (m, 9, 2) of each target and their
+    flat distances (m, 9) from x0."""
+    shifts = np.array([(i * slices.lx, j * slices.ly) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    images = targets[:, None, :] + shifts[None, :, :]
+    return images, np.linalg.norm(images - x0, axis=2)
 
 
 def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float,
@@ -573,15 +576,12 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float,
     caller treats as a missed shot.
     """
     slices = _TorusSlices(h, t, n_steps)
-    lx, ly = slices.lx, slices.ly
     x0 = np.asarray(x0, dtype=float)
-    shifts = np.array([(i * lx, j * ly) for i in (-1, 0, 1) for j in (-1, 0, 1)])
     m_t = len(targets)
-    all_images = targets[:, None, :] + shifts[None, :, :]    # (m, 9, 2)
-    dists = np.linalg.norm(all_images - x0, axis=2)
+    all_images, dists = _lattice_images(slices, targets, x0)
     phis = h.params_at_times([min(max(e, h.t_min), h.t_max) for e in (0.0, 0.25 * t, t)])
     spread = max(float(np.max(ph) - np.min(ph)) for ph in phis)
-    cutoff = np.exp(spread) * dists.min(axis=1) + 0.12 * min(lx, ly)
+    cutoff = np.exp(spread) * dists.min(axis=1) + 0.12 * min(slices.lx, slices.ly)
     keep = dists <= cutoff[:, None]
     rows, shift_idx = np.nonzero(keep)
     images = all_images[rows, shift_idx]                     # (q, 2)
@@ -718,7 +718,7 @@ def geodesic_shoot(h: FlowHistory, x0, momentum, t_end: float,
 
 class _PathAction:
     """Discretized action of piecewise-linear paths from x0 on the squared
-    uniform s-grid of a store of `_ORACLE_FIELDS`, and its gradient.
+    uniform s-grid of a store of rows r and e2p, and its gradient.
 
     A batch of paths holds interior nodes z (B, M-1, 2) and endpoints y
     (B, 2).  Straight segments are traversed linearly in s = sqrt(eta): the
@@ -865,15 +865,11 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, include_translates=Tru
     """
     if h.kind != "conformal_torus":
         raise ValueError("the path-minimization oracle supports torus histories")
-    action = _PathAction(_TorusSlices(h, t, n_segments, _ORACLE_FIELDS), x0)
+    action = _PathAction(_TorusSlices(h, t, n_segments, 2), x0)
     slices, x0 = action.slices, action.x0
     m_t = len(targets)
     if include_translates:
-        shifts = np.array(
-            [(i * slices.lx, j * slices.ly) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-        )
-        images = targets[:, None, :] + shifts[None, :, :]      # (m, 9, 2)
-        dist = np.linalg.norm(images - x0, axis=2)
+        images, dist = _lattice_images(slices, targets, x0)
         order = np.argsort(dist, axis=1)[:, :n_keep_shifts]
         rows = np.repeat(np.arange(m_t), n_keep_shifts)
         ys = images[rows, order.ravel()]                        # (m*k, 2)

@@ -172,16 +172,16 @@ def backward_torus_per_step(h, times, u_final, dt_cap=None):
 
 
 def torus_slice_grids(h, eta, hx, hy):
-    """The seven `reduced._FIELDS` grids of a torus history at time eta,
+    """The three `reduced._FIELDS` grids of a torus history at time eta,
     each computed from its own metric lookup as one slice at a time."""
-    from expanderlab.geometry import _dx, _dy, _lap0, curvature
+    from expanderlab.geometry import _lap0, curvature
 
     m = h.metric_at(min(max(eta, h.t_min), h.t_max))
     phi = m.phi
     r = curvature(m).scalar
     e2p = np.exp(2.0 * phi)
     rdot = _lap0(r, hx, hy) / e2p + r * r
-    return np.stack([r, _dx(r, hx), _dy(r, hy), e2p, _dx(phi, hx), _dy(phi, hy), rdot])
+    return np.stack([r, e2p, rdot])
 
 
 def harnack_identity_separate(states, h, birth_time=0.0):

@@ -1,4 +1,5 @@
 import json
+import types
 from xml.etree import ElementTree
 
 import pytest
@@ -181,6 +182,8 @@ def test_target_grid_validation(bad):
     ("shrinking_sphere", {"t_span": [0, 0.27], "checks": ["harnack"]}, "harnack times"),
     ("shrinking_sphere", {"checks": ["asymptotics"]}, "density window"),
     ("shrinking_sphere", {"checks": ["mu_nu"]}, "mu/nu time"),
+    # a repeated sigma leaves the divided differences of mu undefined
+    ("flat_torus", {"sigmas": [0.5, 1.0, 0.5]}, "sigmas"),
 ])
 def test_malformed_params_exit_2_without_output(tmp_path, capsys, scenario, params, word):
     doc = json.loads(builtin_scenarios()[scenario].read_text())
@@ -204,6 +207,30 @@ def test_packaged_shrinking_sphere_runs_before_extinction(tmp_path):
     assert main(["run", str(builtin_scenarios()["shrinking_sphere"]), "--out", str(out)]) == 0
     report = json.loads((out / "shrinking_sphere" / "report.json").read_text())
     assert report["failures"] == [] and report["fitted"]["extinct_at"] == 0.25
+
+
+def test_mu_concavity_is_in_sigma(tmp_path, monkeypatch):
+    # mu_+ of the shrinking sphere at t = 0.135 on the uneven default sigmas
+    # (0.25 .. 2) has positive second differences in the sample index but
+    # falling slopes 17.2, 15.1, 14.1 in sigma: concave, so the run passes
+    doc = json.loads(builtin_scenarios()["shrinking_sphere"].read_text())
+    doc["t_span"], doc["checks"] = [0, 0.27], ["mu_nu"]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    tree = out / "shrinking_sphere"
+    assert sorted(p.relative_to(tree).as_posix() for p in tree.rglob("*") if p.is_file()) == [
+        "report.json", "series/flow.csv", "series/mu_plus.csv"]
+    report = json.loads((tree / "report.json").read_text())
+    assert report["verdicts"]["mu.concave_on_samples"] is True and report["failures"] == []
+    # a convex mu_+ = sigma^2 still fails the verdict
+    monkeypatch.setattr("expanderlab.cli.mu_plus",
+                        lambda m, s: types.SimpleNamespace(value=s * s, converged=True))
+    out = tmp_path / "convex"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    report = json.loads((out / "shrinking_sphere" / "report.json").read_text())
+    assert report["verdicts"]["mu.concave_on_samples"] is False
+    assert report["failures"] == ["mu.concave_on_samples"]
 
 
 def test_default_reduced_field_times_outside_t_span_exit_2(tmp_path, capsys):

@@ -20,7 +20,6 @@ from expanderlab.reduced import (
 )
 from expanderlab.reduced import (
     _FIELDS,
-    _ORACLE_FIELDS,
     _descend,
     _oracle_torus_batch,
     _PathAction,
@@ -473,7 +472,7 @@ def test_torus_slice_samples_match_fancy_index_gather():
     # wraparound taps included, and the spline passes through grid nodes
     slices, periods = skewed_torus_slices()
     nx, ny = slices.nx, slices.ny
-    rows = slice(1, 6)
+    rows = slice(1, 3)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-0.2, 1.2, (40, 2)) * periods
     pts[:4] = [[0.0, 0.0], [-1e-9, 1.7 - 1e-9], [0.99, 0.01], [0.03, 1.69]]
@@ -483,7 +482,7 @@ def test_torus_slice_samples_match_fancy_index_gather():
     jy, (wy,) = _spline_taps((pts[:, 1] / slices.hy) % ny, ny)
     assert ix.min() == 0 and ix.max() == nx - 1 and jy.min() == 0 and jy.max() == ny - 1
     got = slices.sample(slice_idx, rows, pts)
-    assert got.shape == (5, len(pts))
+    assert got.shape == (2, len(pts))
     for grid, g in zip(slices.store[rows], got):
         ref = grid[slice_idx[None, None, :], ix[:, None, :], jy[None, :, :]]
         assert np.array_equal(g, np.einsum("am,bm,abm->m", wx, wy, ref))
@@ -513,14 +512,14 @@ def test_torus_slice_samples_match_fancy_index_gather():
 
 def test_slice_store_equals_per_slice_formula():
     # 16x24 history with periods (1, 1.7) and a nonzero evolution
-    # right-hand side; its 101 slices fill more than one batch, the last
+    # right-hand side; its 401 slices fill more than one batch, the last
     # one partial
     rng = np.random.default_rng(4)
     ts = np.array([0.0, 0.3, 0.7, 1.0])
     vals = 0.2 * rng.standard_normal((4, 16 * 24))
     m0 = ConformalTorusMetric(vals[0].reshape(16, 24), (1.0, 1.7))
     h = FlowHistory("conformal_torus", m0, ts, vals, rng.standard_normal((4, 16 * 24)))
-    slices = _TorusSlices(h, 1.0, 50)
+    slices = _TorusSlices(h, 1.0, 200)
     block = LEVEL_BATCH_BYTES // (len(_FIELDS) * m0.phi.nbytes)
     assert block < len(slices.s_all) and len(slices.s_all) % block
     for i, s in enumerate(slices.s_all):
@@ -528,35 +527,36 @@ def test_slice_store_equals_per_slice_formula():
         assert np.array_equal(slices.store[:, i], want)
     # the gather reads the store itself, not a copy of it
     pts = rng.uniform(0.0, 1.0, (10, 2))
-    before = slices.sample(5, slice(3, 7), pts)
-    slices.store[3:7, 5] += 1.0
-    assert np.allclose(slices.sample(5, slice(3, 7), pts), before + 1.0, rtol=1e-12, atol=1e-12)
+    before = slices.sample(5, slice(0, 3), pts)
+    slices.store[0:3, 5] += 1.0
+    assert np.allclose(slices.sample(5, slice(0, 3), pts), before + 1.0, rtol=1e-12, atol=1e-12)
 
     # the oracle's two-row store, built in other batches, is rows r and e2p
-    # of the seven-row one
-    two = _TorusSlices(h, 1.0, 50, _ORACLE_FIELDS)
+    # of the three-row one
+    two = _TorusSlices(h, 1.0, 200, 2)
+    assert block < LEVEL_BATCH_BYTES // (2 * m0.phi.nbytes) < len(slices.s_all)
     assert two.store.shape == (2,) + slices.store.shape[1:]
-    assert np.array_equal(two.store, _TorusSlices(h, 1.0, 50).store[[0, 3]])
+    assert np.array_equal(two.store, _TorusSlices(h, 1.0, 200).store[:2])
 
 
 def test_oracle_builds_no_rdot_row(monkeypatch):
     # the oracle reads r at nodes and e2p at midpoints, with the gradients of
-    # their interpolants, so its store holds those two rows; shooting keeps
-    # all seven
+    # their interpolants, so its store holds those two rows; shooting adds
+    # rdot for the Harnack integrand
     h = torus_flow_history(16, 0.26)
     shapes = []
 
     class Recording(_TorusSlices):
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
-            shapes.append((self.fields, self.store.shape))
+            shapes.append(self.store.shape)
 
     monkeypatch.setattr("expanderlab.reduced._TorusSlices", Recording)
     pts = np.array([(0.15, 0.1), (0.25, 0.0)])
     _oracle_torus_batch(h, np.zeros(2), pts, 0.2, 32)
-    assert shapes == [(("r", "e2p"), (2, 65, 16, 16))]
+    assert shapes == [(2, 65, 16, 16)]
     _torus_shoot_targets(h, np.zeros(2), pts, 0.2, 32)
-    assert shapes[1] == (_FIELDS, (7, 65, 16, 16))
+    assert shapes[1] == (3, 65, 16, 16)
 
 
 def test_blockwise_slice_gather_matches_single_block(monkeypatch):
@@ -615,7 +615,7 @@ def test_shoot_records_integrals_of_the_settling_sweep(monkeypatch):
         s = slices.s_nodes[k]
 
         def acc(i, s, x, v):
-            return _torus_rhs(s, v, slices.sample(i, slice(6), x))
+            return _torus_rhs(s, v, slices.sample(i, slice(2), x, grad=True))
 
         k1x, k1v = v, acc(2 * k, s, x, v)
         x2, v2 = x + 0.5 * ds * k1x, v + 0.5 * ds * k1v
@@ -627,6 +627,37 @@ def test_shoot_records_integrals_of_the_settling_sweep(monkeypatch):
         x = x + ds / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + ds / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
     assert np.array_equal(fresh["end"], x) and np.array_equal(fresh["v_end"], v)
+
+
+def test_shoot_forces_are_the_interpolant_derivatives():
+    # evolving 16x16 torus at t = 0.2, random points at a half-step slice:
+    # the shooting forces are the derivatives of the sampled r and of half
+    # the log of the sampled e2p, the interpolants the action integrates
+    # (the stencil gradients shooting read before missed them by 5e-2)
+    slices = _TorusSlices(torus_flow_history(16, 0.26), 0.2, 32)
+    i = 21
+    s = slices.s_all[i]
+    pts = np.random.default_rng(8).uniform(0.0, 1.0, (50, 2))
+    step = 1e-6
+
+    def central(rows, fn):
+        return np.stack([
+            (fn(slices.sample(i, rows, pts + step * e)[0])
+             - fn(slices.sample(i, rows, pts - step * e)[0])) / (2 * step)
+            for e in np.eye(2)], axis=1)
+
+    r, e2p = slices.sample(i, slice(2), pts)
+    at_rest = _torus_rhs(s, np.zeros((len(pts), 2)), slices.sample(i, slice(2), pts, grad=True))
+    want = 2 * s * s * central(slice(1), lambda r: r) / e2p[:, None]
+    assert np.max(np.abs(at_rest - want)) <= 1e-7 * np.max(np.abs(want))
+    # with v = (1, 0) the Christoffel terms are (-px, py) beside the force
+    # and the friction 2 s r v
+    moving = _torus_rhs(s, np.tile([1.0, 0.0], (len(pts), 1)),
+                        slices.sample(i, slice(2), pts, grad=True))
+    grad_phi = np.stack([at_rest[:, 0] + 2 * s * r - moving[:, 0],
+                         moving[:, 1] - at_rest[:, 1]], axis=1)
+    want = central(slice(1, 2), lambda e2p: 0.5 * np.log(e2p))
+    assert np.max(np.abs(grad_phi - want)) <= 1e-7 * np.max(np.abs(want))
 
 
 def test_shoot_retries_non_finite_endpoint(monkeypatch):
@@ -733,7 +764,7 @@ def count_gathers(monkeypatch):
     sample = _TorusSlices.sample
 
     def spy(self, idx, rows, pts, grad=False):
-        fields[self.fields[rows], grad] += 1
+        fields[_FIELDS[rows], grad] += 1
         return sample(self, idx, rows, pts, grad)
 
     monkeypatch.setattr(_TorusSlices, "sample", spy)
@@ -770,7 +801,7 @@ def test_oracle_keeps_the_gradient_of_an_accepted_trial(monkeypatch):
     rng = np.random.default_rng(2)
     pts = rng.uniform(0.0, 1.0, (5, 2))
     fields = count_gathers(monkeypatch)
-    action = _PathAction(_TorusSlices(h, 1.0, 32, _ORACLE_FIELDS), np.zeros(2))
+    action = _PathAction(_TorusSlices(h, 1.0, 32, 2), np.zeros(2))
     z = (np.linspace(0.0, 1.0, 33)[1:-1, None] * pts[:, None, :]
          + 0.05 * rng.standard_normal((5, 31, 2)))
     vals = _descend(action, z, pts)
@@ -789,7 +820,7 @@ def test_oracle_gradient_is_the_derivative_of_its_value():
     # gradient equals a central difference of the value (the stencil
     # gradients of r and phi the oracle read before missed it by 2e-3)
     h = torus_flow_history(16, 0.26)
-    action = _PathAction(_TorusSlices(h, 0.2, 32, _ORACLE_FIELDS), np.zeros(2))
+    action = _PathAction(_TorusSlices(h, 0.2, 32, 2), np.zeros(2))
     rng = np.random.default_rng(0)
     ys = rng.uniform(0.0, 1.0, (4, 2))
     z = (np.linspace(0.0, 1.0, 33)[1:-1, None] * ys[:, None, :]
