@@ -40,7 +40,7 @@ from .geometry import (
 )
 from .numerics import five_point
 from .reduced import (
-    check_inequalities,
+    check_reduced_field,
     ell_plus_field,
     extrapolate_fields,
     hessian_check_cor21,
@@ -334,24 +334,20 @@ def crit_8_inequalities(art: _Artifacts) -> CriterionResult:
     pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
     fld = ell_plus_field(hf, (0.0, 0.0), pts, np.linspace(0.99, 1.01, 5),
                          oracle_check=False, grid_shape=(nt, nt))
-    flat_rep = check_inequalities(fld, hf)
-    flat_eq = max(abs(flat_rep.details["subsolution"]),
-                  abs(flat_rep.details["entropy_form"]))
-    worst = max(flat_rep.details["subsolution"], flat_rep.details["entropy_form"])
+    flat_rep = check_reduced_field(fld, hf)
+    flat_eq = max(abs(flat_rep.subsolution), abs(flat_rep.entropy_form))
+    worst = flat_rep.worst_violation
     # evolving torus
     ht, fld_t = art.torus_theta_field()
-    rep_t = check_inequalities(fld_t, ht)
-    worst = max(worst, rep_t.details["subsolution"], rep_t.details["entropy_form"])
+    worst = max(worst, check_reduced_field(fld_t, ht).worst_violation)
     # shrinking positive model before extinction
     hs = evolve(ModelSpaceMetric(3, 1, 1.0), (0.0, 1.0))
     radii = np.linspace(0.0, 2.0, 17)
     fld_s = ell_plus_field(hs, 0.0, radii, np.linspace(0.09, 0.11, 5))
-    rep_s = check_inequalities(fld_s, hs)
-    worst = max(worst, rep_s.details["subsolution"], rep_s.details["entropy_form"])
+    worst = max(worst, check_reduced_field(fld_s, hs).worst_violation)
     # model expander, extrapolated over the regularization ladder
     hv, ext = art.vertex_extrapolated()
-    rep_v = check_inequalities(ext, hv)
-    worst = max(worst, rep_v.details["subsolution"], rep_v.details["entropy_form"])
+    worst = max(worst, check_reduced_field(ext, hv).worst_violation)
     passed = worst <= 1e-4 and flat_eq <= 1e-8
     return CriterionResult(
         8, "pointwise inequality suite", passed,
@@ -421,8 +417,8 @@ def crit_10_property_suite(art: _Artifacts) -> CriterionResult:
     f_src = ell_plus_field(hv, 0.0, radii, [2.0], eps=4e-5)
     f_bd = ell_plus_field(bdv, 0.0, radii, [0.5], eps=1e-5)
     inv = max(inv, float(np.max(np.abs(f_src.ell[0] - f_bd.ell[0]))))
-    sv_src = theta_plus(_pad_times(f_src, hv), hv)
-    sv_bd = theta_plus(_pad_times(f_bd, bdv), bdv)
+    sv_src = theta_plus(f_src, hv)
+    sv_bd = theta_plus(f_bd, bdv)
     inv = max(inv, abs(sv_src.theta[0] - sv_bd.theta[0]))
     measured["blowdown_invariance"] = inv
     # determinism: identical scenario runs are bitwise identical
@@ -446,17 +442,6 @@ def crit_10_property_suite(art: _Artifacts) -> CriterionResult:
               and inv <= 1e-6 and deterministic)
     return CriterionResult(10, "property suite", passed, measured,
                            time.perf_counter() - t0)
-
-
-def _pad_times(fld, h):
-    """Extend a single-time field to three times for the theta series."""
-    from .reduced import ell_plus_field as _epf
-
-    if len(fld.times) >= 3:
-        return fld
-    t = float(fld.times[0])
-    times = [0.9 * t, t, 1.1 * t]
-    return _epf(h, fld.base_point, fld.targets, times, eps=fld.eps)
 
 
 CRITERIA = [

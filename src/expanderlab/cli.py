@@ -43,13 +43,7 @@ from .geometry import (
     validate_model_json,
     volume,
 )
-from .reduced import (
-    check_gradient_time_identities,
-    check_inequalities,
-    ell_plus_field,
-    extrapolate_fields,
-    theta_plus,
-)
+from .reduced import check_reduced_field, ell_plus_field, extrapolate_fields, theta_plus
 from .reports import write_csv, write_json, write_svg_chart
 
 __all__ = ["Scenario", "run_scenario", "run_scenario_doc", "builtin_scenarios", "main"]
@@ -100,7 +94,18 @@ class Scenario:
             raise ConfigError(
                 f"scenario {name!r}: unknown checks {unknown}; known: {list(KNOWN_CHECKS)}"
             )
-        params = dict(doc.get("params", {}))
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"scenario {name!r}: params must be a JSON object")
+        _reject_unknown(name, "params", params, (
+            "dt_cap", "retain_every", "target_grid", "reduced_t", "window_lo", "window_hi",
+            "sigmas", "radii", "n_times", "alpha", "birth_time", "expect_constant_entropy",
+            "oracle_check"))
+        flags = [k for k in ("oracle_check", "expect_constant_entropy")
+                 if not isinstance(params.get(k, False), bool)]
+        if flags:
+            raise ConfigError(f"scenario {name!r}: params {flags} must be true or false")
+        params = dict(params)
         torus = isinstance(model, ConformalTorusMetric)
         reduced = {"reduced", "theta"} & set(checks)
         if reduced and not (torus or isinstance(model, ModelSpaceMetric)):
@@ -141,6 +146,8 @@ class Scenario:
         tolerances = doc.get("tolerances", {})
         if not (isinstance(tolerances, dict) and all(map(_is_number, tolerances.values()))):
             raise ConfigError(f"scenario {name!r}: tolerances must map names to finite numbers")
+        _reject_unknown(name, "tolerances", tolerances, (
+            "r_bound", "immortal", "harnack", "inequalities", "asymptotics", "blowdown"))
         # a positive model goes extinct where a(t) = a0 - 2 rho0 (t - t0) = 0
         t_ext = (t0 + model.scale / (2.0 * model.rho0)
                  if isinstance(model, ModelSpaceMetric) and model.rho0 > 0 else math.inf)
@@ -186,6 +193,13 @@ class Scenario:
             tolerances=dict(tolerances),
             params=params,
         )
+
+
+def _reject_unknown(name: str, section: str, doc: dict, known: tuple) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigError(f"scenario {name!r}: unknown {section} keys {unknown}; "
+                          f"known: {list(known)}")
 
 
 def _is_count(x) -> bool:
@@ -248,7 +262,6 @@ def run_scenario_doc(doc: dict, out_dir) -> dict:
     plots_dir = out / "plots"
     series_dir.mkdir(parents=True, exist_ok=True)
     plots_dir.mkdir(parents=True, exist_ok=True)
-    mono_tol = float(scn.tolerances.get("monotonicity", 0.0)) or None
 
     report = {
         "schema": 1,
@@ -345,22 +358,19 @@ def run_scenario_doc(doc: dict, out_dir) -> dict:
         report["fitted"]["nu_status"] = nu.status
         report["fitted"]["lambda_at_mid"] = nu.lambda_value
 
-    reduced_field = None
     if {"reduced", "theta"} & set(scn.checks):
         reduced_field, extra = _build_reduced_field(scn, h)
         reduced_field.to_csv(series_dir / "reduced_field.csv")
         report["fitted"].update(extra)
+        rep_r = check_reduced_field(reduced_field, h)
 
     if "reduced" in scn.checks:
-        rep_id = check_gradient_time_identities(reduced_field, h)
-        rep_in = check_inequalities(reduced_field, h)
         tol_in = float(scn.tolerances.get("inequalities", 1e-4))
-        report["residuals"]["reduced.identity"] = rep_id.max_residual
-        report["residuals"]["reduced.worst_inequality"] = rep_in.max_residual
-        report["residuals"]["reduced.excluded_fraction"] = rep_in.excluded_fraction
-        report["verdicts"]["reduced.inequalities_hold"] = (
-            max(rep_in.details["subsolution"], rep_in.details["entropy_form"]) <= tol_in
-        )
+        report["residuals"]["reduced.identity"] = rep_r.identity
+        report["residuals"]["reduced.worst_inequality"] = max(
+            rep_r.lap_bound, rep_r.subsolution, rep_r.heat_form, rep_r.entropy_form)
+        report["residuals"]["reduced.excluded_fraction"] = rep_r.excluded_fraction
+        report["verdicts"]["reduced.inequalities_hold"] = rep_r.worst_violation <= tol_in
         report["tolerances"]["reduced.inequalities"] = tol_in
         if reduced_field.oracle_values is not None and np.any(
             np.isfinite(reduced_field.oracle_values)
@@ -379,7 +389,7 @@ def run_scenario_doc(doc: dict, out_dir) -> dict:
             np.all(series.theta >= series.lower_bound - 1e-12)
         )
         report["residuals"]["theta.max_violation"] = series.max_violation
-        report["residuals"]["theta.supersolution_max"] = series.supersolution_max
+        report["residuals"]["theta.supersolution_max"] = rep_r.supersolution_max
         if h.kind == "model_space" and abs(h.metric_at(h.times[1]).scale) > 0:
             spread = float(np.max(series.theta) - np.min(series.theta))
             report["fitted"]["theta.spread"] = spread
@@ -452,9 +462,8 @@ def _build_reduced_field(scn: Scenario, h):
     pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
     pts = pts * np.asarray(h.template.periods)
     times = _field_times(scn.params, True, scn.t_span)
-    oracle = bool(scn.params.get("oracle_check", h.kind == "conformal_torus"
-                                 and nt <= 12))
-    fld = ell_plus_field(h, (0.0, 0.0), pts, times, oracle_check=oracle,
+    fld = ell_plus_field(h, (0.0, 0.0), pts, times,
+                         oracle_check=scn.params.get("oracle_check", nt <= 12),
                          grid_shape=(nt, nt))
     return fld, extra
 

@@ -37,7 +37,7 @@ carry that boundary term so they are exact at finite eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +53,7 @@ __all__ = [
     "geodesic_shoot",
     "ell_plus_field",
     "extrapolate_fields",
-    "check_gradient_time_identities",
-    "check_inequalities",
+    "check_reduced_field",
     "theta_plus",
     "hessian_check_cor21",
 ]
@@ -175,8 +174,6 @@ class ThetaSeries:
     lower_bound: np.ndarray
     monotone_ok: bool
     max_violation: float
-    supersolution_max: float
-    excluded_fraction: float
 
     def to_csv(self, path) -> None:
         from .reports import write_csv
@@ -262,6 +259,7 @@ class _RadialEngine:
         self.s_nodes = np.linspace(self.s_lo, self.s_hi, n_steps + 1)
         self.ds = (self.s_hi - self.s_lo) / n_steps
         self.a_eps = self._a(max(eps, 0.0))
+        self.integrals = self.base_integrals()
 
     def _a(self, eta):
         eta = np.asarray(eta, dtype=float)
@@ -309,11 +307,9 @@ class _RadialEngine:
             k_g = float(_simpson(rho0 * s**2 * w_nodes**2, self.ds))
         return j, i_r, i_g, k_r, k_g
 
-    def solve_targets(self, radii: np.ndarray):
-        """Per-target (l_tail, k, boundary, x_speed_sq_end, v0)."""
-        radii = np.asarray(radii, dtype=float)
-        j, i_r, i_g, k_r, k_g = self.base_integrals()
-        v0 = radii / j
+    def solve(self, v0):
+        """(l_tail, k, boundary, x_speed_sq_end, head) for reduced speeds v0."""
+        _, i_r, i_g, k_r, k_g = self.integrals
         l_tail = i_r + v0**2 * i_g
         k_val = k_r + v0**2 * k_g
         a_end = self._a(self.t)
@@ -321,27 +317,23 @@ class _RadialEngine:
         x_sq_end = a_end * (v0 * w_end) ** 2 / (4.0 * self.t)
         if self.eps > 0:
             r_eps = self.n * self.rho0 / self.a_eps
-            x_sq_eps = self.a_eps * v0**2 / (4.0 * self.eps)
-            boundary = self.eps**1.5 * (r_eps + x_sq_eps)
+            boundary = self.eps**1.5 * (r_eps + self.a_eps * v0**2 / (4.0 * self.eps))
         else:
-            boundary = np.zeros_like(v0)
-        return l_tail, k_val, boundary, x_sq_end, v0
+            r_eps, boundary = 0.0, np.zeros_like(v0)
+        return l_tail, k_val, boundary, x_sq_end, _analytic_head(r_eps, self.eps, self.n)
 
 
 def _radial_field(h: FlowHistory, radii, times, eps: float,
                   n_steps: int = 192) -> ReducedField:
     radii = np.asarray(radii, dtype=float)
     times = np.asarray(times, dtype=float)
-    n = h.dim
     ell = np.empty((len(times), len(radii)))
     ell_tail = np.empty_like(ell)
     k_eff = np.empty_like(ell)
     head = 0.0
     for i, t in enumerate(times):
         eng = _RadialEngine(h, eps, float(t), n_steps)
-        l_tail, k_val, boundary, _, _ = eng.solve_targets(radii)
-        r_eps = n * eng.rho0 / eng.a_eps if eps > 0 else 0.0
-        head = _analytic_head(r_eps, eps, n)
+        l_tail, k_val, boundary, _, head = eng.solve(radii / eng.integrals[0])
         ell_tail[i] = l_tail / (2.0 * math.sqrt(t))
         ell[i] = (l_tail + head) / (2.0 * math.sqrt(t))
         k_eff[i] = k_val + boundary
@@ -662,31 +654,24 @@ def geodesic_shoot(h: FlowHistory, x0, momentum, t_end: float,
     if h.kind == "model_space":
         eng = _RadialEngine(h, eps, t_end, n_steps)
         v0 = 2.0 * float(momentum)
+        l_tail, k_val, boundary, x_sq_end, head = eng.solve(v0)
         s = eng.s_nodes
         w = eng.speed_shape(s)
         a_nodes = eng._a_nodes()
         sigma = np.concatenate(
             [[0.0], np.cumsum(0.5 * (w[:-1] + w[1:]) * np.diff(s))]
         ) * v0
-        j, i_r, i_g, k_r, k_g = eng.base_integrals()
-        l_tail = i_r + v0**2 * i_g
-        k_val = k_r + v0**2 * k_g
-        r_eps = n * eng.rho0 / eng.a_eps if eps > 0 else 0.0
-        head = _analytic_head(r_eps, eps, n)
-        if eps > 0:
-            boundary = eps**1.5 * (r_eps + eng.a_eps * v0**2 / (4.0 * eps))
-        else:
-            boundary = 0.0
         r_end = n * eng.rho0 / a_nodes[-1]
-        x_sq_end = a_nodes[-1] * (v0 * w[-1]) ** 2 / (4.0 * t_end)
         resid = abs(t_end**1.5 * (r_end + x_sq_end) - (boundary + k_val + 0.5 * l_tail))
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             x_vel = np.where(s > 0, v0 * w / (2.0 * s), np.inf)
-        h_samples = (
-            2.0 * n * eng.rho0**2 / a_nodes**2
-            + eng.rho0 * (v0 * w) ** 2 / (2.0 * np.maximum(s, 1e-300) ** 2)
-            + n * eng.rho0 / (a_nodes * np.maximum(s, 1e-300) ** 2)
-        )
+            h_samples = (
+                2.0 * n * eng.rho0**2 / a_nodes**2
+                + eng.rho0 * (v0 * w) ** 2 / (2.0 * s**2)
+                + n * eng.rho0 / (a_nodes * s**2)
+            )
+        if s[0] == 0:
+            h_samples[0] = math.nan  # the weighted integrand vanishes at the base
         path = PathSample(0.0, s**2, sigma, eps)
         return GeodesicSolution(path, x_vel, float(momentum), l_tail + head,
                                 l_tail, head, float(boundary), k_val,
@@ -982,11 +967,29 @@ def _torus_smooth_mask(images: np.ndarray, grid_shape: tuple, periods) -> np.nda
 
 @dataclass
 class ReducedCheckReport:
-    name: str
-    max_residual: float
-    per_time: list
-    excluded_fraction: float = 0.0
-    details: dict = field(default_factory=dict)
+    """Worst values of the field relations over FD-smooth points at interior times.
+
+    gradient_max and time_max are absolute residuals; the four inequality
+    margins and supersolution_max are violations when positive.
+    """
+
+    gradient_max: float
+    time_max: float
+    lap_bound: float
+    subsolution: float
+    heat_form: float
+    entropy_form: float
+    supersolution_max: float
+    excluded_fraction: float
+
+    @property
+    def identity(self) -> float:
+        return max(self.gradient_max, self.time_max)
+
+    @property
+    def worst_violation(self) -> float:
+        """The subsolution and entropy forms, the margins every verdict bounds."""
+        return max(self.subsolution, self.entropy_form)
 
 
 def _require_uniform_times(fld: ReducedField) -> None:
@@ -1071,76 +1074,54 @@ def _slice_ops(fld: ReducedField, h: FlowHistory, i: int):
     return r, grad_sq, lap, keep, 1.0 - float(np.mean(keep))
 
 
-def check_gradient_time_identities(fld: ReducedField, h: FlowHistory) -> ReducedCheckReport:
-    """Residuals of the gradient and time-derivative identities.
+def check_reduced_field(fld: ReducedField, h: FlowHistory) -> ReducedCheckReport:
+    """One pass over the pointwise relations of a reduced field.
 
-    |grad ell|^2 = -R + ell/t + K_eff/t^(3/2) and
-    d(ell)/dt = R - K_eff/(2 t^(3/2)) - ell/t, with K_eff the Harnack
-    integral plus the start boundary term, and ell the bare tail
-    normalization (the analytic head is a y-independent offset handled
-    by its own time derivative).  Checked at FD-smooth points only.
-    """
-    _require_uniform_times(fld)
-    d_ell, idx = time_derivative(fld.ell_tail, fld.times)
-    grad_res_max, dt_res_max = 0.0, 0.0
-    per_time = []
-    excluded = 0.0
-    for j, i in enumerate(idx):
-        t = float(fld.times[i])
-        ell = fld.ell_tail[i]
-        k_eff = fld.k_effective[i]
-        r, grad_sq, _, keep, frac = _slice_ops(fld, h, i)
-        excluded = max(excluded, frac)
-        g_res = np.abs(grad_sq(ell) - (-r + ell / t + k_eff / t**1.5))
-        t_res = np.abs(d_ell[j] - (r - k_eff / (2 * t**1.5) - ell / t))
-        g_max = float(np.max(g_res[keep]))
-        t_max_res = float(np.max(t_res[keep]))
-        per_time.append((fld.times[i], g_max, t_max_res))
-        grad_res_max = max(grad_res_max, g_max)
-        dt_res_max = max(dt_res_max, t_max_res)
-    return ReducedCheckReport(
-        "gradient_time_identities", max(grad_res_max, dt_res_max), per_time,
-        excluded, {"gradient_max": grad_res_max, "time_max": dt_res_max},
-    )
-
-
-def check_inequalities(fld: ReducedField, h: FlowHistory) -> ReducedCheckReport:
-    """Margins of the pointwise inequality suite at FD-smooth points.
-
-    Checked with the full normalized length (head included):
+    With K_eff the Harnack integral plus the start boundary term, the
+    gradient and time identities are checked on the bare tail ell_tail
+    (the analytic head is a y-independent offset handled by its own time
+    derivative):
+      |grad ell|^2 = -R + ell/t + K_eff/t^(3/2)
+      d(ell)/dt = R - K_eff/(2 t^(3/2)) - ell/t
+    and the inequality suite on the full normalized length ell:
       laplacian bound:  lap ell <= R + n/2t - K_eff/(2 t^(3/2))
       subsolution form: d(ell)/dt + lap ell + |grad ell|^2 - R - n/2t <= 0
       heat form:        (d/dt - lap)(4t ell + 2nt) >= 0
       entropy form:     t (2 lap ell + |grad ell|^2 - R) - ell - n <= 0
-    Positive values are violations; the report keeps the worst per
-    check.  Cut-locus points are excluded by the smoothness mask.
+    together with the supersolution residual d(u_hat)/dt + lap u_hat
+    - R u_hat <= 0 of the kernel u_hat = exp(ell)/(4 pi t)^(n/2).  Each is
+    maximized over the points the smoothness mask keeps, at every
+    interior time, with the spatial operators built once per time.
     """
     _require_uniform_times(fld)
-    d_ell, idx = time_derivative(fld.ell, fld.times)
     n = h.dim
-    worst = {"lap_bound": -math.inf, "subsolution": -math.inf,
-             "heat_form": -math.inf, "entropy_form": -math.inf}
-    per_time = []
+    u_hats = [np.exp(ell) / (4.0 * math.pi * t) ** (n / 2.0)
+              for ell, t in zip(fld.ell, fld.times)]
+    d_tail, idx = time_derivative(fld.ell_tail, fld.times)
+    d_ell, _ = time_derivative(fld.ell, fld.times)
+    d_u, _ = time_derivative(u_hats, fld.times)
+    worst = {"gradient_max": 0.0, "time_max": 0.0, "lap_bound": -math.inf,
+             "subsolution": -math.inf, "heat_form": -math.inf, "entropy_form": -math.inf,
+             "supersolution_max": -math.inf}
     excluded = 0.0
     for j, i in enumerate(idx):
         t = float(fld.times[i])
-        ell, k_v, dl = fld.ell[i], fld.k_effective[i], d_ell[j]
+        tail, ell, k_v, dl, u = fld.ell_tail[i], fld.ell[i], fld.k_effective[i], d_ell[j], u_hats[i]
         r, grad_sq_op, lap_op, keep, frac = _slice_ops(fld, h, i)
         excluded = max(excluded, frac)
         lap, grad_sq = lap_op(ell), grad_sq_op(ell)
-        checks = {
+        fields = {
+            "gradient_max": np.abs(grad_sq_op(tail) - (-r + tail / t + k_v / t**1.5)),
+            "time_max": np.abs(d_tail[j] - (r - k_v / (2 * t**1.5) - tail / t)),
             "lap_bound": lap - (r + n / (2 * t) - k_v / (2 * t**1.5)),
             "subsolution": dl + lap + grad_sq - r - n / (2 * t),
             "heat_form": -(4 * ell + 4 * t * dl + 2 * n - 4 * t * lap),
             "entropy_form": t * (2 * lap + grad_sq - r) - ell - n,
+            "supersolution_max": d_u[j] + lap_op(u) - r * u,
         }
-        row = {k: float(np.max(v[keep])) for k, v in checks.items()}
-        per_time.append((fld.times[i], row))
-        for k, v in row.items():
-            worst[k] = max(worst[k], v)
-    return ReducedCheckReport(
-        "inequality_suite", max(worst.values()), per_time, excluded, worst
-    )
+        for key, v in fields.items():
+            worst[key] = max(worst[key], float(np.max(v[keep])))
+    return ReducedCheckReport(**worst, excluded_fraction=excluded)
 
 
 def theta_plus(fld: ReducedField, h: FlowHistory) -> ThetaSeries:
@@ -1149,15 +1130,13 @@ def theta_plus(fld: ReducedField, h: FlowHistory) -> ThetaSeries:
     The torus integral uses the field's uniform target subgrid; the
     radial variant averages exp(ell) over the radial samples against the
     total volume (the profiles of interest are spatially constant in the
-    extrapolated limit).  The pointwise supersolution residual
-    d(u_hat)/dt + lap u_hat - R u_hat (at most zero in theory) is
-    reported as its maximum over FD-smooth points at interior times.
+    extrapolated limit).  The pointwise supersolution residual of the
+    kernel is checked by check_reduced_field.
     """
     n = h.dim
     times = fld.times
     theta = np.empty(len(times))
     lower = np.empty(len(times))
-    u_hats = []
     for i, t in enumerate(times):
         norm = (4.0 * math.pi * t) ** (n / 2.0)
         u_hat = np.exp(fld.ell[i]) / norm
@@ -1167,25 +1146,12 @@ def theta_plus(fld: ReducedField, h: FlowHistory) -> ThetaSeries:
             theta[i] = float(np.sum(u_hat * np.exp(2 * m.phi[sub]).ravel())) * hsx * hsy
         else:
             theta[i] = float(np.mean(u_hat)) * volume(m)
-        u_hats.append(u_hat)
         lower[i] = scaled_volume(h, float(t)) / (4.0 * math.pi * math.e) ** (n / 2.0)
     diffs = np.diff(theta)
-    max_violation = float(np.max(diffs)) if len(diffs) else 0.0
-    # supersolution residual at interior times
-    _require_uniform_times(fld)
-    du, idx = time_derivative(np.asarray(u_hats), times)
-    sup_max = -math.inf
-    excluded = 0.0
-    for j, i in enumerate(idx):
-        r, _, lap, keep, frac = _slice_ops(fld, h, i)
-        excluded = max(excluded, frac)
-        res = du[j] + lap(u_hats[i]) - r * u_hats[i]
-        sup_max = max(sup_max, float(np.max(res[keep])))
     return ThetaSeries(
         times=times, theta=theta, lower_bound=lower,
         monotone_ok=bool(np.all(diffs <= 1e-5 * np.maximum(1.0, np.abs(theta[:-1])))),
-        max_violation=max_violation, supersolution_max=sup_max,
-        excluded_fraction=excluded,
+        max_violation=float(np.max(diffs)) if len(diffs) else 0.0,
     )
 
 
@@ -1238,7 +1204,10 @@ def hessian_check_cor21(h: FlowHistory, t: float, targets,
         fld = targets  # a precomputed subgrid field at [t]
         if not isinstance(fld, ReducedField) or fld.grid_shape is None:
             raise ValueError("torus variant expects a subgrid ReducedField")
-        i = int(np.argmin(np.abs(fld.times - t)))
+        hit = np.flatnonzero(np.abs(fld.times - t) <= 1e-12 * abs(t))
+        if not len(hit):
+            raise ValueError(f"t = {t!r} is not one of the field times {fld.times.tolist()}")
+        i = int(hit[0])
         l_vals = (2.0 * math.sqrt(t) * fld.ell[i]).reshape(fld.grid_shape)
         sub, (hsx, hsy) = _subgrid(fld, m)
         phi_sub, r_sub = m.phi[sub], curvature(m).scalar[sub]

@@ -317,6 +317,89 @@ def v_plus(s, h, birth_time=0.0):
     return field, integrate(m, field)
 
 
+def reduced_identities_separate(fld, h):
+    """The gradient and time identities of a reduced field, checked alone.
+
+    Reference for `reduced.check_reduced_field`, which checks them in one
+    pass together with the inequality suite (`reduced_inequalities_separate`)
+    and the kernel supersolution residual (`theta_supersolution_separate`);
+    each of the three references re-walks the field times on its own.
+    Returns (gradient_max, time_max, excluded_fraction).
+    """
+    from expanderlab.numerics import time_derivative
+    from expanderlab.reduced import _require_uniform_times, _slice_ops
+
+    _require_uniform_times(fld)
+    d_ell, idx = time_derivative(fld.ell_tail, fld.times)
+    grad_res_max, dt_res_max = 0.0, 0.0
+    excluded = 0.0
+    for j, i in enumerate(idx):
+        t = float(fld.times[i])
+        ell = fld.ell_tail[i]
+        k_eff = fld.k_effective[i]
+        r, grad_sq, _, keep, frac = _slice_ops(fld, h, i)
+        excluded = max(excluded, frac)
+        g_res = np.abs(grad_sq(ell) - (-r + ell / t + k_eff / t**1.5))
+        t_res = np.abs(d_ell[j] - (r - k_eff / (2 * t**1.5) - ell / t))
+        grad_res_max = max(grad_res_max, float(np.max(g_res[keep])))
+        dt_res_max = max(dt_res_max, float(np.max(t_res[keep])))
+    return grad_res_max, dt_res_max, excluded
+
+
+def reduced_inequalities_separate(fld, h):
+    """The four inequality margins of a reduced field, checked alone.
+
+    Returns ({lap_bound, subsolution, heat_form, entropy_form}, excluded_fraction).
+    """
+    from expanderlab.numerics import time_derivative
+    from expanderlab.reduced import _require_uniform_times, _slice_ops
+
+    _require_uniform_times(fld)
+    d_ell, idx = time_derivative(fld.ell, fld.times)
+    n = h.dim
+    worst = {"lap_bound": -math.inf, "subsolution": -math.inf,
+             "heat_form": -math.inf, "entropy_form": -math.inf}
+    excluded = 0.0
+    for j, i in enumerate(idx):
+        t = float(fld.times[i])
+        ell, k_v, dl = fld.ell[i], fld.k_effective[i], d_ell[j]
+        r, grad_sq_op, lap_op, keep, frac = _slice_ops(fld, h, i)
+        excluded = max(excluded, frac)
+        lap, grad_sq = lap_op(ell), grad_sq_op(ell)
+        checks = {
+            "lap_bound": lap - (r + n / (2 * t) - k_v / (2 * t**1.5)),
+            "subsolution": dl + lap + grad_sq - r - n / (2 * t),
+            "heat_form": -(4 * ell + 4 * t * dl + 2 * n - 4 * t * lap),
+            "entropy_form": t * (2 * lap + grad_sq - r) - ell - n,
+        }
+        for k, v in checks.items():
+            worst[k] = max(worst[k], float(np.max(v[keep])))
+    return worst, excluded
+
+
+def theta_supersolution_separate(fld, h):
+    """The supersolution residual of the kernel exp(ell)/(4 pi t)^(n/2), checked alone.
+
+    Returns (supersolution_max, excluded_fraction).
+    """
+    from expanderlab.numerics import time_derivative
+    from expanderlab.reduced import _require_uniform_times, _slice_ops
+
+    n = h.dim
+    u_hats = [np.exp(fld.ell[i]) / (4.0 * math.pi * t) ** (n / 2.0)
+              for i, t in enumerate(fld.times)]
+    _require_uniform_times(fld)
+    du, idx = time_derivative(np.asarray(u_hats), fld.times)
+    sup_max = -math.inf
+    excluded = 0.0
+    for j, i in enumerate(idx):
+        r, _, lap, keep, frac = _slice_ops(fld, h, i)
+        excluded = max(excluded, frac)
+        res = du[j] + lap(u_hats[i]) - r * u_hats[i]
+        sup_max = max(sup_max, float(np.max(res[keep])))
+    return sup_max, excluded
+
+
 def model_to_json(m):
     """The JSON model spec of a metric model, the inverse of `geometry.model_from_json`."""
     from expanderlab.geometry import ConformalTorusMetric, HomogeneousMetric, ModelSpaceMetric

@@ -158,7 +158,7 @@ def test_target_grid_validation(bad):
     ("hyperbolic_expander", {"reduced_t": None}, "reduced_t"),
     ("hyperbolic_expander", {"reduced_t": 0}, "reduced_t"),
     ("flat_torus", {"reduced_t": 2.9}, "reduced_t"),
-    ("hyperbolic_expander", {"tolerances": {"monotonicity": float("nan")}}, "tolerances"),
+    ("hyperbolic_expander", {"tolerances": {"harnack": float("nan")}}, "tolerances"),
     ("hyperbolic_expander", {"tolerances": ["blowdown", 1e-6]}, "tolerances"),
     # a birth time at or after the harnack times, and harnack times or a
     # density window outside t_span, on every model
@@ -184,15 +184,24 @@ def test_target_grid_validation(bad):
     ("shrinking_sphere", {"checks": ["mu_nu"]}, "mu/nu time"),
     # a repeated sigma leaves the divided differences of mu undefined
     ("flat_torus", {"sigmas": [0.5, 1.0, 0.5]}, "sigmas"),
+    # params that are not an object, keys no check reads, flags that are not booleans
+    ("flat_torus", {"params": [1, 2]}, "params"),
+    ("flat_torus", {"params": "x"}, "params"),
+    ("hyperbolic_expander", {"params": None}, "params"),
+    ("vertex_expander", {"reduce_t": 1.0}, "reduce_t"),
+    ("hyperbolic_expander", {"tolerances": {"monotonicity": 1e-8}}, "monotonicity"),
+    ("flat_torus", {"oracle_check": "false"}, "oracle_check"),
+    ("flat_torus", {"oracle_check": 0}, "oracle_check"),
+    ("hyperbolic_expander", {"expect_constant_entropy": "true"}, "expect_constant_entropy"),
 ])
 def test_malformed_params_exit_2_without_output(tmp_path, capsys, scenario, params, word):
     doc = json.loads(builtin_scenarios()[scenario].read_text())
     params = dict(params)  # these keys replace the document's, "model" updates its model
-    for key in ("tolerances", "t_span", "checks"):
-        if key in params:
-            doc[key] = params.pop(key)
+    replaced = {k: params.pop(k) for k in ("tolerances", "t_span", "checks", "params")
+                if k in params}
     doc["model"].update(params.pop("model", {}))
     doc["params"].update(params)
+    doc.update(replaced)
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from expanderlab.entropy import nu_plus
 from expanderlab.flow import LEVEL_BATCH_BYTES, BlowdownSpec, FlowHistory, blowdown, evolve
 from expanderlab.geometry import ConformalTorusMetric, ModelSpaceMetric
 from expanderlab.reduced import (
-    check_gradient_time_identities,
-    check_inequalities,
+    check_reduced_field,
     ell_plus_field,
     extrapolate_fields,
     geodesic_shoot,
@@ -29,7 +29,12 @@ from expanderlab.reduced import (
     _torus_shoot_targets,
     _TorusSlices,
 )
-from oracles import torus_slice_grids
+from oracles import (
+    reduced_identities_separate,
+    reduced_inequalities_separate,
+    theta_supersolution_separate,
+    torus_slice_grids,
+)
 
 HYPERBOLIC3 = ModelSpaceMetric(dim=3, sectional_sign=-1, scale=1.0, base_volume=1.0)
 
@@ -197,58 +202,82 @@ def test_ell_vertex_expander_epsilon_ladder():
     assert np.max(np.abs(ext.ell + 1.5)) < 1e-3
 
 
-def test_identity_checks_flat():
+def flat_subgrid_field(nt=8):
     h = flat_history(32, 1.3)
-    nt = 8
     pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    times = np.linspace(0.98, 1.02, 5)
-    fld = ell_plus_field(h, (0.0, 0.0), pts, times, oracle_check=False,
-                         grid_shape=(nt, nt))
-    rep = check_gradient_time_identities(fld, h)
-    assert rep.max_residual < 1e-7
-    ineq = check_inequalities(fld, h)
+    fld = ell_plus_field(h, (0.0, 0.0), pts, np.linspace(0.98, 1.02, 5),
+                         oracle_check=False, grid_shape=(nt, nt))
+    return h, fld
+
+
+def test_identity_checks_flat():
+    h, fld = flat_subgrid_field()
+    rep = check_reduced_field(fld, h)
+    assert rep.identity < 1e-7
     # flat case: equality in the subsolution and entropy forms
-    assert abs(ineq.details["subsolution"]) < 1e-7
-    assert abs(ineq.details["entropy_form"]) < 1e-7
-    assert ineq.details["lap_bound"] < 1e-7
-    assert ineq.details["heat_form"] < 1e-7
+    assert abs(rep.subsolution) < 1e-7
+    assert abs(rep.entropy_form) < 1e-7
+    assert rep.lap_bound < 1e-7
+    assert rep.heat_form < 1e-7
+
+
+def masked_corruption(fld, nt=8):
+    """The clean field and a copy with a corrupted target, both masking the
+    target and its four stencil neighbours at every time."""
+    i0, j0 = 2, 5
+    masked = np.ones((nt, nt), dtype=bool)
+    for di, dj in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+        masked[(i0 + di) % nt, (j0 + dj) % nt] = False
+    mask = np.tile(masked.ravel(), (len(fld.times), 1))
+    clean = dataclasses.replace(fld, smooth_mask=mask)
+    bad_ell = fld.ell.copy()
+    bad_ell[:, i0 * nt + j0] += 0.5
+    return clean, dataclasses.replace(fld, ell=bad_ell, ell_tail=bad_ell.copy(), smooth_mask=mask)
 
 
 def test_checks_skip_masked_targets():
     # a corrupted target and its four stencil neighbours, masked at every
     # time, leave every check exactly where the clean field puts it
-    h = flat_history(32, 1.3)
-    nt = 8
-    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    times = np.linspace(0.98, 1.02, 5)
-    fld = ell_plus_field(h, (0.0, 0.0), pts, times, oracle_check=False,
-                         grid_shape=(nt, nt))
-    i0, j0 = 2, 5
-    masked = np.ones((nt, nt), dtype=bool)
-    for di, dj in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
-        masked[(i0 + di) % nt, (j0 + dj) % nt] = False
-    mask = np.tile(masked.ravel(), (len(times), 1))
-    clean = dataclasses.replace(fld, smooth_mask=mask)
-    bad_ell = fld.ell.copy()
-    bad_ell[:, i0 * nt + j0] += 0.5
-    bad = dataclasses.replace(fld, ell=bad_ell, ell_tail=bad_ell.copy(), smooth_mask=mask)
-    for check in (check_gradient_time_identities, check_inequalities):
-        want, got = check(clean, h), check(bad, h)
-        assert got.max_residual == want.max_residual
-        assert got.details == want.details
-        assert got.excluded_fraction == 5 / 64
-    want, got = theta_plus(clean, h), theta_plus(bad, h)
-    assert got.supersolution_max == want.supersolution_max
+    h, fld = flat_subgrid_field()
+    clean, bad = masked_corruption(fld)
+    want, got = check_reduced_field(clean, h), check_reduced_field(bad, h)
+    assert got == want
     assert got.excluded_fraction == 5 / 64
     # without the mask the corruption shows
-    unmasked = dataclasses.replace(bad, smooth_mask=None)
-    assert check_inequalities(unmasked, h).max_residual > 1.0
+    rep = check_reduced_field(dataclasses.replace(bad, smooth_mask=None), h)
+    assert max(rep.lap_bound, rep.subsolution, rep.heat_form, rep.entropy_form) > 1.0
     # radial fields check interior radii and never report exclusions
     hr = evolve(HYPERBOLIC3, (0.0, 3.0))
     rad = ell_plus_field(hr, 0.0, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5))
-    assert check_gradient_time_identities(rad, hr).excluded_fraction == 0
-    assert check_inequalities(rad, hr).excluded_fraction == 0
-    assert theta_plus(rad, hr).excluded_fraction == 0
+    assert check_reduced_field(rad, hr).excluded_fraction == 0
+
+
+def test_one_pass_matches_the_separate_checks_bitwise():
+    h, fld = flat_subgrid_field()
+    ht = torus_flow_history(32, 0.26)
+    nt = 8
+    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
+    fld_t = ell_plus_field(ht, (0.0, 0.0), pts, np.linspace(0.18, 0.22, 5),
+                           oracle_check=False, grid_shape=(nt, nt))
+    hr = evolve(HYPERBOLIC3, (0.0, 3.0))
+    rad = ell_plus_field(hr, 0.0, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5))
+    hv = vertex_expander_history()
+    rungs = [ell_plus_field(hv, 0.0, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5), eps=e)
+             for e in (1e-3, 1e-4, 1e-5)]
+    # a regularized rung is the one field whose ell carries a head beside ell_tail
+    cases = [(h, fld), (h, masked_corruption(fld)[1]), (ht, fld_t), (hr, rad),
+             (hv, extrapolate_fields(rungs)), (hv, rungs[1])]
+    for hist, f in cases:
+        rep = check_reduced_field(f, hist)
+        grad_max, time_max, excl_id = reduced_identities_separate(f, hist)
+        margins, excl_in = reduced_inequalities_separate(f, hist)
+        sup_max, excl_sup = theta_supersolution_separate(f, hist)
+        assert rep.gradient_max == grad_max and rep.time_max == time_max
+        assert (rep.lap_bound, rep.subsolution, rep.heat_form, rep.entropy_form) == (
+            margins["lap_bound"], margins["subsolution"], margins["heat_form"],
+            margins["entropy_form"])
+        assert rep.supersolution_max == sup_max
+        assert rep.excluded_fraction == excl_id == excl_in == excl_sup
 
 
 def test_identity_checks_vertex_expander():
@@ -256,13 +285,12 @@ def test_identity_checks_vertex_expander():
     radii = np.linspace(0.0, 1.0, 17)
     times = np.linspace(0.9, 1.1, 9)
     fld = ell_plus_field(h, 0.0, radii, times, eps=1e-4)
-    rep = check_gradient_time_identities(fld, h)
-    assert rep.max_residual < 1e-6
+    assert check_reduced_field(fld, h).identity < 1e-6
     fields = [
         ell_plus_field(h, 0.0, radii, times, eps=e) for e in (1e-3, 1e-4, 1e-5)
     ]
-    ineq = check_inequalities(extrapolate_fields(fields), h)
-    assert ineq.max_residual < 1e-4
+    ineq = check_reduced_field(extrapolate_fields(fields), h)
+    assert max(ineq.lap_bound, ineq.subsolution, ineq.heat_form, ineq.entropy_form) < 1e-4
 
 
 def test_identity_checks_torus_flow():
@@ -272,14 +300,13 @@ def test_identity_checks_torus_flow():
     times = np.linspace(0.18, 0.22, 5)
     fld = ell_plus_field(h, (0.0, 0.0), pts, times, oracle_check=False,
                          grid_shape=(nt, nt))
-    rep = check_gradient_time_identities(fld, h)
+    rep = check_reduced_field(fld, h)
     # the Harnack-integral terms carry the O(h^2) field-consistency floor
-    assert rep.max_residual < 5e-3
-    ineq = check_inequalities(fld, h)
-    assert ineq.details["subsolution"] < 1e-4
-    assert ineq.details["entropy_form"] < 1e-4
-    assert ineq.details["lap_bound"] < 1e-4
-    assert ineq.details["heat_form"] < 1e-4
+    assert rep.identity < 5e-3
+    assert rep.subsolution < 1e-4
+    assert rep.entropy_form < 1e-4
+    assert rep.lap_bound < 1e-4
+    assert rep.heat_form < 1e-4
 
 
 def test_harnack_integral_identity_along_geodesics():
@@ -295,6 +322,18 @@ def test_harnack_integral_identity_along_geodesics():
     ht = torus_flow_history(32, 0.1)
     sol_t = geodesic_shoot(ht, (0.0, 0.0), np.array([0.6, 0.2]), 0.06, n_steps=128)
     assert sol_t.identity_residual < 1e-3
+
+
+def test_model_shot_from_a_smooth_start_is_warning_free():
+    # at eps = 0 the first node is the base, where the Harnack integrand
+    # is undefined; it is stored as nan, as on the torus
+    h = evolve(HYPERBOLIC3, (0.0, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = geodesic_shoot(h, 0.0, 0.4, 1.0)
+    assert math.isnan(sol.h_samples[0]) and np.all(np.isfinite(sol.h_samples[1:]))
+    assert sol.boundary_term == 0.0 and sol.head == 0.0
+    assert sol.identity_residual < 1e-6
 
 
 def test_first_variation_vanishes_at_geodesic():
@@ -338,7 +377,24 @@ def test_theta_flat_torus():
     assert series.monotone_ok
     assert np.all(series.theta >= series.lower_bound - 1e-12)
     # away from the cut locus the kernel solves the backward equation
-    assert series.supersolution_max < 1e-2
+    assert check_reduced_field(fld, h).supersolution_max < 1e-2
+
+
+def test_theta_plus_accepts_a_single_time_field():
+    h = flat_history(32, 1.3)
+    nt = 8
+    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
+    fld = ell_plus_field(h, (0.0, 0.0), pts, [1.0], oracle_check=False,
+                         grid_shape=(nt, nt))
+    series = theta_plus(fld, h)
+    assert series.theta.shape == (1,) and series.monotone_ok and series.max_violation == 0.0
+    # on the flat unit torus theta is (4 pi t)^(-1) times the integral of exp(ell)
+    three = ell_plus_field(h, (0.0, 0.0), pts, [0.9, 1.0, 1.1], oracle_check=False,
+                           grid_shape=(nt, nt))
+    assert series.theta[0] == theta_plus(three, h).theta[1]
+    # the pointwise relations difference in time and still need three times
+    with pytest.raises(ValueError, match="three field times"):
+        check_reduced_field(fld, h)
 
 
 def test_theta_vertex_expander_value_and_nu_duality():
@@ -395,6 +451,19 @@ def test_hessian_bound_flat_equality():
     assert rep.status == "ok"
     assert rep.min_margin > -1e-8
     assert abs(rep.margins["xx_min"]) < 1e-8  # equality case
+
+
+def test_hessian_bound_needs_a_field_time():
+    # the Hessian of a field at t = 1 is not compared with the metric at 0.5
+    h = flat_history(32, 1.3)
+    nt = 8
+    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
+    fld = ell_plus_field(h, (0.0, 0.0), pts, [1.0], oracle_check=False,
+                         grid_shape=(nt, nt))
+    for t in (0.5, 1.0 + 1e-9):
+        with pytest.raises(ValueError, match="field times"):
+            hessian_check_cor21(h, t, fld)
+    assert hessian_check_cor21(h, 1.0 + 1e-14, fld).status == "ok"
 
 
 def test_hessian_bound_shrinking_sphere():
