@@ -24,6 +24,7 @@ from .conjugate_heat import (
 )
 from .entropy import (
     asymptotics_report,
+    blowdown_gap,
     expander_entropy,
     expander_residual,
     lambda_bar,
@@ -36,7 +37,6 @@ from .geometry import (
     HomogeneousMetric,
     ModelSpaceMetric,
     integrate,
-    volume,
 )
 from .numerics import five_point
 from .reduced import (
@@ -282,10 +282,7 @@ def crit_6_reduced_length(art: _Artifacts) -> CriterionResult:
 
     want = np.array([dist_sq(p) / 4.0 for p in pts])
     shoot_dev = float(np.max(np.abs(fld.ell[0] - want)))
-    oracle_rel = float(np.max(
-        np.abs(fld.ell[0] - fld.oracle_values[0])
-        / np.maximum(1.0, np.abs(fld.oracle_values[0]))
-    ))
+    oracle_rel = fld.oracle_rel_gap
     from .reduced import geodesic_shoot
 
     res_flat = geodesic_shoot(h, (0.0, 0.0), np.array([0.2, 0.1]), 1.0).identity_residual
@@ -307,16 +304,12 @@ def crit_7_reduced_volume(art: _Artifacts) -> CriterionResult:
     ht, fld_t = art.torus_theta_field()
     st = theta_plus(fld_t, ht)
     mono_ok = sf.monotone_ok and st.monotone_ok
-    bound_ok = bool(
-        np.all(sf.theta >= sf.lower_bound - 1e-12)
-        and np.all(st.theta >= st.lower_bound - 1e-12)
-    )
     hv, ext = art.vertex_extrapolated()
     sv = theta_plus(ext, hv)
+    bound_ok = sf.bound_ok and st.bound_ok and sv.bound_ok
     theta_rel = float(np.max(np.abs(sv.theta - THETA_MODEL)) / THETA_MODEL)
     nu = nu_plus(hv.metric_at(1.0))
     dual_gap = abs(math.log(sv.theta[2]) + nu.value) if nu.status == "ok" else math.inf
-    bound_ok = bound_ok and bool(np.all(sv.theta >= sv.lower_bound - 1e-12))
     passed = (mono_ok and bound_ok and theta_rel <= 1e-2 and dual_gap <= 1e-2)
     return CriterionResult(
         7, "forward reduced volume", passed,
@@ -403,14 +396,7 @@ def crit_10_property_suite(art: _Artifacts) -> CriterionResult:
     measured["monotone_ok"] = mono_ok
     measured["f_bounds_ok"] = f_ok
     # blowdown invariance of the monotone quantities
-    bd = blowdown(h, BlowdownSpec(alpha=8.0))
-    inv = 0.0
-    for t in (0.5, 2.0):
-        m_b, m_s = bd.metric_at(t), h.metric_at(8.0 * t)
-        inv = max(inv, abs(expander_entropy(m_b, 1.0 / volume(m_b), t)
-                           - expander_entropy(m_s, 1.0 / volume(m_s), 8.0 * t)))
-        inv = max(inv, abs(lambda_bar(m_b) - lambda_bar(m_s)))
-        inv = max(inv, abs(scaled_volume(bd, t) - scaled_volume(h, 8.0 * t)))
+    inv = blowdown_gap(h, 8.0, (0.5, 2.0))
     hv = art.vertex_expander(8.0)
     bdv = blowdown(hv, BlowdownSpec(alpha=4.0))
     radii = np.linspace(0.0, 1.0, 5)

@@ -84,19 +84,6 @@ class DensityState:
         return DensityState(t=float(t), u=u, sigma=float(sigma),
                             f_plus=log_potential(u, sigma, n), n=n)
 
-    def export_csv(self, path) -> None:
-        """Write the density grid as rows (i, j, u, f_plus); scalars as one row."""
-        from .reports import write_csv
-
-        u = np.atleast_2d(np.asarray(self.u, dtype=float))
-        f = np.atleast_2d(np.asarray(self.f_plus, dtype=float))
-        rows = [
-            [float(i), float(j), u[i, j], f[i, j]]
-            for i in range(u.shape[0])
-            for j in range(u.shape[1])
-        ]
-        write_csv(path, ["i", "j", "u", "f_plus"], rows)
-
 
 @dataclass
 class ResidualReport:

@@ -19,12 +19,12 @@ bookkeeping against each other to round-off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .conjugate_heat import ImmortalDensity, log_potential
-from .flow import FlowHistory, scaled_volume
+from .flow import BlowdownSpec, FlowHistory, blowdown, scaled_volume
 from .geometry import (
     ConformalTorusMetric,
     MetricModel,
@@ -63,6 +63,7 @@ __all__ = [
     "build_entropy_report",
     "AsymptoticsReport",
     "asymptotics_report",
+    "blowdown_gap",
     "Prop15Report",
     "long_time_residual_integral",
 ]
@@ -380,8 +381,6 @@ class AsymptoticsReport:
     lambda_bar_limit_predicted: float
     t_lambda_limit_fit: float
     w_plus_log_growth_rate: float
-    fit_times: np.ndarray
-    details: dict = field(default_factory=dict)
 
 
 def _tail_fit_inverse(ts, vals):
@@ -437,9 +436,29 @@ def asymptotics_report(h: FlowHistory, dens: ImmortalDensity,
         lambda_bar_limit_predicted=lbar_pred,
         t_lambda_limit_fit=t_lam_fit,
         w_plus_log_growth_rate=growth,
-        fit_times=ts,
-        details={"v_tilde_samples": v_tilde, "w_plus_samples": w_vals},
     )
+
+
+def blowdown_gap(h: FlowHistory, alpha: float, times) -> float:
+    """Largest change under the blowdown g(alpha t)/alpha at the given times.
+
+    Compares the blowdown at t with the flow at alpha t in three scale-
+    invariant quantities: the expander entropy of the uniform density,
+    the scaled volume and lambda_bar.
+    """
+    bd = blowdown(h, BlowdownSpec(alpha=alpha))
+    worst = 0.0
+    for t in times:
+        m_b, m_s = bd.metric_at(t), h.metric_at(alpha * t)
+        u_b, u_s = 1.0 / volume(m_b), 1.0 / volume(m_s)
+        if h.kind == "conformal_torus":
+            u_b = np.full(m_b.phi.shape, u_b)
+            u_s = np.full(m_s.phi.shape, u_s)
+        worst = max(worst, abs(expander_entropy(m_b, u_b, t)
+                               - expander_entropy(m_s, u_s, alpha * t)))
+        worst = max(worst, abs(scaled_volume(bd, t) - scaled_volume(h, alpha * t)))
+        worst = max(worst, abs(lambda_bar(m_b) - lambda_bar(m_s)))
+    return worst
 
 
 @dataclass

@@ -436,8 +436,6 @@ class ConcaveMaxResult:
     status: str  # "ok" or "unbounded"
     x: float
     value: float
-    warnings: tuple = ()
-    n_eval: int = 0
 
 
 def maximize_concave_1d(f, bracket, tol: ToleranceConfig | None = None) -> ConcaveMaxResult:
@@ -446,19 +444,15 @@ def maximize_concave_1d(f, bracket, tol: ToleranceConfig | None = None) -> Conca
     The upper bracket end is doubled while the function is still rising
     there, up to 2**40 times the initial end; if it is still rising the
     structured outcome "unbounded" is returned instead of an error.
-    Concavity is probed by sampled second differences; a violation only
-    adds a warning.  On success |x - argmax| <= abs_tol.
+    On success |x - argmax| <= abs_tol.
     """
     if tol is None:
         tol = ToleranceConfig(abs_tol=1e-8)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError("bracket must satisfy hi > lo")
-    n_eval = 0
 
     def ev(x):
-        nonlocal n_eval
-        n_eval += 1
         return float(f(x))
 
     cap = hi * 2.0**40
@@ -466,19 +460,10 @@ def maximize_concave_1d(f, bracket, tol: ToleranceConfig | None = None) -> Conca
     f_mid = ev(0.5 * (lo + hi))
     while f_hi >= f_mid:
         if hi >= cap:
-            return ConcaveMaxResult(status="unbounded", x=hi, value=f_hi, n_eval=n_eval)
-        mid = hi
+            return ConcaveMaxResult(status="unbounded", x=hi, value=f_hi)
         f_mid = f_hi
         hi *= 2.0
         f_hi = ev(hi)
-
-    warnings_out = []
-    xs = np.linspace(lo, hi, 17)
-    fs = [ev(x) for x in xs]
-    d2 = np.diff(fs, 2)
-    slack = 1e-9 * (1.0 + float(np.max(np.abs(fs))))
-    if np.any(d2 > slack):
-        warnings_out.append("sampled second differences violate concavity")
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -497,9 +482,7 @@ def maximize_concave_1d(f, bracket, tol: ToleranceConfig | None = None) -> Conca
             d = a + invphi * (b - a)
             fd = ev(d)
     x_best = 0.5 * (a + b)
-    return ConcaveMaxResult(
-        status="ok", x=x_best, value=ev(x_best), warnings=tuple(warnings_out), n_eval=n_eval
-    )
+    return ConcaveMaxResult(status="ok", x=x_best, value=ev(x_best))
 
 
 @dataclass

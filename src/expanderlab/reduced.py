@@ -102,22 +102,6 @@ class GeodesicSolution:
     h_samples: np.ndarray
     identity_residual: float
 
-    def to_csv(self, path) -> None:
-        """Trace rows (eta, position..., X..., weighted Harnack integrand)."""
-        from .reports import write_csv
-
-        eta = self.path.eta_grid
-        pos = np.atleast_2d(np.asarray(self.path.positions, dtype=float).T).T
-        vel = np.atleast_2d(np.asarray(self.velocity, dtype=float).T).T
-        integrand = eta**1.5 * np.asarray(self.h_samples, dtype=float)
-        dim = pos.shape[1]
-        header = (["eta"] + [f"x{k}" for k in range(dim)]
-                  + [f"X{k}" for k in range(dim)] + ["eta32_H"])
-        rows = []
-        for i in range(len(eta)):
-            rows.append([eta[i], *pos[i], *vel[i], integrand[i]])
-        write_csv(path, header, rows)
-
 
 @dataclass
 class ReducedField:
@@ -126,13 +110,12 @@ class ReducedField:
     ell includes the analytic head; ell_tail is the bare path integral.
     k_effective stores K plus the start boundary term, the combination
     entering the gradient/time identities.  The torus variant records
-    the winning lattice translate and a smoothness mask (cut-locus
-    detector); grid_shape is set when targets form a full uniform
-    subgrid so the field can be integrated.
+    a smoothness mask (cut-locus detector) and, with the oracle on, the
+    path-minimization values; grid_shape is set when targets form a full
+    uniform subgrid so the field can be integrated.
     """
 
     kind: str                     # "radial" or "torus"
-    base_point: object
     times: np.ndarray
     targets: np.ndarray
     ell: np.ndarray               # (n_times, n_targets)
@@ -141,7 +124,6 @@ class ReducedField:
     eps: float
     head: float
     momenta: np.ndarray | None = None
-    translate_index: np.ndarray | None = None
     smooth_mask: np.ndarray | None = None
     oracle_values: np.ndarray | None = None
     oracle_flags: np.ndarray | None = None
@@ -150,6 +132,15 @@ class ReducedField:
     @property
     def l_bar(self) -> np.ndarray:
         return 4.0 * self.times[:, None] * self.ell
+
+    @property
+    def oracle_rel_gap(self) -> float | None:
+        """max |ell - oracle| / max(1, |oracle|) over the finite oracle values."""
+        if self.oracle_values is None or not np.any(np.isfinite(self.oracle_values)):
+            return None
+        fin = np.isfinite(self.oracle_values)
+        rel = np.abs(self.ell[fin] - self.oracle_values[fin])
+        return float(np.max(rel / np.maximum(1.0, np.abs(self.oracle_values[fin]))))
 
     def to_csv(self, path) -> None:
         from .reports import write_csv
@@ -173,6 +164,7 @@ class ThetaSeries:
     theta: np.ndarray
     lower_bound: np.ndarray
     monotone_ok: bool
+    bound_ok: bool                # theta >= lower_bound - 1e-12 at every time
     max_violation: float
 
     def to_csv(self, path) -> None:
@@ -205,15 +197,6 @@ def _simpson(vals: np.ndarray, ds: float) -> np.ndarray:
     return (_node_order_sum(terms) if vals.ndim > 1 else np.sum(terms)) * ds / 3.0
 
 
-def _log_grid_integral(fn, s_lo: float, s_hi: float, n: int = 800) -> float:
-    """Simpson in log s; resolves vertex-concentrated speed profiles."""
-    if s_lo <= 0:
-        raise ValueError("log grid needs a positive lower end")
-    u = np.linspace(math.log(s_lo), math.log(s_hi), n + 1)
-    s = np.exp(u)
-    return float(_simpson(fn(s) * s, (u[-1] - u[0]) / n))
-
-
 def _analytic_head(r_at_eps: float, eps: float, n: int) -> float:
     """Estimate of the clipped R-part int_0^eps sqrt(eta) R d(eta).
 
@@ -242,79 +225,48 @@ def _radial_ct(sign: int, sigma):
 
 
 class _RadialEngine:
-    """Shared quadratures for geodesics on one homothety slice (eps, t)."""
+    """Shared quadratures for geodesics on one homothety slice (eps, t).
+
+    a(eta) is looked up once per grid: at eps and t, on the uniform
+    s-grid, and for eps > 0 on a log grid in s, where the speed profile
+    v(s)/v0 = a(eps)/a(s^2) concentrates.  integrals holds (J, I_R, I_g,
+    K_R, K_g): J converts the reduced speed v0 to unit arc length, the
+    action tail is I_R + v0^2 I_g and the Harnack integral K_R + v0^2 K_g.
+    """
 
     def __init__(self, h: FlowHistory, eps: float, t: float, n_steps: int = 192):
         if h.kind != "model_space":
             raise ValueError("radial engine needs a model-space history")
-        self.h = h
-        self.model = h.template
-        self.n = h.dim
-        self.rho0 = h.template.rho0
-        self.eps = float(eps)
-        self.t = float(t)
-        self.n_steps = n_steps = n_steps + n_steps % 2  # Simpson needs an even count
-        self.s_lo = math.sqrt(eps) if eps > 0 else 0.0
-        self.s_hi = math.sqrt(t)
-        self.s_nodes = np.linspace(self.s_lo, self.s_hi, n_steps + 1)
-        self.ds = (self.s_hi - self.s_lo) / n_steps
-        self.a_eps = self._a(max(eps, 0.0))
-        self.integrals = self.base_integrals()
-
-    def _a(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        if eta.ndim == 0:
-            return float(self.h.params_at(float(eta))[0])
-        return np.array([float(self.h.params_at(float(e))[0]) for e in eta])
-
-    def _a_nodes(self):
-        return self._a(self.s_nodes**2)
-
-    def speed_shape(self, s):
-        """v(s)/v0 = a(eps)/a(s^2), exact for the linear scale factor."""
-        return self.a_eps / self._a(np.asarray(s) ** 2)
-
-    def base_integrals(self):
-        """(J, I_R, I_g, K_R, K_g): linear/quadratic pieces in the momentum.
-
-        J converts momentum to unit arc length; the action tail is
-        I_R + v0^2 I_g and the Harnack integral is K_R + v0^2 K_g.
-        Speed-weighted pieces use the log-graded grid when eps > 0 since
-        the profile concentrates at the start.
-        """
-        n, rho0 = self.n, self.rho0
-        a_nodes = self._a_nodes()
-        s = self.s_nodes
-        r_nodes = n * rho0 / a_nodes
-        i_r = float(_simpson(2.0 * s**2 * r_nodes, self.ds))
-        k_r = float(
-            _simpson(2.0 * s**4 * (2.0 * n * rho0**2 / a_nodes**2)
-                     + 2.0 * s**2 * n * rho0 / a_nodes, self.ds)
-        )
+        self.n, self.rho0 = n, rho0 = h.dim, h.template.rho0
+        self.eps, self.t = float(eps), float(t)
+        n_steps += n_steps % 2  # Simpson needs an even count
+        s_lo, s_hi = (math.sqrt(eps) if eps > 0 else 0.0), math.sqrt(t)
+        self.s_nodes = s = np.linspace(s_lo, s_hi, n_steps + 1)
+        ds = (s_hi - s_lo) / n_steps
+        self.a_eps, self.a_end = map(float, h.params_at_times([max(eps, 0.0), self.t])[:, 0])
+        self.a_nodes = a_nodes = h.params_at_times(s**2)[:, 0]
+        i_r = float(_simpson(2.0 * s**2 * (n * rho0 / a_nodes), ds))
+        k_r = float(_simpson(2.0 * s**4 * (2.0 * n * rho0**2 / a_nodes**2)
+                             + 2.0 * s**2 * n * rho0 / a_nodes, ds))
+        # the speed-weighted pieces on one grid: nodes s_q, jac = ds/du, step du
         if self.eps > 0:
-            w_of = lambda s_arr: self.a_eps / self._a(s_arr**2)  # noqa: E731
-            j = _log_grid_integral(lambda sa: w_of(sa), self.s_lo, self.s_hi)
-            i_g = _log_grid_integral(
-                lambda sa: 0.5 * self._a(sa**2) * w_of(sa) ** 2, self.s_lo, self.s_hi
-            )
-            k_g = _log_grid_integral(
-                lambda sa: rho0 * sa**2 * w_of(sa) ** 2, self.s_lo, self.s_hi
-            )
+            u = np.linspace(math.log(s_lo), math.log(s_hi), 801)
+            s_q = jac = np.exp(u)
+            step, a_q = (u[-1] - u[0]) / 800, h.params_at_times(s_q**2)[:, 0]
         else:
-            w_nodes = self.a_eps / a_nodes
-            j = float(_simpson(w_nodes, self.ds))
-            i_g = float(_simpson(0.5 * a_nodes * w_nodes**2, self.ds))
-            k_g = float(_simpson(rho0 * s**2 * w_nodes**2, self.ds))
-        return j, i_r, i_g, k_r, k_g
+            s_q, jac, step, a_q = s, 1.0, ds, a_nodes
+        w = self.a_eps / a_q
+        self.integrals = (float(_simpson(w * jac, step)), i_r,
+                          float(_simpson(0.5 * a_q * w**2 * jac, step)), k_r,
+                          float(_simpson(rho0 * s_q**2 * w**2 * jac, step)))
 
     def solve(self, v0):
         """(l_tail, k, boundary, x_speed_sq_end, head) for reduced speeds v0."""
         _, i_r, i_g, k_r, k_g = self.integrals
         l_tail = i_r + v0**2 * i_g
         k_val = k_r + v0**2 * k_g
-        a_end = self._a(self.t)
-        w_end = self.a_eps / a_end
-        x_sq_end = a_end * (v0 * w_end) ** 2 / (4.0 * self.t)
+        w_end = self.a_eps / self.a_end
+        x_sq_end = self.a_end * (v0 * w_end) ** 2 / (4.0 * self.t)
         if self.eps > 0:
             r_eps = self.n * self.rho0 / self.a_eps
             boundary = self.eps**1.5 * (r_eps + self.a_eps * v0**2 / (4.0 * self.eps))
@@ -338,7 +290,7 @@ def _radial_field(h: FlowHistory, radii, times, eps: float,
         ell[i] = (l_tail + head) / (2.0 * math.sqrt(t))
         k_eff[i] = k_val + boundary
     return ReducedField(
-        kind="radial", base_point=0.0, times=times, targets=radii, ell=ell,
+        kind="radial", times=times, targets=radii, ell=ell,
         ell_tail=ell_tail, k_effective=k_eff, eps=eps, head=head,
     )
 
@@ -364,9 +316,8 @@ def extrapolate_fields(fields) -> ReducedField:
     k0 = fit(np.stack([f.k_effective for f in fields]))
     base = fields[0]
     return ReducedField(
-        kind=base.kind, base_point=base.base_point, times=base.times,
-        targets=base.targets, ell=ell0, ell_tail=ell0, k_effective=k0,
-        eps=0.0, head=0.0, grid_shape=base.grid_shape,
+        kind=base.kind, times=base.times, targets=base.targets, ell=ell0,
+        ell_tail=ell0, k_effective=k0, eps=0.0, head=0.0, grid_shape=base.grid_shape,
         smooth_mask=base.smooth_mask,
     )
 
@@ -655,9 +606,8 @@ def geodesic_shoot(h: FlowHistory, x0, momentum, t_end: float,
         eng = _RadialEngine(h, eps, t_end, n_steps)
         v0 = 2.0 * float(momentum)
         l_tail, k_val, boundary, x_sq_end, head = eng.solve(v0)
-        s = eng.s_nodes
-        w = eng.speed_shape(s)
-        a_nodes = eng._a_nodes()
+        s, a_nodes = eng.s_nodes, eng.a_nodes
+        w = eng.a_eps / a_nodes
         sigma = np.concatenate(
             [[0.0], np.cumsum(0.5 * (w[:-1] + w[1:]) * np.diff(s))]
         ) * v0
@@ -894,7 +844,6 @@ def ell_plus_field(h: FlowHistory, x0, targets, times, tol: float = 1e-3,
     ell = np.empty((len(times), m_t))
     k_eff = np.empty_like(ell)
     momenta = np.empty((len(times), m_t, 2))
-    translate = np.empty((len(times), m_t), dtype=int)
     images = np.empty((len(times), m_t, 2))
     oracle_vals = np.full((len(times), m_t), np.nan)
     flags = np.zeros((len(times), m_t), dtype=bool)
@@ -904,7 +853,6 @@ def ell_plus_field(h: FlowHistory, x0, targets, times, tol: float = 1e-3,
         ell[i] = shot["l_tail"] / two_rt
         k_eff[i] = shot["k"]
         momenta[i] = shot["momenta"]
-        translate[i] = shot["translate"]
         images[i] = shot["images"]
         missed = shot["miss"] > 1e-6
         del shot  # its slice store would sit beside the oracle's
@@ -924,9 +872,8 @@ def ell_plus_field(h: FlowHistory, x0, targets, times, tol: float = 1e-3,
     else:
         mask = None
     return ReducedField(
-        kind="torus", base_point=np.asarray(x0, dtype=float), times=times,
-        targets=targets, ell=ell, ell_tail=ell.copy(), k_effective=k_eff,
-        eps=0.0, head=0.0, momenta=momenta, translate_index=translate,
+        kind="torus", times=times, targets=targets, ell=ell, ell_tail=ell.copy(),
+        k_effective=k_eff, eps=0.0, head=0.0, momenta=momenta,
         smooth_mask=mask, oracle_values=oracle_vals, oracle_flags=flags,
         grid_shape=grid_shape,
     )
@@ -1151,6 +1098,7 @@ def theta_plus(fld: ReducedField, h: FlowHistory) -> ThetaSeries:
     return ThetaSeries(
         times=times, theta=theta, lower_bound=lower,
         monotone_ok=bool(np.all(diffs <= 1e-5 * np.maximum(1.0, np.abs(theta[:-1])))),
+        bound_ok=bool(np.all(theta >= lower - 1e-12)),
         max_violation=float(np.max(diffs)) if len(diffs) else 0.0,
     )
 

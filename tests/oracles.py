@@ -400,6 +400,99 @@ def theta_supersolution_separate(fld, h):
     return sup_max, excluded
 
 
+def _scale_factor_per_point(h, eta):
+    """a(eta) from one params_at lookup per point."""
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim == 0:
+        return float(h.params_at(float(eta))[0])
+    return np.array([float(h.params_at(float(e))[0]) for e in eta])
+
+
+def _log_grid_integral(fn, s_lo, s_hi, n=800):
+    """Simpson in log s of fn(s)."""
+    from expanderlab.reduced import _simpson
+
+    u = np.linspace(math.log(s_lo), math.log(s_hi), n + 1)
+    s = np.exp(u)
+    return float(_simpson(fn(s) * s, (u[-1] - u[0]) / n))
+
+
+def radial_integrals_separate(h, eps, t, n_steps=192):
+    """(J, I_R, I_g, K_R, K_g) and a on the s-grid of a radial engine.
+
+    Looks a(eta) up point by point for every integrand, and writes the
+    eps > 0 (log grid) and eps = 0 (uniform grid) integrals separately.
+    """
+    from expanderlab.reduced import _simpson
+
+    n, rho0 = h.dim, h.template.rho0
+    n_steps = n_steps + n_steps % 2
+    s_lo = math.sqrt(eps) if eps > 0 else 0.0
+    s_hi = math.sqrt(t)
+    s = np.linspace(s_lo, s_hi, n_steps + 1)
+    ds = (s_hi - s_lo) / n_steps
+    a_eps = _scale_factor_per_point(h, max(eps, 0.0))
+    a_nodes = _scale_factor_per_point(h, s**2)
+    r_nodes = n * rho0 / a_nodes
+    i_r = float(_simpson(2.0 * s**2 * r_nodes, ds))
+    k_r = float(
+        _simpson(2.0 * s**4 * (2.0 * n * rho0**2 / a_nodes**2)
+                 + 2.0 * s**2 * n * rho0 / a_nodes, ds)
+    )
+    if eps > 0:
+        def w_of(s_arr):
+            return a_eps / _scale_factor_per_point(h, s_arr**2)
+
+        j = _log_grid_integral(w_of, s_lo, s_hi)
+        i_g = _log_grid_integral(
+            lambda sa: 0.5 * _scale_factor_per_point(h, sa**2) * w_of(sa) ** 2, s_lo, s_hi)
+        k_g = _log_grid_integral(lambda sa: rho0 * sa**2 * w_of(sa) ** 2, s_lo, s_hi)
+    else:
+        w_nodes = a_eps / a_nodes
+        j = float(_simpson(w_nodes, ds))
+        i_g = float(_simpson(0.5 * a_nodes * w_nodes**2, ds))
+        k_g = float(_simpson(rho0 * s**2 * w_nodes**2, ds))
+    return (j, i_r, i_g, k_r, k_g), a_nodes
+
+
+def model_shot_separate(h, momentum, t_end, eps=0.0, n_steps=192):
+    """The fields of a model-space geodesic_shoot, from per-point a(eta) lookups."""
+    from expanderlab.reduced import _analytic_head
+
+    n, rho0 = h.dim, h.template.rho0
+    (_, i_r, i_g, k_r, k_g), a_nodes = radial_integrals_separate(h, eps, t_end, n_steps)
+    n_steps = n_steps + n_steps % 2
+    s = np.linspace(math.sqrt(eps) if eps > 0 else 0.0, math.sqrt(t_end), n_steps + 1)
+    a_eps = _scale_factor_per_point(h, max(eps, 0.0))
+    a_end = _scale_factor_per_point(h, t_end)
+    v0 = 2.0 * float(momentum)
+    l_tail = i_r + v0**2 * i_g
+    k_val = k_r + v0**2 * k_g
+    x_sq_end = a_end * (v0 * (a_eps / a_end)) ** 2 / (4.0 * t_end)
+    if eps > 0:
+        r_eps = n * rho0 / a_eps
+        boundary = eps**1.5 * (r_eps + a_eps * v0**2 / (4.0 * eps))
+    else:
+        r_eps, boundary = 0.0, 0.0
+    head = _analytic_head(r_eps, eps, n)
+    w = a_eps / _scale_factor_per_point(h, s**2)
+    sigma = np.concatenate([[0.0], np.cumsum(0.5 * (w[:-1] + w[1:]) * np.diff(s))]) * v0
+    r_end = n * rho0 / a_nodes[-1]
+    resid = abs(t_end**1.5 * (r_end + x_sq_end) - (boundary + k_val + 0.5 * l_tail))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_vel = np.where(s > 0, v0 * w / (2.0 * s), np.inf)
+        h_samples = (2.0 * n * rho0**2 / a_nodes**2 + rho0 * (v0 * w) ** 2 / (2.0 * s**2)
+                     + n * rho0 / (a_nodes * s**2))
+    if s[0] == 0:
+        h_samples[0] = math.nan
+    return {
+        "eta_grid": s**2, "positions": sigma, "velocity": x_vel,
+        "l_plus": l_tail + head, "l_plus_tail": l_tail, "head": head,
+        "boundary_term": float(boundary), "k_value": k_val, "h_samples": h_samples,
+        "identity_residual": float(resid),
+    }
+
+
 def model_to_json(m):
     """The JSON model spec of a metric model, the inverse of `geometry.model_from_json`."""
     from expanderlab.geometry import ConformalTorusMetric, HomogeneousMetric, ModelSpaceMetric

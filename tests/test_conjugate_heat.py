@@ -318,15 +318,3 @@ def test_integrated_identity_on_torus():
     f = log_potential(states[i].u, sigma, 2)
     rate = integrate(m, 2.0 * sigma * states[i].u * soliton_residual_sq(m, f, sigma))
     assert abs(fd - rate) < 1e-3 * (1.0 + abs(rate))
-
-
-def test_density_export_csv(tmp_path):
-    h = torus_history(16, 0.2, 0.01)
-    u_fin = np.ones((16, 16))
-    u_fin = u_fin / integrate(h.metric_at(0.01), u_fin)
-    states = solve_conjugate_backward(h, 0.01, u_fin, n_retain=3)
-    out = tmp_path / "density.csv"
-    states[0].export_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "i,j,u,f_plus"
-    assert len(lines) == 1 + 16 * 16

@@ -5,6 +5,7 @@ import numpy as np
 from expanderlab.conjugate_heat import construct_immortal_density
 from expanderlab.entropy import (
     asymptotics_report,
+    blowdown_gap,
     build_entropy_report,
     expander_entropy,
     expander_residual,
@@ -16,7 +17,7 @@ from expanderlab.entropy import (
     nash_entropy,
     nu_plus,
 )
-from expanderlab.flow import BlowdownSpec, blowdown, evolve
+from expanderlab.flow import BlowdownSpec, blowdown, evolve, scaled_volume
 from expanderlab.geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
@@ -311,6 +312,26 @@ def test_blowdown_invariance_of_monotone_quantities():
             expander_entropy(m_b, u_b, t) - expander_entropy(m_s, u_s, 8.0 * t)
         ) < 1e-8
         assert abs(lambda_bar(m_b) - lambda_bar(m_s)) < 1e-8
+
+
+def test_blowdown_gap_is_the_largest_of_the_three_changes():
+    # the model flow compares scalar densities, the torus flow density grids
+    torus = ConformalTorusMetric(0.2 * np.sin(2 * math.pi * np.arange(16) / 16)[:, None]
+                                 * np.ones((16, 16)))
+    for h, alpha, times in ((evolve(HYPERBOLIC3, (0.0, 40.0)), 8.0, (0.5, 2.0)),
+                            (evolve(torus, (0.0, 0.2)), 4.0, (0.01, 0.04))):
+        bd = blowdown(h, BlowdownSpec(alpha=alpha))
+        want = 0.0
+        for t in times:
+            m_b, m_s = bd.metric_at(t), h.metric_at(alpha * t)
+            u_b, u_s = 1.0 / volume(m_b), 1.0 / volume(m_s)
+            if h.kind == "conformal_torus":
+                u_b, u_s = np.full(m_b.phi.shape, u_b), np.full(m_s.phi.shape, u_s)
+            want = max(want, abs(expander_entropy(m_b, u_b, t)
+                                 - expander_entropy(m_s, u_s, alpha * t)),
+                       abs(lambda_bar(m_b) - lambda_bar(m_s)),
+                       abs(scaled_volume(bd, t) - scaled_volume(h, alpha * t)))
+        assert blowdown_gap(h, alpha, times) == want
 
 
 def test_entropy_report_csv(tmp_path):

@@ -21,6 +21,7 @@ from expanderlab.reduced import (
 from expanderlab.reduced import (
     _FIELDS,
     _descend,
+    _RadialEngine,
     _oracle_torus_batch,
     _PathAction,
     _spline_taps,
@@ -30,6 +31,8 @@ from expanderlab.reduced import (
     _TorusSlices,
 )
 from oracles import (
+    model_shot_separate,
+    radial_integrals_separate,
     reduced_identities_separate,
     reduced_inequalities_separate,
     theta_supersolution_separate,
@@ -183,6 +186,27 @@ def test_ell_field_oracle_agreement_torus_flow():
     assert np.max(rel) <= 1e-3
 
 
+def test_report_verdicts_keep_their_formulas():
+    hr = evolve(HYPERBOLIC3, (0.0, 3.0))
+    rad = ell_plus_field(hr, 0.0, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5))
+    assert rad.oracle_rel_gap is None
+    h = torus_flow_history(32, 0.1)
+    pts = np.array([(0.25, 0.0), (0.5, 0.25), (0.1, 0.4)])
+    assert ell_plus_field(h, (0.0, 0.0), pts, [0.06], oracle_check=False).oracle_rel_gap is None
+    fld = ell_plus_field(h, (0.0, 0.0), pts, [0.05, 0.06], oracle_check=True,
+                         oracle_segments=32)
+    fld.oracle_values[0, 1] = np.nan  # a value the oracle did not supply is skipped
+    fin = np.isfinite(fld.oracle_values)
+    rel = np.abs(fld.ell[fin] - fld.oracle_values[fin])
+    rel = rel / np.maximum(1.0, np.abs(fld.oracle_values[fin]))
+    assert fld.oracle_rel_gap == float(np.max(rel)) > 0.0
+    # theta above its lower bound, then a field pushed below it
+    for f in (rad, dataclasses.replace(rad, ell=rad.ell - 10.0)):
+        series = theta_plus(f, hr)
+        assert series.bound_ok == bool(np.all(series.theta >= series.lower_bound - 1e-12))
+    assert theta_plus(rad, hr).bound_ok and not series.bound_ok
+
+
 def test_ell_vertex_expander_epsilon_ladder():
     h = vertex_expander_history()
     radii = np.linspace(0.0, 1.0, 9)
@@ -322,6 +346,56 @@ def test_harnack_integral_identity_along_geodesics():
     ht = torus_flow_history(32, 0.1)
     sol_t = geodesic_shoot(ht, (0.0, 0.0), np.array([0.6, 0.2]), 0.06, n_steps=128)
     assert sol_t.identity_residual < 1e-3
+
+
+def radial_cases():
+    """(history, eps, t): every start regularization the radial engine serves."""
+    hv = vertex_expander_history()
+    hv8 = vertex_expander_history(8.0)
+    hr = evolve(HYPERBOLIC3, (0.0, 3.0))
+    hs = evolve(ModelSpaceMetric(3, 1, 1.0), (0.0, 1.0))
+    return [(hv, 1e-3, 1.0), (hv, 1e-4, 1.0), (hv, 1e-5, 1.0), (hr, 0.0, 1.0),
+            (hr, 1e-4, 1.0), (hs, 0.0, 0.1), (blowdown(hv8, BlowdownSpec(alpha=4.0)), 1e-5, 0.5)]
+
+
+def test_radial_engine_matches_per_point_lookups_bitwise():
+    for h, eps, t in radial_cases():
+        eng = _RadialEngine(h, eps, t)
+        ref, a_nodes = radial_integrals_separate(h, eps, t)
+        assert eng.integrals == ref
+        assert np.array_equal(eng.a_nodes, a_nodes)
+        sol = geodesic_shoot(h, 0.0, 0.25, t, eps=eps)
+        want = model_shot_separate(h, 0.25, t, eps=eps)
+        assert np.array_equal(sol.path.eta_grid, want["eta_grid"])
+        assert np.array_equal(sol.path.positions, want["positions"])
+        assert sol.path.start_regularization == eps and sol.momentum == 0.25
+        assert np.array_equal(sol.velocity, want["velocity"])
+        assert np.array_equal(sol.h_samples, want["h_samples"], equal_nan=True)
+        for key in ("l_plus", "l_plus_tail", "head", "boundary_term", "k_value",
+                    "identity_residual"):
+            assert getattr(sol, key) == want[key], key
+
+
+def test_radial_engine_looks_a_up_once_per_grid(monkeypatch):
+    hv = vertex_expander_history()
+    hr = evolve(HYPERBOLIC3, (0.0, 3.0))
+    calls = collections.Counter()
+    params_at = FlowHistory.params_at
+
+    def spy(self, t):
+        calls[id(self)] += 1
+        return params_at(self, t)
+
+    monkeypatch.setattr(FlowHistory, "params_at", spy)
+    n_steps = 192
+    _RadialEngine(hv, 1e-4, 1.0, n_steps)
+    assert calls[id(hv)] == 2 + (n_steps + 1) + 801
+    calls.clear()
+    geodesic_shoot(hv, 0.0, 0.25, 1.0, eps=1e-4, n_steps=n_steps)
+    assert calls[id(hv)] == 2 + (n_steps + 1) + 801
+    calls.clear()
+    geodesic_shoot(hr, 0.0, 0.25, 1.0, n_steps=n_steps)
+    assert calls[id(hr)] == 2 + (n_steps + 1)
 
 
 def test_model_shot_from_a_smooth_start_is_warning_free():
@@ -511,16 +585,6 @@ def test_consistency_triangle_on_model_expander():
     for a in triple:
         for b in triple:
             assert abs(a - b) <= 1e-3
-
-
-def test_geodesic_trace_csv(tmp_path):
-    h = flat_history(16, 1.0)
-    sol = geodesic_shoot(h, (0.0, 0.0), np.array([0.2, 0.1]), 1.0, n_steps=16)
-    out = tmp_path / "trace.csv"
-    sol.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "eta,x0,x1,X0,X1,eta32_H"
-    assert len(lines) == 18
 
 
 def test_path_minimization_oracle_direct():
