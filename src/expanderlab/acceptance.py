@@ -78,9 +78,9 @@ def _fmt(v):
     return str(v)
 
 
-def sine_torus(n: int, amp: float = 0.3) -> ConformalTorusMetric:
+def sine_torus(n: int) -> ConformalTorusMetric:
     x = (np.arange(n) / n)[:, None]
-    return ConformalTorusMetric(amp * np.sin(2 * math.pi * x) * np.ones((n, n)))
+    return ConformalTorusMetric(0.3 * np.sin(2 * math.pi * x) * np.ones((n, n)))
 
 
 class _Artifacts:
@@ -106,14 +106,12 @@ class _Artifacts:
     def nil(self, t_end):
         return self.get(("nil", t_end), lambda: evolve(NIL, (0.0, t_end)))
 
-    def flat_static(self, n=32, t_end=1.5):
-        return self.get(("flat", n, t_end),
-                        lambda: evolve(ConformalTorusMetric(np.zeros((n, n))),
-                                       (0.0, t_end), retain_every=10**9, dt_cap=0.05))
+    def flat_static(self):
+        return self.get("flat", lambda: evolve(ConformalTorusMetric(np.zeros((32, 32))),
+                                               (0.0, 1.5), retain_every=10**9, dt_cap=0.05))
 
-    def torus_flow(self, n=32, t_end=0.26):
-        return self.get(("torus", n, t_end),
-                        lambda: evolve(sine_torus(n), (0.0, t_end)))
+    def torus_flow(self):
+        return self.get("torus", lambda: evolve(sine_torus(32), (0.0, 0.26)))
 
     def torus_theta_field(self):
         def build():
@@ -210,7 +208,7 @@ def crit_3_harnack_identity(art: _Artifacts) -> CriterionResult:
     hom_max = 0.0
     for h in (art.hyperbolic(3.0), art.nil(3.0)):
         times = np.linspace(1.0, 1.04, 9)
-        states = [DensityState.make(t, 1.0 / h.volume_at(t), t, 3) for t in times]
+        states = [DensityState(float(t), 1.0 / h.volume_at(t)) for t in times]
         hom_max = max(hom_max, check_harnack_identity(states, h).max_residual)
     passed = order >= 1.8 and hom_max < 1e-8
     return CriterionResult(
@@ -272,8 +270,7 @@ def crit_6_reduced_length(art: _Artifacts) -> CriterionResult:
     t0 = time.perf_counter()
     h = art.flat_static()
     pts = np.array([(i / 10.0, j / 10.0) for i in range(10) for j in range(10)])
-    fld = ell_plus_field(h, (0.0, 0.0), pts, [1.0], tol=1e-3,
-                         oracle_check=True, oracle_segments=256)
+    fld = ell_plus_field(h, (0.0, 0.0), pts, [1.0], oracle_check=True, oracle_segments=256)
 
     def dist_sq(p):
         dx = min(p[0] % 1, 1 - p[0] % 1)

@@ -239,7 +239,7 @@ def _harnack_times(params: dict, torus: bool, t_span) -> np.ndarray:
     return np.linspace(center - 0.02, center + 0.02, 9)
 
 
-def _default_times(scn: Scenario, h) -> np.ndarray:
+def _default_times(scn: Scenario) -> np.ndarray:
     t0, t1 = scn.t_span
     lo = max(t0, t1 / 100.0, 1e-3)
     hi = 0.9 * t1
@@ -289,7 +289,7 @@ def run_scenario_doc(doc: dict, out_dir) -> dict:
 
     if "entropy" in scn.checks:
         lo, hi = dens.window if h.kind == "conformal_torus" else (None, None)
-        times = _default_times(scn, h)
+        times = _default_times(scn)
         if lo is not None:
             times = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo),
                                 min(len(times), 9))

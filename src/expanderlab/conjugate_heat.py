@@ -64,32 +64,21 @@ def log_potential(u, sigma: float, n: int):
 
 @dataclass(frozen=True)
 class DensityState:
-    """A positive unit-mass density at one time slice.
+    """A positive unit-mass density u at time t.
 
-    sigma is the vertex-offset slot (typically t - T); f_plus is the
-    derived potential.  u is a positive grid field on the torus and a
-    positive float on the reduced models.
+    u is a positive grid field on the torus and a positive float on the
+    reduced models.  The potential of a vertex offset sigma is
+    log_potential(u, sigma, n); each check derives it for its own sigma.
     """
 
     t: float
     u: object
-    sigma: float
-    f_plus: object
-    n: int
-
-    @staticmethod
-    def make(t: float, u, sigma: float, n: int) -> "DensityState":
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        return DensityState(t=float(t), u=u, sigma=float(sigma),
-                            f_plus=log_potential(u, sigma, n), n=n)
 
 
 @dataclass
 class ResidualReport:
     """Max-norm residual of a pointwise identity across interior states."""
 
-    name: str
     times: list
     max_residual: float
     per_time: list
@@ -114,10 +103,8 @@ def solve_conjugate_backward(h: FlowHistory, t_final: float, u_final,
 
     Returns DensityState slices at n_retain uniform times on
     [t_start, t_final], increasing in t, each mass-renormalized exactly.
-    u_final must be positive with unit mass.  sigma defaults to the
-    slice time (callers re-derive the potential for other vertex
-    offsets).  Positivity loss in the torus scheme aborts with a step
-    diagnostic.
+    u_final must be positive with unit mass.  Positivity loss in the
+    torus scheme aborts with a step diagnostic.
     """
     if t_start is None:
         t_start = h.t_min
@@ -136,10 +123,7 @@ def solve_conjugate_backward(h: FlowHistory, t_final: float, u_final,
     if h.kind in ("homogeneous", "model_space"):
         # spatial constancy: the only unit-mass constant density is 1/V,
         # and per-step mass renormalization pins the solve to it exactly
-        return [
-            DensityState.make(t, 1.0 / h.volume_at(t), max(t, 1e-300), h.dim)
-            for t in times
-        ]
+        return [DensityState(float(t), 1.0 / h.volume_at(t)) for t in times]
     return _solve_backward_torus(h, times, np.asarray(u_final, dtype=float), dt_cap)
 
 
@@ -169,7 +153,7 @@ def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap=None) -> list:
     t = t_final
     (old,) = levels([t])
     mass0 = float(np.sum(u * old[0])) * hx * hy  # integrate(m, u) from the level
-    states = [DensityState.make(t_final, _renormalized(u, mass0), t_final, h.dim)]
+    states = [DensityState(t_final, _renormalized(u, mass0))]
     lam = laplacian_symbol(template.phi.shape, template.spacing)
     # the preconditioner's symbol depends on the step only through the
     # rounded mean of e^{-2 phi}; keep the current one, rebuild on a change
@@ -198,7 +182,7 @@ def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap=None) -> list:
             old = new
         t = float(times[len(times) - 2 - k_out])  # snap accumulated round-off
         (old,) = levels([t])
-        states.append(DensityState.make(t, u, max(t, 1e-300), h.dim))
+        states.append(DensityState(t, u))
     states.reverse()
     return states
 
@@ -238,12 +222,10 @@ class ImmortalDensity:
     def state_at(self, t: float) -> DensityState:
         u = self.u_at(t)
         m = self.history.metric_at(t)
-        return DensityState.make(float(t), _renormalized(u, integrate(m, u)),
-                                 max(float(t), 1e-300), self.history.dim)
+        return DensityState(float(t), _renormalized(u, integrate(m, u)))
 
 
 def construct_immortal_density(h: FlowHistory, window, tol: float = 1e-8,
-                               n_retain: int = 17,
                                first_tail: float | None = None,
                                dt_cap: float | None = None) -> ImmortalDensity:
     """Build the limit conjugate density on a window by tail doubling.
@@ -257,11 +239,8 @@ def construct_immortal_density(h: FlowHistory, window, tol: float = 1e-8,
     if not (h.t_min - 1e-12 <= ta < tb):
         raise ValueError("window must start inside the history")
     if h.kind in ("homogeneous", "model_space"):
-        times = np.linspace(ta, tb, n_retain)
-        states = [
-            DensityState.make(t, 1.0 / h.volume_at(t), max(t, 1e-300), h.dim)
-            for t in times
-        ]
+        states = [DensityState(float(t), 1.0 / h.volume_at(t))
+                  for t in np.linspace(ta, tb, 17)]
         tail = min(2.0 * tb, h.t_max)
         return ImmortalDensity((ta, tb), states, tail, 0.0, True, h)
     tail = first_tail if first_tail is not None else min(2.0 * tb, h.t_max)
@@ -281,7 +260,7 @@ def construct_immortal_density(h: FlowHistory, window, tol: float = 1e-8,
             u_tb = leg[0].u
         else:
             u_tb = u_fin
-        cur = solve_conjugate_backward(h, tb, u_tb, t_start=ta, n_retain=n_retain,
+        cur = solve_conjugate_backward(h, tb, u_tb, t_start=ta, n_retain=17,
                                        dt_cap=dt_cap)
         if prev is not None:
             gap = max(
@@ -346,5 +325,5 @@ def check_harnack_identity(states, h: FlowHistory, birth_time: float = 0.0) -> R
         }
         for key, field in residuals.items():
             extra[key] = max(extra[key], float(np.max(np.abs(field))))
-    return ResidualReport("harnack_identity", [times[i] for i in idx], max([0.0, *per_time]),
-                          per_time, rhs_min, extra)
+    return ResidualReport([times[i] for i in idx], max([0.0, *per_time]), per_time,
+                          rhs_min, extra)

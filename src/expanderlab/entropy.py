@@ -108,15 +108,13 @@ def expander_residual(m: MetricModel, u, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 # first eigenvalue of the energy functional
 
-def lambda_min(m: MetricModel, tol: ToleranceConfig | None = None):
+def lambda_min(m: MetricModel):
     """Infimum of the energy over unit-mass densities.
 
     Realized as the ground eigenvalue of -4 lap + R acting on w with
     u = w^2, by shifted inverse power iteration (shift min R - 1 keeps
     the shifted operator positive definite).  Returns (value, w).
     """
-    if tol is None:
-        tol = ToleranceConfig(abs_tol=1e-10, max_iter=200)
     r = curvature(m).scalar
     shift = float(np.min(r)) - 1.0
     measure = measure_weights(m)
@@ -134,13 +132,14 @@ def lambda_min(m: MetricModel, tol: ToleranceConfig | None = None):
     e2p = np.exp(2.0 * m.phi)
     c0 = max(float(np.mean(e2p * (r - shift))), 1e-6)
     solve = spectral_preconditioner(c0 - 4.0 * laplacian_symbol(m.phi.shape, m.spacing))
-    res = smallest_eigenpair(op, measure, tol, shift=shift, precond=lambda v: solve(e2p * v))
+    res = smallest_eigenpair(op, measure, ToleranceConfig(abs_tol=1e-10, max_iter=200),
+                             shift=shift, precond=lambda v: solve(e2p * v))
     return res.value, res.vector
 
 
-def lambda_bar(m: MetricModel, tol: ToleranceConfig | None = None) -> float:
+def lambda_bar(m: MetricModel) -> float:
     """Volume-scaled first eigenvalue V^(2/n) * lambda."""
-    lam, _ = lambda_min(m, tol)
+    lam, _ = lambda_min(m)
     return volume(m) ** (2.0 / m.dim) * lam
 
 
@@ -151,9 +150,7 @@ def lambda_bar(m: MetricModel, tol: ToleranceConfig | None = None) -> float:
 class MuPlusResult:
     value: float
     minimizer_u: object
-    w: object
     converged: bool
-    grad_norm: float
 
 
 @dataclass
@@ -197,7 +194,7 @@ def _entropy_in_w_problem(m: MetricModel, sigma: float):
     return functional, gradient, inner, normalize, precond
 
 
-def mu_plus(m: MetricModel, sigma: float, tol: ToleranceConfig | None = None) -> MuPlusResult:
+def mu_plus(m: MetricModel, sigma: float) -> MuPlusResult:
     """Infimum of the expander entropy over unit-mass densities at fixed sigma.
 
     Substitutes u = w^2 and minimizes over the unit sphere of w by
@@ -207,43 +204,38 @@ def mu_plus(m: MetricModel, sigma: float, tol: ToleranceConfig | None = None) ->
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if tol is None:
-        tol = ToleranceConfig(abs_tol=3e-7, max_iter=4000)
     functional, gradient, inner, normalize, precond = _entropy_in_w_problem(m, sigma)
     if not isinstance(m, ConformalTorusMetric):
         w = 1.0 / math.sqrt(volume(m))
         value = functional(w)
-        return MuPlusResult(value, w * w, w, True, 0.0)
+        return MuPlusResult(value, w * w, True)
     starts = [np.ones_like(m.phi)]
     _, w_eig = lambda_min(m)
     starts.append(np.abs(w_eig) + 1e-8)
     best = None
     for w0 in starts:
-        res = minimize_constrained(functional, gradient, normalize, inner, w0, tol,
-                                   precond=precond)
+        res = minimize_constrained(functional, gradient, normalize, inner, w0,
+                                   ToleranceConfig(abs_tol=3e-7, max_iter=4000), precond=precond)
         if best is None or res.value < best.value:
             best = res
-    return MuPlusResult(best.value, best.w * best.w, best.w, best.converged,
-                        best.grad_norm)
+    return MuPlusResult(best.value, best.w * best.w, best.converged)
 
 
-def nu_plus(m: MetricModel, tol: ToleranceConfig | None = None,
-            mu_tol: ToleranceConfig | None = None) -> NuPlusResult:
+def nu_plus(m: MetricModel) -> NuPlusResult:
     """Supremum of mu over sigma > 0.
 
     Finite exactly when the first eigenvalue is negative; the positive
     case surfaces as the structured "unbounded" outcome of the bracket
     expansion (the profile keeps rising in sigma).
     """
-    if tol is None:
-        tol = ToleranceConfig(abs_tol=1e-7, max_iter=10_000)
     lam, _ = lambda_min(m)
     if lam < 0:
         center = -m.dim / (2.0 * lam)
         bracket = (center / 16.0, center * 16.0)
     else:
         bracket = (0.25, 4.0)
-    res = maximize_concave_1d(lambda s: mu_plus(m, s, mu_tol).value, bracket, tol)
+    res = maximize_concave_1d(lambda s: mu_plus(m, s).value, bracket,
+                              ToleranceConfig(abs_tol=1e-7, max_iter=10_000))
     if res.status == "unbounded":
         return NuPlusResult("unbounded", None, None, lam)
     return NuPlusResult("ok", res.value, res.x, lam)
@@ -280,8 +272,6 @@ class EntropyReport:
 
 
 def build_entropy_report(h: FlowHistory, dens: ImmortalDensity, times,
-                         lam_tol: ToleranceConfig | None = None,
-                         fd_halfstep: float | None = None,
                          birth_time: float | None = None) -> EntropyReport:
     """Assemble the entropy table along a flow with its limit density.
 
@@ -314,10 +304,9 @@ def build_entropy_report(h: FlowHistory, dens: ImmortalDensity, times,
         f_plus = f_val + n / (2.0 * t)
         n_val, n_plus = nash_entropy(m, s.u, t)
         w_plus = expander_entropy(m, s.u, t)
-        lam, _ = lambda_min(m, lam_tol)
+        lam, _ = lambda_min(m)
         lbar = volume(m) ** (2.0 / n) * lam
-        delta = fd_halfstep if fd_halfstep is not None else min(0.005 * max(1.0, t),
-                                                                0.05 * t)
+        delta = min(0.005 * max(1.0, t), 0.05 * t)
         lo = dens.window[0] if h.kind == "conformal_torus" else h.t_min
         hi = dens.window[1] if h.kind == "conformal_torus" else h.t_max
         delta = min(delta, 0.49 * (t - lo), 0.49 * (hi - t)) if hi > t and t > lo else 0.0
@@ -390,8 +379,7 @@ def _tail_fit_inverse(ts, vals):
     return float(coeff[1]), float(coeff[0])
 
 
-def asymptotics_report(h: FlowHistory, dens: ImmortalDensity,
-                       n_samples: int = 17) -> AsymptoticsReport:
+def asymptotics_report(h: FlowHistory, dens: ImmortalDensity) -> AsymptoticsReport:
     """Tail-extrapolated limits of the entropy, eigenvalue, and volume.
 
     Fits a + b/t over the last decade of the history and compares the
@@ -405,7 +393,7 @@ def asymptotics_report(h: FlowHistory, dens: ImmortalDensity,
     t_hi = h.t_max
     if h.kind == "conformal_torus":
         t_hi = min(t_hi, dens.window[1])
-    ts = np.geomspace(t_hi / 10.0, t_hi, n_samples)
+    ts = np.geomspace(t_hi / 10.0, t_hi, 17)
     v_tilde = np.array([scaled_volume(h, t) for t in ts])
     w_vals = np.array(
         [expander_entropy(h.metric_at(t), dens.state_at(t).u, t) for t in ts]
@@ -465,12 +453,11 @@ def blowdown_gap(h: FlowHistory, alpha: float, times) -> float:
 class Prop15Report:
     integral: float
     decay_exponent: float
-    times: np.ndarray
     integrand: np.ndarray
 
 
-def long_time_residual_integral(h: FlowHistory, dens: ImmortalDensity, t_range,
-                                n_samples: int = 33) -> Prop15Report:
+def long_time_residual_integral(h: FlowHistory, dens: ImmortalDensity,
+                                t_range) -> Prop15Report:
     """Residual integral of the rescaled flow in logarithmic time.
 
     The integrand at log-time is t^2 int u |Ricci + Hess f + g/(2t)|^2 dv
@@ -481,7 +468,7 @@ def long_time_residual_integral(h: FlowHistory, dens: ImmortalDensity, t_range,
     case shows the integrand flat at n/4.
     """
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
-    ts = np.geomspace(t_lo, t_hi, n_samples)
+    ts = np.geomspace(t_lo, t_hi, 33)
     vals = []
     for t in ts:
         m = h.metric_at(t)
@@ -496,4 +483,4 @@ def long_time_residual_integral(h: FlowHistory, dens: ImmortalDensity, t_range,
         exponent = float(np.polyfit(log_t[positive], np.log(vals[positive]), 1)[0])
     else:
         exponent = -math.inf
-    return Prop15Report(integral, exponent, ts, vals)
+    return Prop15Report(integral, exponent, vals)

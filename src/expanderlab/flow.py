@@ -198,7 +198,6 @@ def scaled_volume(h: FlowHistory, t: float) -> float:
 
 @dataclass
 class RBoundReport:
-    times: np.ndarray
     margins: np.ndarray  # min over space of R + n/(2t)
     ok: bool
     tol: float
@@ -213,14 +212,13 @@ def check_R_lower_bound(h: FlowHistory, tol: float = 1e-8) -> RBoundReport:
         r = curvature(h.metric_at(t)).scalar
         margins.append(float(np.min(r)) + n / (2.0 * t))
     margins = np.asarray(margins)
-    return RBoundReport(np.asarray(times), margins, bool(np.all(margins >= -tol)), tol)
+    return RBoundReport(margins, bool(np.all(margins >= -tol)), tol)
 
 
 # ---------------------------------------------------------------------------
 # evolution
 
-def evolve(m0: MetricModel, t_span, tol: ToleranceConfig | None = None,
-           n_snapshots: int = 65, retain_every: int | None = None,
+def evolve(m0: MetricModel, t_span, n_snapshots: int = 65, retain_every: int | None = None,
            dt_cap: float | None = None) -> FlowHistory:
     """Evolve a testbed metric by the curvature flow over t_span.
 
@@ -228,8 +226,6 @@ def evolve(m0: MetricModel, t_span, tol: ToleranceConfig | None = None,
     with the extinction time recorded; it is a structured outcome, not
     an error.
     """
-    if tol is None:
-        tol = ToleranceConfig(abs_tol=1e-12, rel_tol=1e-11)
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t0 < 0 or t1 <= t0:
         raise ValueError("need 0 <= t0 < t1")
@@ -238,7 +234,7 @@ def evolve(m0: MetricModel, t_span, tol: ToleranceConfig | None = None,
     if isinstance(m0, ModelSpaceMetric):
         return _evolve_model_space(m0, t0, t1, n_snapshots)
     if isinstance(m0, HomogeneousMetric):
-        return _evolve_homogeneous(m0, t0, t1, tol)
+        return _evolve_homogeneous(m0, t0, t1)
     if isinstance(m0, ConformalTorusMetric):
         return _evolve_torus(m0, t0, t1, retain_every, dt_cap)
     raise TypeError(f"unknown metric model {type(m0)!r}")
@@ -264,7 +260,7 @@ def _evolve_model_space(m0: ModelSpaceMetric, t0, t1, n_snapshots) -> FlowHistor
                        birth_time=birth, extinct_at=extinct_at)
 
 
-def _evolve_homogeneous(m0: HomogeneousMetric, t0, t1, tol) -> FlowHistory:
+def _evolve_homogeneous(m0: HomogeneousMetric, t0, t1) -> FlowHistory:
     floor = 1e-7 * min(m0.diag)
     consts = m0.structure_constants
 
@@ -275,7 +271,8 @@ def _evolve_homogeneous(m0: HomogeneousMetric, t0, t1, tol) -> FlowHistory:
 
     # cap steps so the cubic dense output stays near round-off: the
     # identity checks difference interpolated histories at the 1e-8 scale
-    traj = integrate_ode(rhs, np.asarray(m0.diag, dtype=float), t0, t1, tol,
+    traj = integrate_ode(rhs, np.asarray(m0.diag, dtype=float), t0, t1,
+                         ToleranceConfig(abs_tol=1e-12, rel_tol=1e-11),
                          stop=lambda t, y: bool(np.min(y) < floor),
                          max_step=lambda t: 0.01 * max(1.0, t))
     extinct_at = traj.t_end if traj.status in ("halted", "truncated") else None
@@ -301,7 +298,8 @@ class TorusStepper:
     def step(self, phi, dt, f_old):
         """One step from phi, whose rhs is f_old; returns (psi, rhs(psi)).
         Each Newton system (I - dt/2 J(psi)) delta = -g reuses its residual's
-        exp(-2 psi) and rhs(psi)."""
+        exp(-2 psi) and rhs(psi).  A residual that is not finite aborts the
+        step: no later Newton or CG iteration could recover it."""
         hx, hy = self.hx, self.hy
         psi = phi + dt * f_old  # explicit predictor
         target = phi + 0.5 * dt * f_old
@@ -310,8 +308,12 @@ class TorusStepper:
             d = np.exp(-2.0 * psi)
             f_val = d * _lap0(psi, hx, hy)
             g = psi - target - 0.5 * dt * f_val
-            if float(np.max(np.abs(g))) <= 1e-13 * scale:
+            g_max = float(np.max(np.abs(g)))
+            if g_max <= 1e-13 * scale:
                 return psi, f_val
+            if not math.isfinite(g_max):
+                raise RuntimeError(
+                    f"torus step of dt = {dt:.6g} turned non-finite (Newton residual {g_max})")
             sqrt_d = np.sqrt(d)
             dt_f, half_dt_sqrt_d = dt * f_val, 0.5 * dt * sqrt_d
 

@@ -316,7 +316,7 @@ def laplacian(m: MetricModel, f):
     return 0.0
 
 
-def curvature_operator_nonneg(m: MetricModel, tol: float = 1e-12) -> bool:
+def curvature_operator_nonneg(m: MetricModel) -> bool:
     """True iff the curvature operator is positive semidefinite pointwise.
 
     Model spaces: sectional sign >= 0.  Conformal torus: Gauss curvature
@@ -329,7 +329,7 @@ def curvature_operator_nonneg(m: MetricModel, tol: float = 1e-12) -> bool:
     if isinstance(m, ModelSpaceMetric):
         return m.sectional_sign >= 0
     if isinstance(m, ConformalTorusMetric):
-        return bool(np.min(curvature_conformal(m).scalar) >= -tol)
+        return bool(np.min(curvature_conformal(m).scalar) >= -1e-12)
     if isinstance(m, HomogeneousMetric):
         data = curvature_homogeneous(m)
         rho = np.asarray(data.ricci) / np.asarray(m.diag)
@@ -337,7 +337,7 @@ def curvature_operator_nonneg(m: MetricModel, tol: float = 1e-12) -> bool:
         sec = np.array(
             [rho[0] + rho[1] - r_half, rho[1] + rho[2] - r_half, rho[2] + rho[0] - r_half]
         )
-        return bool(np.min(sec) >= -tol)
+        return bool(np.min(sec) >= -1e-12)
     raise TypeError(f"unknown metric model {type(m)!r}")
 
 

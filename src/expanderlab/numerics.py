@@ -47,18 +47,16 @@ __all__ = [
 class ToleranceConfig:
     """Tolerance knobs shared by the kernels.
 
-    abs_tol / rel_tol are dimensionless; fd_step is the default step for
-    finite-difference probes.  All must be strictly positive and
-    max_iter at least 1.
+    abs_tol / rel_tol are dimensionless and must be strictly positive;
+    max_iter must be at least 1.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_iter: int = 10_000
-    fd_step: float = 1e-5
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0 and self.fd_step > 0.0):
+        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be strictly positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -183,7 +181,7 @@ def _error_norm(err, y_old, y_new, tol: ToleranceConfig) -> float:
 
 
 def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig | None = None,
-                  stop=None, max_step: float | None = None) -> OdeTrajectory:
+                  stop=None, max_step=None) -> OdeTrajectory:
     """Adaptive embedded Runge-Kutta integration of y' = rhs(t, y).
 
     Steps are accepted when the embedded local error estimate, in the
@@ -195,17 +193,15 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig | None = N
     true the trajectory is truncated at the crossing (bisected on the
     dense output) with status "halted".  Step-size underflow returns the
     partial trajectory with status "truncated"; non-finite states raise
-    OdeFailure.  max_step may be a float or a callable of t (callers cap
-    steps where the cubic dense output must stay at interpolation
-    accuracy well below the step-control tolerance).
+    OdeFailure.  max_step, if given, is a callable of t giving the
+    largest step there (callers cap steps where the cubic dense output
+    must stay at interpolation accuracy well below the step-control
+    tolerance).
     """
     if tol is None:
         tol = ToleranceConfig()
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
-    if max_step is not None and not callable(max_step):
-        cap_value = float(max_step)
-        max_step = lambda t: cap_value  # noqa: E731
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     span = t1 - t0
     t = t0
@@ -489,7 +485,6 @@ def maximize_concave_1d(f, bracket, tol: ToleranceConfig | None = None) -> Conca
 class ConstrainedMinResult:
     w: np.ndarray
     value: float
-    grad_norm: float
     converged: bool
     n_iter: int
     message: str = ""
@@ -515,13 +510,12 @@ def minimize_constrained(functional, gradient, normalize, inner, w0,
     w = normalize(np.asarray(w0, dtype=float).copy())
     fval = float(functional(w))
     step = 1.0
-    g_norm = math.inf
     for it in range(tol.max_iter):
         g = gradient(w)
         gp = g - inner(g, w) * w
         g_norm = math.sqrt(max(inner(gp, gp), 0.0))
         if g_norm <= tol.abs_tol:
-            return ConstrainedMinResult(w, fval, g_norm, True, it)
+            return ConstrainedMinResult(w, fval, True, it)
         if precond is not None:
             d = precond(gp)
             d = d - inner(d, w) * w
@@ -541,8 +535,8 @@ def minimize_constrained(functional, gradient, normalize, inner, w0,
             alpha *= 0.5
         if not accepted:
             return ConstrainedMinResult(
-                w, fval, g_norm, False, it, message="line search stagnated"
+                w, fval, False, it, message="line search stagnated"
             )
     return ConstrainedMinResult(
-        w, fval, g_norm, False, tol.max_iter, message="iteration budget exhausted"
+        w, fval, False, tol.max_iter, message="iteration budget exhausted"
     )

@@ -72,7 +72,6 @@ class PathSample:
     smooth starts).
     """
 
-    base_point: object
     eta_grid: np.ndarray
     positions: np.ndarray
     start_regularization: float = 0.0
@@ -122,7 +121,6 @@ class ReducedField:
     ell_tail: np.ndarray
     k_effective: np.ndarray
     eps: float
-    head: float
     momenta: np.ndarray | None = None
     smooth_mask: np.ndarray | None = None
     oracle_values: np.ndarray | None = None
@@ -197,7 +195,7 @@ def _simpson(vals: np.ndarray, ds: float) -> np.ndarray:
     return (_node_order_sum(terms) if vals.ndim > 1 else np.sum(terms)) * ds / 3.0
 
 
-def _analytic_head(r_at_eps: float, eps: float, n: int) -> float:
+def _analytic_head(r_at_eps: float, eps: float) -> float:
     """Estimate of the clipped R-part int_0^eps sqrt(eta) R d(eta).
 
     Models R as r(eps) * eps/eta when negative (the borderline profile
@@ -272,17 +270,15 @@ class _RadialEngine:
             boundary = self.eps**1.5 * (r_eps + self.a_eps * v0**2 / (4.0 * self.eps))
         else:
             r_eps, boundary = 0.0, np.zeros_like(v0)
-        return l_tail, k_val, boundary, x_sq_end, _analytic_head(r_eps, self.eps, self.n)
+        return l_tail, k_val, boundary, x_sq_end, _analytic_head(r_eps, self.eps)
 
 
-def _radial_field(h: FlowHistory, radii, times, eps: float,
-                  n_steps: int = 192) -> ReducedField:
+def _radial_field(h: FlowHistory, radii, times, eps: float, n_steps: int) -> ReducedField:
     radii = np.asarray(radii, dtype=float)
     times = np.asarray(times, dtype=float)
     ell = np.empty((len(times), len(radii)))
     ell_tail = np.empty_like(ell)
     k_eff = np.empty_like(ell)
-    head = 0.0
     for i, t in enumerate(times):
         eng = _RadialEngine(h, eps, float(t), n_steps)
         l_tail, k_val, boundary, _, head = eng.solve(radii / eng.integrals[0])
@@ -291,7 +287,7 @@ def _radial_field(h: FlowHistory, radii, times, eps: float,
         k_eff[i] = k_val + boundary
     return ReducedField(
         kind="radial", times=times, targets=radii, ell=ell,
-        ell_tail=ell_tail, k_effective=k_eff, eps=eps, head=head,
+        ell_tail=ell_tail, k_effective=k_eff, eps=eps,
     )
 
 
@@ -317,7 +313,7 @@ def extrapolate_fields(fields) -> ReducedField:
     base = fields[0]
     return ReducedField(
         kind=base.kind, times=base.times, targets=base.targets, ell=ell0,
-        ell_tail=ell0, k_effective=k0, eps=0.0, head=0.0, grid_shape=base.grid_shape,
+        ell_tail=ell0, k_effective=k0, eps=0.0, grid_shape=base.grid_shape,
         smooth_mask=base.smooth_mask,
     )
 
@@ -622,7 +618,7 @@ def geodesic_shoot(h: FlowHistory, x0, momentum, t_end: float,
             )
         if s[0] == 0:
             h_samples[0] = math.nan  # the weighted integrand vanishes at the base
-        path = PathSample(0.0, s**2, sigma, eps)
+        path = PathSample(s**2, sigma, eps)
         return GeodesicSolution(path, x_vel, float(momentum), l_tail + head,
                                 l_tail, head, float(boundary), k_val,
                                 h_samples, float(resid))
@@ -641,7 +637,7 @@ def geodesic_shoot(h: FlowHistory, x0, momentum, t_end: float,
             t_end**1.5 * (float(res["r_end"][0]) + float(res["x_speed_sq"][0]))
             - (k_val + 0.5 * l_tail)
         )
-        path = PathSample(np.asarray(x0, dtype=float), s**2, xs, 0.0)
+        path = PathSample(s**2, xs, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             h_samples = res["kin_nodes"][:, 0] / (2.0 * np.maximum(s, 1e-300) ** 4)
         h_samples[0] = math.nan  # the weighted integrand vanishes at the base
@@ -784,15 +780,14 @@ def _descend(action: _PathAction, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return val
 
 
-def _oracle_torus_batch(h, x0, targets, t, n_segments=64, include_translates=True,
-                        n_keep_shifts=3):
+def _oracle_torus_batch(h, x0, targets, t, n_segments=64, include_translates=True):
     """Direct descent over discrete paths on a torus for many targets at once;
     an upper-bound cross-check of shooting.
 
     Each (target, translate) row descends once, from the straight path
     (nodes are uniform in s, so it is also the square-root start profile),
     in contiguous chunks of at most 2**16 path nodes, with the values of
-    one batch and a bounded working set.  Per target only the closest
+    one batch and a bounded working set.  Per target only the three closest
     lattice translates by flat distance are explored (the conformal
     factor is bounded, so far images cannot win).  Only an upper bound
     over the restricted path class: a value is never below the shooting
@@ -805,8 +800,8 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, include_translates=Tru
     m_t = len(targets)
     if include_translates:
         images, dist = _lattice_images(slices, targets, x0)
-        order = np.argsort(dist, axis=1)[:, :n_keep_shifts]
-        rows = np.repeat(np.arange(m_t), n_keep_shifts)
+        order = np.argsort(dist, axis=1)[:, :3]
+        rows = np.repeat(np.arange(m_t), 3)
         ys = images[rows, order.ravel()]                        # (m*k, 2)
     else:
         rows = np.arange(m_t)
@@ -822,8 +817,7 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, include_translates=Tru
     return best
 
 
-def ell_plus_field(h: FlowHistory, x0, targets, times, tol: float = 1e-3,
-                   eps: float = 0.0, n_steps: int = 96,
+def ell_plus_field(h: FlowHistory, x0, targets, times, eps: float = 0.0,
                    oracle_check: bool = True, oracle_segments: int = 64,
                    grid_shape: tuple | None = None) -> ReducedField:
     """Normalized reduced length over targets at the given times.
@@ -831,12 +825,14 @@ def ell_plus_field(h: FlowHistory, x0, targets, times, tol: float = 1e-3,
     Shooting supplies the values (one-parameter momenta on homothety
     models, two-parameter on the torus, minimized over the nine nearest
     lattice translates); each torus value is cross-checked against the
-    direct path-minimization oracle; a target whose shot misses beyond
-    tolerance falls back to the oracle value and is flagged.
+    direct path-minimization oracle and flagged beyond a relative gap of
+    1e-3; a target whose shot misses beyond tolerance falls back to the
+    oracle value and is flagged.  The radial quadrature takes 128 steps
+    and the torus shooting 96.
     """
     times = np.asarray(times, dtype=float)
     if h.kind == "model_space":
-        return _radial_field(h, targets, times, eps, n_steps=max(n_steps, 128))
+        return _radial_field(h, targets, times, eps, n_steps=128)
     if h.kind != "conformal_torus":
         raise ValueError("reduced fields support model-space and torus histories")
     targets = np.asarray(targets, dtype=float).reshape(-1, 2)
@@ -848,7 +844,7 @@ def ell_plus_field(h: FlowHistory, x0, targets, times, tol: float = 1e-3,
     oracle_vals = np.full((len(times), m_t), np.nan)
     flags = np.zeros((len(times), m_t), dtype=bool)
     for i, t in enumerate(times):
-        shot = _torus_shoot_targets(h, x0, targets, float(t), n_steps)
+        shot = _torus_shoot_targets(h, x0, targets, float(t), 96)
         two_rt = 2.0 * math.sqrt(t)
         ell[i] = shot["l_tail"] / two_rt
         k_eff[i] = shot["k"]
@@ -863,7 +859,7 @@ def ell_plus_field(h: FlowHistory, x0, targets, times, tol: float = 1e-3,
             ) / two_rt
             oracle_vals[i] = o_vals
             rel = np.abs(ell[i] - o_vals) / np.maximum(1.0, np.abs(o_vals))
-            flags[i] = rel > tol
+            flags[i] = rel > 1e-3
             ell[i] = np.where(missed, o_vals, ell[i])
             flags[i] |= missed
     if grid_shape:
@@ -873,7 +869,7 @@ def ell_plus_field(h: FlowHistory, x0, targets, times, tol: float = 1e-3,
         mask = None
     return ReducedField(
         kind="torus", times=times, targets=targets, ell=ell, ell_tail=ell.copy(),
-        k_effective=k_eff, eps=0.0, head=0.0, momenta=momenta,
+        k_effective=k_eff, eps=0.0, momenta=momenta,
         smooth_mask=mask, oracle_values=oracle_vals, oracle_flags=flags,
         grid_shape=grid_shape,
     )
@@ -1109,13 +1105,11 @@ def theta_plus(fld: ReducedField, h: FlowHistory) -> ThetaSeries:
 @dataclass
 class HessianReport:
     status: str  # "ok" or "precondition_not_met"
-    t: float
     margins: dict | None = None
     min_margin: float = math.nan
 
 
-def hessian_check_cor21(h: FlowHistory, t: float, targets,
-                        n_steps: int = 192) -> HessianReport:
+def hessian_check_cor21(h: FlowHistory, t: float, targets) -> HessianReport:
     """Second-derivative bound on the action under nonnegative curvature.
 
     Verifies Hess L(Y, Y) <= |Y|^2/sqrt(t) + 2 sqrt(t) Ric(Y, Y) by
@@ -1128,10 +1122,10 @@ def hessian_check_cor21(h: FlowHistory, t: float, targets,
 
     m = h.metric_at(t)
     if not curvature_operator_nonneg(m):
-        return HessianReport(status="precondition_not_met", t=t)
+        return HessianReport(status="precondition_not_met")
     if h.kind == "model_space":
         radii = np.asarray(targets, dtype=float)
-        fld = _radial_field(h, radii, [t], eps=0.0, n_steps=n_steps)
+        fld = _radial_field(h, radii, [t], eps=0.0, n_steps=192)
         l_vals = 2.0 * math.sqrt(t) * fld.ell[0]
         first, second = _radial_derivatives(fld, l_vals)
         a_t = float(h.params_at(t)[0])
@@ -1147,7 +1141,7 @@ def hessian_check_cor21(h: FlowHistory, t: float, targets,
         }
         min_margin = min(float(np.min(bound - hess_rad)),
                          float(np.min(bound - hess_tan)))
-        return HessianReport("ok", t, margins, min_margin)
+        return HessianReport("ok", margins, min_margin)
     if h.kind == "conformal_torus":
         fld = targets  # a precomputed subgrid field at [t]
         if not isinstance(fld, ReducedField) or fld.grid_shape is None:
@@ -1168,6 +1162,6 @@ def hessian_check_cor21(h: FlowHistory, t: float, targets,
             keep = fld.smooth_mask[i].reshape(fld.grid_shape)
             mx, my = mx[keep], my[keep]
         min_margin = min(float(np.min(mx)), float(np.min(my)))
-        return HessianReport("ok", t, {"xx_min": float(np.min(mx)),
-                                       "yy_min": float(np.min(my))}, min_margin)
+        return HessianReport("ok", {"xx_min": float(np.min(mx)), "yy_min": float(np.min(my))},
+                             min_margin)
     raise ValueError("hessian check supports model-space and torus histories")

@@ -57,13 +57,13 @@ def write_json(path, doc: dict) -> None:
         f.write("\n")
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / n))
+    step = 10.0 ** math.floor(math.log10(span / 5))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= 5:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -83,9 +83,8 @@ def _xml_text(s: str) -> str:
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def write_svg_chart(path, title: str, x, series: dict, x_label: str = "t",
-                    y_label: str = "") -> None:
-    """Minimal multi-series line chart; series maps label -> y array."""
+def write_svg_chart(path, title: str, x, series: dict, y_label: str = "") -> None:
+    """Minimal multi-series line chart over t; series maps label -> y array."""
     width, height = 800, 500
     ml, mr, mt, mb = 70, 20, 40, 50
     x = np.asarray(x, dtype=float)
@@ -138,7 +137,7 @@ def write_svg_chart(path, title: str, x, series: dict, x_label: str = "t",
         )
     parts.append(
         f'<text x="{(ml + width - mr) / 2:.1f}" y="{height - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{_xml_text(x_label)}</text>'
+        f'font-family="sans-serif" font-size="13">t</text>'
     )
     if y_label:
         parts.append(

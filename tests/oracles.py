@@ -234,7 +234,7 @@ def harnack_identity_separate(states, h, birth_time=0.0):
         )
         q_lhs = dq[j] + laplacian(m, q_fields[i])
         q_res_max = max(q_res_max, float(np.max(np.abs(q_lhs - q_rhs))))
-    return ResidualReport("harnack_identity", [times[i] for i in idx], res_max, per_time,
+    return ResidualReport([times[i] for i in idx], res_max, per_time,
                           rhs_min, {"prefactor": q_res_max})
 
 
@@ -263,8 +263,7 @@ def steady_harnack_separate(states, h):
         per_time.append(res)
         res_max = max(res_max, res)
         rhs_min = min(rhs_min, float(np.min(rhs_fields[i])))
-    return ResidualReport("steady_harnack", [times[i] for i in idx], res_max,
-                          per_time, rhs_min)
+    return ResidualReport([times[i] for i in idx], res_max, per_time, rhs_min)
 
 
 def potential_evolution_separate(states, h, birth_time=0.0):
@@ -293,7 +292,7 @@ def potential_evolution_separate(states, h, birth_time=0.0):
         res = float(np.max(np.abs(res_field)))
         per_time.append(res)
         res_max = max(res_max, res)
-    return ResidualReport("f_plus_evolution", [times[i] for i in idx], res_max, per_time)
+    return ResidualReport([times[i] for i in idx], res_max, per_time)
 
 
 def v_plus(s, h, birth_time=0.0):
@@ -474,7 +473,7 @@ def model_shot_separate(h, momentum, t_end, eps=0.0, n_steps=192):
         boundary = eps**1.5 * (r_eps + a_eps * v0**2 / (4.0 * eps))
     else:
         r_eps, boundary = 0.0, 0.0
-    head = _analytic_head(r_eps, eps, n)
+    head = _analytic_head(r_eps, eps)
     w = a_eps / _scale_factor_per_point(h, s**2)
     sigma = np.concatenate([[0.0], np.cumsum(0.5 * (w[:-1] + w[1:]) * np.diff(s))]) * v0
     r_end = n * rho0 / a_nodes[-1]

@@ -83,9 +83,7 @@ def test_harnack_identity_homogeneous_exact():
     # form; only the 5-point time differencing contributes residual
     h = evolve(HYPERBOLIC3, (0.0, 3.0))
     times = np.linspace(1.0, 1.04, 9)
-    states = [
-        DensityState.make(t, 1.0 / h.volume_at(t), max(t, 1e-300), 3) for t in times
-    ]
+    states = [DensityState(t, 1.0 / h.volume_at(t)) for t in times]
     rep = check_harnack_identity(states, h, birth_time=-0.25)
     assert rep.max_residual < 1e-8
     assert rep.rhs_min >= 0.0
@@ -98,9 +96,7 @@ def test_harnack_identity_homogeneous_exact():
 def test_harnack_identity_nilpotent_flow():
     h = evolve(HomogeneousMetric((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)), (0.0, 3.0))
     times = np.linspace(1.5, 1.54, 9)
-    states = [
-        DensityState.make(t, 1.0 / h.volume_at(t), max(t, 1e-300), 3) for t in times
-    ]
+    states = [DensityState(t, 1.0 / h.volume_at(t)) for t in times]
     rep = check_harnack_identity(states, h, birth_time=0.0)
     assert rep.max_residual < 1e-8
 
@@ -133,9 +129,7 @@ def test_steady_harnack_flat_static_zero():
 def test_steady_harnack_homogeneous_exact():
     h = evolve(HYPERBOLIC3, (0.0, 3.0))
     times = np.linspace(1.0, 1.04, 9)
-    states = [
-        DensityState.make(t, 1.0 / h.volume_at(t), max(t, 1e-300), 3) for t in times
-    ]
+    states = [DensityState(t, 1.0 / h.volume_at(t)) for t in times]
     rep = check_harnack_identity(states, h)
     assert rep.extra["steady"] < 1e-8
 
@@ -144,15 +138,12 @@ def test_f_plus_evolution_residuals():
     # flat static uniform: d f/dt = -n/(2t) identically
     h = evolve(ConformalTorusMetric(np.zeros((16, 16))), (0.0, 1.1), retain_every=10**9)
     times = np.linspace(1.0, 1.04, 9)
-    states = [DensityState.make(t, np.ones((16, 16)), t, 2) for t in times]
+    states = [DensityState(t, np.ones((16, 16))) for t in times]
     rep = check_harnack_identity(states, h, birth_time=0.0)
     assert rep.extra["potential"] < 1e-8
     # homogeneous flow
     hh = evolve(HYPERBOLIC3, (0.0, 3.0))
-    states = [
-        DensityState.make(t, 1.0 / hh.volume_at(t), t, 3)
-        for t in np.linspace(1.0, 1.04, 9)
-    ]
+    states = [DensityState(t, 1.0 / hh.volume_at(t)) for t in np.linspace(1.0, 1.04, 9)]
     rep = check_harnack_identity(states, hh, birth_time=0.0)
     assert rep.extra["potential"] < 1e-8
     # torus flow: grid-level residual
@@ -178,7 +169,7 @@ def _identity_state_sets():
                                        t_start=0.004, n_retain=7), 0.0
     for model in (HYPERBOLIC3, HomogeneousMetric((1.0, 0.0, 0.0), (1.0, 1.0, 1.0))):
         h = evolve(model, (0.0, 3.0))
-        yield h, [DensityState.make(t, 1.0 / h.volume_at(t), t, 3)
+        yield h, [DensityState(t, 1.0 / h.volume_at(t))
                   for t in np.linspace(1.5, 1.54, 9)], -0.25
 
 
@@ -198,7 +189,7 @@ def test_one_pass_matches_the_separate_checks_bitwise():
 def test_v_plus_integral_equals_entropy_homogeneous():
     h = evolve(HYPERBOLIC3, (0.0, 2.0))
     t = 1.3
-    state = DensityState.make(t, 1.0 / h.volume_at(t), t + 0.25, 3)
+    state = DensityState(t, 1.0 / h.volume_at(t))
     field, total = v_plus(state, h, birth_time=-0.25)
     sigma = t + 0.25
     m = h.metric_at(t)

@@ -157,6 +157,13 @@ def test_evolve_rejects_nonpositive_step_controls(kwargs):
         evolve(sine_torus(16), (0.0, 0.01), **kwargs)
 
 
+def test_torus_step_stops_on_a_non_finite_state():
+    # at amplitude 4 the first step overflows; every later step used to run
+    # 12 Newton iterations of 200 CG iterations each on NaN
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite"):
+        evolve(sine_torus(32, 4.0), (0.0, 0.6))
+
+
 def test_blowdown_requires_alpha_geq_one():
     with pytest.raises(ValueError):
         BlowdownSpec(alpha=0.5)

@@ -164,8 +164,7 @@ def test_ell_field_oracle_agreement_flat():
     h = flat_history()
     pts = np.array([(i / 10.0, j / 10.0) for i in range(10) for j in range(10)])
     t = 1.0
-    fld = ell_plus_field(h, (0.0, 0.0), pts, [t], tol=1e-3,
-                         oracle_check=True, oracle_segments=256)
+    fld = ell_plus_field(h, (0.0, 0.0), pts, [t], oracle_check=True, oracle_segments=256)
     rel = np.abs(fld.ell[0] - fld.oracle_values[0]) / np.maximum(
         1.0, np.abs(fld.oracle_values[0])
     )
@@ -178,8 +177,7 @@ def test_ell_field_oracle_agreement_flat():
 def test_ell_field_oracle_agreement_torus_flow():
     h = torus_flow_history(32, 0.1)
     pts = np.array([(0.25, 0.0), (0.5, 0.25), (0.1, 0.4), (0.45, 0.45)])
-    fld = ell_plus_field(h, (0.0, 0.0), pts, [0.06], tol=1e-3,
-                         oracle_check=True, oracle_segments=96)
+    fld = ell_plus_field(h, (0.0, 0.0), pts, [0.06], oracle_check=True, oracle_segments=96)
     rel = np.abs(fld.ell[0] - fld.oracle_values[0]) / np.maximum(
         1.0, np.abs(fld.oracle_values[0])
     )
