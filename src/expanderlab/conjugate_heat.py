@@ -127,7 +127,7 @@ def solve_conjugate_backward(h: FlowHistory, t_final: float, u_final,
     return _solve_backward_torus(h, times, np.asarray(u_final, dtype=float), dt_cap)
 
 
-def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap=None) -> list:
+def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap) -> list:
     template = h.template
     hx, hy = template.spacing
     grid_h = min(hx, hy)

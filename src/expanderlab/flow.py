@@ -45,6 +45,7 @@ from .numerics import (
     conjugate_gradient,
     hermite_cubic,
     hermite_interval,
+    hermite_rows,
     integrate_ode,
 )
 
@@ -66,9 +67,13 @@ class FlowHistory:
 
     params holds the reduced representation per sample: the (A, B, C)
     triple, the scale a, or the full phi grid.  param_rhs holds the
-    evolution right-hand side at the same samples.  params_at_times stacks
-    params_at over many times; the torus kernels build their time levels
-    from it in byte-capped batches.
+    evolution right-hand side at the same samples.  params_at serves one
+    time; params_at_times evaluates many in one numpy pass
+    (numerics.hermite_rows) whose rows have params_at's bits, its powers
+    of the local coordinate taken as Python-float ** because numpy's
+    array ** rounds differently.  The torus kernels build their time
+    levels from it in byte-capped batches; metrics_at builds the metrics
+    of many times from one such pass.
     """
 
     def __init__(self, kind, template: MetricModel, times, params, param_rhs,
@@ -106,10 +111,17 @@ class FlowHistory:
 
     def params_at_times(self, ts):
         """params_at at each of the times ts, stacked (len(ts), n_params)."""
-        return np.array([self.params_at(t) for t in ts])
+        return hermite_rows(self.times, self.params, self.param_rhs, ts, 1e-10)
 
     def metric_at(self, t) -> MetricModel:
-        p = self.params_at(t)
+        return self._metric(self.params_at(t))
+
+    def metrics_at(self, ts):
+        """Yields metric_at at each of the times ts, from one params_at_times
+        pass; one metric at a time is built."""
+        return (self._metric(p) for p in self.params_at_times(ts))
+
+    def _metric(self, p) -> MetricModel:
         if self.kind == "homogeneous":
             return HomogeneousMetric(
                 self.template.structure_constants, tuple(p), self.template.frame_volume
@@ -135,8 +147,7 @@ class FlowHistory:
         from .reports import write_csv
 
         rows = []
-        for t in self.times:
-            m = self.metric_at(t)
+        for t, m in zip(self.times, self.metrics_at(self.times)):
             r = curvature(m).scalar
             r_min = float(np.min(r))
             r_max = float(np.max(r))
@@ -177,7 +188,13 @@ class BlowdownHistory(FlowHistory):
         self.extinct_at = None if source.extinct_at is None else source.extinct_at / self.alpha
 
     def params_at(self, t):
-        p = self.source.params_at(self.alpha * float(t))
+        return self._rescaled(self.source.params_at(self.alpha * float(t)))
+
+    def params_at_times(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        return self._rescaled(self.source.params_at_times(self.alpha * ts))
+
+    def _rescaled(self, p):
         if self.kind == "conformal_torus":
             return p - 0.5 * math.log(self.alpha)
         return p / self.alpha
@@ -203,13 +220,13 @@ class RBoundReport:
     tol: float
 
 
-def check_R_lower_bound(h: FlowHistory, tol: float = 1e-8) -> RBoundReport:
+def check_R_lower_bound(h: FlowHistory, tol: float) -> RBoundReport:
     """Verify R + n/(2t) >= -tol pointwise at the sampled times."""
     times = [float(t) for t in h.times if t > 0]
     margins = []
     n = h.dim
-    for t in times:
-        r = curvature(h.metric_at(t)).scalar
+    for t, m in zip(times, h.metrics_at(times)):
+        r = curvature(m).scalar
         margins.append(float(np.min(r)) + n / (2.0 * t))
     margins = np.asarray(margins)
     return RBoundReport(margins, bool(np.all(margins >= -tol)), tol)
@@ -305,9 +322,11 @@ class TorusStepper:
         target = phi + 0.5 * dt * f_old
         scale = 1.0 + float(np.max(np.abs(phi)))
         for _ in range(12):
-            d = np.exp(-2.0 * psi)
-            f_val = d * _lap0(psi, hx, hy)
-            g = psi - target - 0.5 * dt * f_val
+            # an overflow here shows as a non-finite residual, reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = np.exp(-2.0 * psi)
+                f_val = d * _lap0(psi, hx, hy)
+                g = psi - target - 0.5 * dt * f_val
             g_max = float(np.max(np.abs(g)))
             if g_max <= 1e-13 * scale:
                 return psi, f_val
@@ -329,8 +348,7 @@ class TorusStepper:
         return psi, self.rhs(psi)
 
 
-def _evolve_torus(m0: ConformalTorusMetric, t0, t1, retain_every,
-                  dt_cap=None) -> FlowHistory:
+def _evolve_torus(m0: ConformalTorusMetric, t0, t1, retain_every, dt_cap) -> FlowHistory:
     stepper = TorusStepper(m0)
     h = min(m0.spacing)
     if dt_cap is None:

@@ -28,6 +28,7 @@ __all__ = [
     "OdeTrajectory",
     "OdeFailure",
     "EigenFailure",
+    "CGFailure",
     "EigenResult",
     "ConcaveMaxResult",
     "ConstrainedMinResult",
@@ -38,6 +39,7 @@ __all__ = [
     "conjugate_gradient",
     "hermite_interval",
     "hermite_cubic",
+    "hermite_rows",
     "five_point",
     "time_derivative",
 ]
@@ -111,14 +113,11 @@ class OdeTrajectory:
         return float(self.times[-1])
 
     def __call__(self, t):
-        def at(tt):
-            i, s, h = hermite_interval(self.times, float(tt), 1e-12)
+        if np.ndim(t) == 0:
+            i, s, h = hermite_interval(self.times, float(t), 1e-12)
             return hermite_cubic(s, h, self.states[i], self.derivs[i],
                                  self.states[i + 1], self.derivs[i + 1])
-
-        if np.ndim(t) == 0:
-            return at(t)
-        return np.array([at(tt) for tt in np.asarray(t, dtype=float)])
+        return hermite_rows(self.times, self.states, self.derivs, t, 1e-12)
 
 
 def hermite_interval(times: np.ndarray, t: float, slack: float):
@@ -126,7 +125,7 @@ def hermite_interval(times: np.ndarray, t: float, slack: float):
 
     t may lie up to slack * (1 + |end|) beyond the ends of the increasing
     sample times, where it is clamped; farther out is a ValueError.
-    Scalar-only: histories evaluate it once per dense lookup.
+    Scalar-only: hermite_rows is the batched lookup.
     """
     lo, hi = times[0], times[-1]
     if not lo - slack * (1 + abs(lo)) <= t <= hi + slack * (1 + abs(hi)):
@@ -137,14 +136,50 @@ def hermite_interval(times: np.ndarray, t: float, slack: float):
     return i, (t - times[i]) / h, h
 
 
+def _hermite_basis(s, s2, s3):
+    """Cubic Hermite basis h00, h10, h01, h11 at s, from s, s^2 and s^3."""
+    return 2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + s, -2 * s3 + 3 * s2, s3 - s2
+
+
 def hermite_cubic(s, h, ya, fa, yb, fb):
     """Cubic Hermite interpolant at local coordinate s of an interval of
     width h with end values ya, yb and end slopes fa, fb."""
-    h00 = 2 * s**3 - 3 * s**2 + 1
-    h10 = s**3 - 2 * s**2 + s
-    h01 = -2 * s**3 + 3 * s**2
-    h11 = s**3 - s**2
+    h00, h10, h01, h11 = _hermite_basis(s, s**2, s**3)
     return h00 * ya + h10 * h * fa + h01 * yb + h11 * h * fb
+
+
+def hermite_rows(times: np.ndarray, values: np.ndarray, slopes: np.ndarray, ts, slack: float):
+    """hermite_interval + hermite_cubic at each of the times ts in one pass:
+    rows (len(ts), n) from samples values, slopes (len(times), n).
+
+    Every row has the bits of the per-time evaluation: the range check,
+    clamp and interval are the scalar ones elementwise, and the terms are
+    summed in hermite_cubic's order.  The powers of s come from Python
+    floats, because numpy's array ** rounds differently from its scalar **.
+    """
+    ts = np.asarray(ts, dtype=float)
+    lo, hi = times[0], times[-1]
+    inside = (lo - slack * (1 + abs(lo)) <= ts) & (ts <= hi + slack * (1 + abs(hi)))
+    if not np.all(inside):
+        t = float(ts[np.argmin(inside)])
+        raise ValueError(f"time {t} outside the sampled range [{lo}, {hi}]")
+    ts = np.where(lo > ts, lo, ts)  # min(max(t, lo), hi) as the scalar path
+    ts = np.where(hi < ts, hi, ts)
+    i = np.minimum(np.searchsorted(times, ts, side="right") - 1, len(times) - 2)
+    h = times[i + 1] - times[i]
+    s = (ts - times[i]) / h
+    s_list = s.tolist()
+    h00, h10, h01, h11 = _hermite_basis(s, np.array([x**2 for x in s_list]),
+                                        np.array([x**3 for x in s_list]))
+    # in place through one scratch array: two (len(ts), n) arrays live at a time
+    out = np.take(values, i, axis=0)
+    out *= h00[:, None]
+    term = np.empty_like(out)
+    for rows, k, w in ((slopes, i, h10 * h), (values, i + 1, h01), (slopes, i + 1, h11 * h)):
+        np.take(rows, k, axis=0, out=term, mode="clip")  # unbuffered; k is in range
+        term *= w[:, None]
+        out += term
+    return out
 
 
 def five_point(f_m2, f_m1, f_p1, f_p2, d: float):
@@ -180,7 +215,7 @@ def _error_norm(err, y_old, y_new, tol: ToleranceConfig) -> float:
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig | None = None,
+def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig,
                   stop=None, max_step=None) -> OdeTrajectory:
     """Adaptive embedded Runge-Kutta integration of y' = rhs(t, y).
 
@@ -198,8 +233,6 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig | None = N
     must stay at interpolation accuracy well below the step-control
     tolerance).
     """
-    if tol is None:
-        tol = ToleranceConfig()
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
@@ -299,8 +332,12 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig | None = N
     return traj
 
 
+class CGFailure(RuntimeError):
+    """Raised when conjugate gradients meets a non-finite residual."""
+
+
 def conjugate_gradient(apply_a, b: np.ndarray, weight: np.ndarray,
-                       precond=None, rel_tol: float = 1e-12,
+                       precond=None, *, rel_tol: float,
                        max_iter: int = 2000, x0: np.ndarray | None = None) -> np.ndarray:
     """Matrix-free preconditioned CG in the weighted L2 inner product.
 
@@ -309,7 +346,8 @@ def conjugate_gradient(apply_a, b: np.ndarray, weight: np.ndarray,
     shaped like b, or None for the plain Euclidean product.  x0 is the
     initial guess (zero by default); the iteration stops once the
     residual norm is below rel_tol * |b| (tested before the
-    preconditioner, so an x0 that already meets it costs no call).
+    preconditioner, so an x0 that already meets it costs no call).  A
+    non-finite residual raises CGFailure at once: no iteration recovers it.
     """
 
     def inner(u, v):
@@ -322,8 +360,12 @@ def conjugate_gradient(apply_a, b: np.ndarray, weight: np.ndarray,
         r = b - apply_a(x)
     b_norm = math.sqrt(max(inner(b, b), 1e-300))
     p = None
-    for _ in range(max_iter):
-        if math.sqrt(max(inner(r, r), 0.0)) <= rel_tol * b_norm:
+    for k in range(max_iter):
+        rr = inner(r, r)
+        if not math.isfinite(rr):
+            raise CGFailure(f"conjugate gradients: residual turned non-finite "
+                            f"after {k} iterations")
+        if math.sqrt(max(rr, 0.0)) <= rel_tol * b_norm:
             return x
         z = precond(r) if precond is not None else r
         rz_new = inner(r, z)
@@ -351,8 +393,8 @@ class EigenResult:
     residuals: list = field(default_factory=list)
 
 
-def smallest_eigenpair(apply_operator, measure, tol: ToleranceConfig | None = None,
-                       shift: float = 0.0, w0: np.ndarray | None = None,
+def smallest_eigenpair(apply_operator, measure, tol: ToleranceConfig,
+                       shift: float, w0: np.ndarray | None = None,
                        precond=None, deflate=()) -> EigenResult:
     """Ground eigenpair of a self-adjoint operator by shifted inverse iteration.
 
@@ -367,8 +409,6 @@ def smallest_eigenpair(apply_operator, measure, tol: ToleranceConfig | None = No
     Raises EigenFailure with the residual history if max_iter sweeps do
     not bring the weighted residual norm under abs_tol.
     """
-    if tol is None:
-        tol = ToleranceConfig()
     measure = np.asarray(measure, dtype=float)
 
     def inner(u, v):
@@ -434,7 +474,7 @@ class ConcaveMaxResult:
     value: float
 
 
-def maximize_concave_1d(f, bracket, tol: ToleranceConfig | None = None) -> ConcaveMaxResult:
+def maximize_concave_1d(f, bracket, tol: ToleranceConfig) -> ConcaveMaxResult:
     """Golden-section maximization of a concave function of one variable.
 
     The upper bracket end is doubled while the function is still rising
@@ -442,8 +482,6 @@ def maximize_concave_1d(f, bracket, tol: ToleranceConfig | None = None) -> Conca
     structured outcome "unbounded" is returned instead of an error.
     On success |x - argmax| <= abs_tol.
     """
-    if tol is None:
-        tol = ToleranceConfig(abs_tol=1e-8)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError("bracket must satisfy hi > lo")
@@ -491,7 +529,7 @@ class ConstrainedMinResult:
 
 
 def minimize_constrained(functional, gradient, normalize, inner, w0,
-                         tol: ToleranceConfig | None = None,
+                         tol: ToleranceConfig,
                          precond=None) -> ConstrainedMinResult:
     """Projected gradient descent on the unit sphere of a weighted L2 space.
 
@@ -505,8 +543,6 @@ def minimize_constrained(functional, gradient, normalize, inner, w0,
     the tolerance returns the best iterate flagged unconverged rather
     than raising.
     """
-    if tol is None:
-        tol = ToleranceConfig(abs_tol=1e-8, max_iter=2000)
     w = normalize(np.asarray(w0, dtype=float).copy())
     fval = float(functional(w))
     step = 1.0

@@ -340,6 +340,8 @@ class _TorusSlices:
         self.nx, self.ny = h.template.phi.shape
         self.hx, self.hy = h.template.spacing
         self.lx, self.ly = h.template.periods
+        # tap index tables of -1 .. n + 2, wrapped, for every gather of the store
+        self.wrap_x, self.wrap_y = (np.arange(-1, n + 3) % n for n in (self.nx, self.ny))
         # (n_fields, n_slices, nx, ny), built in batches of slices whose
         # fields stay under the byte cap
         self.store = np.empty((n_fields, len(self.s_all), self.nx, self.ny))
@@ -370,8 +372,8 @@ class _TorusSlices:
         block = max(1, LEVEL_BATCH_BYTES // (128 * len(grids)))
         for lo in range(0, len(pts), block):
             blk = slice(lo, lo + block)
-            ix, wx = _spline_taps((pts[blk, 0] / self.hx) % self.nx, self.nx, grad)
-            jy, wy = _spline_taps((pts[blk, 1] / self.hy) % self.ny, self.ny, grad)
+            ix, wx = _spline_taps((pts[blk, 0] / self.hx) % self.nx, self.wrap_x, grad)
+            jy, wy = _spline_taps((pts[blk, 1] / self.hy) % self.ny, self.wrap_y, grad)
             rows = ix * self.ny + (offset[blk] if per_point else offset)
             taps = np.take(grids, rows[:, None, :] + jy[None, :, :], axis=1)
             np.einsum("am,bm,fabm->fm", wx[0], wy[0], taps, out=out[0, :, blk])
@@ -386,17 +388,20 @@ class _TorusSlices:
 # power down; flat-torus reduced values depend on the weights' round-off
 _CATMULL_ROM = np.array([[-0.5, 1.5, -1.5, 0.5], [1.0, -2.5, 2.0, -0.5],
                          [-0.5, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0]])[:, :, None]
+_TAP_OFFSETS = np.arange(4)[:, None]
 
 
-def _spline_taps(frac: np.ndarray, n: int, slopes: bool = False):
-    """Catmull-Rom tap indices (4, m) and weights (1, 4, m) on a periodic axis;
-    with `slopes`, weights (2, 4, m) whose second row differentiates in `frac`.
+def _spline_taps(frac: np.ndarray, wrap: np.ndarray, slopes: bool = False):
+    """Catmull-Rom tap indices (4, m) and weights (1, 4, m) on a periodic axis
+    of n points; with `slopes`, weights (2, 4, m) whose second row
+    differentiates in `frac`.
 
     C1 interpolation keeps shot geodesics smooth functions of the
     target, which the stencil checks on reduced fields rely on
     (piecewise-bilinear sampling leaves derivative kinks that a divided
     second difference amplifies).  Float `%` can round `frac` up to n, so
-    taps wrap through a table of -1 .. n + 2; non-finite points clip.
+    taps wrap through `wrap`, the table of -1 .. n + 2 modulo n;
+    non-finite points clip.
     """
     base = np.floor(frac).astype(int)
     u = frac - base
@@ -411,8 +416,7 @@ def _spline_taps(frac: np.ndarray, n: int, slopes: bool = False):
         np.multiply(3.0 * c[0], u2, out=w[1])
         w[1] += 2.0 * c[1] * u
         w[1] += c[2]
-    wrap = np.arange(-1, n + 3) % n
-    return np.take(wrap, base + np.arange(4)[:, None], mode="clip"), w
+    return np.take(wrap, base + _TAP_OFFSETS, mode="clip"), w
 
 
 def _torus_rhs(s: float, v: np.ndarray, fields):
@@ -500,8 +504,7 @@ def _lattice_images(slices: _TorusSlices, targets: np.ndarray, x0: np.ndarray):
     return images, np.linalg.norm(images - x0, axis=2)
 
 
-def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float,
-                         n_steps: int = 64):
+def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float, n_steps: int):
     """Best action over the nearby lattice translates of each target.
 
     Translates that cannot win are dropped up front: the conformal

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,9 +160,12 @@ def test_evolve_rejects_nonpositive_step_controls(kwargs):
 
 def test_torus_step_stops_on_a_non_finite_state():
     # at amplitude 4 the first step overflows; every later step used to run
-    # 12 Newton iterations of 200 CG iterations each on NaN
-    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite"):
-        evolve(sine_torus(32, 4.0), (0.0, 0.6))
+    # 12 Newton iterations of 200 CG iterations each on NaN.  The named error
+    # ends the run even with warnings as errors: the overflow warned first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="torus step .* turned non-finite"):
+            evolve(sine_torus(32, 4.0), (0.0, 0.6))
 
 
 def test_blowdown_requires_alpha_geq_one():

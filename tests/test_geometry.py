@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from expanderlab.flow import BlowdownSpec, FlowHistory, blowdown
+from expanderlab.flow import BlowdownSpec, FlowHistory, blowdown, evolve
 from expanderlab.geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
@@ -28,7 +28,14 @@ from expanderlab.geometry import (
     validate_model_json,
     volume,
 )
-from expanderlab.numerics import OdeTrajectory, hermite_cubic, hermite_interval, time_derivative
+from expanderlab.numerics import (
+    OdeTrajectory,
+    ToleranceConfig,
+    hermite_cubic,
+    hermite_interval,
+    integrate_ode,
+    time_derivative,
+)
 from oracles import fft_divide
 from oracles import koszul_ricci, model_to_json
 
@@ -329,21 +336,53 @@ def skewed_history():
     return FlowHistory("conformal_torus", m0, ts, vals, rng.standard_normal((4, 16 * 24)))
 
 
+def bits(a):
+    # == on the bit patterns: tells -0.0 from 0.0
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
 def test_batched_history_lookup_equals_params_at():
     # sample nodes, times inside the intervals and times within the clamp
-    # slack, in increasing and decreasing order: every row bit for bit
-    h = skewed_history()
+    # slack at both ends, in increasing and decreasing order, on a torus
+    # (384 params), a model-space (1) and a homogeneous (3) history and
+    # through a blowdown: every row has the bits of a per-time params_at
     rng = np.random.default_rng(9)
-    lo, hi = h.t_min - 0.5e-10, h.t_max + 0.5e-10 * (1 + h.t_max)
-    ts = np.concatenate([h.times, rng.uniform(h.t_min, h.t_max, 400), [lo, hi]])
-    want = np.array([h.params_at(t) for t in ts])
-    assert np.array_equal(h.params_at_times(ts), want)
-    assert np.array_equal(h.params_at_times(ts[::-1]), want[::-1])
-    bd = blowdown(h, BlowdownSpec(alpha=4.0))
-    got = bd.params_at_times(ts[:20] / 4.0)
-    assert np.array_equal(got, want[:20] - 0.5 * math.log(4.0))
+    histories = (skewed_history(),
+                 evolve(ModelSpaceMetric(3, -1, 1.0, 1.0), (0.0, 3.0)),
+                 evolve(HomogeneousMetric(HEISENBERG, (1.0, 1.0, 1.0)), (0.0, 2.0)))
+    for h in histories:
+        lo, hi = h.t_min - 0.5e-10 * (1 + abs(h.t_min)), h.t_max + 0.5e-10 * (1 + h.t_max)
+        ts = np.concatenate([h.times, rng.uniform(h.t_min, h.t_max, 400), [lo, hi]])
+        want = np.array([h.params_at(t) for t in ts])
+        assert want.shape == (len(ts), h.params.shape[1])
+        assert np.array_equal(bits(h.params_at_times(ts)), bits(want))
+        assert np.array_equal(bits(h.params_at_times(list(ts[::-1]))), bits(want[::-1]))
+        assert h.params_at_times([]).shape == (0, h.params.shape[1])
+        for m, t in zip(h.metrics_at(ts[:30]), ts[:30]):
+            want_m = h.metric_at(t)
+            if h.kind == "conformal_torus":
+                assert np.array_equal(bits(m.phi), bits(want_m.phi))
+            else:
+                assert m == want_m
+        bd = blowdown(h, BlowdownSpec(alpha=4.0))
+        want_bd = np.array([bd.params_at(t) for t in ts[:40] / 4.0])
+        assert np.array_equal(bits(bd.params_at_times(ts[:40] / 4.0)), bits(want_bd))
+        # the first time out of range or NaN is the one named, as in params_at
+        for bad in (h.t_max + 1e-6, h.t_min - 1e-6, math.nan):
+            for batch in ([bad], [0.5 * h.t_max, bad, math.inf]):
+                with pytest.raises(ValueError, match=f"time {bad} outside"):
+                    h.params_at_times(batch)
+            with pytest.raises(ValueError, match=f"time {bad} outside"):
+                h.params_at(bad)
+    # an ODE trajectory on arrays equals its own scalar calls
+    traj = integrate_ode(lambda t, y: np.array([-y[0] * y[1], y[0]]), [1.0, 0.5], 0.0, 2.0,
+                         ToleranceConfig(abs_tol=1e-9, rel_tol=1e-9))
+    ts = np.concatenate([traj.times, rng.uniform(0.0, 2.0, 200)])
+    want = np.array([traj(t) for t in ts])
+    assert np.array_equal(bits(traj(ts)), bits(want))
+    assert traj(np.array([])).shape == (0, 2)
     with pytest.raises(ValueError, match="outside"):
-        h.params_at_times([0.01, h.t_max + 1e-6])
+        traj(np.array([1.0, math.nan]))
 
 
 def test_stencils_on_stacks_equal_per_grid_calls():

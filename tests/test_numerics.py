@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from expanderlab.geometry import _lap0, laplacian_symbol, spectral_preconditioner
 from expanderlab.numerics import (
+    CGFailure,
     EigenFailure,
     OdeFailure,
     ToleranceConfig,
@@ -53,6 +54,30 @@ def test_conjugate_gradient_initial_guess():
     assert np.max(np.abs(warm - exact)) < 1e-10
     at_solution = conjugate_gradient(apply_a, b, weight, rel_tol=1e-6, x0=exact)
     assert np.array_equal(at_solution, exact)
+
+
+def test_conjugate_gradient_stops_on_a_non_finite_residual():
+    # sqrt(max(nan, 0)) <= tol is false, so a NaN system used to run all
+    # max_iter iterations; it raises before the operator call that would
+    # follow the first non-finite residual
+    calls = []
+
+    def apply_a(x):
+        calls.append(1)
+        return 2.0 * x
+
+    b = np.ones(8)
+    b[3] = math.nan
+    for x0, n_calls in ((None, 0), (np.zeros(8), 1)):
+        calls.clear()
+        with pytest.raises(CGFailure, match="non-finite after 0 iterations"):
+            conjugate_gradient(apply_a, b, None, rel_tol=1e-12, x0=x0)
+        assert len(calls) == n_calls
+    # an operator that turns non-finite midway stops after that call
+    calls.clear()
+    with pytest.raises(CGFailure, match="non-finite after 1 iterations"):
+        conjugate_gradient(lambda x: apply_a(x) * math.nan, np.ones(8), None, rel_tol=1e-12)
+    assert len(calls) == 1
 
 
 def test_conjugate_gradient_skips_preconditioner_on_solved_start():

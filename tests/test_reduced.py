@@ -375,16 +375,22 @@ def test_radial_engine_matches_per_point_lookups_bitwise():
 
 
 def test_radial_engine_looks_a_up_once_per_grid(monkeypatch):
+    # counts the times looked up, one by one or in a batch
     hv = vertex_expander_history()
     hr = evolve(HYPERBOLIC3, (0.0, 3.0))
     calls = collections.Counter()
-    params_at = FlowHistory.params_at
+    params_at, params_at_times = FlowHistory.params_at, FlowHistory.params_at_times
 
     def spy(self, t):
         calls[id(self)] += 1
         return params_at(self, t)
 
+    def spy_times(self, ts):
+        calls[id(self)] += len(ts)
+        return params_at_times(self, ts)
+
     monkeypatch.setattr(FlowHistory, "params_at", spy)
+    monkeypatch.setattr(FlowHistory, "params_at_times", spy_times)
     n_steps = 192
     _RadialEngine(hv, 1e-4, 1.0, n_steps)
     assert calls[id(hv)] == 2 + (n_steps + 1) + 801
@@ -609,8 +615,8 @@ def test_torus_slice_samples_match_fancy_index_gather():
     pts[:4] = [[0.0, 0.0], [-1e-9, 1.7 - 1e-9], [0.99, 0.01], [0.03, 1.69]]
     slice_idx = rng.integers(0, len(slices.s_all), len(pts))
 
-    ix, (wx,) = _spline_taps((pts[:, 0] / slices.hx) % nx, nx)
-    jy, (wy,) = _spline_taps((pts[:, 1] / slices.hy) % ny, ny)
+    ix, (wx,) = _spline_taps((pts[:, 0] / slices.hx) % nx, slices.wrap_x)
+    jy, (wy,) = _spline_taps((pts[:, 1] / slices.hy) % ny, slices.wrap_y)
     assert ix.min() == 0 and ix.max() == nx - 1 and jy.min() == 0 and jy.max() == ny - 1
     got = slices.sample(slice_idx, rows, pts)
     assert got.shape == (2, len(pts))
@@ -619,8 +625,8 @@ def test_torus_slice_samples_match_fancy_index_gather():
         assert np.array_equal(g, np.einsum("am,bm,abm->m", wx, wy, ref))
     # the derivative gather brings the same samples and, from the same taps,
     # the derivatives of the interpolant: its weights differentiated
-    _, (_, dwx) = _spline_taps((pts[:, 0] / slices.hx) % nx, nx, True)
-    _, (_, dwy) = _spline_taps((pts[:, 1] / slices.hy) % ny, ny, True)
+    _, (_, dwx) = _spline_taps((pts[:, 0] / slices.hx) % nx, slices.wrap_x, True)
+    _, (_, dwy) = _spline_taps((pts[:, 1] / slices.hy) % ny, slices.wrap_y, True)
     val, ddx, ddy = slices.sample(slice_idx, rows, pts, grad=True)
     assert np.array_equal(val, got)
     for grid, gx, gy in zip(slices.store[rows], ddx, ddy):
@@ -704,10 +710,11 @@ def test_blockwise_slice_gather_matches_single_block(monkeypatch):
     monkeypatch.setattr("expanderlab.reduced.LEVEL_BATCH_BYTES", 128 * 4 * 7)
     for idx, want in zip((slice_idx, 2), whole):
         assert np.array_equal(slices.sample(idx, rows, pts), want)
-    for col, h, n in ((0, slices.hx, slices.nx), (1, slices.hy, slices.ny)):
+    for col, h, n, wrap in ((0, slices.hx, slices.nx, slices.wrap_x),
+                            (1, slices.hy, slices.ny, slices.wrap_y)):
         frac = (pts[:, col] / h) % n
         assert frac[col] == n
-        taps, _ = _spline_taps(frac, n)
+        taps, _ = _spline_taps(frac, wrap)
         want = (np.floor(frac).astype(int) + np.arange(-1, 3)[:, None]) % n
         assert np.array_equal(taps, want)
 
