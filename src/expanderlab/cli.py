@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -68,6 +69,8 @@ class Scenario:
         name = doc.get("name")
         if not name or not isinstance(name, str):
             raise ConfigError("scenario needs a nonempty string name")
+        if "/" in name or name in (".", ".."):  # its tree replaces <out>/<name>
+            raise ConfigError(f"scenario name {name!r} must be a file name, not a path")
         try:
             model = validate_model_json(doc["model"])
         except KeyError:
@@ -248,13 +251,25 @@ def _default_times(scn: Scenario) -> np.ndarray:
 
 
 def run_scenario_doc(doc: dict, out_dir) -> dict:
-    """Run one scenario document; writes artifacts, returns the report."""
+    """Run one scenario document; returns the report.  Its tree is built in a
+    temporary sibling <out_dir>/.<name>.*, renamed to <out_dir>/<name> (replacing
+    an older tree) when the scenario finishes and removed if it raises."""
     scn = Scenario.from_doc(doc)
-    out = Path(out_dir) / scn.name
+    final = Path(out_dir) / scn.name
+    final.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{final.name}.", dir=final.parent) as tmp:
+        report = _run_into(scn, Path(tmp, "new"))
+        if final.exists():
+            final.rename(Path(tmp, "old"))
+        Path(tmp, "new").rename(final)
+    return report
+
+
+def _run_into(scn: Scenario, out: Path) -> dict:
     series_dir = out / "series"
     plots_dir = out / "plots"
-    series_dir.mkdir(parents=True, exist_ok=True)
-    plots_dir.mkdir(parents=True, exist_ok=True)
+    series_dir.mkdir(parents=True)
+    plots_dir.mkdir()
 
     report = {
         "schema": 1,

@@ -282,7 +282,7 @@ def _evolve_homogeneous(m0: HomogeneousMetric, t0, t1) -> FlowHistory:
     consts = m0.structure_constants
 
     def rhs(t, y):
-        if np.min(y) <= 0:  # past extinction: trial stage, reject via non-finite
+        if min(y.tolist()) <= 0:  # past extinction: trial stage, reject via non-finite
             return np.full(3, np.inf)
         return -2.0 * milnor_ricci_diag(consts, y)
 
@@ -290,7 +290,7 @@ def _evolve_homogeneous(m0: HomogeneousMetric, t0, t1) -> FlowHistory:
     # identity checks difference interpolated histories at the 1e-8 scale
     traj = integrate_ode(rhs, np.asarray(m0.diag, dtype=float), t0, t1,
                          ToleranceConfig(abs_tol=1e-12, rel_tol=1e-11),
-                         stop=lambda t, y: bool(np.min(y) < floor),
+                         stop=lambda t, y: min(y.tolist()) < floor,
                          max_step=lambda t: 0.01 * max(1.0, t))
     extinct_at = traj.t_end if traj.status in ("halted", "truncated") else None
     return FlowHistory("homogeneous", m0, traj.times, traj.states, traj.derivs,

@@ -236,8 +236,8 @@ def milnor_ricci_diag(structure_constants, diag) -> np.ndarray:
     transcription.  Operates on raw values (no positivity validation) so
     flow integrators may probe trial states freely.
     """
-    c1, c2, c3 = (float(v) for v in structure_constants)
-    a, b, c = (float(v) for v in diag)
+    c1, c2, c3 = map(float, structure_constants)
+    a, b, c = map(float, diag)
     return np.array(
         [
             ((c1 * a) ** 2 - (c2 * b - c3 * c) ** 2) / (2.0 * b * c),
@@ -250,10 +250,11 @@ def milnor_ricci_diag(structure_constants, diag) -> np.ndarray:
 def curvature_homogeneous(m: HomogeneousMetric) -> CurvatureData:
     """Diagonal Milnor-frame Ricci of a homogeneous metric."""
     rc = milnor_ricci_diag(m.structure_constants, m.diag)
-    diag = np.asarray(m.diag, dtype=float)
-    scalar = float(np.sum(rc / diag))
-    norm_sq = float(np.sum((rc / diag) ** 2))
-    return CurvatureData(ricci=rc, scalar=scalar, ricci_norm_sq=norm_sq)
+    # np.sum(rc / diag) and np.sum((rc / diag) ** 2) in floats: numpy sums 3
+    # elements left to right from 0.0 (-0.0 sums to 0.0); its ** 2 multiplies
+    q0, q1, q2 = (r / float(d) for r, d in zip(rc.tolist(), m.diag))
+    return CurvatureData(ricci=rc, scalar=0.0 + q0 + q1 + q2,
+                         ricci_norm_sq=q0 * q0 + q1 * q1 + q2 * q2)
 
 
 def _conformal_scalar(phi: np.ndarray, hx: float, hy: float, em2p=None) -> np.ndarray:

@@ -75,20 +75,18 @@ class OdeFailure(RuntimeError):
 
 # Dormand-Prince 5(4) tableau.  The fifth-order solution is propagated;
 # the embedded fourth-order one supplies the local error estimate.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
 @dataclass
@@ -215,6 +213,17 @@ def _error_norm(err, y_old, y_new, tol: ToleranceConfig) -> float:
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
+def _dp_combine(y, h, coeffs, k):
+    """y + h * (0 + c0 k0 + c1 k1 + ...) per component, in numpy's order."""
+    out = []
+    for yj, kj in zip(y, zip(*k)):
+        acc = 0.0
+        for c, v in zip(coeffs, kj):
+            acc += c * v
+        out.append(yj + h * acc)
+    return out
+
+
 def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig,
                   stop=None, max_step=None) -> OdeTrajectory:
     """Adaptive embedded Runge-Kutta integration of y' = rhs(t, y).
@@ -222,7 +231,8 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig,
     Steps are accepted when the embedded local error estimate, in the
     mixed abs/rel scaled norm, is below one; step sizes follow a PI
     controller.  Dense output is the cubic Hermite interpolant between
-    accepted steps.
+    accepted steps.  rhs maps a 1-D array to one; the stages are built in
+    Python floats in numpy's order of operations, so with numpy's bits.
 
     stop, if given, is a predicate stop(t, y); when it first becomes
     true the trajectory is truncated at the crossing (bisected on the
@@ -252,8 +262,9 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig,
         h = min(h, max_step(t))
 
     times = [t]
-    states = [y.copy()]
+    states = [y.copy()]  # y as an array; per-step float lists raise the peak RSS
     derivs = [f.copy()]
+    y, f = y.tolist(), f.tolist()
     err_prev = 1.0
     status, message = "completed", ""
     n_steps = 0
@@ -265,34 +276,32 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig,
             break
         h = min(h, t1 - t)
         k = [f]
-        failed_stage = False
         for i in range(1, 7):
-            yi = y + h * sum(a * ki for a, ki in zip(_DP_A[i], k))
-            ki = np.asarray(rhs(t + _DP_C[i] * h, yi), dtype=float)
-            if not np.all(np.isfinite(ki)):
-                failed_stage = True
+            yi = _dp_combine(y, h, _DP_A[i], k)
+            ki = np.asarray(rhs(t + _DP_C[i] * h, np.array(yi)), dtype=float).tolist()
+            if not all(map(math.isfinite, ki)):
                 break
             k.append(ki)
-        if failed_stage:
+        if len(k) < 7:  # a non-finite stage
             h *= 0.25
             if h < h_floor:
                 status, message = "truncated", "step size underflow (non-finite stages)"
                 break
             continue
-        y_new = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-        y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
-        if not np.all(np.isfinite(y_new)):
-            raise OdeFailure("non-finite state during integration", t, y)
-        err = _error_norm(y_new - y4, y, y_new, tol)
+        y_new = _dp_combine(y, h, _DP_B5, k)
+        y4 = _dp_combine(y, h, _DP_B4, k)
+        if not all(map(math.isfinite, y_new)):
+            raise OdeFailure("non-finite state during integration", t, states[-1])
+        y_new_arr = np.array(y_new)
+        err = _error_norm(y_new_arr - np.array(y4), states[-1], y_new_arr, tol)
         if err <= 1.0:
             t_new = t + h
             f_new = k[6]  # FSAL stage equals rhs at the new point
             times.append(t_new)
-            states.append(y_new.copy())
-            derivs.append(f_new.copy())
-            if stop is not None and stop(t_new, y_new):
+            states.append(y_new_arr)
+            derivs.append(np.array(f_new))
+            if stop is not None and stop(t_new, y_new_arr):
                 status, message = "halted", "stop predicate fired"
-                t, y, f = t_new, y_new, f_new
                 break
             fac = 0.9 * max(err, 1e-10) ** -0.14 * max(err_prev, 1e-10) ** -0.04
             err_prev = max(err, 1e-10)

@@ -519,3 +519,122 @@ def model_to_json(m):
             "base_volume": m.base_volume,
         }
     raise TypeError(f"unknown metric model {type(m)!r}")
+
+
+# Dormand-Prince 5(4) tableau as numpy arrays, for the reference integrator
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+
+
+def integrate_ode_numpy_stages(rhs, y0, t0, t1, tol, stop=None, max_step=None):
+    """Bit-for-bit reference for numerics.integrate_ode: the same
+    Dormand-Prince controller with every stage and solution formed as a
+    numpy array, y + h * sum(a * ki for a, ki in zip(row, k))."""
+    from expanderlab.numerics import OdeFailure, OdeTrajectory
+
+    def error_norm(err, y_old, y_new):
+        scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
+        return float(np.sqrt(np.mean((err / scale) ** 2)))
+
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    span = t1 - t0
+    t = t0
+    f = np.asarray(rhs(t, y), dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise OdeFailure("non-finite right-hand side at initial state", t, y)
+    scale = tol.abs_tol + tol.rel_tol * np.abs(y)
+    d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
+    d1 = float(np.sqrt(np.mean((f / scale) ** 2)))
+    h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else 1e-6 * span
+    h = min(h, span / 10)
+    if max_step is not None:
+        h = min(h, max_step(t))
+    times, states, derivs = [t], [y.copy()], [f.copy()]
+    err_prev = 1.0
+    status, message = "completed", ""
+    n_steps = 0
+    h_floor = 1e-14 * span
+    while t < t1:
+        if n_steps > 100 * tol.max_iter:
+            status, message = "truncated", "step budget exhausted"
+            break
+        h = min(h, t1 - t)
+        k = [f]
+        failed_stage = False
+        for i in range(1, 7):
+            yi = y + h * sum(a * ki for a, ki in zip(_DP_A[i], k))
+            ki = np.asarray(rhs(t + _DP_C[i] * h, yi), dtype=float)
+            if not np.all(np.isfinite(ki)):
+                failed_stage = True
+                break
+            k.append(ki)
+        if failed_stage:
+            h *= 0.25
+            if h < h_floor:
+                status, message = "truncated", "step size underflow (non-finite stages)"
+                break
+            continue
+        y_new = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
+        y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
+        if not np.all(np.isfinite(y_new)):
+            raise OdeFailure("non-finite state during integration", t, y)
+        err = error_norm(y_new - y4, y, y_new)
+        if err <= 1.0:
+            t_new = t + h
+            f_new = k[6]
+            times.append(t_new)
+            states.append(y_new.copy())
+            derivs.append(f_new.copy())
+            if stop is not None and stop(t_new, y_new):
+                status, message = "halted", "stop predicate fired"
+                break
+            fac = 0.9 * max(err, 1e-10) ** -0.14 * max(err_prev, 1e-10) ** -0.04
+            err_prev = max(err, 1e-10)
+            t, y, f = t_new, y_new, f_new
+            h *= min(6.0, max(0.2, fac))
+        else:
+            h *= max(0.2, 0.9 * err**-0.2)
+        if max_step is not None:
+            h = min(h, max_step(t))
+        if h < h_floor:
+            status, message = "truncated", "step size underflow"
+            break
+        n_steps += 1
+    traj = OdeTrajectory(np.asarray(times), np.asarray(states), np.asarray(derivs),
+                         status, message)
+    if status == "halted" and len(times) >= 2:
+        ta, tb = times[-2], times[-1]
+        for _ in range(80):
+            tm = 0.5 * (ta + tb)
+            if stop(tm, traj(tm)):
+                tb = tm
+            else:
+                ta = tm
+            if tb - ta <= 1e-13 * (1.0 + abs(tb)):
+                break
+        yb = traj(tb)
+        traj.times = np.append(traj.times[:-1], tb)
+        traj.states = np.vstack([traj.states[:-1], yb])
+        traj.derivs = np.vstack([traj.derivs[:-1], np.asarray(rhs(tb, yb), dtype=float)])
+    return traj
+
+
+def curvature_homogeneous_numpy(m):
+    """Reference scalar curvature and |Rc|^2 of a homogeneous metric, as
+    numpy sums over the frame: np.sum(rc / diag), np.sum((rc / diag) ** 2)."""
+    from expanderlab.geometry import milnor_ricci_diag
+
+    q = milnor_ricci_diag(m.structure_constants, m.diag) / np.asarray(m.diag, dtype=float)
+    return float(np.sum(q)), float(np.sum(q ** 2))

@@ -82,6 +82,42 @@ def test_check_failure_exits_1(tmp_path, hyperbolic_doc):
     assert "blowdown.scale_invariant" in report["failures"]
 
 
+def test_a_run_that_raises_leaves_no_tree(tmp_path, hyperbolic_doc, monkeypatch):
+    from expanderlab import cli
+
+    def raising_check(h, tol):
+        # flow.csv is written by now
+        assert any(tmp_path.glob("out/.hyperbolic_expander.*/*/series/flow.csv"))
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(cli, "check_R_lower_bound", raising_check)
+    cfg = write_config(tmp_path, hyperbolic_doc)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="check failed"):
+        main(["run", str(cfg), "--out", str(out)])
+    assert list(out.iterdir()) == []  # neither the tree nor a temporary sibling
+
+    # an older tree survives a failed rerun whole
+    (out / "hyperbolic_expander").mkdir()
+    (out / "hyperbolic_expander" / "old.txt").write_text("old")
+    with pytest.raises(RuntimeError, match="check failed"):
+        main(["run", str(cfg), "--out", str(out)])
+    assert [p.name for p in out.rglob("*")] == ["hyperbolic_expander", "old.txt"]
+
+
+def test_a_rerun_replaces_the_old_tree(tmp_path, hyperbolic_doc):
+    cfg = write_config(tmp_path, hyperbolic_doc)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    base = out / "hyperbolic_expander"
+    first = sorted(p.relative_to(out) for p in out.rglob("*"))
+    (base / "stale.csv").write_text("stale")
+    (base / "series" / "stale.csv").write_text("stale")
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == first
+    assert json.loads((base / "report.json").read_text())["failures"] == []
+
+
 def test_multi_scenario_threads(tmp_path, hyperbolic_doc):
     second = json.loads(json.dumps(hyperbolic_doc))
     second["name"] = "hyperbolic_copy"
@@ -266,6 +302,16 @@ def test_svg_titles_are_escaped(tmp_path, hyperbolic_doc):
         root = ElementTree.parse(svg).getroot()
         titles = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert any(t and t.startswith("a<b&c: ") for t in titles)
+
+
+@pytest.mark.parametrize("name", [".", "..", "a/b", "/abs", "../up"])
+def test_a_path_as_scenario_name_exits_2(tmp_path, capsys, hyperbolic_doc, name):
+    # a run replaces <out>/<name> whole, so the name must not reach outside <out>
+    cfg = write_config(tmp_path, dict(hyperbolic_doc, name=name))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "must be a file name" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_duplicate_names_rejected(tmp_path, hyperbolic_doc):

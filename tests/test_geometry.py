@@ -91,6 +91,31 @@ def test_koszul_agreement_on_random_samples():
         assert np.max(np.abs(np.diag(oracle) - data.ricci)) / scale < 1e-5
 
 
+def test_curvature_sums_equal_the_numpy_sums_bit_for_bit():
+    import json
+
+    from expanderlab.cli import Scenario, builtin_scenarios
+    from oracles import curvature_homogeneous_numpy
+
+    scn = Scenario.from_doc(json.loads(builtin_scenarios()["nil_flow"].read_text()))
+    h = evolve(scn.model, scn.t_span)
+    metrics = list(h.metrics_at(h.times))
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        c = tuple(rng.uniform(-2.0, 2.0, size=3).tolist())
+        diag = tuple(np.exp(rng.uniform(-4.0, 4.0, size=3)).tolist())
+        metrics.append(HomogeneousMetric(c, diag))
+    regrouped = 0
+    for m in metrics:
+        data = curvature_homogeneous(m)
+        got = np.array([data.scalar, data.ricci_norm_sq])
+        want = np.array(curvature_homogeneous_numpy(m))
+        assert got.tobytes() == want.tobytes()
+        q = data.ricci / np.asarray(m.diag, dtype=float)
+        regrouped += float(q[0] + (q[1] + q[2])) != data.scalar
+    assert regrouped > 100  # the samples tell the summation orders apart
+
+
 def test_conformal_constant_phi_flat():
     m = torus(16, amp=0.0)
     assert np.max(np.abs(curvature_conformal(m).scalar)) == 0.0

@@ -379,6 +379,97 @@ def test_nonfinite_initial_state_aborts():
         integrate_ode(lambda t, y: np.array([math.inf]), [1.0], 0.0, 1.0, TIGHT)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def nil_flow_ode_args(monkeypatch):
+    """The arguments the packaged nil_flow evolve passes to integrate_ode:
+    its right-hand side, initial state, span, tolerances, stop and max_step."""
+    import json
+
+    from expanderlab import flow
+    from expanderlab.cli import Scenario, builtin_scenarios
+
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append((args, kwargs))
+        return integrate_ode(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "integrate_ode", record)
+    scn = Scenario.from_doc(json.loads(builtin_scenarios()["nil_flow"].read_text()))
+    flow.evolve(scn.model, scn.t_span)
+    (args, kwargs), = seen
+    return args, kwargs
+
+
+def bounded_growth(rejected):
+    """y' = (1 + cos t) y, non-finite past y = 2: a stage that steps over
+    it is rejected (counted in rejected) and the step retried."""
+    def rhs(t, y):
+        if y[0] > 2.0:
+            rejected.append(t)
+            return np.array([math.inf])
+        return np.array([(1.0 + math.cos(t)) * y[0]])
+
+    return rhs
+
+
+def test_float_stages_match_numpy_stages_bit_for_bit(monkeypatch):
+    from oracles import integrate_ode_numpy_stages
+
+    rejected = []
+    cases = [
+        nil_flow_ode_args(monkeypatch),
+        ((lambda t, y: y * y, [1.0], 0.0, 2.0,
+          ToleranceConfig(abs_tol=1e-10, rel_tol=1e-10)), {}),
+        ((lambda t, y: np.array([-2.0]), [1.0], 0.0, 1.0, TIGHT),
+         {"stop": lambda t, y: y[0] < 0.5}),
+        ((bounded_growth([]), [1.0], 0.0, 3.0, TIGHT), {}),
+        ((bounded_growth(rejected), [1.0], 0.0, 3.0, TIGHT),
+         {"stop": lambda t, y: y[0] > 1.99}),
+        ((lambda t, y: np.array([[0.3, -1.0], [1.0, -0.2]]) @ y, [1.0, -0.5], 0.0, 5.0,
+          ToleranceConfig(abs_tol=1e-9, rel_tol=1e-9, max_iter=1)),
+         {"max_step": lambda t: 0.02 + 0.001 * t}),
+    ]
+    statuses = []
+    for args, kwargs in cases:
+        got = integrate_ode(*args, **kwargs)
+        want = integrate_ode_numpy_stages(*args, **kwargs)
+        for name in ("times", "states", "derivs"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        assert (got.status, got.message) == (want.status, want.message)
+        statuses.append((got.status, got.message, len(got.times)))
+    # the cases reach every way out of the step loop
+    assert [s[:2] for s in statuses] == [
+        ("completed", ""),
+        ("truncated", "step size underflow"),
+        ("halted", "stop predicate fired"),
+        ("truncated", "step size underflow (non-finite stages)"),
+        ("halted", "stop predicate fired"),
+        ("truncated", "step budget exhausted"),
+    ]
+    assert statuses[0][2] > 500
+    assert rejected  # the halted run retried stages and went on
+
+
+def test_float_stages_raise_the_numpy_stages_failure():
+    from oracles import integrate_ode_numpy_stages
+
+    # stages stay finite while the state overflows in one step
+    args = (lambda t, y: np.array([1e300]), [1.7e308], 0.0, 1e10, TIGHT)
+    failures = []
+    for integrate in (integrate_ode, integrate_ode_numpy_stages):
+        with np.errstate(over="ignore"), pytest.raises(OdeFailure) as info:
+            integrate(*args)
+        failures.append(info.value)
+    got, want = failures
+    assert str(got) == str(want) == "non-finite state during integration"
+    assert got.t_last == want.t_last and same_bits(got.y_last, want.y_last)
+
+
 @given(
     a=st.floats(min_value=0.2, max_value=5.0),
     x0=st.floats(min_value=0.2, max_value=2.8),
