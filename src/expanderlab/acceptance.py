@@ -10,6 +10,7 @@ ladder); every tolerance is identical in both suites.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .entropy import (
     blowdown_gap,
     expander_entropy,
     expander_residual,
+    f_energy,
     lambda_bar,
     mu_plus,
     nu_plus,
@@ -40,10 +42,13 @@ from .geometry import (
 )
 from .numerics import five_point
 from .reduced import (
+    EPS_LADDER,
     check_reduced_field,
     ell_plus_field,
     extrapolate_fields,
+    geodesic_shoot,
     hessian_check_cor21,
+    subgrid_targets,
     theta_plus,
 )
 
@@ -68,6 +73,19 @@ class CriterionResult:
         status = "PASS" if self.passed else "FAIL"
         parts = ", ".join(f"{k}={_fmt(v)}" for k, v in self.measured.items())
         return f"{status}  [{self.number:2d}] {self.name:<38s} {parts}  ({self.elapsed:.1f}s)"
+
+
+def _criterion(number: int, name: str):
+    """Make a criterion that returns (passed, measured) into one that returns
+    its timed CriterionResult."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def timed(art) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, measured = fn(art)
+            return CriterionResult(number, name, passed, measured, time.perf_counter() - t0)
+        return timed
+    return wrap
 
 
 def _fmt(v):
@@ -116,21 +134,17 @@ class _Artifacts:
     def torus_theta_field(self):
         def build():
             h = self.torus_flow()
-            nt = 16
-            pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-            times = np.linspace(0.18, 0.22, 5)
-            return h, ell_plus_field(h, (0.0, 0.0), pts, times,
-                                     oracle_check=False, grid_shape=(nt, nt))
+            return h, ell_plus_field(h, (0.0, 0.0), subgrid_targets(16, h.template.periods),
+                                     np.linspace(0.18, 0.22, 5), oracle_check=False,
+                                     grid_shape=(16, 16))
         return self.get("torus_theta_field", build)
 
     def flat_theta_field(self):
         def build():
             h = self.flat_static()
-            nt = 16
-            pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-            times = np.linspace(0.6, 1.0, 5)
-            return h, ell_plus_field(h, (0.0, 0.0), pts, times,
-                                     oracle_check=False, grid_shape=(nt, nt))
+            return h, ell_plus_field(h, (0.0, 0.0), subgrid_targets(16, h.template.periods),
+                                     np.linspace(0.6, 1.0, 5), oracle_check=False,
+                                     grid_shape=(16, 16))
         return self.get("flat_theta_field", build)
 
     def vertex_extrapolated(self):
@@ -138,28 +152,24 @@ class _Artifacts:
             h = self.vertex_expander()
             radii = np.linspace(0.0, 1.0, 9)
             times = np.linspace(0.8, 1.2, 5)
-            fields = [ell_plus_field(h, 0.0, radii, times, eps=e)
-                      for e in (1e-3, 1e-4, 1e-5)]
+            fields = [ell_plus_field(h, 0.0, radii, times, eps=e) for e in EPS_LADDER]
             return h, extrapolate_fields(fields)
         return self.get("vertex_field", build)
 
 
-def crit_1_expander_constancy(art: _Artifacts) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(1, "model expander entropy constancy")
+def crit_1_expander_constancy(art: _Artifacts):
     h = art.hyperbolic(110.0)
     ts = np.geomspace(0.1, 100.0, 33)
     vals = np.array(
         [expander_entropy(h.metric_at(t), 1.0 / h.volume_at(t), t + 0.25) for t in ts]
     )
     dev = float(np.max(np.abs(vals - W_MODEL)))
-    return CriterionResult(
-        1, "model expander entropy constancy", dev <= 1e-6,
-        {"max_deviation": dev, "target": W_MODEL}, time.perf_counter() - t0,
-    )
+    return dev <= 1e-6, {"max_deviation": dev, "target": W_MODEL}
 
 
-def crit_2_long_time_limits(art: _Artifacts) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(2, "long-time limits (tail fits)")
+def crit_2_long_time_limits(art: _Artifacts):
     horizon = 1000.0 if art.suite == "full" else 200.0
     h = art.hyperbolic(horizon)
     dens = construct_immortal_density(h, (0.5, 0.9 * horizon))
@@ -181,12 +191,8 @@ def crit_2_long_time_limits(art: _Artifacts) -> CriterionResult:
         and vts[-1] < 1e-3 * vts[0]
     )
     passed = w_gap <= 1e-3 and lbar_dev <= 1e-8 and nil_ok
-    return CriterionResult(
-        2, "long-time limits (tail fits)", passed,
-        {"w_limit_gap": w_gap, "lambda_bar_dev": lbar_dev,
-         "nil_collapse_ok": nil_ok, "horizon": horizon},
-        time.perf_counter() - t0,
-    )
+    return passed, {"w_limit_gap": w_gap, "lambda_bar_dev": lbar_dev,
+                    "nil_collapse_ok": nil_ok, "horizon": horizon}
 
 
 def _torus_harnack_residual(n: int) -> float:
@@ -200,8 +206,8 @@ def _torus_harnack_residual(n: int) -> float:
     return check_harnack_identity(states[2:7], h, birth_time=-0.05).max_residual
 
 
-def crit_3_harnack_identity(art: _Artifacts) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(3, "pointwise entropy-density identity")
+def crit_3_harnack_identity(art: _Artifacts):
     ladder = (64, 128) if art.suite == "full" else (32, 64)
     res = {n: _torus_harnack_residual(n) for n in ladder}
     order = math.log2(res[ladder[0]] / res[ladder[1]])
@@ -211,16 +217,12 @@ def crit_3_harnack_identity(art: _Artifacts) -> CriterionResult:
         states = [DensityState(float(t), 1.0 / h.volume_at(t)) for t in times]
         hom_max = max(hom_max, check_harnack_identity(states, h).max_residual)
     passed = order >= 1.8 and hom_max < 1e-8
-    return CriterionResult(
-        3, "pointwise entropy-density identity", passed,
-        {"refinement_order": order, "homogeneous_residual": hom_max,
-         "grids": str(ladder)},
-        time.perf_counter() - t0,
-    )
+    return passed, {"refinement_order": order, "homogeneous_residual": hom_max,
+                    "grids": str(ladder)}
 
 
-def crit_4_rate_cross_check(art: _Artifacts) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(4, "entropy rate cross-check")
+def crit_4_rate_cross_check(art: _Artifacts):
     worst = 0.0
     for h in (art.hyperbolic(5.0), art.nil(5.0)):
         for t in (0.6, 1.5, 3.0):
@@ -236,15 +238,11 @@ def crit_4_rate_cross_check(art: _Artifacts) -> CriterionResult:
         for t in (0.3, 1.0, 4.0)
     )
     passed = worst < 1e-6 and flat_dev < 1e-10
-    return CriterionResult(
-        4, "entropy rate cross-check", passed,
-        {"fd_vs_rate": worst, "flat_rate_dev": flat_dev},
-        time.perf_counter() - t0,
-    )
+    return passed, {"fd_vs_rate": worst, "flat_rate_dev": flat_dev}
 
 
-def crit_5_mu_nu(art: _Artifacts) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(5, "variational mu/nu functionals")
+def crit_5_mu_nu(art: _Artifacts):
     m = ConformalTorusMetric(np.zeros((32, 32)))
     mu_dev = 0.0
     for sigma in (0.3, 1.0):
@@ -258,18 +256,14 @@ def crit_5_mu_nu(art: _Artifacts) -> CriterionResult:
     nu_flat = nu_plus(m)
     passed = (mu_dev <= 1e-6 and nu_h.status == "ok" and nu_gap <= 1e-6
               and sig_gap <= 1e-4 and nu_flat.status == "unbounded")
-    return CriterionResult(
-        5, "variational mu/nu functionals", passed,
-        {"mu_dev": mu_dev, "nu_gap": nu_gap, "sigma_star_gap": sig_gap,
-         "flat_unbounded": nu_flat.status == "unbounded"},
-        time.perf_counter() - t0,
-    )
+    return passed, {"mu_dev": mu_dev, "nu_gap": nu_gap, "sigma_star_gap": sig_gap,
+                    "flat_unbounded": nu_flat.status == "unbounded"}
 
 
-def crit_6_reduced_length(art: _Artifacts) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(6, "reduced length vs closed form/oracle")
+def crit_6_reduced_length(art: _Artifacts):
     h = art.flat_static()
-    pts = np.array([(i / 10.0, j / 10.0) for i in range(10) for j in range(10)])
+    pts = subgrid_targets(10, h.template.periods)
     fld = ell_plus_field(h, (0.0, 0.0), pts, [1.0], oracle_check=True, oracle_segments=256)
 
     def dist_sq(p):
@@ -280,22 +274,17 @@ def crit_6_reduced_length(art: _Artifacts) -> CriterionResult:
     want = np.array([dist_sq(p) / 4.0 for p in pts])
     shoot_dev = float(np.max(np.abs(fld.ell[0] - want)))
     oracle_rel = fld.oracle_rel_gap
-    from .reduced import geodesic_shoot
-
     res_flat = geodesic_shoot(h, (0.0, 0.0), np.array([0.2, 0.1]), 1.0).identity_residual
     res_model = geodesic_shoot(art.vertex_expander(), 0.0, 0.25, 1.0,
                                eps=1e-4).identity_residual
     resid = max(res_flat, res_model)
     passed = shoot_dev <= 1e-6 and oracle_rel <= 1e-3 and resid <= 1e-6
-    return CriterionResult(
-        6, "reduced length vs closed form/oracle", passed,
-        {"shoot_dev": shoot_dev, "oracle_rel": oracle_rel, "identity_residual": resid},
-        time.perf_counter() - t0,
-    )
+    return passed, {"shoot_dev": shoot_dev, "oracle_rel": oracle_rel,
+                    "identity_residual": resid}
 
 
-def crit_7_reduced_volume(art: _Artifacts) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(7, "forward reduced volume")
+def crit_7_reduced_volume(art: _Artifacts):
     hf, fld_f = art.flat_theta_field()
     sf = theta_plus(fld_f, hf)
     ht, fld_t = art.torus_theta_field()
@@ -308,22 +297,16 @@ def crit_7_reduced_volume(art: _Artifacts) -> CriterionResult:
     nu = nu_plus(hv.metric_at(1.0))
     dual_gap = abs(math.log(sv.theta[2]) + nu.value) if nu.status == "ok" else math.inf
     passed = (mono_ok and bound_ok and theta_rel <= 1e-2 and dual_gap <= 1e-2)
-    return CriterionResult(
-        7, "forward reduced volume", passed,
-        {"monotone": mono_ok, "lower_bound": bound_ok,
-         "model_theta_rel": theta_rel, "log_theta_plus_nu": dual_gap},
-        time.perf_counter() - t0,
-    )
+    return passed, {"monotone": mono_ok, "lower_bound": bound_ok,
+                    "model_theta_rel": theta_rel, "log_theta_plus_nu": dual_gap}
 
 
-def crit_8_inequalities(art: _Artifacts) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(8, "pointwise inequality suite")
+def crit_8_inequalities(art: _Artifacts):
     # flat torus: equality case, checked tightly
     hf = art.flat_static()
-    nt = 8
-    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    fld = ell_plus_field(hf, (0.0, 0.0), pts, np.linspace(0.99, 1.01, 5),
-                         oracle_check=False, grid_shape=(nt, nt))
+    fld = ell_plus_field(hf, (0.0, 0.0), subgrid_targets(8, hf.template.periods),
+                         np.linspace(0.99, 1.01, 5), oracle_check=False, grid_shape=(8, 8))
     flat_rep = check_reduced_field(fld, hf)
     flat_eq = max(abs(flat_rep.subsolution), abs(flat_rep.entropy_form))
     worst = flat_rep.worst_violation
@@ -339,31 +322,23 @@ def crit_8_inequalities(art: _Artifacts) -> CriterionResult:
     hv, ext = art.vertex_extrapolated()
     worst = max(worst, check_reduced_field(ext, hv).worst_violation)
     passed = worst <= 1e-4 and flat_eq <= 1e-8
-    return CriterionResult(
-        8, "pointwise inequality suite", passed,
-        {"worst_violation": worst, "flat_equality_gap": flat_eq},
-        time.perf_counter() - t0,
-    )
+    return passed, {"worst_violation": worst, "flat_equality_gap": flat_eq}
 
 
-def crit_9_hessian_bound(art: _Artifacts) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(9, "action Hessian bound")
+def crit_9_hessian_bound(art: _Artifacts):
     hs = evolve(ModelSpaceMetric(3, 1, 1.0), (0.0, 1.0))
     rep = hessian_check_cor21(hs, 0.1, np.linspace(0.0, 2.2, 23))
     hh = art.hyperbolic(1.0)
     refused = hessian_check_cor21(hh, 0.5, np.linspace(0.0, 1.0, 9))
     passed = (rep.status == "ok" and rep.min_margin >= -1e-3
               and refused.status == "precondition_not_met")
-    return CriterionResult(
-        9, "action Hessian bound", passed,
-        {"sphere_min_margin": rep.min_margin,
-         "negative_case_refused": refused.status == "precondition_not_met"},
-        time.perf_counter() - t0,
-    )
+    return passed, {"sphere_min_margin": rep.min_margin,
+                    "negative_case_refused": refused.status == "precondition_not_met"}
 
 
-def crit_10_property_suite(art: _Artifacts) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(10, "property suite")
+def crit_10_property_suite(art: _Artifacts):
     measured = {}
     # mass, positivity on a torus solve
     ht = art.torus_flow()
@@ -385,8 +360,6 @@ def crit_10_property_suite(art: _Artifacts) -> CriterionResult:
     ts = np.geomspace(0.5, 45.0, 17)
     vts = np.array([scaled_volume(h, t) for t in ts])
     lbars = np.array([lambda_bar(h.metric_at(t)) for t in ts])
-    from .entropy import f_energy
-
     f_vals = np.array([f_energy(h.metric_at(t), 1.0 / h.volume_at(t)) for t in ts])
     mono_ok = bool(np.all(np.diff(vts) <= 1e-10) and np.all(np.diff(lbars) >= -1e-10))
     f_ok = bool(np.all(f_vals >= -1.5 / ts - 1e-8) and np.all(f_vals <= 1e-8))
@@ -423,8 +396,7 @@ def crit_10_property_suite(art: _Artifacts) -> CriterionResult:
     measured["deterministic"] = deterministic
     passed = (mass_dev <= 1e-10 and positive and r_ok and mono_ok and f_ok
               and inv <= 1e-6 and deterministic)
-    return CriterionResult(10, "property suite", passed, measured,
-                           time.perf_counter() - t0)
+    return passed, measured
 
 
 CRITERIA = [

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -36,15 +37,44 @@ from .entropy import (
     nu_plus,
 )
 from .flow import check_R_lower_bound, evolve
-from .geometry import ConformalTorusMetric, ModelSpaceMetric, _is_number, validate_model_json
-from .reduced import check_reduced_field, ell_plus_field, extrapolate_fields, theta_plus
+from .geometry import ConformalTorusMetric, ModelSpaceMetric, _is_number, model_from_json
+from .reduced import (
+    EPS_LADDER,
+    check_reduced_field,
+    ell_plus_field,
+    extrapolate_fields,
+    subgrid_targets,
+    theta_plus,
+)
 from .reports import write_csv, write_json, write_svg_chart
 
-__all__ = ["Scenario", "run_scenario", "run_scenario_doc", "builtin_scenarios", "main"]
+__all__ = ["Scenario", "PARAMS", "TOLERANCES", "run_scenario", "run_scenario_doc",
+           "builtin_scenarios", "main"]
 
 KNOWN_CHECKS = ("entropy", "harnack", "mu_nu", "reduced", "theta",
                 "asymptotics", "blowdown")
-DEFAULT_TARGET_GRID = 12  # torus reduced-field targets per direction
+
+
+class _Derived:
+    def __repr__(self) -> str:
+        return "derived"
+
+
+# The default of a key that Scenario.from_doc works out from the model and
+# t_span.  JSON cannot produce it, so a null in a config is checked like any
+# other value that is not a number.
+DERIVED = _Derived()
+
+# Every params and tolerances key with its default (README, "Scenario keys").
+PARAMS = {
+    "dt_cap": DERIVED, "retain_every": DERIVED, "target_grid": 12, "reduced_t": DERIVED,
+    "window_lo": DERIVED, "window_hi": DERIVED, "sigmas": [0.25, 0.5, 1.0, 2.0],
+    "radii": [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0], "n_times": 17,
+    "alpha": 8.0, "birth_time": DERIVED, "expect_constant_entropy": False,
+    "oracle_check": DERIVED,
+}
+TOLERANCES = {"r_bound": 1e-8, "immortal": 1e-8, "harnack": DERIVED, "inequalities": 1e-4,
+              "asymptotics": 1e-3, "blowdown": 1e-6}
 
 
 class ConfigError(ValueError):
@@ -53,12 +83,21 @@ class ConfigError(ValueError):
 
 @dataclass
 class Scenario:
+    """A valid scenario with every default resolved.  params and tolerances
+    hold each key of PARAMS and TOLERANCES; the density window and the
+    entropy, harnack and reduced-field times are None unless a selected
+    check reads them."""
+
     name: str
     model: object
     t_span: tuple
     checks: tuple
     tolerances: dict
     params: dict
+    window: tuple | None = None
+    entropy_times: np.ndarray | None = None
+    harnack_times: np.ndarray | None = None
+    field_times: np.ndarray | None = None
 
     @staticmethod
     def from_doc(doc: dict) -> "Scenario":
@@ -69,14 +108,15 @@ class Scenario:
         name = doc.get("name")
         if not name or not isinstance(name, str):
             raise ConfigError("scenario needs a nonempty string name")
-        if "/" in name or name in (".", ".."):  # its tree replaces <out>/<name>
-            raise ConfigError(f"scenario name {name!r} must be a file name, not a path")
+        if not _is_file_name(name):  # its tree replaces <out>/<name>
+            raise ConfigError(f"scenario name {name!r} must be a file name of at most "
+                              f"245 bytes, not a path")
+        if "model" not in doc:
+            raise ConfigError(f"scenario {name!r}: missing model")
         try:
-            model = validate_model_json(doc["model"])
-        except KeyError:
-            raise ConfigError(f"scenario {name!r}: missing model") from None
-        except ValueError as exc:
-            raise ConfigError(f"scenario {name!r}: {exc}") from None
+            model = model_from_json(doc["model"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"scenario {name!r}: invalid metric model spec: {exc}") from None
         span = doc.get("t_span")
         if (not isinstance(span, (list, tuple)) or len(span) != 2
                 or not all(_is_number(v) for v in span) or not 0 <= span[0] < span[1]):
@@ -90,36 +130,36 @@ class Scenario:
             raise ConfigError(
                 f"scenario {name!r}: unknown checks {unknown}; known: {list(KNOWN_CHECKS)}"
             )
-        params = doc.get("params", {})
-        if not isinstance(params, dict):
+        raw = doc.get("params", {})
+        if not isinstance(raw, dict):
             raise ConfigError(f"scenario {name!r}: params must be a JSON object")
-        _reject_unknown(name, "params", params, (
-            "dt_cap", "retain_every", "target_grid", "reduced_t", "window_lo", "window_hi",
-            "sigmas", "radii", "n_times", "alpha", "birth_time", "expect_constant_entropy",
-            "oracle_check"))
+        _reject_unknown(name, "params", raw, PARAMS)
+        torus = isinstance(model, ConformalTorusMetric)
+        if not torus:  # the density window is fixed off the torus
+            raw = {k: v for k, v in raw.items() if k not in ("window_lo", "window_hi")}
+        params = {**PARAMS, **raw}
         flags = [k for k in ("oracle_check", "expect_constant_entropy")
-                 if not isinstance(params.get(k, False), bool)]
+                 if not isinstance(params[k], (bool, _Derived))]
         if flags:
             raise ConfigError(f"scenario {name!r}: params {flags} must be true or false")
-        params = dict(params)
-        torus = isinstance(model, ConformalTorusMetric)
         reduced = {"reduced", "theta"} & set(checks)
-        if reduced and not (torus or isinstance(model, ModelSpaceMetric)):
+        model_space = isinstance(model, ModelSpaceMetric)
+        if reduced and not (torus or model_space):
             raise ConfigError(f"scenario {name!r}: checks {sorted(reduced)} need a "
                               f"conformal_torus or model_space model, not homogeneous")
-        if torus and reduced:
-            nt = params.get("target_grid", DEFAULT_TARGET_GRID)
-            if not _is_count(nt) or any(n % nt for n in model.grid_size):
-                raise ConfigError(
-                    f"scenario {name!r}: target_grid {nt!r} must be a positive integer "
-                    f"dividing the grid size {list(model.grid_size)}"
-                )
-        dt_cap, retain = params.get("dt_cap", 1.0), params.get("retain_every", 1)
-        if not (_is_number(dt_cap) and dt_cap > 0 and _is_count(retain)):
+        nt = params["target_grid"]
+        if torus and reduced and (not _is_count(nt) or any(n % nt for n in model.grid_size)):
+            raise ConfigError(
+                f"scenario {name!r}: target_grid {nt!r} must be a positive integer "
+                f"dividing the grid size {list(model.grid_size)}"
+            )
+        dt_cap, retain = params["dt_cap"], params["retain_every"]
+        if not ((dt_cap is DERIVED or _is_number(dt_cap) and dt_cap > 0)
+                and (retain is DERIVED or _is_count(retain))):
             raise ConfigError(f"scenario {name!r}: need a positive finite dt_cap and a positive "
                               f"integer retain_every (got {dt_cap!r}, {retain!r})")
-        sigmas = params.get("sigmas")
-        if "mu_nu" in checks and sigmas is not None and not (
+        sigmas = params["sigmas"]
+        if "mu_nu" in checks and not (
                 isinstance(sigmas, list) and sigmas
                 and all(_is_number(s) and s > 0 for s in sigmas)
                 and len(set(sigmas)) == len(sigmas)):
@@ -127,40 +167,52 @@ class Scenario:
                 f"scenario {name!r}: sigmas {sigmas!r} must be a nonempty list of "
                 f"distinct positive finite numbers"
             )
-        radii = params.get("radii")
-        if (isinstance(model, ModelSpaceMetric) and reduced and radii is not None
-                and not _uniform_radii(radii)):
+        if model_space and reduced and not _uniform_radii(params["radii"]):
             raise ConfigError(
-                f"scenario {name!r}: radii {radii!r} must be at least 3 nonnegative, "
+                f"scenario {name!r}: radii {params['radii']!r} must be at least 3 nonnegative, "
                 f"increasing, uniformly spaced numbers"
             )
-        n_times, alpha, birth = (params.get(k, v) for k, v in
-                                 (("n_times", 17), ("alpha", 8.0), ("birth_time", 0.0)))
-        if not (_is_count(n_times) and _is_number(alpha) and alpha >= 1 and _is_number(birth)):
-            raise ConfigError(f"scenario {name!r}: need a positive integer n_times, a finite alpha "
-                              f">= 1 and a finite birth_time (got {n_times!r}, {alpha!r}, {birth!r})")
+        n_times, alpha, birth = params["n_times"], params["alpha"], params["birth_time"]
+        if not (_is_count(n_times) and n_times <= 10**6 and _is_number(alpha) and alpha >= 1
+                and (birth is DERIVED or _is_number(birth))):
+            raise ConfigError(f"scenario {name!r}: need an integer n_times in [1, 10**6], a finite "
+                              f"alpha >= 1 and a finite birth_time (got {n_times!r}, {alpha!r}, "
+                              f"{birth!r})")
         tolerances = doc.get("tolerances", {})
         if not (isinstance(tolerances, dict) and all(map(_is_number, tolerances.values()))):
             raise ConfigError(f"scenario {name!r}: tolerances must map names to finite numbers")
-        _reject_unknown(name, "tolerances", tolerances, (
-            "r_bound", "immortal", "harnack", "inequalities", "asymptotics", "blowdown"))
-        # a positive model goes extinct where a(t) = a0 - 2 rho0 (t - t0) = 0
-        t_ext = (t0 + model.scale / (2.0 * model.rho0)
-                 if isinstance(model, ModelSpaceMetric) and model.rho0 > 0 else math.inf)
+        _reject_unknown(name, "tolerances", tolerances, TOLERANCES)
+        tolerances = {k: float(v) for k, v in
+                      {**TOLERANCES, "harnack": 1e-2 if torus else 1e-8, **tolerances}.items()}
+        derived = {
+            "dt_cap": None, "retain_every": None,  # evolve works these out from the grid
+            "reduced_t": 0.75 * t1 if torus else 0.5 * (t0 + t1),
+            "window_lo": max(t0, 0.02 * t1) if torus else max(t0, t1 / 200.0, 1e-3),
+            "window_hi": 0.45 * t1 if torus else 0.9 * t1,
+            # the flow's own birth time: the root of an expander's scale factor
+            "birth_time": model.scale_root(t0) if model_space and model.rho0 < 0 else 0.0,
+            "oracle_check": bool(torus and reduced) and nt <= 12,
+        }
+        params = {**PARAMS, **derived, **raw}
+        params["alpha"], params["birth_time"] = float(alpha), float(params["birth_time"])
+        scn = Scenario(name, model, (t0, t1), tuple(checks), tolerances, params)
+        # a positive model goes extinct where its scale factor vanishes
+        t_ext = model.scale_root(t0) if model_space and model.rho0 > 0 else math.inf
         late = []  # the times of checks that sample at or past t_ext
-        ts = _field_times(params, torus, (t0, t1)) if _is_number(params.get("reduced_t", 0)) else [-1]
-        if reduced and not (0 < ts[0] and t0 <= ts[0] and ts[-1] <= t1):
-            raise ConfigError(f"scenario {name!r}: the five reduced field times around reduced_t "
-                              f"{params.get('reduced_t', 'default')!r} must lie inside t_span "
-                              f"[{t0!r}, {t1!r}]")
-        if reduced and ts[-1] >= t_ext:
-            late.append(f"the five reduced field times around reduced_t "
-                        f"{params.get('reduced_t', 'default')!r}")
+        if reduced:
+            c, what = params["reduced_t"], f"reduced_t {raw.get('reduced_t', 'default')!r}"
+            ts = scn.field_times = None if not _is_number(c) else (
+                np.linspace(c - 0.05 * t1, c + 0.05 * t1, 5) if torus
+                else np.linspace(0.8 * c, 1.2 * c, 5))
+            if ts is None or not (0 < ts[0] and t0 <= ts[0] and ts[-1] <= t1):
+                raise ConfigError(f"scenario {name!r}: the five reduced field times around "
+                                  f"{what} must lie inside t_span [{t0!r}, {t1!r}]")
+            if ts[-1] >= t_ext:
+                late.append(f"the five reduced field times around {what}")
         if {"entropy", "harnack", "asymptotics"} & set(checks):
-            if torus and not all(_is_number(params[k]) for k in ("window_lo", "window_hi")
-                                 if k in params):
+            if not all(_is_number(params[k]) for k in ("window_lo", "window_hi")):
                 raise ConfigError(f"scenario {name!r}: window_lo/window_hi must be numbers")
-            lo, hi = _density_window(params, torus, (t0, t1))
+            scn.window = lo, hi = float(params["window_lo"]), float(params["window_hi"])
             if not t0 <= lo < hi <= t1:
                 raise ConfigError(
                     f"scenario {name!r}: density window [{lo!r}, {hi!r}] must satisfy "
@@ -169,11 +221,14 @@ class Scenario:
             if hi >= t_ext:
                 late.append(f"the density window [{lo!r}, {hi!r}]")
         if "harnack" in checks:
-            ts = _harnack_times(params, torus, (t0, t1))
-            if not (t0 <= ts[0] and ts[-1] <= t1 and birth < ts[0]):
+            # mid-window on the torus, near t = 1 elsewhere
+            c, half, n = ((0.5 * (lo + hi), 0.02 * (hi - lo), 5) if torus
+                          else (min(max(1.0, 0.3 * t1), 0.9 * t1), 0.02, 9))
+            ts = scn.harnack_times = np.linspace(c - half, c + half, n)
+            if not (t0 <= ts[0] and ts[-1] <= t1 and params["birth_time"] < ts[0]):
                 raise ConfigError(f"scenario {name!r}: the harnack times [{ts[0]:.6g}, "
                                   f"{ts[-1]:.6g}] must lie inside t_span [{t0!r}, {t1!r}] "
-                                  f"and after birth_time {birth!r}")
+                                  f"and after birth_time {params['birth_time']!r}")
             if ts[-1] >= t_ext:
                 late.append(f"the harnack times [{ts[0]:.6g}, {ts[-1]:.6g}]")
         if "mu_nu" in checks and 0.5 * (t0 + t1) >= t_ext:
@@ -181,21 +236,28 @@ class Scenario:
         if late:
             raise ConfigError(f"scenario {name!r}: {', '.join(late)} must lie before the "
                               f"extinction time {t_ext!r} of the model")
-        return Scenario(
-            name=name,
-            model=model,
-            t_span=(t0, t1),
-            checks=tuple(checks),
-            tolerances=dict(tolerances),
-            params=params,
-        )
+        if "entropy" in checks:
+            scn.entropy_times = (
+                np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), min(n_times, 9)) if torus
+                else np.geomspace(max(t0, t1 / 100.0, 1e-3), 0.9 * t1, n_times))
+        return scn
 
 
-def _reject_unknown(name: str, section: str, doc: dict, known: tuple) -> None:
+def _reject_unknown(name: str, section: str, doc: dict, known: dict) -> None:
     unknown = sorted(set(doc) - set(known))
     if unknown:
         raise ConfigError(f"scenario {name!r}: unknown {section} keys {unknown}; "
                           f"known: {list(known)}")
+
+
+def _is_file_name(name: str) -> bool:
+    """A name for <out>/<name> and its sibling <out>/.<name>.XXXXXXXX: no
+    path, no NUL, and at most 245 bytes, so the sibling fits the 255 of NAME_MAX."""
+    try:
+        raw = os.fsencode(name)
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    return name not in (".", "..") and b"/" not in raw and b"\0" not in raw and len(raw) <= 245
 
 
 def _is_count(x) -> bool:
@@ -211,43 +273,6 @@ def _uniform_radii(radii) -> bool:
     steps = np.diff(radii)
     return (radii[0] >= 0 and steps[0] > 0
             and float(np.max(np.abs(steps - steps[0]))) <= 1e-9 * steps[0])
-
-
-def _field_times(params: dict, torus: bool, t_span) -> np.ndarray:
-    """The five field times of the reduced checks, around reduced_t."""
-    t0, t1 = t_span
-    if torus:
-        center = float(params.get("reduced_t", 0.75 * t1))
-        return np.linspace(center - 0.05 * t1, center + 0.05 * t1, 5)
-    t_mid = float(params.get("reduced_t", 0.5 * (t0 + t1)))
-    return np.linspace(0.8 * t_mid, 1.2 * t_mid, 5)
-
-
-def _density_window(params: dict, torus: bool, t_span) -> tuple:
-    """The window of the immortal density."""
-    t0, t1 = t_span
-    if torus:
-        return (float(params.get("window_lo", max(t0, 0.02 * t1))),
-                float(params.get("window_hi", 0.45 * t1)))
-    return (max(t0, t1 / 200.0, 1e-3), 0.9 * t1)
-
-
-def _harnack_times(params: dict, torus: bool, t_span) -> np.ndarray:
-    """The state times of the harnack check: mid-window on the torus, near t = 1 elsewhere."""
-    if torus:
-        lo, hi = _density_window(params, True, t_span)
-        center = 0.5 * (lo + hi)
-        return np.linspace(center - 0.02 * (hi - lo), center + 0.02 * (hi - lo), 5)
-    center = min(max(1.0, 0.3 * t_span[1]), 0.9 * t_span[1])
-    return np.linspace(center - 0.02, center + 0.02, 9)
-
-
-def _default_times(scn: Scenario) -> np.ndarray:
-    t0, t1 = scn.t_span
-    lo = max(t0, t1 / 100.0, 1e-3)
-    hi = 0.9 * t1
-    n = int(scn.params.get("n_times", 17))
-    return np.geomspace(lo, hi, n)
 
 
 def run_scenario_doc(doc: dict, out_dir) -> dict:
@@ -266,59 +291,40 @@ def run_scenario_doc(doc: dict, out_dir) -> dict:
 
 
 def _run_into(scn: Scenario, out: Path) -> dict:
-    series_dir = out / "series"
-    plots_dir = out / "plots"
+    series_dir, plots_dir = out / "series", out / "plots"
     series_dir.mkdir(parents=True)
     plots_dir.mkdir()
 
-    report = {
-        "schema": 1,
-        "tool_version": __version__,
-        "scenario": scn.name,
-        "checks": list(scn.checks),
-        "verdicts": {},
-        "fitted": {},
-        "residuals": {},
-        "tolerances": {},
-        "failures": [],
-    }
+    report = {"schema": 1, "tool_version": __version__, "scenario": scn.name,
+              "checks": list(scn.checks), "verdicts": {}, "fitted": {}, "residuals": {},
+              "tolerances": {}, "failures": []}
 
-    evolve_kwargs = {k: scn.params[k] for k in ("dt_cap", "retain_every") if k in scn.params}
-    h = evolve(scn.model, scn.t_span, **evolve_kwargs)
+    params, tols = scn.params, scn.tolerances
+    h = evolve(scn.model, scn.t_span, retain_every=params["retain_every"],
+               dt_cap=params["dt_cap"])
     h.export_csv(series_dir / "flow.csv")
     if h.extinct_at is not None:
         report["fitted"]["extinct_at"] = h.extinct_at
-    rb = check_R_lower_bound(h, tol=float(scn.tolerances.get("r_bound", 1e-8)))
+    rb = check_R_lower_bound(h, tol=tols["r_bound"])
     report["verdicts"]["curvature_lower_bound"] = rb.ok
     report["tolerances"]["curvature_lower_bound"] = rb.tol
 
     dens = None
-    if {"entropy", "harnack", "asymptotics"} & set(scn.checks):
-        dens = construct_immortal_density(
-            h, _density_window(scn.params, h.kind == "conformal_torus", scn.t_span),
-            tol=float(scn.tolerances.get("immortal", 1e-8)),
-        )
+    if scn.window is not None:
+        dens = construct_immortal_density(h, scn.window, tol=tols["immortal"])
         report["fitted"]["immortal_tail"] = dens.construction_tail
         report["fitted"]["immortal_cauchy_gap"] = dens.cauchy_gap
         report["verdicts"]["immortal_converged"] = dens.converged
 
     if "entropy" in scn.checks:
-        lo, hi = dens.window if h.kind == "conformal_torus" else (None, None)
-        times = _default_times(scn)
-        if lo is not None:
-            times = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo),
-                                min(len(times), 9))
-        rep = build_entropy_report(
-            h, dens, times,
-            birth_time=float(scn.params.get("birth_time", h.birth_time)),
-        )
+        rep = build_entropy_report(h, dens, scn.entropy_times, birth_time=params["birth_time"])
         rep.to_csv(series_dir / "entropy.csv")
         for key, val in rep.verdicts.items():
             if key == "w_plus_constant":
                 # constancy marks the expander equality case; it is a
                 # diagnostic unless the scenario claims an expander
                 report["fitted"]["entropy.w_plus_constant"] = bool(val)
-                if scn.params.get("expect_constant_entropy"):
+                if params["expect_constant_entropy"]:
                     report["verdicts"]["entropy.w_plus_constant"] = bool(val)
             elif isinstance(val, bool):
                 report["verdicts"][f"entropy.{key}"] = val
@@ -327,32 +333,25 @@ def _run_into(scn: Scenario, out: Path) -> dict:
         report["tolerances"]["entropy.monotonicity"] = rep.tolerances["monotonicity"]
         write_svg_chart(
             plots_dir / "entropy.svg", f"{scn.name}: monotone quantities",
-            rep.times,
-            {"W_plus": rep.columns["W_plus"], "N_plus": rep.columns["N_plus"],
-             "lambda_bar": rep.columns["lambda_bar"], "V_tilde": rep.columns["V_tilde"]},
+            rep.times, {k: rep.columns[k] for k in ("W_plus", "N_plus", "lambda_bar", "V_tilde")},
             y_label="value",
         )
 
     if "harnack" in scn.checks:
-        times = _harnack_times(scn.params, h.kind == "conformal_torus", scn.t_span)
-        birth = float(scn.params.get("birth_time", h.birth_time))
-        rep_h = check_harnack_identity([dens.state_at(t) for t in times], h, birth_time=birth)
-        tol = float(scn.tolerances.get(
-            "harnack", 1e-8 if h.kind != "conformal_torus" else 1e-2))
+        rep_h = check_harnack_identity([dens.state_at(t) for t in scn.harnack_times], h,
+                                       birth_time=params["birth_time"])
         report["residuals"]["harnack.identity"] = rep_h.max_residual
         report["residuals"]["harnack.prefactor"] = rep_h.extra["prefactor"]
         report["residuals"]["harnack.steady"] = rep_h.extra["steady"]
         report["residuals"]["harnack.potential_evolution"] = rep_h.extra["potential"]
         report["verdicts"]["harnack.rhs_nonnegative"] = rep_h.rhs_min >= 0.0
-        report["verdicts"]["harnack.identity_below_tol"] = rep_h.max_residual <= tol
-        report["tolerances"]["harnack"] = tol
+        report["verdicts"]["harnack.identity_below_tol"] = rep_h.max_residual <= tols["harnack"]
+        report["tolerances"]["harnack"] = tols["harnack"]
 
     if "mu_nu" in scn.checks:
-        sigmas = scn.params.get("sigmas", [0.25, 0.5, 1.0, 2.0])
-        t_mid = 0.5 * (scn.t_span[0] + scn.t_span[1])
-        m_mid = h.metric_at(t_mid)
+        m_mid = h.metric_at(0.5 * (scn.t_span[0] + scn.t_span[1]))
         mu_rows = []
-        for s in sigmas:
+        for s in params["sigmas"]:
             res = mu_plus(m_mid, float(s))
             mu_rows.append([float(s), res.value, float(res.converged)])
         write_csv(series_dir / "mu_plus.csv", ["sigma", "mu_plus", "converged"], mu_rows)
@@ -361,10 +360,8 @@ def _run_into(scn: Scenario, out: Path) -> dict:
         d2 = np.diff(np.diff(vals) / np.diff(sig)) / (sig[2:] - sig[:-2])
         report["verdicts"]["mu.concave_on_samples"] = bool(np.all(d2 <= 1e-8))
         nu = nu_plus(m_mid)
-        report["fitted"]["nu_plus"] = None if nu.value is None else nu.value
-        report["fitted"]["nu_sigma_star"] = nu.sigma_star
-        report["fitted"]["nu_status"] = nu.status
-        report["fitted"]["lambda_at_mid"] = nu.lambda_value
+        report["fitted"].update(nu_plus=nu.value, nu_sigma_star=nu.sigma_star,
+                                nu_status=nu.status, lambda_at_mid=nu.lambda_value)
 
     if {"reduced", "theta"} & set(scn.checks):
         reduced_field, extra = _build_reduced_field(scn, h)
@@ -373,13 +370,13 @@ def _run_into(scn: Scenario, out: Path) -> dict:
         rep_r = check_reduced_field(reduced_field, h)
 
     if "reduced" in scn.checks:
-        tol_in = float(scn.tolerances.get("inequalities", 1e-4))
         report["residuals"]["reduced.identity"] = rep_r.identity
         report["residuals"]["reduced.worst_inequality"] = max(
             rep_r.lap_bound, rep_r.subsolution, rep_r.heat_form, rep_r.entropy_form)
         report["residuals"]["reduced.excluded_fraction"] = rep_r.excluded_fraction
-        report["verdicts"]["reduced.inequalities_hold"] = rep_r.worst_violation <= tol_in
-        report["tolerances"]["reduced.inequalities"] = tol_in
+        report["verdicts"]["reduced.inequalities_hold"] = (
+            rep_r.worst_violation <= tols["inequalities"])
+        report["tolerances"]["reduced.inequalities"] = tols["inequalities"]
         gap = reduced_field.oracle_rel_gap
         if gap is not None:
             report["residuals"]["reduced.oracle_rel_gap"] = gap
@@ -393,8 +390,7 @@ def _run_into(scn: Scenario, out: Path) -> dict:
         report["residuals"]["theta.max_violation"] = series.max_violation
         report["residuals"]["theta.supersolution_max"] = rep_r.supersolution_max
         if h.kind == "model_space" and abs(h.metric_at(h.times[1]).scale) > 0:
-            spread = float(np.max(series.theta) - np.min(series.theta))
-            report["fitted"]["theta.spread"] = spread
+            report["fitted"]["theta.spread"] = float(np.max(series.theta) - np.min(series.theta))
         write_svg_chart(
             plots_dir / "theta.svg", f"{scn.name}: forward reduced volume",
             series.times, {"theta": series.theta, "lower_bound": series.lower_bound},
@@ -403,35 +399,31 @@ def _run_into(scn: Scenario, out: Path) -> dict:
 
     if "asymptotics" in scn.checks:
         rep_a = asymptotics_report(h, dens)
-        report["fitted"]["v_tilde_inf"] = rep_a.v_tilde_inf
-        report["fitted"]["collapsed"] = rep_a.collapsed
-        report["fitted"]["w_plus_limit_fit"] = rep_a.w_plus_limit_fit
-        report["fitted"]["w_plus_limit_predicted"] = (
-            None if math.isinf(rep_a.w_plus_limit_predicted)
-            else rep_a.w_plus_limit_predicted
-        )
-        report["fitted"]["lambda_bar_limit_fit"] = rep_a.lambda_bar_limit_fit
-        report["fitted"]["lambda_bar_limit_predicted"] = rep_a.lambda_bar_limit_predicted
-        report["fitted"]["w_plus_log_growth_rate"] = rep_a.w_plus_log_growth_rate
+        w_pred = rep_a.w_plus_limit_predicted
+        report["fitted"].update(
+            v_tilde_inf=rep_a.v_tilde_inf, collapsed=rep_a.collapsed,
+            w_plus_limit_fit=rep_a.w_plus_limit_fit,
+            w_plus_limit_predicted=None if math.isinf(w_pred) else w_pred,
+            lambda_bar_limit_fit=rep_a.lambda_bar_limit_fit,
+            lambda_bar_limit_predicted=rep_a.lambda_bar_limit_predicted,
+            w_plus_log_growth_rate=rep_a.w_plus_log_growth_rate)
         if not rep_a.collapsed:
-            gap = abs(rep_a.w_plus_limit_fit - rep_a.w_plus_limit_predicted)
+            gap = abs(rep_a.w_plus_limit_fit - w_pred)
             report["residuals"]["asymptotics.w_limit_gap"] = gap
-            report["verdicts"]["asymptotics.limits_match"] = gap <= float(
-                scn.tolerances.get("asymptotics", 1e-3))
+            report["verdicts"]["asymptotics.limits_match"] = gap <= tols["asymptotics"]
         p15 = long_time_residual_integral(
             h, dens, (max(scn.t_span[0], scn.t_span[1] / 100.0, 1e-2),
                       0.9 * scn.t_span[1]))
-        report["fitted"]["residual_integral"] = p15.integral
-        report["fitted"]["residual_decay_exponent"] = p15.decay_exponent
+        report["fitted"].update(residual_integral=p15.integral,
+                                residual_decay_exponent=p15.decay_exponent)
 
     if "blowdown" in scn.checks:
-        alpha = float(scn.params.get("alpha", 8.0))
+        alpha = params["alpha"]
         t_lo, t_hi = h.t_min / alpha, h.t_max / alpha
         worst = blowdown_gap(h, alpha, np.geomspace(max(t_lo, t_hi / 50.0, 1e-4), 0.9 * t_hi, 5))
-        tol_bd = float(scn.tolerances.get("blowdown", 1e-6))
         report["residuals"]["blowdown.invariance_gap"] = worst
-        report["verdicts"]["blowdown.scale_invariant"] = worst <= tol_bd
-        report["tolerances"]["blowdown"] = tol_bd
+        report["verdicts"]["blowdown.scale_invariant"] = worst <= tols["blowdown"]
+        report["tolerances"]["blowdown"] = tols["blowdown"]
 
     report["failures"] = [k for k, v in report["verdicts"].items() if v is False]
     write_json(out / "report.json", report)
@@ -439,35 +431,23 @@ def _run_into(scn: Scenario, out: Path) -> dict:
 
 
 def _build_reduced_field(scn: Scenario, h):
-    extra = {}
     if h.kind == "model_space":
-        radii = np.asarray(scn.params.get("radii", np.linspace(0.0, 1.0, 9).tolist()))
-        times = _field_times(scn.params, False, scn.t_span)
-        birth_scale = h.metric_at(h.t_min).scale
-        if birth_scale < 1e-6:  # flow born at zero size: regularized ladder
-            fields = [ell_plus_field(h, 0.0, radii, times, eps=e)
-                      for e in (1e-3, 1e-4, 1e-5)]
-            extra["reduced_eps_ladder"] = [1e-3, 1e-4, 1e-5]
-            return extrapolate_fields(fields), extra
-        return ell_plus_field(h, 0.0, radii, times, eps=0.0), extra
-    nt = scn.params.get("target_grid", DEFAULT_TARGET_GRID)
-    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    pts = pts * np.asarray(h.template.periods)
-    times = _field_times(scn.params, True, scn.t_span)
-    fld = ell_plus_field(h, (0.0, 0.0), pts, times,
-                         oracle_check=scn.params.get("oracle_check", nt <= 12),
-                         grid_shape=(nt, nt))
-    return fld, extra
+        radii = np.asarray(scn.params["radii"])
+        if h.metric_at(h.t_min).scale < 1e-6:  # flow born at zero size: regularized ladder
+            fields = [ell_plus_field(h, 0.0, radii, scn.field_times, eps=e) for e in EPS_LADDER]
+            return extrapolate_fields(fields), {"reduced_eps_ladder": list(EPS_LADDER)}
+        return ell_plus_field(h, 0.0, radii, scn.field_times, eps=0.0), {}
+    nt = scn.params["target_grid"]
+    fld = ell_plus_field(h, (0.0, 0.0), subgrid_targets(nt, h.template.periods), scn.field_times,
+                         oracle_check=scn.params["oracle_check"], grid_shape=(nt, nt))
+    return fld, {}
 
 
 def builtin_scenarios() -> dict:
     """Name -> importlib resource path of the packaged scenario configs."""
-    out = {}
     root = resources.files("expanderlab") / "scenarios"
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            out[entry.name[:-5]] = entry
-    return out
+    return {e.name[:-5]: e for e in sorted(root.iterdir(), key=lambda e: e.name)
+            if e.name.endswith(".json")}
 
 
 def run_scenario(config_path, out_dir=None) -> int:
@@ -500,14 +480,11 @@ def run_scenario(config_path, out_dir=None) -> int:
     out = Path(out_dir) if out_dir else path.parent / "lab_out"
     exit_code = 0
     for d in docs:
-        exit_code = _report_outcome(run_scenario_doc(d, out), out, exit_code)
+        rep = run_scenario_doc(d, out)
+        status = "ok" if not rep["failures"] else f"FAILED: {', '.join(rep['failures'])}"
+        print(f"{rep['scenario']}: {status}  -> {out / rep['scenario'] / 'report.json'}")
+        exit_code = exit_code if not rep["failures"] else 1
     return exit_code
-
-
-def _report_outcome(rep: dict, out: Path, exit_code: int) -> int:
-    status = "ok" if not rep["failures"] else f"FAILED: {', '.join(rep['failures'])}"
-    print(f"{rep['scenario']}: {status}  -> {out / rep['scenario'] / 'report.json'}")
-    return exit_code if not rep["failures"] else 1
 
 
 def main(argv=None) -> int:

@@ -262,7 +262,7 @@ def _evolve_model_space(m0: ModelSpaceMetric, t0, t1, n_snapshots) -> FlowHistor
     extinct_at = None
     t_end = t1
     if rho0 > 0:
-        t_ext = t0 + m0.scale / (2.0 * rho0)
+        t_ext = m0.scale_root(t0)
         if t_ext <= t1:
             extinct_at = t_ext
             t_end = t_ext * (1.0 - 1e-9) - 1e-15 * abs(t_ext)
@@ -272,7 +272,7 @@ def _evolve_model_space(m0: ModelSpaceMetric, t0, t1, n_snapshots) -> FlowHistor
     params = scales[:, None]
     rhs = np.full_like(params, -2.0 * rho0)
     # birth time of the expander normal form a(t) = -2 rho0 (t - T), negative case
-    birth = t0 + a0 / (2.0 * rho0) if rho0 < 0 else 0.0
+    birth = m0.scale_root(t0) if rho0 < 0 else 0.0
     return FlowHistory("model_space", m0, times, params, rhs,
                        birth_time=birth, extinct_at=extinct_at)
 

@@ -136,6 +136,12 @@ class ModelSpaceMetric:
     def rho0(self) -> float:
         return float(self.sectional_sign * (self.dim - 1))
 
+    def scale_root(self, t0: float) -> float:
+        """The time t0 + scale/(2 rho0) where the flow's scale factor
+        a(t) = scale - 2 rho0 (t - t0) vanishes: the extinction time if
+        rho0 > 0, the birth time of the expander if rho0 < 0."""
+        return t0 + self.scale / (2.0 * self.rho0)
+
 
 MetricModel = HomogeneousMetric | ConformalTorusMetric | ModelSpaceMetric
 
@@ -475,11 +481,3 @@ def model_from_json(doc: dict) -> MetricModel:
             base_volume=float(doc.get("base_volume", 1.0)),
         )
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def validate_model_json(doc: dict) -> MetricModel:
-    """Parse-and-validate wrapper used by the scenario runner."""
-    try:
-        return model_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"invalid metric model spec: {exc}") from exc

@@ -404,16 +404,14 @@ class EigenResult:
 
 def smallest_eigenpair(apply_operator, measure, tol: ToleranceConfig,
                        shift: float, w0: np.ndarray | None = None,
-                       precond=None, deflate=()) -> EigenResult:
+                       precond=None) -> EigenResult:
     """Ground eigenpair of a self-adjoint operator by shifted inverse iteration.
 
     apply_operator maps fields to fields and is self-adjoint in the
     measure-weighted inner product; shift must lie strictly below the
     smallest eigenvalue so the shifted operator is positive definite
     (callers use min of the potential minus one).  The eigenfunction is
-    returned with unit weighted L2 norm and positive mean sign; deflate
-    lists fields to project out each iteration (used to reach the
-    smallest eigenvalue orthogonal to a known kernel).
+    returned with unit weighted L2 norm and positive mean sign.
 
     Raises EigenFailure with the residual history if max_iter sweeps do
     not bring the weighted residual norm under abs_tol.
@@ -426,24 +424,9 @@ def smallest_eigenpair(apply_operator, measure, tol: ToleranceConfig,
     def norm(u):
         return math.sqrt(max(inner(u, u), 0.0))
 
-    basis = []
-    for d in deflate:
-        d = np.asarray(d, dtype=float).copy()
-        for e in basis:
-            d = d - inner(d, e) * e
-        nd = norm(d)
-        if nd > 0:
-            basis.append(d / nd)
-
-    def project(u):
-        for e in basis:
-            u = u - inner(u, e) * e
-        return u
-
-    w = np.ones_like(measure) if w0 is None else np.asarray(w0, dtype=float).copy()
-    w = project(w)
+    w = np.ones_like(measure) if w0 is None else np.asarray(w0, dtype=float)
     if norm(w) == 0.0:
-        raise ValueError("initial vector lies in the deflated subspace")
+        raise ValueError("the initial vector is zero")
     w = w / norm(w)
 
     def shifted(u):
@@ -452,10 +435,8 @@ def smallest_eigenpair(apply_operator, measure, tol: ToleranceConfig,
     residuals = []
     lam = inner(w, apply_operator(w))
     for _ in range(tol.max_iter):
-        rhs_vec = w
-        w_new = conjugate_gradient(shifted, rhs_vec, measure, precond=precond,
+        w_new = conjugate_gradient(shifted, w, measure, precond=precond,
                                    rel_tol=1e-13, max_iter=tol.max_iter)
-        w_new = project(w_new)
         n = norm(w_new)
         if n == 0.0 or not np.all(np.isfinite(w_new)):
             raise EigenFailure("inverse iteration produced a degenerate iterate", residuals)

@@ -52,7 +52,9 @@ __all__ = [
     "ThetaSeries",
     "geodesic_shoot",
     "ell_plus_field",
+    "EPS_LADDER",
     "extrapolate_fields",
+    "subgrid_targets",
     "check_reduced_field",
     "theta_plus",
     "hessian_check_cor21",
@@ -289,6 +291,10 @@ def _radial_field(h: FlowHistory, radii, times, eps: float, n_steps: int) -> Red
         kind="radial", times=times, targets=radii, ell=ell,
         ell_tail=ell_tail, k_effective=k_eff, eps=eps,
     )
+
+
+# start regularizations of a flow born at zero size, extrapolated to eps = 0
+EPS_LADDER = (1e-3, 1e-4, 1e-5)
 
 
 def extrapolate_fields(fields) -> ReducedField:
@@ -783,7 +789,7 @@ def _descend(action: _PathAction, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return val
 
 
-def _oracle_torus_batch(h, x0, targets, t, n_segments=64, include_translates=True):
+def _oracle_torus_batch(h, x0, targets, t, n_segments=64):
     """Direct descent over discrete paths on a torus for many targets at once;
     an upper-bound cross-check of shooting.
 
@@ -801,14 +807,10 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64, include_translates=Tru
     action = _PathAction(_TorusSlices(h, t, n_segments, 2), x0)
     slices, x0 = action.slices, action.x0
     m_t = len(targets)
-    if include_translates:
-        images, dist = _lattice_images(slices, targets, x0)
-        order = np.argsort(dist, axis=1)[:, :3]
-        rows = np.repeat(np.arange(m_t), 3)
-        ys = images[rows, order.ravel()]                        # (m*k, 2)
-    else:
-        rows = np.arange(m_t)
-        ys = targets.copy()
+    images, dist = _lattice_images(slices, targets, x0)
+    order = np.argsort(dist, axis=1)[:, :3]
+    rows = np.repeat(np.arange(m_t), 3)
+    ys = images[rows, order.ravel()]                            # (m*k, 2)
     prof = np.linspace(0, 1, n_segments + 1)[1:-1]
     z = x0 + prof[:, None] * (ys - x0)[:, None, :]             # (q, M-1, 2)
     chunk = max(1, LEVEL_BATCH_BYTES // 32 // (n_segments + 1))  # at most 2**16 nodes a chunk
@@ -876,6 +878,13 @@ def ell_plus_field(h: FlowHistory, x0, targets, times, eps: float = 0.0,
         smooth_mask=mask, oracle_values=oracle_vals, oracle_flags=flags,
         grid_shape=grid_shape,
     )
+
+
+def subgrid_targets(nt: int, periods) -> np.ndarray:
+    """The nt x nt torus targets (i/nt, j/nt) * periods, i major: the
+    layout of a field with grid_shape (nt, nt)."""
+    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
+    return pts * np.asarray(periods)
 
 
 def _torus_smooth_mask(images: np.ndarray, grid_shape: tuple, periods) -> np.ndarray:

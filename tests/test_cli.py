@@ -1,10 +1,24 @@
+import copy
 import json
+import re
 import types
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expanderlab.cli import Scenario, ConfigError, builtin_scenarios, main
+from expanderlab.cli import (
+    DERIVED,
+    KNOWN_CHECKS,
+    PARAMS,
+    TOLERANCES,
+    ConfigError,
+    Scenario,
+    builtin_scenarios,
+    main,
+)
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +243,30 @@ def test_target_grid_validation(bad):
     ("flat_torus", {"oracle_check": "false"}, "oracle_check"),
     ("flat_torus", {"oracle_check": 0}, "oracle_check"),
     ("hyperbolic_expander", {"expect_constant_entropy": "true"}, "expect_constant_entropy"),
+    # a JSON null for each params key a check reads on the model
+    ("hyperbolic_expander", {"sigmas": None}, "sigmas"),
+    ("hyperbolic_expander", {"radii": None}, "radii"),
+    ("hyperbolic_expander", {"dt_cap": None}, "dt_cap"),
+    ("hyperbolic_expander", {"retain_every": None}, "retain_every"),
+    ("hyperbolic_expander", {"birth_time": None}, "birth_time"),
+    ("hyperbolic_expander", {"n_times": None}, "n_times"),
+    ("hyperbolic_expander", {"alpha": None}, "alpha"),
+    ("hyperbolic_expander", {"expect_constant_entropy": None}, "expect_constant_entropy"),
+    ("flat_torus", {"target_grid": None}, "target_grid"),
+    ("flat_torus", {"window_lo": None}, "window"),
+    ("flat_torus", {"window_hi": None}, "window"),
+    ("flat_torus", {"oracle_check": None}, "oracle_check"),
+    ("flat_torus", {"reduced_t": None}, "reduced_t"),
+    ("flat_torus", {"dt_cap": None}, "dt_cap"),
+    ("flat_torus", {"retain_every": None}, "retain_every"),
+    ("flat_torus", {"sigmas": None}, "sigmas"),
+    ("flat_torus", {"n_times": None}, "n_times"),
+    ("flat_torus", {"alpha": None}, "alpha"),
+    ("flat_torus", {"birth_time": None}, "birth_time"),
+    ("flat_torus", {"expect_constant_entropy": None}, "expect_constant_entropy"),
+    # more entropy times than any run could evaluate
+    ("hyperbolic_expander", {"n_times": 10**6 + 1}, "n_times"),
+    ("hyperbolic_expander", {"n_times": 10**400}, "n_times"),
 ])
 def test_malformed_params_exit_2_without_output(tmp_path, capsys, scenario, params, word):
     doc = json.loads(builtin_scenarios()[scenario].read_text())
@@ -304,7 +342,13 @@ def test_svg_titles_are_escaped(tmp_path, hyperbolic_doc):
         assert any(t and t.startswith("a<b&c: ") for t in titles)
 
 
-@pytest.mark.parametrize("name", [".", "..", "a/b", "/abs", "../up"])
+@pytest.mark.parametrize("name", [
+    ".", "..", "a/b", "/abs", "../up",
+    pytest.param("a\x00b", id="nul"),
+    # the sibling <out>/.<name>.XXXXXXXX must fit NAME_MAX, 255 bytes
+    pytest.param("x" * 246, id="246_bytes"),
+    pytest.param("\u00e9" * 123, id="246_utf8_bytes"),
+])
 def test_a_path_as_scenario_name_exits_2(tmp_path, capsys, hyperbolic_doc, name):
     # a run replaces <out>/<name> whole, so the name must not reach outside <out>
     cfg = write_config(tmp_path, dict(hyperbolic_doc, name=name))
@@ -312,6 +356,14 @@ def test_a_path_as_scenario_name_exits_2(tmp_path, capsys, hyperbolic_doc, name)
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert "must be a file name" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_245_byte_scenario_name_runs(tmp_path, hyperbolic_doc):
+    name = "x" * 245
+    cfg = write_config(tmp_path, dict(hyperbolic_doc, name=name, checks=["blowdown"]))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 def test_duplicate_names_rejected(tmp_path, hyperbolic_doc):
@@ -343,3 +395,57 @@ def test_scenario_validation_messages():
                       "scale": 1.0},
             "t_span": [0.0, 1.0], "checks": ["bogus"],
         })
+
+
+_PACKAGED = {name: json.loads(entry.read_text()) for name, entry in builtin_scenarios().items()}
+# Configs are mutated key by key, model specs excepted: a mutated grid size
+# could ask for an array larger than memory before the spec is rejected.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**3, 10**3) | st.floats() | st.just(10**400)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5), max_leaves=8)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("params"), st.sampled_from([*PARAMS, "reduce_t"]), JSON_VALUES),
+    st.tuples(st.just("tolerances"), st.sampled_from([*TOLERANCES, "monotonicity"]),
+              JSON_VALUES),
+    st.tuples(st.just("t_span"), st.just(None),
+              st.lists(st.floats(-1.0, 1e3) | st.integers(-1, 1000), min_size=2, max_size=2)
+              | JSON_VALUES),
+    st.tuples(st.just("checks"), st.just(None),
+              st.lists(st.sampled_from(KNOWN_CHECKS), min_size=1, max_size=4, unique=True)
+              | JSON_VALUES),
+    st.tuples(st.just("name"), st.just(None), st.text(max_size=6) | JSON_VALUES),
+)
+
+
+@given(st.sampled_from(sorted(builtin_scenarios())), st.lists(MUTATIONS, min_size=1, max_size=4),
+       st.lists(st.booleans(), min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_mutated_configs_are_rejected_or_fully_resolved(scenario, mutations, deletes):
+    # from_doc raises ConfigError, or resolves every params and tolerances key,
+    # leaving no derived placeholder for the runner to work out again
+    doc = copy.deepcopy(_PACKAGED[scenario])
+    for (section, key, value), delete in zip(mutations, deletes):
+        if key is None:
+            doc[section] = value
+        elif delete:
+            doc.setdefault(section, {}).pop(key, None)
+        else:
+            doc.setdefault(section, {})[key] = value
+    try:
+        scn = Scenario.from_doc(doc)
+    except ConfigError:
+        return
+    assert set(scn.params) == set(PARAMS) and set(scn.tolerances) == set(TOLERANCES)
+    assert all(v is not DERIVED for v in [*scn.params.values(), *scn.tolerances.values()])
+    assert all(isinstance(v, float) for v in scn.tolerances.values())
+
+
+def test_readme_table_names_every_scenario_key():
+    # the README's "Scenario keys" table lists each params and tolerances key once
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Scenario keys", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \|", section, re.M)
+    assert sorted(k for sec, k in rows if sec == "params") == sorted(PARAMS)
+    assert sorted(k for sec, k in rows if sec == "tolerances") == sorted(TOLERANCES)
+    assert len(rows) == len(PARAMS) + len(TOLERANCES)

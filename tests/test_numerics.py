@@ -198,29 +198,6 @@ def test_eigen_constant_potential():
     assert abs(np.sum(res.vector**2 * measure) - 1.0) < 1e-12
 
 
-def test_eigen_smallest_nonzero_matches_dense_oracle():
-    # dense-matrix oracle on the 64x64 one-dimensional periodic operator
-    n = 64
-    h = 1.0 / n
-    measure = np.full(n, h)
-    dense = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        dense[:, i] = -4.0 * periodic_lap_1d(e, h)
-    evals = np.linalg.eigvalsh(dense)
-    want = np.sort(evals)[1]  # smallest nonzero (kernel = constants)
-
-    def op(w):
-        return -4.0 * periodic_lap_1d(w, h)
-
-    rng = np.random.default_rng(11)
-    res = smallest_eigenpair(op, measure, ToleranceConfig(abs_tol=1e-9, max_iter=400),
-                             shift=-1.0, w0=rng.normal(size=n),
-                             deflate=[np.ones(n)])
-    assert abs(res.value - want) < 1e-10
-
-
 def test_eigen_nonconvergence_raises_with_history():
     n = 16
     measure = np.full(n, 1.0 / n)
