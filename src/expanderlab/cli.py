@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from .entropy import (
     mu_plus,
     nu_plus,
 )
-from .flow import check_R_lower_bound, evolve
+from .flow import check_R_lower_bound, evolve, torus_dt_cap
 from .geometry import ConformalTorusMetric, ModelSpaceMetric, _is_number, model_from_json
 from .reduced import (
     EPS_LADDER,
@@ -55,24 +56,50 @@ KNOWN_CHECKS = ("entropy", "harnack", "mu_nu", "reduced", "theta",
                 "asymptotics", "blowdown")
 
 
-class _Derived:
-    def __repr__(self) -> str:
-        return "derived"
-
-
 # The default of a key that Scenario.from_doc works out from the model and
-# t_span.  JSON cannot produce it, so a null in a config is checked like any
-# other value that is not a number.
-DERIVED = _Derived()
+# t_span.  JSON cannot produce it: a given value, null included, meets its rule.
+DERIVED = object()
 
-# Every params and tolerances key with its default (README, "Scenario keys").
+MAX_COUNT = 10**6  # the most entropy times, or torus evolve steps, a run may ask for
+
+
+def _is_count(x) -> bool:
+    """A positive int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+
+
+def _uniform_radii(radii) -> bool:
+    """At least three nonnegative, increasing, uniformly spaced numbers."""
+    if not (isinstance(radii, list) and len(radii) >= 3
+            and all(_is_number(r) for r in radii)):
+        return False
+    steps = np.diff(radii)
+    return (radii[0] >= 0 and steps[0] > 0
+            and float(np.max(np.abs(steps - steps[0]))) <= 1e-9 * steps[0])
+
+
+_FINITE = (_is_number, "a finite number")
+_FLAG = (lambda x: isinstance(x, bool), "true or false")
+
+# Every params key with its default and the rule a given value must meet
+# (README, "Scenario keys").
 PARAMS = {
-    "dt_cap": DERIVED, "retain_every": DERIVED, "target_grid": 12, "reduced_t": DERIVED,
-    "window_lo": DERIVED, "window_hi": DERIVED, "sigmas": [0.25, 0.5, 1.0, 2.0],
-    "radii": [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0], "n_times": 17,
-    "alpha": 8.0, "birth_time": DERIVED, "expect_constant_entropy": False,
-    "oracle_check": DERIVED,
+    "dt_cap": (DERIVED, lambda x: _is_number(x) and x > 0, "a positive finite number"),
+    "retain_every": (DERIVED, _is_count, "a positive integer"),
+    "target_grid": (12, _is_count, "a positive integer"),
+    "reduced_t": (DERIVED, *_FINITE),
+    "window_lo": (DERIVED, *_FINITE), "window_hi": (DERIVED, *_FINITE),
+    "sigmas": ([0.25, 0.5, 1.0, 2.0], lambda s: (
+        isinstance(s, list) and len(s) > 0 and all(_is_number(x) and x > 0 for x in s)
+        and len(set(s)) == len(s)), "a nonempty list of distinct positive finite numbers"),
+    "radii": ([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0], _uniform_radii,
+              "at least 3 nonnegative, increasing, uniformly spaced numbers"),
+    "n_times": (17, lambda n: _is_count(n) and n <= MAX_COUNT, "an integer in [1, 10**6]"),
+    "alpha": (8.0, lambda a: _is_number(a) and a >= 1, "a finite number >= 1"),
+    "birth_time": (DERIVED, *_FINITE),
+    "expect_constant_entropy": (False, *_FLAG), "oracle_check": (DERIVED, *_FLAG),
 }
+# Every tolerances key with its default; each must be a finite number.
 TOLERANCES = {"r_bound": 1e-8, "immortal": 1e-8, "harnack": DERIVED, "inequalities": 1e-4,
               "asymptotics": 1e-3, "blowdown": 1e-6}
 
@@ -134,50 +161,28 @@ class Scenario:
         if not isinstance(raw, dict):
             raise ConfigError(f"scenario {name!r}: params must be a JSON object")
         _reject_unknown(name, "params", raw, PARAMS)
+        for key, value in raw.items():
+            _, rule, what = PARAMS[key]
+            if not rule(value):
+                raise ConfigError(f"scenario {name!r}: params.{key} {value!r} must be {what}")
         torus = isinstance(model, ConformalTorusMetric)
         if not torus:  # the density window is fixed off the torus
             raw = {k: v for k, v in raw.items() if k not in ("window_lo", "window_hi")}
-        params = {**PARAMS, **raw}
-        flags = [k for k in ("oracle_check", "expect_constant_entropy")
-                 if not isinstance(params[k], (bool, _Derived))]
-        if flags:
-            raise ConfigError(f"scenario {name!r}: params {flags} must be true or false")
+        params = {k: raw.get(k, default) for k, (default, _, _) in PARAMS.items()}
+        if torus and (t1 - t0) / (cap := raw.get("dt_cap", torus_dt_cap(model))) > MAX_COUNT:
+            raise ConfigError(f"scenario {name!r}: the torus evolve would take more than 10**6 "
+                              f"steps of dt_cap {cap!r} over t_span [{t0!r}, {t1!r}]")
         reduced = {"reduced", "theta"} & set(checks)
         model_space = isinstance(model, ModelSpaceMetric)
         if reduced and not (torus or model_space):
             raise ConfigError(f"scenario {name!r}: checks {sorted(reduced)} need a "
                               f"conformal_torus or model_space model, not homogeneous")
         nt = params["target_grid"]
-        if torus and reduced and (not _is_count(nt) or any(n % nt for n in model.grid_size)):
+        if torus and reduced and any(n % nt for n in model.grid_size):
             raise ConfigError(
-                f"scenario {name!r}: target_grid {nt!r} must be a positive integer "
-                f"dividing the grid size {list(model.grid_size)}"
+                f"scenario {name!r}: target_grid {nt!r} must divide the grid size "
+                f"{list(model.grid_size)}"
             )
-        dt_cap, retain = params["dt_cap"], params["retain_every"]
-        if not ((dt_cap is DERIVED or _is_number(dt_cap) and dt_cap > 0)
-                and (retain is DERIVED or _is_count(retain))):
-            raise ConfigError(f"scenario {name!r}: need a positive finite dt_cap and a positive "
-                              f"integer retain_every (got {dt_cap!r}, {retain!r})")
-        sigmas = params["sigmas"]
-        if "mu_nu" in checks and not (
-                isinstance(sigmas, list) and sigmas
-                and all(_is_number(s) and s > 0 for s in sigmas)
-                and len(set(sigmas)) == len(sigmas)):
-            raise ConfigError(
-                f"scenario {name!r}: sigmas {sigmas!r} must be a nonempty list of "
-                f"distinct positive finite numbers"
-            )
-        if model_space and reduced and not _uniform_radii(params["radii"]):
-            raise ConfigError(
-                f"scenario {name!r}: radii {params['radii']!r} must be at least 3 nonnegative, "
-                f"increasing, uniformly spaced numbers"
-            )
-        n_times, alpha, birth = params["n_times"], params["alpha"], params["birth_time"]
-        if not (_is_count(n_times) and n_times <= 10**6 and _is_number(alpha) and alpha >= 1
-                and (birth is DERIVED or _is_number(birth))):
-            raise ConfigError(f"scenario {name!r}: need an integer n_times in [1, 10**6], a finite "
-                              f"alpha >= 1 and a finite birth_time (got {n_times!r}, {alpha!r}, "
-                              f"{birth!r})")
         tolerances = doc.get("tolerances", {})
         if not (isinstance(tolerances, dict) and all(map(_is_number, tolerances.values()))):
             raise ConfigError(f"scenario {name!r}: tolerances must map names to finite numbers")
@@ -186,32 +191,29 @@ class Scenario:
                       {**TOLERANCES, "harnack": 1e-2 if torus else 1e-8, **tolerances}.items()}
         derived = {
             "dt_cap": None, "retain_every": None,  # evolve works these out from the grid
-            "reduced_t": 0.75 * t1 if torus else 0.5 * (t0 + t1),
+            "reduced_t": 0.75 * t1 if torus else 0.5 * t0 + 0.5 * t1,  # t0 + t1 may overflow
             "window_lo": max(t0, 0.02 * t1) if torus else max(t0, t1 / 200.0, 1e-3),
             "window_hi": 0.45 * t1 if torus else 0.9 * t1,
             # the flow's own birth time: the root of an expander's scale factor
             "birth_time": model.scale_root(t0) if model_space and model.rho0 < 0 else 0.0,
             "oracle_check": bool(torus and reduced) and nt <= 12,
         }
-        params = {**PARAMS, **derived, **raw}
-        params["alpha"], params["birth_time"] = float(alpha), float(params["birth_time"])
+        params = {**params, **derived, **raw}
+        params["alpha"], params["birth_time"] = float(params["alpha"]), float(params["birth_time"])
         scn = Scenario(name, model, (t0, t1), tuple(checks), tolerances, params)
         # a positive model goes extinct where its scale factor vanishes
         t_ext = model.scale_root(t0) if model_space and model.rho0 > 0 else math.inf
         late = []  # the times of checks that sample at or past t_ext
         if reduced:
             c, what = params["reduced_t"], f"reduced_t {raw.get('reduced_t', 'default')!r}"
-            ts = scn.field_times = None if not _is_number(c) else (
-                np.linspace(c - 0.05 * t1, c + 0.05 * t1, 5) if torus
-                else np.linspace(0.8 * c, 1.2 * c, 5))
-            if ts is None or not (0 < ts[0] and t0 <= ts[0] and ts[-1] <= t1):
+            ts = scn.field_times = (np.linspace(c - 0.05 * t1, c + 0.05 * t1, 5) if torus
+                                    else np.linspace(0.8 * c, 1.2 * c, 5))
+            if not (0 < ts[0] and t0 <= ts[0] and ts[-1] <= t1):
                 raise ConfigError(f"scenario {name!r}: the five reduced field times around "
                                   f"{what} must lie inside t_span [{t0!r}, {t1!r}]")
             if ts[-1] >= t_ext:
                 late.append(f"the five reduced field times around {what}")
         if {"entropy", "harnack", "asymptotics"} & set(checks):
-            if not all(_is_number(params[k]) for k in ("window_lo", "window_hi")):
-                raise ConfigError(f"scenario {name!r}: window_lo/window_hi must be numbers")
             scn.window = lo, hi = float(params["window_lo"]), float(params["window_hi"])
             if not t0 <= lo < hi <= t1:
                 raise ConfigError(
@@ -238,8 +240,8 @@ class Scenario:
                               f"extinction time {t_ext!r} of the model")
         if "entropy" in checks:
             scn.entropy_times = (
-                np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), min(n_times, 9)) if torus
-                else np.geomspace(max(t0, t1 / 100.0, 1e-3), 0.9 * t1, n_times))
+                np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), min(params["n_times"], 9))
+                if torus else np.geomspace(max(t0, t1 / 100.0, 1e-3), 0.9 * t1, params["n_times"]))
         return scn
 
 
@@ -258,21 +260,6 @@ def _is_file_name(name: str) -> bool:
     except UnicodeEncodeError:  # a lone surrogate
         return False
     return name not in (".", "..") and b"/" not in raw and b"\0" not in raw and len(raw) <= 245
-
-
-def _is_count(x) -> bool:
-    """A positive int that is not a bool."""
-    return isinstance(x, int) and not isinstance(x, bool) and x > 0
-
-
-def _uniform_radii(radii) -> bool:
-    """At least three nonnegative, increasing, uniformly spaced numbers."""
-    if not (isinstance(radii, list) and len(radii) >= 3
-            and all(_is_number(r) for r in radii)):
-        return False
-    steps = np.diff(radii)
-    return (radii[0] >= 0 and steps[0] > 0
-            and float(np.max(np.abs(steps - steps[0]))) <= 1e-9 * steps[0])
 
 
 def run_scenario_doc(doc: dict, out_dir) -> dict:
@@ -501,21 +488,26 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="list packaged scenario configs")
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        return run_scenario(args.config, args.out)
-    if args.command == "accept":
-        from .acceptance import run_acceptance
+    # SIGTERM unwinds like an exception, so a run removes its temporary sibling
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        if args.command == "run":
+            return run_scenario(args.config, args.out)
+        if args.command == "accept":
+            from .acceptance import run_acceptance
 
-        results = run_acceptance(args.suite)
-        return 0 if all(r.passed for r in results) else 1
-    if args.command == "list":
-        for name, entry in builtin_scenarios().items():
-            doc = json.loads(entry.read_text())
-            desc = doc.get("description", "")
-            print(f"{name:<24s} {desc}")
-            print(f"{'':<24s} config: {entry}")
-        return 0
-    return 2
+            results = run_acceptance(args.suite)
+            return 0 if all(r.passed for r in results) else 1
+        if args.command == "list":
+            for name, entry in builtin_scenarios().items():
+                doc = json.loads(entry.read_text())
+                desc = doc.get("description", "")
+                print(f"{name:<24s} {desc}")
+                print(f"{'':<24s} config: {entry}")
+            return 0
+        return 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

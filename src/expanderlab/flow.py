@@ -54,6 +54,7 @@ __all__ = [
     "BlowdownSpec",
     "RBoundReport",
     "evolve",
+    "torus_dt_cap",
     "scaled_volume",
     "check_R_lower_bound",
     "blowdown",
@@ -348,11 +349,16 @@ class TorusStepper:
         return psi, self.rhs(psi)
 
 
+def torus_dt_cap(m0: ConformalTorusMetric) -> float:
+    """The torus evolve's default step cap h²/2, a stability/accuracy cap."""
+    h = min(m0.spacing)
+    return 0.5 * h * h
+
+
 def _evolve_torus(m0: ConformalTorusMetric, t0, t1, retain_every, dt_cap) -> FlowHistory:
     stepper = TorusStepper(m0)
-    h = min(m0.spacing)
     if dt_cap is None:
-        dt_cap = 0.5 * h * h  # default stability/accuracy cap
+        dt_cap = torus_dt_cap(m0)
     n_steps = max(1, math.ceil((t1 - t0) / dt_cap))
     dt = (t1 - t0) / n_steps
     if retain_every is None:

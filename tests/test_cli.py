@@ -1,12 +1,17 @@
 import copy
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import types
 from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expanderlab.cli import (
@@ -117,6 +122,26 @@ def test_a_run_that_raises_leaves_no_tree(tmp_path, hyperbolic_doc, monkeypatch)
     with pytest.raises(RuntimeError, match="check failed"):
         main(["run", str(cfg), "--out", str(out)])
     assert [p.name for p in out.rglob("*")] == ["hyperbolic_expander", "old.txt"]
+
+
+def test_a_terminated_run_leaves_no_tree(tmp_path):
+    # SIGTERM mid-run exits 143 and removes the temporary sibling .flat_torus.*
+    out = tmp_path / "out"
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.Popen([sys.executable, "-m", "expanderlab.cli", "run",
+                             str(builtin_scenarios()["flat_torus"]), "--out", str(out)], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(out.glob(".flat_torus.*")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    assert list(out.iterdir()) == []
 
 
 def test_a_rerun_replaces_the_old_tree(tmp_path, hyperbolic_doc):
@@ -267,6 +292,15 @@ def test_target_grid_validation(bad):
     # more entropy times than any run could evaluate
     ("hyperbolic_expander", {"n_times": 10**6 + 1}, "n_times"),
     ("hyperbolic_expander", {"n_times": 10**400}, "n_times"),
+    # a bad value for a key that no selected check, or no check on the model, reads
+    ("hyperbolic_expander", {"target_grid": "x"}, "target_grid"),
+    ("hyperbolic_expander", {"window_lo": "x"}, "window_lo"),
+    ("nil_flow", {"sigmas": "x"}, "sigmas"),
+    ("nil_flow", {"radii": None}, "radii"),
+    ("vertex_expander", {"sigmas": [-1]}, "sigmas"),
+    # more torus evolve steps than the budget: 3 * 10**7 of a given cap, 2 * 10**6 of h^2/2
+    ("flat_torus", {"dt_cap": 1e-7}, "10**6 steps"),
+    ("flat_torus", {"params": {}, "t_span": [0, 1000]}, "10**6 steps"),
 ])
 def test_malformed_params_exit_2_without_output(tmp_path, capsys, scenario, params, word):
     doc = json.loads(builtin_scenarios()[scenario].read_text())
@@ -421,6 +455,8 @@ MUTATIONS = st.one_of(
 @given(st.sampled_from(sorted(builtin_scenarios())), st.lists(MUTATIONS, min_size=1, max_size=4),
        st.lists(st.booleans(), min_size=4, max_size=4))
 @settings(max_examples=200, deadline=None)
+# a t_span whose t0 + t1 overflows: the default reduced_t is still finite
+@example("nil_flow", [("t_span", None, [1e308, 1.7e308])], [False] * 4)
 def test_mutated_configs_are_rejected_or_fully_resolved(scenario, mutations, deletes):
     # from_doc raises ConfigError, or resolves every params and tolerances key,
     # leaving no derived placeholder for the runner to work out again
@@ -438,6 +474,9 @@ def test_mutated_configs_are_rejected_or_fully_resolved(scenario, mutations, del
         return
     assert set(scn.params) == set(PARAMS) and set(scn.tolerances) == set(TOLERANCES)
     assert all(v is not DERIVED for v in [*scn.params.values(), *scn.tolerances.values()])
+    # every resolved value meets its rule; evolve works out a None dt_cap and retain_every
+    assert all(PARAMS[k][1](v) for k, v in scn.params.items()
+               if (k, v) not in (("dt_cap", None), ("retain_every", None)))
     assert all(isinstance(v, float) for v in scn.tolerances.values())
 
 
