@@ -376,7 +376,7 @@ def _run_into(scn: Scenario, out: Path) -> dict:
         report["verdicts"]["theta.lower_bound"] = series.bound_ok
         report["residuals"]["theta.max_violation"] = series.max_violation
         report["residuals"]["theta.supersolution_max"] = rep_r.supersolution_max
-        if h.kind == "model_space" and abs(h.metric_at(h.times[1]).scale) > 0:
+        if h.kind == "model_space":
             report["fitted"]["theta.spread"] = float(np.max(series.theta) - np.min(series.theta))
         write_svg_chart(
             plots_dir / "theta.svg", f"{scn.name}: forward reduced volume",

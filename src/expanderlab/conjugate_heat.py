@@ -39,7 +39,7 @@ from .geometry import (
     spectral_preconditioner,
     volume,
 )
-from .flow import LEVEL_BATCH_BYTES, FlowHistory
+from .flow import LEVEL_BATCH_BYTES, FlowHistory, torus_dt_cap
 from .numerics import (
     conjugate_gradient,
     hermite_cubic,
@@ -130,9 +130,8 @@ def solve_conjugate_backward(h: FlowHistory, t_final: float, u_final,
 def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap) -> list:
     template = h.template
     hx, hy = template.spacing
-    grid_h = min(hx, hy)
     if dt_cap is None:
-        dt_cap = 0.5 * grid_h * grid_h
+        dt_cap = torus_dt_cap(template)
     t_start, t_final = float(times[0]), float(times[-1])
     seg = (t_final - t_start) / (len(times) - 1)
     per_seg = max(1, math.ceil(seg / dt_cap))

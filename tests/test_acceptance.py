@@ -18,11 +18,8 @@ RUNTIME_BOUNDS = {1: 1.0, 2: 10.0, 3: 60.0, 4: 0.6, 5: 30.0, 6: 8.0, 7: 30.0, 8:
 
 
 @pytest.fixture(scope="module")
-def results():
-    out = {}
-    for res in run_acceptance("full", printer=None):
-        out[res.number] = res
-    return out
+def results(acceptance_run):
+    return {res.number: res for res in acceptance_run[1]}
 
 
 @pytest.mark.parametrize("number", sorted(RUNTIME_BOUNDS))
@@ -37,6 +34,21 @@ def test_full_suite_wall_time(results):
     total = sum(r.elapsed for r in results.values())
     print(f"full suite wall time: {total:.1f} s")
     assert total < 300.0
+
+
+def test_shared_artifacts_are_read_only(acceptance_run):
+    # a test that writes into a shared flow or field fails loudly instead of
+    # changing what later tests read; a second request reuses the first build
+    art, _ = acceptance_run
+    h, fld = art.torus_theta_field()
+    assert art.torus_flow() is h
+    with pytest.raises(ValueError, match="read-only"):
+        art.torus_flow().params[0, 0] = 0.0
+    hv, ext = art.vertex_extrapolated()
+    for arr in (h.times, h.param_rhs, fld.ell, fld.momenta, fld.smooth_mask,
+                art.flat_static().params, hv.params, ext.ell_tail):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
 
 
 def test_sign_flipped_rate_is_caught(monkeypatch):

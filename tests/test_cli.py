@@ -10,6 +10,7 @@ import types
 from pathlib import Path
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from expanderlab.cli import (
     builtin_scenarios,
     main,
 )
+from expanderlab.reports import write_json
 
 
 @pytest.fixture(scope="module")
@@ -374,6 +376,21 @@ def test_svg_titles_are_escaped(tmp_path, hyperbolic_doc):
         root = ElementTree.parse(svg).getroot()
         titles = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert any(t and t.startswith("a<b&c: ") for t in titles)
+
+
+def test_non_finite_numpy_floats_are_written_as_strings(tmp_path):
+    # json.dump writes a bare NaN or Infinity, which is not JSON; numpy
+    # floats take the same string rule as Python floats
+    path = tmp_path / "report.json"
+    write_json(path, {"nan": np.float64("nan"), "inf": np.float64("inf"),
+                      "neg": [np.float64("-inf")], "f32": np.float32("nan"),
+                      "finite": np.float64(0.5)})
+
+    def no_constants(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    doc = json.loads(path.read_text(), parse_constant=no_constants)
+    assert doc == {"nan": "nan", "inf": "inf", "neg": ["-inf"], "f32": "nan", "finite": 0.5}
 
 
 @pytest.mark.parametrize("name", [

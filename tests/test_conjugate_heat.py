@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from expanderlab.acceptance import HYPERBOLIC3, sine_torus
 from expanderlab.conjugate_heat import (
     DensityState,
     check_harnack_identity,
@@ -16,7 +17,6 @@ from expanderlab.flow import LEVEL_BATCH_BYTES, evolve
 from expanderlab.geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
-    ModelSpaceMetric,
     integrate,
     volume,
 )
@@ -28,16 +28,8 @@ from oracles import (
     v_plus,
 )
 
-HYPERBOLIC3 = ModelSpaceMetric(dim=3, sectional_sign=-1, scale=1.0, base_volume=1.0)
-
-
-def sine_torus(n=32, amp=0.3):
-    x = (np.arange(n) / n)[:, None]
-    return ConformalTorusMetric(amp * np.sin(2 * math.pi * x) * np.ones((n, n)))
-
-
-def torus_history(n=32, amp=0.3, t_end=0.04):
-    return evolve(sine_torus(n, amp), (0.0, t_end))
+def torus_history(n=32, t_end=0.04):
+    return evolve(sine_torus(n), (0.0, t_end))
 
 
 def test_potential_round_trip():
@@ -67,7 +59,7 @@ def test_flat_static_uniform_stays_uniform():
 
 
 def test_torus_mass_conserved_and_positive():
-    h = torus_history(32, 0.3, 0.03)
+    h = torus_history(32, 0.03)
     rng = np.random.default_rng(5)
     m_fin = h.metric_at(0.03)
     u_fin = 1.0 + 0.5 * rng.random((32, 32))
@@ -104,7 +96,7 @@ def test_harnack_identity_nilpotent_flow():
 def test_harnack_identity_torus_second_order():
     residuals = {}
     for n in (32, 64):
-        h = torus_history(n, 0.3, 0.012)
+        h = torus_history(n, 0.012)
         m_fin = h.metric_at(0.012)
         x = (np.arange(n) / n)[:, None]
         y = (np.arange(n) / n)[None, :]
@@ -147,7 +139,7 @@ def test_f_plus_evolution_residuals():
     rep = check_harnack_identity(states, hh, birth_time=0.0)
     assert rep.extra["potential"] < 1e-8
     # torus flow: grid-level residual
-    ht = torus_history(32, 0.3, 0.012)
+    ht = torus_history(32, 0.012)
     m_fin = ht.metric_at(0.012)
     u_fin = np.full((32, 32), 1.0)
     u_fin = u_fin / integrate(m_fin, u_fin)
@@ -157,7 +149,7 @@ def test_f_plus_evolution_residuals():
 
 
 def _identity_state_sets():
-    ht = torus_history(32, 0.3, 0.012)
+    ht = torus_history(32, 0.012)
     x = (np.arange(32) / 32)[:, None]
     y = (np.arange(32) / 32)[None, :]
     u_fin = 1.0 + 0.4 * np.sin(2 * math.pi * x) * np.cos(2 * math.pi * y)
@@ -210,7 +202,7 @@ def test_immortal_density_homogeneous_fixed_point():
 
 
 def test_immortal_density_torus_cauchy():
-    h = torus_history(32, 0.3, 0.32)
+    h = torus_history(32, 0.32)
     dens = construct_immortal_density(h, (0.005, 0.02), tol=1e-5)
     assert dens.converged
     assert dens.cauchy_gap < 1e-5
@@ -224,7 +216,7 @@ def test_immortal_density_torus_cauchy():
 
 
 def test_immortal_density_unconverged_tail_flagged():
-    h = torus_history(16, 0.3, 0.02)
+    h = torus_history(16, 0.02)
     dens = construct_immortal_density(h, (0.005, 0.01), tol=1e-300)
     assert not dens.converged
 
@@ -232,7 +224,7 @@ def test_immortal_density_unconverged_tail_flagged():
 def test_immortal_sequence_start_insensitivity():
     # the construction should not depend on the choice of tail sequence;
     # probed empirically with two different starting tails
-    h = torus_history(16, 0.3, 0.3)
+    h = torus_history(16, 0.3)
     d1 = construct_immortal_density(h, (0.005, 0.02), tol=1e-9)
     d2 = construct_immortal_density(h, (0.005, 0.02), tol=1e-9, first_tail=0.057)
     gap = max(
@@ -294,7 +286,7 @@ def test_integrated_identity_on_torus():
     from expanderlab.geometry import soliton_residual_sq
     from expanderlab.conjugate_heat import log_potential
 
-    h = torus_history(32, 0.3, 0.012)
+    h = torus_history(32, 0.012)
     m_fin = h.metric_at(0.012)
     u_fin = np.ones((32, 32)) / integrate(m_fin, np.ones((32, 32)))
     states = solve_conjugate_backward(h, 0.012, u_fin, t_start=0.004, n_retain=9)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from expanderlab.acceptance import HYPERBOLIC3, W_MODEL
 from expanderlab.conjugate_heat import construct_immortal_density
 from expanderlab.entropy import (
     asymptotics_report,
@@ -21,13 +22,9 @@ from expanderlab.flow import BlowdownSpec, blowdown, evolve, scaled_volume
 from expanderlab.geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
-    ModelSpaceMetric,
     integrate,
     volume,
 )
-
-HYPERBOLIC3 = ModelSpaceMetric(dim=3, sectional_sign=-1, scale=1.0, base_volume=1.0)
-W_CONST = 1.5 + 1.5 * math.log(math.pi)  # entropy of the model expander
 
 
 def flat_torus(n=16):
@@ -89,7 +86,7 @@ def test_expander_entropy_constant_on_model_expander():
         m = h.metric_at(t)
         vals.append(expander_entropy(m, 1.0 / volume(m), t + 0.25))
     vals = np.asarray(vals)
-    assert np.max(np.abs(vals - W_CONST)) < 1e-6
+    assert np.max(np.abs(vals - W_MODEL)) < 1e-6
 
 
 def test_expander_entropy_flat_static_growth():
@@ -204,7 +201,7 @@ def test_nu_plus_hyperbolic():
     res = nu_plus(HYPERBOLIC3)
     assert res.status == "ok"
     assert abs(res.sigma_star - 0.25) < 1e-4
-    assert abs(res.value - W_CONST) < 1e-8
+    assert abs(res.value - W_MODEL) < 1e-8
 
 
 def test_nu_plus_constant_along_model_flow():
@@ -256,7 +253,7 @@ def test_asymptotics_hyperbolic_limits():
     assert not rep.collapsed
     assert abs(rep.v_tilde_inf - 8.0) < 1e-3
     want = -math.log(8.0) + 1.5 * (1.0 + math.log(4 * math.pi))
-    assert abs(want - W_CONST) < 1e-12  # the two closed forms agree
+    assert abs(want - W_MODEL) < 1e-12  # the two closed forms agree
     assert abs(rep.w_plus_limit_fit - want) < 1e-3
     assert abs(rep.lambda_bar_limit_fit - (-6.0)) < 1e-8
     assert abs(rep.lambda_bar_limit_predicted - (-6.0)) < 1e-3

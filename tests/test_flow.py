@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from expanderlab.acceptance import HYPERBOLIC3
 from expanderlab.flow import (
     BlowdownSpec,
     blowdown,
@@ -21,7 +22,6 @@ from expanderlab.geometry import (
 )
 from oracles import evolve_torus_recomputing
 
-HYPERBOLIC3 = ModelSpaceMetric(dim=3, sectional_sign=-1, scale=1.0, base_volume=1.0)
 SPHERE3 = ModelSpaceMetric(dim=3, sectional_sign=1, scale=1.0, base_volume=1.0)
 
 

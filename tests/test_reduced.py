@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from expanderlab.acceptance import HYPERBOLIC3, sine_torus
 from expanderlab.entropy import nu_plus
 from expanderlab.flow import LEVEL_BATCH_BYTES, BlowdownSpec, FlowHistory, blowdown, evolve
 from expanderlab.geometry import ConformalTorusMetric, ModelSpaceMetric
@@ -39,9 +40,6 @@ from oracles import (
     torus_slice_grids,
 )
 
-HYPERBOLIC3 = ModelSpaceMetric(dim=3, sectional_sign=-1, scale=1.0, base_volume=1.0)
-
-
 def flat_history(n=32, t_end=1.5):
     return evolve(ConformalTorusMetric(np.zeros((n, n))), (0.0, t_end),
                   retain_every=10**9, dt_cap=0.05)
@@ -56,9 +54,19 @@ def vertex_expander_history(t_end=4.0):
 
 
 def torus_flow_history(n=32, t_end=0.26):
-    x = (np.arange(n) / n)[:, None]
-    m0 = ConformalTorusMetric(0.3 * np.sin(2 * math.pi * x) * np.ones((n, n)))
-    return evolve(m0, (0.0, t_end))
+    return evolve(sine_torus(n), (0.0, t_end))
+
+
+@pytest.fixture(scope="module")
+def torus16(read_only):
+    """torus_flow_history(16, 0.26), built once for the module, read-only."""
+    return read_only(torus_flow_history(16, 0.26))
+
+
+@pytest.fixture(scope="module")
+def torus32(read_only):
+    """torus_flow_history(32, 0.1), built once for the module, read-only."""
+    return read_only(torus_flow_history(32, 0.1))
 
 
 def skewed_torus_slices():
@@ -174,8 +182,8 @@ def test_ell_field_oracle_agreement_flat():
     assert np.all(fld.oracle_values[0] >= fld.ell[0] - 1e-9)
 
 
-def test_ell_field_oracle_agreement_torus_flow():
-    h = torus_flow_history(32, 0.1)
+def test_ell_field_oracle_agreement_torus_flow(torus32):
+    h = torus32
     pts = np.array([(0.25, 0.0), (0.5, 0.25), (0.1, 0.4), (0.45, 0.45)])
     fld = ell_plus_field(h, (0.0, 0.0), pts, [0.06], oracle_check=True, oracle_segments=96)
     rel = np.abs(fld.ell[0] - fld.oracle_values[0]) / np.maximum(
@@ -184,11 +192,11 @@ def test_ell_field_oracle_agreement_torus_flow():
     assert np.max(rel) <= 1e-3
 
 
-def test_report_verdicts_keep_their_formulas():
+def test_report_verdicts_keep_their_formulas(torus32):
     hr = evolve(HYPERBOLIC3, (0.0, 3.0))
     rad = ell_plus_field(hr, 0.0, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5))
     assert rad.oracle_rel_gap is None
-    h = torus_flow_history(32, 0.1)
+    h = torus32
     pts = np.array([(0.25, 0.0), (0.5, 0.25), (0.1, 0.4)])
     assert ell_plus_field(h, (0.0, 0.0), pts, [0.06], oracle_check=False).oracle_rel_gap is None
     fld = ell_plus_field(h, (0.0, 0.0), pts, [0.05, 0.06], oracle_check=True,
@@ -224,16 +232,20 @@ def test_ell_vertex_expander_epsilon_ladder():
     assert np.max(np.abs(ext.ell + 1.5)) < 1e-3
 
 
-def flat_subgrid_field(nt=8):
+@pytest.fixture(scope="module")
+def flat_subgrid(read_only):
+    """(history, field): an 8x8 subgrid field on the static flat torus,
+    built once for the module, read-only."""
+    nt = 8
     h = flat_history(32, 1.3)
     pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
     fld = ell_plus_field(h, (0.0, 0.0), pts, np.linspace(0.98, 1.02, 5),
                          oracle_check=False, grid_shape=(nt, nt))
-    return h, fld
+    return read_only((h, fld))
 
 
-def test_identity_checks_flat():
-    h, fld = flat_subgrid_field()
+def test_identity_checks_flat(flat_subgrid):
+    h, fld = flat_subgrid
     rep = check_reduced_field(fld, h)
     assert rep.identity < 1e-7
     # flat case: equality in the subsolution and entropy forms
@@ -257,10 +269,10 @@ def masked_corruption(fld, nt=8):
     return clean, dataclasses.replace(fld, ell=bad_ell, ell_tail=bad_ell.copy(), smooth_mask=mask)
 
 
-def test_checks_skip_masked_targets():
+def test_checks_skip_masked_targets(flat_subgrid):
     # a corrupted target and its four stencil neighbours, masked at every
     # time, leave every check exactly where the clean field puts it
-    h, fld = flat_subgrid_field()
+    h, fld = flat_subgrid
     clean, bad = masked_corruption(fld)
     want, got = check_reduced_field(clean, h), check_reduced_field(bad, h)
     assert got == want
@@ -274,9 +286,9 @@ def test_checks_skip_masked_targets():
     assert check_reduced_field(rad, hr).excluded_fraction == 0
 
 
-def test_one_pass_matches_the_separate_checks_bitwise():
-    h, fld = flat_subgrid_field()
-    ht = torus_flow_history(32, 0.26)
+def test_one_pass_matches_the_separate_checks_bitwise(flat_subgrid, acceptance_run):
+    h, fld = flat_subgrid
+    ht = acceptance_run[0].torus_flow()  # the sine torus evolved to 0.26
     nt = 8
     pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
     fld_t = ell_plus_field(ht, (0.0, 0.0), pts, np.linspace(0.18, 0.22, 5),
@@ -315,13 +327,10 @@ def test_identity_checks_vertex_expander():
     assert max(ineq.lap_bound, ineq.subsolution, ineq.heat_form, ineq.entropy_form) < 1e-4
 
 
-def test_identity_checks_torus_flow():
-    h = torus_flow_history(32, 0.26)
-    nt = 16
-    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    times = np.linspace(0.18, 0.22, 5)
-    fld = ell_plus_field(h, (0.0, 0.0), pts, times, oracle_check=False,
-                         grid_shape=(nt, nt))
+def test_identity_checks_torus_flow(acceptance_run):
+    # criterion 7's field: the sine torus evolved to 0.26, on the 16x16
+    # subgrid at linspace(0.18, 0.22, 5)
+    h, fld = acceptance_run[0].torus_theta_field()
     rep = check_reduced_field(fld, h)
     # the Harnack-integral terms carry the O(h^2) field-consistency floor
     assert rep.identity < 5e-3
@@ -331,7 +340,7 @@ def test_identity_checks_torus_flow():
     assert rep.heat_form < 1e-4
 
 
-def test_harnack_integral_identity_along_geodesics():
+def test_harnack_integral_identity_along_geodesics(torus32):
     h = vertex_expander_history()
     sol = geodesic_shoot(h, 0.0, 0.25, 1.0, eps=1e-4)
     assert math.isfinite(sol.k_value)
@@ -341,7 +350,7 @@ def test_harnack_integral_identity_along_geodesics():
     assert sol_f.identity_residual < 1e-10
     # on the evolving torus the residual bottoms out at the O(h^2)
     # consistency floor of the sampled curvature fields
-    ht = torus_flow_history(32, 0.1)
+    ht = torus32
     sol_t = geodesic_shoot(ht, (0.0, 0.0), np.array([0.6, 0.2]), 0.06, n_steps=128)
     assert sol_t.identity_residual < 1e-3
 
@@ -676,11 +685,11 @@ def test_slice_store_equals_per_slice_formula():
     assert np.array_equal(two.store, _TorusSlices(h, 1.0, 200).store[:2])
 
 
-def test_oracle_builds_no_rdot_row(monkeypatch):
+def test_oracle_builds_no_rdot_row(torus16, monkeypatch):
     # the oracle reads r at nodes and e2p at midpoints, with the gradients of
     # their interpolants, so its store holds those two rows; shooting adds
     # rdot for the Harnack integrand
-    h = torus_flow_history(16, 0.26)
+    h = torus16
     shapes = []
 
     class Recording(_TorusSlices):
@@ -719,10 +728,10 @@ def test_blockwise_slice_gather_matches_single_block(monkeypatch):
         assert np.array_equal(taps, want)
 
 
-def test_shoot_records_integrals_of_the_settling_sweep(monkeypatch):
+def test_shoot_records_integrals_of_the_settling_sweep(torus16, monkeypatch):
     # evolving 16x16 torus: secant sweeps settle rows after different numbers
     # of sweeps, and each row keeps the integrals of the sweep that settled it
-    h = torus_flow_history(16, 0.26)
+    h = torus16
     x0 = np.zeros(2)
     pts = np.random.default_rng(7).uniform(0.0, 1.0, (24, 2))
     sizes = []
@@ -767,12 +776,12 @@ def test_shoot_records_integrals_of_the_settling_sweep(monkeypatch):
     assert np.array_equal(fresh["end"], x) and np.array_equal(fresh["v_end"], v)
 
 
-def test_shoot_forces_are_the_interpolant_derivatives():
+def test_shoot_forces_are_the_interpolant_derivatives(torus16):
     # evolving 16x16 torus at t = 0.2, random points at a half-step slice:
     # the shooting forces are the derivatives of the sampled r and of half
     # the log of the sampled e2p, the interpolants the action integrates
     # (the stencil gradients shooting read before missed them by 5e-2)
-    slices = _TorusSlices(torus_flow_history(16, 0.26), 0.2, 32)
+    slices = _TorusSlices(torus16, 0.2, 32)
     i = 21
     s = slices.s_all[i]
     pts = np.random.default_rng(8).uniform(0.0, 1.0, (50, 2))
@@ -798,10 +807,10 @@ def test_shoot_forces_are_the_interpolant_derivatives():
     assert np.max(np.abs(grad_phi - want)) <= 1e-7 * np.max(np.abs(want))
 
 
-def test_shoot_retries_non_finite_endpoint(monkeypatch):
+def test_shoot_retries_non_finite_endpoint(torus16, monkeypatch):
     # a NaN endpoint on the first warm sweep must not count as converged:
     # the row is integrated again from the same momentum and settles
-    h = torus_flow_history(16, 0.26)
+    h = torus16
     x0 = np.zeros(2)
     pts = np.array([(0.15, 0.1), (0.25, 0.0), (0.1, 0.2)])
     clean = _torus_shoot_targets(h, x0, pts, 0.2, 32)
@@ -821,10 +830,10 @@ def test_shoot_retries_non_finite_endpoint(monkeypatch):
     assert shot["l_tail"][0] == pytest.approx(clean["l_tail"][0], rel=1e-9)
 
 
-def test_shoot_drops_a_repeating_non_finite_endpoint(monkeypatch):
+def test_shoot_drops_a_repeating_non_finite_endpoint(torus16, monkeypatch):
     # a NaN that repeats from the flat guess leaves the batch after its second
     # sweep; its miss stays inf, so the row cannot win
-    h = torus_flow_history(16, 0.26)
+    h = torus16
     x0 = np.zeros(2)
     pts = np.array([(0.15, 0.1), (0.5, 0.45), (0.1, 0.2)])
     clean = _torus_shoot_targets(h, x0, pts, 0.2, 32)
@@ -850,11 +859,11 @@ def test_shoot_drops_a_repeating_non_finite_endpoint(monkeypatch):
     assert np.array_equal(shot["l_tail"][2], clean["l_tail"][2])
 
 
-def test_shoot_restarts_a_row_non_finite_twice_off_the_flat_guess(monkeypatch):
+def test_shoot_restarts_a_row_non_finite_twice_off_the_flat_guess(torus16, monkeypatch):
     # a row poisoned on its second and third sweeps, after it has left the
     # flat guess, is retried once, then restarts from the flat guess with a
     # fresh inverse Jacobian and settles on the clean shot
-    h = torus_flow_history(16, 0.26)
+    h = torus16
     x0 = np.zeros(2)
     pts = np.array([(0.15, 0.1), (0.25, 0.0), (0.1, 0.2)])
     clean = _torus_shoot_targets(h, x0, pts, 0.2, 32)
@@ -877,11 +886,11 @@ def test_shoot_restarts_a_row_non_finite_twice_off_the_flat_guess(monkeypatch):
     assert abs(shot["l_tail"][0] - clean["l_tail"][0]) <= 1e-9
 
 
-def test_secant_shot_takes_few_sweeps(monkeypatch):
+def test_secant_shot_takes_few_sweeps(torus16, monkeypatch):
     # evolving 16x16 torus, 12 targets: the Broyden-updated inverse Jacobian
     # settles every image within 12 sweeps; the fixed flat one I/(2 sqrt t)
     # converges only linearly here
-    h = torus_flow_history(16, 0.26)
+    h = torus16
     pts = np.random.default_rng(7).uniform(0.0, 1.0, (12, 2))
     calls = []
 
@@ -909,12 +918,12 @@ def count_gathers(monkeypatch):
     return fields
 
 
-def test_oracle_chunks_match_one_batch(monkeypatch):
+def test_oracle_chunks_match_one_batch(torus16, monkeypatch):
     # evolving 16x16 torus where the line search backtracks: the descent in
     # chunks of 14 paths (36 paths, three chunks, one across the boundary of
     # the two start groups) or of one path, and runs of one target each,
     # give the values of one batch bit for bit
-    h = torus_flow_history(16, 0.26)
+    h = torus16
     x0 = np.zeros(2)
     pts = np.random.default_rng(5).uniform(0.0, 1.0, (6, 2))
     fields = count_gathers(monkeypatch)
@@ -953,11 +962,11 @@ def test_oracle_keeps_the_gradient_of_an_accepted_trial(monkeypatch):
     assert np.allclose(vals, want, rtol=1e-6, atol=0)
 
 
-def test_oracle_gradient_is_the_derivative_of_its_value():
+def test_oracle_gradient_is_the_derivative_of_its_value(torus16):
     # evolving 16x16 torus at t = 0.2, bent paths to random targets: the
     # gradient equals a central difference of the value (the stencil
     # gradients of r and phi the oracle read before missed it by 2e-3)
-    h = torus_flow_history(16, 0.26)
+    h = torus16
     action = _PathAction(_TorusSlices(h, 0.2, 32, 2), np.zeros(2))
     rng = np.random.default_rng(0)
     ys = rng.uniform(0.0, 1.0, (4, 2))
@@ -976,12 +985,12 @@ def test_oracle_gradient_is_the_derivative_of_its_value():
     assert np.max(np.abs(g - fd)) <= 1e-7 * np.max(np.abs(g))
 
 
-def test_oracle_descends_each_row_once(monkeypatch):
+def test_oracle_descends_each_row_once(torus16, monkeypatch):
     # evolving 16x16 torus at t = 0.2: every (target, translate) row
     # descends once, from the straight path.  The nodes are uniform in s,
     # so the square-root start profile is the same path, and it descends
     # to the same value
-    h = torus_flow_history(16, 0.26)
+    h = torus16
     pts = np.random.default_rng(5).uniform(0.0, 1.0, (6, 2))
     calls = []
 
