@@ -14,6 +14,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -134,7 +135,7 @@ class _Artifacts:
     def torus_theta_field(self):
         def build():
             h = self.torus_flow()
-            return h, ell_plus_field(h, (0.0, 0.0), subgrid_targets(16, h.template.periods),
+            return h, ell_plus_field(h, subgrid_targets(16, h.template.periods),
                                      np.linspace(0.18, 0.22, 5), oracle_check=False,
                                      grid_shape=(16, 16))
         return self.get("torus_theta_field", build)
@@ -142,7 +143,7 @@ class _Artifacts:
     def flat_theta_field(self):
         def build():
             h = self.flat_static()
-            return h, ell_plus_field(h, (0.0, 0.0), subgrid_targets(16, h.template.periods),
+            return h, ell_plus_field(h, subgrid_targets(16, h.template.periods),
                                      np.linspace(0.6, 1.0, 5), oracle_check=False,
                                      grid_shape=(16, 16))
         return self.get("flat_theta_field", build)
@@ -152,7 +153,7 @@ class _Artifacts:
             h = self.vertex_expander()
             radii = np.linspace(0.0, 1.0, 9)
             times = np.linspace(0.8, 1.2, 5)
-            fields = [ell_plus_field(h, 0.0, radii, times, eps=e) for e in EPS_LADDER]
+            fields = [ell_plus_field(h, radii, times, eps=e) for e in EPS_LADDER]
             return h, extrapolate_fields(fields)
         return self.get("vertex_field", build)
 
@@ -264,7 +265,7 @@ def crit_5_mu_nu(art: _Artifacts):
 def crit_6_reduced_length(art: _Artifacts):
     h = art.flat_static()
     pts = subgrid_targets(10, h.template.periods)
-    fld = ell_plus_field(h, (0.0, 0.0), pts, [1.0], oracle_check=True, oracle_segments=256)
+    fld = ell_plus_field(h, pts, [1.0], oracle_check=True, oracle_segments=256)
 
     def dist_sq(p):
         dx = min(p[0] % 1, 1 - p[0] % 1)
@@ -274,9 +275,8 @@ def crit_6_reduced_length(art: _Artifacts):
     want = np.array([dist_sq(p) / 4.0 for p in pts])
     shoot_dev = float(np.max(np.abs(fld.ell[0] - want)))
     oracle_rel = fld.oracle_rel_gap
-    res_flat = geodesic_shoot(h, (0.0, 0.0), np.array([0.2, 0.1]), 1.0).identity_residual
-    res_model = geodesic_shoot(art.vertex_expander(), 0.0, 0.25, 1.0,
-                               eps=1e-4).identity_residual
+    res_flat = geodesic_shoot(h, np.array([0.2, 0.1]), 1.0).identity_residual
+    res_model = geodesic_shoot(art.vertex_expander(), 0.25, 1.0, eps=1e-4).identity_residual
     resid = max(res_flat, res_model)
     passed = shoot_dev <= 1e-6 and oracle_rel <= 1e-3 and resid <= 1e-6
     return passed, {"shoot_dev": shoot_dev, "oracle_rel": oracle_rel,
@@ -305,7 +305,7 @@ def crit_7_reduced_volume(art: _Artifacts):
 def crit_8_inequalities(art: _Artifacts):
     # flat torus: equality case, checked tightly
     hf = art.flat_static()
-    fld = ell_plus_field(hf, (0.0, 0.0), subgrid_targets(8, hf.template.periods),
+    fld = ell_plus_field(hf, subgrid_targets(8, hf.template.periods),
                          np.linspace(0.99, 1.01, 5), oracle_check=False, grid_shape=(8, 8))
     flat_rep = check_reduced_field(fld, hf)
     flat_eq = max(abs(flat_rep.subsolution), abs(flat_rep.entropy_form))
@@ -316,7 +316,7 @@ def crit_8_inequalities(art: _Artifacts):
     # shrinking positive model before extinction
     hs = evolve(ModelSpaceMetric(3, 1, 1.0), (0.0, 1.0))
     radii = np.linspace(0.0, 2.0, 17)
-    fld_s = ell_plus_field(hs, 0.0, radii, np.linspace(0.09, 0.11, 5))
+    fld_s = ell_plus_field(hs, radii, np.linspace(0.09, 0.11, 5))
     worst = max(worst, check_reduced_field(fld_s, hs).worst_violation)
     # model expander, extrapolated over the regularization ladder
     hv, ext = art.vertex_extrapolated()
@@ -370,8 +370,8 @@ def crit_10_property_suite(art: _Artifacts):
     hv = art.vertex_expander(8.0)
     bdv = blowdown(hv, BlowdownSpec(alpha=4.0))
     radii = np.linspace(0.0, 1.0, 5)
-    f_src = ell_plus_field(hv, 0.0, radii, [2.0], eps=4e-5)
-    f_bd = ell_plus_field(bdv, 0.0, radii, [0.5], eps=1e-5)
+    f_src = ell_plus_field(hv, radii, [2.0], eps=4e-5)
+    f_bd = ell_plus_field(bdv, radii, [0.5], eps=1e-5)
     inv = max(inv, float(np.max(np.abs(f_src.ell[0] - f_bd.ell[0]))))
     sv_src = theta_plus(f_src, hv)
     sv_bd = theta_plus(f_bd, bdv)
@@ -390,7 +390,7 @@ def crit_10_property_suite(art: _Artifacts):
             for root, _dirs, files in sorted(os.walk(td)):
                 for fn in sorted(files):
                     hasher.update(fn.encode())
-                    hasher.update(open(os.path.join(root, fn), "rb").read())
+                    hasher.update(Path(root, fn).read_bytes())
             digests.append(hasher.hexdigest())
     deterministic = digests[0] == digests[1]
     measured["deterministic"] = deterministic

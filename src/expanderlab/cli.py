@@ -15,12 +15,15 @@ are bitwise identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import shutil
 import signal
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -262,18 +265,50 @@ def _is_file_name(name: str) -> bool:
     return name not in (".", "..") and b"/" not in raw and b"\0" not in raw and len(raw) <= 245
 
 
+@contextlib.contextmanager
+def _sigterm_held():
+    """Hold SIGTERM over the block and raise it again, to the handler found on
+    entry, when the block ends.  It swaps the handler, not the signal mask:
+    the kernel hands a signal this thread blocks to another (a BLAS thread),
+    and Python runs the handler in the main thread all the same."""
+    if threading.current_thread() is not threading.main_thread():
+        yield  # only the main thread runs signal handlers
+        return
+    caught = []
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: caught.append(signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        if caught:
+            signal.raise_signal(signal.SIGTERM)
+
+
 def run_scenario_doc(doc: dict, out_dir) -> dict:
     """Run one scenario document; returns the report.  Its tree is built in a
     temporary sibling <out_dir>/.<name>.*, renamed to <out_dir>/<name> (replacing
-    an older tree) when the scenario finishes and removed if it raises."""
+    an older tree) when the scenario finishes and removed if it raises.
+
+    SIGTERM is held while the sibling is made and while it is removed, so a
+    signal at any time leaves no sibling behind."""
     scn = Scenario.from_doc(doc)
     final = Path(out_dir) / scn.name
     final.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=f".{final.name}.", dir=final.parent) as tmp:
-        report = _run_into(scn, Path(tmp, "new"))
-        if final.exists():
-            final.rename(Path(tmp, "old"))
-        Path(tmp, "new").rename(final)
+    tmp = None
+    try:
+        with _sigterm_held():
+            tmp = Path(tempfile.mkdtemp(prefix=f".{final.name}.", dir=final.parent))
+        report = _run_into(scn, tmp / "new")
+        with _sigterm_held():
+            if final.exists():
+                final.rename(tmp / "old")
+            (tmp / "new").rename(final)
+            shutil.rmtree(tmp)
+            tmp = None
+    finally:
+        if tmp is not None:
+            with _sigterm_held():
+                shutil.rmtree(tmp)
     return report
 
 
@@ -421,11 +456,11 @@ def _build_reduced_field(scn: Scenario, h):
     if h.kind == "model_space":
         radii = np.asarray(scn.params["radii"])
         if h.metric_at(h.t_min).scale < 1e-6:  # flow born at zero size: regularized ladder
-            fields = [ell_plus_field(h, 0.0, radii, scn.field_times, eps=e) for e in EPS_LADDER]
+            fields = [ell_plus_field(h, radii, scn.field_times, eps=e) for e in EPS_LADDER]
             return extrapolate_fields(fields), {"reduced_eps_ladder": list(EPS_LADDER)}
-        return ell_plus_field(h, 0.0, radii, scn.field_times, eps=0.0), {}
+        return ell_plus_field(h, radii, scn.field_times, eps=0.0), {}
     nt = scn.params["target_grid"]
-    fld = ell_plus_field(h, (0.0, 0.0), subgrid_targets(nt, h.template.periods), scn.field_times,
+    fld = ell_plus_field(h, subgrid_targets(nt, h.template.periods), scn.field_times,
                          oracle_check=scn.params["oracle_check"], grid_shape=(nt, nt))
     return fld, {}
 
@@ -498,14 +533,12 @@ def main(argv=None) -> int:
 
             results = run_acceptance(args.suite)
             return 0 if all(r.passed for r in results) else 1
-        if args.command == "list":
-            for name, entry in builtin_scenarios().items():
-                doc = json.loads(entry.read_text())
-                desc = doc.get("description", "")
-                print(f"{name:<24s} {desc}")
-                print(f"{'':<24s} config: {entry}")
-            return 0
-        return 2
+        for name, entry in builtin_scenarios().items():  # the command is "list"
+            doc = json.loads(entry.read_text())
+            desc = doc.get("description", "")
+            print(f"{name:<24s} {desc}")
+            print(f"{'':<24s} config: {entry}")
+        return 0
     finally:
         signal.signal(signal.SIGTERM, previous)
 

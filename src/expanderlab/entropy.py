@@ -38,13 +38,7 @@ from .geometry import (
     spectral_preconditioner,
     volume,
 )
-from .numerics import (
-    ToleranceConfig,
-    five_point,
-    maximize_concave_1d,
-    minimize_constrained,
-    smallest_eigenpair,
-)
+from .numerics import five_point, maximize_concave_1d, minimize_constrained, smallest_eigenpair
 
 __all__ = [
     "TOL_ODE",
@@ -132,8 +126,8 @@ def lambda_min(m: MetricModel):
     e2p = np.exp(2.0 * m.phi)
     c0 = max(float(np.mean(e2p * (r - shift))), 1e-6)
     solve = spectral_preconditioner(c0 - 4.0 * laplacian_symbol(m.phi.shape, m.spacing))
-    res = smallest_eigenpair(op, measure, ToleranceConfig(abs_tol=1e-10, max_iter=200),
-                             shift=shift, precond=lambda v: solve(e2p * v))
+    res = smallest_eigenpair(op, measure, shift, abs_tol=1e-10, max_iter=200,
+                             precond=lambda v: solve(e2p * v))
     return res.value, res.vector
 
 
@@ -215,7 +209,7 @@ def mu_plus(m: MetricModel, sigma: float) -> MuPlusResult:
     best = None
     for w0 in starts:
         res = minimize_constrained(functional, gradient, normalize, inner, w0,
-                                   ToleranceConfig(abs_tol=3e-7, max_iter=4000), precond=precond)
+                                   abs_tol=3e-7, max_iter=4000, precond=precond)
         if best is None or res.value < best.value:
             best = res
     return MuPlusResult(best.value, best.w * best.w, best.converged)
@@ -235,7 +229,7 @@ def nu_plus(m: MetricModel) -> NuPlusResult:
     else:
         bracket = (0.25, 4.0)
     res = maximize_concave_1d(lambda s: mu_plus(m, s).value, bracket,
-                              ToleranceConfig(abs_tol=1e-7, max_iter=10_000))
+                              abs_tol=1e-7, max_iter=10_000)
     if res.status == "unbounded":
         return NuPlusResult("unbounded", None, None, lam)
     return NuPlusResult("ok", res.value, res.x, lam)

@@ -40,14 +40,8 @@ from .geometry import (
     spectral_preconditioner,
     volume,
 )
-from .numerics import (
-    ToleranceConfig,
-    conjugate_gradient,
-    hermite_cubic,
-    hermite_interval,
-    hermite_rows,
-    integrate_ode,
-)
+from .numerics import (conjugate_gradient, hermite_cubic, hermite_interval, hermite_rows,
+                       integrate_ode)
 
 __all__ = [
     "FlowHistory",
@@ -61,6 +55,11 @@ __all__ = [
 ]
 
 LEVEL_BATCH_BYTES = 1 << 21  # cap on one batch of stacked torus time levels and their fields
+
+
+# the history kind of each metric model type
+_KINDS = {ModelSpaceMetric: "model_space", HomogeneousMetric: "homogeneous",
+          ConformalTorusMetric: "conformal_torus"}
 
 
 class FlowHistory:
@@ -77,9 +76,10 @@ class FlowHistory:
     of many times from one such pass.
     """
 
-    def __init__(self, kind, template: MetricModel, times, params, param_rhs,
+    def __init__(self, template: MetricModel, times, params, param_rhs,
                  birth_time: float = 0.0, extinct_at: float | None = None):
-        self.kind = kind
+        if type(template) not in _KINDS:
+            raise TypeError(f"unknown metric model {type(template)!r}")
         self.template = template
         self.times = np.asarray(times, dtype=float)
         self.params = np.asarray(params, dtype=float)
@@ -104,6 +104,11 @@ class FlowHistory:
     @property
     def dim(self) -> int:
         return self.template.dim
+
+    @property
+    def kind(self) -> str:
+        """"model_space", "homogeneous" or "conformal_torus", by the template's type."""
+        return _KINDS[type(self.template)]
 
     def params_at(self, t):
         i, s, h = hermite_interval(self.times, float(t), 1e-10)
@@ -134,11 +139,7 @@ class FlowHistory:
                 float(p[0]),
                 self.template.base_volume,
             )
-        if self.kind == "conformal_torus":
-            return ConformalTorusMetric(
-                p.reshape(self.template.phi.shape), self.template.periods
-            )
-        raise ValueError(f"unknown history kind {self.kind!r}")
+        return ConformalTorusMetric(p.reshape(self.template.phi.shape), self.template.periods)
 
     def volume_at(self, t) -> float:
         return volume(self.metric_at(t))
@@ -182,7 +183,6 @@ class BlowdownHistory(FlowHistory):
     def __init__(self, source: FlowHistory, alpha: float):
         self.source = source
         self.alpha = float(alpha)
-        self.kind = source.kind
         self.template = source.template
         self.times = source.times / self.alpha
         self.birth_time = source.birth_time / self.alpha
@@ -274,8 +274,7 @@ def _evolve_model_space(m0: ModelSpaceMetric, t0, t1, n_snapshots) -> FlowHistor
     rhs = np.full_like(params, -2.0 * rho0)
     # birth time of the expander normal form a(t) = -2 rho0 (t - T), negative case
     birth = m0.scale_root(t0) if rho0 < 0 else 0.0
-    return FlowHistory("model_space", m0, times, params, rhs,
-                       birth_time=birth, extinct_at=extinct_at)
+    return FlowHistory(m0, times, params, rhs, birth_time=birth, extinct_at=extinct_at)
 
 
 def _evolve_homogeneous(m0: HomogeneousMetric, t0, t1) -> FlowHistory:
@@ -290,12 +289,11 @@ def _evolve_homogeneous(m0: HomogeneousMetric, t0, t1) -> FlowHistory:
     # cap steps so the cubic dense output stays near round-off: the
     # identity checks difference interpolated histories at the 1e-8 scale
     traj = integrate_ode(rhs, np.asarray(m0.diag, dtype=float), t0, t1,
-                         ToleranceConfig(abs_tol=1e-12, rel_tol=1e-11),
+                         abs_tol=1e-12, rel_tol=1e-11,
                          stop=lambda t, y: min(y.tolist()) < floor,
                          max_step=lambda t: 0.01 * max(1.0, t))
     extinct_at = traj.t_end if traj.status in ("halted", "truncated") else None
-    return FlowHistory("homogeneous", m0, traj.times, traj.states, traj.derivs,
-                       extinct_at=extinct_at)
+    return FlowHistory(m0, traj.times, traj.states, traj.derivs, extinct_at=extinct_at)
 
 
 class TorusStepper:
@@ -372,5 +370,4 @@ def _evolve_torus(m0: ConformalTorusMetric, t0, t1, retain_every, dt_cap) -> Flo
             times.append(t0 + k * dt)
             params.append(phi.ravel().copy())
             rhs_list.append(f.ravel())
-    return FlowHistory("conformal_torus", m0, np.asarray(times), np.asarray(params),
-                       np.asarray(rhs_list))
+    return FlowHistory(m0, np.asarray(times), np.asarray(params), np.asarray(rhs_list))

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ToleranceConfig",
     "OdeTrajectory",
     "OdeFailure",
     "EigenFailure",
@@ -43,25 +42,6 @@ __all__ = [
     "five_point",
     "time_derivative",
 ]
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Tolerance knobs shared by the kernels.
-
-    abs_tol / rel_tol are dimensionless and must be strictly positive;
-    max_iter must be at least 1.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_iter: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be strictly positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 class OdeFailure(RuntimeError):
@@ -208,11 +188,6 @@ def time_derivative(fields, times):
     return out, idx
 
 
-def _error_norm(err, y_old, y_new, tol: ToleranceConfig) -> float:
-    scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
-
-
 def _dp_combine(y, h, coeffs, k):
     """y + h * (0 + c0 k0 + c1 k1 + ...) per component, in numpy's order."""
     out = []
@@ -224,12 +199,16 @@ def _dp_combine(y, h, coeffs, k):
     return out
 
 
-def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig,
+# steps, accepted or rejected on their error, that integrate_ode takes before it truncates
+ODE_STEP_BUDGET = 1_000_000
+
+
+def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: float,
                   stop=None, max_step=None) -> OdeTrajectory:
     """Adaptive embedded Runge-Kutta integration of y' = rhs(t, y).
 
     Steps are accepted when the embedded local error estimate, in the
-    mixed abs/rel scaled norm, is below one; step sizes follow a PI
+    norm scaled by abs_tol + rel_tol |y|, is below one; step sizes follow a PI
     controller.  Dense output is the cubic Hermite interpolant between
     accepted steps.  rhs maps a 1-D array to one; the stages are built in
     Python floats in numpy's order of operations, so with numpy's bits.
@@ -237,7 +216,8 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig,
     stop, if given, is a predicate stop(t, y); when it first becomes
     true the trajectory is truncated at the crossing (bisected on the
     dense output) with status "halted".  Step-size underflow returns the
-    partial trajectory with status "truncated"; non-finite states raise
+    partial trajectory with status "truncated", as does running past
+    ODE_STEP_BUDGET steps; non-finite states raise
     OdeFailure.  max_step, if given, is a callable of t giving the
     largest step there (callers cap steps where the cubic dense output
     must stay at interpolation accuracy well below the step-control
@@ -253,7 +233,7 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig,
         raise OdeFailure("non-finite right-hand side at initial state", t, y)
 
     # initial step heuristic
-    scale = tol.abs_tol + tol.rel_tol * np.abs(y)
+    scale = abs_tol + rel_tol * np.abs(y)
     d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f / scale) ** 2)))
     h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else 1e-6 * span
@@ -271,7 +251,7 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig,
     h_floor = 1e-14 * span
 
     while t < t1:
-        if n_steps > 100 * tol.max_iter:
+        if n_steps > ODE_STEP_BUDGET:
             status, message = "truncated", "step budget exhausted"
             break
         h = min(h, t1 - t)
@@ -293,7 +273,8 @@ def integrate_ode(rhs, y0, t0: float, t1: float, tol: ToleranceConfig,
         if not all(map(math.isfinite, y_new)):
             raise OdeFailure("non-finite state during integration", t, states[-1])
         y_new_arr = np.array(y_new)
-        err = _error_norm(y_new_arr - np.array(y4), states[-1], y_new_arr, tol)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(states[-1]), np.abs(y_new_arr))
+        err = float(np.sqrt(np.mean(((y_new_arr - np.array(y4)) / scale) ** 2)))
         if err <= 1.0:
             t_new = t + h
             f_new = k[6]  # FSAL stage equals rhs at the new point
@@ -402,8 +383,8 @@ class EigenResult:
     residuals: list = field(default_factory=list)
 
 
-def smallest_eigenpair(apply_operator, measure, tol: ToleranceConfig,
-                       shift: float, w0: np.ndarray | None = None,
+def smallest_eigenpair(apply_operator, measure, shift: float, *, abs_tol: float,
+                       max_iter: int, w0: np.ndarray | None = None,
                        precond=None) -> EigenResult:
     """Ground eigenpair of a self-adjoint operator by shifted inverse iteration.
 
@@ -434,9 +415,9 @@ def smallest_eigenpair(apply_operator, measure, tol: ToleranceConfig,
 
     residuals = []
     lam = inner(w, apply_operator(w))
-    for _ in range(tol.max_iter):
+    for _ in range(max_iter):
         w_new = conjugate_gradient(shifted, w, measure, precond=precond,
-                                   rel_tol=1e-13, max_iter=tol.max_iter)
+                                   rel_tol=1e-13, max_iter=max_iter)
         n = norm(w_new)
         if n == 0.0 or not np.all(np.isfinite(w_new)):
             raise EigenFailure("inverse iteration produced a degenerate iterate", residuals)
@@ -445,11 +426,11 @@ def smallest_eigenpair(apply_operator, measure, tol: ToleranceConfig,
         lam = inner(w, aw)
         res = norm(aw - lam * w)
         residuals.append(res)
-        if res <= tol.abs_tol:
+        if res <= abs_tol:
             break
     else:
         raise EigenFailure(
-            f"no convergence in {tol.max_iter} iterations (residual {residuals[-1]:.3e})",
+            f"no convergence in {max_iter} iterations (residual {residuals[-1]:.3e})",
             residuals,
         )
     if inner(w, np.ones_like(w)) < 0:
@@ -464,7 +445,7 @@ class ConcaveMaxResult:
     value: float
 
 
-def maximize_concave_1d(f, bracket, tol: ToleranceConfig) -> ConcaveMaxResult:
+def maximize_concave_1d(f, bracket, *, abs_tol: float, max_iter: int) -> ConcaveMaxResult:
     """Golden-section maximization of a concave function of one variable.
 
     The upper bracket end is doubled while the function is still rising
@@ -494,8 +475,8 @@ def maximize_concave_1d(f, bracket, tol: ToleranceConfig) -> ConcaveMaxResult:
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = ev(c), ev(d)
-    for _ in range(tol.max_iter):
-        if (b - a) <= tol.abs_tol:
+    for _ in range(max_iter):
+        if (b - a) <= abs_tol:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -518,8 +499,8 @@ class ConstrainedMinResult:
     message: str = ""
 
 
-def minimize_constrained(functional, gradient, normalize, inner, w0,
-                         tol: ToleranceConfig,
+def minimize_constrained(functional, gradient, normalize, inner, w0, *,
+                         abs_tol: float, max_iter: int,
                          precond=None) -> ConstrainedMinResult:
     """Projected gradient descent on the unit sphere of a weighted L2 space.
 
@@ -536,11 +517,11 @@ def minimize_constrained(functional, gradient, normalize, inner, w0,
     w = normalize(np.asarray(w0, dtype=float).copy())
     fval = float(functional(w))
     step = 1.0
-    for it in range(tol.max_iter):
+    for it in range(max_iter):
         g = gradient(w)
         gp = g - inner(g, w) * w
         g_norm = math.sqrt(max(inner(gp, gp), 0.0))
-        if g_norm <= tol.abs_tol:
+        if g_norm <= abs_tol:
             return ConstrainedMinResult(w, fval, True, it)
         if precond is not None:
             d = precond(gp)
@@ -564,5 +545,5 @@ def minimize_constrained(functional, gradient, normalize, inner, w0,
                 w, fval, False, it, message="line search stagnated"
             )
     return ConstrainedMinResult(
-        w, fval, False, tol.max_iter, message="iteration budget exhausted"
+        w, fval, False, max_iter, message="iteration budget exhausted"
     )

@@ -1,6 +1,6 @@
 """Forward reduced length and reduced volume from space-time path actions.
 
-The action of a path (x(eta), eta) from the base (x0, 0) to (y, t) is
+The action of a path (x(eta), eta) from the base (0, 0) to (y, t) is
 
     L(path) = int_0^t sqrt(eta) (R + |x'(eta)|^2) d(eta),
 
@@ -9,7 +9,8 @@ volume is theta(t) = int exp(ell) dv / (4 pi t)^(n/2).  Minimizing paths
 satisfy a geodesic equation whose velocity blows up like 1/sqrt(eta) at
 the base; integrating in s = sqrt(eta) with the reduced velocity
 v = dx/ds removes the singular friction term, and the natural shooting
-datum is the momentum p = lim sqrt(eta) x'(eta) = v(0)/2.
+datum is the momentum p = lim sqrt(eta) x'(eta) = v(0)/2.  Paths start
+at the origin, from which radial targets and torus images are measured.
 
 Two testbed families are supported:
 
@@ -439,19 +440,17 @@ def _torus_rhs(s: float, v: np.ndarray, fields):
     return acc
 
 
-def _torus_integrate(slices: _TorusSlices, x0: np.ndarray, momenta: np.ndarray,
-                     want_traces: bool = False):
-    """RK4 integration of the reduced system for a batch of momenta.
+def _torus_integrate(slices: _TorusSlices, momenta: np.ndarray, want_traces: bool = False):
+    """RK4 integration of the reduced system for a batch of momenta from the origin.
 
     Returns endpoints, the action tail, the Harnack integral, endpoint
     speed data and, optionally, full traces.  One derivative gather per
     node serves the node integrands and the next step's first stage.
     """
-    n_paths = momenta.shape[0]
-    x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
+    x = np.zeros_like(momenta)
     v = 2.0 * momenta.copy()
     ds = slices.ds
-    act = np.empty((slices.n_steps + 1, n_paths))
+    act = np.empty((slices.n_steps + 1, len(momenta)))
     kin = np.empty_like(act)
     traces_x = [x.copy()] if want_traces else None
     traces_v = [v.copy()] if want_traces else None
@@ -502,15 +501,15 @@ def _torus_integrate(slices: _TorusSlices, x0: np.ndarray, momenta: np.ndarray,
     return out
 
 
-def _lattice_images(slices: _TorusSlices, targets: np.ndarray, x0: np.ndarray):
+def _lattice_images(slices: _TorusSlices, targets: np.ndarray):
     """The nine nearest lattice translates (m, 9, 2) of each target and their
-    flat distances (m, 9) from x0."""
+    flat distances (m, 9) from the origin."""
     shifts = np.array([(i * slices.lx, j * slices.ly) for i in (-1, 0, 1) for j in (-1, 0, 1)])
     images = targets[:, None, :] + shifts[None, :, :]
-    return images, np.linalg.norm(images - x0, axis=2)
+    return images, np.linalg.norm(images, axis=2)
 
 
-def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float, n_steps: int):
+def _torus_shoot_targets(h: FlowHistory, targets: np.ndarray, t: float, n_steps: int):
     """Best action over the nearby lattice translates of each target.
 
     Translates that cannot win are dropped up front: the conformal
@@ -519,14 +518,13 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float, n_st
     nearest image distance (plus a safety margin) is excluded.  One
     secant iteration (good Broyden) finds each momentum: a row starts at
     the flat guess with the inverse Jacobian I/(2 sqrt t) of the flat
-    endpoint map p -> x0 + 2 sqrt(t) p, and settled rows leave the batch.
+    endpoint map p -> 2 sqrt(t) p, and settled rows leave the batch.
     A row still live after 50 sweeps keeps its last miss, which the
     caller treats as a missed shot.
     """
     slices = _TorusSlices(h, t, n_steps)
-    x0 = np.asarray(x0, dtype=float)
     m_t = len(targets)
-    all_images, dists = _lattice_images(slices, targets, x0)
+    all_images, dists = _lattice_images(slices, targets)
     phis = h.params_at_times([min(max(e, h.t_min), h.t_max) for e in (0.0, 0.25 * t, t)])
     spread = max(float(np.max(ph) - np.min(ph)) for ph in phis)
     cutoff = np.exp(spread) * dists.min(axis=1) + 0.12 * min(slices.lx, slices.ly)
@@ -535,7 +533,7 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float, n_st
     images = all_images[rows, shift_idx]                     # (q, 2)
     q = len(images)
     two_rt = 2.0 * math.sqrt(t)
-    p_flat = (images - x0) / two_rt
+    p_flat = images / two_rt
     p = p_flat.copy()
     h_flat = np.eye(2) / two_rt
     h_inv = np.tile(h_flat, (q, 1, 1))  # inverse Jacobian of each row's endpoint map
@@ -553,7 +551,7 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float, n_st
         for _ in range(50):
             if len(live) == 0:
                 break
-            res = _torus_integrate(slices, x0, p[live])
+            res = _torus_integrate(slices, p[live])
             f = res["end"] - images[live]
             mom[live] = p[live]
             miss[live] = np.max(np.abs(f), axis=1)
@@ -603,9 +601,9 @@ def _torus_shoot_targets(h: FlowHistory, x0, targets: np.ndarray, t: float, n_st
 # ---------------------------------------------------------------------------
 # public operations
 
-def geodesic_shoot(h: FlowHistory, x0, momentum, t_end: float,
+def geodesic_shoot(h: FlowHistory, momentum, t_end: float,
                    eps: float = 0.0, n_steps: int = 192) -> GeodesicSolution:
-    """Integrate the reduced geodesic system from a momentum datum."""
+    """Integrate the reduced geodesic system from the origin with a momentum datum."""
     n = h.dim
     if h.kind == "model_space":
         eng = _RadialEngine(h, eps, t_end, n_steps)
@@ -634,7 +632,7 @@ def geodesic_shoot(h: FlowHistory, x0, momentum, t_end: float,
     if h.kind == "conformal_torus":
         slices = _TorusSlices(h, t_end, n_steps)
         mom = np.asarray(momentum, dtype=float).reshape(1, 2)
-        res = _torus_integrate(slices, x0, mom, want_traces=True)
+        res = _torus_integrate(slices, mom, want_traces=True)
         s = slices.s_nodes
         xs = res["trace_x"][:, 0, :]
         vs = res["trace_v"][:, 0, :]
@@ -657,7 +655,7 @@ def geodesic_shoot(h: FlowHistory, x0, momentum, t_end: float,
 
 
 class _PathAction:
-    """Discretized action of piecewise-linear paths from x0 on the squared
+    """Discretized action of piecewise-linear paths from the origin on the squared
     uniform s-grid of a store of rows r and e2p, and its gradient.
 
     A batch of paths holds interior nodes z (B, M-1, 2) and endpoints y
@@ -668,9 +666,8 @@ class _PathAction:
     derivative of the value.
     """
 
-    def __init__(self, slices: _TorusSlices, x0):
+    def __init__(self, slices: _TorusSlices):
         self.slices = slices
-        self.x0 = np.asarray(x0, dtype=float)
         self.n_segments = m = slices.n_steps
         eta = slices.s_nodes**2
         self.d_eta = np.diff(eta)
@@ -686,7 +683,7 @@ class _PathAction:
     def __call__(self, z: np.ndarray, y: np.ndarray, want_grad: bool):
         """Values (B,) and, if wanted, gradients (B, M-1, 2) in z."""
         bb, m = len(z), self.n_segments
-        pos = np.concatenate([np.tile(self.x0, (bb, 1, 1)), z, y[:, None, :]], axis=1)
+        pos = np.concatenate([np.zeros((bb, 1, 2)), z, y[:, None, :]], axis=1)
         # node curvature part: r at all nodes in one gather (node-major layout)
         node = self.slices.sample(np.repeat(2 * np.arange(m + 1), bb), slice(0, 1),
                                   pos.transpose(1, 0, 2).reshape(-1, 2),
@@ -789,7 +786,7 @@ def _descend(action: _PathAction, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return val
 
 
-def _oracle_torus_batch(h, x0, targets, t, n_segments=64):
+def _oracle_torus_batch(h, targets, t, n_segments=64):
     """Direct descent over discrete paths on a torus for many targets at once;
     an upper-bound cross-check of shooting.
 
@@ -804,15 +801,14 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64):
     """
     if h.kind != "conformal_torus":
         raise ValueError("the path-minimization oracle supports torus histories")
-    action = _PathAction(_TorusSlices(h, t, n_segments, 2), x0)
-    slices, x0 = action.slices, action.x0
+    action = _PathAction(_TorusSlices(h, t, n_segments, 2))
     m_t = len(targets)
-    images, dist = _lattice_images(slices, targets, x0)
+    images, dist = _lattice_images(action.slices, targets)
     order = np.argsort(dist, axis=1)[:, :3]
     rows = np.repeat(np.arange(m_t), 3)
     ys = images[rows, order.ravel()]                            # (m*k, 2)
     prof = np.linspace(0, 1, n_segments + 1)[1:-1]
-    z = x0 + prof[:, None] * (ys - x0)[:, None, :]             # (q, M-1, 2)
+    z = prof[:, None] * ys[:, None, :]                          # (q, M-1, 2)
     chunk = max(1, LEVEL_BATCH_BYTES // 32 // (n_segments + 1))  # at most 2**16 nodes a chunk
     val = np.concatenate([_descend(action, z[lo:lo + chunk], ys[lo:lo + chunk])
                           for lo in range(0, len(z), chunk)])
@@ -822,7 +818,7 @@ def _oracle_torus_batch(h, x0, targets, t, n_segments=64):
     return best
 
 
-def ell_plus_field(h: FlowHistory, x0, targets, times, eps: float = 0.0,
+def ell_plus_field(h: FlowHistory, targets, times, eps: float = 0.0,
                    oracle_check: bool = True, oracle_segments: int = 64,
                    grid_shape: tuple | None = None) -> ReducedField:
     """Normalized reduced length over targets at the given times.
@@ -849,7 +845,7 @@ def ell_plus_field(h: FlowHistory, x0, targets, times, eps: float = 0.0,
     oracle_vals = np.full((len(times), m_t), np.nan)
     flags = np.zeros((len(times), m_t), dtype=bool)
     for i, t in enumerate(times):
-        shot = _torus_shoot_targets(h, x0, targets, float(t), 96)
+        shot = _torus_shoot_targets(h, targets, float(t), 96)
         two_rt = 2.0 * math.sqrt(t)
         ell[i] = shot["l_tail"] / two_rt
         k_eff[i] = shot["k"]
@@ -858,10 +854,7 @@ def ell_plus_field(h: FlowHistory, x0, targets, times, eps: float = 0.0,
         missed = shot["miss"] > 1e-6
         del shot  # its slice store would sit beside the oracle's
         if oracle_check or np.any(missed):
-            o_vals = _oracle_torus_batch(
-                h, np.asarray(x0, float), targets, float(t),
-                n_segments=oracle_segments,
-            ) / two_rt
+            o_vals = _oracle_torus_batch(h, targets, float(t), oracle_segments) / two_rt
             oracle_vals[i] = o_vals
             rel = np.abs(ell[i] - o_vals) / np.maximum(1.0, np.abs(o_vals))
             flags[i] = rel > 1e-3

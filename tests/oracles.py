@@ -538,14 +538,14 @@ _DP_B4 = np.array(
 )
 
 
-def integrate_ode_numpy_stages(rhs, y0, t0, t1, tol, stop=None, max_step=None):
+def integrate_ode_numpy_stages(rhs, y0, t0, t1, *, abs_tol, rel_tol, stop=None, max_step=None):
     """Bit-for-bit reference for numerics.integrate_ode: the same
     Dormand-Prince controller with every stage and solution formed as a
     numpy array, y + h * sum(a * ki for a, ki in zip(row, k))."""
-    from expanderlab.numerics import OdeFailure, OdeTrajectory
+    from expanderlab.numerics import ODE_STEP_BUDGET, OdeFailure, OdeTrajectory
 
     def error_norm(err, y_old, y_new):
-        scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
         return float(np.sqrt(np.mean((err / scale) ** 2)))
 
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
@@ -554,7 +554,7 @@ def integrate_ode_numpy_stages(rhs, y0, t0, t1, tol, stop=None, max_step=None):
     f = np.asarray(rhs(t, y), dtype=float)
     if not np.all(np.isfinite(f)):
         raise OdeFailure("non-finite right-hand side at initial state", t, y)
-    scale = tol.abs_tol + tol.rel_tol * np.abs(y)
+    scale = abs_tol + rel_tol * np.abs(y)
     d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f / scale) ** 2)))
     h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else 1e-6 * span
@@ -567,7 +567,7 @@ def integrate_ode_numpy_stages(rhs, y0, t0, t1, tol, stop=None, max_step=None):
     n_steps = 0
     h_floor = 1e-14 * span
     while t < t1:
-        if n_steps > 100 * tol.max_iter:
+        if n_steps > ODE_STEP_BUDGET:
             status, message = "truncated", "step budget exhausted"
             break
         h = min(h, t1 - t)

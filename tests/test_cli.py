@@ -46,6 +46,20 @@ def test_list_names_builtin_scenarios(capsys):
         assert name in out
 
 
+def test_accept_exits_1_unless_every_criterion_passes(monkeypatch, capsys):
+    # stub criteria stand in for the real ones, so none of those runs
+    from expanderlab import acceptance
+
+    passing = acceptance._criterion(1, "stub that passes")(lambda art: (True, {"value": 1.0}))
+    failing = acceptance._criterion(2, "stub that fails")(lambda art: (False, {"value": 2.0}))
+    monkeypatch.setattr(acceptance, "CRITERIA", [passing, failing])
+    assert main(["accept"]) == 1
+    assert "1/2 criteria passed" in capsys.readouterr().out
+    monkeypatch.setattr(acceptance, "CRITERIA", [passing])
+    assert main(["accept", "--suite", "full"]) == 0
+    assert "1/1 criteria passed" in capsys.readouterr().out
+
+
 def test_run_scenario_produces_report_tree(tmp_path, hyperbolic_doc):
     cfg = write_config(tmp_path, hyperbolic_doc)
     out = tmp_path / "out"
@@ -144,6 +158,46 @@ def test_a_terminated_run_leaves_no_tree(tmp_path):
         proc.kill()
         proc.wait()
     assert list(out.iterdir()) == []
+
+
+# runs `lab` with `patched` wrapped to send the process a SIGTERM right
+# before or right after the real call
+SIGTERM_PROBE = """
+import os, signal, sys, {module}
+from expanderlab.cli import main
+
+real = {patched}
+
+def probe(*args, **kwargs):
+    if {before}:
+        os.kill(os.getpid(), signal.SIGTERM)
+    out = real(*args, **kwargs)
+    if not {before}:
+        os.kill(os.getpid(), signal.SIGTERM)
+    return out
+
+{patched} = probe
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("patched, before, left", [
+    ("tempfile.mkdtemp", False, []),  # the sibling is made, its removal not yet armed
+    ("shutil.rmtree", True, ["hyperbolic_expander"]),  # the finished tree is in place
+])
+def test_a_sigterm_as_the_sibling_is_made_or_removed_leaves_no_sibling(tmp_path, patched,
+                                                                      before, left):
+    out = tmp_path / "out"
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    script = SIGTERM_PROBE.format(module=patched.split(".")[0], patched=patched, before=before)
+    proc = subprocess.run([sys.executable, "-c", script, "run",
+                           str(builtin_scenarios()["hyperbolic_expander"]), "--out", str(out)],
+                          env=env, timeout=120)
+    assert proc.returncode == 128 + signal.SIGTERM
+    assert sorted(p.name for p in out.iterdir()) == left
+    if left:
+        assert json.loads((out / left[0] / "report.json").read_text())["failures"] == []
 
 
 def test_a_rerun_replaces_the_old_tree(tmp_path, hyperbolic_doc):

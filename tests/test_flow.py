@@ -7,6 +7,7 @@ import pytest
 from expanderlab.acceptance import HYPERBOLIC3
 from expanderlab.flow import (
     BlowdownSpec,
+    FlowHistory,
     blowdown,
     check_R_lower_bound,
     evolve,
@@ -147,6 +148,20 @@ def test_blowdown_flat_static_collapses():
     h = evolve(m0, (0.0, 1e-2))
     bd = blowdown(h, BlowdownSpec(alpha=4.0))
     assert abs(volume(bd.metric_at(1e-3)) - 1.0 / 4.0) < 1e-12
+
+
+def test_history_kind_follows_its_template():
+    # every history, a blowdown view included, takes its kind from its
+    # template; a template of no known type is refused at construction
+    templates = {"model_space": HYPERBOLIC3,
+                 "homogeneous": HomogeneousMetric((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+                 "conformal_torus": ConformalTorusMetric(np.zeros((8, 8)))}
+    for kind, m0 in templates.items():
+        h = evolve(m0, (0.0, 1e-3))
+        assert h.kind == blowdown(h, BlowdownSpec(alpha=2.0)).kind == kind
+    ts = np.array([0.0, 1.0])
+    with pytest.raises(TypeError, match="unknown metric model"):
+        FlowHistory(object(), ts, np.zeros((2, 1)), np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize("kwargs", [{"dt_cap": 0.0}, {"dt_cap": -0.05}, {"dt_cap": math.nan},

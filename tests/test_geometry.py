@@ -29,7 +29,6 @@ from expanderlab.geometry import (
 )
 from expanderlab.numerics import (
     OdeTrajectory,
-    ToleranceConfig,
     hermite_cubic,
     hermite_interval,
     integrate_ode,
@@ -311,7 +310,7 @@ def test_shared_kernels_on_non_square_torus(mode):
     ts = np.array([0.0, 0.2, 0.5, 0.55, 1.0])
     vals = np.array([(t**3 - 2 * t**2 + 0.25) * f for t in ts])
     slopes = np.array([(3 * t**2 - 4 * t) * f for t in ts])
-    hist = FlowHistory("conformal_torus", m, ts, vals.reshape(5, -1), slopes.reshape(5, -1))
+    hist = FlowHistory(m, ts, vals.reshape(5, -1), slopes.reshape(5, -1))
     traj = OdeTrajectory(ts, vals.reshape(5, -1), slopes.reshape(5, -1))
     for t in (0.0, 0.13, 0.5, 0.77, 1.0):
         exact = (t**3 - 2 * t**2 + 0.25) * f
@@ -357,7 +356,7 @@ def skewed_history():
     ts = np.array([0.0, 0.013, 0.05, 0.0625])
     vals = 0.2 * rng.standard_normal((4, 16 * 24))
     m0 = ConformalTorusMetric(vals[0].reshape(16, 24), (1.0, 1.7))
-    return FlowHistory("conformal_torus", m0, ts, vals, rng.standard_normal((4, 16 * 24)))
+    return FlowHistory(m0, ts, vals, rng.standard_normal((4, 16 * 24)))
 
 
 def bits(a):
@@ -400,7 +399,7 @@ def test_batched_history_lookup_equals_params_at():
                 h.params_at(bad)
     # an ODE trajectory on arrays equals its own scalar calls
     traj = integrate_ode(lambda t, y: np.array([-y[0] * y[1], y[0]]), [1.0, 0.5], 0.0, 2.0,
-                         ToleranceConfig(abs_tol=1e-9, rel_tol=1e-9))
+                         abs_tol=1e-9, rel_tol=1e-9)
     ts = np.concatenate([traj.times, rng.uniform(0.0, 2.0, 200)])
     want = np.array([traj(t) for t in ts])
     assert np.array_equal(bits(traj(ts)), bits(want))

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from expanderlab import numerics
 from expanderlab.geometry import _lap0, laplacian_symbol, spectral_preconditioner
 from expanderlab.numerics import (
     CGFailure,
     EigenFailure,
     OdeFailure,
-    ToleranceConfig,
     conjugate_gradient,
     integrate_ode,
     maximize_concave_1d,
@@ -19,7 +19,7 @@ from expanderlab.numerics import (
     smallest_eigenpair,
 )
 
-TIGHT = ToleranceConfig(abs_tol=1e-12, rel_tol=1e-12)
+TIGHT = {"abs_tol": 1e-12, "rel_tol": 1e-12}
 
 
 def nil_closed_form(t, a0, b0, c0):
@@ -109,7 +109,7 @@ def test_conjugate_gradient_skips_preconditioner_on_solved_start():
 
 
 def test_exponential_growth():
-    traj = integrate_ode(lambda t, y: y, [1.0], 0.0, 1.0, TIGHT)
+    traj = integrate_ode(lambda t, y: y, [1.0], 0.0, 1.0, **TIGHT)
     assert traj.status == "completed"
     assert abs(traj.states[-1, 0] - math.e) < 1e-9
 
@@ -117,7 +117,7 @@ def test_exponential_growth():
 def test_linear_rhs_exact():
     # constant right-hand side: the scale equation of a negatively curved
     # model space, solution 1 + 4t to round-off
-    traj = integrate_ode(lambda t, y: np.array([4.0]), [1.0], 0.0, 10.0, TIGHT)
+    traj = integrate_ode(lambda t, y: np.array([4.0]), [1.0], 0.0, 10.0, **TIGHT)
     ts = np.linspace(0.0, 10.0, 37)
     vals = traj(ts)[:, 0]
     assert np.max(np.abs(vals - (1.0 + 4.0 * ts))) < 1e-12
@@ -129,7 +129,7 @@ def test_nil_frame_flow_matches_closed_form():
         return np.array([-a * a / (b * c), a / c, a / b])
 
     y0 = np.array([1.0, 1.0, 1.0])
-    traj = integrate_ode(rhs, y0, 0.0, 10.0, ToleranceConfig(abs_tol=1e-11, rel_tol=1e-11))
+    traj = integrate_ode(rhs, y0, 0.0, 10.0, abs_tol=1e-11, rel_tol=1e-11)
     ts = np.linspace(0.0, 10.0, 101)
     got = traj(ts)
     want = np.stack([nil_closed_form(t, 1.0, 1.0, 1.0) for t in ts])
@@ -141,8 +141,7 @@ def test_linear_system_matches_matrix_exponential():
     for _ in range(10):
         m = rng.normal(size=(4, 4)) * 0.5
         y0 = rng.normal(size=4)
-        traj = integrate_ode(lambda t, y: m @ y, y0, 0.0, 1.5,
-                             ToleranceConfig(abs_tol=1e-12, rel_tol=1e-11))
+        traj = integrate_ode(lambda t, y: m @ y, y0, 0.0, 1.5, abs_tol=1e-12, rel_tol=1e-11)
         want = expm(1.5 * m) @ y0
         scale = np.max(np.abs(want)) + 1.0
         assert np.max(np.abs(traj.states[-1] - want)) / scale < 1e-8
@@ -150,14 +149,13 @@ def test_linear_system_matches_matrix_exponential():
 
 def test_step_underflow_reports_last_valid_time():
     # finite-time blow-up y' = y^2 from y(0)=1 explodes at t=1
-    traj = integrate_ode(lambda t, y: y * y, [1.0], 0.0, 2.0,
-                         ToleranceConfig(abs_tol=1e-10, rel_tol=1e-10))
+    traj = integrate_ode(lambda t, y: y * y, [1.0], 0.0, 2.0, abs_tol=1e-10, rel_tol=1e-10)
     assert traj.status == "truncated"
     assert traj.t_end < 1.0 + 1e-3
 
 
 def test_stop_predicate_halts_and_bisects():
-    traj = integrate_ode(lambda t, y: np.array([-2.0]), [1.0], 0.0, 1.0, TIGHT,
+    traj = integrate_ode(lambda t, y: np.array([-2.0]), [1.0], 0.0, 1.0, **TIGHT,
                          stop=lambda t, y: y[0] < 0.5)
     assert traj.status == "halted"
     assert abs(traj.t_end - 0.25) < 1e-9
@@ -176,8 +174,8 @@ def test_eigen_flat_kernel_is_constant():
         return -4.0 * periodic_lap_1d(w, h)
 
     rng = np.random.default_rng(3)
-    res = smallest_eigenpair(op, measure, ToleranceConfig(abs_tol=1e-11, max_iter=200),
-                             shift=-1.0, w0=1.0 + 0.1 * rng.normal(size=n))
+    res = smallest_eigenpair(op, measure, shift=-1.0, abs_tol=1e-11, max_iter=200,
+                             w0=1.0 + 0.1 * rng.normal(size=n))
     assert abs(res.value) < 1e-10
     assert np.max(np.abs(res.vector - res.vector.mean())) < 1e-8
     assert res.vector.min() > 0
@@ -192,8 +190,7 @@ def test_eigen_constant_potential():
     def op(w):
         return -4.0 * periodic_lap_1d(w, h) + r_val * w
 
-    res = smallest_eigenpair(op, measure, ToleranceConfig(abs_tol=1e-11, max_iter=200),
-                             shift=r_val - 1.0)
+    res = smallest_eigenpair(op, measure, shift=r_val - 1.0, abs_tol=1e-11, max_iter=200)
     assert abs(res.value - r_val) < 1e-10
     assert abs(np.sum(res.vector**2 * measure) - 1.0) < 1e-12
 
@@ -207,8 +204,8 @@ def test_eigen_nonconvergence_raises_with_history():
 
     rng = np.random.default_rng(4)
     with pytest.raises(EigenFailure) as exc:
-        smallest_eigenpair(op, measure, ToleranceConfig(abs_tol=1e-30, max_iter=3),
-                           shift=-1.0, w0=rng.normal(size=n))
+        smallest_eigenpair(op, measure, shift=-1.0, abs_tol=1e-30, max_iter=3,
+                           w0=rng.normal(size=n))
     assert len(exc.value.residual_history) == 3
 
 
@@ -223,8 +220,8 @@ def test_eigen_rayleigh_bound():
     def op(w):
         return -4.0 * periodic_lap_1d(w, h) + r_pot * w
 
-    res = smallest_eigenpair(op, measure, ToleranceConfig(abs_tol=1e-11, max_iter=300),
-                             shift=float(r_pot.min()) - 1.0)
+    res = smallest_eigenpair(op, measure, shift=float(r_pot.min()) - 1.0,
+                             abs_tol=1e-11, max_iter=300)
     rng = np.random.default_rng(5)
     for _ in range(20):
         w = np.abs(rng.normal(size=n)) + 0.1
@@ -235,7 +232,7 @@ def test_eigen_rayleigh_bound():
 
 def test_concave_max_quadratic():
     res = maximize_concave_1d(lambda s: -((s - 1.0) ** 2), (0.1, 3.0),
-                              ToleranceConfig(abs_tol=1e-9))
+                              abs_tol=1e-9, max_iter=10_000)
     assert res.status == "ok"
     assert abs(res.x - 1.0) < 1e-8
 
@@ -243,20 +240,20 @@ def test_concave_max_quadratic():
 def test_concave_max_log_profile():
     # f' = -6 + 1.5/s vanishes at s = 1/4
     res = maximize_concave_1d(lambda s: -6.0 * s + 1.5 * math.log(s) + 2.0,
-                              (1e-3, 1.0), ToleranceConfig(abs_tol=1e-9))
+                              (1e-3, 1.0), abs_tol=1e-9, max_iter=10_000)
     assert res.status == "ok"
     assert abs(res.x - 0.25) < 1e-7
 
 
 def test_concave_max_unbounded_signal():
     res = maximize_concave_1d(lambda s: 1.5 * math.log(s) + 0.3, (0.5, 2.0),
-                              ToleranceConfig(abs_tol=1e-9, max_iter=500))
+                              abs_tol=1e-9, max_iter=500)
     assert res.status == "unbounded"
 
 
 def test_concave_max_never_below_scan():
     rng = np.random.default_rng(2)
-    tol = ToleranceConfig(abs_tol=1e-9)
+    abs_tol = 1e-9
     for _ in range(10):
         a = float(rng.uniform(0.5, 4.0))
         x0 = float(rng.uniform(0.3, 2.5))
@@ -264,9 +261,9 @@ def test_concave_max_never_below_scan():
         def f(s, a=a, x0=x0):
             return -a * (s - x0) ** 2 + math.sin(x0)
 
-        res = maximize_concave_1d(f, (0.05, 3.0), tol)
+        res = maximize_concave_1d(f, (0.05, 3.0), abs_tol=abs_tol, max_iter=10_000)
         scan = max(f(s) for s in np.linspace(0.05, 3.0, 100))
-        assert res.value >= scan - tol.abs_tol
+        assert res.value >= scan - abs_tol
 
 
 def _entropy_test_problem(n, r_val, sigma):
@@ -323,7 +320,7 @@ def test_constrained_min_flat_case_constant():
     rng = np.random.default_rng(9)
     w0 = 1.0 + 0.3 * rng.random((n, n))
     res = minimize_constrained(functional, gradient, normalize, inner, w0,
-                               ToleranceConfig(abs_tol=1e-7, max_iter=4000),
+                               abs_tol=1e-7, max_iter=4000,
                                precond=_fft_precond(n, sigma))
     assert res.converged
     # volume one: minimizer is the constant 1, value log(1/V) = 0
@@ -336,7 +333,7 @@ def test_constrained_min_constant_potential_value():
     sigma, r_val = 0.45, -6.0
     functional, gradient, inner, normalize, measure = _entropy_test_problem(n, r_val, sigma)
     res = minimize_constrained(functional, gradient, normalize, inner,
-                               np.ones((n, n)), ToleranceConfig(abs_tol=1e-10, max_iter=200))
+                               np.ones((n, n)), abs_tol=1e-10, max_iter=200)
     # constant minimizer: value sigma*R - log V with V = 1
     assert abs(res.value - sigma * r_val) < 1e-9
 
@@ -347,13 +344,13 @@ def test_constrained_min_descent_property():
     rng = np.random.default_rng(21)
     w0 = normalize(np.abs(rng.normal(size=(n, n))) + 0.05)
     res = minimize_constrained(functional, gradient, normalize, inner, w0,
-                               ToleranceConfig(abs_tol=1e-7, max_iter=500))
+                               abs_tol=1e-7, max_iter=500)
     assert res.value <= functional(w0) + 1e-12
 
 
 def test_nonfinite_initial_state_aborts():
     with pytest.raises(OdeFailure):
-        integrate_ode(lambda t, y: np.array([math.inf]), [1.0], 0.0, 1.0, TIGHT)
+        integrate_ode(lambda t, y: np.array([math.inf]), [1.0], 0.0, 1.0, **TIGHT)
 
 
 def same_bits(a, b):
@@ -398,21 +395,22 @@ def test_float_stages_match_numpy_stages_bit_for_bit(monkeypatch):
     from oracles import integrate_ode_numpy_stages
 
     rejected = []
+    budget = numerics.ODE_STEP_BUDGET
+    # each case: positional arguments, keyword arguments, step budget
     cases = [
-        nil_flow_ode_args(monkeypatch),
-        ((lambda t, y: y * y, [1.0], 0.0, 2.0,
-          ToleranceConfig(abs_tol=1e-10, rel_tol=1e-10)), {}),
-        ((lambda t, y: np.array([-2.0]), [1.0], 0.0, 1.0, TIGHT),
-         {"stop": lambda t, y: y[0] < 0.5}),
-        ((bounded_growth([]), [1.0], 0.0, 3.0, TIGHT), {}),
-        ((bounded_growth(rejected), [1.0], 0.0, 3.0, TIGHT),
-         {"stop": lambda t, y: y[0] > 1.99}),
-        ((lambda t, y: np.array([[0.3, -1.0], [1.0, -0.2]]) @ y, [1.0, -0.5], 0.0, 5.0,
-          ToleranceConfig(abs_tol=1e-9, rel_tol=1e-9, max_iter=1)),
-         {"max_step": lambda t: 0.02 + 0.001 * t}),
+        (*nil_flow_ode_args(monkeypatch), budget),
+        ((lambda t, y: y * y, [1.0], 0.0, 2.0), {"abs_tol": 1e-10, "rel_tol": 1e-10}, budget),
+        ((lambda t, y: np.array([-2.0]), [1.0], 0.0, 1.0),
+         {**TIGHT, "stop": lambda t, y: y[0] < 0.5}, budget),
+        ((bounded_growth([]), [1.0], 0.0, 3.0), TIGHT, budget),
+        ((bounded_growth(rejected), [1.0], 0.0, 3.0),
+         {**TIGHT, "stop": lambda t, y: y[0] > 1.99}, budget),
+        ((lambda t, y: np.array([[0.3, -1.0], [1.0, -0.2]]) @ y, [1.0, -0.5], 0.0, 5.0),
+         {"abs_tol": 1e-9, "rel_tol": 1e-9, "max_step": lambda t: 0.02 + 0.001 * t}, 100),
     ]
     statuses = []
-    for args, kwargs in cases:
+    for args, kwargs, budget in cases:
+        monkeypatch.setattr(numerics, "ODE_STEP_BUDGET", budget)
         got = integrate_ode(*args, **kwargs)
         want = integrate_ode_numpy_stages(*args, **kwargs)
         for name in ("times", "states", "derivs"):
@@ -436,11 +434,11 @@ def test_float_stages_raise_the_numpy_stages_failure():
     from oracles import integrate_ode_numpy_stages
 
     # stages stay finite while the state overflows in one step
-    args = (lambda t, y: np.array([1e300]), [1.7e308], 0.0, 1e10, TIGHT)
+    args = (lambda t, y: np.array([1e300]), [1.7e308], 0.0, 1e10)
     failures = []
     for integrate in (integrate_ode, integrate_ode_numpy_stages):
         with np.errstate(over="ignore"), pytest.raises(OdeFailure) as info:
-            integrate(*args)
+            integrate(*args, **TIGHT)
         failures.append(info.value)
     got, want = failures
     assert str(got) == str(want) == "non-finite state during integration"
@@ -455,7 +453,7 @@ def test_float_stages_raise_the_numpy_stages_failure():
 @settings(max_examples=25, deadline=None)
 def test_concave_max_finds_quadratic_vertex(a, x0, c):
     res = maximize_concave_1d(lambda s: -a * (s - x0) ** 2 + c, (0.05, 3.0),
-                              ToleranceConfig(abs_tol=1e-9))
+                              abs_tol=1e-9, max_iter=10_000)
     assert res.status == "ok"
     assert abs(res.x - x0) < 1e-7
 
@@ -464,6 +462,5 @@ def test_concave_max_finds_quadratic_vertex(a, x0, c):
 @settings(max_examples=10, deadline=None)
 def test_linear_decay_exact(k):
     # y' = -k y has solution exp(-k t); the integrator meets its tolerance
-    traj = integrate_ode(lambda t, y: -k * y, [1.0], 0.0, 1.0,
-                         ToleranceConfig(abs_tol=1e-12, rel_tol=1e-11))
+    traj = integrate_ode(lambda t, y: -k * y, [1.0], 0.0, 1.0, abs_tol=1e-12, rel_tol=1e-11)
     assert abs(traj.states[-1, 0] - math.exp(-k)) < 1e-9

@@ -77,13 +77,13 @@ def skewed_torus_slices():
     ts = np.array([0.0, 0.5, 1.0])
     vals = np.array([(0.2 + 0.1 * t) * np.sin(theta + t) for t in ts]).reshape(3, -1)
     m0 = ConformalTorusMetric(vals[0].reshape(nx, ny), periods)
-    h = FlowHistory("conformal_torus", m0, ts, vals, np.zeros_like(vals))
+    h = FlowHistory(m0, ts, vals, np.zeros_like(vals))
     return _TorusSlices(h, 0.8, 4), periods
 
 
-def torus_distance_sq(y, x0=(0.0, 0.0), lx=1.0, ly=1.0):
-    dx = min(abs(y[0] - x0[0]) % lx, lx - abs(y[0] - x0[0]) % lx)
-    dy = min(abs(y[1] - x0[1]) % ly, ly - abs(y[1] - x0[1]) % ly)
+def torus_distance_sq(y, lx=1.0, ly=1.0):
+    dx = min(abs(y[0]) % lx, lx - abs(y[0]) % lx)
+    dy = min(abs(y[1]) % ly, ly - abs(y[1]) % ly)
     return dx * dx + dy * dy
 
 
@@ -91,7 +91,7 @@ def test_path_action_lower_bound_from_zero():
     # flows from t = 0 obey action >= -n sqrt(t) along any path
     h = vertex_expander_history()
     t = 1.0
-    sol = geodesic_shoot(h, 0.0, 0.2, t, eps=1e-6)
+    sol = geodesic_shoot(h, 0.2, t, eps=1e-6)
     assert sol.l_plus >= -3.0 * math.sqrt(t) - 1e-9
 
 
@@ -99,8 +99,8 @@ def test_geodesic_shoot_flat_closed_form():
     h = flat_history()
     t = 1.0
     p = np.array([0.17, -0.08])
-    sol = geodesic_shoot(h, (0.0, 0.0), p, t, n_steps=64)
-    # x(eta) = x0 + 2 p sqrt(eta), X = p / sqrt(eta)
+    sol = geodesic_shoot(h, p, t, n_steps=64)
+    # x(eta) = 2 p sqrt(eta), X = p / sqrt(eta)
     s = np.sqrt(sol.path.eta_grid)
     want = 2.0 * p[None, :] * s[:, None]
     assert np.max(np.abs(sol.path.positions - want)) < 1e-12
@@ -113,7 +113,7 @@ def test_geodesic_shoot_vertex_speed_profile():
     # on the zero-size start the radial speed scales like eta^(-3/2)
     h = vertex_expander_history()
     eps, t = 1e-4, 1.0
-    sol = geodesic_shoot(h, 0.0, 0.3, t, eps=eps)
+    sol = geodesic_shoot(h, 0.3, t, eps=eps)
     s = np.sqrt(sol.path.eta_grid)
     x_vel = sol.velocity
     ratio = x_vel[1:] * (sol.path.eta_grid[1:] ** 1.5)
@@ -128,9 +128,9 @@ def test_geodesic_gradient_consistency():
     h = torus_flow_history(128, 0.024)
     t = 0.02
     y = np.array([0.21, 0.08])
-    fld = ell_plus_field(h, (0.0, 0.0), [y], [t], oracle_check=False)
+    fld = ell_plus_field(h, [y], [t], oracle_check=False)
     p = fld.momenta[0, 0]
-    sol = geodesic_shoot(h, (0.0, 0.0), p, t, n_steps=96)
+    sol = geodesic_shoot(h, p, t, n_steps=96)
     x_end = sol.velocity[-1]
     m = h.metric_at(t)
     nx, _ = m.phi.shape
@@ -140,8 +140,8 @@ def test_geodesic_gradient_consistency():
     for k in range(2):
         e = np.zeros(2)
         e[k] = delta
-        lp = ell_plus_field(h, (0.0, 0.0), [y + e], [t], oracle_check=False)
-        lm = ell_plus_field(h, (0.0, 0.0), [y - e], [t], oracle_check=False)
+        lp = ell_plus_field(h, [y + e], [t], oracle_check=False)
+        lm = ell_plus_field(h, [y - e], [t], oracle_check=False)
         grads.append(
             (lp.ell[0, 0] - lm.ell[0, 0]) * 2.0 * math.sqrt(t) / (2 * delta)
         )
@@ -163,7 +163,7 @@ def test_ell_field_flat_torus_closed_form():
     h = flat_history()
     pts = np.array([(i / 10.0, j / 10.0) for i in range(10) for j in range(10)])
     t = 1.0
-    fld = ell_plus_field(h, (0.0, 0.0), pts, [t], oracle_check=False)
+    fld = ell_plus_field(h, pts, [t], oracle_check=False)
     want = np.array([torus_distance_sq(p) / (4.0 * t) for p in pts])
     assert np.max(np.abs(fld.ell[0] - want)) < 1e-6
 
@@ -172,7 +172,7 @@ def test_ell_field_oracle_agreement_flat():
     h = flat_history()
     pts = np.array([(i / 10.0, j / 10.0) for i in range(10) for j in range(10)])
     t = 1.0
-    fld = ell_plus_field(h, (0.0, 0.0), pts, [t], oracle_check=True, oracle_segments=256)
+    fld = ell_plus_field(h, pts, [t], oracle_check=True, oracle_segments=256)
     rel = np.abs(fld.ell[0] - fld.oracle_values[0]) / np.maximum(
         1.0, np.abs(fld.oracle_values[0])
     )
@@ -185,7 +185,7 @@ def test_ell_field_oracle_agreement_flat():
 def test_ell_field_oracle_agreement_torus_flow(torus32):
     h = torus32
     pts = np.array([(0.25, 0.0), (0.5, 0.25), (0.1, 0.4), (0.45, 0.45)])
-    fld = ell_plus_field(h, (0.0, 0.0), pts, [0.06], oracle_check=True, oracle_segments=96)
+    fld = ell_plus_field(h, pts, [0.06], oracle_check=True, oracle_segments=96)
     rel = np.abs(fld.ell[0] - fld.oracle_values[0]) / np.maximum(
         1.0, np.abs(fld.oracle_values[0])
     )
@@ -194,12 +194,12 @@ def test_ell_field_oracle_agreement_torus_flow(torus32):
 
 def test_report_verdicts_keep_their_formulas(torus32):
     hr = evolve(HYPERBOLIC3, (0.0, 3.0))
-    rad = ell_plus_field(hr, 0.0, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5))
+    rad = ell_plus_field(hr, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5))
     assert rad.oracle_rel_gap is None
     h = torus32
     pts = np.array([(0.25, 0.0), (0.5, 0.25), (0.1, 0.4)])
-    assert ell_plus_field(h, (0.0, 0.0), pts, [0.06], oracle_check=False).oracle_rel_gap is None
-    fld = ell_plus_field(h, (0.0, 0.0), pts, [0.05, 0.06], oracle_check=True,
+    assert ell_plus_field(h, pts, [0.06], oracle_check=False).oracle_rel_gap is None
+    fld = ell_plus_field(h, pts, [0.05, 0.06], oracle_check=True,
                          oracle_segments=32)
     fld.oracle_values[0, 1] = np.nan  # a value the oracle did not supply is skipped
     fin = np.isfinite(fld.oracle_values)
@@ -218,7 +218,7 @@ def test_ell_vertex_expander_epsilon_ladder():
     radii = np.linspace(0.0, 1.0, 9)
     times = np.linspace(0.8, 1.2, 5)
     fields = [
-        ell_plus_field(h, 0.0, radii, times, eps=e) for e in (1e-3, 1e-4, 1e-5)
+        ell_plus_field(h, radii, times, eps=e) for e in (1e-3, 1e-4, 1e-5)
     ]
     # the lower bound holds at every regularization
     for fld in fields:
@@ -239,7 +239,7 @@ def flat_subgrid(read_only):
     nt = 8
     h = flat_history(32, 1.3)
     pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    fld = ell_plus_field(h, (0.0, 0.0), pts, np.linspace(0.98, 1.02, 5),
+    fld = ell_plus_field(h, pts, np.linspace(0.98, 1.02, 5),
                          oracle_check=False, grid_shape=(nt, nt))
     return read_only((h, fld))
 
@@ -282,7 +282,7 @@ def test_checks_skip_masked_targets(flat_subgrid):
     assert max(rep.lap_bound, rep.subsolution, rep.heat_form, rep.entropy_form) > 1.0
     # radial fields check interior radii and never report exclusions
     hr = evolve(HYPERBOLIC3, (0.0, 3.0))
-    rad = ell_plus_field(hr, 0.0, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5))
+    rad = ell_plus_field(hr, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5))
     assert check_reduced_field(rad, hr).excluded_fraction == 0
 
 
@@ -291,12 +291,12 @@ def test_one_pass_matches_the_separate_checks_bitwise(flat_subgrid, acceptance_r
     ht = acceptance_run[0].torus_flow()  # the sine torus evolved to 0.26
     nt = 8
     pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    fld_t = ell_plus_field(ht, (0.0, 0.0), pts, np.linspace(0.18, 0.22, 5),
+    fld_t = ell_plus_field(ht, pts, np.linspace(0.18, 0.22, 5),
                            oracle_check=False, grid_shape=(nt, nt))
     hr = evolve(HYPERBOLIC3, (0.0, 3.0))
-    rad = ell_plus_field(hr, 0.0, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5))
+    rad = ell_plus_field(hr, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5))
     hv = vertex_expander_history()
-    rungs = [ell_plus_field(hv, 0.0, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5), eps=e)
+    rungs = [ell_plus_field(hv, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5), eps=e)
              for e in (1e-3, 1e-4, 1e-5)]
     # a regularized rung is the one field whose ell carries a head beside ell_tail
     cases = [(h, fld), (h, masked_corruption(fld)[1]), (ht, fld_t), (hr, rad),
@@ -318,10 +318,10 @@ def test_identity_checks_vertex_expander():
     h = vertex_expander_history()
     radii = np.linspace(0.0, 1.0, 17)
     times = np.linspace(0.9, 1.1, 9)
-    fld = ell_plus_field(h, 0.0, radii, times, eps=1e-4)
+    fld = ell_plus_field(h, radii, times, eps=1e-4)
     assert check_reduced_field(fld, h).identity < 1e-6
     fields = [
-        ell_plus_field(h, 0.0, radii, times, eps=e) for e in (1e-3, 1e-4, 1e-5)
+        ell_plus_field(h, radii, times, eps=e) for e in (1e-3, 1e-4, 1e-5)
     ]
     ineq = check_reduced_field(extrapolate_fields(fields), h)
     assert max(ineq.lap_bound, ineq.subsolution, ineq.heat_form, ineq.entropy_form) < 1e-4
@@ -342,16 +342,16 @@ def test_identity_checks_torus_flow(acceptance_run):
 
 def test_harnack_integral_identity_along_geodesics(torus32):
     h = vertex_expander_history()
-    sol = geodesic_shoot(h, 0.0, 0.25, 1.0, eps=1e-4)
+    sol = geodesic_shoot(h, 0.25, 1.0, eps=1e-4)
     assert math.isfinite(sol.k_value)
     assert sol.identity_residual < 1e-6
     hf = flat_history()
-    sol_f = geodesic_shoot(hf, (0.0, 0.0), np.array([0.2, 0.1]), 1.0)
+    sol_f = geodesic_shoot(hf, np.array([0.2, 0.1]), 1.0)
     assert sol_f.identity_residual < 1e-10
     # on the evolving torus the residual bottoms out at the O(h^2)
     # consistency floor of the sampled curvature fields
     ht = torus32
-    sol_t = geodesic_shoot(ht, (0.0, 0.0), np.array([0.6, 0.2]), 0.06, n_steps=128)
+    sol_t = geodesic_shoot(ht, np.array([0.6, 0.2]), 0.06, n_steps=128)
     assert sol_t.identity_residual < 1e-3
 
 
@@ -371,7 +371,7 @@ def test_radial_engine_matches_per_point_lookups_bitwise():
         ref, a_nodes = radial_integrals_separate(h, eps, t)
         assert eng.integrals == ref
         assert np.array_equal(eng.a_nodes, a_nodes)
-        sol = geodesic_shoot(h, 0.0, 0.25, t, eps=eps)
+        sol = geodesic_shoot(h, 0.25, t, eps=eps)
         want = model_shot_separate(h, 0.25, t, eps=eps)
         assert np.array_equal(sol.path.eta_grid, want["eta_grid"])
         assert np.array_equal(sol.path.positions, want["positions"])
@@ -404,10 +404,10 @@ def test_radial_engine_looks_a_up_once_per_grid(monkeypatch):
     _RadialEngine(hv, 1e-4, 1.0, n_steps)
     assert calls[id(hv)] == 2 + (n_steps + 1) + 801
     calls.clear()
-    geodesic_shoot(hv, 0.0, 0.25, 1.0, eps=1e-4, n_steps=n_steps)
+    geodesic_shoot(hv, 0.25, 1.0, eps=1e-4, n_steps=n_steps)
     assert calls[id(hv)] == 2 + (n_steps + 1) + 801
     calls.clear()
-    geodesic_shoot(hr, 0.0, 0.25, 1.0, n_steps=n_steps)
+    geodesic_shoot(hr, 0.25, 1.0, n_steps=n_steps)
     assert calls[id(hr)] == 2 + (n_steps + 1)
 
 
@@ -417,7 +417,7 @@ def test_model_shot_from_a_smooth_start_is_warning_free():
     h = evolve(HYPERBOLIC3, (0.0, 3.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = geodesic_shoot(h, 0.0, 0.4, 1.0)
+        sol = geodesic_shoot(h, 0.4, 1.0)
     assert math.isnan(sol.h_samples[0]) and np.all(np.isfinite(sol.h_samples[1:]))
     assert sol.boundary_term == 0.0 and sol.head == 0.0
     assert sol.identity_residual < 1e-6
@@ -430,7 +430,7 @@ def test_first_variation_vanishes_at_geodesic():
     # in sqrt time, which on the flat torus is exact)
     h = flat_history()
     t = 1.0
-    sol = geodesic_shoot(h, (0.0, 0.0), np.array([0.15, 0.1]), t, n_steps=64)
+    sol = geodesic_shoot(h, np.array([0.15, 0.1]), t, n_steps=64)
     s = np.sqrt(sol.path.eta_grid)
     ds = np.diff(s)
 
@@ -458,7 +458,7 @@ def test_theta_flat_torus():
     nt = 16
     pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
     times = np.linspace(0.6, 1.0, 5)
-    fld = ell_plus_field(h, (0.0, 0.0), pts, times, oracle_check=False,
+    fld = ell_plus_field(h, pts, times, oracle_check=False,
                          grid_shape=(nt, nt))
     series = theta_plus(fld, h)
     assert series.monotone_ok
@@ -471,12 +471,12 @@ def test_theta_plus_accepts_a_single_time_field():
     h = flat_history(32, 1.3)
     nt = 8
     pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    fld = ell_plus_field(h, (0.0, 0.0), pts, [1.0], oracle_check=False,
+    fld = ell_plus_field(h, pts, [1.0], oracle_check=False,
                          grid_shape=(nt, nt))
     series = theta_plus(fld, h)
     assert series.theta.shape == (1,) and series.monotone_ok and series.max_violation == 0.0
     # on the flat unit torus theta is (4 pi t)^(-1) times the integral of exp(ell)
-    three = ell_plus_field(h, (0.0, 0.0), pts, [0.9, 1.0, 1.1], oracle_check=False,
+    three = ell_plus_field(h, pts, [0.9, 1.0, 1.1], oracle_check=False,
                            grid_shape=(nt, nt))
     assert series.theta[0] == theta_plus(three, h).theta[1]
     # the pointwise relations difference in time and still need three times
@@ -489,7 +489,7 @@ def test_theta_vertex_expander_value_and_nu_duality():
     radii = np.linspace(0.0, 1.0, 9)
     times = np.linspace(0.8, 1.2, 5)
     fields = [
-        ell_plus_field(h, 0.0, radii, times, eps=e) for e in (1e-3, 1e-4, 1e-5)
+        ell_plus_field(h, radii, times, eps=e) for e in (1e-3, 1e-4, 1e-5)
     ]
     ext = extrapolate_fields(fields)
     series = theta_plus(ext, h)
@@ -507,7 +507,7 @@ def test_theta_off_vertex_base_nonconstant():
     h = evolve(HYPERBOLIC3, (0.0, 3.0))
     radii = np.linspace(0.0, 1.0, 9)
     times = np.linspace(0.8, 1.2, 5)
-    fld = ell_plus_field(h, 0.0, radii, times, eps=0.0)
+    fld = ell_plus_field(h, radii, times, eps=0.0)
     series = theta_plus(fld, h)
     assert series.monotone_ok
     assert np.max(series.theta) - np.min(series.theta) > 1e-3
@@ -517,14 +517,14 @@ def test_blowdown_invariance_of_reduced_quantities():
     h = vertex_expander_history(8.0)
     bd = blowdown(h, BlowdownSpec(alpha=4.0))
     radii = np.linspace(0.0, 1.0, 5)
-    f_src = ell_plus_field(h, 0.0, radii, [2.0], eps=4e-5)
-    f_bd = ell_plus_field(bd, 0.0, radii, [0.5], eps=1e-5)
+    f_src = ell_plus_field(h, radii, [2.0], eps=4e-5)
+    f_bd = ell_plus_field(bd, radii, [0.5], eps=1e-5)
     assert np.max(np.abs(f_src.ell[0] - f_bd.ell[0])) < 1e-6
     hf = flat_history(16, 1.0)
     bdf = blowdown(hf, BlowdownSpec(alpha=2.0))
     y = np.array([[0.3, 0.2]])
-    f1 = ell_plus_field(hf, (0.0, 0.0), y, [0.8], oracle_check=False)
-    f2 = ell_plus_field(bdf, (0.0, 0.0), y, [0.4], oracle_check=False)
+    f1 = ell_plus_field(hf, y, [0.8], oracle_check=False)
+    f2 = ell_plus_field(bdf, y, [0.4], oracle_check=False)
     assert abs(f1.ell[0, 0] - f2.ell[0, 0]) < 1e-6
 
 
@@ -532,7 +532,7 @@ def test_hessian_bound_flat_equality():
     h = flat_history(32, 1.3)
     nt = 8
     pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    fld = ell_plus_field(h, (0.0, 0.0), pts, [1.0], oracle_check=False,
+    fld = ell_plus_field(h, pts, [1.0], oracle_check=False,
                          grid_shape=(nt, nt))
     rep = hessian_check_cor21(h, 1.0, fld)
     assert rep.status == "ok"
@@ -545,7 +545,7 @@ def test_hessian_bound_needs_a_field_time():
     h = flat_history(32, 1.3)
     nt = 8
     pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    fld = ell_plus_field(h, (0.0, 0.0), pts, [1.0], oracle_check=False,
+    fld = ell_plus_field(h, pts, [1.0], oracle_check=False,
                          grid_shape=(nt, nt))
     for t in (0.5, 1.0 + 1e-9):
         with pytest.raises(ValueError, match="field times"):
@@ -570,7 +570,7 @@ def test_hessian_bound_refuses_negative_curvature():
 
 def test_field_csv_export(tmp_path):
     h = flat_history(16, 1.0)
-    fld = ell_plus_field(h, (0.0, 0.0), np.array([[0.2, 0.1]]), [0.5, 0.6, 0.7],
+    fld = ell_plus_field(h, np.array([[0.2, 0.1]]), [0.5, 0.6, 0.7],
                          oracle_check=False)
     out = tmp_path / "field.csv"
     fld.to_csv(out)
@@ -591,7 +591,7 @@ def test_consistency_triangle_on_model_expander():
     nu = nu_plus(h.metric_at(1.0))
     radii = np.linspace(0.0, 1.0, 9)
     times = np.linspace(0.8, 1.2, 5)
-    fields = [ell_plus_field(h, 0.0, radii, times, eps=e)
+    fields = [ell_plus_field(h, radii, times, eps=e)
               for e in (1e-3, 1e-4, 1e-5)]
     series = theta_plus(extrapolate_fields(fields), h)
     triple = (float(np.mean(w_vals)), nu.value, -math.log(series.theta[2]))
@@ -605,11 +605,11 @@ def test_path_minimization_oracle_direct():
     # image beats its translates, and the best action is half the squared
     # distance over the square root of time
     h = flat_history()
-    val = _oracle_torus_batch(h, np.zeros(2), np.array([[0.3, 0.0]]), 1.0, n_segments=128)
+    val = _oracle_torus_batch(h, np.array([[0.3, 0.0]]), 1.0, n_segments=128)
     assert val.shape == (1,) and abs(val[0] - 0.045) < 1e-9
     # radial fields are never oracle-checked: the oracle is torus-only
     with pytest.raises(ValueError):
-        _oracle_torus_batch(evolve(HYPERBOLIC3, (0.0, 1.0)), 0.0, np.array([[0.5, 0.0]]), 0.5)
+        _oracle_torus_batch(evolve(HYPERBOLIC3, (0.0, 1.0)), np.array([[0.5, 0.0]]), 0.5)
 
 
 def test_torus_slice_samples_match_fancy_index_gather():
@@ -664,7 +664,7 @@ def test_slice_store_equals_per_slice_formula():
     ts = np.array([0.0, 0.3, 0.7, 1.0])
     vals = 0.2 * rng.standard_normal((4, 16 * 24))
     m0 = ConformalTorusMetric(vals[0].reshape(16, 24), (1.0, 1.7))
-    h = FlowHistory("conformal_torus", m0, ts, vals, rng.standard_normal((4, 16 * 24)))
+    h = FlowHistory(m0, ts, vals, rng.standard_normal((4, 16 * 24)))
     slices = _TorusSlices(h, 1.0, 200)
     block = LEVEL_BATCH_BYTES // (len(_FIELDS) * m0.phi.nbytes)
     assert block < len(slices.s_all) and len(slices.s_all) % block
@@ -699,9 +699,9 @@ def test_oracle_builds_no_rdot_row(torus16, monkeypatch):
 
     monkeypatch.setattr("expanderlab.reduced._TorusSlices", Recording)
     pts = np.array([(0.15, 0.1), (0.25, 0.0)])
-    _oracle_torus_batch(h, np.zeros(2), pts, 0.2, 32)
+    _oracle_torus_batch(h, pts, 0.2, 32)
     assert shapes == [(2, 65, 16, 16)]
-    _torus_shoot_targets(h, np.zeros(2), pts, 0.2, 32)
+    _torus_shoot_targets(h, pts, 0.2, 32)
     assert shapes[1] == (3, 65, 16, 16)
 
 
@@ -732,30 +732,29 @@ def test_shoot_records_integrals_of_the_settling_sweep(torus16, monkeypatch):
     # evolving 16x16 torus: secant sweeps settle rows after different numbers
     # of sweeps, and each row keeps the integrals of the sweep that settled it
     h = torus16
-    x0 = np.zeros(2)
     pts = np.random.default_rng(7).uniform(0.0, 1.0, (24, 2))
     sizes = []
 
-    def spy(slices, x0, momenta, **kw):
+    def spy(slices, momenta, **kw):
         sizes.append(len(momenta))
-        return _torus_integrate(slices, x0, momenta, **kw)
+        return _torus_integrate(slices, momenta, **kw)
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", spy)
-    shot = _torus_shoot_targets(h, x0, pts, 0.2, 32)
+    shot = _torus_shoot_targets(h, pts, 0.2, 32)
     assert len(set(sizes)) > 3
     assert np.all(shot["miss"] < 1e-6)
     slices = shot["slices"]
-    fresh = _torus_integrate(slices, x0, shot["momenta"])
+    fresh = _torus_integrate(slices, shot["momenta"])
     # batched Simpson sums run in node order, so the batch a row shared
     # cannot move its integrals
     assert np.array_equal(fresh["l_tail"], shot["l_tail"])
     assert np.array_equal(fresh["k"], shot["k"])
-    alone = _torus_integrate(slices, x0, shot["momenta"][3:4])
+    alone = _torus_integrate(slices, shot["momenta"][3:4])
     assert alone["l_tail"][0] == fresh["l_tail"][3] and alone["k"][0] == fresh["k"][3]
 
     # the endpoints are those of plain RK4 that samples every stage afresh
     # and accumulates no integrals
-    x = np.tile(x0, (len(pts), 1))
+    x = np.zeros((len(pts), 2))
     v = 2.0 * shot["momenta"]
     ds = slices.ds
     for k in range(slices.n_steps):
@@ -811,20 +810,19 @@ def test_shoot_retries_non_finite_endpoint(torus16, monkeypatch):
     # a NaN endpoint on the first warm sweep must not count as converged:
     # the row is integrated again from the same momentum and settles
     h = torus16
-    x0 = np.zeros(2)
     pts = np.array([(0.15, 0.1), (0.25, 0.0), (0.1, 0.2)])
-    clean = _torus_shoot_targets(h, x0, pts, 0.2, 32)
+    clean = _torus_shoot_targets(h, pts, 0.2, 32)
     batches = []
 
-    def flaky(slices, x0, momenta, **kw):
-        res = _torus_integrate(slices, x0, momenta, **kw)
+    def flaky(slices, momenta, **kw):
+        res = _torus_integrate(slices, momenta, **kw)
         if not batches:
             res["end"][0] = np.nan
         batches.append(momenta.copy())
         return res
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", flaky)
-    shot = _torus_shoot_targets(h, x0, pts, 0.2, 32)
+    shot = _torus_shoot_targets(h, pts, 0.2, 32)
     assert np.array_equal(batches[1][0], batches[0][0])
     assert shot["miss"][0] < 1e-6
     assert shot["l_tail"][0] == pytest.approx(clean["l_tail"][0], rel=1e-9)
@@ -834,17 +832,16 @@ def test_shoot_drops_a_repeating_non_finite_endpoint(torus16, monkeypatch):
     # a NaN that repeats from the flat guess leaves the batch after its second
     # sweep; its miss stays inf, so the row cannot win
     h = torus16
-    x0 = np.zeros(2)
     pts = np.array([(0.15, 0.1), (0.5, 0.45), (0.1, 0.2)])
-    clean = _torus_shoot_targets(h, x0, pts, 0.2, 32)
+    clean = _torus_shoot_targets(h, pts, 0.2, 32)
     # poison the only image of target 0 and the winning image of target 1
     two_rt = 2.0 * math.sqrt(0.2)
     shift = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])[clean["translate"][1]]
-    bad = np.array([pts[0] - x0, pts[1] + shift - x0]) / two_rt
+    bad = np.array([pts[0], pts[1] + shift]) / two_rt
     counts = np.zeros(2, dtype=int)
 
-    def poisoned(slices, x0, momenta, **kw):
-        res = _torus_integrate(slices, x0, momenta, **kw)
+    def poisoned(slices, momenta, **kw):
+        res = _torus_integrate(slices, momenta, **kw)
         for k, p in enumerate(bad):
             hit = np.all(momenta == p, axis=1)
             res["end"][hit] = np.nan
@@ -852,7 +849,7 @@ def test_shoot_drops_a_repeating_non_finite_endpoint(torus16, monkeypatch):
         return res
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", poisoned)
-    shot = _torus_shoot_targets(h, x0, pts, 0.2, 32)
+    shot = _torus_shoot_targets(h, pts, 0.2, 32)
     assert list(counts) == [2, 2]
     assert shot["miss"][0] == np.inf
     assert shot["translate"][1] != clean["translate"][1] and shot["miss"][1] < 1e-6
@@ -864,21 +861,20 @@ def test_shoot_restarts_a_row_non_finite_twice_off_the_flat_guess(torus16, monke
     # flat guess, is retried once, then restarts from the flat guess with a
     # fresh inverse Jacobian and settles on the clean shot
     h = torus16
-    x0 = np.zeros(2)
     pts = np.array([(0.15, 0.1), (0.25, 0.0), (0.1, 0.2)])
-    clean = _torus_shoot_targets(h, x0, pts, 0.2, 32)
+    clean = _torus_shoot_targets(h, pts, 0.2, 32)
     batches = []
 
-    def flaky(slices, x0, momenta, **kw):
-        res = _torus_integrate(slices, x0, momenta, **kw)
+    def flaky(slices, momenta, **kw):
+        res = _torus_integrate(slices, momenta, **kw)
         if len(batches) in (1, 2):
             res["end"][0] = np.nan  # row 0 is the only image of target 0
         batches.append(momenta.copy())
         return res
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", flaky)
-    shot = _torus_shoot_targets(h, x0, pts, 0.2, 32)
-    p_flat = (pts[0] - x0) / (2.0 * math.sqrt(0.2))
+    shot = _torus_shoot_targets(h, pts, 0.2, 32)
+    p_flat = pts[0] / (2.0 * math.sqrt(0.2))
     assert not np.array_equal(batches[1][0], p_flat)
     assert np.array_equal(batches[2][0], batches[1][0])
     assert np.array_equal(batches[3][0], p_flat)
@@ -894,12 +890,12 @@ def test_secant_shot_takes_few_sweeps(torus16, monkeypatch):
     pts = np.random.default_rng(7).uniform(0.0, 1.0, (12, 2))
     calls = []
 
-    def spy(slices, x0, momenta, **kw):
+    def spy(slices, momenta, **kw):
         calls.append(len(momenta))
-        return _torus_integrate(slices, x0, momenta, **kw)
+        return _torus_integrate(slices, momenta, **kw)
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", spy)
-    shot = _torus_shoot_targets(h, np.zeros(2), pts, 0.2, 32)
+    shot = _torus_shoot_targets(h, pts, 0.2, 32)
     assert len(calls) <= 12, calls
     assert np.all(shot["miss"] < 1e-6)
 
@@ -924,16 +920,15 @@ def test_oracle_chunks_match_one_batch(torus16, monkeypatch):
     # the two start groups) or of one path, and runs of one target each,
     # give the values of one batch bit for bit
     h = torus16
-    x0 = np.zeros(2)
     pts = np.random.default_rng(5).uniform(0.0, 1.0, (6, 2))
     fields = count_gathers(monkeypatch)
-    whole = _oracle_torus_batch(h, x0, pts, 0.2, 32)
+    whole = _oracle_torus_batch(h, pts, 0.2, 32)
     assert fields[("r",), False] > 0  # value-only backtracks happened
-    alone = [_oracle_torus_batch(h, x0, pts[i:i + 1], 0.2, 32)[0] for i in range(len(pts))]
+    alone = [_oracle_torus_batch(h, pts[i:i + 1], 0.2, 32)[0] for i in range(len(pts))]
     for n_paths in (14, 1):
         monkeypatch.setattr("expanderlab.reduced.LEVEL_BATCH_BYTES", 32 * 33 * n_paths)
         fields.clear()
-        chunked = _oracle_torus_batch(h, x0, pts, 0.2, 32)
+        chunked = _oracle_torus_batch(h, pts, 0.2, 32)
         assert fields[("r",), True] >= -(-36 // n_paths)  # a start gradient per chunk
         assert np.array_equal(chunked, whole)
     assert np.array_equal(np.array(alone), whole)
@@ -948,7 +943,7 @@ def test_oracle_keeps_the_gradient_of_an_accepted_trial(monkeypatch):
     rng = np.random.default_rng(2)
     pts = rng.uniform(0.0, 1.0, (5, 2))
     fields = count_gathers(monkeypatch)
-    action = _PathAction(_TorusSlices(h, 1.0, 32, 2), np.zeros(2))
+    action = _PathAction(_TorusSlices(h, 1.0, 32, 2))
     z = (np.linspace(0.0, 1.0, 33)[1:-1, None] * pts[:, None, :]
          + 0.05 * rng.standard_normal((5, 31, 2)))
     vals = _descend(action, z, pts)
@@ -956,7 +951,7 @@ def test_oracle_keeps_the_gradient_of_an_accepted_trial(monkeypatch):
     assert np.allclose(vals, np.sum(pts * pts, axis=1) / 2.0, rtol=1e-6, atol=0)
     # the oracle's starts lie on the flat minimizer already: one gather each
     fields.clear()
-    vals = _oracle_torus_batch(h, np.zeros(2), pts, 1.0, 32)
+    vals = _oracle_torus_batch(h, pts, 1.0, 32)
     assert fields == {(("r",), True): 1, (("e2p",), True): 1}
     want = [torus_distance_sq(p) / 2.0 for p in pts]
     assert np.allclose(vals, want, rtol=1e-6, atol=0)
@@ -967,7 +962,7 @@ def test_oracle_gradient_is_the_derivative_of_its_value(torus16):
     # gradient equals a central difference of the value (the stencil
     # gradients of r and phi the oracle read before missed it by 2e-3)
     h = torus16
-    action = _PathAction(_TorusSlices(h, 0.2, 32, 2), np.zeros(2))
+    action = _PathAction(_TorusSlices(h, 0.2, 32, 2))
     rng = np.random.default_rng(0)
     ys = rng.uniform(0.0, 1.0, (4, 2))
     z = (np.linspace(0.0, 1.0, 33)[1:-1, None] * ys[:, None, :]
@@ -999,14 +994,14 @@ def test_oracle_descends_each_row_once(torus16, monkeypatch):
         return calls[-1][-1]
 
     monkeypatch.setattr("expanderlab.reduced._descend", spy)
-    best = _oracle_torus_batch(h, np.zeros(2), pts, 0.2, 32)
+    best = _oracle_torus_batch(h, pts, 0.2, 32)
     straight = np.concatenate([c[-1] for c in calls])
     assert len(straight) == 3 * len(pts)
     assert np.array_equal(best, np.min(straight.reshape(-1, 3), axis=1))
     action = calls[0][0]
     z, y = np.concatenate([c[1] for c in calls]), np.concatenate([c[2] for c in calls])
     s = action.slices.s_nodes
-    z_root = (s / s[-1])[1:-1, None] * y[:, None, :]  # x0 = 0
+    z_root = (s / s[-1])[1:-1, None] * y[:, None, :]  # paths start at the origin
     assert np.max(np.abs(z_root - z)) <= 1e-15
     root = _descend(action, z_root, y)
     assert np.max(np.abs(straight - root) / np.abs(straight)) <= 1e-12
@@ -1017,7 +1012,6 @@ def test_oracle_memory_is_bounded_by_the_chunk(monkeypatch):
     # (numpy reports its buffers to tracemalloc) grows by less than 1.5x;
     # in one batch it grew nearly in proportion (16.3 -> 30.5 MB)
     h = flat_history(32, 1.0)
-    x0 = np.zeros(2)
     monkeypatch.setattr("expanderlab.reduced.LEVEL_BATCH_BYTES", 32 << 12)
     rng = np.random.default_rng(8)
     peaks = []
@@ -1025,7 +1019,7 @@ def test_oracle_memory_is_bounded_by_the_chunk(monkeypatch):
         pts = rng.uniform(0.0, 1.0, (m, 2))
         tracemalloc.start()
         try:
-            _oracle_torus_batch(h, x0, pts, 1.0)
+            _oracle_torus_batch(h, pts, 1.0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
