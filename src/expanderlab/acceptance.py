@@ -34,7 +34,7 @@ from .entropy import (
     mu_plus,
     nu_plus,
 )
-from .flow import BlowdownSpec, blowdown, check_R_lower_bound, evolve, scaled_volume
+from .flow import blowdown, check_R_lower_bound, evolve, scaled_volume
 from .geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
@@ -368,7 +368,7 @@ def crit_10_property_suite(art: _Artifacts):
     # blowdown invariance of the monotone quantities
     inv = blowdown_gap(h, 8.0, (0.5, 2.0))
     hv = art.vertex_expander(8.0)
-    bdv = blowdown(hv, BlowdownSpec(alpha=4.0))
+    bdv = blowdown(hv, 4.0)
     radii = np.linspace(0.0, 1.0, 5)
     f_src = ell_plus_field(hv, radii, [2.0], eps=4e-5)
     f_bd = ell_plus_field(bdv, radii, [0.5], eps=1e-5)

@@ -433,9 +433,10 @@ def _run_into(scn: Scenario, out: Path) -> dict:
             gap = abs(rep_a.w_plus_limit_fit - w_pred)
             report["residuals"]["asymptotics.w_limit_gap"] = gap
             report["verdicts"]["asymptotics.limits_match"] = gap <= tols["asymptotics"]
+        t0, t1 = scn.t_span
         p15 = long_time_residual_integral(
-            h, dens, (max(scn.t_span[0], scn.t_span[1] / 100.0, 1e-2),
-                      0.9 * scn.t_span[1]))
+            h, dens, dens.window if h.kind == "conformal_torus"
+            else (max(t0, t1 / 100.0, 1e-2), 0.9 * t1))
         report["fitted"].update(residual_integral=p15.integral,
                                 residual_decay_exponent=p15.decay_exponent)
 

@@ -204,19 +204,20 @@ class ImmortalDensity:
     history: FlowHistory
     gaps: list | None = None
 
+    def __post_init__(self) -> None:
+        # u_at's Hermite slopes: the rate -lap u + R u of each retained torus state
+        torus = self.history.kind == "conformal_torus"
+        ms = self.history.metrics_at([s.t for s in self.states]) if torus else ()
+        self.rates = [-laplacian(m, s.u) + curvature(m).scalar * s.u
+                      for m, s in zip(ms, self.states)]
+
     def u_at(self, t: float):
         if self.history.kind in ("homogeneous", "model_space"):
             return 1.0 / self.history.volume_at(t)
         times = np.array([s.t for s in self.states])
         i, s, h_step = hermite_interval(times, float(t), 1e-12)
-
-        def slope(k):
-            m = self.history.metric_at(times[k])
-            u = self.states[k].u
-            return -laplacian(m, u) + curvature(m).scalar * u
-
-        return hermite_cubic(s, h_step, self.states[i].u, slope(i),
-                             self.states[i + 1].u, slope(i + 1))
+        return hermite_cubic(s, h_step, self.states[i].u, self.rates[i],
+                             self.states[i + 1].u, self.rates[i + 1])
 
     def state_at(self, t: float) -> DensityState:
         u = self.u_at(t)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjugate_heat import ImmortalDensity, log_potential
-from .flow import BlowdownSpec, FlowHistory, blowdown, scaled_volume
+from .flow import FlowHistory, blowdown, scaled_volume
 from .geometry import (
     ConformalTorusMetric,
     MetricModel,
@@ -376,7 +376,8 @@ def _tail_fit_inverse(ts, vals):
 def asymptotics_report(h: FlowHistory, dens: ImmortalDensity) -> AsymptoticsReport:
     """Tail-extrapolated limits of the entropy, eigenvalue, and volume.
 
-    Fits a + b/t over the last decade of the history and compares the
+    Fits a + b/t over the last decade of the history (on the torus, of
+    the density window, cut at the window's start) and compares the
     extrapolated entropy and scaled eigenvalue against the values
     predicted from the scaled-volume limit alone.  A collapsing flow
     (scaled volume tending to zero) is reported as such; the entropy
@@ -384,10 +385,11 @@ def asymptotics_report(h: FlowHistory, dens: ImmortalDensity) -> AsymptoticsRepo
     instead.
     """
     n = h.dim
-    t_hi = h.t_max
-    if h.kind == "conformal_torus":
-        t_hi = min(t_hi, dens.window[1])
-    ts = np.geomspace(t_hi / 10.0, t_hi, 17)
+    t_lo, t_hi = h.t_max / 10.0, h.t_max
+    if h.kind == "conformal_torus":  # the torus density lives on its window only
+        lo, hi = dens.window
+        t_lo, t_hi = max(hi / 10.0, lo), hi
+    ts = np.geomspace(t_lo, t_hi, 17)
     v_tilde = np.array([scaled_volume(h, t) for t in ts])
     w_vals = np.array(
         [expander_entropy(h.metric_at(t), dens.state_at(t).u, t) for t in ts]
@@ -428,7 +430,7 @@ def blowdown_gap(h: FlowHistory, alpha: float, times) -> float:
     invariant quantities: the expander entropy of the uniform density,
     the scaled volume and lambda_bar.
     """
-    bd = blowdown(h, BlowdownSpec(alpha=alpha))
+    bd = blowdown(h, alpha)
     worst = 0.0
     for t in times:
         m_b, m_s = bd.metric_at(t), h.metric_at(alpha * t)

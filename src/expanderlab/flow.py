@@ -45,7 +45,6 @@ from .numerics import (conjugate_gradient, hermite_cubic, hermite_interval, herm
 
 __all__ = [
     "FlowHistory",
-    "BlowdownSpec",
     "RBoundReport",
     "evolve",
     "torus_dt_cap",
@@ -166,44 +165,19 @@ class FlowHistory:
         write_csv(path, ["t", *names, "V", "R_min", "R_max"], rows)
 
 
-@dataclass(frozen=True)
-class BlowdownSpec:
-    """Rescaling g_alpha(t) = g(alpha t)/alpha probing long-time behavior."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not self.alpha >= 1.0:
-            raise ValueError("alpha must be >= 1")
-
-
-class BlowdownHistory(FlowHistory):
-    """Lazy rescaled view of a source history: g(t) = source(alpha t)/alpha."""
-
-    def __init__(self, source: FlowHistory, alpha: float):
-        self.source = source
-        self.alpha = float(alpha)
-        self.template = source.template
-        self.times = source.times / self.alpha
-        self.birth_time = source.birth_time / self.alpha
-        self.extinct_at = None if source.extinct_at is None else source.extinct_at / self.alpha
-
-    def params_at(self, t):
-        return self._rescaled(self.source.params_at(self.alpha * float(t)))
-
-    def params_at_times(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        return self._rescaled(self.source.params_at_times(self.alpha * ts))
-
-    def _rescaled(self, p):
-        if self.kind == "conformal_torus":
-            return p - 0.5 * math.log(self.alpha)
-        return p / self.alpha
-
-
-def blowdown(h: FlowHistory, spec: BlowdownSpec) -> FlowHistory:
-    """History of the rescaled flow; times range over the source's / alpha."""
-    return BlowdownHistory(h, spec.alpha)
+def blowdown(h: FlowHistory, alpha: float) -> FlowHistory:
+    """History of the rescaled flow g(alpha t)/alpha, alpha >= 1, from
+    rescaled samples: the torus phi drops by log(alpha)/2 and its rate
+    gains a factor alpha; the other parameters divide by alpha and keep
+    their rates.  Times, birth and extinction divide by alpha."""
+    if not alpha >= 1.0:
+        raise ValueError("alpha must be >= 1")
+    if h.kind == "conformal_torus":
+        params, rhs = h.params - 0.5 * math.log(alpha), alpha * h.param_rhs
+    else:
+        params, rhs = h.params / alpha, h.param_rhs
+    return FlowHistory(h.template, h.times / alpha, params, rhs, h.birth_time / alpha,
+                       None if h.extinct_at is None else h.extinct_at / alpha)
 
 
 def scaled_volume(h: FlowHistory, t: float) -> float:

@@ -594,7 +594,6 @@ def _torus_shoot_targets(h: FlowHistory, targets: np.ndarray, t: float, n_steps:
         "translate": shift_idx[win],
         "images": images[win],
         "miss": miss[win],
-        "slices": slices,
     }
 
 
@@ -852,7 +851,6 @@ def ell_plus_field(h: FlowHistory, targets, times, eps: float = 0.0,
         momenta[i] = shot["momenta"]
         images[i] = shot["images"]
         missed = shot["miss"] > 1e-6
-        del shot  # its slice store would sit beside the oracle's
         if oracle_check or np.any(missed):
             o_vals = _oracle_torus_batch(h, targets, float(t), oracle_segments) / two_rt
             oracle_vals[i] = o_vals
@@ -1125,6 +1123,8 @@ def hessian_check_cor21(h: FlowHistory, t: float, targets) -> HessianReport:
     """
     from .geometry import curvature_operator_nonneg
 
+    if h.kind not in ("model_space", "conformal_torus"):
+        raise ValueError("hessian check supports model-space and torus histories")
     m = h.metric_at(t)
     if not curvature_operator_nonneg(m):
         return HessianReport(status="precondition_not_met")
@@ -1147,26 +1147,24 @@ def hessian_check_cor21(h: FlowHistory, t: float, targets) -> HessianReport:
         min_margin = min(float(np.min(bound - hess_rad)),
                          float(np.min(bound - hess_tan)))
         return HessianReport("ok", margins, min_margin)
-    if h.kind == "conformal_torus":
-        fld = targets  # a precomputed subgrid field at [t]
-        if not isinstance(fld, ReducedField) or fld.grid_shape is None:
-            raise ValueError("torus variant expects a subgrid ReducedField")
-        hit = np.flatnonzero(np.abs(fld.times - t) <= 1e-12 * abs(t))
-        if not len(hit):
-            raise ValueError(f"t = {t!r} is not one of the field times {fld.times.tolist()}")
-        i = int(hit[0])
-        l_vals = (2.0 * math.sqrt(t) * fld.ell[i]).reshape(fld.grid_shape)
-        sub, (hsx, hsy) = _subgrid(fld, m)
-        phi_sub, r_sub = m.phi[sub], curvature(m).scalar[sub]
-        h_xx, _, h_yy = _hessian_conformal(l_vals, phi_sub, hsx, hsy)
-        e2p = np.exp(2.0 * phi_sub)
-        bound = 1.0 / math.sqrt(t) + 2.0 * math.sqrt(t) * 0.5 * r_sub
-        mx = bound - h_xx / e2p
-        my = bound - h_yy / e2p
-        if fld.smooth_mask is not None:
-            keep = fld.smooth_mask[i].reshape(fld.grid_shape)
-            mx, my = mx[keep], my[keep]
-        min_margin = min(float(np.min(mx)), float(np.min(my)))
-        return HessianReport("ok", {"xx_min": float(np.min(mx)), "yy_min": float(np.min(my))},
-                             min_margin)
-    raise ValueError("hessian check supports model-space and torus histories")
+    fld = targets  # the torus: a precomputed subgrid field at [t]
+    if not isinstance(fld, ReducedField) or fld.grid_shape is None:
+        raise ValueError("torus variant expects a subgrid ReducedField")
+    hit = np.flatnonzero(np.abs(fld.times - t) <= 1e-12 * abs(t))
+    if not len(hit):
+        raise ValueError(f"t = {t!r} is not one of the field times {fld.times.tolist()}")
+    i = int(hit[0])
+    l_vals = (2.0 * math.sqrt(t) * fld.ell[i]).reshape(fld.grid_shape)
+    sub, (hsx, hsy) = _subgrid(fld, m)
+    phi_sub, r_sub = m.phi[sub], curvature(m).scalar[sub]
+    h_xx, _, h_yy = _hessian_conformal(l_vals, phi_sub, hsx, hsy)
+    e2p = np.exp(2.0 * phi_sub)
+    bound = 1.0 / math.sqrt(t) + 2.0 * math.sqrt(t) * 0.5 * r_sub
+    mx = bound - h_xx / e2p
+    my = bound - h_yy / e2p
+    if fld.smooth_mask is not None:
+        keep = fld.smooth_mask[i].reshape(fld.grid_shape)
+        mx, my = mx[keep], my[keep]
+    min_margin = min(float(np.min(mx)), float(np.min(my)))
+    return HessianReport("ok", {"xx_min": float(np.min(mx)), "yy_min": float(np.min(my))},
+                         min_margin)

@@ -638,3 +638,41 @@ def curvature_homogeneous_numpy(m):
 
     q = milnor_ricci_diag(m.structure_constants, m.diag) / np.asarray(m.diag, dtype=float)
     return float(np.sum(q)), float(np.sum(q ** 2))
+
+
+def blowdown_params_at(h, alpha, t):
+    """The parameters of the blowdown g(alpha t)/alpha at t, rescaled at
+    lookup: h's at alpha t divided by alpha, or phi - log(alpha)/2 on the
+    torus.  Reference for `flow.blowdown`, which rescales the samples."""
+    p = h.params_at(alpha * float(t))
+    if h.kind == "conformal_torus":
+        return p - 0.5 * math.log(alpha)
+    return p / alpha
+
+
+def blowdown_params_at_times(h, alpha, ts):
+    """`blowdown_params_at` at each of the times ts, from one batched lookup."""
+    p = h.params_at_times(alpha * np.asarray(ts, dtype=float))
+    if h.kind == "conformal_torus":
+        return p - 0.5 * math.log(alpha)
+    return p / alpha
+
+
+def immortal_u_at_per_call(dens, t):
+    """The immortal torus density at t by Hermite rule, with both end
+    slopes -lap u + R u built from their own metric lookups at each call.
+    Reference for `conjugate_heat.ImmortalDensity.u_at`, which stores the
+    slopes once."""
+    from expanderlab.geometry import curvature, laplacian
+    from expanderlab.numerics import hermite_cubic, hermite_interval
+
+    times = np.array([s.t for s in dens.states])
+    i, s, h_step = hermite_interval(times, float(t), 1e-12)
+
+    def slope(k):
+        m = dens.history.metric_at(times[k])
+        u = dens.states[k].u
+        return -laplacian(m, u) + curvature(m).scalar * u
+
+    return hermite_cubic(s, h_step, dens.states[i].u, slope(i),
+                         dens.states[i + 1].u, slope(i + 1))

@@ -241,6 +241,22 @@ def test_target_grid_not_dividing_grid_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_asymptotics_on_the_flat_torus_samples_inside_the_density_window(tmp_path):
+    # the tail fit and the residual integral sample the immortal density,
+    # which lives on [0.3, 1.2] only: they used to ask for it at 0.12.  On
+    # the flat torus the entropy grows at n/2 = 1 per unit log t, and the
+    # residual integrand is n/4 = 1/2, so its integral is ln(1.2/0.3)/2
+    doc = json.loads(builtin_scenarios()["flat_torus"].read_text())
+    doc["checks"] = ["asymptotics"]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    fitted = json.loads((out / "flat_torus" / "report.json").read_text())["fitted"]
+    assert fitted["collapsed"] is True
+    assert abs(fitted["w_plus_log_growth_rate"] - 1.0) < 1e-9
+    assert abs(fitted["residual_integral"] - np.log(2.0)) < 1e-9
+
+
 @pytest.mark.parametrize("checks", [["reduced"], ["entropy", "theta"]])
 def test_reduced_checks_on_homogeneous_model_exit_2(tmp_path, capsys, checks):
     # reduced length is shot on torus and model-space histories only

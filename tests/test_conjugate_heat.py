@@ -23,6 +23,7 @@ from expanderlab.geometry import (
 from oracles import (
     backward_torus_per_step,
     harnack_identity_separate,
+    immortal_u_at_per_call,
     potential_evolution_separate,
     steady_harnack_separate,
     v_plus,
@@ -213,6 +214,16 @@ def test_immortal_density_torus_cauchy():
     full = construct_immortal_density(h, (0.005, 0.02), tol=1e-300)
     for a, b in zip(full.gaps, full.gaps[1:]):
         assert b <= 0.5 * a
+
+
+def test_immortal_u_at_equals_the_per_call_rate_rule():
+    # the rates -lap u + R u are stored once per retained state; u_at has
+    # the bits of the rule that builds both end rates at every call
+    h = torus_history(16, 0.1)
+    dens = construct_immortal_density(h, (0.005, 0.02), tol=1e-6)
+    for t in np.linspace(0.005, 0.02, 50):
+        got, want = dens.u_at(t), immortal_u_at_per_call(dens, t)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_immortal_density_unconverged_tail_flagged():

@@ -18,7 +18,7 @@ from expanderlab.entropy import (
     nash_entropy,
     nu_plus,
 )
-from expanderlab.flow import BlowdownSpec, blowdown, evolve, scaled_volume
+from expanderlab.flow import blowdown, evolve, scaled_volume
 from expanderlab.geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
@@ -300,7 +300,7 @@ def test_long_time_residual_integral():
 
 def test_blowdown_invariance_of_monotone_quantities():
     h = evolve(HYPERBOLIC3, (0.0, 40.0))
-    bd = blowdown(h, BlowdownSpec(alpha=8.0))
+    bd = blowdown(h, 8.0)
     for t in (0.5, 2.0):
         m_b = bd.metric_at(t)
         m_s = h.metric_at(8.0 * t)
@@ -317,7 +317,7 @@ def test_blowdown_gap_is_the_largest_of_the_three_changes():
                                  * np.ones((16, 16)))
     for h, alpha, times in ((evolve(HYPERBOLIC3, (0.0, 40.0)), 8.0, (0.5, 2.0)),
                             (evolve(torus, (0.0, 0.2)), 4.0, (0.01, 0.04))):
-        bd = blowdown(h, BlowdownSpec(alpha=alpha))
+        bd = blowdown(h, alpha)
         want = 0.0
         for t in times:
             m_b, m_s = bd.metric_at(t), h.metric_at(alpha * t)

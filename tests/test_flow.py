@@ -6,7 +6,6 @@ import pytest
 
 from expanderlab.acceptance import HYPERBOLIC3
 from expanderlab.flow import (
-    BlowdownSpec,
     FlowHistory,
     blowdown,
     check_R_lower_bound,
@@ -21,7 +20,7 @@ from expanderlab.geometry import (
     integrate,
     volume,
 )
-from oracles import evolve_torus_recomputing
+from oracles import blowdown_params_at, blowdown_params_at_times, evolve_torus_recomputing
 
 SPHERE3 = ModelSpaceMetric(dim=3, sectional_sign=1, scale=1.0, base_volume=1.0)
 
@@ -136,7 +135,7 @@ def test_R_lower_bound_reports():
 
 def test_blowdown_scale_algebra():
     h = evolve(HYPERBOLIC3, (0.0, 40.0))
-    bd = blowdown(h, BlowdownSpec(alpha=8.0))
+    bd = blowdown(h, 8.0)
     for t in (0.5, 1.0, 4.0):
         assert abs(scaled_volume(bd, t) - scaled_volume(h, 8.0 * t)) < 1e-10
         # rescaled metric: a_alpha(t) = (1 + 4 alpha t)/alpha
@@ -146,19 +145,19 @@ def test_blowdown_scale_algebra():
 def test_blowdown_flat_static_collapses():
     m0 = ConformalTorusMetric(np.zeros((16, 16)))
     h = evolve(m0, (0.0, 1e-2))
-    bd = blowdown(h, BlowdownSpec(alpha=4.0))
+    bd = blowdown(h, 4.0)
     assert abs(volume(bd.metric_at(1e-3)) - 1.0 / 4.0) < 1e-12
 
 
 def test_history_kind_follows_its_template():
-    # every history, a blowdown view included, takes its kind from its
+    # every history, a blowdown included, takes its kind from its
     # template; a template of no known type is refused at construction
     templates = {"model_space": HYPERBOLIC3,
                  "homogeneous": HomogeneousMetric((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
                  "conformal_torus": ConformalTorusMetric(np.zeros((8, 8)))}
     for kind, m0 in templates.items():
         h = evolve(m0, (0.0, 1e-3))
-        assert h.kind == blowdown(h, BlowdownSpec(alpha=2.0)).kind == kind
+        assert h.kind == blowdown(h, 2.0).kind == kind
     ts = np.array([0.0, 1.0])
     with pytest.raises(TypeError, match="unknown metric model"):
         FlowHistory(object(), ts, np.zeros((2, 1)), np.zeros((2, 1)))
@@ -184,8 +183,49 @@ def test_torus_step_stops_on_a_non_finite_state():
 
 
 def test_blowdown_requires_alpha_geq_one():
-    with pytest.raises(ValueError):
-        BlowdownSpec(alpha=0.5)
+    with pytest.raises(ValueError, match="alpha must be >= 1"):
+        blowdown(evolve(HYPERBOLIC3, (0.0, 1.0)), 0.5)
+
+
+def bits(a):
+    # == on the bit patterns: tells -0.0 from 0.0
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def test_blowdown_has_the_rescaled_lookups_bits_for_powers_of_two():
+    # dividing by a power of two is exact, so on model-space and homogeneous
+    # histories the rescaled samples give, scalar and batched, the bits of
+    # the source's lookup at alpha t divided by alpha
+    rng = np.random.default_rng(5)
+    for h in (evolve(HYPERBOLIC3, (0.0, 4.0)),
+              evolve(HomogeneousMetric((2.0, 2.0, 2.0), (1.0, 1.0, 1.0)), (0.0, 1.0))):
+        for alpha in (2.0, 4.0, 8.0):
+            bd = blowdown(h, alpha)
+            assert bd.kind == h.kind
+            assert np.array_equal(bits(bd.times), bits(h.times / alpha))
+            assert bd.birth_time == h.birth_time / alpha
+            assert bd.extinct_at == (None if h.extinct_at is None else h.extinct_at / alpha)
+            ts = np.concatenate([bd.times, rng.uniform(bd.t_min, bd.t_max, 200)])
+            want = np.array([blowdown_params_at(h, alpha, t) for t in ts])
+            assert np.array_equal(bits([bd.params_at(t) for t in ts]), bits(want))
+            assert np.array_equal(bits(bd.params_at_times(ts)),
+                                  bits(blowdown_params_at_times(h, alpha, ts)))
+
+
+def test_blowdown_agrees_with_the_rescaled_lookup_to_round_off():
+    # any alpha, and the torus, whose rate gains the factor alpha: between
+    # samples the lookups agree to round-off, where an unscaled torus rate
+    # would miss by the interpolation step
+    cases = ((evolve(HYPERBOLIC3, (0.0, 4.0)), 3.0),
+             (evolve(HomogeneousMetric((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)), (0.0, 3.0)), 3.0),
+             (evolve(sine_torus(16, 0.3), (0.0, 0.02)), 3.0),
+             (evolve(sine_torus(16, 0.3), (0.0, 0.02)), 4.0))
+    for h, alpha in cases:
+        bd = blowdown(h, alpha)
+        mid = 0.5 * (bd.times[:-1] + bd.times[1:])
+        want = blowdown_params_at_times(h, alpha, mid)
+        for got in (bd.params_at_times(mid), np.array([bd.params_at(t) for t in mid])):
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (h.kind, alpha)
 
 
 def test_export_csv(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from expanderlab.flow import BlowdownSpec, FlowHistory, blowdown, evolve
+from expanderlab.flow import FlowHistory, blowdown, evolve
 from expanderlab.geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
@@ -387,7 +387,7 @@ def test_batched_history_lookup_equals_params_at():
                 assert np.array_equal(bits(m.phi), bits(want_m.phi))
             else:
                 assert m == want_m
-        bd = blowdown(h, BlowdownSpec(alpha=4.0))
+        bd = blowdown(h, 4.0)
         want_bd = np.array([bd.params_at(t) for t in ts[:40] / 4.0])
         assert np.array_equal(bits(bd.params_at_times(ts[:40] / 4.0)), bits(want_bd))
         # the first time out of range or NaN is the one named, as in params_at

@@ -9,8 +9,8 @@ import pytest
 
 from expanderlab.acceptance import HYPERBOLIC3, sine_torus
 from expanderlab.entropy import nu_plus
-from expanderlab.flow import LEVEL_BATCH_BYTES, BlowdownSpec, FlowHistory, blowdown, evolve
-from expanderlab.geometry import ConformalTorusMetric, ModelSpaceMetric
+from expanderlab.flow import LEVEL_BATCH_BYTES, FlowHistory, blowdown, evolve
+from expanderlab.geometry import ConformalTorusMetric, HomogeneousMetric, ModelSpaceMetric
 from expanderlab.reduced import (
     check_reduced_field,
     ell_plus_field,
@@ -362,7 +362,7 @@ def radial_cases():
     hr = evolve(HYPERBOLIC3, (0.0, 3.0))
     hs = evolve(ModelSpaceMetric(3, 1, 1.0), (0.0, 1.0))
     return [(hv, 1e-3, 1.0), (hv, 1e-4, 1.0), (hv, 1e-5, 1.0), (hr, 0.0, 1.0),
-            (hr, 1e-4, 1.0), (hs, 0.0, 0.1), (blowdown(hv8, BlowdownSpec(alpha=4.0)), 1e-5, 0.5)]
+            (hr, 1e-4, 1.0), (hs, 0.0, 0.1), (blowdown(hv8, 4.0), 1e-5, 0.5)]
 
 
 def test_radial_engine_matches_per_point_lookups_bitwise():
@@ -515,13 +515,13 @@ def test_theta_off_vertex_base_nonconstant():
 
 def test_blowdown_invariance_of_reduced_quantities():
     h = vertex_expander_history(8.0)
-    bd = blowdown(h, BlowdownSpec(alpha=4.0))
+    bd = blowdown(h, 4.0)
     radii = np.linspace(0.0, 1.0, 5)
     f_src = ell_plus_field(h, radii, [2.0], eps=4e-5)
     f_bd = ell_plus_field(bd, radii, [0.5], eps=1e-5)
     assert np.max(np.abs(f_src.ell[0] - f_bd.ell[0])) < 1e-6
     hf = flat_history(16, 1.0)
-    bdf = blowdown(hf, BlowdownSpec(alpha=2.0))
+    bdf = blowdown(hf, 2.0)
     y = np.array([[0.3, 0.2]])
     f1 = ell_plus_field(hf, y, [0.8], oracle_check=False)
     f2 = ell_plus_field(bdf, y, [0.4], oracle_check=False)
@@ -566,6 +566,16 @@ def test_hessian_bound_refuses_negative_curvature():
     h = evolve(HYPERBOLIC3, (0.0, 1.0))
     rep = hessian_check_cor21(h, 0.5, np.linspace(0.0, 1.0, 9))
     assert rep.status == "precondition_not_met"
+
+
+@pytest.mark.parametrize("consts", [(2.0, 2.0, 2.0), (1.0, 0.0, 0.0)], ids=["su2", "heisenberg"])
+def test_hessian_bound_refuses_homogeneous_histories_by_kind(consts):
+    # the kind is refused before the curvature sign is read: Heisenberg,
+    # whose curvature operator has a negative eigenvalue, used to answer
+    # "precondition_not_met" where SU(2) raised
+    h = evolve(HomogeneousMetric(consts, (1.0, 1.0, 1.0)), (0.0, 0.1))
+    with pytest.raises(ValueError, match="model-space and torus histories"):
+        hessian_check_cor21(h, 0.05, np.linspace(0.0, 1.0, 9))
 
 
 def test_field_csv_export(tmp_path):
@@ -743,7 +753,7 @@ def test_shoot_records_integrals_of_the_settling_sweep(torus16, monkeypatch):
     shot = _torus_shoot_targets(h, pts, 0.2, 32)
     assert len(set(sizes)) > 3
     assert np.all(shot["miss"] < 1e-6)
-    slices = shot["slices"]
+    slices = _TorusSlices(h, 0.2, 32)  # deterministic: the store the shot used
     fresh = _torus_integrate(slices, shot["momenta"])
     # batched Simpson sums run in node order, so the batch a row shared
     # cannot move its integrals
