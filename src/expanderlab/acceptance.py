@@ -49,7 +49,6 @@ from .reduced import (
     extrapolate_fields,
     geodesic_shoot,
     hessian_check_cor21,
-    subgrid_targets,
     theta_plus,
 )
 
@@ -135,17 +134,13 @@ class _Artifacts:
     def torus_theta_field(self):
         def build():
             h = self.torus_flow()
-            return h, ell_plus_field(h, subgrid_targets(16, h.template.periods),
-                                     np.linspace(0.18, 0.22, 5), oracle_check=False,
-                                     grid_shape=(16, 16))
+            return h, ell_plus_field(h, 16, np.linspace(0.18, 0.22, 5), oracle_check=False)
         return self.get("torus_theta_field", build)
 
     def flat_theta_field(self):
         def build():
             h = self.flat_static()
-            return h, ell_plus_field(h, subgrid_targets(16, h.template.periods),
-                                     np.linspace(0.6, 1.0, 5), oracle_check=False,
-                                     grid_shape=(16, 16))
+            return h, ell_plus_field(h, 16, np.linspace(0.6, 1.0, 5), oracle_check=False)
         return self.get("flat_theta_field", build)
 
     def vertex_extrapolated(self):
@@ -264,15 +259,14 @@ def crit_5_mu_nu(art: _Artifacts):
 @_criterion(6, "reduced length vs closed form/oracle")
 def crit_6_reduced_length(art: _Artifacts):
     h = art.flat_static()
-    pts = subgrid_targets(10, h.template.periods)
-    fld = ell_plus_field(h, pts, [1.0], oracle_check=True, oracle_segments=256)
+    fld = ell_plus_field(h, 10, [1.0], oracle_check=True, oracle_segments=256)
 
     def dist_sq(p):
         dx = min(p[0] % 1, 1 - p[0] % 1)
         dy = min(p[1] % 1, 1 - p[1] % 1)
         return dx * dx + dy * dy
 
-    want = np.array([dist_sq(p) / 4.0 for p in pts])
+    want = np.array([dist_sq(p) / 4.0 for p in fld.targets])
     shoot_dev = float(np.max(np.abs(fld.ell[0] - want)))
     oracle_rel = fld.oracle_rel_gap
     res_flat = geodesic_shoot(h, np.array([0.2, 0.1]), 1.0).identity_residual
@@ -305,8 +299,7 @@ def crit_7_reduced_volume(art: _Artifacts):
 def crit_8_inequalities(art: _Artifacts):
     # flat torus: equality case, checked tightly
     hf = art.flat_static()
-    fld = ell_plus_field(hf, subgrid_targets(8, hf.template.periods),
-                         np.linspace(0.99, 1.01, 5), oracle_check=False, grid_shape=(8, 8))
+    fld = ell_plus_field(hf, 8, np.linspace(0.99, 1.01, 5), oracle_check=False)
     flat_rep = check_reduced_field(fld, hf)
     flat_eq = max(abs(flat_rep.subsolution), abs(flat_rep.entropy_form))
     worst = flat_rep.worst_violation

@@ -47,7 +47,6 @@ from .reduced import (
     check_reduced_field,
     ell_plus_field,
     extrapolate_fields,
-    subgrid_targets,
     theta_plus,
 )
 from .reports import write_csv, write_json, write_svg_chart
@@ -460,9 +459,8 @@ def _build_reduced_field(scn: Scenario, h):
             fields = [ell_plus_field(h, radii, scn.field_times, eps=e) for e in EPS_LADDER]
             return extrapolate_fields(fields), {"reduced_eps_ladder": list(EPS_LADDER)}
         return ell_plus_field(h, radii, scn.field_times, eps=0.0), {}
-    nt = scn.params["target_grid"]
-    fld = ell_plus_field(h, subgrid_targets(nt, h.template.periods), scn.field_times,
-                         oracle_check=scn.params["oracle_check"], grid_shape=(nt, nt))
+    fld = ell_plus_field(h, scn.params["target_grid"], scn.field_times,
+                         oracle_check=scn.params["oracle_check"])
     return fld, {}
 
 

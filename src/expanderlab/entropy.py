@@ -163,7 +163,7 @@ def _entropy_in_w_problem(m: MetricModel, sigma: float):
     def functional(w):
         w2 = w * w
         ent = w2 * np.log(np.maximum(w2, 1e-300))
-        return integrate(m, sigma * (4.0 * grad_norm_sq(m, w) + r * w2) + ent) + const
+        return integrate(m, sigma * (-4.0 * w * laplacian(m, w) + r * w2) + ent) + const
 
     def gradient(w):
         safe = np.maximum(w * w, 1e-300)
@@ -192,9 +192,10 @@ def mu_plus(m: MetricModel, sigma: float) -> MuPlusResult:
     """Infimum of the expander entropy over unit-mass densities at fixed sigma.
 
     Substitutes u = w^2 and minimizes over the unit sphere of w by
-    projected gradient descent, started from both the constant density
-    and the squared ground eigenfunction (two natural basins; the
-    functional is strictly convex in u so this is belt and braces).
+    projected gradient descent from the constant density.  The Dirichlet
+    term is written -4 w lap w, the form the gradient differentiates, so
+    the discrete functional is the one the descent minimizes; it is
+    strictly convex in u, so one start finds its minimum.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -203,16 +204,9 @@ def mu_plus(m: MetricModel, sigma: float) -> MuPlusResult:
         w = 1.0 / math.sqrt(volume(m))
         value = functional(w)
         return MuPlusResult(value, w * w, True)
-    starts = [np.ones_like(m.phi)]
-    _, w_eig = lambda_min(m)
-    starts.append(np.abs(w_eig) + 1e-8)
-    best = None
-    for w0 in starts:
-        res = minimize_constrained(functional, gradient, normalize, inner, w0,
-                                   abs_tol=3e-7, max_iter=4000, precond=precond)
-        if best is None or res.value < best.value:
-            best = res
-    return MuPlusResult(best.value, best.w * best.w, best.converged)
+    res = minimize_constrained(functional, gradient, normalize, inner, np.ones_like(m.phi),
+                               abs_tol=3e-7, max_iter=4000, precond=precond)
+    return MuPlusResult(res.value, res.w * res.w, res.converged)
 
 
 def nu_plus(m: MetricModel) -> NuPlusResult:

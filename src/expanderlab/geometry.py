@@ -384,25 +384,20 @@ def grad_pairing(m: MetricModel, f, g):
     return 0.0
 
 
-def _hessian_conformal(f: np.ndarray, phi: np.ndarray, hx: float, hy: float):
-    """Covariant Hessian (H_xx, H_xy, H_yy) of f for exp(2 phi) * flat at spacing (hx, hy).
+def hessian_covariant(m: ConformalTorusMetric, f: np.ndarray):
+    """Covariant Hessian components (H_xx, H_xy, H_yy) on the conformal torus.
 
     The Christoffel symbols reduce to first derivatives of phi and the
     Hessian of f is the coordinate Hessian corrected by phi-gradient
     terms.
     """
-    fx, fy = _dx(f, hx), _dy(f, hy)
-    px, py = _dx(phi, hx), _dy(phi, hy)
+    hx, hy = m.spacing
+    fx, fy = flat_gradient(m, f)
+    px, py = flat_gradient(m, m.phi)
     h_xx = _d2(f, hx, 0) - px * fx + py * fy
     h_xy = _dxy(f, hx, hy) - py * fx - px * fy
     h_yy = _d2(f, hy, 1) + px * fx - py * fy
     return h_xx, h_xy, h_yy
-
-
-def hessian_covariant(m: ConformalTorusMetric, f: np.ndarray):
-    """Covariant Hessian components (H_xx, H_xy, H_yy) on the conformal torus."""
-    hx, hy = m.spacing
-    return _hessian_conformal(f, m.phi, hx, hy)
 
 
 def soliton_residual_sq(m: MetricModel, f_potential, sigma: float | None):

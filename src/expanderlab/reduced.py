@@ -43,7 +43,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import LEVEL_BATCH_BYTES, FlowHistory, scaled_volume
-from .geometry import _conformal_scalar, _dx, _dy, _hessian_conformal, _lap0, curvature, volume
+from .geometry import (
+    ConformalTorusMetric,
+    _conformal_scalar,
+    _lap0,
+    curvature,
+    grad_norm_sq,
+    hessian_covariant,
+    integrate,
+    laplacian,
+)
 from .numerics import time_derivative
 
 __all__ = [
@@ -55,7 +64,6 @@ __all__ = [
     "ell_plus_field",
     "EPS_LADDER",
     "extrapolate_fields",
-    "subgrid_targets",
     "check_reduced_field",
     "theta_plus",
     "hessian_check_cor21",
@@ -113,8 +121,9 @@ class ReducedField:
     k_effective stores K plus the start boundary term, the combination
     entering the gradient/time identities.  The torus variant records
     a smoothness mask (cut-locus detector) and, with the oracle on, the
-    path-minimization values; grid_shape is set when targets form a full
-    uniform subgrid so the field can be integrated.
+    path-minimization values; grid is n when the targets are the n x n
+    subgrid (i/n, j/n) * periods, i major, so the field can be
+    differenced and integrated.
     """
 
     kind: str                     # "radial" or "torus"
@@ -128,7 +137,7 @@ class ReducedField:
     smooth_mask: np.ndarray | None = None
     oracle_values: np.ndarray | None = None
     oracle_flags: np.ndarray | None = None
-    grid_shape: tuple | None = None
+    grid: int | None = None
 
     @property
     def l_bar(self) -> np.ndarray:
@@ -320,7 +329,7 @@ def extrapolate_fields(fields) -> ReducedField:
     base = fields[0]
     return ReducedField(
         kind=base.kind, times=base.times, targets=base.targets, ell=ell0,
-        ell_tail=ell0, k_effective=k0, eps=0.0, grid_shape=base.grid_shape,
+        ell_tail=ell0, k_effective=k0, eps=0.0, grid=base.grid,
         smooth_mask=base.smooth_mask,
     )
 
@@ -818,9 +827,12 @@ def _oracle_torus_batch(h, targets, t, n_segments=64):
 
 
 def ell_plus_field(h: FlowHistory, targets, times, eps: float = 0.0,
-                   oracle_check: bool = True, oracle_segments: int = 64,
-                   grid_shape: tuple | None = None) -> ReducedField:
+                   oracle_check: bool = True, oracle_segments: int = 64) -> ReducedField:
     """Normalized reduced length over targets at the given times.
+
+    targets are radii on a model space; on the torus they are points, or an
+    integer n for the n x n subgrid (i/n, j/n) * periods, i major, the one
+    form the subgrid checks and theta_+ accept.
 
     Shooting supplies the values (one-parameter momenta on homothety
     models, two-parameter on the torus, minimized over the nine nearest
@@ -831,10 +843,15 @@ def ell_plus_field(h: FlowHistory, targets, times, eps: float = 0.0,
     and the torus shooting 96.
     """
     times = np.asarray(times, dtype=float)
-    if h.kind == "model_space":
+    grid = int(targets) if isinstance(targets, (int, np.integer)) else None
+    if h.kind == "model_space" and grid is None:
         return _radial_field(h, targets, times, eps, n_steps=128)
     if h.kind != "conformal_torus":
-        raise ValueError("reduced fields support model-space and torus histories")
+        raise ValueError("reduced fields take radii on a model space and points "
+                         "or an integer grid on a torus")
+    if grid is not None:
+        targets = np.array([(i / grid, j / grid) for i in range(grid) for j in range(grid)])
+        targets = targets * np.asarray(h.template.periods)
     targets = np.asarray(targets, dtype=float).reshape(-1, 2)
     m_t = len(targets)
     ell = np.empty((len(times), m_t))
@@ -858,54 +875,38 @@ def ell_plus_field(h: FlowHistory, targets, times, eps: float = 0.0,
             flags[i] = rel > 1e-3
             ell[i] = np.where(missed, o_vals, ell[i])
             flags[i] |= missed
-    if grid_shape:
-        mask = _torus_smooth_mask(images, grid_shape, h.template.periods)
-        mask = np.tile(np.all(mask, axis=0), (len(times), 1))
-    else:
-        mask = None
+    mask = None if grid is None else _torus_smooth_mask(images, grid, h.template.periods)
     return ReducedField(
         kind="torus", times=times, targets=targets, ell=ell, ell_tail=ell.copy(),
         k_effective=k_eff, eps=0.0, momenta=momenta,
-        smooth_mask=mask, oracle_values=oracle_vals, oracle_flags=flags,
-        grid_shape=grid_shape,
+        smooth_mask=mask, oracle_values=oracle_vals, oracle_flags=flags, grid=grid,
     )
 
 
-def subgrid_targets(nt: int, periods) -> np.ndarray:
-    """The nt x nt torus targets (i/nt, j/nt) * periods, i major: the
-    layout of a field with grid_shape (nt, nt)."""
-    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    return pts * np.asarray(periods)
-
-
-def _torus_smooth_mask(images: np.ndarray, grid_shape: tuple, periods) -> np.ndarray:
+def _torus_smooth_mask(images: np.ndarray, n: int, periods) -> np.ndarray:
     """Mark subgrid targets whose minimizing branch continues smoothly.
 
     images holds the unwrapped covering-plane endpoint of the winning
     geodesic per (time, target).  Along one smooth branch the image
     moves exactly with the target, including across the representative
     seam, so a neighbor-difference far from the subgrid spacing marks a
-    cut-locus branch switch; the flagged pairs are dilated by one cell
-    to keep difference stencils clear of the kink.
+    cut-locus branch switch; the flagged pairs, over all times, are
+    dilated by one cell to keep difference stencils clear of the kink.
+    A target is kept at every time or at none.
     """
-    n_times = images.shape[0]
-    ntx, nty = grid_shape
     lx, ly = periods
-    steps = {0: np.array([lx / ntx, 0.0]), 1: np.array([0.0, ly / nty])}
-    mask = np.ones((n_times, ntx * nty), dtype=bool)
-    for i in range(n_times):
-        img = images[i].reshape(ntx, nty, 2)
-        bad = np.zeros((ntx, nty), dtype=bool)
+    steps = {0: np.array([lx / n, 0.0]), 1: np.array([0.0, ly / n])}
+    bad = np.zeros((n, n), dtype=bool)
+    for img in images.reshape(len(images), n, n, 2):
         for ax in (0, 1):
             jump = np.roll(img, -1, axis=ax) - img - steps[ax]
             switch = np.max(np.abs(jump), axis=2) > 0.25 * min(lx, ly)
             bad |= switch
             bad |= np.roll(switch, 1, axis=ax)
-        grown = bad.copy()
-        for ax, sh in ((0, 1), (0, -1), (1, 1), (1, -1)):
-            grown |= np.roll(bad, sh, axis=ax)
-        mask[i] = (~grown).ravel()
-    return mask
+    grown = bad.copy()
+    for ax, sh in ((0, 1), (0, -1), (1, 1), (1, -1)):
+        grown |= np.roll(bad, sh, axis=ax)
+    return np.tile(~grown.ravel(), (len(images), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -969,12 +970,15 @@ def _radial_derivatives(fld: ReducedField, values: np.ndarray):
 
 
 def _subgrid(fld: ReducedField, m):
-    """Index of the field's target subgrid in the metric grid, and its spacing."""
-    if fld.grid_shape is None:
+    """Index of the field's n x n target subgrid in the metric grid, and the
+    metric of the subgrid: phi sampled there, on the same periods."""
+    if fld.grid is None:
         raise ValueError("torus checks need a subgrid ReducedField")
-    (ntx, nty), (nx, ny) = fld.grid_shape, m.phi.shape
-    lx, ly = m.periods
-    return np.s_[::nx // ntx, ::ny // nty], (lx / ntx, ly / nty)
+    n, (nx, ny) = fld.grid, m.phi.shape
+    if nx % n or ny % n:
+        raise ValueError(f"the {n}x{n} target grid must divide the {nx}x{ny} metric grid")
+    sub = np.s_[::nx // n, ::ny // n]
+    return sub, ConformalTorusMetric(m.phi[sub], m.periods)
 
 
 def _slice_ops(fld: ReducedField, h: FlowHistory, i: int):
@@ -1002,16 +1006,13 @@ def _slice_ops(fld: ReducedField, h: FlowHistory, i: int):
         keep = np.zeros(len(fld.targets), dtype=bool)
         keep[1:-1] = True
         return float(curvature(m).scalar), grad_sq, lap, keep, 0.0
-    sub, (hsx, hsy) = _subgrid(fld, m)
-    em2p = np.exp(-2 * m.phi[sub])
+    sub, ms = _subgrid(fld, m)
 
     def grad_sq(f):
-        f = f.reshape(fld.grid_shape)
-        fx, fy = _dx(f, hsx), _dy(f, hsy)
-        return (em2p * (fx * fx + fy * fy)).ravel()
+        return grad_norm_sq(ms, f.reshape(ms.grid_size)).ravel()
 
     def lap(f):
-        return (em2p * _lap0(f.reshape(fld.grid_shape), hsx, hsy)).ravel()
+        return laplacian(ms, f.reshape(ms.grid_size)).ravel()
 
     r = curvature(m).scalar[sub].ravel()
     if fld.smooth_mask is None:
@@ -1088,10 +1089,10 @@ def theta_plus(fld: ReducedField, h: FlowHistory) -> ThetaSeries:
         u_hat = np.exp(fld.ell[i]) / norm
         m = h.metric_at(t)
         if fld.kind == "torus":
-            sub, (hsx, hsy) = _subgrid(fld, m)
-            theta[i] = float(np.sum(u_hat * np.exp(2 * m.phi[sub]).ravel())) * hsx * hsy
+            _, ms = _subgrid(fld, m)
+            theta[i] = integrate(ms, u_hat.reshape(ms.grid_size))
         else:
-            theta[i] = float(np.mean(u_hat)) * volume(m)
+            theta[i] = integrate(m, np.mean(u_hat))
         lower[i] = scaled_volume(h, float(t)) / (4.0 * math.pi * math.e) ** (n / 2.0)
     diffs = np.diff(theta)
     return ThetaSeries(
@@ -1148,22 +1149,21 @@ def hessian_check_cor21(h: FlowHistory, t: float, targets) -> HessianReport:
                          float(np.min(bound - hess_tan)))
         return HessianReport("ok", margins, min_margin)
     fld = targets  # the torus: a precomputed subgrid field at [t]
-    if not isinstance(fld, ReducedField) or fld.grid_shape is None:
+    if not isinstance(fld, ReducedField) or fld.grid is None:
         raise ValueError("torus variant expects a subgrid ReducedField")
     hit = np.flatnonzero(np.abs(fld.times - t) <= 1e-12 * abs(t))
     if not len(hit):
         raise ValueError(f"t = {t!r} is not one of the field times {fld.times.tolist()}")
     i = int(hit[0])
-    l_vals = (2.0 * math.sqrt(t) * fld.ell[i]).reshape(fld.grid_shape)
-    sub, (hsx, hsy) = _subgrid(fld, m)
-    phi_sub, r_sub = m.phi[sub], curvature(m).scalar[sub]
-    h_xx, _, h_yy = _hessian_conformal(l_vals, phi_sub, hsx, hsy)
-    e2p = np.exp(2.0 * phi_sub)
-    bound = 1.0 / math.sqrt(t) + 2.0 * math.sqrt(t) * 0.5 * r_sub
+    sub, ms = _subgrid(fld, m)
+    l_vals = (2.0 * math.sqrt(t) * fld.ell[i]).reshape(ms.grid_size)
+    h_xx, _, h_yy = hessian_covariant(ms, l_vals)
+    e2p = np.exp(2.0 * ms.phi)
+    bound = 1.0 / math.sqrt(t) + 2.0 * math.sqrt(t) * 0.5 * curvature(m).scalar[sub]
     mx = bound - h_xx / e2p
     my = bound - h_yy / e2p
     if fld.smooth_mask is not None:
-        keep = fld.smooth_mask[i].reshape(fld.grid_shape)
+        keep = fld.smooth_mask[i].reshape(ms.grid_size)
         mx, my = mx[keep], my[keep]
     min_margin = min(float(np.min(mx)), float(np.min(my)))
     return HessianReport("ok", {"xx_min": float(np.min(mx)), "yy_min": float(np.min(my))},

@@ -676,3 +676,107 @@ def immortal_u_at_per_call(dens, t):
 
     return hermite_cubic(s, h_step, dens.states[i].u, slope(i),
                          dens.states[i + 1].u, slope(i + 1))
+
+
+def _subgrid_hand_rolled(fld, m):
+    """The subgrid index and spacing of an n x n target field, by hand."""
+    n, (nx, ny) = fld.grid, m.phi.shape
+    lx, ly = m.periods
+    return np.s_[::nx // n, ::ny // n], (lx / n, ly / n)
+
+
+def subgrid_ops_hand_rolled(fld, h, i):
+    """(R, grad_sq, lap) on the n x n subgrid of torus field time i, each
+    stencil formed from exp(-2 phi) sampled on the subgrid and the flat
+    difference at the subgrid spacing.  Reference for `reduced._slice_ops`,
+    which applies geometry's operators to the subgrid metric."""
+    from expanderlab.geometry import _dx, _dy, _lap0, curvature
+
+    m = h.metric_at(float(fld.times[i]))
+    sub, (hsx, hsy) = _subgrid_hand_rolled(fld, m)
+    em2p = np.exp(-2 * m.phi[sub])
+    shape = (fld.grid, fld.grid)
+
+    def grad_sq(f):
+        f = f.reshape(shape)
+        fx, fy = _dx(f, hsx), _dy(f, hsy)
+        return (em2p * (fx * fx + fy * fy)).ravel()
+
+    def lap(f):
+        return (em2p * _lap0(f.reshape(shape), hsx, hsy)).ravel()
+
+    return curvature(m).scalar[sub].ravel(), grad_sq, lap
+
+
+def theta_plus_hand_rolled(fld, h):
+    """theta_+ of a subgrid torus field: the sum of exp(ell)/(4 pi t) times
+    exp(2 phi) on the subgrid, times the subgrid cell area.  Reference for
+    `reduced.theta_plus`, which integrates against the subgrid metric."""
+    theta = []
+    for i, t in enumerate(fld.times):
+        u_hat = np.exp(fld.ell[i]) / (4.0 * math.pi * t) ** (h.dim / 2.0)
+        m = h.metric_at(t)
+        sub, (hsx, hsy) = _subgrid_hand_rolled(fld, m)
+        theta.append(float(np.sum(u_hat * np.exp(2 * m.phi[sub]).ravel())) * hsx * hsy)
+    return np.array(theta)
+
+
+def hessian_margins_hand_rolled(h, t, fld):
+    """(xx_min, yy_min) of the torus Hessian bound at field time t, with the
+    covariant Hessian of exp(2 phi) * flat written out on the subgrid.
+    Reference for `reduced.hessian_check_cor21`, which applies
+    `geometry.hessian_covariant` to the subgrid metric."""
+    from expanderlab.geometry import _d2, _dx, _dxy, _dy, curvature
+
+    i = int(np.flatnonzero(fld.times == t)[0])
+    m = h.metric_at(t)
+    sub, (hx, hy) = _subgrid_hand_rolled(fld, m)
+    f = (2.0 * math.sqrt(t) * fld.ell[i]).reshape(fld.grid, fld.grid)
+    phi = m.phi[sub]
+    fx, fy = _dx(f, hx), _dy(f, hy)
+    px, py = _dx(phi, hx), _dy(phi, hy)
+    h_xx = _d2(f, hx, 0) - px * fx + py * fy
+    h_yy = _d2(f, hy, 1) + px * fx - py * fy
+    e2p = np.exp(2.0 * phi)
+    bound = 1.0 / math.sqrt(t) + 2.0 * math.sqrt(t) * 0.5 * curvature(m).scalar[sub]
+    mx, my = bound - h_xx / e2p, bound - h_yy / e2p
+    if fld.smooth_mask is not None:
+        keep = fld.smooth_mask[i].reshape(fld.grid, fld.grid)
+        mx, my = mx[keep], my[keep]
+    return float(np.min(mx)), float(np.min(my))
+
+
+def mu_plus_lbfgs(m, sigma):
+    """mu_+ of a conformal torus at sigma by scipy's L-BFGS-B: the discrete
+    functional sum of [sigma (-4 w lap w + R w^2) + w^2 log w^2] dv over
+    w = v / |v| on the unit sphere of L^2(dv), with its own roll stencils.
+    Reference for `entropy.mu_plus`, which runs a preconditioned projected
+    descent on the same functional."""
+    from scipy.optimize import minimize
+
+    phi = m.phi
+    (nx, ny), (lx, ly) = phi.shape, m.periods
+    hx, hy = lx / nx, ly / ny
+
+    def lap0(f):
+        return ((np.roll(f, -1, 0) + np.roll(f, 1, 0) - 2 * f) / hx**2
+                + (np.roll(f, -1, 1) + np.roll(f, 1, 1) - 2 * f) / hy**2)
+
+    weight = np.exp(2.0 * phi) * hx * hy            # dv per point
+    r = -2.0 * np.exp(-2.0 * phi) * lap0(phi)
+    const = math.log(4.0 * math.pi * sigma) + 2.0   # n/2 log(4 pi sigma) + n at n = 2
+
+    def value_and_grad(v):
+        v = v.reshape(phi.shape)
+        norm = math.sqrt(float(np.sum(weight * v * v)))
+        w = v / norm
+        w2 = np.maximum(w * w, 1e-300)
+        lap_w = np.exp(-2.0 * phi) * lap0(w)
+        val = float(np.sum(weight * (sigma * (-4.0 * w * lap_w + r * w * w) + w2 * np.log(w2))))
+        g = weight * (sigma * (-8.0 * lap_w + 2.0 * r * w) + 2.0 * w * np.log(w2) + 2.0 * w)
+        g_v = (g - weight * w * float(np.sum(g * w))) / norm
+        return val + const, g_v.ravel()
+
+    res = minimize(value_and_grad, np.ones(phi.size), jac=True, method="L-BFGS-B",
+                   options={"ftol": 0.0, "gtol": 1e-11, "maxiter": 2000})
+    return float(res.fun)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from expanderlab.acceptance import HYPERBOLIC3, W_MODEL
+from expanderlab.acceptance import HYPERBOLIC3, W_MODEL, sine_torus
 from expanderlab.conjugate_heat import construct_immortal_density
 from expanderlab.entropy import (
     asymptotics_report,
@@ -25,6 +25,7 @@ from expanderlab.geometry import (
     integrate,
     volume,
 )
+from oracles import mu_plus_lbfgs
 
 
 def flat_torus(n=16):
@@ -177,6 +178,16 @@ def test_mu_plus_constant_curvature_closed_form():
     r = -6.0 / 5.0
     want = sigma * r - math.log(volume(m)) + 1.5 * math.log(4 * math.pi * sigma) + 3.0
     assert abs(res.value - want) < 1e-10
+
+
+def test_mu_plus_is_the_minimum_of_its_discrete_functional():
+    # on the sine torus the Dirichlet term is not zero: the descent must land
+    # on the minimum of the functional its gradient differentiates
+    m = sine_torus(16)
+    low = mu_plus(m, 0.1)
+    assert low.converged and abs(low.value - mu_plus_lbfgs(m, 0.1)) < 1e-9
+    # at sigma = 2 the descent stops at its iteration cap, its value settled
+    assert abs(mu_plus(m, 2.0).value - mu_plus_lbfgs(m, 2.0)) < 1e-9
 
 
 def test_mu_plus_is_lower_bound():

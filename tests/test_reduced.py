@@ -25,6 +25,7 @@ from expanderlab.reduced import (
     _RadialEngine,
     _oracle_torus_batch,
     _PathAction,
+    _slice_ops,
     _spline_taps,
     _torus_integrate,
     _torus_rhs,
@@ -32,10 +33,13 @@ from expanderlab.reduced import (
     _TorusSlices,
 )
 from oracles import (
+    hessian_margins_hand_rolled,
     model_shot_separate,
     radial_integrals_separate,
     reduced_identities_separate,
     reduced_inequalities_separate,
+    subgrid_ops_hand_rolled,
+    theta_plus_hand_rolled,
     theta_supersolution_separate,
     torus_slice_grids,
 )
@@ -238,9 +242,7 @@ def flat_subgrid(read_only):
     built once for the module, read-only."""
     nt = 8
     h = flat_history(32, 1.3)
-    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    fld = ell_plus_field(h, pts, np.linspace(0.98, 1.02, 5),
-                         oracle_check=False, grid_shape=(nt, nt))
+    fld = ell_plus_field(h, nt, np.linspace(0.98, 1.02, 5), oracle_check=False)
     return read_only((h, fld))
 
 
@@ -290,9 +292,7 @@ def test_one_pass_matches_the_separate_checks_bitwise(flat_subgrid, acceptance_r
     h, fld = flat_subgrid
     ht = acceptance_run[0].torus_flow()  # the sine torus evolved to 0.26
     nt = 8
-    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    fld_t = ell_plus_field(ht, pts, np.linspace(0.18, 0.22, 5),
-                           oracle_check=False, grid_shape=(nt, nt))
+    fld_t = ell_plus_field(ht, nt, np.linspace(0.18, 0.22, 5), oracle_check=False)
     hr = evolve(HYPERBOLIC3, (0.0, 3.0))
     rad = ell_plus_field(hr, np.linspace(0.0, 1.0, 9), np.linspace(0.8, 1.2, 5))
     hv = vertex_expander_history()
@@ -312,6 +312,47 @@ def test_one_pass_matches_the_separate_checks_bitwise(flat_subgrid, acceptance_r
             margins["entropy_form"])
         assert rep.supersolution_max == sup_max
         assert rep.excluded_fraction == excl_id == excl_in == excl_sup
+
+
+def test_subgrid_metric_operators_equal_the_hand_rolled_stencils(flat_subgrid, acceptance_run):
+    # the 8x8 flat field and criterion 7's 16x16 field on the sine torus
+    for h, fld in (flat_subgrid, acceptance_run[0].torus_theta_field()):
+        for i in range(1, len(fld.times) - 1):
+            r, grad_sq, lap, _, _ = _slice_ops(fld, h, i)
+            want_r, want_grad_sq, want_lap = subgrid_ops_hand_rolled(fld, h, i)
+            assert np.array_equal(r, want_r)
+            for f in (fld.ell[i], fld.ell_tail[i], np.exp(fld.ell[i])):
+                assert np.array_equal(grad_sq(f), want_grad_sq(f))
+                assert np.array_equal(lap(f), want_lap(f))
+        assert np.array_equal(theta_plus(fld, h).theta, theta_plus_hand_rolled(fld, h))
+
+
+def test_integer_targets_are_the_subgrid():
+    h = evolve(ConformalTorusMetric(np.zeros((16, 32)), periods=(1.0, 2.0)), (0.0, 1.0),
+               retain_every=10**9, dt_cap=0.05)
+    n, times = 8, [0.5, 0.6]
+    fld = ell_plus_field(h, n, times, oracle_check=False)
+    pts = np.array([(i / n, j / n) for i in range(n) for j in range(n)]) * np.asarray((1.0, 2.0))
+    assert np.array_equal(fld.targets, pts) and fld.grid == n
+    explicit = ell_plus_field(h, pts, times, oracle_check=False)
+    assert explicit.grid is None and explicit.smooth_mask is None
+    for name in ("ell", "k_effective", "momenta"):
+        assert np.array_equal(getattr(fld, name), getattr(explicit, name))
+    # a model space takes radii, not a grid
+    with pytest.raises(ValueError, match="integer grid on a torus"):
+        ell_plus_field(vertex_expander_history(), 8, times)
+
+
+def test_a_target_grid_that_does_not_divide_the_metric_grid_is_refused():
+    h = flat_history(32, 1.3)
+    fld = ell_plus_field(h, 10, [0.9, 1.0, 1.1], oracle_check=False)
+    match = "10x10 target grid must divide the 32x32 metric grid"
+    with pytest.raises(ValueError, match=match):
+        check_reduced_field(fld, h)
+    with pytest.raises(ValueError, match=match):
+        theta_plus(fld, h)
+    with pytest.raises(ValueError, match=match):
+        hessian_check_cor21(h, 1.0, fld)
 
 
 def test_identity_checks_vertex_expander():
@@ -456,10 +497,8 @@ def test_first_variation_vanishes_at_geodesic():
 def test_theta_flat_torus():
     h = flat_history(32, 1.3)
     nt = 16
-    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
     times = np.linspace(0.6, 1.0, 5)
-    fld = ell_plus_field(h, pts, times, oracle_check=False,
-                         grid_shape=(nt, nt))
+    fld = ell_plus_field(h, nt, times, oracle_check=False)
     series = theta_plus(fld, h)
     assert series.monotone_ok
     assert np.all(series.theta >= series.lower_bound - 1e-12)
@@ -470,14 +509,11 @@ def test_theta_flat_torus():
 def test_theta_plus_accepts_a_single_time_field():
     h = flat_history(32, 1.3)
     nt = 8
-    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    fld = ell_plus_field(h, pts, [1.0], oracle_check=False,
-                         grid_shape=(nt, nt))
+    fld = ell_plus_field(h, nt, [1.0], oracle_check=False)
     series = theta_plus(fld, h)
     assert series.theta.shape == (1,) and series.monotone_ok and series.max_violation == 0.0
     # on the flat unit torus theta is (4 pi t)^(-1) times the integral of exp(ell)
-    three = ell_plus_field(h, pts, [0.9, 1.0, 1.1], oracle_check=False,
-                           grid_shape=(nt, nt))
+    three = ell_plus_field(h, nt, [0.9, 1.0, 1.1], oracle_check=False)
     assert series.theta[0] == theta_plus(three, h).theta[1]
     # the pointwise relations difference in time and still need three times
     with pytest.raises(ValueError, match="three field times"):
@@ -531,22 +567,20 @@ def test_blowdown_invariance_of_reduced_quantities():
 def test_hessian_bound_flat_equality():
     h = flat_history(32, 1.3)
     nt = 8
-    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    fld = ell_plus_field(h, pts, [1.0], oracle_check=False,
-                         grid_shape=(nt, nt))
+    fld = ell_plus_field(h, nt, [1.0], oracle_check=False)
     rep = hessian_check_cor21(h, 1.0, fld)
     assert rep.status == "ok"
     assert rep.min_margin > -1e-8
     assert abs(rep.margins["xx_min"]) < 1e-8  # equality case
+    want = hessian_margins_hand_rolled(h, 1.0, fld)
+    assert (rep.margins["xx_min"], rep.margins["yy_min"]) == want
 
 
 def test_hessian_bound_needs_a_field_time():
     # the Hessian of a field at t = 1 is not compared with the metric at 0.5
     h = flat_history(32, 1.3)
     nt = 8
-    pts = np.array([(i / nt, j / nt) for i in range(nt) for j in range(nt)])
-    fld = ell_plus_field(h, pts, [1.0], oracle_check=False,
-                         grid_shape=(nt, nt))
+    fld = ell_plus_field(h, nt, [1.0], oracle_check=False)
     for t in (0.5, 1.0 + 1e-9):
         with pytest.raises(ValueError, match="field times"):
             hessian_check_cor21(h, t, fld)
