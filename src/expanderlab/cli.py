@@ -180,10 +180,11 @@ class Scenario:
             raise ConfigError(f"scenario {name!r}: checks {sorted(reduced)} need a "
                               f"conformal_torus or model_space model, not homogeneous")
         nt = params["target_grid"]
-        if torus and reduced and any(n % nt for n in model.grid_size):
+        # the target subgrid is a torus metric of its own: at least 8 points a side
+        if torus and reduced and (nt < 8 or any(n % nt for n in model.grid_size)):
             raise ConfigError(
-                f"scenario {name!r}: target_grid {nt!r} must divide the grid size "
-                f"{list(model.grid_size)}"
+                f"scenario {name!r}: target_grid {nt!r} must be at least 8 and divide "
+                f"the grid size {list(model.grid_size)}"
             )
         tolerances = doc.get("tolerances", {})
         if not (isinstance(tolerances, dict) and all(map(_is_number, tolerances.values()))):
@@ -332,7 +333,8 @@ def _run_into(scn: Scenario, out: Path) -> dict:
 
     dens = None
     if scn.window is not None:
-        dens = construct_immortal_density(h, scn.window, tol=tols["immortal"])
+        dens = construct_immortal_density(h, scn.window, tol=tols["immortal"],
+                                          dt_cap=params["dt_cap"])
         report["fitted"]["immortal_tail"] = dens.construction_tail
         report["fitted"]["immortal_cauchy_gap"] = dens.cauchy_gap
         report["verdicts"]["immortal_converged"] = dens.converged

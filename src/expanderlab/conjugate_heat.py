@@ -233,7 +233,9 @@ def construct_immortal_density(h: FlowHistory, window, tol: float = 1e-8,
     Solves backward from uniform data 1/V(t_i) with t_i doubling until
     two successive solutions are Cauchy in sup norm on the window; a
     history that ends before convergence yields converged=False
-    ("unconverged tail"), never an error.
+    ("unconverged tail"), never an error.  On the torus every backward
+    solve steps at most dt_cap, or at the evolve's own h^2/2
+    (flow.torus_dt_cap) when dt_cap is None.
     """
     ta, tb = float(window[0]), float(window[1])
     if not (h.t_min - 1e-12 <= ta < tb):

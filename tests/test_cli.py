@@ -373,6 +373,8 @@ def test_target_grid_validation(bad):
     # more torus evolve steps than the budget: 3 * 10**7 of a given cap, 2 * 10**6 of h^2/2
     ("flat_torus", {"dt_cap": 1e-7}, "10**6 steps"),
     ("flat_torus", {"params": {}, "t_span": [0, 1000]}, "10**6 steps"),
+    # a torus target subgrid that divides the grid but is too small to be a metric
+    ("flat_torus", {"target_grid": 4}, "target_grid 4 must be at least 8"),
 ])
 def test_malformed_params_exit_2_without_output(tmp_path, capsys, scenario, params, word):
     doc = json.loads(builtin_scenarios()[scenario].read_text())
@@ -387,6 +389,41 @@ def test_malformed_params_exit_2_without_output(tmp_path, capsys, scenario, para
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert word in capsys.readouterr().err
     assert not out.exists()
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_the_density_marches_at_the_scenario_dt_cap(tmp_path, monkeypatch):
+    from expanderlab import cli, conjugate_heat
+
+    real_density, real_cg = cli.construct_immortal_density, conjugate_heat.conjugate_gradient
+    caps, steps = [], []
+
+    def density(h, window, **kwargs):  # record the cap, build the density, stop the run
+        caps.append(kwargs["dt_cap"])
+        real_density(h, window, **kwargs)
+        raise _Stop
+
+    def cg(*args, **kwargs):  # one call per backward Crank-Nicolson step
+        steps.append(1)
+        return real_cg(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "construct_immortal_density", density)
+    monkeypatch.setattr(conjugate_heat, "conjugate_gradient", cg)
+    with pytest.raises(_Stop):
+        main(["run", str(builtin_scenarios()["flat_torus"]), "--out", str(tmp_path / "a")])
+    # 124 steps at dt_cap 0.05; at the evolve's default h^2/2 it took 9,857
+    assert caps == [0.05] and len(steps) <= 200
+    # a torus config without the key leaves both directions at their default
+    doc = json.loads(builtin_scenarios()["torus_flow"].read_text())
+    doc["model"]["grid_size"] = [16, 16]
+    assert "dt_cap" not in doc["params"]
+    with pytest.raises(_Stop):
+        main(["run", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "b")])
+    assert caps == [0.05, None]
+    assert not any(tmp_path.glob("[ab]/*"))
 
 
 def test_packaged_shrinking_sphere_runs_before_extinction(tmp_path):

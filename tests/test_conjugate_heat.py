@@ -13,7 +13,7 @@ from expanderlab.conjugate_heat import (
     solve_conjugate_backward,
 )
 from expanderlab.conjugate_heat import _solve_backward_torus
-from expanderlab.flow import LEVEL_BATCH_BYTES, evolve
+from expanderlab.flow import LEVEL_BATCH_BYTES, evolve, torus_dt_cap
 from expanderlab.geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
@@ -243,6 +243,34 @@ def test_immortal_sequence_start_insensitivity():
         for a, b in zip(d1.states, d2.states)
     )
     assert gap < 1e-7
+
+
+def test_flat_immortal_density_keeps_its_bits_at_any_cap():
+    # uniform data on a static flat torus is a fixed point of every
+    # Crank-Nicolson step, so a cap 25x the default h^2/2 marches the same
+    # states; this is why flat_torus keeps its tree at its dt_cap of 0.05
+    h = evolve(ConformalTorusMetric(np.zeros((16, 16))), (0.0, 1.0), dt_cap=0.05)
+    assert 0.05 > 25 * torus_dt_cap(h.template)
+    fine = construct_immortal_density(h, (0.05, 0.2), tol=1e-8)
+    coarse = construct_immortal_density(h, (0.05, 0.2), tol=1e-8, dt_cap=0.05)
+    assert fine.converged and coarse.converged
+    assert fine.gaps == coarse.gaps == [0.0] and coarse.cauchy_gap == 0.0
+    assert len(coarse.states) == len(fine.states) == 17
+    for a, b in zip(fine.states, coarse.states):
+        assert a.t == b.t and np.array_equal(a.u, b.u)
+
+
+def test_immortal_density_at_a_coarse_cap_stays_positive_with_unit_mass():
+    h = torus_history(16, 0.12)
+    cap = torus_dt_cap(h.template)
+    fine = construct_immortal_density(h, (0.02, 0.05), tol=1e-6)
+    coarse = construct_immortal_density(h, (0.02, 0.05), tol=1e-6, dt_cap=4 * cap)
+    for s in coarse.states:
+        assert float(np.min(s.u)) > 0.5  # 0.80004 measured
+        assert abs(integrate(h.metric_at(s.t), s.u) - 1.0) < 1e-12
+    # the coarser step moves u by its discretization error (1.4e-4 measured)
+    gap = max(float(np.max(np.abs(a.u - b.u))) for a, b in zip(fine.states, coarse.states))
+    assert 0.0 < gap < 1e-3
 
 
 def test_backward_solve_validates_input():
