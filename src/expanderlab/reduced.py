@@ -21,8 +21,10 @@ Two testbed families are supported:
   eta = eps > 0 with an analytic head estimate for the clipped R-part,
   and results are extrapolated over a ladder of eps values.
 * conformal torus -- full two-parameter shooting per target, batched
-  over targets and the nine nearest lattice translates of each, with one
-  secant (good Broyden) iteration on the momentum.
+  over targets, the nine nearest lattice translates of each and all field
+  times, with one secant (good Broyden) iteration on the momentum.  Each
+  sweep rebuilds the field slices it reads, one block of steps at a time,
+  so no store of a whole time's slices is kept.
 
 Along a geodesic the weighted trace-Harnack integral
 
@@ -195,8 +197,9 @@ def _node_order_sum(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=0)[-1] if terms.shape[1] == 1 else np.sum(terms, axis=0)
 
 
-def _simpson(vals: np.ndarray, ds: float) -> np.ndarray:
-    """Composite Simpson along axis 0; a 2-d batch sums in node order."""
+def _simpson(vals: np.ndarray, ds) -> np.ndarray:
+    """Composite Simpson along axis 0; a 2-d batch sums in node order, with one
+    step ds or one per column."""
     n = len(vals) - 1
     if n % 2 != 0:
         raise ValueError("simpson needs an even interval count")
@@ -342,29 +345,31 @@ def extrapolate_fields(fields) -> ReducedField:
 _FIELDS = ("r", "e2p", "rdot")
 
 
-class _TorusSlices:
-    """Field slices of a torus history along a fixed s-grid, in one store with
-    the leading `n_fields` rows of `_FIELDS`."""
+def _s_grid(t: float, n_steps: int):
+    """An even step count over s in [0, sqrt t] (Simpson needs one), its
+    nodes, and the refined ladder of their half steps, where RK4 stages and
+    oracle midpoints sample the fields."""
+    n_steps += n_steps % 2
+    return (n_steps, np.linspace(0.0, math.sqrt(t), n_steps + 1),
+            np.linspace(0.0, math.sqrt(t), 2 * n_steps + 1))
 
-    def __init__(self, h: FlowHistory, t: float, n_steps: int, n_fields: int = len(_FIELDS)):
-        self.t = float(t)
-        self.n_steps = n_steps = n_steps + n_steps % 2  # Simpson needs an even count
-        self.s_nodes = np.linspace(0.0, math.sqrt(t), n_steps + 1)
-        self.ds = self.s_nodes[1] - self.s_nodes[0]
-        # RK4 needs half-step stages: slices on the refined ladder
-        self.s_all = np.linspace(0.0, math.sqrt(t), 2 * n_steps + 1)
+
+class _TorusSlices:
+    """Field slices of a torus history at the s-values s_all (eta = s^2), in
+    one store with the leading `n_fields` rows of `_FIELDS`."""
+
+    def __init__(self, h: FlowHistory, s_all: np.ndarray, n_fields: int = len(_FIELDS)):
         self.nx, self.ny = h.template.phi.shape
         self.hx, self.hy = h.template.spacing
-        self.lx, self.ly = h.template.periods
         # tap index tables of -1 .. n + 2, wrapped, for every gather of the store
         self.wrap_x, self.wrap_y = (np.arange(-1, n + 3) % n for n in (self.nx, self.ny))
         # (n_fields, n_slices, nx, ny), built in batches of slices whose
         # fields stay under the byte cap
-        self.store = np.empty((n_fields, len(self.s_all), self.nx, self.ny))
+        self.store = np.empty((n_fields, len(s_all), self.nx, self.ny))
         block = max(1, LEVEL_BATCH_BYTES // (n_fields * h.template.phi.nbytes))
         hx, hy = self.hx, self.hy
-        for lo in range(0, len(self.s_all), block):
-            etas = [min(max(float(s**2), h.t_min), h.t_max) for s in self.s_all[lo:lo + block]]
+        for lo in range(0, len(s_all), block):
+            etas = [min(max(float(s**2), h.t_min), h.t_max) for s in s_all[lo:lo + block]]
             phi = h.params_at_times(etas).reshape(len(etas), self.nx, self.ny)
             out = self.store[:, lo:lo + len(etas)]
             out[0] = r = _conformal_scalar(phi, hx, hy)
@@ -435,9 +440,10 @@ def _spline_taps(frac: np.ndarray, wrap: np.ndarray, slopes: bool = False):
     return np.take(wrap, base + _TAP_OFFSETS, mode="clip"), w
 
 
-def _torus_rhs(s: float, v: np.ndarray, fields):
+def _torus_rhs(s, v: np.ndarray, fields):
     """Reduced-velocity system dv/ds on the torus from a derivative gather of
-    store rows r and e2p, the interpolants the action samples."""
+    store rows r and e2p, the interpolants the action samples; s is one
+    value or one per row."""
     (r, e2p), (rx, ex), (ry, ey) = fields[:, :2]
     px, py = ex / (2 * e2p), ey / (2 * e2p)
     vx, vy = v[:, 0], v[:, 1]
@@ -449,58 +455,83 @@ def _torus_rhs(s: float, v: np.ndarray, fields):
     return acc
 
 
-def _torus_integrate(slices: _TorusSlices, momenta: np.ndarray, want_traces: bool = False):
-    """RK4 integration of the reduced system for a batch of momenta from the origin.
+def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_steps: int,
+                     want_traces: bool = False):
+    """RK4 integration of the reduced system for a batch of momenta from the
+    origin, each row to its own time.
 
-    Returns endpoints, the action tail, the Harnack integral, endpoint
-    speed data and, optionally, full traces.  One derivative gather per
-    node serves the node integrands and the next step's first stage.
+    Every row takes the same n_steps steps in lockstep, with its own ds, s
+    and t.  Returns endpoints, the action tail, the Harnack integral,
+    endpoint speed data and, optionally, full traces.  One derivative gather
+    per node serves the node integrands and the next step's first stage.
+    The slices live for one block of steps: a block builds its steps'
+    slices at every time that has rows, as many steps as keep the block's
+    store under the byte cap, and at least one.
     """
+    ts, row_t = np.unique(times, return_inverse=True)
+    grids = [_s_grid(float(t), n_steps) for t in ts]
+    n_steps = grids[0][0]
+    ds = np.array([s_nodes[1] - s_nodes[0] for _, s_nodes, _ in grids])
+    # per time and step: s at the start, half step and end, and the end's
+    # cube and fourth power, from numpy's scalar ** (its array ** rounds
+    # differently); the end, the next node's s, is s_nodes[k] + ds, which
+    # may differ from s_nodes[k + 1] in the last bit
+    s_tab = np.array([[(s, s + 0.5 * d, s + d, (s + d)**3, (s + d)**4) for s in s_nodes[:-1]]
+                      for (_, s_nodes, _), d in zip(grids, ds)])
+    per_time = LEVEL_BATCH_BYTES // (len(_FIELDS) * h.template.phi.nbytes) // len(ts)
+    blk = max(1, (per_time - 1) // 2)  # steps of a block, whose 2 blk + 1 slices per time fit
+    ds = ds[row_t, None]
     x = np.zeros_like(momenta)
-    v = 2.0 * momenta.copy()
-    ds = slices.ds
-    act = np.empty((slices.n_steps + 1, len(momenta)))
+    v = 2.0 * momenta
+    act = np.empty((n_steps + 1, len(momenta)))
     kin = np.empty_like(act)
     traces_x = [x.copy()] if want_traces else None
     traces_v = [v.copy()] if want_traces else None
 
-    def node_integrands(s, v, fields):
+    def node_integrands(s, s3, s4, v, fields):
         (r, e2p, rdot), (rx, _, _), (ry, _, _) = fields
         speed_sq = e2p * np.sum(v * v, axis=1)
         action = 2 * s * s * r + 0.5 * speed_sq
         hk = (
-            2 * s**4 * rdot
-            + 2 * s**3 * (rx * v[:, 0] + ry * v[:, 1])
+            2 * s4 * rdot
+            + 2 * s3 * (rx * v[:, 0] + ry * v[:, 1])
             + 0.5 * s * s * r * speed_sq
             + 2 * s * s * r
         )
         return action, hk
 
     stage, nodes = slice(2), slice(3)  # store rows of an RK4 stage and of a node
-    node = slices.sample(0, nodes, x, grad=True)
-    act[0], kin[0] = node_integrands(0.0, v, node)
-    for k in range(slices.n_steps):
-        s = slices.s_nodes[k]
-        i1, i2 = 2 * k + 1, 2 * k + 2
+    for k in range(n_steps):
+        if k % blk == 0:  # a new block: the slices 2k .. 2k + span - 1 of every time
+            span = 2 * min(blk, n_steps - k) + 1
+            slices = None  # the last block's store is freed before the next is built
+            slices = _TorusSlices(h, np.concatenate([s_all[2 * k:2 * k + span]
+                                                     for *_, s_all in grids]))
+            at = row_t * span - 2 * k  # a row's slice i is at + i in the block
+            if k == 0:
+                node = slices.sample(at, nodes, x, grad=True)
+                act[0], kin[0] = node_integrands(0.0, 0.0, 0.0, v, node)
+        s, s_half, s_end, s3, s4 = s_tab[row_t, k].T
+        i1, i2 = at + 2 * k + 1, at + 2 * k + 2
         k1x, k1v = v, _torus_rhs(s, v, node)
         x2, v2 = x + 0.5 * ds * k1x, v + 0.5 * ds * k1v
-        k2x, k2v = v2, _torus_rhs(s + 0.5 * ds, v2, slices.sample(i1, stage, x2, grad=True))
+        k2x, k2v = v2, _torus_rhs(s_half, v2, slices.sample(i1, stage, x2, grad=True))
         x3, v3 = x + 0.5 * ds * k2x, v + 0.5 * ds * k2v
-        k3x, k3v = v3, _torus_rhs(s + 0.5 * ds, v3, slices.sample(i1, stage, x3, grad=True))
+        k3x, k3v = v3, _torus_rhs(s_half, v3, slices.sample(i1, stage, x3, grad=True))
         x4, v4 = x + ds * k3x, v + ds * k3v
-        k4x, k4v = v4, _torus_rhs(s + ds, v4, slices.sample(i2, stage, x4, grad=True))
+        k4x, k4v = v4, _torus_rhs(s_end, v4, slices.sample(i2, stage, x4, grad=True))
         x = x + ds / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + ds / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         node = slices.sample(i2, nodes, x, grad=True)
-        act[k + 1], kin[k + 1] = node_integrands(s + ds, v, node)
+        act[k + 1], kin[k + 1] = node_integrands(s_end, s3, s4, v, node)
         if want_traces:
             traces_x.append(x.copy())
             traces_v.append(v.copy())
     r_end, e2p_end = node[0, :2]
-    x_speed_sq = e2p_end * np.sum(v * v, axis=1) / (4.0 * slices.t)
+    x_speed_sq = e2p_end * np.sum(v * v, axis=1) / (4.0 * ts[row_t])
     out = {
         "end": x, "v_end": v,
-        "l_tail": _simpson(act, ds), "k": _simpson(kin, ds),
+        "l_tail": _simpson(act, ds[:, 0]), "k": _simpson(kin, ds[:, 0]),
         "r_end": r_end, "x_speed_sq": x_speed_sq,
     }
     if want_traces:
@@ -510,42 +541,52 @@ def _torus_integrate(slices: _TorusSlices, momenta: np.ndarray, want_traces: boo
     return out
 
 
-def _lattice_images(slices: _TorusSlices, targets: np.ndarray):
+def _lattice_images(periods, targets: np.ndarray):
     """The nine nearest lattice translates (m, 9, 2) of each target and their
     flat distances (m, 9) from the origin."""
-    shifts = np.array([(i * slices.lx, j * slices.ly) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    lx, ly = periods
+    shifts = np.array([(i * lx, j * ly) for i in (-1, 0, 1) for j in (-1, 0, 1)])
     images = targets[:, None, :] + shifts[None, :, :]
     return images, np.linalg.norm(images, axis=2)
 
 
-def _torus_shoot_targets(h: FlowHistory, targets: np.ndarray, t: float, n_steps: int):
-    """Best action over the nearby lattice translates of each target.
+def _torus_shoot_targets(h: FlowHistory, targets: np.ndarray, times: np.ndarray, n_steps: int):
+    """Best action over the nearby lattice translates of each target, each
+    at its own time.
 
-    Translates that cannot win are dropped up front: the conformal
-    factor bounds the kinetic cost of any path between multiples of the
-    flat one, so an image farther than the distortion factor times the
-    nearest image distance (plus a safety margin) is excluded.  One
-    secant iteration (good Broyden) finds each momentum: a row starts at
-    the flat guess with the inverse Jacobian I/(2 sqrt t) of the flat
-    endpoint map p -> 2 sqrt(t) p, and settled rows leave the batch.
-    A row still live after 50 sweeps keeps its last miss, which the
-    caller treats as a missed shot.
+    The rows of all times run in one batch: a sweep integrates every live
+    row in lockstep, over slices built per block of steps and rebuilt on
+    every sweep, so no slice store outlives a sweep.  Translates that
+    cannot win are dropped up front: the conformal factor bounds the
+    kinetic cost of any path between multiples of the flat one, so an
+    image farther than the distortion factor times the nearest image
+    distance (plus a safety margin) is excluded.  One secant iteration
+    (good Broyden) finds each momentum: a row starts at the flat guess
+    with the inverse Jacobian I/(2 sqrt t) of the flat endpoint map
+    p -> 2 sqrt(t) p, and settled rows leave the batch.  A row still live
+    after 50 sweeps keeps its last miss, which the caller treats as a
+    missed shot.
     """
-    slices = _TorusSlices(h, t, n_steps)
     m_t = len(targets)
-    all_images, dists = _lattice_images(slices, targets)
-    phis = h.params_at_times([min(max(e, h.t_min), h.t_max) for e in (0.0, 0.25 * t, t)])
-    spread = max(float(np.max(ph) - np.min(ph)) for ph in phis)
-    cutoff = np.exp(spread) * dists.min(axis=1) + 0.12 * min(slices.lx, slices.ly)
+    all_images, dists = _lattice_images(h.template.periods, targets)
+
+    def distortion(t):
+        phis = h.params_at_times([min(max(e, h.t_min), h.t_max) for e in (0.0, 0.25 * t, t)])
+        return np.exp(max(float(np.max(ph) - np.min(ph)) for ph in phis))
+
+    ts, target_t = np.unique(times, return_inverse=True)
+    factor = np.array([distortion(t) for t in ts])[target_t]
+    cutoff = factor * dists.min(axis=1) + 0.12 * min(h.template.periods)
     keep = dists <= cutoff[:, None]
     rows, shift_idx = np.nonzero(keep)
     images = all_images[rows, shift_idx]                     # (q, 2)
+    row_t = times[rows]
     q = len(images)
-    two_rt = 2.0 * math.sqrt(t)
+    two_rt = 2.0 * np.sqrt(row_t)[:, None]
     p_flat = images / two_rt
     p = p_flat.copy()
-    h_flat = np.eye(2) / two_rt
-    h_inv = np.tile(h_flat, (q, 1, 1))  # inverse Jacobian of each row's endpoint map
+    h_flat = np.eye(2) / two_rt[:, :, None]
+    h_inv = h_flat.copy()  # inverse Jacobian of each row's endpoint map
     f_old = np.full((q, 2), np.nan)  # the row's last residual, paired with its last step
     step = np.zeros((q, 2))
     l_tail, k_val, miss = np.empty((3, q))
@@ -560,7 +601,7 @@ def _torus_shoot_targets(h: FlowHistory, targets: np.ndarray, t: float, n_steps:
         for _ in range(50):
             if len(live) == 0:
                 break
-            res = _torus_integrate(slices, p[live])
+            res = _torus_integrate(h, row_t[live], p[live], n_steps)
             f = res["end"] - images[live]
             mom[live] = p[live]
             miss[live] = np.max(np.abs(f), axis=1)
@@ -584,7 +625,7 @@ def _torus_shoot_targets(h: FlowHistory, targets: np.ndarray, t: float, n_steps:
             again = stuck[live] & ~finite
             at_flat = np.all(p[live] == p_flat[live], axis=1)
             restart = live[again & ~at_flat]
-            p[restart], h_inv[restart] = p_flat[restart], h_flat
+            p[restart], h_inv[restart] = p_flat[restart], h_flat[restart]
             stuck[live] = ~finite & ~again
             live = live[~conv & ~(again & at_flat)]
     miss, l_tail = (np.where(np.isfinite(a), a, np.inf) for a in (miss, l_tail))
@@ -638,10 +679,9 @@ def geodesic_shoot(h: FlowHistory, momentum, t_end: float,
                                 l_tail, head, float(boundary), k_val,
                                 h_samples, float(resid))
     if h.kind == "conformal_torus":
-        slices = _TorusSlices(h, t_end, n_steps)
         mom = np.asarray(momentum, dtype=float).reshape(1, 2)
-        res = _torus_integrate(slices, mom, want_traces=True)
-        s = slices.s_nodes
+        res = _torus_integrate(h, np.array([t_end], dtype=float), mom, n_steps, want_traces=True)
+        s = _s_grid(t_end, n_steps)[1]
         xs = res["trace_x"][:, 0, :]
         vs = res["trace_v"][:, 0, :]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -663,8 +703,9 @@ def geodesic_shoot(h: FlowHistory, momentum, t_end: float,
 
 
 class _PathAction:
-    """Discretized action of piecewise-linear paths from the origin on the squared
-    uniform s-grid of a store of rows r and e2p, and its gradient.
+    """Discretized action of piecewise-linear paths from the origin to time t, on
+    the squared uniform s-grid of n_segments segments over a store of rows r
+    and e2p, and its gradient.
 
     A batch of paths holds interior nodes z (B, M-1, 2) and endpoints y
     (B, 2).  Straight segments are traversed linearly in s = sqrt(eta): the
@@ -674,12 +715,13 @@ class _PathAction:
     derivative of the value.
     """
 
-    def __init__(self, slices: _TorusSlices):
-        self.slices = slices
-        self.n_segments = m = slices.n_steps
-        eta = slices.s_nodes**2
+    def __init__(self, h: FlowHistory, t: float, n_segments: int):
+        m, s_nodes, s_all = _s_grid(t, n_segments)
+        self.n_segments, self.s_nodes = m, s_nodes
+        self.slices = _TorusSlices(h, s_all, 2)
+        eta = s_nodes**2
         self.d_eta = np.diff(eta)
-        self.seg_w = self.d_eta**2 / (2.0 * np.diff(slices.s_nodes))
+        self.seg_w = self.d_eta**2 / (2.0 * np.diff(s_nodes))
         self.node_w = np.zeros(m + 1)
         self.node_w[:-1] += 0.5 * np.sqrt(eta[:-1]) * self.d_eta
         self.node_w[1:] += 0.5 * np.sqrt(eta[1:]) * self.d_eta
@@ -809,9 +851,9 @@ def _oracle_torus_batch(h, targets, t, n_segments=64):
     """
     if h.kind != "conformal_torus":
         raise ValueError("the path-minimization oracle supports torus histories")
-    action = _PathAction(_TorusSlices(h, t, n_segments, 2))
+    action = _PathAction(h, t, n_segments)
     m_t = len(targets)
-    images, dist = _lattice_images(action.slices, targets)
+    images, dist = _lattice_images(h.template.periods, targets)
     order = np.argsort(dist, axis=1)[:, :3]
     rows = np.repeat(np.arange(m_t), 3)
     ys = images[rows, order.ravel()]                            # (m*k, 2)
@@ -840,7 +882,7 @@ def ell_plus_field(h: FlowHistory, targets, times, eps: float = 0.0,
     direct path-minimization oracle and flagged beyond a relative gap of
     1e-3; a target whose shot misses beyond tolerance falls back to the
     oracle value and is flagged.  The radial quadrature takes 128 steps
-    and the torus shooting 96.
+    and the torus shooting 96; the targets of all times shoot in one batch.
     """
     times = np.asarray(times, dtype=float)
     grid = int(targets) if isinstance(targets, (int, np.integer)) else None
@@ -854,27 +896,23 @@ def ell_plus_field(h: FlowHistory, targets, times, eps: float = 0.0,
         targets = targets * np.asarray(h.template.periods)
     targets = np.asarray(targets, dtype=float).reshape(-1, 2)
     m_t = len(targets)
-    ell = np.empty((len(times), m_t))
-    k_eff = np.empty_like(ell)
-    momenta = np.empty((len(times), m_t, 2))
-    images = np.empty((len(times), m_t, 2))
+    # every target once per time, in one shooting batch, time major
+    shot = _torus_shoot_targets(h, np.tile(targets, (len(times), 1)), np.repeat(times, m_t), 96)
+    shot = {key: val.reshape(len(times), m_t, *val.shape[1:]) for key, val in shot.items()}
+    ell = shot["l_tail"] / (2.0 * np.sqrt(times))[:, None]
+    k_eff, momenta, images = shot["k"], shot["momenta"], shot["images"]
+    missed = shot["miss"] > 1e-6
     oracle_vals = np.full((len(times), m_t), np.nan)
     flags = np.zeros((len(times), m_t), dtype=bool)
     for i, t in enumerate(times):
-        shot = _torus_shoot_targets(h, targets, float(t), 96)
-        two_rt = 2.0 * math.sqrt(t)
-        ell[i] = shot["l_tail"] / two_rt
-        k_eff[i] = shot["k"]
-        momenta[i] = shot["momenta"]
-        images[i] = shot["images"]
-        missed = shot["miss"] > 1e-6
-        if oracle_check or np.any(missed):
+        if oracle_check or np.any(missed[i]):
+            two_rt = 2.0 * math.sqrt(t)
             o_vals = _oracle_torus_batch(h, targets, float(t), oracle_segments) / two_rt
             oracle_vals[i] = o_vals
             rel = np.abs(ell[i] - o_vals) / np.maximum(1.0, np.abs(o_vals))
             flags[i] = rel > 1e-3
-            ell[i] = np.where(missed, o_vals, ell[i])
-            flags[i] |= missed
+            ell[i] = np.where(missed[i], o_vals, ell[i])
+            flags[i] |= missed[i]
     mask = None if grid is None else _torus_smooth_mask(images, grid, h.template.periods)
     return ReducedField(
         kind="torus", times=times, targets=targets, ell=ell, ell_tail=ell.copy(),

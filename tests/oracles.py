@@ -184,6 +184,117 @@ def torus_slice_grids(h, eta, hx, hy):
     return np.stack([r, e2p, rdot])
 
 
+def torus_integrate_per_time(h, t, momenta, n_steps):
+    """RK4 of the reduced torus system for a batch of momenta at one time t,
+    over one store of every slice of that time, with scalar s and ds.
+
+    Reference for `reduced._torus_integrate`, which marches the rows of
+    several times in lockstep over slices built per block of steps, with
+    per-row s from tables."""
+    from expanderlab.reduced import _s_grid, _simpson, _torus_rhs, _TorusSlices
+
+    n_steps, s_nodes, s_all = _s_grid(t, n_steps)
+    slices = _TorusSlices(h, s_all)
+    ds = s_nodes[1] - s_nodes[0]
+    x = np.zeros_like(momenta)
+    v = 2.0 * momenta.copy()
+    act = np.empty((n_steps + 1, len(momenta)))
+    kin = np.empty_like(act)
+
+    def node_integrands(s, v, fields):
+        (r, e2p, rdot), (rx, _, _), (ry, _, _) = fields
+        speed_sq = e2p * np.sum(v * v, axis=1)
+        action = 2 * s * s * r + 0.5 * speed_sq
+        hk = (2 * s**4 * rdot + 2 * s**3 * (rx * v[:, 0] + ry * v[:, 1])
+              + 0.5 * s * s * r * speed_sq + 2 * s * s * r)
+        return action, hk
+
+    node = slices.sample(0, slice(3), x, grad=True)
+    act[0], kin[0] = node_integrands(0.0, v, node)
+    for k in range(n_steps):
+        s = s_nodes[k]
+        i1, i2 = 2 * k + 1, 2 * k + 2
+        k1x, k1v = v, _torus_rhs(s, v, node)
+        x2, v2 = x + 0.5 * ds * k1x, v + 0.5 * ds * k1v
+        k2x, k2v = v2, _torus_rhs(s + 0.5 * ds, v2, slices.sample(i1, slice(2), x2, grad=True))
+        x3, v3 = x + 0.5 * ds * k2x, v + 0.5 * ds * k2v
+        k3x, k3v = v3, _torus_rhs(s + 0.5 * ds, v3, slices.sample(i1, slice(2), x3, grad=True))
+        x4, v4 = x + ds * k3x, v + ds * k3v
+        k4x, k4v = v4, _torus_rhs(s + ds, v4, slices.sample(i2, slice(2), x4, grad=True))
+        x = x + ds / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + ds / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        node = slices.sample(i2, slice(3), x, grad=True)
+        act[k + 1], kin[k + 1] = node_integrands(s + ds, v, node)
+    return x, _simpson(act, ds), _simpson(kin, ds)
+
+
+def torus_shoot_per_time(h, targets, t, n_steps):
+    """The good-Broyden shooting of targets at one time t, sweep by sweep
+    over that time's rows alone.
+
+    Reference for `reduced._torus_shoot_targets`, which runs the rows of
+    all its targets' times in one batch of sweeps."""
+    from expanderlab.reduced import _lattice_images
+
+    m_t = len(targets)
+    all_images, dists = _lattice_images(h.template.periods, targets)
+    phis = h.params_at_times([min(max(e, h.t_min), h.t_max) for e in (0.0, 0.25 * t, t)])
+    spread = max(float(np.max(ph) - np.min(ph)) for ph in phis)
+    cutoff = np.exp(spread) * dists.min(axis=1) + 0.12 * min(h.template.periods)
+    rows, shift_idx = np.nonzero(dists <= cutoff[:, None])
+    images = all_images[rows, shift_idx]
+    q = len(images)
+    two_rt = 2.0 * math.sqrt(t)
+    p_flat = images / two_rt
+    p = p_flat.copy()
+    h_flat = np.eye(2) / two_rt
+    h_inv = np.tile(h_flat, (q, 1, 1))
+    f_old = np.full((q, 2), np.nan)
+    step = np.zeros((q, 2))
+    l_tail, k_val, miss = np.empty((3, q))
+    mom = np.empty((q, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        live = np.arange(q)
+        stuck = np.zeros(q, dtype=bool)
+        for _ in range(50):
+            if len(live) == 0:
+                break
+            end, l_tail[live], k_val[live] = torus_integrate_per_time(h, t, p[live], n_steps)
+            f = end - images[live]
+            mom[live] = p[live]
+            miss[live] = np.max(np.abs(f), axis=1)
+            finite = np.all(np.isfinite(f), axis=1)
+            pair = finite & np.all(np.isfinite(f_old[live]), axis=1)
+            up = live[pair]
+            s, hy = step[up], np.einsum("rij,rj->ri", h_inv[up], f[pair] - f_old[up])
+            sh = np.einsum("ri,rij->rj", s, h_inv[up])
+            denom = np.sum(s * hy, axis=1)[:, None, None]
+            h_inv[up] += (s - hy)[:, :, None] * sh[:, None, :] / denom
+            f_old[live] = f
+            conv = finite & (miss[live] < 1e-11)
+            move = finite & ~conv
+            mv = live[move]
+            step[mv] = -np.einsum("rij,rj->ri", h_inv[mv], f[move])
+            p[mv] += step[mv]
+            again = stuck[live] & ~finite
+            at_flat = np.all(p[live] == p_flat[live], axis=1)
+            restart = live[again & ~at_flat]
+            p[restart], h_inv[restart] = p_flat[restart], h_flat
+            stuck[live] = ~finite & ~again
+            live = live[~conv & ~(again & at_flat)]
+    miss, l_tail = (np.where(np.isfinite(a), a, np.inf) for a in (miss, l_tail))
+    # the last of equal minima wins a target
+    l_pick = np.where(miss < 1e-6, l_tail, np.inf)
+    best = np.full(m_t, np.inf)
+    np.minimum.at(best, rows, l_pick)
+    win = np.full(m_t, -1, dtype=int)
+    for idx in range(q):
+        if l_pick[idx] <= best[rows[idx]]:
+            win[rows[idx]] = idx
+    return {"l_tail": l_tail[win], "k": k_val[win], "momenta": mom[win],
+            "translate": shift_idx[win], "images": images[win], "miss": miss[win]}
+
+
 def harnack_identity_separate(states, h, birth_time=0.0):
     """The entropy-density identity and its pre-factor identity, checked alone.
 

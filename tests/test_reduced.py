@@ -25,6 +25,7 @@ from expanderlab.reduced import (
     _RadialEngine,
     _oracle_torus_batch,
     _PathAction,
+    _s_grid,
     _slice_ops,
     _spline_taps,
     _torus_integrate,
@@ -41,6 +42,7 @@ from oracles import (
     subgrid_ops_hand_rolled,
     theta_plus_hand_rolled,
     theta_supersolution_separate,
+    torus_shoot_per_time,
     torus_slice_grids,
 )
 
@@ -82,7 +84,7 @@ def skewed_torus_slices():
     vals = np.array([(0.2 + 0.1 * t) * np.sin(theta + t) for t in ts]).reshape(3, -1)
     m0 = ConformalTorusMetric(vals[0].reshape(nx, ny), periods)
     h = FlowHistory(m0, ts, vals, np.zeros_like(vals))
-    return _TorusSlices(h, 0.8, 4), periods
+    return _TorusSlices(h, _s_grid(0.8, 4)[2]), periods
 
 
 def torus_distance_sq(y, lx=1.0, ly=1.0):
@@ -666,7 +668,7 @@ def test_torus_slice_samples_match_fancy_index_gather():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-0.2, 1.2, (40, 2)) * periods
     pts[:4] = [[0.0, 0.0], [-1e-9, 1.7 - 1e-9], [0.99, 0.01], [0.03, 1.69]]
-    slice_idx = rng.integers(0, len(slices.s_all), len(pts))
+    slice_idx = rng.integers(0, slices.store.shape[1], len(pts))
 
     ix, (wx,) = _spline_taps((pts[:, 0] / slices.hx) % nx, slices.wrap_x)
     jy, (wy,) = _spline_taps((pts[:, 1] / slices.hy) % ny, slices.wrap_y)
@@ -709,10 +711,11 @@ def test_slice_store_equals_per_slice_formula():
     vals = 0.2 * rng.standard_normal((4, 16 * 24))
     m0 = ConformalTorusMetric(vals[0].reshape(16, 24), (1.0, 1.7))
     h = FlowHistory(m0, ts, vals, rng.standard_normal((4, 16 * 24)))
-    slices = _TorusSlices(h, 1.0, 200)
+    s_all = _s_grid(1.0, 200)[2]
+    slices = _TorusSlices(h, s_all)
     block = LEVEL_BATCH_BYTES // (len(_FIELDS) * m0.phi.nbytes)
-    assert block < len(slices.s_all) and len(slices.s_all) % block
-    for i, s in enumerate(slices.s_all):
+    assert block < len(s_all) and len(s_all) % block
+    for i, s in enumerate(s_all):
         want = torus_slice_grids(h, float(s**2), slices.hx, slices.hy)
         assert np.array_equal(slices.store[:, i], want)
     # the gather reads the store itself, not a copy of it
@@ -723,16 +726,16 @@ def test_slice_store_equals_per_slice_formula():
 
     # the oracle's two-row store, built in other batches, is rows r and e2p
     # of the three-row one
-    two = _TorusSlices(h, 1.0, 200, 2)
-    assert block < LEVEL_BATCH_BYTES // (2 * m0.phi.nbytes) < len(slices.s_all)
+    two = _TorusSlices(h, s_all, 2)
+    assert block < LEVEL_BATCH_BYTES // (2 * m0.phi.nbytes) < len(s_all)
     assert two.store.shape == (2,) + slices.store.shape[1:]
-    assert np.array_equal(two.store, _TorusSlices(h, 1.0, 200).store[:2])
+    assert np.array_equal(two.store, _TorusSlices(h, s_all).store[:2])
 
 
 def test_oracle_builds_no_rdot_row(torus16, monkeypatch):
     # the oracle reads r at nodes and e2p at midpoints, with the gradients of
-    # their interpolants, so its store holds those two rows; shooting adds
-    # rdot for the Harnack integrand
+    # their interpolants, so its store holds those two rows; shooting's
+    # blocks add rdot for the Harnack integrand
     h = torus16
     shapes = []
 
@@ -745,8 +748,9 @@ def test_oracle_builds_no_rdot_row(torus16, monkeypatch):
     pts = np.array([(0.15, 0.1), (0.25, 0.0)])
     _oracle_torus_batch(h, pts, 0.2, 32)
     assert shapes == [(2, 65, 16, 16)]
-    _torus_shoot_targets(h, pts, 0.2, 32)
+    _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     assert shapes[1] == (3, 65, 16, 16)
+    assert all(shape[0] == 3 for shape in shapes[1:])
 
 
 def test_blockwise_slice_gather_matches_single_block(monkeypatch):
@@ -758,7 +762,7 @@ def test_blockwise_slice_gather_matches_single_block(monkeypatch):
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.2, 1.2, (40, 2)) * periods
     pts[:2] = [[-1e-18, 0.5], [0.3, -1e-18]]
-    slice_idx = rng.integers(0, len(slices.s_all), len(pts))
+    slice_idx = rng.integers(0, slices.store.shape[1], len(pts))
     whole = [slices.sample(idx, rows, pts) for idx in (slice_idx, 2)]
     monkeypatch.setattr("expanderlab.reduced.LEVEL_BATCH_BYTES", 128 * 4 * 7)
     for idx, want in zip((slice_idx, 2), whole):
@@ -779,30 +783,31 @@ def test_shoot_records_integrals_of_the_settling_sweep(torus16, monkeypatch):
     pts = np.random.default_rng(7).uniform(0.0, 1.0, (24, 2))
     sizes = []
 
-    def spy(slices, momenta, **kw):
+    def spy(h, times, momenta, n_steps, **kw):
         sizes.append(len(momenta))
-        return _torus_integrate(slices, momenta, **kw)
+        return _torus_integrate(h, times, momenta, n_steps, **kw)
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", spy)
-    shot = _torus_shoot_targets(h, pts, 0.2, 32)
+    shot = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     assert len(set(sizes)) > 3
     assert np.all(shot["miss"] < 1e-6)
-    slices = _TorusSlices(h, 0.2, 32)  # deterministic: the store the shot used
-    fresh = _torus_integrate(slices, shot["momenta"])
+    fresh = _torus_integrate(h, np.full(len(pts), 0.2), shot["momenta"], 32)
     # batched Simpson sums run in node order, so the batch a row shared
     # cannot move its integrals
     assert np.array_equal(fresh["l_tail"], shot["l_tail"])
     assert np.array_equal(fresh["k"], shot["k"])
-    alone = _torus_integrate(slices, shot["momenta"][3:4])
+    alone = _torus_integrate(h, np.full(1, 0.2), shot["momenta"][3:4], 32)
     assert alone["l_tail"][0] == fresh["l_tail"][3] and alone["k"][0] == fresh["k"][3]
 
     # the endpoints are those of plain RK4 that samples every stage afresh
     # and accumulates no integrals
+    n_steps, s_nodes, s_all = _s_grid(0.2, 32)
+    slices = _TorusSlices(h, s_all)  # deterministic: the slices the shot used
     x = np.zeros((len(pts), 2))
     v = 2.0 * shot["momenta"]
-    ds = slices.ds
-    for k in range(slices.n_steps):
-        s = slices.s_nodes[k]
+    ds = s_nodes[1] - s_nodes[0]
+    for k in range(n_steps):
+        s = s_nodes[k]
 
         def acc(i, s, x, v):
             return _torus_rhs(s, v, slices.sample(i, slice(2), x, grad=True))
@@ -824,9 +829,10 @@ def test_shoot_forces_are_the_interpolant_derivatives(torus16):
     # the shooting forces are the derivatives of the sampled r and of half
     # the log of the sampled e2p, the interpolants the action integrates
     # (the stencil gradients shooting read before missed them by 5e-2)
-    slices = _TorusSlices(torus16, 0.2, 32)
+    s_all = _s_grid(0.2, 32)[2]
+    slices = _TorusSlices(torus16, s_all)
     i = 21
-    s = slices.s_all[i]
+    s = s_all[i]
     pts = np.random.default_rng(8).uniform(0.0, 1.0, (50, 2))
     step = 1e-6
 
@@ -855,18 +861,18 @@ def test_shoot_retries_non_finite_endpoint(torus16, monkeypatch):
     # the row is integrated again from the same momentum and settles
     h = torus16
     pts = np.array([(0.15, 0.1), (0.25, 0.0), (0.1, 0.2)])
-    clean = _torus_shoot_targets(h, pts, 0.2, 32)
+    clean = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     batches = []
 
-    def flaky(slices, momenta, **kw):
-        res = _torus_integrate(slices, momenta, **kw)
+    def flaky(h, times, momenta, n_steps, **kw):
+        res = _torus_integrate(h, times, momenta, n_steps, **kw)
         if not batches:
             res["end"][0] = np.nan
         batches.append(momenta.copy())
         return res
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", flaky)
-    shot = _torus_shoot_targets(h, pts, 0.2, 32)
+    shot = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     assert np.array_equal(batches[1][0], batches[0][0])
     assert shot["miss"][0] < 1e-6
     assert shot["l_tail"][0] == pytest.approx(clean["l_tail"][0], rel=1e-9)
@@ -877,15 +883,15 @@ def test_shoot_drops_a_repeating_non_finite_endpoint(torus16, monkeypatch):
     # sweep; its miss stays inf, so the row cannot win
     h = torus16
     pts = np.array([(0.15, 0.1), (0.5, 0.45), (0.1, 0.2)])
-    clean = _torus_shoot_targets(h, pts, 0.2, 32)
+    clean = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     # poison the only image of target 0 and the winning image of target 1
     two_rt = 2.0 * math.sqrt(0.2)
     shift = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])[clean["translate"][1]]
     bad = np.array([pts[0], pts[1] + shift]) / two_rt
     counts = np.zeros(2, dtype=int)
 
-    def poisoned(slices, momenta, **kw):
-        res = _torus_integrate(slices, momenta, **kw)
+    def poisoned(h, times, momenta, n_steps, **kw):
+        res = _torus_integrate(h, times, momenta, n_steps, **kw)
         for k, p in enumerate(bad):
             hit = np.all(momenta == p, axis=1)
             res["end"][hit] = np.nan
@@ -893,7 +899,7 @@ def test_shoot_drops_a_repeating_non_finite_endpoint(torus16, monkeypatch):
         return res
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", poisoned)
-    shot = _torus_shoot_targets(h, pts, 0.2, 32)
+    shot = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     assert list(counts) == [2, 2]
     assert shot["miss"][0] == np.inf
     assert shot["translate"][1] != clean["translate"][1] and shot["miss"][1] < 1e-6
@@ -906,18 +912,18 @@ def test_shoot_restarts_a_row_non_finite_twice_off_the_flat_guess(torus16, monke
     # fresh inverse Jacobian and settles on the clean shot
     h = torus16
     pts = np.array([(0.15, 0.1), (0.25, 0.0), (0.1, 0.2)])
-    clean = _torus_shoot_targets(h, pts, 0.2, 32)
+    clean = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     batches = []
 
-    def flaky(slices, momenta, **kw):
-        res = _torus_integrate(slices, momenta, **kw)
+    def flaky(h, times, momenta, n_steps, **kw):
+        res = _torus_integrate(h, times, momenta, n_steps, **kw)
         if len(batches) in (1, 2):
             res["end"][0] = np.nan  # row 0 is the only image of target 0
         batches.append(momenta.copy())
         return res
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", flaky)
-    shot = _torus_shoot_targets(h, pts, 0.2, 32)
+    shot = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     p_flat = pts[0] / (2.0 * math.sqrt(0.2))
     assert not np.array_equal(batches[1][0], p_flat)
     assert np.array_equal(batches[2][0], batches[1][0])
@@ -934,14 +940,78 @@ def test_secant_shot_takes_few_sweeps(torus16, monkeypatch):
     pts = np.random.default_rng(7).uniform(0.0, 1.0, (12, 2))
     calls = []
 
-    def spy(slices, momenta, **kw):
+    def spy(h, times, momenta, n_steps, **kw):
         calls.append(len(momenta))
-        return _torus_integrate(slices, momenta, **kw)
+        return _torus_integrate(h, times, momenta, n_steps, **kw)
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", spy)
-    shot = _torus_shoot_targets(h, pts, 0.2, 32)
+    shot = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     assert len(calls) <= 12, calls
     assert np.all(shot["miss"] < 1e-6)
+
+
+@pytest.mark.parametrize("case", ["torus16", "flat32"])
+def test_batched_shoot_equals_the_per_time_shoot(case, torus16, monkeypatch):
+    # the rows of all field times run in one batch, over slices built per
+    # block of steps, and each time's results equal that time shot alone over
+    # a store of all its slices: on an evolving 16x16 torus at three times
+    # whose node s**3 and s**4 round differently under numpy's array **, in
+    # blocks of three steps while all three times have live rows, and on
+    # the flat 32x32 torus's 8x8 subgrid at flat_torus's five times and 96
+    # steps, where the targets on the lines x = 1/2 and y = 1/2 have images
+    # whose actions tie to within round-off, so a change of tie-picking shows
+    if case == "torus16":
+        h, times, n_steps = torus16, np.array([0.18, 0.19, 0.2]), 32
+        pts = np.random.default_rng(9).uniform(0.0, 1.0, (16, 2))
+        monkeypatch.setattr("expanderlab.reduced.LEVEL_BATCH_BYTES", 7 * 3 * 3 * 16 * 16 * 8)
+    else:
+        h, times, n_steps = flat_history(), np.linspace(0.85, 1.15, 5), 96
+        pts = np.array([(i / 8, j / 8) for i in range(8) for j in range(8)])
+    m = len(pts)
+    shot = _torus_shoot_targets(h, np.tile(pts, (len(times), 1)), np.repeat(times, m), n_steps)
+    for i, t in enumerate(times):
+        want = torus_shoot_per_time(h, pts, float(t), n_steps)
+        for key in ("l_tail", "k", "momenta", "translate", "images", "miss"):
+            assert np.array_equal(shot[key][i * m:(i + 1) * m], want[key]), (t, key)
+
+
+def test_a_field_shoots_all_its_times_in_one_batch_of_capped_blocks(torus16, monkeypatch):
+    # evolving 16x16 torus, a three-time field: one shooting call, whose
+    # sweeps integrate the rows of every time together, so it makes as many
+    # integrate calls as the slowest time alone, not the sum over the times;
+    # every block of slices, rebuilt per sweep, stays under the byte cap
+    h = torus16
+    times = np.array([0.15, 0.2, 0.25])
+    pts = np.random.default_rng(7).uniform(0.0, 1.0, (12, 2))
+    shoots, calls, stores = [], [], []
+
+    def shoot_spy(h, targets, times, n_steps):
+        shoots.append(len(targets))
+        return _torus_shoot_targets(h, targets, times, n_steps)
+
+    def integrate_spy(h, times, momenta, n_steps, **kw):
+        calls.append(len(momenta))
+        return _torus_integrate(h, times, momenta, n_steps, **kw)
+
+    class Recording(_TorusSlices):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            stores.append(self.store.shape)
+
+    monkeypatch.setattr("expanderlab.reduced._torus_shoot_targets", shoot_spy)
+    monkeypatch.setattr("expanderlab.reduced._torus_integrate", integrate_spy)
+    monkeypatch.setattr("expanderlab.reduced._TorusSlices", Recording)
+    ell_plus_field(h, pts, times, oracle_check=False)
+    assert shoots == [len(times) * len(pts)]
+    assert len(stores) > len(calls)  # more than one block per sweep
+    for shape in stores:
+        assert shape[0] == 3 and 8 * math.prod(shape) <= LEVEL_BATCH_BYTES
+    batched, per_time = len(calls), []
+    for t in times:
+        calls.clear()
+        _torus_shoot_targets(h, pts, np.full(len(pts), t), 96)
+        per_time.append(len(calls))
+    assert batched == max(per_time) < sum(per_time), per_time
 
 
 def count_gathers(monkeypatch):
@@ -987,7 +1057,7 @@ def test_oracle_keeps_the_gradient_of_an_accepted_trial(monkeypatch):
     rng = np.random.default_rng(2)
     pts = rng.uniform(0.0, 1.0, (5, 2))
     fields = count_gathers(monkeypatch)
-    action = _PathAction(_TorusSlices(h, 1.0, 32, 2))
+    action = _PathAction(h, 1.0, 32)
     z = (np.linspace(0.0, 1.0, 33)[1:-1, None] * pts[:, None, :]
          + 0.05 * rng.standard_normal((5, 31, 2)))
     vals = _descend(action, z, pts)
@@ -1006,7 +1076,7 @@ def test_oracle_gradient_is_the_derivative_of_its_value(torus16):
     # gradient equals a central difference of the value (the stencil
     # gradients of r and phi the oracle read before missed it by 2e-3)
     h = torus16
-    action = _PathAction(_TorusSlices(h, 0.2, 32, 2))
+    action = _PathAction(h, 0.2, 32)
     rng = np.random.default_rng(0)
     ys = rng.uniform(0.0, 1.0, (4, 2))
     z = (np.linspace(0.0, 1.0, 33)[1:-1, None] * ys[:, None, :]
@@ -1044,7 +1114,7 @@ def test_oracle_descends_each_row_once(torus16, monkeypatch):
     assert np.array_equal(best, np.min(straight.reshape(-1, 3), axis=1))
     action = calls[0][0]
     z, y = np.concatenate([c[1] for c in calls]), np.concatenate([c[2] for c in calls])
-    s = action.slices.s_nodes
+    s = action.s_nodes
     z_root = (s / s[-1])[1:-1, None] * y[:, None, :]  # paths start at the origin
     assert np.max(np.abs(z_root - z)) <= 1e-15
     root = _descend(action, z_root, y)
