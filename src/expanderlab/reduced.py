@@ -197,17 +197,18 @@ def _node_order_sum(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=0)[-1] if terms.shape[1] == 1 else np.sum(terms, axis=0)
 
 
-def _simpson(vals: np.ndarray, ds) -> np.ndarray:
-    """Composite Simpson along axis 0; a 2-d batch sums in node order, with one
-    step ds or one per column."""
-    n = len(vals) - 1
-    if n % 2 != 0:
+def _simpson_weights(n_steps: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 4, 1 over an even step count."""
+    if n_steps % 2 != 0:
         raise ValueError("simpson needs an even interval count")
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    terms = vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
-    return (_node_order_sum(terms) if vals.ndim > 1 else np.sum(terms)) * ds / 3.0
+    w = np.ones(n_steps + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    return w
+
+
+def _simpson(vals: np.ndarray, ds) -> float:
+    """Composite Simpson of the node values vals with step ds."""
+    return np.sum(vals * _simpson_weights(len(vals) - 1)) * ds / 3.0
 
 
 def _analytic_head(r_at_eps: float, eps: float) -> float:
@@ -344,6 +345,11 @@ def extrapolate_fields(fields) -> ReducedField:
 # two; every caller gathers r and e2p with the gradients of their interpolants
 _FIELDS = ("r", "e2p", "rdot")
 
+# cap of every scratch array of a slice build and of a gather: glibc's default
+# mmap threshold, below which the temporaries are reused from the heap instead
+# of being mapped, faulted in and trimmed again on every block
+_SCRATCH_BYTES = 1 << 17
+
 
 def _s_grid(t: float, n_steps: int):
     """An even step count over s in [0, sqrt t] (Simpson needs one), its
@@ -356,17 +362,17 @@ def _s_grid(t: float, n_steps: int):
 
 class _TorusSlices:
     """Field slices of a torus history at the s-values s_all (eta = s^2), in
-    one store with the leading `n_fields` rows of `_FIELDS`."""
+    one store with the leading `n_fields` rows of `_FIELDS`, filled in
+    batches whose phi and field temporaries stay under `_SCRATCH_BYTES`."""
 
     def __init__(self, h: FlowHistory, s_all: np.ndarray, n_fields: int = len(_FIELDS)):
         self.nx, self.ny = h.template.phi.shape
         self.hx, self.hy = h.template.spacing
         # tap index tables of -1 .. n + 2, wrapped, for every gather of the store
         self.wrap_x, self.wrap_y = (np.arange(-1, n + 3) % n for n in (self.nx, self.ny))
-        # (n_fields, n_slices, nx, ny), built in batches of slices whose
-        # fields stay under the byte cap
+        # (n_fields, n_slices, nx, ny)
         self.store = np.empty((n_fields, len(s_all), self.nx, self.ny))
-        block = max(1, LEVEL_BATCH_BYTES // (n_fields * h.template.phi.nbytes))
+        block = max(1, _SCRATCH_BYTES // h.template.phi.nbytes)
         hx, hy = self.hx, self.hy
         for lo in range(0, len(s_all), block):
             etas = [min(max(float(s**2), h.t_min), h.t_max) for s in s_all[lo:lo + block]]
@@ -384,13 +390,13 @@ class _TorusSlices:
         which are those of the same interpolant from the same taps.
 
         Points run in blocks whose taps (16 of 8 bytes per field and point)
-        stay under the byte cap; every field of a block takes one gather.
+        stay under the scratch cap; every field of a block takes one gather.
         """
         grids = self.store[fields].reshape(-1, self.store[0].size)  # a view: rows are contiguous
         out = np.empty((3 if grad else 1, len(grids), len(pts)))
         offset = idx * (self.nx * self.ny)  # of the slice in a flattened row
         per_point = isinstance(offset, np.ndarray)
-        block = max(1, LEVEL_BATCH_BYTES // (128 * len(grids)))
+        block = max(1, _SCRATCH_BYTES // (128 * len(grids)))
         for lo in range(0, len(pts), block):
             blk = slice(lo, lo + block)
             ix, wx = _spline_taps((pts[blk, 0] / self.hx) % self.nx, self.wrap_x, grad)
@@ -466,7 +472,8 @@ def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_s
     per node serves the node integrands and the next step's first stage.
     The slices live for one block of steps: a block builds its steps'
     slices at every time that has rows, as many steps as keep the block's
-    store under the byte cap, and at least one.
+    store under `LEVEL_BATCH_BYTES`, and at least one.  No array of every
+    node's integrands is kept: the integrals are running Simpson sums.
     """
     ts, row_t = np.unique(times, return_inverse=True)
     grids = [_s_grid(float(t), n_steps) for t in ts]
@@ -483,10 +490,12 @@ def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_s
     ds = ds[row_t, None]
     x = np.zeros_like(momenta)
     v = 2.0 * momenta
-    act = np.empty((n_steps + 1, len(momenta)))
-    kin = np.empty_like(act)
+    # Simpson sums of the node integrands run as they are made, in node
+    # order, the order np.sum adds the rows of a (nodes, rows) array
+    weights = _simpson_weights(n_steps)
     traces_x = [x.copy()] if want_traces else None
     traces_v = [v.copy()] if want_traces else None
+    kin_nodes = [] if want_traces else None
 
     def node_integrands(s, s3, s4, v, fields):
         (r, e2p, rdot), (rx, _, _), (ry, _, _) = fields
@@ -498,6 +507,8 @@ def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_s
             + 0.5 * s * s * r * speed_sq
             + 2 * s * s * r
         )
+        if want_traces:
+            kin_nodes.append(hk)
         return action, hk
 
     stage, nodes = slice(2), slice(3)  # store rows of an RK4 stage and of a node
@@ -510,7 +521,7 @@ def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_s
             at = row_t * span - 2 * k  # a row's slice i is at + i in the block
             if k == 0:
                 node = slices.sample(at, nodes, x, grad=True)
-                act[0], kin[0] = node_integrands(0.0, 0.0, 0.0, v, node)
+                act, kin = node_integrands(0.0, 0.0, 0.0, v, node)  # weight 1
         s, s_half, s_end, s3, s4 = s_tab[row_t, k].T
         i1, i2 = at + 2 * k + 1, at + 2 * k + 2
         k1x, k1v = v, _torus_rhs(s, v, node)
@@ -523,7 +534,9 @@ def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_s
         x = x + ds / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + ds / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         node = slices.sample(i2, nodes, x, grad=True)
-        act[k + 1], kin[k + 1] = node_integrands(s_end, s3, s4, v, node)
+        action, hk = node_integrands(s_end, s3, s4, v, node)
+        act = act + weights[k + 1] * action
+        kin = kin + weights[k + 1] * hk  # not in place: kin_nodes holds node 0's array
         if want_traces:
             traces_x.append(x.copy())
             traces_v.append(v.copy())
@@ -531,13 +544,13 @@ def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_s
     x_speed_sq = e2p_end * np.sum(v * v, axis=1) / (4.0 * ts[row_t])
     out = {
         "end": x, "v_end": v,
-        "l_tail": _simpson(act, ds[:, 0]), "k": _simpson(kin, ds[:, 0]),
+        "l_tail": act * ds[:, 0] / 3.0, "k": kin * ds[:, 0] / 3.0,
         "r_end": r_end, "x_speed_sq": x_speed_sq,
     }
     if want_traces:
         out["trace_x"] = np.asarray(traces_x)
         out["trace_v"] = np.asarray(traces_v)
-        out["kin_nodes"] = kin
+        out["kin_nodes"] = np.asarray(kin_nodes)
     return out
 
 

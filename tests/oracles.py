@@ -191,7 +191,8 @@ def torus_integrate_per_time(h, t, momenta, n_steps):
     Reference for `reduced._torus_integrate`, which marches the rows of
     several times in lockstep over slices built per block of steps, with
     per-row s from tables."""
-    from expanderlab.reduced import _s_grid, _simpson, _torus_rhs, _TorusSlices
+    from expanderlab.reduced import (_node_order_sum, _s_grid, _simpson_weights, _torus_rhs,
+                                     _TorusSlices)
 
     n_steps, s_nodes, s_all = _s_grid(t, n_steps)
     slices = _TorusSlices(h, s_all)
@@ -225,7 +226,8 @@ def torus_integrate_per_time(h, t, momenta, n_steps):
         v = v + ds / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         node = slices.sample(i2, slice(3), x, grad=True)
         act[k + 1], kin[k + 1] = node_integrands(s + ds, v, node)
-    return x, _simpson(act, ds), _simpson(kin, ds)
+    w = _simpson_weights(n_steps)[:, None]  # Simpson summed in node order
+    return x, _node_order_sum(act * w) * ds / 3.0, _node_order_sum(kin * w) * ds / 3.0
 
 
 def torus_shoot_per_time(h, targets, t, n_steps):

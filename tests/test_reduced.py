@@ -26,6 +26,7 @@ from expanderlab.reduced import (
     _oracle_torus_batch,
     _PathAction,
     _s_grid,
+    _SCRATCH_BYTES,
     _slice_ops,
     _spline_taps,
     _torus_integrate,
@@ -702,7 +703,7 @@ def test_torus_slice_samples_match_fancy_index_gather():
     assert np.allclose(node_vals, r[nodes[:, 0] % nx, nodes[:, 1] % ny], rtol=0, atol=1e-12)
 
 
-def test_slice_store_equals_per_slice_formula():
+def test_slice_store_equals_per_slice_formula(monkeypatch):
     # 16x24 history with periods (1, 1.7) and a nonzero evolution
     # right-hand side; its 401 slices fill more than one batch, the last
     # one partial
@@ -712,9 +713,18 @@ def test_slice_store_equals_per_slice_formula():
     m0 = ConformalTorusMetric(vals[0].reshape(16, 24), (1.0, 1.7))
     h = FlowHistory(m0, ts, vals, rng.standard_normal((4, 16 * 24)))
     s_all = _s_grid(1.0, 200)[2]
+    batches = []
+    params_at_times = FlowHistory.params_at_times
+
+    def spy(self, etas):
+        batches.append(len(etas))
+        return params_at_times(self, etas)
+
+    monkeypatch.setattr(FlowHistory, "params_at_times", spy)
     slices = _TorusSlices(h, s_all)
-    block = LEVEL_BATCH_BYTES // (len(_FIELDS) * m0.phi.nbytes)
+    block = _SCRATCH_BYTES // m0.phi.nbytes
     assert block < len(s_all) and len(s_all) % block
+    assert batches == [block] * (len(s_all) // block) + [len(s_all) % block]
     for i, s in enumerate(s_all):
         want = torus_slice_grids(h, float(s**2), slices.hx, slices.hy)
         assert np.array_equal(slices.store[:, i], want)
@@ -724,10 +734,11 @@ def test_slice_store_equals_per_slice_formula():
     slices.store[0:3, 5] += 1.0
     assert np.allclose(slices.sample(5, slice(0, 3), pts), before + 1.0, rtol=1e-12, atol=1e-12)
 
-    # the oracle's two-row store, built in other batches, is rows r and e2p
-    # of the three-row one
+    # the oracle's two-row store, built in the same batches, is rows r and
+    # e2p of the three-row one
+    batches.clear()
     two = _TorusSlices(h, s_all, 2)
-    assert block < LEVEL_BATCH_BYTES // (2 * m0.phi.nbytes) < len(s_all)
+    assert batches == [block] * (len(s_all) // block) + [len(s_all) % block]
     assert two.store.shape == (2,) + slices.store.shape[1:]
     assert np.array_equal(two.store, _TorusSlices(h, s_all).store[:2])
 
@@ -758,15 +769,24 @@ def test_blockwise_slice_gather_matches_single_block(monkeypatch):
     # with one slice index, and the table-wrapped taps equal (base + k) % n,
     # also where float % rounds a point just below 0 up to n
     slices, periods = skewed_torus_slices()
-    rows = slice(0, 4)
+    rows = slice(0, 3)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.2, 1.2, (40, 2)) * periods
     pts[:2] = [[-1e-18, 0.5], [0.3, -1e-18]]
     slice_idx = rng.integers(0, slices.store.shape[1], len(pts))
     whole = [slices.sample(idx, rows, pts) for idx in (slice_idx, 2)]
-    monkeypatch.setattr("expanderlab.reduced.LEVEL_BATCH_BYTES", 128 * 4 * 7)
+    blocks = []
+
+    def spy(frac, wrap, slopes=False):
+        blocks.append(len(frac))
+        return _spline_taps(frac, wrap, slopes)
+
+    monkeypatch.setattr("expanderlab.reduced._SCRATCH_BYTES", 128 * 3 * 7)
+    monkeypatch.setattr("expanderlab.reduced._spline_taps", spy)
     for idx, want in zip((slice_idx, 2), whole):
+        blocks.clear()
         assert np.array_equal(slices.sample(idx, rows, pts), want)
+        assert blocks == [7, 7] * 5 + [5, 5]  # x and y taps of each block
     for col, h, n, wrap in ((0, slices.hx, slices.nx, slices.wrap_x),
                             (1, slices.hy, slices.ny, slices.wrap_y)):
         frac = (pts[:, col] / h) % n
@@ -774,6 +794,50 @@ def test_blockwise_slice_gather_matches_single_block(monkeypatch):
         taps, _ = _spline_taps(frac, wrap)
         want = (np.floor(frac).astype(int) + np.arange(-1, 3)[:, None]) % n
         assert np.array_equal(taps, want)
+
+
+def test_gathers_and_slice_builds_stay_under_the_scratch_cap(torus16, monkeypatch):
+    # evolving 16x16 torus, a two-time field with the oracle on: every tap
+    # computation inside a gather covers at most _SCRATCH_BYTES of taps
+    # (16 of 8 bytes per row and point), and every phi lookup inside a
+    # slice build at most _SCRATCH_BYTES of rows; both are split, since some
+    # gathers and builds exceed one block
+    h = torus16
+    sample, build = _TorusSlices.sample, _TorusSlices.__init__
+    params_at_times = FlowHistory.params_at_times
+    gathers, taps, builds, lookups = [], [], [], []
+
+    def sample_spy(self, idx, rows, pts, grad=False):
+        gathers.append((len(self.store[rows]), len(pts)))
+        return sample(self, idx, rows, pts, grad)
+
+    def taps_spy(frac, wrap, slopes=False):
+        taps.append((gathers[-1][0], len(frac)))
+        return _spline_taps(frac, wrap, slopes)
+
+    def build_spy(self, h, s_all, *args):
+        builds.append(len(s_all))
+        build(self, h, s_all, *args)
+        builds.pop()
+
+    def lookup_spy(self, etas):
+        if builds:
+            lookups.append((builds[-1], len(etas) * self.template.phi.nbytes))
+        return params_at_times(self, etas)
+
+    monkeypatch.setattr(_TorusSlices, "sample", sample_spy)
+    monkeypatch.setattr(_TorusSlices, "__init__", build_spy)
+    monkeypatch.setattr("expanderlab.reduced._spline_taps", taps_spy)
+    monkeypatch.setattr(FlowHistory, "params_at_times", lookup_spy)
+    pts = np.random.default_rng(6).uniform(0.0, 1.0, (8, 2))
+    ell_plus_field(h, pts, np.array([0.15, 0.2]))
+    assert taps and lookups
+    for n_rows, m in taps:
+        assert m <= _SCRATCH_BYTES // (128 * n_rows)
+    for _, nbytes in lookups:
+        assert nbytes <= _SCRATCH_BYTES
+    assert any(m > _SCRATCH_BYTES // (128 * n_rows) for n_rows, m in gathers)
+    assert any(n * h.template.phi.nbytes > _SCRATCH_BYTES for n, _ in lookups)
 
 
 def test_shoot_records_integrals_of_the_settling_sweep(torus16, monkeypatch):
