@@ -44,6 +44,7 @@ from .numerics import (
     conjugate_gradient,
     hermite_cubic,
     hermite_interval,
+    interior_indices,
     time_derivative,
 )
 
@@ -295,12 +296,13 @@ def check_harnack_identity(states, h: FlowHistory, birth_time: float = 0.0) -> R
     (df/dt = -lap f + |grad f|^2 - R - n/(2 sigma)).  Report-only.
     """
     times = [s.t for s in states]
+    sigmas = [t - birth_time for t in times]
+    if any(sigma <= 0 for sigma in sigmas):
+        raise ValueError("all states must sit after the birth time")
+    interior = interior_indices(times)  # the only states whose rows are read below
     n = h.dim
-    rows, v, q, v_s, f = [], [], [], [], []
-    for s in states:
-        sigma = s.t - birth_time
-        if sigma <= 0:
-            raise ValueError("all states must sit after the birth time")
+    rows, v, q, v_s, f = {}, [], [], [], []
+    for i, (s, sigma) in enumerate(zip(states, sigmas)):
         m = h.metric_at(s.t)
         r = curvature(m).scalar
         f.append(log_potential(s.u, sigma, n))
@@ -309,7 +311,8 @@ def check_harnack_identity(states, h: FlowHistory, birth_time: float = 0.0) -> R
         v.append((sigma * q[-1] - f[-1] + n) * s.u)
         f_s = -np.log(s.u)  # the steady potential, differenced on its own
         v_s.append((2.0 * laplacian(m, f_s) - grad_norm_sq(m, f_s) + r) * s.u)
-        rows.append((m, r, sigma, s.u, lap_f, grad_sq, f_s))
+        if i in interior:
+            rows[i] = (m, r, sigma, s.u, lap_f, grad_sq, f_s)
     (dv, idx), (dq, _), (dv_s, _), (df, _) = (time_derivative(x, times) for x in (v, q, v_s, f))
     per_time, rhs_min = [], math.inf
     extra = dict.fromkeys(("prefactor", "steady", "potential"), 0.0)

@@ -337,11 +337,13 @@ def _evolve_torus(m0: ConformalTorusMetric, t0, t1, retain_every, dt_cap) -> Flo
         retain_every = max(1, n_steps // 64)
     phi = np.asarray(m0.phi, dtype=float).copy()
     f = stepper.rhs(phi)
-    times, params, rhs_list = [t0], [phi.ravel().copy()], [f.ravel()]
+    # rows sized up front: the start, every retain_every-th step and the last
+    n_rows = 1 + n_steps // retain_every + (n_steps % retain_every > 0)
+    params, param_rhs = np.empty((n_rows, phi.size)), np.empty((n_rows, phi.size))
+    params[0], param_rhs[0], times = phi.ravel(), f.ravel(), [t0]
     for k in range(1, n_steps + 1):
         phi, f = stepper.step(phi, dt, f)
         if k % retain_every == 0 or k == n_steps:
+            params[len(times)], param_rhs[len(times)] = phi.ravel(), f.ravel()
             times.append(t0 + k * dt)
-            params.append(phi.ravel().copy())
-            rhs_list.append(f.ravel())
-    return FlowHistory(m0, np.asarray(times), np.asarray(params), np.asarray(rhs_list))
+    return FlowHistory(m0, times, params, param_rhs)

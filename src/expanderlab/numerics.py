@@ -40,6 +40,7 @@ __all__ = [
     "hermite_cubic",
     "hermite_rows",
     "five_point",
+    "interior_indices",
     "time_derivative",
 ]
 
@@ -165,25 +166,27 @@ def five_point(f_m2, f_m1, f_p1, f_p2, d: float):
     return (-f_p2 + 8 * f_p1 - 8 * f_m1 + f_m2) / (12 * d)
 
 
-def time_derivative(fields, times):
-    """Interior time derivatives of sampled fields, with interior indices.
-
-    Uses the five-point fourth-order stencil when five or more uniformly
-    spaced samples are available (the homogeneous checks need residuals
-    at the 1e-8 scale), otherwise centered differences.
-    """
+def interior_indices(times):
+    """The sample indices time_derivative differences at: two in from each end for
+    five or more uniform samples (the five-point stencil; the homogeneous checks
+    need residuals at the 1e-8 scale), else one (centered differences)."""
     times = np.asarray(times, dtype=float)
     k = len(times)
     if k < 3:
         raise ValueError("need at least 3 consecutive states")
     steps = np.diff(times)
     uniform = np.max(np.abs(steps - steps[0])) < 1e-9 * steps[0]
-    if uniform and k >= 5:
-        idx = list(range(2, k - 2))
-        out = [five_point(fields[i - 2], fields[i - 1], fields[i + 1], fields[i + 2], steps[0])
-               for i in idx]
+    return list(range(2, k - 2)) if uniform and k >= 5 else list(range(1, k - 1))
+
+
+def time_derivative(fields, times):
+    """Time derivatives of sampled fields at interior_indices(times), with those indices."""
+    times = np.asarray(times, dtype=float)
+    idx = interior_indices(times)
+    if idx[0] == 2:  # the five-point stencil
+        out = [five_point(fields[i - 2], fields[i - 1], fields[i + 1], fields[i + 2],
+                          times[1] - times[0]) for i in idx]
     else:
-        idx = list(range(1, k - 1))
         out = [(fields[i + 1] - fields[i - 1]) / (times[i + 1] - times[i - 1]) for i in idx]
     return out, idx
 

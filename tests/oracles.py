@@ -114,6 +114,35 @@ def evolve_torus_recomputing(m0, t1):
     return np.asarray(params), np.asarray(rhs_rows)
 
 
+def evolve_torus_listed(m0, t_span, retain_every=None, dt_cap=None):
+    """The torus evolve with its retained rows collected in Python lists
+    and stacked by np.asarray at the end.
+
+    Reference for `flow._evolve_torus`, which writes each retained row
+    into arrays sized up front.  Returns (times, params, param_rhs).
+    """
+    from expanderlab.flow import TorusStepper, torus_dt_cap
+
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    stepper = TorusStepper(m0)
+    if dt_cap is None:
+        dt_cap = torus_dt_cap(m0)
+    n_steps = max(1, math.ceil((t1 - t0) / dt_cap))
+    dt = (t1 - t0) / n_steps
+    if retain_every is None:
+        retain_every = max(1, n_steps // 64)
+    phi = np.asarray(m0.phi, dtype=float).copy()
+    f = stepper.rhs(phi)
+    times, params, rhs_list = [t0], [phi.ravel().copy()], [f.ravel()]
+    for k in range(1, n_steps + 1):
+        phi, f = stepper.step(phi, dt, f)
+        if k % retain_every == 0 or k == n_steps:
+            times.append(t0 + k * dt)
+            params.append(phi.ravel().copy())
+            rhs_list.append(f.ravel())
+    return np.asarray(times), np.asarray(params), np.asarray(rhs_list)
+
+
 def backward_torus_per_step(h, times, u_final, dt_cap=None):
     """The torus conjugate solve with one time level built per step.
 

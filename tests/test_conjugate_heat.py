@@ -18,6 +18,7 @@ from expanderlab.geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
     integrate,
+    laplacian,
     volume,
 )
 from oracles import (
@@ -177,6 +178,49 @@ def test_one_pass_matches_the_separate_checks_bitwise():
         assert rep.extra["steady"] == steady_harnack_separate(states, h).max_residual
         assert rep.extra["potential"] == potential_evolution_separate(
             states, h, birth_time=birth).max_residual
+
+
+def test_one_pass_keeps_per_state_fields_only_at_interior_times():
+    """The 32x32 torus set has five uniform states, so the five-point
+    stencil differences at the middle one only.  v, q, v_s and f stay at
+    all five states for the time derivatives: 20 grids of 8 KiB.  The
+    rest of a state (its metric, R, lap f, |grad f|^2, f_s), the
+    derivatives and the temporaries of the state being built or checked
+    take at most 32 grids, so the traced peak stays within 52 grids.
+    Keeping the rest at every state held 4 x 5 = 20 grids more: ~66."""
+    ht, states, birth = next(_identity_state_sets())
+    grid = states[0].u.nbytes
+    tracemalloc.start()
+    try:
+        check_harnack_identity(states, ht, birth_time=birth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid == 32 * 32 * 8 and len(states) == 5
+    assert peak <= (20 + 32) * grid
+
+
+def test_harnack_check_rejects_bad_states_before_any_field(monkeypatch):
+    # fewer than 3 states, and a state at the birth time anywhere in the
+    # list, fail before the first Laplacian of any state's fields
+    import expanderlab.conjugate_heat as ch
+
+    hf = evolve(ConformalTorusMetric(np.zeros((16, 16))), (0.0, 0.02))
+    states = solve_conjugate_backward(hf, 0.02, np.ones((16, 16)), t_start=0.004, n_retain=7)
+    calls = []
+
+    def counted(m, f):
+        calls.append(1)
+        return laplacian(m, f)
+
+    monkeypatch.setattr(ch, "laplacian", counted)
+    with pytest.raises(ValueError, match="need at least 3 consecutive states"):
+        check_harnack_identity(states[:2], hf)
+    with pytest.raises(ValueError, match="all states must sit after the birth time"):
+        check_harnack_identity(states[::-1], hf, birth_time=states[0].t)
+    assert calls == []
+    check_harnack_identity(states, hf)
+    assert calls
 
 
 def test_v_plus_integral_equals_entropy_homogeneous():

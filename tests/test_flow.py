@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,12 @@ from expanderlab.geometry import (
     integrate,
     volume,
 )
-from oracles import blowdown_params_at, blowdown_params_at_times, evolve_torus_recomputing
+from oracles import (
+    blowdown_params_at,
+    blowdown_params_at_times,
+    evolve_torus_listed,
+    evolve_torus_recomputing,
+)
 
 SPHERE3 = ModelSpaceMetric(dim=3, sectional_sign=1, scale=1.0, base_volume=1.0)
 
@@ -246,3 +252,41 @@ def test_torus_newton_reuse_is_bit_identical(n):
     params, param_rhs = evolve_torus_recomputing(sine_torus(n), 0.01)
     assert np.array_equal(h.params, params)
     assert np.array_equal(h.param_rhs, param_rhs)
+
+
+@pytest.mark.parametrize("retain_every, dt_cap, n_rows", [
+    (1, None, 129),        # every step of the 128
+    (16, None, 9),         # a divisor of 128
+    (5, None, 27),         # 128 = 25 * 5 + 3: the last step is appended
+    (10**9, None, 2),      # beyond the last step, as flat_static passes
+    (None, None, 65),      # the default 128 // 64 = 2, a divisor
+    (None, 1.5e-3, 85),    # 167 steps, default 2: the last step is appended
+])
+def test_torus_history_rows_equal_the_listed_reference(retain_every, dt_cap, n_rows):
+    # the evolve writes its retained rows into arrays sized up front; they
+    # equal the rows collected in lists and stacked at the end, bit for bit
+    h = evolve(sine_torus(16), (0.0, 0.25), retain_every=retain_every, dt_cap=dt_cap)
+    times, params, param_rhs = evolve_torus_listed(sine_torus(16), (0.0, 0.25),
+                                                   retain_every, dt_cap)
+    assert len(h.times) == n_rows
+    assert np.array_equal(h.times, times)
+    assert np.array_equal(h.params, params)
+    assert np.array_equal(h.param_rhs, param_rhs)
+
+
+def test_torus_evolve_holds_its_history_once():
+    """The 64x64 evolve to t = 0.012 takes ceil(0.012 / (h^2 / 2)) = 99
+    steps and keeps all 100 rows (99 // 64 = 1): params and param_rhs are
+    100 x 64^2 x 8 B = 3.3 MB each, 6.6 MB together.  A step works in a
+    few grids of 32 KiB (Newton and CG vectors, FFT spectra at 2 grids
+    each), so the traced peak stays within the history plus 32 grids
+    (1 MiB).  Rows stacked from lists at the end held the history twice:
+    ~13 MB."""
+    tracemalloc.start()
+    try:
+        h = evolve(sine_torus(64), (0.0, 0.012))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.params.shape == (100, 64 * 64)
+    assert peak <= h.params.nbytes + h.param_rhs.nbytes + 32 * 64 * 64 * 8

@@ -32,6 +32,7 @@ from expanderlab.numerics import (
     hermite_cubic,
     hermite_interval,
     integrate_ode,
+    interior_indices,
     time_derivative,
 )
 from oracles import fft_divide
@@ -304,6 +305,9 @@ def test_shared_kernels_on_non_square_torus(mode):
     for d, k in zip(derivs, idx):
         t = times[k]
         assert np.max(np.abs(d - (8 * t**3 - 3 * t**2 + 0.5) * f)) <= 1e-11
+    # four samples, or five uneven ones, take centered differences
+    assert interior_indices(times[:4]) == [1, 2]
+    assert interior_indices([0.0, 0.2, 0.5, 0.55, 1.0]) == [1, 2, 3]
 
     # Hermite reproduces a cubic from exact slopes on uneven samples and
     # refuses times outside them, directly and through both wrappers
