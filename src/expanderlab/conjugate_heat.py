@@ -39,13 +39,12 @@ from .geometry import (
     spectral_preconditioner,
     volume,
 )
-from .flow import LEVEL_BATCH_BYTES, FlowHistory, torus_dt_cap
+from .flow import SCRATCH_BYTES, FlowHistory, torus_dt_cap
 from .numerics import (
+    RunningDerivative,
     conjugate_gradient,
     hermite_cubic,
     hermite_interval,
-    interior_indices,
-    time_derivative,
 )
 
 __all__ = [
@@ -114,8 +113,7 @@ def solve_conjugate_backward(h: FlowHistory, t_final: float, u_final,
         raise ValueError("solve window must sit inside the history")
     if n_retain < 2 or not (dt_cap is None or dt_cap > 0):
         raise ValueError(f"need n_retain >= 2 and dt_cap > 0 (got {n_retain!r}, {dt_cap!r})")
-    m_final = h.metric_at(t_final)
-    mass = integrate(m_final, u_final)
+    mass = integrate(h.metric_at(t_final), u_final)
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"u_final must have unit mass (got {mass})")
     if float(np.min(u_final)) <= 0:
@@ -137,51 +135,55 @@ def _solve_backward_torus(h: FlowHistory, times, u_final, dt_cap) -> list:
     seg = (t_final - t_start) / (len(times) - 1)
     per_seg = max(1, math.ceil(seg / dt_cap))
     dt = seg / per_seg
-    block = max(1, LEVEL_BATCH_BYTES // (4 * template.phi.nbytes))
+    block = max(1, SCRATCH_BYTES // template.phi.nbytes)  # levels of a batch: its phi fits the cap
 
-    def levels(ts):  # (e^{2 phi}, R, mean of e^{-2 phi}) at each of the times ts
+    def level_batch(ts):  # (e^{2 phi}, R, mean of e^{-2 phi}) at each of the times ts
         phi = h.params_at_times(ts).reshape(len(ts), *template.phi.shape)
         em2p = np.exp(-2.0 * phi)
-        return list(zip(np.exp(2.0 * phi), _conformal_scalar(phi, hx, hy, em2p),
-                        np.mean(em2p.reshape(len(ts), -1), axis=1)))
+        r = _conformal_scalar(phi, hx, hy, em2p)  # before e^{2 phi}, so as not to hold both
+        return list(zip(np.exp(2.0 * phi), r, np.mean(em2p.reshape(len(ts), -1), axis=1)))
+
+    def levels(ts):  # the levels at ts, in batches; none is held once it is used up
+        for lo in range(0, len(ts), block):
+            yield from level_batch(ts[lo:lo + block])
 
     def apply_l(x, lev):  # lap_g x - R x
         e2p, r, _ = lev
         return _lap0(x, hx, hy) / e2p - r * x
 
-    u = u_final.copy()
-    t = t_final
-    (old,) = levels([t])
-    mass0 = float(np.sum(u * old[0])) * hx * hy  # integrate(m, u) from the level
-    states = [DensityState(t_final, _renormalized(u, mass0))]
+    u, t = u_final, t_final  # every step makes a new u; none is written in place
+    states = [DensityState(t, _renormalized(u, integrate(h.metric_at(t), u)))]
     lam = laplacian_symbol(template.phi.shape, template.spacing)
     # the preconditioner's symbol depends on the step only through the
     # rounded mean of e^{-2 phi}; keep the current one, rebuild on a change
     key = precond = None
     for k_out in range(len(times) - 1):
         ts = [t := t - dt for _ in range(per_seg)]
-        batched = (lev for lo in range(0, per_seg, block) for lev in levels(ts[lo:lo + block]))
-        for t_new, new in zip(ts, batched):
-            b = u + 0.5 * dt * apply_l(u, old)
-            new_key = round(float(new[2]), 6)
+        # levels at the segment's start and steps; each goes before the next batch
+        batched = levels([float(times[len(times) - 1 - k_out]), *ts])
+        lev = None
+        lev = next(batched)
+        for t_new in ts:
+            u = u + 0.5 * dt * apply_l(u, lev)
+            lev = None
+            lev = next(batched)
+            new_key = round(float(lev[2]), 6)
             if new_key != key:
                 key, precond = new_key, spectral_preconditioner(1.0 - 0.5 * dt * new_key * lam)
 
             def apply_a(x):
-                return x - 0.5 * dt * apply_l(x, new)
+                return x - 0.5 * dt * apply_l(x, lev)
 
             # PCG in the volume-weighted inner product (A self-adjoint there)
-            u = conjugate_gradient(apply_a, b, new[0], precond,
-                                   rel_tol=1e-13, max_iter=200, x0=b)
+            u = conjugate_gradient(apply_a, u, lev[0], precond,
+                                   rel_tol=1e-13, max_iter=200, x0=u)
             if float(np.min(u)) <= 0.0:
                 raise RuntimeError(
                     f"conjugate solve lost positivity stepping to t = {t_new:.6g} "
                     f"(min u = {float(np.min(u)):.3e})"
                 )
-            u = _renormalized(u, float(np.sum(u * new[0])) * hx * hy)
-            old = new
+            u = _renormalized(u, float(np.sum(u * lev[0])) * hx * hy)
         t = float(times[len(times) - 2 - k_out])  # snap accumulated round-off
-        (old,) = levels([t])
         states.append(DensityState(t, u))
     states.reverse()
     return states
@@ -299,36 +301,47 @@ def check_harnack_identity(states, h: FlowHistory, birth_time: float = 0.0) -> R
     sigmas = [t - birth_time for t in times]
     if any(sigma <= 0 for sigma in sigmas):
         raise ValueError("all states must sit after the birth time")
-    interior = interior_indices(times)  # the only states whose rows are read below
     n = h.dim
-    rows, v, q, v_s, f = {}, [], [], [], []
-    for i, (s, sigma) in enumerate(zip(states, sigmas)):
+    # d/dt of v, q, v_s and f, summed from the last state; the fields kept at interior ones
+    derivs = [RunningDerivative(times) for _ in range(4)]
+    idx, rows = derivs[0].idx, {}
+
+    def feed(i):  # a function, so that a state's temporaries go as it returns
+        s, sigma = states[i], sigmas[i]
         m = h.metric_at(s.t)
         r = curvature(m).scalar
-        f.append(log_potential(s.u, sigma, n))
-        lap_f, grad_sq = laplacian(m, f[-1]), grad_norm_sq(m, f[-1])
-        q.append(2.0 * lap_f - grad_sq + r)
-        v.append((sigma * q[-1] - f[-1] + n) * s.u)
+        f = log_potential(s.u, sigma, n)
+        q = 2.0 * laplacian(m, f) - grad_norm_sq(m, f) + r
+        v = (sigma * q - f + n) * s.u
         f_s = -np.log(s.u)  # the steady potential, differenced on its own
-        v_s.append((2.0 * laplacian(m, f_s) - grad_norm_sq(m, f_s) + r) * s.u)
-        if i in interior:
-            rows[i] = (m, r, sigma, s.u, lap_f, grad_sq, f_s)
-    (dv, idx), (dq, _), (dv_s, _), (df, _) = (time_derivative(x, times) for x in (v, q, v_s, f))
+        v_s = (2.0 * laplacian(m, f_s) - grad_norm_sq(m, f_s) + r) * s.u
+        for d, x in zip(derivs, (v, q, v_s, f)):
+            d.add(i, x)
+        if i in idx:
+            rows[i] = (v, q, v_s, f)
+
+    for i in range(len(states) - 1, -1, -1):
+        feed(i)
+    dv, dq, dv_s, df = (d.values() for d in derivs)
     per_time, rhs_min = [], math.inf
     extra = dict.fromkeys(("prefactor", "steady", "potential"), 0.0)
     for j, i in enumerate(idx):
-        m, r, sigma, u, lap_f, grad_sq, f_s = rows[i]
-        rhs = 2.0 * sigma * u * soliton_residual_sq(m, f[i], sigma)
-        per_time.append(float(np.max(np.abs(dv[j] + laplacian(m, v[i]) - r * v[i] - rhs))))
+        (v, q, v_s, f), u, sigma = rows.pop(i), states[i].u, sigmas[i]
+        m = h.metric_at(times[i])  # the rest of the state is rebuilt rather than held
+        r = curvature(m).scalar
+        rhs = 2.0 * sigma * u * soliton_residual_sq(m, f, sigma)
+        per_time.append(float(np.max(np.abs(dv[j] + laplacian(m, v) - r * v - rhs))))
         rhs_min = min(rhs_min, float(np.min(rhs)))
-        residuals = {
-            "prefactor": dq[j] + laplacian(m, q[i]) - (
-                2.0 * soliton_residual_sq(m, f[i], None) + 2.0 * grad_pairing(m, q[i], f[i])),
-            "steady": dv_s[j] + laplacian(m, v_s[i]) - r * v_s[i]
-            - 2.0 * u * soliton_residual_sq(m, f_s, None),
-            "potential": df[j] + lap_f - grad_sq + r + n / (2.0 * sigma),
+        del rhs
+        residuals = {  # each is built, reduced and dropped in turn
+            "prefactor": lambda: dq[j] + laplacian(m, q) - (
+                2.0 * soliton_residual_sq(m, f, None) + 2.0 * grad_pairing(m, q, f)),
+            "steady": lambda: dv_s[j] + laplacian(m, v_s) - r * v_s
+            - 2.0 * u * soliton_residual_sq(m, -np.log(u), None),
+            "potential": lambda: df[j] + laplacian(m, f) - grad_norm_sq(m, f) + r
+            + n / (2.0 * sigma),
         }
         for key, field in residuals.items():
-            extra[key] = max(extra[key], float(np.max(np.abs(field))))
+            extra[key] = max(extra[key], float(np.max(np.abs(field()))))
     return ResidualReport([times[i] for i in idx], max([0.0, *per_time]), per_time,
                           rhs_min, extra)

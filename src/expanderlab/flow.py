@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 LEVEL_BATCH_BYTES = 1 << 21  # cap on one batch of stacked torus time levels and their fields
+# cap of every scratch array of a torus level or slice batch and of a gather: glibc's
+# mmap threshold, below which temporaries are reused from the heap, not mapped anew
+SCRATCH_BYTES = 1 << 17
 
 
 # the history kind of each metric model type

@@ -416,9 +416,9 @@ def soliton_residual_sq(m: MetricModel, f_potential, sigma: float | None):
         coeff = m.rho0 / m.scale
         return m.dim * (coeff + half_inv) ** 2
     if isinstance(m, ConformalTorusMetric):
+        h_xx, h_xy, h_yy = hessian_covariant(m, np.asarray(f_potential, dtype=float))
         e2p = np.exp(2.0 * m.phi)
         r = curvature_conformal(m).scalar
-        h_xx, h_xy, h_yy = hessian_covariant(m, np.asarray(f_potential, dtype=float))
         t_xx = 0.5 * r * e2p + h_xx + half_inv * e2p
         t_xy = h_xy
         t_yy = 0.5 * r * e2p + h_yy + half_inv * e2p

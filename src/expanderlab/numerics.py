@@ -41,6 +41,7 @@ __all__ = [
     "hermite_rows",
     "five_point",
     "interior_indices",
+    "RunningDerivative",
     "time_derivative",
 ]
 
@@ -179,16 +180,39 @@ def interior_indices(times):
     return list(range(2, k - 2)) if uniform and k >= 5 else list(range(1, k - 1))
 
 
+class RunningDerivative:
+    """Time derivatives at `idx` = interior_indices(times) of samples fed last to
+    first, as running sums of five_point's terms in its order (or x(+1) - x(-1)),
+    each divided last: no sample is kept, and the bits are the stencil's."""
+
+    def __init__(self, times):
+        times = np.asarray(times, dtype=float)
+        self.idx = interior_indices(times)
+        five = self.idx[0] == 2  # weights by sample offset
+        self._taps = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0)) if five else ((1, 1.), (-1, -1.))
+        self._scale = {i: 12 * (times[1] - times[0]) if five else times[i + 1] - times[i - 1]
+                       for i in self.idx}
+        self._sums = {}
+
+    def add(self, j: int, x) -> None:
+        """Feed sample j, after sample j + 1."""
+        for offset, w in self._taps:
+            if (i := j - offset) in self._sums:
+                self._sums[i] += w * x  # in place on an array
+            elif i in self._scale:
+                self._sums[i] = w * x
+
+    def values(self) -> list:
+        """The derivatives at idx, once sample 0 is fed."""
+        return [self._sums.pop(i) / self._scale[i] for i in self.idx]
+
+
 def time_derivative(fields, times):
     """Time derivatives of sampled fields at interior_indices(times), with those indices."""
-    times = np.asarray(times, dtype=float)
-    idx = interior_indices(times)
-    if idx[0] == 2:  # the five-point stencil
-        out = [five_point(fields[i - 2], fields[i - 1], fields[i + 1], fields[i + 2],
-                          times[1] - times[0]) for i in idx]
-    else:
-        out = [(fields[i + 1] - fields[i - 1]) / (times[i + 1] - times[i - 1]) for i in idx]
-    return out, idx
+    run = RunningDerivative(times)
+    for j in range(len(times) - 1, -1, -1):
+        run.add(j, fields[j])
+    return run.values(), run.idx
 
 
 def _dp_combine(y, h, coeffs, k):
@@ -364,10 +388,12 @@ def conjugate_gradient(apply_a, b: np.ndarray, weight: np.ndarray,
         rz_new = inner(r, z)
         p = z.copy() if p is None else z + (rz_new / rz) * p
         rz = rz_new
+        del z  # the preconditioned residual's (complex) buffer goes before A p is built
         ap = apply_a(p)
         alpha = rz / inner(p, ap)
         x += alpha * p
         r -= alpha * ap
+        del ap
     return x
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import LEVEL_BATCH_BYTES, FlowHistory, scaled_volume
+from .flow import LEVEL_BATCH_BYTES, SCRATCH_BYTES, FlowHistory, scaled_volume
 from .geometry import (
     ConformalTorusMetric,
     _conformal_scalar,
@@ -341,14 +341,9 @@ def extrapolate_fields(fields) -> ReducedField:
 # ---------------------------------------------------------------------------
 # torus machinery
 
-# slice store rows: shooting reads all three, the oracle builds the leading
-# two; every caller gathers r and e2p with the gradients of their interpolants
+# slice store rows of shooting; every caller gathers r and e2p with the
+# gradients of their interpolants
 _FIELDS = ("r", "e2p", "rdot")
-
-# cap of every scratch array of a slice build and of a gather: glibc's default
-# mmap threshold, below which the temporaries are reused from the heap instead
-# of being mapped, faulted in and trimmed again on every block
-_SCRATCH_BYTES = 1 << 17
 
 
 def _s_grid(t: float, n_steps: int):
@@ -361,27 +356,36 @@ def _s_grid(t: float, n_steps: int):
 
 
 class _TorusSlices:
-    """Field slices of a torus history at the s-values s_all (eta = s^2), in
-    one store with the leading `n_fields` rows of `_FIELDS`, filled in
-    batches whose phi and field temporaries stay under `_SCRATCH_BYTES`."""
+    """Field slices of a torus history at the s-values s_all (eta = s^2), in one
+    store filled in batches whose temporaries stay under `SCRATCH_BYTES`.  s_all
+    runs in ladders of `span` slices from a node: even slices are nodes, odd ones
+    half steps.  The rows are `_FIELDS`, rdot at nodes only (all shooting reads),
+    or, `paired`, one row of r at nodes and e2p at half steps (all the oracle reads)."""
 
-    def __init__(self, h: FlowHistory, s_all: np.ndarray, n_fields: int = len(_FIELDS)):
+    def __init__(self, h: FlowHistory, s_all: np.ndarray, span: int | None = None,
+                 paired: bool = False):
         self.nx, self.ny = h.template.phi.shape
         self.hx, self.hy = h.template.spacing
         # tap index tables of -1 .. n + 2, wrapped, for every gather of the store
         self.wrap_x, self.wrap_y = (np.arange(-1, n + 3) % n for n in (self.nx, self.ny))
-        # (n_fields, n_slices, nx, ny)
-        self.store = np.empty((n_fields, len(s_all), self.nx, self.ny))
-        block = max(1, _SCRATCH_BYTES // h.template.phi.nbytes)
+        # (rows, n_slices, nx, ny)
+        self.store = np.empty((1 if paired else len(_FIELDS), len(s_all), self.nx, self.ny))
+        node = np.arange(len(s_all)) % (span or len(s_all)) % 2 == 0
+        block = max(1, SCRATCH_BYTES // h.template.phi.nbytes)
         hx, hy = self.hx, self.hy
         for lo in range(0, len(s_all), block):
             etas = [min(max(float(s**2), h.t_min), h.t_max) for s in s_all[lo:lo + block]]
             phi = h.params_at_times(etas).reshape(len(etas), self.nx, self.ny)
+            at = node[lo:lo + len(etas)]
             out = self.store[:, lo:lo + len(etas)]
+            if paired:
+                out[0, at] = _conformal_scalar(phi[at], hx, hy)
+                out[0, ~at] = np.exp(2.0 * phi[~at])
+                continue
             out[0] = r = _conformal_scalar(phi, hx, hy)
             out[1] = e2p = np.exp(2.0 * phi)
-            if n_fields > 2:  # curvature evolution dR/dt = lap R + R^2 in two dimensions
-                out[2] = _lap0(r, hx, hy) / e2p + r * r
+            r, e2p = r[at], e2p[at]  # curvature evolution dR/dt = lap R + R^2 in two dimensions
+            out[2, at] = _lap0(r, hx, hy) / e2p + r * r
 
     def sample(self, idx, fields: slice, pts: np.ndarray, grad: bool = False) -> np.ndarray:
         """Smooth periodic samples (n_fields, m) of the store rows `fields` at
@@ -396,7 +400,7 @@ class _TorusSlices:
         out = np.empty((3 if grad else 1, len(grids), len(pts)))
         offset = idx * (self.nx * self.ny)  # of the slice in a flattened row
         per_point = isinstance(offset, np.ndarray)
-        block = max(1, _SCRATCH_BYTES // (128 * len(grids)))
+        block = max(1, SCRATCH_BYTES // (128 * len(grids)))
         for lo in range(0, len(pts), block):
             blk = slice(lo, lo + block)
             ix, wx = _spline_taps((pts[blk, 0] / self.hx) % self.nx, self.wrap_x, grad)
@@ -517,7 +521,7 @@ def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_s
             span = 2 * min(blk, n_steps - k) + 1
             slices = None  # the last block's store is freed before the next is built
             slices = _TorusSlices(h, np.concatenate([s_all[2 * k:2 * k + span]
-                                                     for *_, s_all in grids]))
+                                                     for *_, s_all in grids]), span)
             at = row_t * span - 2 * k  # a row's slice i is at + i in the block
             if k == 0:
                 node = slices.sample(at, nodes, x, grad=True)
@@ -717,8 +721,8 @@ def geodesic_shoot(h: FlowHistory, momentum, t_end: float,
 
 class _PathAction:
     """Discretized action of piecewise-linear paths from the origin to time t, on
-    the squared uniform s-grid of n_segments segments over a store of rows r
-    and e2p, and its gradient.
+    the squared uniform s-grid of n_segments segments over a paired store (r
+    at the nodes, e2p at the midpoints), and its gradient.
 
     A batch of paths holds interior nodes z (B, M-1, 2) and endpoints y
     (B, 2).  Straight segments are traversed linearly in s = sqrt(eta): the
@@ -731,7 +735,7 @@ class _PathAction:
     def __init__(self, h: FlowHistory, t: float, n_segments: int):
         m, s_nodes, s_all = _s_grid(t, n_segments)
         self.n_segments, self.s_nodes = m, s_nodes
-        self.slices = _TorusSlices(h, s_all, 2)
+        self.slices = _TorusSlices(h, s_all, paired=True)
         eta = s_nodes**2
         self.d_eta = np.diff(eta)
         self.seg_w = self.d_eta**2 / (2.0 * np.diff(s_nodes))
@@ -753,9 +757,9 @@ class _PathAction:
                                   want_grad).reshape(-1, m + 1, bb)
         val = np.zeros(bb)
         val += _node_order_sum(self.node_w[:, None] * node[0])
-        # segment kinetic part with the midpoint conformal factor e2p
+        # segment kinetic part with the midpoint conformal factor e2p (odd slices)
         mids = 0.5 * (pos[:, :-1, :] + pos[:, 1:, :])
-        mid = self.slices.sample(np.repeat(2 * np.arange(m) + 1, bb), slice(1, 2),
+        mid = self.slices.sample(np.repeat(2 * np.arange(m) + 1, bb), slice(0, 1),
                                  mids.transpose(1, 0, 2).reshape(-1, 2),
                                  want_grad).reshape(-1, m, bb)
         dxs = (pos[:, 1:, :] - pos[:, :-1, :]).transpose(1, 0, 2)  # (M, B, 2)
@@ -855,7 +859,7 @@ def _oracle_torus_batch(h, targets, t, n_segments=64):
 
     Each (target, translate) row descends once, from the straight path
     (nodes are uniform in s, so it is also the square-root start profile),
-    in contiguous chunks of at most 2**16 path nodes, with the values of
+    in contiguous chunks of at most 2**14 path nodes, with the values of
     one batch and a bounded working set.  Per target only the three closest
     lattice translates by flat distance are explored (the conformal
     factor is bounded, so far images cannot win).  Only an upper bound
@@ -872,7 +876,8 @@ def _oracle_torus_batch(h, targets, t, n_segments=64):
     ys = images[rows, order.ravel()]                            # (m*k, 2)
     prof = np.linspace(0, 1, n_segments + 1)[1:-1]
     z = prof[:, None] * ys[:, None, :]                          # (q, M-1, 2)
-    chunk = max(1, LEVEL_BATCH_BYTES // 32 // (n_segments + 1))  # at most 2**16 nodes a chunk
+    # at most 2**14 nodes a chunk: one float per node fills the scratch cap
+    chunk = max(1, SCRATCH_BYTES // 8 // (n_segments + 1))
     val = np.concatenate([_descend(action, z[lo:lo + chunk], ys[lo:lo + chunk])
                           for lo in range(0, len(z), chunk)])
     # fold the translate axis back into per-target minima

@@ -437,6 +437,74 @@ def potential_evolution_separate(states, h, birth_time=0.0):
     return ResidualReport([times[i] for i in idx], res_max, per_time)
 
 
+def listed_time_derivative(fields, times):
+    """Derivatives of sampled fields at `numerics.interior_indices`, each from
+    the whole list of samples by the stencil formula written out."""
+    from expanderlab.numerics import interior_indices
+
+    times = np.asarray(times, dtype=float)
+    idx = interior_indices(times)
+    if idx[0] == 2:
+        d = times[1] - times[0]
+        out = [(-fields[i + 2] + 8 * fields[i + 1] - 8 * fields[i - 1] + fields[i - 2]) / (12 * d)
+               for i in idx]
+    else:
+        out = [(fields[i + 1] - fields[i - 1]) / (times[i + 1] - times[i - 1]) for i in idx]
+    return out, idx
+
+
+def harnack_identity_listed(states, h, birth_time=0.0):
+    """The one-pass Harnack check with v, q, v_s and f listed at every state
+    and their time derivatives taken from the lists.
+
+    Reference for `conjugate_heat.check_harnack_identity`, which sums the
+    derivatives as it walks the states from last to first and keeps the
+    four fields at the interior states only."""
+    from expanderlab.conjugate_heat import ResidualReport, log_potential
+    from expanderlab.geometry import (
+        curvature,
+        grad_norm_sq,
+        grad_pairing,
+        laplacian,
+        soliton_residual_sq,
+    )
+
+    times = [s.t for s in states]
+    sigmas = [t - birth_time for t in times]
+    n = h.dim
+    rows, v, q, v_s, f = [], [], [], [], []
+    for s, sigma in zip(states, sigmas):
+        m = h.metric_at(s.t)
+        r = curvature(m).scalar
+        f.append(log_potential(s.u, sigma, n))
+        lap_f, grad_sq = laplacian(m, f[-1]), grad_norm_sq(m, f[-1])
+        q.append(2.0 * lap_f - grad_sq + r)
+        v.append((sigma * q[-1] - f[-1] + n) * s.u)
+        f_s = -np.log(s.u)
+        v_s.append((2.0 * laplacian(m, f_s) - grad_norm_sq(m, f_s) + r) * s.u)
+        rows.append((m, r, sigma, s.u, lap_f, grad_sq, f_s))
+    (dv, idx), (dq, _), (dv_s, _), (df, _) = (listed_time_derivative(x, times)
+                                              for x in (v, q, v_s, f))
+    per_time, rhs_min = [], math.inf
+    extra = dict.fromkeys(("prefactor", "steady", "potential"), 0.0)
+    for j, i in enumerate(idx):
+        m, r, sigma, u, lap_f, grad_sq, f_s = rows[i]
+        rhs = 2.0 * sigma * u * soliton_residual_sq(m, f[i], sigma)
+        per_time.append(float(np.max(np.abs(dv[j] + laplacian(m, v[i]) - r * v[i] - rhs))))
+        rhs_min = min(rhs_min, float(np.min(rhs)))
+        residuals = {
+            "prefactor": dq[j] + laplacian(m, q[i]) - (
+                2.0 * soliton_residual_sq(m, f[i], None) + 2.0 * grad_pairing(m, q[i], f[i])),
+            "steady": dv_s[j] + laplacian(m, v_s[i]) - r * v_s[i]
+            - 2.0 * u * soliton_residual_sq(m, f_s, None),
+            "potential": df[j] + lap_f - grad_sq + r + n / (2.0 * sigma),
+        }
+        for key, field in residuals.items():
+            extra[key] = max(extra[key], float(np.max(np.abs(field))))
+    return ResidualReport([times[i] for i in idx], max([0.0, *per_time]), per_time,
+                          rhs_min, extra)
+
+
 def v_plus(s, h, birth_time=0.0):
     """Entropy density v at a slice and its integral (the entropy itself).
 

@@ -13,7 +13,7 @@ from expanderlab.conjugate_heat import (
     solve_conjugate_backward,
 )
 from expanderlab.conjugate_heat import _solve_backward_torus
-from expanderlab.flow import LEVEL_BATCH_BYTES, evolve, torus_dt_cap
+from expanderlab.flow import SCRATCH_BYTES, evolve, torus_dt_cap
 from expanderlab.geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
@@ -23,6 +23,7 @@ from expanderlab.geometry import (
 )
 from oracles import (
     backward_torus_per_step,
+    harnack_identity_listed,
     harnack_identity_separate,
     immortal_u_at_per_call,
     potential_evolution_separate,
@@ -182,12 +183,15 @@ def test_one_pass_matches_the_separate_checks_bitwise():
 
 def test_one_pass_keeps_per_state_fields_only_at_interior_times():
     """The 32x32 torus set has five uniform states, so the five-point
-    stencil differences at the middle one only.  v, q, v_s and f stay at
-    all five states for the time derivatives: 20 grids of 8 KiB.  The
-    rest of a state (its metric, R, lap f, |grad f|^2, f_s), the
-    derivatives and the temporaries of the state being built or checked
-    take at most 32 grids, so the traced peak stays within 52 grids.
-    Keeping the rest at every state held 4 x 5 = 20 grids more: ~66."""
+    stencil differences at the middle one only.  The time derivatives of
+    v, q, v_s and f are running sums over the states, walked from last to
+    first, and the four fields are kept at the middle state only: 8 grids
+    of 8 KiB.  The rest of that state (its metric, R, lap f, |grad f|^2,
+    f_s) is rebuilt where it is checked, and each residual is reduced as
+    it is built, so with the temporaries of the state being built or
+    checked the traced peak (25.0 grids measured) stays within 26 grids.
+    Listing the four fields at all five states, with the rest of the
+    middle one, took 45.9."""
     ht, states, birth = next(_identity_state_sets())
     grid = states[0].u.nbytes
     tracemalloc.start()
@@ -197,7 +201,26 @@ def test_one_pass_keeps_per_state_fields_only_at_interior_times():
     finally:
         tracemalloc.stop()
     assert grid == 32 * 32 * 8 and len(states) == 5
-    assert peak <= (20 + 32) * grid
+    assert peak <= 26 * grid
+
+
+def test_running_check_equals_the_listed_loop():
+    # five uniform states (one interior time), seven (three) and three, and
+    # five uneven ones (centered differences): the running derivatives and
+    # the rebuilt interior states give the listed loop's values bit for bit
+    ht, five, birth = next(_identity_state_sets())
+    x = (np.arange(32) / 32)[:, None]
+    u_fin = 1.0 + 0.4 * np.sin(2 * math.pi * x) * np.cos(2 * math.pi * x.T)
+    u_fin = u_fin / integrate(ht.metric_at(0.012), u_fin)
+    states = solve_conjugate_backward(ht, 0.012, u_fin, t_start=0.004, n_retain=9)
+    uneven = [states[i] for i in (0, 1, 3, 4, 6)]
+    for case, n_interior in ((five, 1), (states[1:8], 3), (states[3:6], 1), (uneven, 3)):
+        rep = check_harnack_identity(case, ht, birth_time=birth)
+        ref = harnack_identity_listed(case, ht, birth_time=birth)
+        assert len(rep.per_time) == n_interior
+        assert rep.times == ref.times and rep.per_time == ref.per_time
+        assert rep.max_residual == ref.max_residual and rep.rhs_min == ref.rhs_min
+        assert rep.extra == ref.extra
 
 
 def test_harnack_check_rejects_bad_states_before_any_field(monkeypatch):
@@ -338,7 +361,7 @@ def test_batched_backward_levels_equal_per_step_solve():
     times = np.linspace(0.02, 0.3, 3)
     dt_cap = 0.14 / 200
     per_seg = math.ceil(0.14 / dt_cap)
-    block = LEVEL_BATCH_BYTES // (4 * h.template.phi.nbytes)
+    block = SCRATCH_BYTES // h.template.phi.nbytes
     assert per_seg > block and per_seg % block
     u_fin = np.full((16, 24), 1.0 / volume(h.metric_at(0.3)))
     got = _solve_backward_torus(h, times, u_fin, dt_cap)
@@ -346,6 +369,31 @@ def test_batched_backward_levels_equal_per_step_solve():
     assert [s.t for s in got] == list(times)
     for s, u in zip(got, want):
         assert np.array_equal(s.u, u)
+
+
+def test_backward_solve_holds_one_level_batch_at_a_time(monkeypatch):
+    # criterion 3's solve on a 64x64 torus: levels in batches of 4 (one
+    # phi batch of 128 KiB), each dropped before the next is built, and no
+    # copy of the inputs.  The traced peak, the nine states included, is
+    # 36.2 grids of 32 KiB; batches of 16 levels, held across the next
+    # build, took 96.3.  The states equal those of the solve at 16
+    h = torus_history(64, 0.012)
+    x = (np.arange(64) / 64)[:, None]
+    u_fin = 1.0 + 0.4 * np.sin(2 * math.pi * x) * np.cos(2 * math.pi * x.T)
+    u_fin = u_fin / integrate(h.metric_at(0.012), u_fin)
+    grid = u_fin.nbytes
+    assert SCRATCH_BYTES // grid == 4
+    tracemalloc.start()
+    try:
+        states = solve_conjugate_backward(h, 0.012, u_fin, t_start=0.004, n_retain=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 38 * grid
+    monkeypatch.setattr("expanderlab.conjugate_heat.SCRATCH_BYTES", 16 * grid)
+    wide = solve_conjugate_backward(h, 0.012, u_fin, t_start=0.004, n_retain=9)
+    for a, b in zip(states, wide, strict=True):
+        assert a.t == b.t and np.array_equal(a.u, b.u)
 
 
 def test_backward_solve_memory_does_not_grow_with_window():

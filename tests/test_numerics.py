@@ -464,3 +464,27 @@ def test_linear_decay_exact(k):
     # y' = -k y has solution exp(-k t); the integrator meets its tolerance
     traj = integrate_ode(lambda t, y: -k * y, [1.0], 0.0, 1.0, abs_tol=1e-12, rel_tol=1e-11)
     assert abs(traj.states[-1, 0] - math.exp(-k)) < 1e-9
+
+
+def test_running_derivatives_have_the_bits_of_the_written_stencils():
+    # grids, scalars and the rows of a 2-D array, at seven uniform times
+    # (five-point) and five uneven ones (centered): the running sums, fed
+    # last to first, equal the stencil formulas on the listed samples, and
+    # feeding a sample writes into none of the samples
+    from oracles import listed_time_derivative
+
+    rng = np.random.default_rng(11)
+    uniform, uneven = np.linspace(0.3, 0.42, 7), np.array([0.0, 0.2, 0.5, 0.55, 1.0])
+    for times in (uniform, uneven):
+        k = len(times)
+        for fields in (list(rng.standard_normal((k, 8, 8))), list(rng.standard_normal(k)),
+                       rng.standard_normal((k, 5))):
+            before = [np.copy(x) for x in fields]
+            got, idx = numerics.time_derivative(fields, times)
+            want, want_idx = listed_time_derivative(fields, times)
+            assert idx == want_idx
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b)
+            assert all(np.array_equal(a, b) for a, b in zip(fields, before))
+    w = rng.standard_normal(4)
+    assert numerics.five_point(*w, 0.01) == (-w[3] + 8 * w[2] - 8 * w[1] + w[0]) / (12 * 0.01)

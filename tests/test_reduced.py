@@ -9,7 +9,7 @@ import pytest
 
 from expanderlab.acceptance import HYPERBOLIC3, sine_torus
 from expanderlab.entropy import nu_plus
-from expanderlab.flow import LEVEL_BATCH_BYTES, FlowHistory, blowdown, evolve
+from expanderlab.flow import LEVEL_BATCH_BYTES, SCRATCH_BYTES, FlowHistory, blowdown, evolve
 from expanderlab.geometry import ConformalTorusMetric, HomogeneousMetric, ModelSpaceMetric
 from expanderlab.reduced import (
     check_reduced_field,
@@ -26,7 +26,6 @@ from expanderlab.reduced import (
     _oracle_torus_batch,
     _PathAction,
     _s_grid,
-    _SCRATCH_BYTES,
     _slice_ops,
     _spline_taps,
     _torus_integrate,
@@ -722,31 +721,34 @@ def test_slice_store_equals_per_slice_formula(monkeypatch):
 
     monkeypatch.setattr(FlowHistory, "params_at_times", spy)
     slices = _TorusSlices(h, s_all)
-    block = _SCRATCH_BYTES // m0.phi.nbytes
+    block = SCRATCH_BYTES // m0.phi.nbytes
     assert block < len(s_all) and len(s_all) % block
     assert batches == [block] * (len(s_all) // block) + [len(s_all) % block]
     for i, s in enumerate(s_all):
         want = torus_slice_grids(h, float(s**2), slices.hx, slices.hy)
-        assert np.array_equal(slices.store[:, i], want)
+        rows = 3 if i % 2 == 0 else 2  # rdot is built at the nodes only
+        assert np.array_equal(slices.store[:rows, i], want[:rows])
     # the gather reads the store itself, not a copy of it
     pts = rng.uniform(0.0, 1.0, (10, 2))
     before = slices.sample(5, slice(0, 3), pts)
     slices.store[0:3, 5] += 1.0
     assert np.allclose(slices.sample(5, slice(0, 3), pts), before + 1.0, rtol=1e-12, atol=1e-12)
 
-    # the oracle's two-row store, built in the same batches, is rows r and
-    # e2p of the three-row one
+    # the oracle's paired store, built in the same batches, is one row: r
+    # of the three-row store at the nodes and e2p at the half steps
     batches.clear()
-    two = _TorusSlices(h, s_all, 2)
+    paired = _TorusSlices(h, s_all, paired=True)
     assert batches == [block] * (len(s_all) // block) + [len(s_all) % block]
-    assert two.store.shape == (2,) + slices.store.shape[1:]
-    assert np.array_equal(two.store, _TorusSlices(h, s_all).store[:2])
+    assert paired.store.shape == (1,) + slices.store.shape[1:]
+    fresh = _TorusSlices(h, s_all).store
+    assert np.array_equal(paired.store[0, 0::2], fresh[0, 0::2])
+    assert np.array_equal(paired.store[0, 1::2], fresh[1, 1::2])
 
 
 def test_oracle_builds_no_rdot_row(torus16, monkeypatch):
     # the oracle reads r at nodes and e2p at midpoints, with the gradients of
-    # their interpolants, so its store holds those two rows; shooting's
-    # blocks add rdot for the Harnack integrand
+    # their interpolants, so its store holds one row of the two, paired;
+    # shooting's blocks hold r, e2p and rdot for the Harnack integrand
     h = torus16
     shapes = []
 
@@ -758,7 +760,7 @@ def test_oracle_builds_no_rdot_row(torus16, monkeypatch):
     monkeypatch.setattr("expanderlab.reduced._TorusSlices", Recording)
     pts = np.array([(0.15, 0.1), (0.25, 0.0)])
     _oracle_torus_batch(h, pts, 0.2, 32)
-    assert shapes == [(2, 65, 16, 16)]
+    assert shapes == [(1, 65, 16, 16)]
     _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     assert shapes[1] == (3, 65, 16, 16)
     assert all(shape[0] == 3 for shape in shapes[1:])
@@ -781,7 +783,7 @@ def test_blockwise_slice_gather_matches_single_block(monkeypatch):
         blocks.append(len(frac))
         return _spline_taps(frac, wrap, slopes)
 
-    monkeypatch.setattr("expanderlab.reduced._SCRATCH_BYTES", 128 * 3 * 7)
+    monkeypatch.setattr("expanderlab.reduced.SCRATCH_BYTES", 128 * 3 * 7)
     monkeypatch.setattr("expanderlab.reduced._spline_taps", spy)
     for idx, want in zip((slice_idx, 2), whole):
         blocks.clear()
@@ -798,9 +800,9 @@ def test_blockwise_slice_gather_matches_single_block(monkeypatch):
 
 def test_gathers_and_slice_builds_stay_under_the_scratch_cap(torus16, monkeypatch):
     # evolving 16x16 torus, a two-time field with the oracle on: every tap
-    # computation inside a gather covers at most _SCRATCH_BYTES of taps
+    # computation inside a gather covers at most SCRATCH_BYTES of taps
     # (16 of 8 bytes per row and point), and every phi lookup inside a
-    # slice build at most _SCRATCH_BYTES of rows; both are split, since some
+    # slice build at most SCRATCH_BYTES of rows; both are split, since some
     # gathers and builds exceed one block
     h = torus16
     sample, build = _TorusSlices.sample, _TorusSlices.__init__
@@ -815,9 +817,9 @@ def test_gathers_and_slice_builds_stay_under_the_scratch_cap(torus16, monkeypatc
         taps.append((gathers[-1][0], len(frac)))
         return _spline_taps(frac, wrap, slopes)
 
-    def build_spy(self, h, s_all, *args):
+    def build_spy(self, h, s_all, *args, **kw):
         builds.append(len(s_all))
-        build(self, h, s_all, *args)
+        build(self, h, s_all, *args, **kw)
         builds.pop()
 
     def lookup_spy(self, etas):
@@ -833,11 +835,11 @@ def test_gathers_and_slice_builds_stay_under_the_scratch_cap(torus16, monkeypatc
     ell_plus_field(h, pts, np.array([0.15, 0.2]))
     assert taps and lookups
     for n_rows, m in taps:
-        assert m <= _SCRATCH_BYTES // (128 * n_rows)
+        assert m <= SCRATCH_BYTES // (128 * n_rows)
     for _, nbytes in lookups:
-        assert nbytes <= _SCRATCH_BYTES
-    assert any(m > _SCRATCH_BYTES // (128 * n_rows) for n_rows, m in gathers)
-    assert any(n * h.template.phi.nbytes > _SCRATCH_BYTES for n, _ in lookups)
+        assert nbytes <= SCRATCH_BYTES
+    assert any(m > SCRATCH_BYTES // (128 * n_rows) for n_rows, m in gathers)
+    assert any(n * h.template.phi.nbytes > SCRATCH_BYTES for n, _ in lookups)
 
 
 def test_shoot_records_integrals_of_the_settling_sweep(torus16, monkeypatch):
@@ -1039,6 +1041,35 @@ def test_batched_shoot_equals_the_per_time_shoot(case, torus16, monkeypatch):
             assert np.array_equal(shot[key][i * m:(i + 1) * m], want[key]), (t, key)
 
 
+def test_shooting_reads_rdot_at_the_nodes_only(torus16, monkeypatch):
+    # shooting's stores build rdot at the node slices only, the ones its
+    # Harnack integrand reads: with the half-step entries of that row set
+    # to NaN, a two-time batch and the per-time reference stay finite and
+    # keep their integrals and momenta bit for bit
+    h = torus16
+    build = _TorusSlices.__init__
+    filled = []
+
+    def nan_halves(self, h, s_all, span=None, paired=False):
+        build(self, h, s_all, span, paired)
+        if not paired:
+            half = np.arange(len(s_all)) % (span or len(s_all)) % 2 == 1
+            self.store[2, half] = np.nan
+            filled.append(int(np.sum(half)))
+
+    monkeypatch.setattr(_TorusSlices, "__init__", nan_halves)
+    times = np.array([0.18, 0.2])
+    pts = np.random.default_rng(9).uniform(0.0, 1.0, (8, 2))
+    m = len(pts)
+    shot = _torus_shoot_targets(h, np.tile(pts, (2, 1)), np.repeat(times, m), 32)
+    assert filled and all(filled)
+    for i, t in enumerate(times):
+        want = torus_shoot_per_time(h, pts, float(t), 32)
+        for key in ("l_tail", "k", "momenta"):
+            got = shot[key][i * m:(i + 1) * m]
+            assert np.all(np.isfinite(got)) and np.array_equal(got, want[key]), (t, key)
+
+
 def test_a_field_shoots_all_its_times_in_one_batch_of_capped_blocks(torus16, monkeypatch):
     # evolving 16x16 torus, a three-time field: one shooting call, whose
     # sweeps integrate the rows of every time together, so it makes as many
@@ -1080,12 +1111,18 @@ def test_a_field_shoots_all_its_times_in_one_batch_of_capped_blocks(torus16, mon
 
 def count_gathers(monkeypatch):
     """Counts of `_TorusSlices.sample` calls by the field names of their row
-    run and whether they gathered derivatives."""
+    run and whether they gathered derivatives.  The oracle's paired row is
+    r at even (node) slices and e2p at odd ones."""
     fields = collections.Counter()
     sample = _TorusSlices.sample
 
     def spy(self, idx, rows, pts, grad=False):
-        fields[_FIELDS[rows], grad] += 1
+        names = _FIELDS[rows]
+        if len(self.store) == 1:
+            odd = set(np.atleast_1d(idx) % 2)
+            assert len(odd) == 1  # one gather reads one field
+            names = ("e2p",) if odd.pop() else ("r",)
+        fields[names, grad] += 1
         return sample(self, idx, rows, pts, grad)
 
     monkeypatch.setattr(_TorusSlices, "sample", spy)
@@ -1104,7 +1141,7 @@ def test_oracle_chunks_match_one_batch(torus16, monkeypatch):
     assert fields[("r",), False] > 0  # value-only backtracks happened
     alone = [_oracle_torus_batch(h, pts[i:i + 1], 0.2, 32)[0] for i in range(len(pts))]
     for n_paths in (14, 1):
-        monkeypatch.setattr("expanderlab.reduced.LEVEL_BATCH_BYTES", 32 * 33 * n_paths)
+        monkeypatch.setattr("expanderlab.reduced.SCRATCH_BYTES", 8 * 33 * n_paths)
         fields.clear()
         chunked = _oracle_torus_batch(h, pts, 0.2, 32)
         assert fields[("r",), True] >= -(-36 // n_paths)  # a start gradient per chunk
@@ -1190,7 +1227,7 @@ def test_oracle_memory_is_bounded_by_the_chunk(monkeypatch):
     # (numpy reports its buffers to tracemalloc) grows by less than 1.5x;
     # in one batch it grew nearly in proportion (16.3 -> 30.5 MB)
     h = flat_history(32, 1.0)
-    monkeypatch.setattr("expanderlab.reduced.LEVEL_BATCH_BYTES", 32 << 12)
+    monkeypatch.setattr("expanderlab.reduced.SCRATCH_BYTES", 8 << 12)
     rng = np.random.default_rng(8)
     peaks = []
     for m in (16, 64):
