@@ -47,7 +47,7 @@ from .reduced import (
     check_reduced_field,
     ell_plus_field,
     extrapolate_fields,
-    geodesic_shoot,
+    geodesic_identity_residual,
     hessian_check_cor21,
     theta_plus,
 )
@@ -269,8 +269,8 @@ def crit_6_reduced_length(art: _Artifacts):
     want = np.array([dist_sq(p) / 4.0 for p in fld.targets])
     shoot_dev = float(np.max(np.abs(fld.ell[0] - want)))
     oracle_rel = fld.oracle_rel_gap
-    res_flat = geodesic_shoot(h, np.array([0.2, 0.1]), 1.0).identity_residual
-    res_model = geodesic_shoot(art.vertex_expander(), 0.25, 1.0, eps=1e-4).identity_residual
+    res_flat = geodesic_identity_residual(h, np.array([0.2, 0.1]), 1.0)
+    res_model = geodesic_identity_residual(art.vertex_expander(), 0.25, 1.0, eps=1e-4)
     resid = max(res_flat, res_model)
     passed = shoot_dev <= 1e-6 and oracle_rel <= 1e-3 and resid <= 1e-6
     return passed, {"shoot_dev": shoot_dev, "oracle_rel": oracle_rel,

@@ -81,7 +81,6 @@ class ResidualReport:
 
     times: list
     max_residual: float
-    per_time: list
     rhs_min: float = math.inf
     extra: dict | None = None
 
@@ -195,8 +194,7 @@ class ImmortalDensity:
 
     The final-data time doubles each round; convergence is declared when
     two successive constructions agree in sup norm on the window below
-    the configured tolerance (cauchy_gap records the last gap, gaps the
-    whole sequence).
+    the configured tolerance (cauchy_gap records the last gap).
     """
 
     window: tuple
@@ -205,7 +203,6 @@ class ImmortalDensity:
     cauchy_gap: float
     converged: bool
     history: FlowHistory
-    gaps: list | None = None
 
     def __post_init__(self) -> None:
         # u_at's Hermite slopes: the rate -lap u + R u of each retained torus state
@@ -251,7 +248,6 @@ def construct_immortal_density(h: FlowHistory, window, tol: float = 1e-8,
     tail = first_tail if first_tail is not None else min(2.0 * tb, h.t_max)
     prev = None
     gap = math.inf
-    gaps = []
     converged = False
     states = None
     while True:
@@ -272,7 +268,6 @@ def construct_immortal_density(h: FlowHistory, window, tol: float = 1e-8,
                 float(np.max(np.abs(np.asarray(a.u) - np.asarray(b.u))))
                 for a, b in zip(cur, prev)
             )
-            gaps.append(float(gap))
             states = cur
             if gap < tol:
                 converged = True
@@ -282,7 +277,7 @@ def construct_immortal_density(h: FlowHistory, window, tol: float = 1e-8,
             states = cur
             break
         tail = min(2.0 * tail, h.t_max)
-    return ImmortalDensity((ta, tb), states, tail, float(gap), converged, h, gaps)
+    return ImmortalDensity((ta, tb), states, tail, float(gap), converged, h)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +286,7 @@ def construct_immortal_density(h: FlowHistory, window, tol: float = 1e-8,
 def check_harnack_identity(states, h: FlowHistory, birth_time: float = 0.0) -> ResidualReport:
     """Residuals of the entropy-density identities across interior states, in one pass.
 
-    max_residual, per_time and rhs_min belong to (d/dt + lap - R) v =
+    max_residual and rhs_min belong to (d/dt + lap - R) v =
     2 sigma u |Ricci + Hess f + g/(2 sigma)|^2.  extra holds the maxima of
     "prefactor" (the heat-operator image of q = 2 lap f - |grad f|^2 + R),
     "steady" (the sigma-free identity, with f = -log u) and "potential"
@@ -323,14 +318,14 @@ def check_harnack_identity(states, h: FlowHistory, birth_time: float = 0.0) -> R
     for i in range(len(states) - 1, -1, -1):
         feed(i)
     dv, dq, dv_s, df = (d.values() for d in derivs)
-    per_time, rhs_min = [], math.inf
+    res_max, rhs_min = 0.0, math.inf
     extra = dict.fromkeys(("prefactor", "steady", "potential"), 0.0)
     for j, i in enumerate(idx):
         (v, q, v_s, f), u, sigma = rows.pop(i), states[i].u, sigmas[i]
         m = h.metric_at(times[i])  # the rest of the state is rebuilt rather than held
         r = curvature(m).scalar
         rhs = 2.0 * sigma * u * soliton_residual_sq(m, f, sigma)
-        per_time.append(float(np.max(np.abs(dv[j] + laplacian(m, v) - r * v - rhs))))
+        res_max = max(res_max, float(np.max(np.abs(dv[j] + laplacian(m, v) - r * v - rhs))))
         rhs_min = min(rhs_min, float(np.min(rhs)))
         del rhs
         residuals = {  # each is built, reduced and dropped in turn
@@ -343,5 +338,4 @@ def check_harnack_identity(states, h: FlowHistory, birth_time: float = 0.0) -> R
         }
         for key, field in residuals.items():
             extra[key] = max(extra[key], float(np.max(np.abs(field()))))
-    return ResidualReport([times[i] for i in idx], max([0.0, *per_time]), per_time,
-                          rhs_min, extra)
+    return ResidualReport([times[i] for i in idx], res_max, rhs_min, extra)

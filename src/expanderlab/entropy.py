@@ -356,7 +356,6 @@ class AsymptoticsReport:
     w_plus_limit_predicted: float
     lambda_bar_limit_fit: float
     lambda_bar_limit_predicted: float
-    t_lambda_limit_fit: float
     w_plus_log_growth_rate: float
 
 
@@ -397,7 +396,6 @@ def asymptotics_report(h: FlowHistory, dens: ImmortalDensity) -> AsymptoticsRepo
     v_inf = max(v_inf, 0.0)
     w_fit, _ = _tail_fit_inverse(ts, w_vals)
     lbar_fit, _ = _tail_fit_inverse(ts, lbar_vals)
-    t_lam_fit, _ = _tail_fit_inverse(ts, ts * lam_vals)
     growth = float(np.polyfit(np.log(ts), w_vals, 1)[0])
     if collapsed:
         w_pred = math.inf
@@ -412,7 +410,6 @@ def asymptotics_report(h: FlowHistory, dens: ImmortalDensity) -> AsymptoticsRepo
         w_plus_limit_predicted=w_pred,
         lambda_bar_limit_fit=lbar_fit,
         lambda_bar_limit_predicted=lbar_pred,
-        t_lambda_limit_fit=t_lam_fit,
         w_plus_log_growth_rate=growth,
     )
 
@@ -443,7 +440,6 @@ def blowdown_gap(h: FlowHistory, alpha: float, times) -> float:
 class Prop15Report:
     integral: float
     decay_exponent: float
-    integrand: np.ndarray
 
 
 def long_time_residual_integral(h: FlowHistory, dens: ImmortalDensity,
@@ -473,4 +469,4 @@ def long_time_residual_integral(h: FlowHistory, dens: ImmortalDensity,
         exponent = float(np.polyfit(log_t[positive], np.log(vals[positive]), 1)[0])
     else:
         exponent = -math.inf
-    return Prop15Report(integral, exponent, vals)
+    return Prop15Report(integral, exponent)

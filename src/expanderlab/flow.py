@@ -193,7 +193,6 @@ def scaled_volume(h: FlowHistory, t: float) -> float:
 
 @dataclass
 class RBoundReport:
-    margins: np.ndarray  # min over space of R + n/(2t)
     ok: bool
     tol: float
 
@@ -201,13 +200,9 @@ class RBoundReport:
 def check_R_lower_bound(h: FlowHistory, tol: float) -> RBoundReport:
     """Verify R + n/(2t) >= -tol pointwise at the sampled times."""
     times = [float(t) for t in h.times if t > 0]
-    margins = []
-    n = h.dim
-    for t, m in zip(times, h.metrics_at(times)):
-        r = curvature(m).scalar
-        margins.append(float(np.min(r)) + n / (2.0 * t))
-    margins = np.asarray(margins)
-    return RBoundReport(margins, bool(np.all(margins >= -tol)), tol)
+    ok = all(float(np.min(curvature(m).scalar)) + h.dim / (2.0 * t) >= -tol
+             for t, m in zip(times, h.metrics_at(times)))
+    return RBoundReport(ok, tol)
 
 
 # ---------------------------------------------------------------------------

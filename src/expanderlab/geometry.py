@@ -154,12 +154,11 @@ class CurvatureData:
     homogeneous metric, the scalar coefficient rho0/scale (Ricci =
     coeff * metric) for a model space, and the scalar-curvature field
     for the torus (where Ricci = R/2 * metric identically in 2-D).
-    scalar and ricci_norm_sq are fields on the torus, floats otherwise.
+    scalar is a field on the torus, a float otherwise.
     """
 
     ricci: np.ndarray | float
     scalar: np.ndarray | float
-    ricci_norm_sq: np.ndarray | float
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +255,10 @@ def milnor_ricci_diag(structure_constants, diag) -> np.ndarray:
 def curvature_homogeneous(m: HomogeneousMetric) -> CurvatureData:
     """Diagonal Milnor-frame Ricci of a homogeneous metric."""
     rc = milnor_ricci_diag(m.structure_constants, m.diag)
-    # np.sum(rc / diag) and np.sum((rc / diag) ** 2) in floats: numpy sums 3
-    # elements left to right from 0.0 (-0.0 sums to 0.0); its ** 2 multiplies
+    # np.sum(rc / diag) in floats: numpy sums 3 elements left to right from
+    # 0.0 (-0.0 sums to 0.0)
     q0, q1, q2 = (r / float(d) for r, d in zip(rc.tolist(), m.diag))
-    return CurvatureData(ricci=rc, scalar=0.0 + q0 + q1 + q2,
-                         ricci_norm_sq=q0 * q0 + q1 * q1 + q2 * q2)
+    return CurvatureData(ricci=rc, scalar=0.0 + q0 + q1 + q2)
 
 
 def _conformal_scalar(phi: np.ndarray, hx: float, hy: float, em2p=None) -> np.ndarray:
@@ -271,17 +269,13 @@ def _conformal_scalar(phi: np.ndarray, hx: float, hy: float, em2p=None) -> np.nd
 def curvature_conformal(m: ConformalTorusMetric) -> CurvatureData:
     """Scalar curvature field R = -2 exp(-2 phi) lap0 phi of the conformal torus."""
     r = _conformal_scalar(m.phi, *m.spacing)
-    return CurvatureData(ricci=r, scalar=r, ricci_norm_sq=0.5 * r * r)
+    return CurvatureData(ricci=r, scalar=r)
 
 
 def curvature_model_space(m: ModelSpaceMetric) -> CurvatureData:
     """Ricci = (rho0/scale) * metric on a constant-curvature model."""
     coeff = m.rho0 / m.scale
-    return CurvatureData(
-        ricci=coeff,
-        scalar=m.dim * coeff,
-        ricci_norm_sq=m.dim * coeff * coeff,
-    )
+    return CurvatureData(ricci=coeff, scalar=m.dim * coeff)
 
 
 def curvature(m: MetricModel) -> CurvatureData:

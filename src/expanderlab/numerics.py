@@ -19,7 +19,7 @@ weights so the same code serves grid and reduced representations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "hermite_cubic",
     "hermite_rows",
     "five_point",
-    "interior_indices",
     "RunningDerivative",
     "time_derivative",
 ]
@@ -86,7 +85,6 @@ class OdeTrajectory:
     states: np.ndarray
     derivs: np.ndarray
     status: str = "completed"
-    message: str = ""
 
     @property
     def t_end(self) -> float:
@@ -167,28 +165,23 @@ def five_point(f_m2, f_m1, f_p1, f_p2, d: float):
     return (-f_p2 + 8 * f_p1 - 8 * f_m1 + f_m2) / (12 * d)
 
 
-def interior_indices(times):
-    """The sample indices time_derivative differences at: two in from each end for
-    five or more uniform samples (the five-point stencil; the homogeneous checks
-    need residuals at the 1e-8 scale), else one (centered differences)."""
-    times = np.asarray(times, dtype=float)
-    k = len(times)
-    if k < 3:
-        raise ValueError("need at least 3 consecutive states")
-    steps = np.diff(times)
-    uniform = np.max(np.abs(steps - steps[0])) < 1e-9 * steps[0]
-    return list(range(2, k - 2)) if uniform and k >= 5 else list(range(1, k - 1))
-
-
 class RunningDerivative:
-    """Time derivatives at `idx` = interior_indices(times) of samples fed last to
+    """Time derivatives at the interior indices `idx` of samples fed last to
     first, as running sums of five_point's terms in its order (or x(+1) - x(-1)),
-    each divided last: no sample is kept, and the bits are the stencil's."""
+    each divided last: no sample is kept, and the bits are the stencil's.
+
+    idx runs two in from each end for five or more uniform samples (the
+    five-point stencil; the homogeneous checks need residuals at the 1e-8
+    scale), else one (centered differences)."""
 
     def __init__(self, times):
         times = np.asarray(times, dtype=float)
-        self.idx = interior_indices(times)
-        five = self.idx[0] == 2  # weights by sample offset
+        k = len(times)
+        if k < 3:
+            raise ValueError("need at least 3 consecutive states")
+        steps = np.diff(times)
+        five = k >= 5 and np.max(np.abs(steps - steps[0])) < 1e-9 * steps[0]
+        self.idx = list(range(2, k - 2)) if five else list(range(1, k - 1))
         self._taps = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0)) if five else ((1, 1.), (-1, -1.))
         self._scale = {i: 12 * (times[1] - times[0]) if five else times[i + 1] - times[i - 1]
                        for i in self.idx}
@@ -208,7 +201,7 @@ class RunningDerivative:
 
 
 def time_derivative(fields, times):
-    """Time derivatives of sampled fields at interior_indices(times), with those indices."""
+    """Time derivatives of sampled fields at RunningDerivative(times).idx, with those indices."""
     run = RunningDerivative(times)
     for j in range(len(times) - 1, -1, -1):
         run.add(j, fields[j])
@@ -273,13 +266,13 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
     derivs = [f.copy()]
     y, f = y.tolist(), f.tolist()
     err_prev = 1.0
-    status, message = "completed", ""
+    status = "completed"
     n_steps = 0
     h_floor = 1e-14 * span
 
     while t < t1:
         if n_steps > ODE_STEP_BUDGET:
-            status, message = "truncated", "step budget exhausted"
+            status = "truncated"
             break
         h = min(h, t1 - t)
         k = [f]
@@ -292,7 +285,7 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
         if len(k) < 7:  # a non-finite stage
             h *= 0.25
             if h < h_floor:
-                status, message = "truncated", "step size underflow (non-finite stages)"
+                status = "truncated"
                 break
             continue
         y_new = _dp_combine(y, h, _DP_B5, k)
@@ -309,7 +302,7 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
             states.append(y_new_arr)
             derivs.append(np.array(f_new))
             if stop is not None and stop(t_new, y_new_arr):
-                status, message = "halted", "stop predicate fired"
+                status = "halted"
                 break
             fac = 0.9 * max(err, 1e-10) ** -0.14 * max(err_prev, 1e-10) ** -0.04
             err_prev = max(err, 1e-10)
@@ -320,7 +313,7 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
         if max_step is not None:
             h = min(h, max_step(t))
         if h < h_floor:
-            status, message = "truncated", "step size underflow"
+            status = "truncated"
             break
         n_steps += 1
 
@@ -329,7 +322,6 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
         states=np.asarray(states),
         derivs=np.asarray(derivs),
         status=status,
-        message=message,
     )
     if status == "halted" and stop is not None and len(times) >= 2:
         # bisect the dense output for the earliest crossing on the last step
@@ -409,7 +401,6 @@ class EigenFailure(RuntimeError):
 class EigenResult:
     value: float
     vector: np.ndarray
-    residuals: list = field(default_factory=list)
 
 
 def smallest_eigenpair(apply_operator, measure, shift: float, *, abs_tol: float,
@@ -464,7 +455,7 @@ def smallest_eigenpair(apply_operator, measure, shift: float, *, abs_tol: float,
         )
     if inner(w, np.ones_like(w)) < 0:
         w = -w
-    return EigenResult(value=float(lam), vector=w, residuals=residuals)
+    return EigenResult(value=float(lam), vector=w)
 
 
 @dataclass
@@ -524,8 +515,6 @@ class ConstrainedMinResult:
     w: np.ndarray
     value: float
     converged: bool
-    n_iter: int
-    message: str = ""
 
 
 def minimize_constrained(functional, gradient, normalize, inner, w0, *,
@@ -546,12 +535,12 @@ def minimize_constrained(functional, gradient, normalize, inner, w0, *,
     w = normalize(np.asarray(w0, dtype=float).copy())
     fval = float(functional(w))
     step = 1.0
-    for it in range(max_iter):
+    for _ in range(max_iter):
         g = gradient(w)
         gp = g - inner(g, w) * w
         g_norm = math.sqrt(max(inner(gp, gp), 0.0))
         if g_norm <= abs_tol:
-            return ConstrainedMinResult(w, fval, True, it)
+            return ConstrainedMinResult(w, fval, True)
         if precond is not None:
             d = precond(gp)
             d = d - inner(d, w) * w
@@ -569,10 +558,6 @@ def minimize_constrained(functional, gradient, normalize, inner, w0, *,
                 w, fval, step, accepted = w_try, f_try, alpha, True
                 break
             alpha *= 0.5
-        if not accepted:
-            return ConstrainedMinResult(
-                w, fval, False, it, message="line search stagnated"
-            )
-    return ConstrainedMinResult(
-        w, fval, False, max_iter, message="iteration budget exhausted"
-    )
+        if not accepted:  # the line search stagnated
+            break
+    return ConstrainedMinResult(w, fval, False)

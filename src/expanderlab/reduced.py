@@ -58,11 +58,9 @@ from .geometry import (
 from .numerics import time_derivative
 
 __all__ = [
-    "PathSample",
-    "GeodesicSolution",
     "ReducedField",
     "ThetaSeries",
-    "geodesic_shoot",
+    "geodesic_identity_residual",
     "ell_plus_field",
     "EPS_LADDER",
     "extrapolate_fields",
@@ -74,46 +72,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # data types
-
-@dataclass(frozen=True)
-class PathSample:
-    """A discrete space-time path from the base point.
-
-    positions are radial coordinates (unit-metric arc length) for
-    homothety models and 2-d coordinates in the covering plane for the
-    torus; eta_grid starts at the start regularization eps (zero for
-    smooth starts).
-    """
-
-    eta_grid: np.ndarray
-    positions: np.ndarray
-    start_regularization: float = 0.0
-
-    def __post_init__(self) -> None:
-        eta = np.asarray(self.eta_grid, dtype=float)
-        if eta.ndim != 1 or len(eta) < 2 or not np.all(np.diff(eta) > 0):
-            raise ValueError("eta_grid must be strictly increasing")
-        if abs(eta[0] - self.start_regularization) > 1e-14 * (1 + eta[-1]):
-            raise ValueError("eta_grid must start at the regularization")
-        if not np.all(np.isfinite(np.asarray(self.positions, dtype=float))):
-            raise ValueError("positions must be finite")
-
-
-@dataclass
-class GeodesicSolution:
-    """A shot geodesic with its action, Harnack data, and residual."""
-
-    path: PathSample
-    velocity: np.ndarray          # X at the eta nodes (first node excluded at eps=0)
-    momentum: object              # lim sqrt(eta) X
-    l_plus: float                 # action including the analytic head
-    l_plus_tail: float            # integral over [eps, t] only
-    head: float
-    boundary_term: float          # eps^(3/2) (R + |X|^2) at the start
-    k_value: float
-    h_samples: np.ndarray
-    identity_residual: float
-
 
 @dataclass
 class ReducedField:
@@ -135,7 +93,6 @@ class ReducedField:
     ell_tail: np.ndarray
     k_effective: np.ndarray
     eps: float
-    momenta: np.ndarray | None = None
     smooth_mask: np.ndarray | None = None
     oracle_values: np.ndarray | None = None
     oracle_flags: np.ndarray | None = None
@@ -465,15 +422,14 @@ def _torus_rhs(s, v: np.ndarray, fields):
     return acc
 
 
-def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_steps: int,
-                     want_traces: bool = False):
+def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_steps: int):
     """RK4 integration of the reduced system for a batch of momenta from the
     origin, each row to its own time.
 
     Every row takes the same n_steps steps in lockstep, with its own ds, s
-    and t.  Returns endpoints, the action tail, the Harnack integral,
-    endpoint speed data and, optionally, full traces.  One derivative gather
-    per node serves the node integrands and the next step's first stage.
+    and t.  Returns endpoints, the action tail, the Harnack integral and
+    endpoint speed data.  One derivative gather per node serves the node
+    integrands and the next step's first stage.
     The slices live for one block of steps: a block builds its steps'
     slices at every time that has rows, as many steps as keep the block's
     store under `LEVEL_BATCH_BYTES`, and at least one.  No array of every
@@ -497,9 +453,6 @@ def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_s
     # Simpson sums of the node integrands run as they are made, in node
     # order, the order np.sum adds the rows of a (nodes, rows) array
     weights = _simpson_weights(n_steps)
-    traces_x = [x.copy()] if want_traces else None
-    traces_v = [v.copy()] if want_traces else None
-    kin_nodes = [] if want_traces else None
 
     def node_integrands(s, s3, s4, v, fields):
         (r, e2p, rdot), (rx, _, _), (ry, _, _) = fields
@@ -511,8 +464,6 @@ def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_s
             + 0.5 * s * s * r * speed_sq
             + 2 * s * s * r
         )
-        if want_traces:
-            kin_nodes.append(hk)
         return action, hk
 
     stage, nodes = slice(2), slice(3)  # store rows of an RK4 stage and of a node
@@ -540,22 +491,14 @@ def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_s
         node = slices.sample(i2, nodes, x, grad=True)
         action, hk = node_integrands(s_end, s3, s4, v, node)
         act = act + weights[k + 1] * action
-        kin = kin + weights[k + 1] * hk  # not in place: kin_nodes holds node 0's array
-        if want_traces:
-            traces_x.append(x.copy())
-            traces_v.append(v.copy())
+        kin = kin + weights[k + 1] * hk
     r_end, e2p_end = node[0, :2]
     x_speed_sq = e2p_end * np.sum(v * v, axis=1) / (4.0 * ts[row_t])
-    out = {
+    return {
         "end": x, "v_end": v,
         "l_tail": act * ds[:, 0] / 3.0, "k": kin * ds[:, 0] / 3.0,
         "r_end": r_end, "x_speed_sq": x_speed_sq,
     }
-    if want_traces:
-        out["trace_x"] = np.asarray(traces_x)
-        out["trace_v"] = np.asarray(traces_v)
-        out["kin_nodes"] = np.asarray(kin_nodes)
-    return out
 
 
 def _lattice_images(periods, targets: np.ndarray):
@@ -667,56 +610,23 @@ def _torus_shoot_targets(h: FlowHistory, targets: np.ndarray, times: np.ndarray,
 # ---------------------------------------------------------------------------
 # public operations
 
-def geodesic_shoot(h: FlowHistory, momentum, t_end: float,
-                   eps: float = 0.0, n_steps: int = 192) -> GeodesicSolution:
-    """Integrate the reduced geodesic system from the origin with a momentum datum."""
-    n = h.dim
+def geodesic_identity_residual(h: FlowHistory, momentum, t_end: float,
+                               eps: float = 0.0, n_steps: int = 192) -> float:
+    """|t^(3/2)(R + |X|^2) - (boundary + K + L/2)| at the end of the reduced
+    geodesic shot from the origin with a momentum datum, at t = t_end."""
     if h.kind == "model_space":
         eng = _RadialEngine(h, eps, t_end, n_steps)
-        v0 = 2.0 * float(momentum)
-        l_tail, k_val, boundary, x_sq_end, head = eng.solve(v0)
-        s, a_nodes = eng.s_nodes, eng.a_nodes
-        w = eng.a_eps / a_nodes
-        sigma = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (w[:-1] + w[1:]) * np.diff(s))]
-        ) * v0
-        r_end = n * eng.rho0 / a_nodes[-1]
-        resid = abs(t_end**1.5 * (r_end + x_sq_end) - (boundary + k_val + 0.5 * l_tail))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_vel = np.where(s > 0, v0 * w / (2.0 * s), np.inf)
-            h_samples = (
-                2.0 * n * eng.rho0**2 / a_nodes**2
-                + eng.rho0 * (v0 * w) ** 2 / (2.0 * s**2)
-                + n * eng.rho0 / (a_nodes * s**2)
-            )
-        if s[0] == 0:
-            h_samples[0] = math.nan  # the weighted integrand vanishes at the base
-        path = PathSample(s**2, sigma, eps)
-        return GeodesicSolution(path, x_vel, float(momentum), l_tail + head,
-                                l_tail, head, float(boundary), k_val,
-                                h_samples, float(resid))
-    if h.kind == "conformal_torus":
+        l_tail, k_val, boundary, x_sq_end, _ = eng.solve(2.0 * float(momentum))
+        r_end = h.dim * eng.rho0 / eng.a_nodes[-1]
+    elif h.kind == "conformal_torus":
         mom = np.asarray(momentum, dtype=float).reshape(1, 2)
-        res = _torus_integrate(h, np.array([t_end], dtype=float), mom, n_steps, want_traces=True)
-        s = _s_grid(t_end, n_steps)[1]
-        xs = res["trace_x"][:, 0, :]
-        vs = res["trace_v"][:, 0, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_vel = vs / (2.0 * np.maximum(s, 1e-300))[:, None]
-        l_tail = float(res["l_tail"][0])
-        k_val = float(res["k"][0])
-        resid = abs(
-            t_end**1.5 * (float(res["r_end"][0]) + float(res["x_speed_sq"][0]))
-            - (k_val + 0.5 * l_tail)
-        )
-        path = PathSample(s**2, xs, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h_samples = res["kin_nodes"][:, 0] / (2.0 * np.maximum(s, 1e-300) ** 4)
-        h_samples[0] = math.nan  # the weighted integrand vanishes at the base
-        return GeodesicSolution(path, x_vel, np.asarray(momentum, dtype=float),
-                                l_tail, l_tail, 0.0, 0.0, k_val,
-                                h_samples, float(resid))
-    raise ValueError("geodesic shooting supports model-space and torus histories")
+        res = _torus_integrate(h, np.array([t_end], dtype=float), mom, n_steps)
+        l_tail, k_val, r_end, x_sq_end = (float(res[key][0])
+                                          for key in ("l_tail", "k", "r_end", "x_speed_sq"))
+        boundary = 0.0
+    else:
+        raise ValueError("geodesic shooting supports model-space and torus histories")
+    return float(abs(t_end**1.5 * (r_end + x_sq_end) - (boundary + k_val + 0.5 * l_tail)))
 
 
 class _PathAction:
@@ -918,7 +828,7 @@ def ell_plus_field(h: FlowHistory, targets, times, eps: float = 0.0,
     shot = _torus_shoot_targets(h, np.tile(targets, (len(times), 1)), np.repeat(times, m_t), 96)
     shot = {key: val.reshape(len(times), m_t, *val.shape[1:]) for key, val in shot.items()}
     ell = shot["l_tail"] / (2.0 * np.sqrt(times))[:, None]
-    k_eff, momenta, images = shot["k"], shot["momenta"], shot["images"]
+    k_eff, images = shot["k"], shot["images"]
     missed = shot["miss"] > 1e-6
     oracle_vals = np.full((len(times), m_t), np.nan)
     flags = np.zeros((len(times), m_t), dtype=bool)
@@ -934,8 +844,7 @@ def ell_plus_field(h: FlowHistory, targets, times, eps: float = 0.0,
     mask = None if grid is None else _torus_smooth_mask(images, grid, h.template.periods)
     return ReducedField(
         kind="torus", times=times, targets=targets, ell=ell, ell_tail=ell.copy(),
-        k_effective=k_eff, eps=0.0, momenta=momenta,
-        smooth_mask=mask, oracle_values=oracle_vals, oracle_flags=flags, grid=grid,
+        k_effective=k_eff, eps=0.0, smooth_mask=mask, oracle_values=oracle_vals, oracle_flags=flags, grid=grid,
     )
 
 
@@ -1165,7 +1074,6 @@ def theta_plus(fld: ReducedField, h: FlowHistory) -> ThetaSeries:
 @dataclass
 class HessianReport:
     status: str  # "ok" or "precondition_not_met"
-    margins: dict | None = None
     min_margin: float = math.nan
 
 
@@ -1197,13 +1105,9 @@ def hessian_check_cor21(h: FlowHistory, t: float, targets) -> HessianReport:
         hess_rad = second[sel] / a_t
         ct = _radial_ct(h.template.sectional_sign, radii[sel])
         hess_tan = first[sel] * ct / a_t
-        margins = {
-            "radial": (bound - hess_rad).tolist(),
-            "tangential": (bound - hess_tan).tolist(),
-        }
         min_margin = min(float(np.min(bound - hess_rad)),
                          float(np.min(bound - hess_tan)))
-        return HessianReport("ok", margins, min_margin)
+        return HessianReport("ok", min_margin)
     fld = targets  # the torus: a precomputed subgrid field at [t]
     if not isinstance(fld, ReducedField) or fld.grid is None:
         raise ValueError("torus variant expects a subgrid ReducedField")
@@ -1221,6 +1125,4 @@ def hessian_check_cor21(h: FlowHistory, t: float, targets) -> HessianReport:
     if fld.smooth_mask is not None:
         keep = fld.smooth_mask[i].reshape(ms.grid_size)
         mx, my = mx[keep], my[keep]
-    min_margin = min(float(np.min(mx)), float(np.min(my)))
-    return HessianReport("ok", {"xx_min": float(np.min(mx)), "yy_min": float(np.min(my))},
-                         min_margin)
+    return HessianReport("ok", min(float(np.min(mx)), float(np.min(my))))

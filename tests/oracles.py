@@ -361,14 +361,13 @@ def harnack_identity_separate(states, h, birth_time=0.0):
         extras.append((m, f, r))
     dv, idx = time_derivative(v_fields, times)
     dq, _ = time_derivative(q_fields, times)
-    res_max, per_time = 0.0, []
+    res_max = 0.0
     rhs_min = math.inf
     q_res_max = 0.0
     for j, i in enumerate(idx):
         m, f, r = extras[i]
         lhs = dv[j] + laplacian(m, v_fields[i]) - r * v_fields[i]
         res = float(np.max(np.abs(lhs - rhs_fields[i])))
-        per_time.append(res)
         res_max = max(res_max, res)
         rhs_min = min(rhs_min, float(np.min(rhs_fields[i])))
         q_rhs = 2.0 * soliton_residual_sq(m, f, None) + 2.0 * grad_pairing(
@@ -376,8 +375,7 @@ def harnack_identity_separate(states, h, birth_time=0.0):
         )
         q_lhs = dq[j] + laplacian(m, q_fields[i])
         q_res_max = max(q_res_max, float(np.max(np.abs(q_lhs - q_rhs))))
-    return ResidualReport([times[i] for i in idx], res_max, per_time,
-                          rhs_min, {"prefactor": q_res_max})
+    return ResidualReport([times[i] for i in idx], res_max, rhs_min, {"prefactor": q_res_max})
 
 
 def steady_harnack_separate(states, h):
@@ -396,16 +394,15 @@ def steady_harnack_separate(states, h):
         rhs_fields.append(2.0 * s.u * soliton_residual_sq(m, f, None))
         extras.append((m, r))
     dv, idx = time_derivative(v_fields, times)
-    res_max, per_time = 0.0, []
+    res_max = 0.0
     rhs_min = math.inf
     for j, i in enumerate(idx):
         m, r = extras[i]
         lhs = dv[j] + laplacian(m, v_fields[i]) - r * v_fields[i]
         res = float(np.max(np.abs(lhs - rhs_fields[i])))
-        per_time.append(res)
         res_max = max(res_max, res)
         rhs_min = min(rhs_min, float(np.min(rhs_fields[i])))
-    return ResidualReport([times[i] for i in idx], res_max, per_time, rhs_min)
+    return ResidualReport([times[i] for i in idx], res_max, rhs_min)
 
 
 def potential_evolution_separate(states, h, birth_time=0.0):
@@ -425,25 +422,45 @@ def potential_evolution_separate(states, h, birth_time=0.0):
         f_fields.append(log_potential(s.u, sigma, n))
         extras.append((m, sigma))
     df, idx = time_derivative(f_fields, times)
-    res_max, per_time = 0.0, []
+    res_max = 0.0
     for j, i in enumerate(idx):
         m, sigma = extras[i]
         f = f_fields[i]
         r = curvature(m).scalar
         res_field = df[j] + laplacian(m, f) - grad_norm_sq(m, f) + r + n / (2.0 * sigma)
-        res = float(np.max(np.abs(res_field)))
-        per_time.append(res)
-        res_max = max(res_max, res)
-    return ResidualReport([times[i] for i in idx], res_max, per_time)
+        res_max = max(res_max, float(np.max(np.abs(res_field))))
+    return ResidualReport([times[i] for i in idx], res_max)
+
+
+def immortal_gaps(h, window):
+    """The Cauchy gaps of `conjugate_heat.construct_immortal_density`'s tail
+    doubling, round by round to the end of the history (as with a tolerance
+    no gap meets), from its two-leg backward solves of uniform data."""
+    from expanderlab.conjugate_heat import solve_conjugate_backward
+    from expanderlab.geometry import volume
+
+    ta, tb = window
+    tail, prev, gaps = min(2.0 * tb, h.t_max), None, []
+    while True:
+        u_fin = np.full(h.template.phi.shape, 1.0 / volume(h.metric_at(tail)))
+        if tail > tb * (1 + 1e-12):
+            u_fin = solve_conjugate_backward(h, tail, u_fin, t_start=tb, n_retain=2)[0].u
+        cur = solve_conjugate_backward(h, tb, u_fin, t_start=ta, n_retain=17)
+        if prev is not None:
+            gaps.append(max(float(np.max(np.abs(a.u - b.u))) for a, b in zip(cur, prev)))
+        prev = cur
+        if tail >= h.t_max * (1 - 1e-12):
+            return gaps
+        tail = min(2.0 * tail, h.t_max)
 
 
 def listed_time_derivative(fields, times):
-    """Derivatives of sampled fields at `numerics.interior_indices`, each from
-    the whole list of samples by the stencil formula written out."""
-    from expanderlab.numerics import interior_indices
+    """Derivatives of sampled fields at `numerics.RunningDerivative(times).idx`,
+    each from the whole list of samples by the stencil formula written out."""
+    from expanderlab.numerics import RunningDerivative
 
     times = np.asarray(times, dtype=float)
-    idx = interior_indices(times)
+    idx = RunningDerivative(times).idx
     if idx[0] == 2:
         d = times[1] - times[0]
         out = [(-fields[i + 2] + 8 * fields[i + 1] - 8 * fields[i - 1] + fields[i - 2]) / (12 * d)
@@ -501,8 +518,7 @@ def harnack_identity_listed(states, h, birth_time=0.0):
         }
         for key, field in residuals.items():
             extra[key] = max(extra[key], float(np.max(np.abs(field))))
-    return ResidualReport([times[i] for i in idx], max([0.0, *per_time]), per_time,
-                          rhs_min, extra)
+    return ResidualReport([times[i] for i in idx], max([0.0, *per_time]), rhs_min, extra)
 
 
 def v_plus(s, h, birth_time=0.0):
@@ -665,13 +681,13 @@ def radial_integrals_separate(h, eps, t, n_steps=192):
 
 
 def model_shot_separate(h, momentum, t_end, eps=0.0, n_steps=192):
-    """The fields of a model-space geodesic_shoot, from per-point a(eta) lookups."""
+    """The action, Harnack data and identity residual of a model-space shot,
+    from per-point a(eta) lookups.  Reference for `reduced._RadialEngine.solve`
+    and `reduced.geodesic_identity_residual`."""
     from expanderlab.reduced import _analytic_head
 
     n, rho0 = h.dim, h.template.rho0
     (_, i_r, i_g, k_r, k_g), a_nodes = radial_integrals_separate(h, eps, t_end, n_steps)
-    n_steps = n_steps + n_steps % 2
-    s = np.linspace(math.sqrt(eps) if eps > 0 else 0.0, math.sqrt(t_end), n_steps + 1)
     a_eps = _scale_factor_per_point(h, max(eps, 0.0))
     a_end = _scale_factor_per_point(h, t_end)
     v0 = 2.0 * float(momentum)
@@ -684,20 +700,11 @@ def model_shot_separate(h, momentum, t_end, eps=0.0, n_steps=192):
     else:
         r_eps, boundary = 0.0, 0.0
     head = _analytic_head(r_eps, eps)
-    w = a_eps / _scale_factor_per_point(h, s**2)
-    sigma = np.concatenate([[0.0], np.cumsum(0.5 * (w[:-1] + w[1:]) * np.diff(s))]) * v0
     r_end = n * rho0 / a_nodes[-1]
     resid = abs(t_end**1.5 * (r_end + x_sq_end) - (boundary + k_val + 0.5 * l_tail))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_vel = np.where(s > 0, v0 * w / (2.0 * s), np.inf)
-        h_samples = (2.0 * n * rho0**2 / a_nodes**2 + rho0 * (v0 * w) ** 2 / (2.0 * s**2)
-                     + n * rho0 / (a_nodes * s**2))
-    if s[0] == 0:
-        h_samples[0] = math.nan
     return {
-        "eta_grid": s**2, "positions": sigma, "velocity": x_vel,
         "l_plus": l_tail + head, "l_plus_tail": l_tail, "head": head,
-        "boundary_term": float(boundary), "k_value": k_val, "h_samples": h_samples,
+        "boundary_term": float(boundary), "k_value": k_val,
         "identity_residual": float(resid),
     }
 
@@ -751,7 +758,8 @@ _DP_B4 = np.array(
 def integrate_ode_numpy_stages(rhs, y0, t0, t1, *, abs_tol, rel_tol, stop=None, max_step=None):
     """Bit-for-bit reference for numerics.integrate_ode: the same
     Dormand-Prince controller with every stage and solution formed as a
-    numpy array, y + h * sum(a * ki for a, ki in zip(row, k))."""
+    numpy array, y + h * sum(a * ki for a, ki in zip(row, k)).  Returns the
+    trajectory and the way out of the step loop it took."""
     from expanderlab.numerics import ODE_STEP_BUDGET, OdeFailure, OdeTrajectory
 
     def error_norm(err, y_old, y_new):
@@ -822,8 +830,7 @@ def integrate_ode_numpy_stages(rhs, y0, t0, t1, *, abs_tol, rel_tol, stop=None, 
             status, message = "truncated", "step size underflow"
             break
         n_steps += 1
-    traj = OdeTrajectory(np.asarray(times), np.asarray(states), np.asarray(derivs),
-                         status, message)
+    traj = OdeTrajectory(np.asarray(times), np.asarray(states), np.asarray(derivs), status)
     if status == "halted" and len(times) >= 2:
         ta, tb = times[-2], times[-1]
         for _ in range(80):
@@ -838,16 +845,16 @@ def integrate_ode_numpy_stages(rhs, y0, t0, t1, *, abs_tol, rel_tol, stop=None, 
         traj.times = np.append(traj.times[:-1], tb)
         traj.states = np.vstack([traj.states[:-1], yb])
         traj.derivs = np.vstack([traj.derivs[:-1], np.asarray(rhs(tb, yb), dtype=float)])
-    return traj
+    return traj, message
 
 
 def curvature_homogeneous_numpy(m):
-    """Reference scalar curvature and |Rc|^2 of a homogeneous metric, as
-    numpy sums over the frame: np.sum(rc / diag), np.sum((rc / diag) ** 2)."""
+    """Reference scalar curvature of a homogeneous metric, as the numpy sum
+    over the frame np.sum(rc / diag)."""
     from expanderlab.geometry import milnor_ricci_diag
 
     q = milnor_ricci_diag(m.structure_constants, m.diag) / np.asarray(m.diag, dtype=float)
-    return float(np.sum(q)), float(np.sum(q ** 2))
+    return float(np.sum(q))
 
 
 def blowdown_params_at(h, alpha, t):

@@ -45,7 +45,7 @@ def test_shared_artifacts_are_read_only(acceptance_run):
     with pytest.raises(ValueError, match="read-only"):
         art.torus_flow().params[0, 0] = 0.0
     hv, ext = art.vertex_extrapolated()
-    for arr in (h.times, h.param_rhs, fld.ell, fld.momenta, fld.smooth_mask,
+    for arr in (h.times, h.param_rhs, fld.ell, fld.k_effective, fld.smooth_mask,
                 art.flat_static().params, hv.params, ext.ell_tail):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]

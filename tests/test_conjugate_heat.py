@@ -25,6 +25,7 @@ from oracles import (
     backward_torus_per_step,
     harnack_identity_listed,
     harnack_identity_separate,
+    immortal_gaps,
     immortal_u_at_per_call,
     potential_evolution_separate,
     steady_harnack_separate,
@@ -172,7 +173,7 @@ def test_one_pass_matches_the_separate_checks_bitwise():
     for h, states, birth in _identity_state_sets():
         rep = check_harnack_identity(states, h, birth_time=birth)
         ref = harnack_identity_separate(states, h, birth_time=birth)
-        assert rep.times == ref.times and rep.per_time == ref.per_time
+        assert rep.times == ref.times
         assert rep.max_residual == ref.max_residual
         assert rep.rhs_min == ref.rhs_min
         assert rep.extra["prefactor"] == ref.extra["prefactor"]
@@ -217,8 +218,8 @@ def test_running_check_equals_the_listed_loop():
     for case, n_interior in ((five, 1), (states[1:8], 3), (states[3:6], 1), (uneven, 3)):
         rep = check_harnack_identity(case, ht, birth_time=birth)
         ref = harnack_identity_listed(case, ht, birth_time=birth)
-        assert len(rep.per_time) == n_interior
-        assert rep.times == ref.times and rep.per_time == ref.per_time
+        assert len(rep.times) == n_interior
+        assert rep.times == ref.times
         assert rep.max_residual == ref.max_residual and rep.rhs_min == ref.rhs_min
         assert rep.extra == ref.extra
 
@@ -277,9 +278,12 @@ def test_immortal_density_torus_cauchy():
     for s in dens.states:
         assert abs(integrate(h.metric_at(s.t), s.u) - 1.0) < 1e-10
         assert float(np.min(s.u)) > 0.0
-    # the gap at least halves per tail doubling (it decays much faster here)
+    # the gap at least halves per tail doubling (it decays much faster here);
+    # the sequence is the construction's, whose last gap it reports
     full = construct_immortal_density(h, (0.005, 0.02), tol=1e-300)
-    for a, b in zip(full.gaps, full.gaps[1:]):
+    gaps = immortal_gaps(h, (0.005, 0.02))
+    assert len(gaps) >= 2 and full.cauchy_gap == gaps[-1]
+    for a, b in zip(gaps, gaps[1:]):
         assert b <= 0.5 * a
 
 
@@ -321,7 +325,10 @@ def test_flat_immortal_density_keeps_its_bits_at_any_cap():
     fine = construct_immortal_density(h, (0.05, 0.2), tol=1e-8)
     coarse = construct_immortal_density(h, (0.05, 0.2), tol=1e-8, dt_cap=0.05)
     assert fine.converged and coarse.converged
-    assert fine.gaps == coarse.gaps == [0.0] and coarse.cauchy_gap == 0.0
+    # one Cauchy gap, 0.0: the second tail 4 * 0.2 met the tolerance, where a
+    # first gap at or above it would have taken the tail to the history's end
+    assert fine.cauchy_gap == coarse.cauchy_gap == 0.0
+    assert fine.construction_tail == coarse.construction_tail == 0.8 < h.t_max
     assert len(coarse.states) == len(fine.states) == 17
     for a, b in zip(fine.states, coarse.states):
         assert a.t == b.t and np.array_equal(a.u, b.u)

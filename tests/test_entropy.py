@@ -3,8 +3,9 @@ import math
 import numpy as np
 
 from expanderlab.acceptance import HYPERBOLIC3, W_MODEL, sine_torus
-from expanderlab.conjugate_heat import construct_immortal_density
+from expanderlab.conjugate_heat import construct_immortal_density, log_potential
 from expanderlab.entropy import (
+    _tail_fit_inverse,
     asymptotics_report,
     blowdown_gap,
     build_entropy_report,
@@ -23,6 +24,7 @@ from expanderlab.geometry import (
     ConformalTorusMetric,
     HomogeneousMetric,
     integrate,
+    soliton_residual_sq,
     volume,
 )
 from oracles import mu_plus_lbfgs
@@ -268,7 +270,10 @@ def test_asymptotics_hyperbolic_limits():
     assert abs(rep.w_plus_limit_fit - want) < 1e-3
     assert abs(rep.lambda_bar_limit_fit - (-6.0)) < 1e-8
     assert abs(rep.lambda_bar_limit_predicted - (-6.0)) < 1e-3
-    assert abs(rep.t_lambda_limit_fit - (-1.5)) < 1e-3
+    # t lambda over the report's tail, fitted as it fits lambda_bar
+    ts = np.geomspace(h.t_max / 10.0, h.t_max, 17)
+    t_lam = ts * np.array([lambda_min(h.metric_at(t))[0] for t in ts])
+    assert abs(_tail_fit_inverse(ts, t_lam)[0] - (-1.5)) < 1e-3
 
 
 def test_asymptotics_flat_static_collapsed():
@@ -292,6 +297,13 @@ def test_asymptotics_nil_collapsed():
     assert abs(lbars[-1]) < 0.02
 
 
+def rescaled_residual(h, dens, t):
+    """t^2 int u |Ricci + Hess f + g/(2t)|^2 dv at t, the integrand of
+    `long_time_residual_integral`."""
+    m, u = h.metric_at(t), dens.state_at(t).u
+    return t * t * integrate(m, u * soliton_residual_sq(m, log_potential(u, t, h.dim), t))
+
+
 def test_long_time_residual_integral():
     h = evolve(HYPERBOLIC3, (0.0, 1000.0))
     dens = construct_immortal_density(h, (0.5, 900.0))
@@ -304,9 +316,12 @@ def test_long_time_residual_integral():
     hf = evolve(flat_torus(16), (0.0, 200.0), retain_every=10**9, dt_cap=0.5)
     df = construct_immortal_density(hf, (0.5, 180.0), tol=1e-8, dt_cap=0.25)
     rf = long_time_residual_integral(hf, df, (1.0, 100.0))
-    assert np.max(np.abs(rf.integrand - 0.5)) < 1e-10
+    ts = np.geomspace(1.0, 100.0, 33)
+    integrand = np.array([rescaled_residual(hf, df, t) for t in ts])
+    assert rf.integral == np.trapezoid(integrand, np.log(ts))  # the report's integrand
+    assert np.max(np.abs(integrand - 0.5)) < 1e-10
     assert abs(rf.integral - 0.5 * math.log(100.0)) < 1e-6
-    assert np.all(rf.integrand >= 0.0)
+    assert np.all(integrand >= 0.0)
 
 
 def test_blowdown_invariance_of_monotone_quantities():

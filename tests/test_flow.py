@@ -136,7 +136,10 @@ def test_R_lower_bound_reports():
         evolve(HomogeneousMetric((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)), (0.0, 3.0)),
     ):
         rep = check_R_lower_bound(h, tol=1e-8)
-        assert rep.ok, f"{h.kind}: min margin {rep.margins.min()}"
+        times = [float(t) for t in h.times if t > 0]
+        margin = min(float(np.min(curvature(m).scalar)) + h.dim / (2.0 * t)
+                     for t, m in zip(times, h.metrics_at(times)))
+        assert rep.ok and margin >= -1e-8, f"{h.kind}: min margin {margin}"
 
 
 def test_blowdown_scale_algebra():

@@ -32,7 +32,7 @@ from expanderlab.numerics import (
     hermite_cubic,
     hermite_interval,
     integrate_ode,
-    interior_indices,
+    RunningDerivative,
     time_derivative,
 )
 from oracles import fft_divide
@@ -107,8 +107,8 @@ def test_curvature_sums_equal_the_numpy_sums_bit_for_bit():
     regrouped = 0
     for m in metrics:
         data = curvature_homogeneous(m)
-        got = np.array([data.scalar, data.ricci_norm_sq])
-        want = np.array(curvature_homogeneous_numpy(m))
+        got = np.array([data.scalar])
+        want = np.array([curvature_homogeneous_numpy(m)])
         assert got.tobytes() == want.tobytes()
         q = data.ricci / np.asarray(m.diag, dtype=float)
         regrouped += float(q[0] + (q[1] + q[2])) != data.scalar
@@ -220,8 +220,15 @@ def test_trace_and_cauchy_schwarz_invariants():
         if isinstance(m, HomogeneousMetric):
             trace = float(np.sum(np.asarray(data.ricci) / np.asarray(m.diag)))
             assert abs(trace - data.scalar) < 1e-12 * (1 + abs(data.scalar))
+        # |Rc|^2 from the Ricci representation
+        if isinstance(m, HomogeneousMetric):  # frame components over diag
+            ricci_norm_sq = np.sum((np.asarray(data.ricci) / np.asarray(m.diag)) ** 2)
+        elif isinstance(m, ModelSpaceMetric):  # Rc = coeff * metric
+            ricci_norm_sq = n * data.ricci**2
+        else:  # the torus: Rc = R/2 * metric
+            ricci_norm_sq = 0.5 * data.ricci**2
         r_sq = np.asarray(data.scalar) ** 2
-        bound = n * np.asarray(data.ricci_norm_sq)
+        bound = n * ricci_norm_sq
         assert np.all(r_sq <= bound + 1e-12 * (1 + np.max(bound)))
 
 
@@ -306,8 +313,8 @@ def test_shared_kernels_on_non_square_torus(mode):
         t = times[k]
         assert np.max(np.abs(d - (8 * t**3 - 3 * t**2 + 0.5) * f)) <= 1e-11
     # four samples, or five uneven ones, take centered differences
-    assert interior_indices(times[:4]) == [1, 2]
-    assert interior_indices([0.0, 0.2, 0.5, 0.55, 1.0]) == [1, 2, 3]
+    assert RunningDerivative(times[:4]).idx == [1, 2]
+    assert RunningDerivative([0.0, 0.2, 0.5, 0.55, 1.0]).idx == [1, 2, 3]
 
     # Hermite reproduces a cubic from exact slopes on uneven samples and
     # refuses times outside them, directly and through both wrappers

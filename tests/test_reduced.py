@@ -15,7 +15,7 @@ from expanderlab.reduced import (
     check_reduced_field,
     ell_plus_field,
     extrapolate_fields,
-    geodesic_shoot,
+    geodesic_identity_residual,
     hessian_check_cor21,
     theta_plus,
 )
@@ -93,36 +93,50 @@ def torus_distance_sq(y, lx=1.0, ly=1.0):
     return dx * dx + dy * dy
 
 
+def flat_shot_nodes(h, p, t, n_steps):
+    """(s, positions, X, action tail) of the flat-torus geodesic with momentum p
+    at the nodes of its s-grid, from one `_torus_integrate` batch with one row
+    per node time (the last at t itself): the RK4 step is exact on the flat
+    torus, so each row's end is the shot path's node to round-off, and
+    X = v / (2 s) there."""
+    s = _s_grid(t, n_steps)[1]
+    times = s[1:] ** 2
+    times[-1] = t
+    res = _torus_integrate(h, times, np.tile(p, (len(times), 1)), n_steps)
+    positions = np.concatenate([np.zeros((1, 2)), res["end"]])
+    return s, positions, res["v_end"] / (2.0 * s[1:, None]), float(res["l_tail"][-1])
+
+
 def test_path_action_lower_bound_from_zero():
     # flows from t = 0 obey action >= -n sqrt(t) along any path
     h = vertex_expander_history()
     t = 1.0
-    sol = geodesic_shoot(h, 0.2, t, eps=1e-6)
-    assert sol.l_plus >= -3.0 * math.sqrt(t) - 1e-9
+    l_tail, *_, head = _RadialEngine(h, 1e-6, t).solve(2.0 * 0.2)
+    assert l_tail + head >= -3.0 * math.sqrt(t) - 1e-9
 
 
 def test_geodesic_shoot_flat_closed_form():
     h = flat_history()
     t = 1.0
     p = np.array([0.17, -0.08])
-    sol = geodesic_shoot(h, p, t, n_steps=64)
+    s, positions, x_vel, l_plus = flat_shot_nodes(h, p, t, 64)
     # x(eta) = 2 p sqrt(eta), X = p / sqrt(eta)
-    s = np.sqrt(sol.path.eta_grid)
     want = 2.0 * p[None, :] * s[:, None]
-    assert np.max(np.abs(sol.path.positions - want)) < 1e-12
-    assert np.max(np.abs(sol.velocity[1:] - p[None, :] / s[1:, None])) < 1e-9
-    assert abs(sol.l_plus - 2.0 * float(p @ p) * math.sqrt(t)) < 1e-12
-    assert sol.identity_residual < 1e-12
+    assert np.max(np.abs(positions - want)) < 1e-12
+    assert np.max(np.abs(x_vel - p[None, :] / s[1:, None])) < 1e-9
+    assert abs(l_plus - 2.0 * float(p @ p) * math.sqrt(t)) < 1e-12
+    assert geodesic_identity_residual(h, p, t, n_steps=64) < 1e-12
 
 
 def test_geodesic_shoot_vertex_speed_profile():
     # on the zero-size start the radial speed scales like eta^(-3/2)
     h = vertex_expander_history()
     eps, t = 1e-4, 1.0
-    sol = geodesic_shoot(h, 0.3, t, eps=eps)
-    s = np.sqrt(sol.path.eta_grid)
-    x_vel = sol.velocity
-    ratio = x_vel[1:] * (sol.path.eta_grid[1:] ** 1.5)
+    eng = _RadialEngine(h, eps, t)
+    s = eng.s_nodes
+    # X = v / (2 s) with the reduced speed v = v0 a(eps) / a(s^2), v0 = 2 p
+    x_vel = 2.0 * 0.3 * (eng.a_eps / eng.a_nodes) / (2.0 * s)
+    ratio = x_vel[1:] * (s[1:] ** 2) ** 1.5
     spread = (np.max(ratio) - np.min(ratio)) / np.max(np.abs(ratio))
     assert spread < 1e-4  # limited by the tiny seed scale of the vertex flow
 
@@ -134,10 +148,9 @@ def test_geodesic_gradient_consistency():
     h = torus_flow_history(128, 0.024)
     t = 0.02
     y = np.array([0.21, 0.08])
-    fld = ell_plus_field(h, [y], [t], oracle_check=False)
-    p = fld.momenta[0, 0]
-    sol = geodesic_shoot(h, p, t, n_steps=96)
-    x_end = sol.velocity[-1]
+    # the momentum ell_plus_field shoots y with, and X = v / (2 sqrt t) at its end
+    p = _torus_shoot_targets(h, y[None, :], np.array([t]), 96)["momenta"][0]
+    x_end = _torus_integrate(h, np.array([t]), p[None, :], 96)["v_end"][0] / (2.0 * math.sqrt(t))
     m = h.metric_at(t)
     nx, _ = m.phi.shape
     # step large enough to average the C0 kinks of bilinear field sampling
@@ -183,7 +196,9 @@ def test_ell_field_oracle_agreement_flat():
         1.0, np.abs(fld.oracle_values[0])
     )
     assert np.max(rel) <= 1e-3
-    assert not np.any(fld.oracle_flags)
+    flags = fld.oracle_flags
+    assert isinstance(flags, np.ndarray) and flags.dtype == bool and flags.shape == (1, len(pts))
+    assert not np.any(flags)
     # the oracle explores a restricted class: never below shooting - tol
     assert np.all(fld.oracle_values[0] >= fld.ell[0] - 1e-9)
 
@@ -329,7 +344,14 @@ def test_subgrid_metric_operators_equal_the_hand_rolled_stencils(flat_subgrid, a
         assert np.array_equal(theta_plus(fld, h).theta, theta_plus_hand_rolled(fld, h))
 
 
-def test_integer_targets_are_the_subgrid():
+def test_integer_targets_are_the_subgrid(monkeypatch):
+    shots = []  # the shooting results of each field
+
+    def spy(*args):
+        shots.append(_torus_shoot_targets(*args))
+        return shots[-1]
+
+    monkeypatch.setattr("expanderlab.reduced._torus_shoot_targets", spy)
     h = evolve(ConformalTorusMetric(np.zeros((16, 32)), periods=(1.0, 2.0)), (0.0, 1.0),
                retain_every=10**9, dt_cap=0.05)
     n, times = 8, [0.5, 0.6]
@@ -338,8 +360,9 @@ def test_integer_targets_are_the_subgrid():
     assert np.array_equal(fld.targets, pts) and fld.grid == n
     explicit = ell_plus_field(h, pts, times, oracle_check=False)
     assert explicit.grid is None and explicit.smooth_mask is None
-    for name in ("ell", "k_effective", "momenta"):
+    for name in ("ell", "k_effective"):
         assert np.array_equal(getattr(fld, name), getattr(explicit, name))
+    assert len(shots) == 2 and np.array_equal(shots[0]["momenta"], shots[1]["momenta"])
     # a model space takes radii, not a grid
     with pytest.raises(ValueError, match="integer grid on a torus"):
         ell_plus_field(vertex_expander_history(), 8, times)
@@ -385,17 +408,14 @@ def test_identity_checks_torus_flow(acceptance_run):
 
 def test_harnack_integral_identity_along_geodesics(torus32):
     h = vertex_expander_history()
-    sol = geodesic_shoot(h, 0.25, 1.0, eps=1e-4)
-    assert math.isfinite(sol.k_value)
-    assert sol.identity_residual < 1e-6
+    assert math.isfinite(_RadialEngine(h, 1e-4, 1.0).solve(2.0 * 0.25)[1])
+    assert geodesic_identity_residual(h, 0.25, 1.0, eps=1e-4) < 1e-6
     hf = flat_history()
-    sol_f = geodesic_shoot(hf, np.array([0.2, 0.1]), 1.0)
-    assert sol_f.identity_residual < 1e-10
+    assert geodesic_identity_residual(hf, np.array([0.2, 0.1]), 1.0) < 1e-10
     # on the evolving torus the residual bottoms out at the O(h^2)
     # consistency floor of the sampled curvature fields
     ht = torus32
-    sol_t = geodesic_shoot(ht, np.array([0.6, 0.2]), 0.06, n_steps=128)
-    assert sol_t.identity_residual < 1e-3
+    assert geodesic_identity_residual(ht, np.array([0.6, 0.2]), 0.06, n_steps=128) < 1e-3
 
 
 def radial_cases():
@@ -414,16 +434,13 @@ def test_radial_engine_matches_per_point_lookups_bitwise():
         ref, a_nodes = radial_integrals_separate(h, eps, t)
         assert eng.integrals == ref
         assert np.array_equal(eng.a_nodes, a_nodes)
-        sol = geodesic_shoot(h, 0.25, t, eps=eps)
+        l_tail, k_val, boundary, _, head = eng.solve(2.0 * 0.25)
+        got = {"l_plus": l_tail + head, "l_plus_tail": l_tail, "head": head,
+               "boundary_term": float(boundary), "k_value": k_val,
+               "identity_residual": geodesic_identity_residual(h, 0.25, t, eps=eps)}
         want = model_shot_separate(h, 0.25, t, eps=eps)
-        assert np.array_equal(sol.path.eta_grid, want["eta_grid"])
-        assert np.array_equal(sol.path.positions, want["positions"])
-        assert sol.path.start_regularization == eps and sol.momentum == 0.25
-        assert np.array_equal(sol.velocity, want["velocity"])
-        assert np.array_equal(sol.h_samples, want["h_samples"], equal_nan=True)
-        for key in ("l_plus", "l_plus_tail", "head", "boundary_term", "k_value",
-                    "identity_residual"):
-            assert getattr(sol, key) == want[key], key
+        for key, val in got.items():
+            assert val == want[key], key
 
 
 def test_radial_engine_looks_a_up_once_per_grid(monkeypatch):
@@ -447,23 +464,23 @@ def test_radial_engine_looks_a_up_once_per_grid(monkeypatch):
     _RadialEngine(hv, 1e-4, 1.0, n_steps)
     assert calls[id(hv)] == 2 + (n_steps + 1) + 801
     calls.clear()
-    geodesic_shoot(hv, 0.25, 1.0, eps=1e-4, n_steps=n_steps)
+    geodesic_identity_residual(hv, 0.25, 1.0, eps=1e-4, n_steps=n_steps)
     assert calls[id(hv)] == 2 + (n_steps + 1) + 801
     calls.clear()
-    geodesic_shoot(hr, 0.25, 1.0, n_steps=n_steps)
+    geodesic_identity_residual(hr, 0.25, 1.0, n_steps=n_steps)
     assert calls[id(hr)] == 2 + (n_steps + 1)
 
 
 def test_model_shot_from_a_smooth_start_is_warning_free():
-    # at eps = 0 the first node is the base, where the Harnack integrand
-    # is undefined; it is stored as nan, as on the torus
+    # at eps = 0 the first node is the base: the shot divides by no s there
+    # and carries no start boundary term and no head
     h = evolve(HYPERBOLIC3, (0.0, 3.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = geodesic_shoot(h, 0.4, 1.0)
-    assert math.isnan(sol.h_samples[0]) and np.all(np.isfinite(sol.h_samples[1:]))
-    assert sol.boundary_term == 0.0 and sol.head == 0.0
-    assert sol.identity_residual < 1e-6
+        *_, boundary, _, head = _RadialEngine(h, 0.0, 1.0).solve(2.0 * 0.4)
+        resid = geodesic_identity_residual(h, 0.4, 1.0)
+    assert boundary == 0.0 and head == 0.0
+    assert resid < 1e-6
 
 
 def test_first_variation_vanishes_at_geodesic():
@@ -473,20 +490,19 @@ def test_first_variation_vanishes_at_geodesic():
     # in sqrt time, which on the flat torus is exact)
     h = flat_history()
     t = 1.0
-    sol = geodesic_shoot(h, np.array([0.15, 0.1]), t, n_steps=64)
-    s = np.sqrt(sol.path.eta_grid)
+    s, positions, _, l_plus = flat_shot_nodes(h, np.array([0.15, 0.1]), t, 64)
     ds = np.diff(s)
 
     def action(pos):
         seg = np.diff(pos, axis=0)
         return float(np.sum(np.sum(seg * seg, axis=1) / (2.0 * ds)))
 
-    base = action(sol.path.positions)
-    assert abs(base - sol.l_plus) < 1e-12
+    base = action(positions)
+    assert abs(base - l_plus) < 1e-12
     bump = np.sin(math.pi * s / math.sqrt(t))[:, None] * np.array([0.3, -0.2])
     vals = {}
     for amp in (1e-3, -1e-3, 2e-3, -2e-3):
-        vals[amp] = action(sol.path.positions + amp * bump) - base
+        vals[amp] = action(positions + amp * bump) - base
     assert vals[1e-3] > 0 and vals[-1e-3] > 0  # never decreases
     first_order = abs(vals[1e-3] - vals[-1e-3]) / 2e-3
     quad_coeff = (vals[1e-3] + vals[-1e-3]) / (2 * 1e-6)
@@ -572,10 +588,9 @@ def test_hessian_bound_flat_equality():
     fld = ell_plus_field(h, nt, [1.0], oracle_check=False)
     rep = hessian_check_cor21(h, 1.0, fld)
     assert rep.status == "ok"
-    assert rep.min_margin > -1e-8
-    assert abs(rep.margins["xx_min"]) < 1e-8  # equality case
-    want = hessian_margins_hand_rolled(h, 1.0, fld)
-    assert (rep.margins["xx_min"], rep.margins["yy_min"]) == want
+    assert abs(rep.min_margin) < 1e-8  # equality case
+    xx_min, yy_min = hessian_margins_hand_rolled(h, 1.0, fld)
+    assert abs(xx_min) < 1e-8 and rep.min_margin == min(xx_min, yy_min)
 
 
 def test_hessian_bound_needs_a_field_time():
@@ -849,9 +864,9 @@ def test_shoot_records_integrals_of_the_settling_sweep(torus16, monkeypatch):
     pts = np.random.default_rng(7).uniform(0.0, 1.0, (24, 2))
     sizes = []
 
-    def spy(h, times, momenta, n_steps, **kw):
+    def spy(h, times, momenta, n_steps):
         sizes.append(len(momenta))
-        return _torus_integrate(h, times, momenta, n_steps, **kw)
+        return _torus_integrate(h, times, momenta, n_steps)
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", spy)
     shot = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
@@ -930,8 +945,8 @@ def test_shoot_retries_non_finite_endpoint(torus16, monkeypatch):
     clean = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     batches = []
 
-    def flaky(h, times, momenta, n_steps, **kw):
-        res = _torus_integrate(h, times, momenta, n_steps, **kw)
+    def flaky(h, times, momenta, n_steps):
+        res = _torus_integrate(h, times, momenta, n_steps)
         if not batches:
             res["end"][0] = np.nan
         batches.append(momenta.copy())
@@ -956,8 +971,8 @@ def test_shoot_drops_a_repeating_non_finite_endpoint(torus16, monkeypatch):
     bad = np.array([pts[0], pts[1] + shift]) / two_rt
     counts = np.zeros(2, dtype=int)
 
-    def poisoned(h, times, momenta, n_steps, **kw):
-        res = _torus_integrate(h, times, momenta, n_steps, **kw)
+    def poisoned(h, times, momenta, n_steps):
+        res = _torus_integrate(h, times, momenta, n_steps)
         for k, p in enumerate(bad):
             hit = np.all(momenta == p, axis=1)
             res["end"][hit] = np.nan
@@ -981,8 +996,8 @@ def test_shoot_restarts_a_row_non_finite_twice_off_the_flat_guess(torus16, monke
     clean = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     batches = []
 
-    def flaky(h, times, momenta, n_steps, **kw):
-        res = _torus_integrate(h, times, momenta, n_steps, **kw)
+    def flaky(h, times, momenta, n_steps):
+        res = _torus_integrate(h, times, momenta, n_steps)
         if len(batches) in (1, 2):
             res["end"][0] = np.nan  # row 0 is the only image of target 0
         batches.append(momenta.copy())
@@ -1006,9 +1021,9 @@ def test_secant_shot_takes_few_sweeps(torus16, monkeypatch):
     pts = np.random.default_rng(7).uniform(0.0, 1.0, (12, 2))
     calls = []
 
-    def spy(h, times, momenta, n_steps, **kw):
+    def spy(h, times, momenta, n_steps):
         calls.append(len(momenta))
-        return _torus_integrate(h, times, momenta, n_steps, **kw)
+        return _torus_integrate(h, times, momenta, n_steps)
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", spy)
     shot = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
@@ -1084,9 +1099,9 @@ def test_a_field_shoots_all_its_times_in_one_batch_of_capped_blocks(torus16, mon
         shoots.append(len(targets))
         return _torus_shoot_targets(h, targets, times, n_steps)
 
-    def integrate_spy(h, times, momenta, n_steps, **kw):
+    def integrate_spy(h, times, momenta, n_steps):
         calls.append(len(momenta))
-        return _torus_integrate(h, times, momenta, n_steps, **kw)
+        return _torus_integrate(h, times, momenta, n_steps)
 
     class Recording(_TorusSlices):
         def __init__(self, *args, **kw):
