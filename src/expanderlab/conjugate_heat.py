@@ -79,7 +79,6 @@ class DensityState:
 class ResidualReport:
     """Max-norm residual of a pointwise identity across interior states."""
 
-    times: list
     max_residual: float
     rhs_min: float = math.inf
     extra: dict | None = None
@@ -338,4 +337,4 @@ def check_harnack_identity(states, h: FlowHistory, birth_time: float = 0.0) -> R
         }
         for key, field in residuals.items():
             extra[key] = max(extra[key], float(np.max(np.abs(field()))))
-    return ResidualReport([times[i] for i in idx], res_max, rhs_min, extra)
+    return ResidualReport(res_max, rhs_min, extra)

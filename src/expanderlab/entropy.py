@@ -359,11 +359,9 @@ class AsymptoticsReport:
     w_plus_log_growth_rate: float
 
 
-def _tail_fit_inverse(ts, vals):
+def _tail_fit_inverse(ts, vals) -> float:
     """Least-squares fit of a + b/t over the sampled tail; returns a."""
-    x = 1.0 / np.asarray(ts)
-    coeff = np.polyfit(x, np.asarray(vals), 1)
-    return float(coeff[1]), float(coeff[0])
+    return float(np.polyfit(1.0 / np.asarray(ts), np.asarray(vals), 1)[1])
 
 
 def asymptotics_report(h: FlowHistory, dens: ImmortalDensity) -> AsymptoticsReport:
@@ -387,15 +385,12 @@ def asymptotics_report(h: FlowHistory, dens: ImmortalDensity) -> AsymptoticsRepo
     w_vals = np.array(
         [expander_entropy(h.metric_at(t), dens.state_at(t).u, t) for t in ts]
     )
-    lam_vals = np.array([lambda_min(h.metric_at(t))[0] for t in ts])
-    lbar_vals = np.array(
-        [volume(h.metric_at(t)) ** (2.0 / n) * lam_vals[i] for i, t in enumerate(ts)]
-    )
-    v_inf, _ = _tail_fit_inverse(ts, v_tilde)
+    lbar_vals = np.array([lambda_bar(h.metric_at(t)) for t in ts])
+    v_inf = _tail_fit_inverse(ts, v_tilde)
     collapsed = v_inf <= max(1e-10, 1e-3 * v_tilde[-1])
     v_inf = max(v_inf, 0.0)
-    w_fit, _ = _tail_fit_inverse(ts, w_vals)
-    lbar_fit, _ = _tail_fit_inverse(ts, lbar_vals)
+    w_fit = _tail_fit_inverse(ts, w_vals)
+    lbar_fit = _tail_fit_inverse(ts, lbar_vals)
     growth = float(np.polyfit(np.log(ts), w_vals, 1)[0])
     if collapsed:
         w_pred = math.inf

@@ -90,12 +90,10 @@ class OdeTrajectory:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def __call__(self, t):
-        if np.ndim(t) == 0:
-            i, s, h = hermite_interval(self.times, float(t), 1e-12)
-            return hermite_cubic(s, h, self.states[i], self.derivs[i],
-                                 self.states[i + 1], self.derivs[i + 1])
-        return hermite_rows(self.times, self.states, self.derivs, t, 1e-12)
+    def __call__(self, t: float) -> np.ndarray:
+        i, s, h = hermite_interval(self.times, float(t), 1e-12)
+        return hermite_cubic(s, h, self.states[i], self.derivs[i],
+                             self.states[i + 1], self.derivs[i + 1])
 
 
 def hermite_interval(times: np.ndarray, t: float, slack: float):

@@ -212,7 +212,7 @@ class _RadialEngine:
         self.eps, self.t = float(eps), float(t)
         n_steps += n_steps % 2  # Simpson needs an even count
         s_lo, s_hi = (math.sqrt(eps) if eps > 0 else 0.0), math.sqrt(t)
-        self.s_nodes = s = np.linspace(s_lo, s_hi, n_steps + 1)
+        s = np.linspace(s_lo, s_hi, n_steps + 1)
         ds = (s_hi - s_lo) / n_steps
         self.a_eps, self.a_end = map(float, h.params_at_times([max(eps, 0.0), self.t])[:, 0])
         self.a_nodes = a_nodes = h.params_at_times(s**2)[:, 0]
@@ -495,8 +495,7 @@ def _torus_integrate(h: FlowHistory, times: np.ndarray, momenta: np.ndarray, n_s
     r_end, e2p_end = node[0, :2]
     x_speed_sq = e2p_end * np.sum(v * v, axis=1) / (4.0 * ts[row_t])
     return {
-        "end": x, "v_end": v,
-        "l_tail": act * ds[:, 0] / 3.0, "k": kin * ds[:, 0] / 3.0,
+        "end": x, "l_tail": act * ds[:, 0] / 3.0, "k": kin * ds[:, 0] / 3.0,
         "r_end": r_end, "x_speed_sq": x_speed_sq,
     }
 
@@ -538,8 +537,7 @@ def _torus_shoot_targets(h: FlowHistory, targets: np.ndarray, times: np.ndarray,
     factor = np.array([distortion(t) for t in ts])[target_t]
     cutoff = factor * dists.min(axis=1) + 0.12 * min(h.template.periods)
     keep = dists <= cutoff[:, None]
-    rows, shift_idx = np.nonzero(keep)
-    images = all_images[rows, shift_idx]                     # (q, 2)
+    rows, images = np.nonzero(keep)[0], all_images[keep]     # (q,), (q, 2)
     row_t = times[rows]
     q = len(images)
     two_rt = 2.0 * np.sqrt(row_t)[:, None]
@@ -550,7 +548,6 @@ def _torus_shoot_targets(h: FlowHistory, targets: np.ndarray, times: np.ndarray,
     f_old = np.full((q, 2), np.nan)  # the row's last residual, paired with its last step
     step = np.zeros((q, 2))
     l_tail, k_val, miss = np.empty((3, q))
-    mom = np.empty((q, 2))  # the momentum of the row's last sweep
 
     with np.errstate(over="ignore", invalid="ignore"):
         # one secant iteration with live masking: every sweep records the
@@ -563,7 +560,6 @@ def _torus_shoot_targets(h: FlowHistory, targets: np.ndarray, times: np.ndarray,
                 break
             res = _torus_integrate(h, row_t[live], p[live], n_steps)
             f = res["end"] - images[live]
-            mom[live] = p[live]
             miss[live] = np.max(np.abs(f), axis=1)
             l_tail[live], k_val[live] = res["l_tail"], res["k"]
             finite = np.all(np.isfinite(f), axis=1)
@@ -597,14 +593,7 @@ def _torus_shoot_targets(h: FlowHistory, targets: np.ndarray, times: np.ndarray,
     for idx in range(q):
         if l_pick[idx] <= best[rows[idx]]:
             win[rows[idx]] = idx
-    return {
-        "l_tail": l_tail[win],
-        "k": k_val[win],
-        "momenta": mom[win],
-        "translate": shift_idx[win],
-        "images": images[win],
-        "miss": miss[win],
-    }
+    return {"l_tail": l_tail[win], "k": k_val[win], "images": images[win], "miss": miss[win]}
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +633,7 @@ class _PathAction:
 
     def __init__(self, h: FlowHistory, t: float, n_segments: int):
         m, s_nodes, s_all = _s_grid(t, n_segments)
-        self.n_segments, self.s_nodes = m, s_nodes
+        self.n_segments = m
         self.slices = _TorusSlices(h, s_all, paired=True)
         eta = s_nodes**2
         self.d_eta = np.diff(eta)

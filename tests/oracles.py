@@ -215,7 +215,9 @@ def torus_slice_grids(h, eta, hx, hy):
 
 def torus_integrate_per_time(h, t, momenta, n_steps):
     """RK4 of the reduced torus system for a batch of momenta at one time t,
-    over one store of every slice of that time, with scalar s and ds.
+    over one store of every slice of that time, with scalar s and ds: the
+    endpoints, the endpoint velocities v, the action tails and the Harnack
+    integrals.
 
     Reference for `reduced._torus_integrate`, which marches the rows of
     several times in lockstep over slices built per block of steps, with
@@ -256,7 +258,7 @@ def torus_integrate_per_time(h, t, momenta, n_steps):
         node = slices.sample(i2, slice(3), x, grad=True)
         act[k + 1], kin[k + 1] = node_integrands(s + ds, v, node)
     w = _simpson_weights(n_steps)[:, None]  # Simpson summed in node order
-    return x, _node_order_sum(act * w) * ds / 3.0, _node_order_sum(kin * w) * ds / 3.0
+    return x, v, _node_order_sum(act * w) * ds / 3.0, _node_order_sum(kin * w) * ds / 3.0
 
 
 def torus_shoot_per_time(h, targets, t, n_steps):
@@ -290,7 +292,7 @@ def torus_shoot_per_time(h, targets, t, n_steps):
         for _ in range(50):
             if len(live) == 0:
                 break
-            end, l_tail[live], k_val[live] = torus_integrate_per_time(h, t, p[live], n_steps)
+            end, _, l_tail[live], k_val[live] = torus_integrate_per_time(h, t, p[live], n_steps)
             f = end - images[live]
             mom[live] = p[live]
             miss[live] = np.max(np.abs(f), axis=1)
@@ -327,7 +329,8 @@ def torus_shoot_per_time(h, targets, t, n_steps):
 
 
 def harnack_identity_separate(states, h, birth_time=0.0):
-    """The entropy-density identity and its pre-factor identity, checked alone.
+    """The entropy-density identity and its pre-factor identity, checked alone:
+    the interior times and their ResidualReport.
 
     Reference for `conjugate_heat.check_harnack_identity`, which checks
     them in one pass together with the steady and potential identities
@@ -375,7 +378,7 @@ def harnack_identity_separate(states, h, birth_time=0.0):
         )
         q_lhs = dq[j] + laplacian(m, q_fields[i])
         q_res_max = max(q_res_max, float(np.max(np.abs(q_lhs - q_rhs))))
-    return ResidualReport([times[i] for i in idx], res_max, rhs_min, {"prefactor": q_res_max})
+    return [times[i] for i in idx], ResidualReport(res_max, rhs_min, {"prefactor": q_res_max})
 
 
 def steady_harnack_separate(states, h):
@@ -402,7 +405,7 @@ def steady_harnack_separate(states, h):
         res = float(np.max(np.abs(lhs - rhs_fields[i])))
         res_max = max(res_max, res)
         rhs_min = min(rhs_min, float(np.min(rhs_fields[i])))
-    return ResidualReport([times[i] for i in idx], res_max, rhs_min)
+    return ResidualReport(res_max, rhs_min)
 
 
 def potential_evolution_separate(states, h, birth_time=0.0):
@@ -429,7 +432,7 @@ def potential_evolution_separate(states, h, birth_time=0.0):
         r = curvature(m).scalar
         res_field = df[j] + laplacian(m, f) - grad_norm_sq(m, f) + r + n / (2.0 * sigma)
         res_max = max(res_max, float(np.max(np.abs(res_field))))
-    return ResidualReport([times[i] for i in idx], res_max)
+    return ResidualReport(res_max)
 
 
 def immortal_gaps(h, window):
@@ -472,7 +475,8 @@ def listed_time_derivative(fields, times):
 
 def harnack_identity_listed(states, h, birth_time=0.0):
     """The one-pass Harnack check with v, q, v_s and f listed at every state
-    and their time derivatives taken from the lists.
+    and their time derivatives taken from the lists: the interior times and
+    their ResidualReport.
 
     Reference for `conjugate_heat.check_harnack_identity`, which sums the
     derivatives as it walks the states from last to first and keeps the
@@ -518,7 +522,7 @@ def harnack_identity_listed(states, h, birth_time=0.0):
         }
         for key, field in residuals.items():
             extra[key] = max(extra[key], float(np.max(np.abs(field))))
-    return ResidualReport([times[i] for i in idx], max([0.0, *per_time]), rhs_min, extra)
+    return [times[i] for i in idx], ResidualReport(max([0.0, *per_time]), rhs_min, extra)
 
 
 def v_plus(s, h, birth_time=0.0):

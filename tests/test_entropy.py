@@ -273,7 +273,7 @@ def test_asymptotics_hyperbolic_limits():
     # t lambda over the report's tail, fitted as it fits lambda_bar
     ts = np.geomspace(h.t_max / 10.0, h.t_max, 17)
     t_lam = ts * np.array([lambda_min(h.metric_at(t))[0] for t in ts])
-    assert abs(_tail_fit_inverse(ts, t_lam)[0] - (-1.5)) < 1e-3
+    assert abs(_tail_fit_inverse(ts, t_lam) - (-1.5)) < 1e-3
 
 
 def test_asymptotics_flat_static_collapsed():

@@ -31,7 +31,6 @@ from expanderlab.numerics import (
     OdeTrajectory,
     hermite_cubic,
     hermite_interval,
-    integrate_ode,
     RunningDerivative,
     time_derivative,
 )
@@ -336,7 +335,7 @@ def test_shared_kernels_on_non_square_torus(mode):
     with pytest.raises(ValueError, match="outside"):
         hist.params_at(1.01)
     with pytest.raises(ValueError, match="outside"):
-        traj(np.array([0.5, 1.01]))
+        traj(1.01)
 
 
 def test_stencils_equal_roll_formulas_on_non_square_grid():
@@ -408,15 +407,6 @@ def test_batched_history_lookup_equals_params_at():
                     h.params_at_times(batch)
             with pytest.raises(ValueError, match=f"time {bad} outside"):
                 h.params_at(bad)
-    # an ODE trajectory on arrays equals its own scalar calls
-    traj = integrate_ode(lambda t, y: np.array([-y[0] * y[1], y[0]]), [1.0, 0.5], 0.0, 2.0,
-                         abs_tol=1e-9, rel_tol=1e-9)
-    ts = np.concatenate([traj.times, rng.uniform(0.0, 2.0, 200)])
-    want = np.array([traj(t) for t in ts])
-    assert np.array_equal(bits(traj(ts)), bits(want))
-    assert traj(np.array([])).shape == (0, 2)
-    with pytest.raises(ValueError, match="outside"):
-        traj(np.array([1.0, math.nan]))
 
 
 def test_stencils_on_stacks_equal_per_grid_calls():

@@ -119,7 +119,7 @@ def test_linear_rhs_exact():
     # model space, solution 1 + 4t to round-off
     traj = integrate_ode(lambda t, y: np.array([4.0]), [1.0], 0.0, 10.0, **TIGHT)
     ts = np.linspace(0.0, 10.0, 37)
-    vals = traj(ts)[:, 0]
+    vals = np.array([traj(t)[0] for t in ts])
     assert np.max(np.abs(vals - (1.0 + 4.0 * ts))) < 1e-12
 
 
@@ -131,7 +131,7 @@ def test_nil_frame_flow_matches_closed_form():
     y0 = np.array([1.0, 1.0, 1.0])
     traj = integrate_ode(rhs, y0, 0.0, 10.0, abs_tol=1e-11, rel_tol=1e-11)
     ts = np.linspace(0.0, 10.0, 101)
-    got = traj(ts)
+    got = np.stack([traj(t) for t in ts])
     want = np.stack([nil_closed_form(t, 1.0, 1.0, 1.0) for t in ts])
     assert np.max(np.abs(got - want)) < 1e-7
 

@@ -42,6 +42,7 @@ from oracles import (
     subgrid_ops_hand_rolled,
     theta_plus_hand_rolled,
     theta_supersolution_separate,
+    torus_integrate_per_time,
     torus_shoot_per_time,
     torus_slice_grids,
 )
@@ -93,18 +94,58 @@ def torus_distance_sq(y, lx=1.0, ly=1.0):
     return dx * dx + dy * dy
 
 
-def flat_shot_nodes(h, p, t, n_steps):
-    """(s, positions, X, action tail) of the flat-torus geodesic with momentum p
-    at the nodes of its s-grid, from one `_torus_integrate` batch with one row
-    per node time (the last at t itself): the RK4 step is exact on the flat
-    torus, so each row's end is the shot path's node to round-off, and
-    X = v / (2 s) there."""
+def flat_node_times(t, n_steps):
+    """The nodes s of the s-grid to t and the times s**2 past the origin, the
+    last at t itself."""
     s = _s_grid(t, n_steps)[1]
     times = s[1:] ** 2
     times[-1] = t
+    return s, times
+
+
+def flat_shot_nodes(h, p, t, n_steps):
+    """(s, positions, action tail) of the flat-torus geodesic with momentum p
+    at the nodes of its s-grid, from one `_torus_integrate` batch with one row
+    per node time: the RK4 step is exact on the flat torus, so each row's end
+    is the shot path's node to round-off."""
+    s, times = flat_node_times(t, n_steps)
     res = _torus_integrate(h, times, np.tile(p, (len(times), 1)), n_steps)
     positions = np.concatenate([np.zeros((1, 2)), res["end"]])
-    return s, positions, res["v_end"] / (2.0 * s[1:, None]), float(res["l_tail"][-1])
+    return s, positions, float(res["l_tail"][-1])
+
+
+def shoot_with_momenta(h, targets, times, n_steps):
+    """`_torus_shoot_targets` and the momentum of the row each target kept:
+    the `momenta` argument of the `_torus_integrate` row whose end, l_tail
+    and k gave the kept image, miss, l_tail and k, read from a spy that
+    wraps whatever `_torus_integrate` is in place."""
+    import expanderlab.reduced as reduced
+
+    inner, sweeps = reduced._torus_integrate, []
+
+    def spy(h, times, momenta, n_steps):
+        res = inner(h, times, momenta, n_steps)
+        sweeps.append((momenta.copy(), res["end"], res["l_tail"], res["k"]))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduced, "_torus_integrate", spy)
+        shot = _torus_shoot_targets(h, targets, times, n_steps)
+    p, end, l_tail, k = (np.concatenate(col) for col in zip(*sweeps))
+    momenta = np.empty((len(targets), 2))
+    for i, image in enumerate(shot["images"]):
+        hit = ((np.max(np.abs(end - image), axis=1) == shot["miss"][i])
+               & (l_tail == shot["l_tail"][i]) & (k == shot["k"][i]))
+        assert len(np.unique(p[hit], axis=0)) == 1, i  # one momentum gave the kept row
+        momenta[i] = p[hit][0]
+    return shot, momenta
+
+
+def translate_index(images, targets, periods):
+    """The index of each image's translate (images - target, in whole periods)
+    among `_lattice_images`' nine, i major."""
+    i, j = np.rint((images - targets) / np.asarray(periods)).astype(int).T
+    return 3 * (i + 1) + (j + 1)
 
 
 def test_path_action_lower_bound_from_zero():
@@ -119,7 +160,11 @@ def test_geodesic_shoot_flat_closed_form():
     h = flat_history()
     t = 1.0
     p = np.array([0.17, -0.08])
-    s, positions, x_vel, l_plus = flat_shot_nodes(h, p, t, 64)
+    s, positions, l_plus = flat_shot_nodes(h, p, t, 64)
+    # X = v / (2 s) at each node, from the per-time reference shot to the
+    # node's time, which returns the endpoint velocity v
+    x_vel = np.array([torus_integrate_per_time(h, eta, p[None, :], 64)[1][0]
+                      for eta in flat_node_times(t, 64)[1]]) / (2.0 * s[1:, None])
     # x(eta) = 2 p sqrt(eta), X = p / sqrt(eta)
     want = 2.0 * p[None, :] * s[:, None]
     assert np.max(np.abs(positions - want)) < 1e-12
@@ -133,7 +178,7 @@ def test_geodesic_shoot_vertex_speed_profile():
     h = vertex_expander_history()
     eps, t = 1e-4, 1.0
     eng = _RadialEngine(h, eps, t)
-    s = eng.s_nodes
+    s = np.linspace(math.sqrt(eps), math.sqrt(t), 193)  # the engine's 192 steps from sqrt(eps)
     # X = v / (2 s) with the reduced speed v = v0 a(eps) / a(s^2), v0 = 2 p
     x_vel = 2.0 * 0.3 * (eng.a_eps / eng.a_nodes) / (2.0 * s)
     ratio = x_vel[1:] * (s[1:] ** 2) ** 1.5
@@ -148,9 +193,10 @@ def test_geodesic_gradient_consistency():
     h = torus_flow_history(128, 0.024)
     t = 0.02
     y = np.array([0.21, 0.08])
-    # the momentum ell_plus_field shoots y with, and X = v / (2 sqrt t) at its end
-    p = _torus_shoot_targets(h, y[None, :], np.array([t]), 96)["momenta"][0]
-    x_end = _torus_integrate(h, np.array([t]), p[None, :], 96)["v_end"][0] / (2.0 * math.sqrt(t))
+    # the momentum ell_plus_field shoots y with, and X = v / (2 sqrt t) at its
+    # end, from the per-time reference, which returns v
+    p = shoot_with_momenta(h, y[None, :], np.array([t]), 96)[1]
+    x_end = torus_integrate_per_time(h, t, p, 96)[1][0] / (2.0 * math.sqrt(t))
     m = h.metric_at(t)
     nx, _ = m.phi.shape
     # step large enough to average the C0 kinks of bilinear field sampling
@@ -345,11 +391,12 @@ def test_subgrid_metric_operators_equal_the_hand_rolled_stencils(flat_subgrid, a
 
 
 def test_integer_targets_are_the_subgrid(monkeypatch):
-    shots = []  # the shooting results of each field
+    momenta = []  # the momenta each field's shot kept
 
     def spy(*args):
-        shots.append(_torus_shoot_targets(*args))
-        return shots[-1]
+        shot, kept = shoot_with_momenta(*args)
+        momenta.append(kept)
+        return shot
 
     monkeypatch.setattr("expanderlab.reduced._torus_shoot_targets", spy)
     h = evolve(ConformalTorusMetric(np.zeros((16, 32)), periods=(1.0, 2.0)), (0.0, 1.0),
@@ -362,7 +409,7 @@ def test_integer_targets_are_the_subgrid(monkeypatch):
     assert explicit.grid is None and explicit.smooth_mask is None
     for name in ("ell", "k_effective"):
         assert np.array_equal(getattr(fld, name), getattr(explicit, name))
-    assert len(shots) == 2 and np.array_equal(shots[0]["momenta"], shots[1]["momenta"])
+    assert len(momenta) == 2 and np.array_equal(momenta[0], momenta[1])
     # a model space takes radii, not a grid
     with pytest.raises(ValueError, match="integer grid on a torus"):
         ell_plus_field(vertex_expander_history(), 8, times)
@@ -490,7 +537,7 @@ def test_first_variation_vanishes_at_geodesic():
     # in sqrt time, which on the flat torus is exact)
     h = flat_history()
     t = 1.0
-    s, positions, _, l_plus = flat_shot_nodes(h, np.array([0.15, 0.1]), t, 64)
+    s, positions, l_plus = flat_shot_nodes(h, np.array([0.15, 0.1]), t, 64)
     ds = np.diff(s)
 
     def action(pos):
@@ -869,23 +916,24 @@ def test_shoot_records_integrals_of_the_settling_sweep(torus16, monkeypatch):
         return _torus_integrate(h, times, momenta, n_steps)
 
     monkeypatch.setattr("expanderlab.reduced._torus_integrate", spy)
-    shot = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
+    shot, momenta = shoot_with_momenta(h, pts, np.full(len(pts), 0.2), 32)
     assert len(set(sizes)) > 3
     assert np.all(shot["miss"] < 1e-6)
-    fresh = _torus_integrate(h, np.full(len(pts), 0.2), shot["momenta"], 32)
+    fresh = _torus_integrate(h, np.full(len(pts), 0.2), momenta, 32)
     # batched Simpson sums run in node order, so the batch a row shared
     # cannot move its integrals
     assert np.array_equal(fresh["l_tail"], shot["l_tail"])
     assert np.array_equal(fresh["k"], shot["k"])
-    alone = _torus_integrate(h, np.full(1, 0.2), shot["momenta"][3:4], 32)
+    alone = _torus_integrate(h, np.full(1, 0.2), momenta[3:4], 32)
     assert alone["l_tail"][0] == fresh["l_tail"][3] and alone["k"][0] == fresh["k"][3]
 
     # the endpoints are those of plain RK4 that samples every stage afresh
-    # and accumulates no integrals
+    # and accumulates no integrals, and so are those of the per-time
+    # reference, with its endpoint velocities
     n_steps, s_nodes, s_all = _s_grid(0.2, 32)
     slices = _TorusSlices(h, s_all)  # deterministic: the slices the shot used
     x = np.zeros((len(pts), 2))
-    v = 2.0 * shot["momenta"]
+    v = 2.0 * momenta
     ds = s_nodes[1] - s_nodes[0]
     for k in range(n_steps):
         s = s_nodes[k]
@@ -902,7 +950,9 @@ def test_shoot_records_integrals_of_the_settling_sweep(torus16, monkeypatch):
         k4x, k4v = v4, acc(2 * k + 2, s + ds, x4, v4)
         x = x + ds / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + ds / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    assert np.array_equal(fresh["end"], x) and np.array_equal(fresh["v_end"], v)
+    ref_x, ref_v, *_ = torus_integrate_per_time(h, 0.2, momenta, 32)
+    assert np.array_equal(fresh["end"], x) and np.array_equal(ref_x, x)
+    assert np.array_equal(ref_v, v)
 
 
 def test_shoot_forces_are_the_interpolant_derivatives(torus16):
@@ -967,8 +1017,7 @@ def test_shoot_drops_a_repeating_non_finite_endpoint(torus16, monkeypatch):
     clean = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     # poison the only image of target 0 and the winning image of target 1
     two_rt = 2.0 * math.sqrt(0.2)
-    shift = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])[clean["translate"][1]]
-    bad = np.array([pts[0], pts[1] + shift]) / two_rt
+    bad = np.array([pts[0], clean["images"][1]]) / two_rt
     counts = np.zeros(2, dtype=int)
 
     def poisoned(h, times, momenta, n_steps):
@@ -983,7 +1032,11 @@ def test_shoot_drops_a_repeating_non_finite_endpoint(torus16, monkeypatch):
     shot = _torus_shoot_targets(h, pts, np.full(len(pts), 0.2), 32)
     assert list(counts) == [2, 2]
     assert shot["miss"][0] == np.inf
-    assert shot["translate"][1] != clean["translate"][1] and shot["miss"][1] < 1e-6
+    # another translate (images - target) wins target 1
+    periods = h.template.periods
+    assert translate_index(shot["images"][1:2], pts[1:2], periods) != \
+        translate_index(clean["images"][1:2], pts[1:2], periods)
+    assert shot["miss"][1] < 1e-6
     assert np.array_equal(shot["l_tail"][2], clean["l_tail"][2])
 
 
@@ -1048,8 +1101,10 @@ def test_batched_shoot_equals_the_per_time_shoot(case, torus16, monkeypatch):
     else:
         h, times, n_steps = flat_history(), np.linspace(0.85, 1.15, 5), 96
         pts = np.array([(i / 8, j / 8) for i in range(8) for j in range(8)])
-    m = len(pts)
-    shot = _torus_shoot_targets(h, np.tile(pts, (len(times), 1)), np.repeat(times, m), n_steps)
+    m, targets = len(pts), np.tile(pts, (len(times), 1))
+    shot, momenta = shoot_with_momenta(h, targets, np.repeat(times, m), n_steps)
+    shot["momenta"] = momenta
+    shot["translate"] = translate_index(shot["images"], targets, h.template.periods)
     for i, t in enumerate(times):
         want = torus_shoot_per_time(h, pts, float(t), n_steps)
         for key in ("l_tail", "k", "momenta", "translate", "images", "miss"):
@@ -1076,7 +1131,8 @@ def test_shooting_reads_rdot_at_the_nodes_only(torus16, monkeypatch):
     times = np.array([0.18, 0.2])
     pts = np.random.default_rng(9).uniform(0.0, 1.0, (8, 2))
     m = len(pts)
-    shot = _torus_shoot_targets(h, np.tile(pts, (2, 1)), np.repeat(times, m), 32)
+    shot, momenta = shoot_with_momenta(h, np.tile(pts, (2, 1)), np.repeat(times, m), 32)
+    shot["momenta"] = momenta
     assert filled and all(filled)
     for i, t in enumerate(times):
         want = torus_shoot_per_time(h, pts, float(t), 32)
@@ -1230,7 +1286,7 @@ def test_oracle_descends_each_row_once(torus16, monkeypatch):
     assert np.array_equal(best, np.min(straight.reshape(-1, 3), axis=1))
     action = calls[0][0]
     z, y = np.concatenate([c[1] for c in calls]), np.concatenate([c[2] for c in calls])
-    s = action.s_nodes
+    s = _s_grid(0.2, 32)[1]
     z_root = (s / s[-1])[1:-1, None] * y[:, None, :]  # paths start at the origin
     assert np.max(np.abs(z_root - z)) <= 1e-15
     root = _descend(action, z_root, y)
