@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -146,15 +147,20 @@ class FlowHistory:
     def volume_at(self, t) -> float:
         return volume(self.metric_at(t))
 
+    @cached_property
+    def scalar_range(self) -> list:
+        """(R_min, R_max) of the scalar curvature at each sample, from one
+        curvature pass: export_csv's columns and check_R_lower_bound's data."""
+        rs = (curvature(m).scalar for m in self.metrics_at(self.times))
+        return [(float(np.min(r)), float(np.max(r))) if isinstance(r, np.ndarray) else (r, r)
+                for r in rs]
+
     def export_csv(self, path) -> None:
         """One row per sample: t, reduced parameters, V, R_min, R_max."""
         from .reports import write_csv
 
         rows = []
-        for t, m in zip(self.times, self.metrics_at(self.times)):
-            r = curvature(m).scalar
-            r_min = float(np.min(r))
-            r_max = float(np.max(r))
+        for t, m, r_range in zip(self.times, self.metrics_at(self.times), self.scalar_range):
             if self.kind == "conformal_torus":
                 par = [float(np.min(m.phi)), float(np.max(m.phi))]
                 names = ["phi_min", "phi_max"]
@@ -164,7 +170,7 @@ class FlowHistory:
             else:
                 par = [m.scale]
                 names = ["a"]
-            rows.append([float(t), *par, volume(m), r_min, r_max])
+            rows.append([float(t), *par, volume(m), *r_range])
         write_csv(path, ["t", *names, "V", "R_min", "R_max"], rows)
 
 
@@ -199,9 +205,8 @@ class RBoundReport:
 
 def check_R_lower_bound(h: FlowHistory, tol: float) -> RBoundReport:
     """Verify R + n/(2t) >= -tol pointwise at the sampled times."""
-    times = [float(t) for t in h.times if t > 0]
-    ok = all(float(np.min(curvature(m).scalar)) + h.dim / (2.0 * t) >= -tol
-             for t, m in zip(times, h.metrics_at(times)))
+    ok = all(r_min + h.dim / (2.0 * t) >= -tol
+             for t, (r_min, _) in zip(h.times.tolist(), h.scalar_range) if t > 0)
     return RBoundReport(ok, tol)
 
 
@@ -254,16 +259,14 @@ def _evolve_homogeneous(m0: HomogeneousMetric, t0, t1) -> FlowHistory:
     consts = m0.structure_constants
 
     def rhs(t, y):
-        if min(y.tolist()) <= 0:  # past extinction: trial stage, reject via non-finite
-            return np.full(3, np.inf)
-        return -2.0 * milnor_ricci_diag(consts, y)
+        if min(y) <= 0:  # past extinction: trial stage, reject via non-finite
+            return [math.inf] * 3
+        return [-2.0 * r for r in milnor_ricci_diag(consts, y)]
 
     # cap steps so the cubic dense output stays near round-off: the
     # identity checks difference interpolated histories at the 1e-8 scale
-    traj = integrate_ode(rhs, np.asarray(m0.diag, dtype=float), t0, t1,
-                         abs_tol=1e-12, rel_tol=1e-11,
-                         stop=lambda t, y: min(y.tolist()) < floor,
-                         max_step=lambda t: 0.01 * max(1.0, t))
+    traj = integrate_ode(rhs, m0.diag, t0, t1, abs_tol=1e-12, rel_tol=1e-11,
+                         stop=lambda t, y: min(y) < floor, max_step=lambda t: 0.01 * max(1.0, t))
     extinct_at = traj.t_end if traj.status in ("halted", "truncated") else None
     return FlowHistory(m0, traj.times, traj.states, traj.derivs, extinct_at=extinct_at)
 

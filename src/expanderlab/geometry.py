@@ -232,8 +232,8 @@ def flat_gradient(m: ConformalTorusMetric, f: np.ndarray):
 # ---------------------------------------------------------------------------
 # curvature
 
-def milnor_ricci_diag(structure_constants, diag) -> np.ndarray:
-    """Frame Ricci components of a diagonal left-invariant 3-D metric.
+def milnor_ricci_diag(structure_constants, diag) -> tuple:
+    """Frame Ricci components of a diagonal left-invariant 3-D metric, a float triple.
 
     Standard closed form Rc_ii = ((c_i X_i)^2 - (c_j X_j - c_k X_k)^2)
     / (2 X_j X_k) with (i, j, k) cyclic and X = diag; the from-scratch
@@ -243,22 +243,19 @@ def milnor_ricci_diag(structure_constants, diag) -> np.ndarray:
     """
     c1, c2, c3 = map(float, structure_constants)
     a, b, c = map(float, diag)
-    return np.array(
-        [
-            ((c1 * a) ** 2 - (c2 * b - c3 * c) ** 2) / (2.0 * b * c),
-            ((c2 * b) ** 2 - (c3 * c - c1 * a) ** 2) / (2.0 * c * a),
-            ((c3 * c) ** 2 - (c1 * a - c2 * b) ** 2) / (2.0 * a * b),
-        ]
+    return (
+        ((c1 * a) ** 2 - (c2 * b - c3 * c) ** 2) / (2.0 * b * c),
+        ((c2 * b) ** 2 - (c3 * c - c1 * a) ** 2) / (2.0 * c * a),
+        ((c3 * c) ** 2 - (c1 * a - c2 * b) ** 2) / (2.0 * a * b),
     )
 
 
 def curvature_homogeneous(m: HomogeneousMetric) -> CurvatureData:
     """Diagonal Milnor-frame Ricci of a homogeneous metric."""
     rc = milnor_ricci_diag(m.structure_constants, m.diag)
-    # np.sum(rc / diag) in floats: numpy sums 3 elements left to right from
-    # 0.0 (-0.0 sums to 0.0)
-    q0, q1, q2 = (r / float(d) for r, d in zip(rc.tolist(), m.diag))
-    return CurvatureData(ricci=rc, scalar=0.0 + q0 + q1 + q2)
+    # np.sum(rc / diag) in floats: numpy sums 3 elements left to right from 0.0 (-0.0 to 0.0)
+    q0, q1, q2 = (r / float(d) for r, d in zip(rc, m.diag))
+    return CurvatureData(ricci=np.array(rc), scalar=0.0 + q0 + q1 + q2)
 
 
 def _conformal_scalar(phi: np.ndarray, hx: float, hy: float, em2p=None) -> np.ndarray:

@@ -217,6 +217,16 @@ def _dp_combine(y, h, coeffs, k):
     return out
 
 
+def _rms_ratio(num, den) -> float:
+    """sqrt(mean((num / den) ** 2)) in floats, in numpy's order for up to 7 components
+    (numpy sums 8 or more pairwise): the squares summed from 0.0, over n, the root."""
+    acc = 0.0
+    for a, b in zip(num, den):
+        q = a / b
+        acc += q * q
+    return math.sqrt(acc / len(num))
+
+
 # steps, accepted or rejected on their error, that integrate_ode takes before it truncates
 ODE_STEP_BUDGET = 1_000_000
 
@@ -228,8 +238,10 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
     Steps are accepted when the embedded local error estimate, in the
     norm scaled by abs_tol + rel_tol |y|, is below one; step sizes follow a PI
     controller.  Dense output is the cubic Hermite interpolant between
-    accepted steps.  rhs maps a 1-D array to one; the stages are built in
-    Python floats in numpy's order of operations, so with numpy's bits.
+    accepted steps.  rhs(t, y) and stop(t, y) take y as a list of Python
+    floats, and rhs returns a sequence of floats; stages, solutions and
+    error norm are formed in floats in numpy's order of operations, so
+    with the bits of the same steps on numpy arrays (_rms_ratio).
 
     stop, if given, is a predicate stop(t, y); when it first becomes
     true the trajectory is truncated at the crossing (bisected on the
@@ -243,26 +255,22 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
     """
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    span = t1 - t0
-    t = t0
-    f = np.asarray(rhs(t, y), dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise OdeFailure("non-finite right-hand side at initial state", t, y)
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
+    span, t = t1 - t0, t0
+    f = rhs(t, y)
+    if not all(map(math.isfinite, f)):
+        raise OdeFailure("non-finite right-hand side at initial state", t, np.array(y))
 
     # initial step heuristic
-    scale = abs_tol + rel_tol * np.abs(y)
-    d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f / scale) ** 2)))
+    scale = [abs_tol + rel_tol * abs(v) for v in y]
+    d0, d1 = _rms_ratio(y, scale), _rms_ratio(f, scale)
     h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else 1e-6 * span
     h = min(h, span / 10)
     if max_step is not None:
         h = min(h, max_step(t))
 
-    times = [t]
-    states = [y.copy()]  # y as an array; per-step float lists raise the peak RSS
-    derivs = [f.copy()]
-    y, f = y.tolist(), f.tolist()
+    # states and slopes flat, row after row: a list or array per step would raise the peak
+    times, states, derivs = [t], list(y), list(f)
     err_prev = 1.0
     status = "completed"
     n_steps = 0
@@ -275,8 +283,7 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
         h = min(h, t1 - t)
         k = [f]
         for i in range(1, 7):
-            yi = _dp_combine(y, h, _DP_A[i], k)
-            ki = np.asarray(rhs(t + _DP_C[i] * h, np.array(yi)), dtype=float).tolist()
+            ki = rhs(t + _DP_C[i] * h, _dp_combine(y, h, _DP_A[i], k))
             if not all(map(math.isfinite, ki)):
                 break
             k.append(ki)
@@ -289,17 +296,16 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
         y_new = _dp_combine(y, h, _DP_B5, k)
         y4 = _dp_combine(y, h, _DP_B4, k)
         if not all(map(math.isfinite, y_new)):
-            raise OdeFailure("non-finite state during integration", t, states[-1])
-        y_new_arr = np.array(y_new)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(states[-1]), np.abs(y_new_arr))
-        err = float(np.sqrt(np.mean(((y_new_arr - np.array(y4)) / scale) ** 2)))
+            raise OdeFailure("non-finite state during integration", t, np.array(y))
+        err = _rms_ratio([a - b for a, b in zip(y_new, y4)],
+                         [abs_tol + rel_tol * max(abs(a), abs(b)) for a, b in zip(y, y_new)])
         if err <= 1.0:
             t_new = t + h
             f_new = k[6]  # FSAL stage equals rhs at the new point
             times.append(t_new)
-            states.append(y_new_arr)
-            derivs.append(np.array(f_new))
-            if stop is not None and stop(t_new, y_new_arr):
+            states.extend(y_new)
+            derivs.extend(f_new)
+            if stop is not None and stop(t_new, y_new):
                 status = "halted"
                 break
             fac = 0.9 * max(err, 1e-10) ** -0.14 * max(err_prev, 1e-10) ** -0.04
@@ -315,27 +321,21 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
             break
         n_steps += 1
 
-    traj = OdeTrajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        derivs=np.asarray(derivs),
-        status=status,
-    )
-    if status == "halted" and stop is not None and len(times) >= 2:
+    traj = OdeTrajectory(np.array(times), np.array(states).reshape(len(times), -1),
+                         np.array(derivs).reshape(len(times), -1), status)
+    if status == "halted":
         # bisect the dense output for the earliest crossing on the last step
         ta, tb = times[-2], times[-1]
         for _ in range(80):
             tm = 0.5 * (ta + tb)
-            if stop(tm, traj(tm)):
+            if stop(tm, traj(tm).tolist()):
                 tb = tm
             else:
                 ta = tm
             if tb - ta <= 1e-13 * (1.0 + abs(tb)):
                 break
-        yb = traj(tb)
-        traj.times = np.append(traj.times[:-1], tb)
-        traj.states = np.vstack([traj.states[:-1], yb])
-        traj.derivs = np.vstack([traj.derivs[:-1], np.asarray(rhs(tb, yb), dtype=float)])
+        traj.times[-1], traj.states[-1] = tb, traj(tb)
+        traj.derivs[-1] = rhs(tb, traj.states[-1].tolist())
     return traj
 
 

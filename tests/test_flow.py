@@ -246,6 +246,37 @@ def test_export_csv(tmp_path):
     assert len(text.splitlines()) == 6
 
 
+def test_export_and_bound_share_one_curvature_pass(tmp_path, monkeypatch):
+    # export_csv and check_R_lower_bound on one history build the
+    # curvature once per sample (they each built it at every t > 0), and
+    # the R_min column has the bits the bound reads: those of the minimum
+    # of the curvature at the sample
+    import csv
+
+    from expanderlab import flow
+
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return curvature(m)
+
+    monkeypatch.setattr(flow, "curvature", spy)
+    for h in (evolve(HomogeneousMetric((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)), (0.0, 3.0)),
+              evolve(sine_torus(16, 0.3), (0.0, 0.02)),
+              evolve(HYPERBOLIC3, (0.0, 1.0), n_snapshots=5)):
+        calls.clear()
+        h.export_csv(tmp_path / "flow.csv")
+        assert check_R_lower_bound(h, tol=1e-8).ok
+        assert len(calls) == len(h.times) > 4, h.kind
+        with open(tmp_path / "flow.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        r_min = [float(row["R_min"]) for row in rows]
+        assert r_min == [lo for lo, _ in h.scalar_range], h.kind
+        want = [float(np.min(curvature(m).scalar)) for m in h.metrics_at(h.times)]
+        assert np.array_equal(bits(r_min), bits(want)), h.kind
+
+
 @pytest.mark.parametrize("n", [32, 64])
 def test_torus_newton_reuse_is_bit_identical(n):
     # the stepper hands each residual's exp(-2 psi) and right-hand side to

@@ -117,7 +117,7 @@ def test_exponential_growth():
 def test_linear_rhs_exact():
     # constant right-hand side: the scale equation of a negatively curved
     # model space, solution 1 + 4t to round-off
-    traj = integrate_ode(lambda t, y: np.array([4.0]), [1.0], 0.0, 10.0, **TIGHT)
+    traj = integrate_ode(lambda t, y: [4.0], [1.0], 0.0, 10.0, **TIGHT)
     ts = np.linspace(0.0, 10.0, 37)
     vals = np.array([traj(t)[0] for t in ts])
     assert np.max(np.abs(vals - (1.0 + 4.0 * ts))) < 1e-12
@@ -126,7 +126,7 @@ def test_linear_rhs_exact():
 def test_nil_frame_flow_matches_closed_form():
     def rhs(t, y):
         a, b, c = y
-        return np.array([-a * a / (b * c), a / c, a / b])
+        return [-a * a / (b * c), a / c, a / b]
 
     y0 = np.array([1.0, 1.0, 1.0])
     traj = integrate_ode(rhs, y0, 0.0, 10.0, abs_tol=1e-11, rel_tol=1e-11)
@@ -141,7 +141,8 @@ def test_linear_system_matches_matrix_exponential():
     for _ in range(10):
         m = rng.normal(size=(4, 4)) * 0.5
         y0 = rng.normal(size=4)
-        traj = integrate_ode(lambda t, y: m @ y, y0, 0.0, 1.5, abs_tol=1e-12, rel_tol=1e-11)
+        traj = integrate_ode(lambda t, y: (m @ y).tolist(), y0, 0.0, 1.5, abs_tol=1e-12,
+                             rel_tol=1e-11)
         want = expm(1.5 * m) @ y0
         scale = np.max(np.abs(want)) + 1.0
         assert np.max(np.abs(traj.states[-1] - want)) / scale < 1e-8
@@ -149,13 +150,14 @@ def test_linear_system_matches_matrix_exponential():
 
 def test_step_underflow_reports_last_valid_time():
     # finite-time blow-up y' = y^2 from y(0)=1 explodes at t=1
-    traj = integrate_ode(lambda t, y: y * y, [1.0], 0.0, 2.0, abs_tol=1e-10, rel_tol=1e-10)
+    traj = integrate_ode(lambda t, y: [v * v for v in y], [1.0], 0.0, 2.0, abs_tol=1e-10,
+                         rel_tol=1e-10)
     assert traj.status == "truncated"
     assert traj.t_end < 1.0 + 1e-3
 
 
 def test_stop_predicate_halts_and_bisects():
-    traj = integrate_ode(lambda t, y: np.array([-2.0]), [1.0], 0.0, 1.0, **TIGHT,
+    traj = integrate_ode(lambda t, y: [-2.0], [1.0], 0.0, 1.0, **TIGHT,
                          stop=lambda t, y: y[0] < 0.5)
     assert traj.status == "halted"
     assert abs(traj.t_end - 0.25) < 1e-9
@@ -350,7 +352,7 @@ def test_constrained_min_descent_property():
 
 def test_nonfinite_initial_state_aborts():
     with pytest.raises(OdeFailure):
-        integrate_ode(lambda t, y: np.array([math.inf]), [1.0], 0.0, 1.0, **TIGHT)
+        integrate_ode(lambda t, y: [math.inf], [1.0], 0.0, 1.0, **TIGHT)
 
 
 def same_bits(a, b):
@@ -358,13 +360,10 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def nil_flow_ode_args(monkeypatch):
-    """The arguments the packaged nil_flow evolve passes to integrate_ode:
-    its right-hand side, initial state, span, tolerances, stop and max_step."""
-    import json
-
+def flow_ode_args(monkeypatch, m0, t_span):
+    """The arguments flow.evolve(m0, t_span) passes to integrate_ode: its
+    right-hand side, initial state, span, tolerances, stop and max_step."""
     from expanderlab import flow
-    from expanderlab.cli import Scenario, builtin_scenarios
 
     seen = []
 
@@ -373,10 +372,30 @@ def nil_flow_ode_args(monkeypatch):
         return integrate_ode(*args, **kwargs)
 
     monkeypatch.setattr(flow, "integrate_ode", record)
-    scn = Scenario.from_doc(json.loads(builtin_scenarios()["nil_flow"].read_text()))
-    flow.evolve(scn.model, scn.t_span)
+    flow.evolve(m0, t_span)
     (args, kwargs), = seen
     return args, kwargs
+
+
+def nil_flow_ode_args(monkeypatch):
+    """flow_ode_args of the packaged nil_flow evolve."""
+    import json
+
+    from expanderlab.cli import Scenario, builtin_scenarios
+
+    scn = Scenario.from_doc(json.loads(builtin_scenarios()["nil_flow"].read_text()))
+    return flow_ode_args(monkeypatch, scn.model, scn.t_span)
+
+
+def su2_extinction_ode_args(monkeypatch):
+    """flow_ode_args of the round SU(2) flow that halts at its extinction
+    (test_flow.test_su2_flow_halts_at_extinction's config): the one
+    homogeneous exit whose bisection passes dense-output values to stop
+    and rhs."""
+    from expanderlab.geometry import HomogeneousMetric
+
+    return flow_ode_args(monkeypatch, HomogeneousMetric((2.0, 2.0, 2.0), (1.0, 1.0, 1.0)),
+                         (0.0, 1.0))
 
 
 def bounded_growth(rejected):
@@ -385,8 +404,8 @@ def bounded_growth(rejected):
     def rhs(t, y):
         if y[0] > 2.0:
             rejected.append(t)
-            return np.array([math.inf])
-        return np.array([(1.0 + math.cos(t)) * y[0]])
+            return [math.inf]
+        return [(1.0 + math.cos(t)) * y[0]]
 
     return rhs
 
@@ -399,13 +418,15 @@ def test_float_stages_match_numpy_stages_bit_for_bit(monkeypatch):
     # each case: positional arguments, keyword arguments, step budget
     cases = [
         (*nil_flow_ode_args(monkeypatch), budget),
-        ((lambda t, y: y * y, [1.0], 0.0, 2.0), {"abs_tol": 1e-10, "rel_tol": 1e-10}, budget),
-        ((lambda t, y: np.array([-2.0]), [1.0], 0.0, 1.0),
+        (*su2_extinction_ode_args(monkeypatch), budget),
+        ((lambda t, y: [v * v for v in y], [1.0], 0.0, 2.0), {"abs_tol": 1e-10, "rel_tol": 1e-10},
+         budget),
+        ((lambda t, y: [-2.0], [1.0], 0.0, 1.0),
          {**TIGHT, "stop": lambda t, y: y[0] < 0.5}, budget),
         ((bounded_growth([]), [1.0], 0.0, 3.0), TIGHT, budget),
         ((bounded_growth(rejected), [1.0], 0.0, 3.0),
          {**TIGHT, "stop": lambda t, y: y[0] > 1.99}, budget),
-        ((lambda t, y: np.array([[0.3, -1.0], [1.0, -0.2]]) @ y, [1.0, -0.5], 0.0, 5.0),
+        ((lambda t, y: [0.3 * y[0] - 1.0 * y[1], 1.0 * y[0] - 0.2 * y[1]], [1.0, -0.5], 0.0, 5.0),
          {"abs_tol": 1e-9, "rel_tol": 1e-9, "max_step": lambda t: 0.02 + 0.001 * t}, 100),
     ]
     statuses = []
@@ -421,6 +442,7 @@ def test_float_stages_match_numpy_stages_bit_for_bit(monkeypatch):
     # reference, whose steps the lab's match bit for bit)
     assert [s[:2] for s in statuses] == [
         ("completed", ""),
+        ("halted", "stop predicate fired"),
         ("truncated", "step size underflow"),
         ("halted", "stop predicate fired"),
         ("truncated", "step size underflow (non-finite stages)"),
@@ -431,11 +453,61 @@ def test_float_stages_match_numpy_stages_bit_for_bit(monkeypatch):
     assert rejected  # the halted run retried stages and went on
 
 
+def test_rhs_and_stop_take_float_lists(monkeypatch):
+    # the float contract, on the steps and on the bisection of a halted
+    # one: every state handed to the flow's rhs and stop is a list of
+    # Python floats, and rhs returns a sequence of them
+    (rhs, *rest), kwargs = su2_extinction_ode_args(monkeypatch)
+    seen = set()
+
+    def spy_rhs(t, y):
+        out = rhs(t, y)
+        seen.add(("rhs", type(y), *map(type, y), *map(type, out)))
+        return out
+
+    def spy_stop(t, y):
+        seen.add(("stop", type(y), *map(type, y)))
+        return kwargs["stop"](t, y)
+
+    traj = integrate_ode(spy_rhs, *rest, **{**kwargs, "stop": spy_stop})
+    assert traj.status == "halted"
+    assert seen == {("rhs", list, *[float] * 6), ("stop", list, *[float] * 3)}
+
+
+def test_nil_flow_evolve_peaks_below_an_array_per_step(monkeypatch):
+    """The packaged nil_flow evolve keeps its states and slopes as flat
+    float lists until the trajectory is built.  Its traced peak stays
+    below the same evolve through the reference integrator, which keeps
+    one array per state and slope as integrate_ode once did: ~227 KB
+    against ~327 KB.  An array per step in integrate_ode peaked at
+    ~326 KB, a float list per step at ~361 KB."""
+    import json
+    import tracemalloc
+
+    from oracles import integrate_ode_numpy_stages
+
+    from expanderlab import flow
+    from expanderlab.cli import Scenario, builtin_scenarios
+
+    scn = Scenario.from_doc(json.loads(builtin_scenarios()["nil_flow"].read_text()))
+    peaks = []
+    for integrate in (integrate_ode, lambda *a, **kw: integrate_ode_numpy_stages(*a, **kw)[0]):
+        monkeypatch.setattr(flow, "integrate_ode", integrate)
+        tracemalloc.start()
+        try:
+            h = flow.evolve(scn.model, scn.t_span)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(h.times) > 500
+    assert peaks[0] <= 0.85 * peaks[1], peaks
+
+
 def test_float_stages_raise_the_numpy_stages_failure():
     from oracles import integrate_ode_numpy_stages
 
     # stages stay finite while the state overflows in one step
-    args = (lambda t, y: np.array([1e300]), [1.7e308], 0.0, 1e10)
+    args = (lambda t, y: [1e300], [1.7e308], 0.0, 1e10)
     failures = []
     for integrate in (integrate_ode, integrate_ode_numpy_stages):
         with np.errstate(over="ignore"), pytest.raises(OdeFailure) as info:
@@ -463,7 +535,8 @@ def test_concave_max_finds_quadratic_vertex(a, x0, c):
 @settings(max_examples=10, deadline=None)
 def test_linear_decay_exact(k):
     # y' = -k y has solution exp(-k t); the integrator meets its tolerance
-    traj = integrate_ode(lambda t, y: -k * y, [1.0], 0.0, 1.0, abs_tol=1e-12, rel_tol=1e-11)
+    traj = integrate_ode(lambda t, y: [-k * v for v in y], [1.0], 0.0, 1.0, abs_tol=1e-12,
+                         rel_tol=1e-11)
     assert abs(traj.states[-1, 0] - math.exp(-k)) < 1e-9
 
 
