@@ -327,9 +327,8 @@ def _run_into(scn: Scenario, out: Path) -> dict:
     h.export_csv(series_dir / "flow.csv")
     if h.extinct_at is not None:
         report["fitted"]["extinct_at"] = h.extinct_at
-    rb = check_R_lower_bound(h, tol=tols["r_bound"])
-    report["verdicts"]["curvature_lower_bound"] = rb.ok
-    report["tolerances"]["curvature_lower_bound"] = rb.tol
+    report["verdicts"]["curvature_lower_bound"] = check_R_lower_bound(h, tol=tols["r_bound"])
+    report["tolerances"]["curvature_lower_bound"] = tols["r_bound"]
 
     dens = None
     if scn.window is not None:
@@ -519,8 +518,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("config", help="path to a scenario JSON config")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_accept = sub.add_parser("accept", help="run the acceptance suite")
-    p_accept.add_argument("--suite", choices=("fast", "full"), default="fast")
+    sub.add_parser("accept", help="run the acceptance suite")
     sub.add_parser("list", help="list packaged scenario configs")
     args = parser.parse_args(argv)
 
@@ -532,7 +530,7 @@ def main(argv=None) -> int:
         if args.command == "accept":
             from .acceptance import run_acceptance
 
-            results = run_acceptance(args.suite)
+            results = run_acceptance()
             return 0 if all(r.passed for r in results) else 1
         for name, entry in builtin_scenarios().items():  # the command is "list"
             doc = json.loads(entry.read_text())

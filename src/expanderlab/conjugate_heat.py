@@ -225,7 +225,6 @@ class ImmortalDensity:
 
 
 def construct_immortal_density(h: FlowHistory, window, tol: float = 1e-8,
-                               first_tail: float | None = None,
                                dt_cap: float | None = None) -> ImmortalDensity:
     """Build the limit conjugate density on a window by tail doubling.
 
@@ -244,7 +243,7 @@ def construct_immortal_density(h: FlowHistory, window, tol: float = 1e-8,
                   for t in np.linspace(ta, tb, 17)]
         tail = min(2.0 * tb, h.t_max)
         return ImmortalDensity((ta, tb), states, tail, 0.0, True, h)
-    tail = first_tail if first_tail is not None else min(2.0 * tb, h.t_max)
+    tail = min(2.0 * tb, h.t_max)
     prev = None
     gap = math.inf
     converged = False

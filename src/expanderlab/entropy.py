@@ -102,23 +102,23 @@ def expander_residual(m: MetricModel, u, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 # first eigenvalue of the energy functional
 
-def lambda_min(m: MetricModel):
+def lambda_min(m: MetricModel) -> float:
     """Infimum of the energy over unit-mass densities.
 
     Realized as the ground eigenvalue of -4 lap + R acting on w with
     u = w^2, by shifted inverse power iteration (shift min R - 1 keeps
-    the shifted operator positive definite).  Returns (value, w).
+    the shifted operator positive definite).
     """
     r = curvature(m).scalar
+    if not isinstance(m, ConformalTorusMetric):
+        # spatially constant representation: ground state is the constant
+        return float(r)
     shift = float(np.min(r)) - 1.0
     measure = measure_weights(m)
 
     def op(w):
         return -4.0 * laplacian(m, w) + r * w
 
-    if not isinstance(m, ConformalTorusMetric):
-        # spatially constant representation: ground state is the constant
-        return float(r), 1.0 / math.sqrt(volume(m))
     # preconditioner: multiplying (-4 lap_g + R - shift) w = v by the conformal
     # factor gives (-4 lap0 + e^(2 phi)(R - shift)) w = e^(2 phi) v, so the FFT
     # solve of the weighted residual both approximates the inverse and stays
@@ -128,12 +128,12 @@ def lambda_min(m: MetricModel):
     solve = spectral_preconditioner(c0 - 4.0 * laplacian_symbol(m.phi.shape, m.spacing))
     res = smallest_eigenpair(op, measure, shift, abs_tol=1e-10, max_iter=200,
                              precond=lambda v: solve(e2p * v))
-    return res.value, res.vector
+    return res.value
 
 
 def lambda_bar(m: MetricModel) -> float:
     """Volume-scaled first eigenvalue V^(2/n) * lambda."""
-    lam, _ = lambda_min(m)
+    lam = lambda_min(m)
     return volume(m) ** (2.0 / m.dim) * lam
 
 
@@ -216,7 +216,7 @@ def nu_plus(m: MetricModel) -> NuPlusResult:
     case surfaces as the structured "unbounded" outcome of the bracket
     expansion (the profile keeps rising in sigma).
     """
-    lam, _ = lambda_min(m)
+    lam = lambda_min(m)
     if lam < 0:
         center = -m.dim / (2.0 * lam)
         bracket = (center / 16.0, center * 16.0)
@@ -292,7 +292,7 @@ def build_entropy_report(h: FlowHistory, dens: ImmortalDensity, times,
         f_plus = f_val + n / (2.0 * t)
         n_val, n_plus = nash_entropy(m, s.u, t)
         w_plus = expander_entropy(m, s.u, t)
-        lam, _ = lambda_min(m)
+        lam = lambda_min(m)
         lbar = volume(m) ** (2.0 / n) * lam
         delta = min(0.005 * max(1.0, t), 0.05 * t)
         lo = dens.window[0] if h.kind == "conformal_torus" else h.t_min

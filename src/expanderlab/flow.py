@@ -24,7 +24,6 @@ Evolution routes per model kind:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,7 +45,6 @@ from .numerics import (conjugate_gradient, hermite_cubic, hermite_interval, herm
 
 __all__ = [
     "FlowHistory",
-    "RBoundReport",
     "evolve",
     "torus_dt_cap",
     "scaled_volume",
@@ -148,29 +146,31 @@ class FlowHistory:
         return volume(self.metric_at(t))
 
     @cached_property
-    def scalar_range(self) -> list:
-        """(R_min, R_max) of the scalar curvature at each sample, from one
-        curvature pass: export_csv's columns and check_R_lower_bound's data."""
-        rs = (curvature(m).scalar for m in self.metrics_at(self.times))
-        return [(float(np.min(r)), float(np.max(r))) if isinstance(r, np.ndarray) else (r, r)
-                for r in rs]
+    def sample_geometry(self) -> list:
+        """(V, R_min, R_max) at each sample, from one pass that builds each
+        sample's metric and curvature once: export_csv's columns and
+        check_R_lower_bound's data."""
+        rows = []
+        for m in self.metrics_at(self.times):
+            r = curvature(m).scalar
+            r_range = (float(np.min(r)), float(np.max(r))) if isinstance(r, np.ndarray) else (r, r)
+            rows.append((volume(m), *r_range))
+        return rows
 
     def export_csv(self, path) -> None:
         """One row per sample: t, reduced parameters, V, R_min, R_max."""
         from .reports import write_csv
 
+        torus = self.kind == "conformal_torus"
+        names = (["phi_min", "phi_max"] if torus
+                 else ["A", "B", "C"] if self.kind == "homogeneous" else ["a"])
         rows = []
-        for t, m, r_range in zip(self.times, self.metrics_at(self.times), self.scalar_range):
-            if self.kind == "conformal_torus":
-                par = [float(np.min(m.phi)), float(np.max(m.phi))]
-                names = ["phi_min", "phi_max"]
-            elif self.kind == "homogeneous":
-                par = [float(v) for v in m.diag]
-                names = ["A", "B", "C"]
-            else:
-                par = [m.scale]
-                names = ["a"]
-            rows.append([float(t), *par, volume(m), *r_range])
+        # the parameters as the metrics get them: the interpolant at a sample
+        # sums signed zeros, so a stored -0.0 may read +0.0
+        for t, p, geo in zip(self.times.tolist(), self.params_at_times(self.times),
+                             self.sample_geometry):
+            par = [float(np.min(p)), float(np.max(p))] if torus else p.tolist()
+            rows.append([t, *par, *geo])
         write_csv(path, ["t", *names, "V", "R_min", "R_max"], rows)
 
 
@@ -197,17 +197,10 @@ def scaled_volume(h: FlowHistory, t: float) -> float:
     return h.volume_at(t) / t ** (h.dim / 2.0)
 
 
-@dataclass
-class RBoundReport:
-    ok: bool
-    tol: float
-
-
-def check_R_lower_bound(h: FlowHistory, tol: float) -> RBoundReport:
-    """Verify R + n/(2t) >= -tol pointwise at the sampled times."""
-    ok = all(r_min + h.dim / (2.0 * t) >= -tol
-             for t, (r_min, _) in zip(h.times.tolist(), h.scalar_range) if t > 0)
-    return RBoundReport(ok, tol)
+def check_R_lower_bound(h: FlowHistory, tol: float) -> bool:
+    """Whether R + n/(2t) >= -tol pointwise at the sampled times."""
+    return all(r_min + h.dim / (2.0 * t) >= -tol
+               for t, (_, r_min, _) in zip(h.times.tolist(), h.sample_geometry) if t > 0)
 
 
 # ---------------------------------------------------------------------------

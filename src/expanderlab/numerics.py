@@ -402,15 +402,15 @@ class EigenResult:
 
 
 def smallest_eigenpair(apply_operator, measure, shift: float, *, abs_tol: float,
-                       max_iter: int, w0: np.ndarray | None = None,
-                       precond=None) -> EigenResult:
+                       max_iter: int, precond=None) -> EigenResult:
     """Ground eigenpair of a self-adjoint operator by shifted inverse iteration.
 
     apply_operator maps fields to fields and is self-adjoint in the
     measure-weighted inner product; shift must lie strictly below the
     smallest eigenvalue so the shifted operator is positive definite
-    (callers use min of the potential minus one).  The eigenfunction is
-    returned with unit weighted L2 norm and positive mean sign.
+    (callers use min of the potential minus one).  The iteration starts
+    from the constant field.  The eigenfunction is returned with unit
+    weighted L2 norm and positive mean sign.
 
     Raises EigenFailure with the residual history if max_iter sweeps do
     not bring the weighted residual norm under abs_tol.
@@ -423,9 +423,7 @@ def smallest_eigenpair(apply_operator, measure, shift: float, *, abs_tol: float,
     def norm(u):
         return math.sqrt(max(inner(u, u), 0.0))
 
-    w = np.ones_like(measure) if w0 is None else np.asarray(w0, dtype=float)
-    if norm(w) == 0.0:
-        raise ValueError("the initial vector is zero")
+    w = np.ones_like(measure)
     w = w / norm(w)
 
     def shifted(u):

@@ -600,16 +600,17 @@ def _torus_shoot_targets(h: FlowHistory, targets: np.ndarray, times: np.ndarray,
 # public operations
 
 def geodesic_identity_residual(h: FlowHistory, momentum, t_end: float,
-                               eps: float = 0.0, n_steps: int = 192) -> float:
+                               eps: float = 0.0) -> float:
     """|t^(3/2)(R + |X|^2) - (boundary + K + L/2)| at the end of the reduced
-    geodesic shot from the origin with a momentum datum, at t = t_end."""
+    geodesic shot from the origin with a momentum datum, at t = t_end, in
+    192 steps."""
     if h.kind == "model_space":
-        eng = _RadialEngine(h, eps, t_end, n_steps)
+        eng = _RadialEngine(h, eps, t_end, 192)
         l_tail, k_val, boundary, x_sq_end, _ = eng.solve(2.0 * float(momentum))
         r_end = h.dim * eng.rho0 / eng.a_nodes[-1]
     elif h.kind == "conformal_torus":
         mom = np.asarray(momentum, dtype=float).reshape(1, 2)
-        res = _torus_integrate(h, np.array([t_end], dtype=float), mom, n_steps)
+        res = _torus_integrate(h, np.array([t_end], dtype=float), mom, 192)
         l_tail, k_val, r_end, x_sq_end = (float(res[key][0])
                                           for key in ("l_tail", "k", "r_end", "x_speed_sq"))
         boundary = 0.0

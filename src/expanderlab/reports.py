@@ -83,7 +83,7 @@ def _xml_text(s: str) -> str:
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def write_svg_chart(path, title: str, x, series: dict, y_label: str = "") -> None:
+def write_svg_chart(path, title: str, x, series: dict, y_label: str) -> None:
     """Minimal multi-series line chart over t; series maps label -> y array."""
     width, height = 800, 500
     ml, mr, mt, mb = 70, 20, 40, 50
@@ -139,12 +139,11 @@ def write_svg_chart(path, title: str, x, series: dict, y_label: str = "") -> Non
         f'<text x="{(ml + width - mr) / 2:.1f}" y="{height - 10}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">t</text>'
     )
-    if y_label:
-        parts.append(
-            f'<text x="18" y="{(mt + height - mb) / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {(mt + height - mb) / 2:.1f})">{_xml_text(y_label)}</text>'
-        )
+    parts.append(
+        f'<text x="18" y="{(mt + height - mb) / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 18 {(mt + height - mb) / 2:.1f})">{_xml_text(y_label)}</text>'
+    )
     for idx, (label, ys) in enumerate(series.items()):
         ys = np.asarray(ys, dtype=float)
         color = _PALETTE[idx % len(_PALETTE)]

@@ -1,9 +1,10 @@
 """Fixtures shared by the test modules.
 
-The acceptance suite's flows and fields are built once per session. The
-fixture runs the ten criteria on one `acceptance._Artifacts("full")`
-before any test reads it, so each criterion's elapsed time still covers
-its own builds, whatever the test order. It then sets every array of the
+The acceptance suite (there is one) has its flows and fields built once
+per session. The fixture runs the ten criteria on one
+`acceptance._Artifacts("full")` before any test reads it, so each
+criterion's elapsed time still covers its own builds, whatever the test
+order. It then sets every array of the
 cached histories and fields read-only: a test that writes into a shared
 artifact raises ValueError instead of changing what later tests read.
 """
@@ -39,7 +40,7 @@ def read_only():
 
 @pytest.fixture(scope="session")
 def acceptance_run():
-    """(artifacts, results): the full suite's shared flows and fields,
+    """(artifacts, results): the acceptance suite's shared flows and fields,
     read-only, and its ten CriterionResults in order."""
     art = acceptance._Artifacts("full")
     results = [criterion(art) for criterion in acceptance.CRITERIA]

@@ -435,26 +435,64 @@ def potential_evolution_separate(states, h, birth_time=0.0):
     return ResidualReport(res_max)
 
 
-def immortal_gaps(h, window):
-    """The Cauchy gaps of `conjugate_heat.construct_immortal_density`'s tail
-    doubling, round by round to the end of the history (as with a tolerance
-    no gap meets), from its two-leg backward solves of uniform data."""
+def _immortal_rounds(h, window, tail):
+    """The window states of `conjugate_heat.construct_immortal_density`'s
+    tail doubling from the first tail tail, round by round to the end of
+    the history, from its two-leg backward solves of uniform data."""
     from expanderlab.conjugate_heat import solve_conjugate_backward
     from expanderlab.geometry import volume
 
     ta, tb = window
-    tail, prev, gaps = min(2.0 * tb, h.t_max), None, []
     while True:
         u_fin = np.full(h.template.phi.shape, 1.0 / volume(h.metric_at(tail)))
         if tail > tb * (1 + 1e-12):
             u_fin = solve_conjugate_backward(h, tail, u_fin, t_start=tb, n_retain=2)[0].u
-        cur = solve_conjugate_backward(h, tb, u_fin, t_start=ta, n_retain=17)
-        if prev is not None:
-            gaps.append(max(float(np.max(np.abs(a.u - b.u))) for a, b in zip(cur, prev)))
-        prev = cur
+        yield solve_conjugate_backward(h, tb, u_fin, t_start=ta, n_retain=17)
         if tail >= h.t_max * (1 - 1e-12):
-            return gaps
+            return
         tail = min(2.0 * tail, h.t_max)
+
+
+def _sup_gap(cur, prev):
+    return max(float(np.max(np.abs(a.u - b.u))) for a, b in zip(cur, prev))
+
+
+def immortal_gaps(h, window):
+    """The Cauchy gaps of `conjugate_heat.construct_immortal_density`'s tail
+    doubling, round by round to the end of the history (as with a tolerance
+    no gap meets)."""
+    rounds = list(_immortal_rounds(h, window, min(2.0 * window[1], h.t_max)))
+    return [_sup_gap(cur, prev) for prev, cur in zip(rounds, rounds[1:])]
+
+
+def immortal_states_from(h, window, first_tail, tol):
+    """The states of `conjugate_heat.construct_immortal_density` with its
+    tail doubling started at first_tail: those of the first round within
+    tol of the round before, or else of the last round."""
+    prev = None
+    for cur in _immortal_rounds(h, window, first_tail):
+        if prev is not None and _sup_gap(cur, prev) < tol:
+            break
+        prev = cur
+    return cur
+
+
+def torus_ground_state(m):
+    """`numerics.smallest_eigenpair` on `entropy.lambda_min`'s operator
+    -4 lap + R of a conformal torus, with its shift and preconditioner:
+    lambda_min's eigenvalue and the unit ground state w behind it."""
+    from expanderlab.geometry import (curvature, laplacian, laplacian_symbol,
+                                      measure_weights, spectral_preconditioner)
+    from expanderlab.numerics import smallest_eigenpair
+
+    r = curvature(m).scalar
+    shift = float(np.min(r)) - 1.0
+    e2p = np.exp(2.0 * m.phi)
+    c0 = max(float(np.mean(e2p * (r - shift))), 1e-6)
+    solve = spectral_preconditioner(c0 - 4.0 * laplacian_symbol(m.phi.shape, m.spacing))
+    return smallest_eigenpair(lambda w: -4.0 * laplacian(m, w) + r * w, measure_weights(m),
+                              shift, abs_tol=1e-10, max_iter=200,
+                              precond=lambda v: solve(e2p * v))
 
 
 def listed_time_derivative(fields, times):

@@ -56,8 +56,12 @@ def test_accept_exits_1_unless_every_criterion_passes(monkeypatch, capsys):
     assert main(["accept"]) == 1
     assert "1/2 criteria passed" in capsys.readouterr().out
     monkeypatch.setattr(acceptance, "CRITERIA", [passing])
-    assert main(["accept", "--suite", "full"]) == 0
+    assert main(["accept"]) == 0
     assert "1/1 criteria passed" in capsys.readouterr().out
+    # there is one suite: the option that chose between two is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["accept", "--suite", "fast"])
+    assert exc.value.code == 2
 
 
 def test_run_scenario_produces_report_tree(tmp_path, hyperbolic_doc):

@@ -27,7 +27,7 @@ from expanderlab.geometry import (
     soliton_residual_sq,
     volume,
 )
-from oracles import mu_plus_lbfgs
+from oracles import mu_plus_lbfgs, torus_ground_state
 
 
 def flat_torus(n=16):
@@ -139,13 +139,13 @@ def test_expander_residual_examples():
 
 
 def test_lambda_flat_and_hyperbolic():
-    lam, w = lambda_min(flat_torus(32))
+    lam = lambda_min(flat_torus(32))
     assert abs(lam) < 1e-9
     assert abs(lambda_bar(flat_torus(32))) < 1e-9
     h = evolve(HYPERBOLIC3, (0.0, 10.0))
     for t in (0.5, 3.0, 9.0):
         m = h.metric_at(t)
-        lam, _ = lambda_min(m)
+        lam = lambda_min(m)
         assert abs(lam - (-6.0 / (1.0 + 4.0 * t))) < 1e-12
         assert abs(lambda_bar(m) - (-6.0)) < 1e-10
 
@@ -154,7 +154,10 @@ def test_lambda_torus_matches_dense_rayleigh():
     # nonflat torus: eigensolver value is below the quotient of test fields
     m = ConformalTorusMetric(0.25 * np.sin(2 * math.pi * np.arange(24)[:, None] / 24)
                              * np.ones((24, 24)))
-    lam, w = lambda_min(m)
+    lam = lambda_min(m)
+    ground = torus_ground_state(m)
+    assert ground.value == lam
+    w = ground.vector
     assert abs(integrate(m, w * w) - 1.0) < 1e-10
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -272,7 +275,7 @@ def test_asymptotics_hyperbolic_limits():
     assert abs(rep.lambda_bar_limit_predicted - (-6.0)) < 1e-3
     # t lambda over the report's tail, fitted as it fits lambda_bar
     ts = np.geomspace(h.t_max / 10.0, h.t_max, 17)
-    t_lam = ts * np.array([lambda_min(h.metric_at(t))[0] for t in ts])
+    t_lam = ts * np.array([lambda_min(h.metric_at(t)) for t in ts])
     assert abs(_tail_fit_inverse(ts, t_lam) - (-1.5)) < 1e-3
 
 

@@ -135,11 +135,11 @@ def test_R_lower_bound_reports():
         evolve(sine_torus(32, 0.3), (0.0, 0.03)),
         evolve(HomogeneousMetric((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)), (0.0, 3.0)),
     ):
-        rep = check_R_lower_bound(h, tol=1e-8)
+        ok = check_R_lower_bound(h, tol=1e-8)
         times = [float(t) for t in h.times if t > 0]
         margin = min(float(np.min(curvature(m).scalar)) + h.dim / (2.0 * t)
                      for t, m in zip(times, h.metrics_at(times)))
-        assert rep.ok and margin >= -1e-8, f"{h.kind}: min margin {margin}"
+        assert ok is True and margin >= -1e-8, f"{h.kind}: min margin {margin}"
 
 
 def test_blowdown_scale_algebra():
@@ -247,34 +247,43 @@ def test_export_csv(tmp_path):
 
 
 def test_export_and_bound_share_one_curvature_pass(tmp_path, monkeypatch):
-    # export_csv and check_R_lower_bound on one history build the
-    # curvature once per sample (they each built it at every t > 0), and
-    # the R_min column has the bits the bound reads: those of the minimum
-    # of the curvature at the sample
+    # export_csv and check_R_lower_bound on one history build each
+    # sample's metric and curvature once (they each built both at every
+    # sample), and the R_min column has the bits the bound reads: those of
+    # the minimum of the curvature at the sample
     import csv
 
     from expanderlab import flow
 
-    calls = []
+    calls, metrics = [], []
+    make_metric = flow.FlowHistory._metric
 
     def spy(m):
         calls.append(m)
         return curvature(m)
 
+    def metric_spy(self, p):
+        metrics.append(p)
+        return make_metric(self, p)
+
     monkeypatch.setattr(flow, "curvature", spy)
+    monkeypatch.setattr(flow.FlowHistory, "_metric", metric_spy)
     for h in (evolve(HomogeneousMetric((1.0, 0.0, 0.0), (1.0, 1.0, 1.0)), (0.0, 3.0)),
               evolve(sine_torus(16, 0.3), (0.0, 0.02)),
               evolve(HYPERBOLIC3, (0.0, 1.0), n_snapshots=5)):
         calls.clear()
+        metrics.clear()
         h.export_csv(tmp_path / "flow.csv")
-        assert check_R_lower_bound(h, tol=1e-8).ok
-        assert len(calls) == len(h.times) > 4, h.kind
+        assert check_R_lower_bound(h, tol=1e-8)
+        assert len(calls) == len(metrics) == len(h.times) > 4, h.kind
         with open(tmp_path / "flow.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         r_min = [float(row["R_min"]) for row in rows]
-        assert r_min == [lo for lo, _ in h.scalar_range], h.kind
+        assert r_min == [lo for _, lo, _ in h.sample_geometry], h.kind
         want = [float(np.min(curvature(m).scalar)) for m in h.metrics_at(h.times)]
         assert np.array_equal(bits(r_min), bits(want)), h.kind
+        want = [volume(m) for m in h.metrics_at(h.times)]
+        assert [float(row["V"]) for row in rows] == want, h.kind
 
 
 @pytest.mark.parametrize("n", [32, 64])

@@ -170,7 +170,7 @@ def test_geodesic_shoot_flat_closed_form():
     assert np.max(np.abs(positions - want)) < 1e-12
     assert np.max(np.abs(x_vel - p[None, :] / s[1:, None])) < 1e-9
     assert abs(l_plus - 2.0 * float(p @ p) * math.sqrt(t)) < 1e-12
-    assert geodesic_identity_residual(h, p, t, n_steps=64) < 1e-12
+    assert geodesic_identity_residual(h, p, t) < 1e-12
 
 
 def test_geodesic_shoot_vertex_speed_profile():
@@ -462,7 +462,7 @@ def test_harnack_integral_identity_along_geodesics(torus32):
     # on the evolving torus the residual bottoms out at the O(h^2)
     # consistency floor of the sampled curvature fields
     ht = torus32
-    assert geodesic_identity_residual(ht, np.array([0.6, 0.2]), 0.06, n_steps=128) < 1e-3
+    assert geodesic_identity_residual(ht, np.array([0.6, 0.2]), 0.06) < 1e-3
 
 
 def radial_cases():
@@ -511,10 +511,10 @@ def test_radial_engine_looks_a_up_once_per_grid(monkeypatch):
     _RadialEngine(hv, 1e-4, 1.0, n_steps)
     assert calls[id(hv)] == 2 + (n_steps + 1) + 801
     calls.clear()
-    geodesic_identity_residual(hv, 0.25, 1.0, eps=1e-4, n_steps=n_steps)
+    geodesic_identity_residual(hv, 0.25, 1.0, eps=1e-4)
     assert calls[id(hv)] == 2 + (n_steps + 1) + 801
     calls.clear()
-    geodesic_identity_residual(hr, 0.25, 1.0, n_steps=n_steps)
+    geodesic_identity_residual(hr, 0.25, 1.0)
     assert calls[id(hr)] == 2 + (n_steps + 1)
 
 
