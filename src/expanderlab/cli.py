@@ -472,7 +472,7 @@ def builtin_scenarios() -> dict:
             if e.name.endswith(".json")}
 
 
-def run_scenario(config_path, out_dir=None) -> int:
+def run_scenario(config_path, out_dir) -> int:
     """Run a scenario config file; returns the process exit code."""
     path = Path(config_path)
     try:

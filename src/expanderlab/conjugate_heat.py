@@ -94,8 +94,7 @@ def _renormalized(u, mass: float):
 
 
 def solve_conjugate_backward(h: FlowHistory, t_final: float, u_final,
-                             t_start: float | None = None,
-                             n_retain: int = 9,
+                             t_start: float | None, n_retain: int,
                              dt_cap: float | None = None) -> list:
     """Solve the conjugate equation backward from (t_final, u_final).
 

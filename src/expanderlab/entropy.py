@@ -260,12 +260,12 @@ class EntropyReport:
 
 
 def build_entropy_report(h: FlowHistory, dens: ImmortalDensity, times,
-                         birth_time: float | None = None) -> EntropyReport:
+                         birth_time: float | None) -> EntropyReport:
     """Assemble the entropy table along a flow with its limit density.
 
     The vertex offset follows the flow time (sigma = t); a separate
     column evaluates the entropy at the flow's own vertex offset
-    sigma = t - birth_time (defaulting to the history's birth time), on
+    sigma = t - birth_time (the history's birth time if None), on
     which the constancy verdict is based -- the expander equality case
     is constant in that gauge only.  The FD derivative of the entropy
     uses the five-point stencil on dense evaluations, so the cross-check

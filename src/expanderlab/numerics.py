@@ -232,7 +232,7 @@ ODE_STEP_BUDGET = 1_000_000
 
 
 def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: float,
-                  stop=None, max_step=None) -> OdeTrajectory:
+                  stop, max_step) -> OdeTrajectory:
     """Adaptive embedded Runge-Kutta integration of y' = rhs(t, y).
 
     Steps are accepted when the embedded local error estimate, in the
@@ -243,12 +243,12 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
     error norm are formed in floats in numpy's order of operations, so
     with the bits of the same steps on numpy arrays (_rms_ratio).
 
-    stop, if given, is a predicate stop(t, y); when it first becomes
+    stop, unless None, is a predicate stop(t, y); when it first becomes
     true the trajectory is truncated at the crossing (bisected on the
     dense output) with status "halted".  Step-size underflow returns the
     partial trajectory with status "truncated", as does running past
     ODE_STEP_BUDGET steps; non-finite states raise
-    OdeFailure.  max_step, if given, is a callable of t giving the
+    OdeFailure.  max_step, unless None, is a callable of t giving the
     largest step there (callers cap steps where the cubic dense output
     must stay at interpolation accuracy well below the step-control
     tolerance).
@@ -344,8 +344,8 @@ class CGFailure(RuntimeError):
 
 
 def conjugate_gradient(apply_a, b: np.ndarray, weight: np.ndarray,
-                       precond=None, *, rel_tol: float,
-                       max_iter: int = 2000, x0: np.ndarray | None = None) -> np.ndarray:
+                       precond, *, rel_tol: float,
+                       max_iter: int, x0: np.ndarray | None = None) -> np.ndarray:
     """Matrix-free preconditioned CG in the weighted L2 inner product.
 
     apply_a must be self-adjoint positive definite with respect to
@@ -402,7 +402,7 @@ class EigenResult:
 
 
 def smallest_eigenpair(apply_operator, measure, shift: float, *, abs_tol: float,
-                       max_iter: int, precond=None) -> EigenResult:
+                       max_iter: int, precond) -> EigenResult:
     """Ground eigenpair of a self-adjoint operator by shifted inverse iteration.
 
     apply_operator maps fields to fields and is self-adjoint in the
@@ -515,13 +515,13 @@ class ConstrainedMinResult:
 
 def minimize_constrained(functional, gradient, normalize, inner, w0, *,
                          abs_tol: float, max_iter: int,
-                         precond=None) -> ConstrainedMinResult:
+                         precond) -> ConstrainedMinResult:
     """Projected gradient descent on the unit sphere of a weighted L2 space.
 
     functional and gradient are the objective and its weighted-L2
     gradient; normalize retracts a field onto the constraint set
     (callers fold positivity into it); inner is the weighted inner
-    product.  precond optionally maps the projected gradient to a
+    product.  precond, unless None, maps the projected gradient to a
     descent direction (an approximate inverse of the stiff part of the
     Hessian); convergence is still declared on the plain projected
     gradient norm.  Backtracking line search; stagnation without meeting

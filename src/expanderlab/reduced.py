@@ -205,7 +205,7 @@ class _RadialEngine:
     action tail is I_R + v0^2 I_g and the Harnack integral K_R + v0^2 K_g.
     """
 
-    def __init__(self, h: FlowHistory, eps: float, t: float, n_steps: int = 192):
+    def __init__(self, h: FlowHistory, eps: float, t: float, n_steps: int):
         if h.kind != "model_space":
             raise ValueError("radial engine needs a model-space history")
         self.n, self.rho0 = n, rho0 = h.dim, h.template.rho0
@@ -323,8 +323,11 @@ class _TorusSlices:
                  paired: bool = False):
         self.nx, self.ny = h.template.phi.shape
         self.hx, self.hy = h.template.spacing
-        # tap index tables of -1 .. n + 2, wrapped, for every gather of the store
-        self.wrap_x, self.wrap_y = (np.arange(-1, n + 3) % n for n in (self.nx, self.ny))
+        self.spacing = np.array([[self.hx], [self.hy]])
+        # per axis, the wrapped taps -1 .. 2 (rows) of each base 0 .. n (float `%`
+        # can round a fraction up to n); x taps as rows of a flattened slice
+        self.taps_x, self.taps_y = ((np.arange(-1, 3)[:, None] + np.arange(n + 1)) % n * k
+                                    for n, k in ((self.nx, self.ny), (self.ny, 1)))
         # (rows, n_slices, nx, ny)
         self.store = np.empty((1 if paired else len(_FIELDS), len(s_all), self.nx, self.ny))
         node = np.arange(len(s_all)) % (span or len(s_all)) % 2 == 0
@@ -344,7 +347,7 @@ class _TorusSlices:
             r, e2p = r[at], e2p[at]  # curvature evolution dR/dt = lap R + R^2 in two dimensions
             out[2, at] = _lap0(r, hx, hy) / e2p + r * r
 
-    def sample(self, idx, fields: slice, pts: np.ndarray, grad: bool = False) -> np.ndarray:
+    def sample(self, idx, fields: slice, pts: np.ndarray, grad: bool) -> np.ndarray:
         """Smooth periodic samples (n_fields, m) of the store rows `fields` at
         points (m, 2), from slice idx: one int, or one index per point.  With
         `grad`, (3, n_fields, m): the samples, then their x and y derivatives,
@@ -352,59 +355,67 @@ class _TorusSlices:
 
         Points run in blocks whose taps (16 of 8 bytes per field and point)
         stay under the scratch cap; every field of a block takes one gather.
+        Blocks run in runs of whole blocks, and one `_spline_taps` call over
+        a run's x, then y, fractions gives its tap plan, whose weights (128
+        bytes a point) stay under the cap too; each half takes its taps from
+        its own axis's table, where non-finite points clip to a base of 0.
         """
         grids = self.store[fields].reshape(-1, self.store[0].size)  # a view: rows are contiguous
         out = np.empty((3 if grad else 1, len(grids), len(pts)))
         offset = idx * (self.nx * self.ny)  # of the slice in a flattened row
-        per_point = isinstance(offset, np.ndarray)
         block = max(1, SCRATCH_BYTES // (128 * len(grids)))
-        for lo in range(0, len(pts), block):
-            blk = slice(lo, lo + block)
-            ix, wx = _spline_taps((pts[blk, 0] / self.hx) % self.nx, self.wrap_x, grad)
-            jy, wy = _spline_taps((pts[blk, 1] / self.hy) % self.ny, self.wrap_y, grad)
-            rows = ix * self.ny + (offset[blk] if per_point else offset)
-            taps = np.take(grids, rows[:, None, :] + jy[None, :, :], axis=1)
-            np.einsum("am,bm,fabm->fm", wx[0], wy[0], taps, out=out[0, :, blk])
-            if grad:
-                np.einsum("am,bm,fabm->fm", wx[1] / self.hx, wy[0], taps, out=out[1, :, blk])
-                np.einsum("am,bm,fabm->fm", wx[0], wy[1] / self.hy, taps, out=out[2, :, blk])
+        run = max(block, SCRATCH_BYTES // 128 // block * block)
+        for lo in range(0, len(pts), run):
+            m = min(run, len(pts) - lo)
+            base, w = _spline_taps(np.concatenate([(pts[lo:lo + m, 0] / self.hx) % self.nx,
+                                                   (pts[lo:lo + m, 1] / self.hy) % self.ny]), grad)
+            if grad:  # slopes per unit length
+                slopes = w[1].reshape(4, 2, m)
+                slopes /= self.spacing
+            rows = self.taps_x.take(base[:m], axis=1, mode="clip")
+            rows += offset[lo:lo + m] if np.ndim(offset) else offset
+            cols = self.taps_y.take(base[m:], axis=1, mode="clip")
+            wx, wy = w[:, :, :m], w[:, :, m:]
+            for b in range(0, m, block):
+                blk, at = slice(b, b + block), slice(lo + b, lo + min(b + block, m))
+                taps = grids.take(rows[:, None, blk] + cols[None, :, blk], axis=1)
+                np.einsum("am,bm,fabm->fm", wx[0, :, blk], wy[0, :, blk], taps, out=out[0, :, at])
+                if grad:
+                    np.einsum("am,bm,fabm->fm", wx[1, :, blk], wy[0, :, blk], taps, out=out[1, :, at])
+                    np.einsum("am,bm,fabm->fm", wx[0, :, blk], wy[1, :, blk], taps, out=out[2, :, at])
         return out if grad else out[0]
 
 
 # Catmull-Rom weights of the taps -1 .. 2 as cubics in u: rows hold the
 # coefficients of u^3, u^2, u and 1.  Terms are summed from the highest
-# power down; flat-torus reduced values depend on the weights' round-off
+# power down; flat-torus reduced values depend on the weights' round-off.
+# A weight and its slope share one product per power of u, with the pairs
+# of coefficients (c1, 3 c0) of u^2, (c2, 2 c1) of u and (c3, c2) of 1;
+# the weight's c0 u^3 joins its first sum
 _CATMULL_ROM = np.array([[-0.5, 1.5, -1.5, 0.5], [1.0, -2.5, 2.0, -0.5],
                          [-0.5, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0]])[:, :, None]
-_TAP_OFFSETS = np.arange(4)[:, None]
+_SPLINE_TERMS = np.stack([_CATMULL_ROM[1:], [[[3.0]], [[2.0]], [[1.0]]] * _CATMULL_ROM[:3]], axis=1)
 
 
-def _spline_taps(frac: np.ndarray, wrap: np.ndarray, slopes: bool = False):
-    """Catmull-Rom tap indices (4, m) and weights (1, 4, m) on a periodic axis
-    of n points; with `slopes`, weights (2, 4, m) whose second row
-    differentiates in `frac`.
+def _spline_taps(frac: np.ndarray, slopes: bool):
+    """Catmull-Rom bases (m,), whose taps are base - 1 .. base + 2, and
+    weights (1, 4, m) of grid fractions in [0, n] (or non-finite), where a
+    cast truncates to the floor; with `slopes`, weights (2, 4, m) whose
+    second row differentiates in `frac`.
 
     C1 interpolation keeps shot geodesics smooth functions of the
     target, which the stencil checks on reduced fields rely on
     (piecewise-bilinear sampling leaves derivative kinks that a divided
-    second difference amplifies).  Float `%` can round `frac` up to n, so
-    taps wrap through `wrap`, the table of -1 .. n + 2 modulo n;
-    non-finite points clip.
+    second difference amplifies).
     """
-    base = np.floor(frac).astype(int)
+    base = frac.astype(int)
     u = frac - base
-    u2 = u**2
-    c = _CATMULL_ROM
-    w = np.empty((2 if slopes else 1, 4, len(u)))
-    np.multiply(c[0], u**3, out=w[0])
-    w[0] += c[1] * u2
-    w[0] += c[2] * u
-    w[0] += c[3]
-    if slopes:
-        np.multiply(3.0 * c[0], u2, out=w[1])
-        w[1] += 2.0 * c[1] * u
-        w[1] += c[2]
-    return np.take(wrap, base + _TAP_OFFSETS, mode="clip"), w
+    k = 2 if slopes else 1
+    w = _SPLINE_TERMS[0, :k] * u**2
+    w[0] += _CATMULL_ROM[0] * u**3
+    w += _SPLINE_TERMS[1, :k] * u
+    w += _SPLINE_TERMS[2, :k]
+    return base, w
 
 
 def _torus_rhs(s, v: np.ndarray, fields):
@@ -753,7 +764,7 @@ def _descend(action: _PathAction, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return val
 
 
-def _oracle_torus_batch(h, targets, t, n_segments=64):
+def _oracle_torus_batch(h, targets, t, n_segments):
     """Direct descent over discrete paths on a torus for many targets at once;
     an upper-bound cross-check of shooting.
 

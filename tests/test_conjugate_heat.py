@@ -360,12 +360,12 @@ def test_immortal_density_at_a_coarse_cap_stays_positive_with_unit_mass():
 def test_backward_solve_validates_input():
     h = evolve(HYPERBOLIC3, (0.0, 1.0))
     with pytest.raises(ValueError):
-        solve_conjugate_backward(h, 1.0, 3.0)  # mass not one
+        solve_conjugate_backward(h, 1.0, 3.0, t_start=None, n_retain=9)  # mass not one
     ht = torus_history(16, t_end=0.01)
     u_fin = np.full((16, 16), 1.0 / volume(ht.metric_at(0.01)))
     for kwargs in ({"n_retain": 1}, {"n_retain": 0}, {"dt_cap": 0.0}, {"dt_cap": -0.05}):
         with pytest.raises(ValueError):
-            solve_conjugate_backward(ht, 0.01, u_fin, **kwargs)
+            solve_conjugate_backward(ht, 0.01, u_fin, **{"t_start": None, "n_retain": 9, **kwargs})
 
 
 def test_batched_backward_levels_equal_per_step_solve():

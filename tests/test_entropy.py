@@ -236,7 +236,7 @@ def test_entropy_report_hyperbolic():
     h = evolve(HYPERBOLIC3, (0.0, 30.0))
     dens = construct_immortal_density(h, (0.3, 25.0))
     times = np.geomspace(0.5, 20.0, 9)
-    rep = build_entropy_report(h, dens, times)
+    rep = build_entropy_report(h, dens, times, birth_time=None)
     v = rep.verdicts
     assert v["w_plus_nondecreasing"]
     assert v["n_plus_nondecreasing"]
@@ -363,7 +363,7 @@ def test_blowdown_gap_is_the_largest_of_the_three_changes():
 def test_entropy_report_csv(tmp_path):
     h = evolve(HYPERBOLIC3, (0.0, 5.0))
     dens = construct_immortal_density(h, (0.3, 4.0))
-    rep = build_entropy_report(h, dens, np.linspace(0.5, 3.0, 5))
+    rep = build_entropy_report(h, dens, np.linspace(0.5, 3.0, 5), birth_time=None)
     out = tmp_path / "entropy.csv"
     rep.to_csv(out)
     lines = out.read_text().splitlines()

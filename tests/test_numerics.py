@@ -19,7 +19,8 @@ from expanderlab.numerics import (
     smallest_eigenpair,
 )
 
-TIGHT = {"abs_tol": 1e-12, "rel_tol": 1e-12}
+# tight tolerances, with no stop predicate and no step cap
+TIGHT = {"abs_tol": 1e-12, "rel_tol": 1e-12, "stop": None, "max_step": None}
 
 
 def nil_closed_form(t, a0, b0, c0):
@@ -48,11 +49,12 @@ def test_conjugate_gradient_initial_guess():
 
     b = rng.standard_normal(12)
     exact = np.linalg.solve(mat * weight, b)
-    cold = conjugate_gradient(apply_a, b, weight, rel_tol=1e-13)
-    warm = conjugate_gradient(apply_a, b, weight, rel_tol=1e-13, x0=b)
+    cold = conjugate_gradient(apply_a, b, weight, None, rel_tol=1e-13, max_iter=2000)
+    warm = conjugate_gradient(apply_a, b, weight, None, rel_tol=1e-13, x0=b, max_iter=2000)
     assert np.max(np.abs(cold - exact)) < 1e-10
     assert np.max(np.abs(warm - exact)) < 1e-10
-    at_solution = conjugate_gradient(apply_a, b, weight, rel_tol=1e-6, x0=exact)
+    at_solution = conjugate_gradient(apply_a, b, weight, None, rel_tol=1e-6, x0=exact,
+                                     max_iter=2000)
     assert np.array_equal(at_solution, exact)
 
 
@@ -71,12 +73,13 @@ def test_conjugate_gradient_stops_on_a_non_finite_residual():
     for x0, n_calls in ((None, 0), (np.zeros(8), 1)):
         calls.clear()
         with pytest.raises(CGFailure, match="non-finite after 0 iterations"):
-            conjugate_gradient(apply_a, b, None, rel_tol=1e-12, x0=x0)
+            conjugate_gradient(apply_a, b, None, None, rel_tol=1e-12, x0=x0, max_iter=2000)
         assert len(calls) == n_calls
     # an operator that turns non-finite midway stops after that call
     calls.clear()
     with pytest.raises(CGFailure, match="non-finite after 1 iterations"):
-        conjugate_gradient(lambda x: apply_a(x) * math.nan, np.ones(8), None, rel_tol=1e-12)
+        conjugate_gradient(lambda x: apply_a(x) * math.nan, np.ones(8), None, None,
+                           rel_tol=1e-12, max_iter=2000)
     assert len(calls) == 1
 
 
@@ -100,10 +103,10 @@ def test_conjugate_gradient_skips_preconditioner_on_solved_start():
     exact = solve(b)
     const = np.full((nx, ny), 0.7)  # lap0 of a constant is exactly 0: zero residual
     for x0, rhs in ((exact, b), (const, apply_a(const))):
-        x = conjugate_gradient(apply_a, rhs, None, precond, rel_tol=1e-10, x0=x0)
+        x = conjugate_gradient(apply_a, rhs, None, precond, rel_tol=1e-10, x0=x0, max_iter=2000)
         assert np.array_equal(x, x0) and x is not x0
     assert calls == []
-    cold = conjugate_gradient(apply_a, b, None, precond, rel_tol=1e-13)
+    cold = conjugate_gradient(apply_a, b, None, precond, rel_tol=1e-13, max_iter=2000)
     assert np.max(np.abs(cold - exact)) < 1e-12
     assert 0 < len(calls) <= 5
 
@@ -129,7 +132,7 @@ def test_nil_frame_flow_matches_closed_form():
         return [-a * a / (b * c), a / c, a / b]
 
     y0 = np.array([1.0, 1.0, 1.0])
-    traj = integrate_ode(rhs, y0, 0.0, 10.0, abs_tol=1e-11, rel_tol=1e-11)
+    traj = integrate_ode(rhs, y0, 0.0, 10.0, abs_tol=1e-11, rel_tol=1e-11, max_step=None, stop=None)
     ts = np.linspace(0.0, 10.0, 101)
     got = np.stack([traj(t) for t in ts])
     want = np.stack([nil_closed_form(t, 1.0, 1.0, 1.0) for t in ts])
@@ -142,7 +145,7 @@ def test_linear_system_matches_matrix_exponential():
         m = rng.normal(size=(4, 4)) * 0.5
         y0 = rng.normal(size=4)
         traj = integrate_ode(lambda t, y: (m @ y).tolist(), y0, 0.0, 1.5, abs_tol=1e-12,
-                             rel_tol=1e-11)
+                             rel_tol=1e-11, max_step=None, stop=None)
         want = expm(1.5 * m) @ y0
         scale = np.max(np.abs(want)) + 1.0
         assert np.max(np.abs(traj.states[-1] - want)) / scale < 1e-8
@@ -151,14 +154,14 @@ def test_linear_system_matches_matrix_exponential():
 def test_step_underflow_reports_last_valid_time():
     # finite-time blow-up y' = y^2 from y(0)=1 explodes at t=1
     traj = integrate_ode(lambda t, y: [v * v for v in y], [1.0], 0.0, 2.0, abs_tol=1e-10,
-                         rel_tol=1e-10)
+                         rel_tol=1e-10, max_step=None, stop=None)
     assert traj.status == "truncated"
     assert traj.t_end < 1.0 + 1e-3
 
 
 def test_stop_predicate_halts_and_bisects():
-    traj = integrate_ode(lambda t, y: [-2.0], [1.0], 0.0, 1.0, **TIGHT,
-                         stop=lambda t, y: y[0] < 0.5)
+    traj = integrate_ode(lambda t, y: [-2.0], [1.0], 0.0, 1.0,
+                         **{**TIGHT, "stop": lambda t, y: y[0] < 0.5})
     assert traj.status == "halted"
     assert abs(traj.t_end - 0.25) < 1e-9
 
@@ -175,7 +178,7 @@ def test_eigen_flat_kernel_is_constant():
     def op(w):
         return -4.0 * periodic_lap_1d(w, h)
 
-    res = smallest_eigenpair(op, measure, shift=-1.0, abs_tol=1e-11, max_iter=200)
+    res = smallest_eigenpair(op, measure, shift=-1.0, abs_tol=1e-11, max_iter=200, precond=None)
     assert abs(res.value) < 1e-10
     assert np.max(np.abs(res.vector - res.vector.mean())) < 1e-8
     assert res.vector.min() > 0
@@ -190,7 +193,8 @@ def test_eigen_constant_potential():
     def op(w):
         return -4.0 * periodic_lap_1d(w, h) + r_val * w
 
-    res = smallest_eigenpair(op, measure, shift=r_val - 1.0, abs_tol=1e-11, max_iter=200)
+    res = smallest_eigenpair(op, measure, shift=r_val - 1.0, abs_tol=1e-11, max_iter=200,
+                             precond=None)
     assert abs(res.value - r_val) < 1e-10
     assert abs(np.sum(res.vector**2 * measure) - 1.0) < 1e-12
 
@@ -206,7 +210,7 @@ def test_eigen_nonconvergence_raises_with_history():
         return -4.0 * periodic_lap_1d(w, 1.0 / n) + r_pot * w
 
     with pytest.raises(EigenFailure) as exc:
-        smallest_eigenpair(op, measure, shift=-2.0, abs_tol=1e-30, max_iter=3)
+        smallest_eigenpair(op, measure, shift=-2.0, abs_tol=1e-30, max_iter=3, precond=None)
     assert len(exc.value.residual_history) == 3
     assert min(exc.value.residual_history) > 0
 
@@ -223,7 +227,7 @@ def test_eigen_rayleigh_bound():
         return -4.0 * periodic_lap_1d(w, h) + r_pot * w
 
     res = smallest_eigenpair(op, measure, shift=float(r_pot.min()) - 1.0,
-                             abs_tol=1e-11, max_iter=300)
+                             abs_tol=1e-11, max_iter=300, precond=None)
     rng = np.random.default_rng(5)
     for _ in range(20):
         w = np.abs(rng.normal(size=n)) + 0.1
@@ -335,7 +339,7 @@ def test_constrained_min_constant_potential_value():
     sigma, r_val = 0.45, -6.0
     functional, gradient, inner, normalize, measure = _entropy_test_problem(n, r_val, sigma)
     res = minimize_constrained(functional, gradient, normalize, inner,
-                               np.ones((n, n)), abs_tol=1e-10, max_iter=200)
+                               np.ones((n, n)), abs_tol=1e-10, max_iter=200, precond=None)
     # constant minimizer: value sigma*R - log V with V = 1
     assert abs(res.value - sigma * r_val) < 1e-9
 
@@ -346,7 +350,7 @@ def test_constrained_min_descent_property():
     rng = np.random.default_rng(21)
     w0 = normalize(np.abs(rng.normal(size=(n, n))) + 0.05)
     res = minimize_constrained(functional, gradient, normalize, inner, w0,
-                               abs_tol=1e-7, max_iter=500)
+                               abs_tol=1e-7, max_iter=500, precond=None)
     assert res.value <= functional(w0) + 1e-12
 
 
@@ -419,15 +423,16 @@ def test_float_stages_match_numpy_stages_bit_for_bit(monkeypatch):
     cases = [
         (*nil_flow_ode_args(monkeypatch), budget),
         (*su2_extinction_ode_args(monkeypatch), budget),
-        ((lambda t, y: [v * v for v in y], [1.0], 0.0, 2.0), {"abs_tol": 1e-10, "rel_tol": 1e-10},
-         budget),
+        ((lambda t, y: [v * v for v in y], [1.0], 0.0, 2.0),
+         {**TIGHT, "abs_tol": 1e-10, "rel_tol": 1e-10}, budget),
         ((lambda t, y: [-2.0], [1.0], 0.0, 1.0),
          {**TIGHT, "stop": lambda t, y: y[0] < 0.5}, budget),
         ((bounded_growth([]), [1.0], 0.0, 3.0), TIGHT, budget),
         ((bounded_growth(rejected), [1.0], 0.0, 3.0),
          {**TIGHT, "stop": lambda t, y: y[0] > 1.99}, budget),
         ((lambda t, y: [0.3 * y[0] - 1.0 * y[1], 1.0 * y[0] - 0.2 * y[1]], [1.0, -0.5], 0.0, 5.0),
-         {"abs_tol": 1e-9, "rel_tol": 1e-9, "max_step": lambda t: 0.02 + 0.001 * t}, 100),
+         {**TIGHT, "abs_tol": 1e-9, "rel_tol": 1e-9, "max_step": lambda t: 0.02 + 0.001 * t},
+         100),
     ]
     statuses = []
     for args, kwargs, budget in cases:
@@ -536,7 +541,7 @@ def test_concave_max_finds_quadratic_vertex(a, x0, c):
 def test_linear_decay_exact(k):
     # y' = -k y has solution exp(-k t); the integrator meets its tolerance
     traj = integrate_ode(lambda t, y: [-k * v for v in y], [1.0], 0.0, 1.0, abs_tol=1e-12,
-                         rel_tol=1e-11)
+                         rel_tol=1e-11, max_step=None, stop=None)
     assert abs(traj.states[-1, 0] - math.exp(-k)) < 1e-9
 
 

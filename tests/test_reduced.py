@@ -88,6 +88,15 @@ def skewed_torus_slices():
     return _TorusSlices(h, _s_grid(0.8, 4)[2]), periods
 
 
+def wrapped_taps(slices, axis, pts, slopes=False):
+    # grid indices (4, m) of the taps of one axis at points (m, 2), taken from
+    # the store's tap table as gathers take them, and their weights
+    h, n, table = ((slices.hx, slices.nx, slices.taps_x // slices.ny),
+                   (slices.hy, slices.ny, slices.taps_y))[axis]
+    base, w = _spline_taps((pts[:, axis] / h) % n, slopes)
+    return table.take(base, axis=1, mode="clip"), w
+
+
 def torus_distance_sq(y, lx=1.0, ly=1.0):
     dx = min(abs(y[0]) % lx, lx - abs(y[0]) % lx)
     dy = min(abs(y[1]) % ly, ly - abs(y[1]) % ly)
@@ -152,7 +161,7 @@ def test_path_action_lower_bound_from_zero():
     # flows from t = 0 obey action >= -n sqrt(t) along any path
     h = vertex_expander_history()
     t = 1.0
-    l_tail, *_, head = _RadialEngine(h, 1e-6, t).solve(2.0 * 0.2)
+    l_tail, *_, head = _RadialEngine(h, 1e-6, t, 192).solve(2.0 * 0.2)
     assert l_tail + head >= -3.0 * math.sqrt(t) - 1e-9
 
 
@@ -177,7 +186,7 @@ def test_geodesic_shoot_vertex_speed_profile():
     # on the zero-size start the radial speed scales like eta^(-3/2)
     h = vertex_expander_history()
     eps, t = 1e-4, 1.0
-    eng = _RadialEngine(h, eps, t)
+    eng = _RadialEngine(h, eps, t, 192)
     s = np.linspace(math.sqrt(eps), math.sqrt(t), 193)  # the engine's 192 steps from sqrt(eps)
     # X = v / (2 s) with the reduced speed v = v0 a(eps) / a(s^2), v0 = 2 p
     x_vel = 2.0 * 0.3 * (eng.a_eps / eng.a_nodes) / (2.0 * s)
@@ -455,7 +464,7 @@ def test_identity_checks_torus_flow(acceptance_run):
 
 def test_harnack_integral_identity_along_geodesics(torus32):
     h = vertex_expander_history()
-    assert math.isfinite(_RadialEngine(h, 1e-4, 1.0).solve(2.0 * 0.25)[1])
+    assert math.isfinite(_RadialEngine(h, 1e-4, 1.0, 192).solve(2.0 * 0.25)[1])
     assert geodesic_identity_residual(h, 0.25, 1.0, eps=1e-4) < 1e-6
     hf = flat_history()
     assert geodesic_identity_residual(hf, np.array([0.2, 0.1]), 1.0) < 1e-10
@@ -477,7 +486,7 @@ def radial_cases():
 
 def test_radial_engine_matches_per_point_lookups_bitwise():
     for h, eps, t in radial_cases():
-        eng = _RadialEngine(h, eps, t)
+        eng = _RadialEngine(h, eps, t, 192)
         ref, a_nodes = radial_integrals_separate(h, eps, t)
         assert eng.integrals == ref
         assert np.array_equal(eng.a_nodes, a_nodes)
@@ -524,7 +533,7 @@ def test_model_shot_from_a_smooth_start_is_warning_free():
     h = evolve(HYPERBOLIC3, (0.0, 3.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        *_, boundary, _, head = _RadialEngine(h, 0.0, 1.0).solve(2.0 * 0.4)
+        *_, boundary, _, head = _RadialEngine(h, 0.0, 1.0, 192).solve(2.0 * 0.4)
         resid = geodesic_identity_residual(h, 0.4, 1.0)
     assert boundary == 0.0 and head == 0.0
     assert resid < 1e-6
@@ -717,7 +726,7 @@ def test_path_minimization_oracle_direct():
     assert val.shape == (1,) and abs(val[0] - 0.045) < 1e-9
     # radial fields are never oracle-checked: the oracle is torus-only
     with pytest.raises(ValueError):
-        _oracle_torus_batch(evolve(HYPERBOLIC3, (0.0, 1.0)), np.array([[0.5, 0.0]]), 0.5)
+        _oracle_torus_batch(evolve(HYPERBOLIC3, (0.0, 1.0)), np.array([[0.5, 0.0]]), 0.5, 64)
 
 
 def test_torus_slice_samples_match_fancy_index_gather():
@@ -732,18 +741,18 @@ def test_torus_slice_samples_match_fancy_index_gather():
     pts[:4] = [[0.0, 0.0], [-1e-9, 1.7 - 1e-9], [0.99, 0.01], [0.03, 1.69]]
     slice_idx = rng.integers(0, slices.store.shape[1], len(pts))
 
-    ix, (wx,) = _spline_taps((pts[:, 0] / slices.hx) % nx, slices.wrap_x)
-    jy, (wy,) = _spline_taps((pts[:, 1] / slices.hy) % ny, slices.wrap_y)
+    ix, (wx,) = wrapped_taps(slices, 0, pts)
+    jy, (wy,) = wrapped_taps(slices, 1, pts)
     assert ix.min() == 0 and ix.max() == nx - 1 and jy.min() == 0 and jy.max() == ny - 1
-    got = slices.sample(slice_idx, rows, pts)
+    got = slices.sample(slice_idx, rows, pts, grad=False)
     assert got.shape == (2, len(pts))
     for grid, g in zip(slices.store[rows], got):
         ref = grid[slice_idx[None, None, :], ix[:, None, :], jy[None, :, :]]
         assert np.array_equal(g, np.einsum("am,bm,abm->m", wx, wy, ref))
     # the derivative gather brings the same samples and, from the same taps,
     # the derivatives of the interpolant: its weights differentiated
-    _, (_, dwx) = _spline_taps((pts[:, 0] / slices.hx) % nx, slices.wrap_x, True)
-    _, (_, dwy) = _spline_taps((pts[:, 1] / slices.hy) % ny, slices.wrap_y, True)
+    _, (_, dwx) = wrapped_taps(slices, 0, pts, True)
+    _, (_, dwy) = wrapped_taps(slices, 1, pts, True)
     val, ddx, ddy = slices.sample(slice_idx, rows, pts, grad=True)
     assert np.array_equal(val, got)
     for grid, gx, gy in zip(slices.store[rows], ddx, ddy):
@@ -751,15 +760,15 @@ def test_torus_slice_samples_match_fancy_index_gather():
         assert np.array_equal(gx, np.einsum("am,bm,abm->m", dwx / slices.hx, wy, ref))
         assert np.array_equal(gy, np.einsum("am,bm,abm->m", wx, dwy / slices.hy, ref))
     for idx in (0, 3):
-        for grid, g in zip(slices.store[rows, idx], slices.sample(idx, rows, pts)):
+        for grid, g in zip(slices.store[rows, idx], slices.sample(idx, rows, pts, grad=False)):
             ref = grid[ix[:, None, :], jy[None, :, :]]
             assert np.array_equal(g, np.einsum("am,bm,abm->m", wx, wy, ref))
         # one slice index equals that index repeated per point
-        assert np.array_equal(slices.sample(idx, rows, pts),
-                              slices.sample(np.full(len(pts), idx), rows, pts))
+        assert np.array_equal(slices.sample(idx, rows, pts, grad=False),
+                              slices.sample(np.full(len(pts), idx), rows, pts, grad=False))
 
     nodes = np.array([[-1, 0], [0, ny], [nx - 1, 5], [7, -3]])
-    node_vals = slices.sample(2, slice(1), nodes * np.array([slices.hx, slices.hy]))[0]
+    node_vals = slices.sample(2, slice(1), nodes * np.array([slices.hx, slices.hy]), grad=False)[0]
     r = slices.store[_FIELDS.index("r"), 2]
     assert np.allclose(node_vals, r[nodes[:, 0] % nx, nodes[:, 1] % ny], rtol=0, atol=1e-12)
 
@@ -792,9 +801,10 @@ def test_slice_store_equals_per_slice_formula(monkeypatch):
         assert np.array_equal(slices.store[:rows, i], want[:rows])
     # the gather reads the store itself, not a copy of it
     pts = rng.uniform(0.0, 1.0, (10, 2))
-    before = slices.sample(5, slice(0, 3), pts)
+    before = slices.sample(5, slice(0, 3), pts, grad=False)
     slices.store[0:3, 5] += 1.0
-    assert np.allclose(slices.sample(5, slice(0, 3), pts), before + 1.0, rtol=1e-12, atol=1e-12)
+    assert np.allclose(slices.sample(5, slice(0, 3), pts, grad=False), before + 1.0,
+                       rtol=1e-12, atol=1e-12)
 
     # the oracle's paired store, built in the same batches, is one row: r
     # of the three-row store at the nodes and e2p at the half steps
@@ -829,55 +839,88 @@ def test_oracle_builds_no_rdot_row(torus16, monkeypatch):
 
 
 def test_blockwise_slice_gather_matches_single_block(monkeypatch):
-    # gathers in blocks of 7 points equal one block, with a per-point and
-    # with one slice index, and the table-wrapped taps equal (base + k) % n,
-    # also where float % rounds a point just below 0 up to n
+    # gathers in runs of 21 points and blocks of 7 (with a ragged last run
+    # and block) equal one run and one block, with a per-point and with one
+    # slice index; each run makes one tap plan, one _spline_taps call over its
+    # x, then y, fractions, whose blocks sum their taps in one einsum per
+    # output, and the table-wrapped taps equal (base + k) % n, also where
+    # float % rounds a point just below 0 up to n
     slices, periods = skewed_torus_slices()
     rows = slice(0, 3)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.2, 1.2, (40, 2)) * periods
     pts[:2] = [[-1e-18, 0.5], [0.3, -1e-18]]
     slice_idx = rng.integers(0, slices.store.shape[1], len(pts))
-    whole = [slices.sample(idx, rows, pts) for idx in (slice_idx, 2)]
-    blocks = []
+    whole = [slices.sample(idx, rows, pts, grad=True) for idx in (slice_idx, 2)]
+    runs, blocks, einsum = [], [], np.einsum
 
-    def spy(frac, wrap, slopes=False):
-        blocks.append(len(frac))
-        return _spline_taps(frac, wrap, slopes)
+    def spy(frac, slopes):
+        runs.append(frac.copy())
+        return _spline_taps(frac, slopes)
 
+    def einsum_spy(subscripts, *operands, **kw):
+        blocks.append(operands[-1].shape[-1])
+        return einsum(subscripts, *operands, **kw)
+
+    # blocks of 7 points of three rows, and runs of the whole blocks whose
+    # weights (128 bytes a point) fit: 3 blocks, 21 points
     monkeypatch.setattr("expanderlab.reduced.SCRATCH_BYTES", 128 * 3 * 7)
     monkeypatch.setattr("expanderlab.reduced._spline_taps", spy)
+    monkeypatch.setattr(np, "einsum", einsum_spy)
     for idx, want in zip((slice_idx, 2), whole):
+        runs.clear()
         blocks.clear()
-        assert np.array_equal(slices.sample(idx, rows, pts), want)
-        assert blocks == [7, 7] * 5 + [5, 5]  # x and y taps of each block
-    for col, h, n, wrap in ((0, slices.hx, slices.nx, slices.wrap_x),
-                            (1, slices.hy, slices.ny, slices.wrap_y)):
+        assert np.array_equal(slices.sample(idx, rows, pts, grad=True), want)
+        assert np.array_equal(slices.sample(idx, rows, pts, grad=False), want[0])
+        assert [len(frac) for frac in runs] == [2 * 21, 2 * 19] * 2
+        assert blocks == [7] * 3 * 5 + [5] * 3 + [7] * 5 + [5]  # values, then slopes x, y
+        lo = 0
+        for frac in runs[:2]:  # a run's x fractions, then its y fractions
+            m = len(frac) // 2
+            assert np.array_equal(frac[:m], (pts[lo:lo + m, 0] / slices.hx) % slices.nx)
+            assert np.array_equal(frac[m:], (pts[lo:lo + m, 1] / slices.hy) % slices.ny)
+            lo += m
+    for col, h, n, table, k in ((0, slices.hx, slices.nx, slices.taps_x, slices.ny),
+                                (1, slices.hy, slices.ny, slices.taps_y, 1)):
         frac = (pts[:, col] / h) % n
         assert frac[col] == n
-        taps, _ = _spline_taps(frac, wrap)
+        base, _ = _spline_taps(frac, False)
         want = (np.floor(frac).astype(int) + np.arange(-1, 3)[:, None]) % n
-        assert np.array_equal(taps, want)
+        assert np.array_equal(table.take(base, axis=1, mode="clip"), want * k)
+    # a non-finite point clips to valid taps and leaves the other points alone
+    pts[5] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = slices.sample(2, rows, pts, grad=False)
+    assert np.all(np.isnan(got[:, 5]))
+    assert np.array_equal(np.delete(got, 5, axis=1), np.delete(whole[1][0], 5, axis=1))
 
 
 def test_gathers_and_slice_builds_stay_under_the_scratch_cap(torus16, monkeypatch):
     # evolving 16x16 torus, a two-time field with the oracle on: every tap
-    # computation inside a gather covers at most SCRATCH_BYTES of taps
-    # (16 of 8 bytes per row and point), and every phi lookup inside a
-    # slice build at most SCRATCH_BYTES of rows; both are split, since some
-    # gathers and builds exceed one block
+    # plan covers at most SCRATCH_BYTES of weights (128 bytes a point: two
+    # rows, four taps, two axes), every block inside a gather at most
+    # SCRATCH_BYTES of taps (16 of 8 bytes per row and point), and every phi
+    # lookup inside a slice build at most SCRATCH_BYTES of rows; all three are
+    # split, since some gathers span several runs and some builds several blocks
     h = torus16
     sample, build = _TorusSlices.sample, _TorusSlices.__init__
-    params_at_times = FlowHistory.params_at_times
-    gathers, taps, builds, lookups = [], [], [], []
+    params_at_times, einsum = FlowHistory.params_at_times, np.einsum
+    gathers, plans, blocks, builds, lookups = [], [], [], [], []
 
     def sample_spy(self, idx, rows, pts, grad=False):
         gathers.append((len(self.store[rows]), len(pts)))
         return sample(self, idx, rows, pts, grad)
 
-    def taps_spy(frac, wrap, slopes=False):
-        taps.append((gathers[-1][0], len(frac)))
-        return _spline_taps(frac, wrap, slopes)
+    def taps_spy(frac, slopes):
+        base, w = _spline_taps(frac, slopes)
+        plans.append((len(frac) // 2, base.nbytes, w.nbytes))
+        return base, w
+
+    def einsum_spy(subscripts, *operands, **kw):
+        if subscripts == "am,bm,fabm->fm":  # a block's sum over its gathered taps
+            taps = operands[-1]
+            blocks.append((gathers[-1][0], taps.shape[-1], taps.nbytes))
+        return einsum(subscripts, *operands, **kw)
 
     def build_spy(self, h, s_all, *args, **kw):
         builds.append(len(s_all))
@@ -892,15 +935,19 @@ def test_gathers_and_slice_builds_stay_under_the_scratch_cap(torus16, monkeypatc
     monkeypatch.setattr(_TorusSlices, "sample", sample_spy)
     monkeypatch.setattr(_TorusSlices, "__init__", build_spy)
     monkeypatch.setattr("expanderlab.reduced._spline_taps", taps_spy)
+    monkeypatch.setattr(np, "einsum", einsum_spy)
     monkeypatch.setattr(FlowHistory, "params_at_times", lookup_spy)
     pts = np.random.default_rng(6).uniform(0.0, 1.0, (8, 2))
     ell_plus_field(h, pts, np.array([0.15, 0.2]))
-    assert taps and lookups
-    for n_rows, m in taps:
-        assert m <= SCRATCH_BYTES // (128 * n_rows)
+    assert plans and blocks and lookups
+    for m, base_bytes, w_bytes in plans:
+        assert m <= SCRATCH_BYTES // 128 and base_bytes <= SCRATCH_BYTES and w_bytes <= SCRATCH_BYTES
+    for n_rows, m, nbytes in blocks:
+        assert m <= SCRATCH_BYTES // (128 * n_rows) and nbytes <= SCRATCH_BYTES
     for _, nbytes in lookups:
         assert nbytes <= SCRATCH_BYTES
-    assert any(m > SCRATCH_BYTES // (128 * n_rows) for n_rows, m in gathers)
+    assert any(m > SCRATCH_BYTES // 128 for _, m in gathers)
+    assert len(plans) > len(gathers)
     assert any(n * h.template.phi.nbytes > SCRATCH_BYTES for n, _ in lookups)
 
 
@@ -969,11 +1016,11 @@ def test_shoot_forces_are_the_interpolant_derivatives(torus16):
 
     def central(rows, fn):
         return np.stack([
-            (fn(slices.sample(i, rows, pts + step * e)[0])
-             - fn(slices.sample(i, rows, pts - step * e)[0])) / (2 * step)
+            (fn(slices.sample(i, rows, pts + step * e, grad=False)[0])
+             - fn(slices.sample(i, rows, pts - step * e, grad=False)[0])) / (2 * step)
             for e in np.eye(2)], axis=1)
 
-    r, e2p = slices.sample(i, slice(2), pts)
+    r, e2p = slices.sample(i, slice(2), pts, grad=False)
     at_rest = _torus_rhs(s, np.zeros((len(pts), 2)), slices.sample(i, slice(2), pts, grad=True))
     want = 2 * s * s * central(slice(1), lambda r: r) / e2p[:, None]
     assert np.max(np.abs(at_rest - want)) <= 1e-7 * np.max(np.abs(want))
@@ -1305,7 +1352,7 @@ def test_oracle_memory_is_bounded_by_the_chunk(monkeypatch):
         pts = rng.uniform(0.0, 1.0, (m, 2))
         tracemalloc.start()
         try:
-            _oracle_torus_batch(h, pts, 1.0)
+            _oracle_torus_batch(h, pts, 1.0, n_segments=64)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

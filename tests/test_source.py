@@ -2,9 +2,9 @@
 
 Every dataclass field, every string key of a returned dict literal and every
 attribute stored on `self` in src/ has a reader in src/; every parameter
-with a default is passed by some call in src/; and no position of a
-returned tuple is bound to `_` at every call in src/. The allowlists below
-name the exceptions.
+with a default is passed by some call in src/, and its default is left to
+some call in src/; and no position of a returned tuple is bound to `_` at
+every call in src/. The allowlists below name the exceptions.
 """
 
 import ast
@@ -132,14 +132,16 @@ def _calls(trees) -> dict:
     return calls
 
 
-def unpassed_defaults(src=SRC) -> set:
-    """(name, parameter) of every parameter with a default of a function in
-    src/*.py that no call in src/*.py passes, by position or by keyword.
-    A call is matched to a function by the last name it calls: f(...),
-    obj.f(...), or a class's name for its __init__, which names it here."""
+def _default_passes(src):
+    """(name, parameter, passes) of every parameter with a default of a
+    function in src/*.py.  passes holds one entry per call in src/*.py of
+    the function: True where the call passes the parameter, by position or
+    by keyword, False where it leaves the default, and None where *args or
+    **kwargs may do either.  A call is matched to a function by the last
+    name it calls: f(...), obj.f(...), or a class's name for its __init__,
+    which names it here."""
     trees = _trees(src)
     calls = _calls(trees)
-    out = set()
     for name, fn, skip in _functions(trees):
         positional = (fn.args.posonlyargs + fn.args.args)[skip:]
         defaulted = [(i, arg.arg) for i, arg in enumerate(positional)
@@ -147,12 +149,29 @@ def unpassed_defaults(src=SRC) -> set:
         defaulted += [(None, arg.arg) for arg, default
                       in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
         for i, param in defaulted:
-            if not any((i is not None and (len(call.args) > i
-                                           or any(isinstance(a, ast.Starred) for a in call.args)))
-                       or any(kw.arg in (param, None) for kw in call.keywords)
-                       for call in calls.get(name, [])):
-                out.add((name, param))
-    return out
+            yield name, param, [
+                True if (i is not None and len(call.args) > i)
+                or any(kw.arg == param for kw in call.keywords)
+                else None if (i is not None and any(isinstance(a, ast.Starred) for a in call.args))
+                or any(kw.arg is None for kw in call.keywords)
+                else False
+                for call in calls.get(name, [])]
+
+
+def unpassed_defaults(src=SRC) -> set:
+    """(name, parameter) of every parameter with a default of a function in
+    src/*.py that no call in src/*.py passes: a parameter only callers from
+    outside, such as tests, set."""
+    return {(name, param) for name, param, passes in _default_passes(src)
+            if all(p is False for p in passes)}
+
+
+def overridden_defaults(src=SRC) -> set:
+    """(name, parameter) of every parameter with a default of a function in
+    src/*.py that some call in src/*.py makes and every one passes: a
+    default only callers from outside, such as tests, use."""
+    return {(name, param) for name, param, passes in _default_passes(src)
+            if passes and all(p is True for p in passes)}
 
 
 def discarded_tuple_positions(src=SRC) -> set:
@@ -194,6 +213,10 @@ def test_every_defaulted_parameter_is_passed_in_src():
     assert unpassed_defaults() == UNPASSED_DEFAULTS
 
 
+def test_every_default_is_left_to_some_call_in_src():
+    assert overridden_defaults() == set()
+
+
 def test_no_returned_tuple_position_is_discarded_at_every_call():
     assert discarded_tuple_positions() == set()
 
@@ -233,6 +256,7 @@ def test_the_scans_name_what_nothing_reads(tmp_path):
     assert unread_returned_keys(tmp_path) == {("totals", "spare_sum")}
     assert unread_self_attributes(tmp_path) == {("Probe", "spare")}
     assert unpassed_defaults(tmp_path) == set()
+    assert overridden_defaults(tmp_path) == set()
     assert discarded_tuple_positions(tmp_path) == {("scaled", 1)}
     (tmp_path / "probe.py").write_text(textwrap.dedent("""
         class Probe:
@@ -249,3 +273,4 @@ def test_the_scans_name_what_nothing_reads(tmp_path):
             return Probe(2.0).total(3.0) + scaled(1.0, shift=2.0)
     """))
     assert unpassed_defaults(tmp_path) == {("Probe", "spare"), ("scaled", "factor")}
+    assert overridden_defaults(tmp_path) == {("total", "weight"), ("scaled", "shift")}
