@@ -205,15 +205,15 @@ class ImmortalDensity:
     def __post_init__(self) -> None:
         # u_at's Hermite slopes: the rate -lap u + R u of each retained torus state
         torus = self.history.kind == "conformal_torus"
-        ms = self.history.metrics_at([s.t for s in self.states]) if torus else ()
+        self.times = [float(s.t) for s in self.states]  # hermite_interval's float lookup
+        ms = self.history.metrics_at(self.times) if torus else ()
         self.rates = [-laplacian(m, s.u) + curvature(m).scalar * s.u
                       for m, s in zip(ms, self.states)]
 
     def u_at(self, t: float):
         if self.history.kind in ("homogeneous", "model_space"):
             return 1.0 / self.history.volume_at(t)
-        times = np.array([s.t for s in self.states])
-        i, s, h_step = hermite_interval(times, float(t), 1e-12)
+        i, s, h_step = hermite_interval(self.times, float(t), 1e-12)
         return hermite_cubic(s, h_step, self.states[i].u, self.rates[i],
                              self.states[i + 1].u, self.rates[i + 1])
 

@@ -83,6 +83,7 @@ class FlowHistory:
             raise TypeError(f"unknown metric model {type(template)!r}")
         self.template = template
         self.times = np.asarray(times, dtype=float)
+        self.time_list = self.times.tolist()  # hermite_interval's float lookup
         self.params = np.asarray(params, dtype=float)
         self.param_rhs = np.asarray(param_rhs, dtype=float)
         self.birth_time = float(birth_time)
@@ -112,7 +113,7 @@ class FlowHistory:
         return _KINDS[type(self.template)]
 
     def params_at(self, t):
-        i, s, h = hermite_interval(self.times, float(t), 1e-10)
+        i, s, h = hermite_interval(self.time_list, float(t), 1e-10)
         return hermite_cubic(s, h, self.params[i], self.param_rhs[i],
                              self.params[i + 1], self.param_rhs[i + 1])
 
@@ -249,7 +250,7 @@ def _evolve_model_space(m0: ModelSpaceMetric, t0, t1, n_snapshots) -> FlowHistor
 
 def _evolve_homogeneous(m0: HomogeneousMetric, t0, t1) -> FlowHistory:
     floor = 1e-7 * min(m0.diag)
-    consts = m0.structure_constants
+    consts = tuple(map(float, m0.structure_constants))
 
     def rhs(t, y):
         if min(y) <= 0:  # past extinction: trial stage, reject via non-finite

@@ -233,7 +233,9 @@ def flat_gradient(m: ConformalTorusMetric, f: np.ndarray):
 # curvature
 
 def milnor_ricci_diag(structure_constants, diag) -> tuple:
-    """Frame Ricci components of a diagonal left-invariant 3-D metric, a float triple.
+    """Frame Ricci components of a diagonal left-invariant 3-D metric, a float triple,
+    from the structure constants and diag as Python floats (the homogeneous
+    flow floats its constants once, not on each right-hand side).
 
     Standard closed form Rc_ii = ((c_i X_i)^2 - (c_j X_j - c_k X_k)^2)
     / (2 X_j X_k) with (i, j, k) cyclic and X = diag; the from-scratch
@@ -241,8 +243,8 @@ def milnor_ricci_diag(structure_constants, diag) -> tuple:
     transcription.  Operates on raw values (no positivity validation) so
     flow integrators may probe trial states freely.
     """
-    c1, c2, c3 = map(float, structure_constants)
-    a, b, c = map(float, diag)
+    c1, c2, c3 = structure_constants
+    a, b, c = diag
     return (
         ((c1 * a) ** 2 - (c2 * b - c3 * c) ** 2) / (2.0 * b * c),
         ((c2 * b) ** 2 - (c3 * c - c1 * a) ** 2) / (2.0 * c * a),
@@ -252,9 +254,10 @@ def milnor_ricci_diag(structure_constants, diag) -> tuple:
 
 def curvature_homogeneous(m: HomogeneousMetric) -> CurvatureData:
     """Diagonal Milnor-frame Ricci of a homogeneous metric."""
-    rc = milnor_ricci_diag(m.structure_constants, m.diag)
+    diag = tuple(map(float, m.diag))
+    rc = milnor_ricci_diag(tuple(map(float, m.structure_constants)), diag)
     # np.sum(rc / diag) in floats: numpy sums 3 elements left to right from 0.0 (-0.0 to 0.0)
-    q0, q1, q2 = (r / float(d) for r, d in zip(rc, m.diag))
+    q0, q1, q2 = (r / d for r, d in zip(rc, diag))
     return CurvatureData(ricci=np.array(rc), scalar=0.0 + q0 + q1 + q2)
 
 

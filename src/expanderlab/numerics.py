@@ -18,6 +18,7 @@ weights so the same code serves grid and reduced representations.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -55,7 +56,9 @@ class OdeFailure(RuntimeError):
 
 
 # Dormand-Prince 5(4) tableau.  The fifth-order solution is propagated;
-# the embedded fourth-order one supplies the local error estimate.
+# the embedded fourth-order one supplies the local error estimate.  The
+# last row of _DP_A is the fifth-order weights without their zero last
+# weight, so the seventh stage is taken at the new state (FSAL).
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
@@ -66,8 +69,30 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _dp_row(weights):
+    """The stage sum of one tableau row, row(y, h, k) = y + h * (0.0 + w0 * k[0] + ...)
+    per component, as straight-line float code over the nonzero weights.
+
+    A dropped zero weight cannot move a bit: the sum starts at +0.0, so it is
+    never -0.0, and a finite stage times 0.0 is a signed zero that leaves any
+    such sum unchanged.  The terms are added left to right, numpy's order for
+    y + h * sum(w * ki ...); sum(), math.fsum and math.sumprod stay out, since
+    Python 3.12+ sums floats compensated and would move the rounding."""
+    kept = [(j, w) for j, w in enumerate(weights) if w != 0.0]
+    terms = "".join(f" + {w!r} * k{j}" for j, w in kept)
+    names = "".join(f", k{j}" for j, _ in kept)
+    stages = "".join(f", k[{j}]" for j, _ in kept)
+    scope = {}
+    exec(f"def row(y, h, k):\n"
+         f"    return [yj + h * (0.0{terms}) for yj{names} in zip(y{stages})]\n", scope)
+    return scope["row"]
+
+
+_DP_ROWS = tuple(map(_dp_row, _DP_A[1:]))
+_DP_ROW4 = _dp_row(_DP_B4)
 
 
 @dataclass
@@ -86,28 +111,34 @@ class OdeTrajectory:
     derivs: np.ndarray
     status: str = "completed"
 
+    def __post_init__(self) -> None:
+        self.time_list = self.times.tolist()  # hermite_interval's float lookup
+
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
 
     def __call__(self, t: float) -> np.ndarray:
-        i, s, h = hermite_interval(self.times, float(t), 1e-12)
+        i, s, h = hermite_interval(self.time_list, float(t), 1e-12)
         return hermite_cubic(s, h, self.states[i], self.derivs[i],
                              self.states[i + 1], self.derivs[i + 1])
 
 
-def hermite_interval(times: np.ndarray, t: float, slack: float):
+def hermite_interval(times, t: float, slack: float):
     """Sample interval i, local coordinate s in [0, 1] and width h of t.
 
     t may lie up to slack * (1 + |end|) beyond the ends of the increasing
     sample times, where it is clamped; farther out is a ValueError.
-    Scalar-only: hermite_rows is the batched lookup.
+    Scalar-only: hermite_rows is the batched lookup.  times is a list of
+    Python floats (each history holds one) or a float array, with the same
+    (i, s, h) values; on the list, bisect finds i and s, h are floats, whose
+    powers in hermite_cubic are the libm ones hermite_rows takes.
     """
     lo, hi = times[0], times[-1]
     if not lo - slack * (1 + abs(lo)) <= t <= hi + slack * (1 + abs(hi)):
         raise ValueError(f"time {t} outside the sampled range [{lo}, {hi}]")
     t = min(max(t, lo), hi)
-    i = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
+    i = min(bisect.bisect_right(times, t) - 1, len(times) - 2)
     h = times[i + 1] - times[i]
     return i, (t - times[i]) / h, h
 
@@ -206,17 +237,6 @@ def time_derivative(fields, times):
     return run.values(), run.idx
 
 
-def _dp_combine(y, h, coeffs, k):
-    """y + h * (0 + c0 k0 + c1 k1 + ...) per component, in numpy's order."""
-    out = []
-    for yj, kj in zip(y, zip(*k)):
-        acc = 0.0
-        for c, v in zip(coeffs, kj):
-            acc += c * v
-        out.append(yj + h * acc)
-    return out
-
-
 def _rms_ratio(num, den) -> float:
     """sqrt(mean((num / den) ** 2)) in floats, in numpy's order for up to 7 components
     (numpy sums 8 or more pairwise): the squares summed from 0.0, over n, the root."""
@@ -239,9 +259,11 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
     norm scaled by abs_tol + rel_tol |y|, is below one; step sizes follow a PI
     controller.  Dense output is the cubic Hermite interpolant between
     accepted steps.  rhs(t, y) and stop(t, y) take y as a list of Python
-    floats, and rhs returns a sequence of floats; stages, solutions and
-    error norm are formed in floats in numpy's order of operations, so
-    with the bits of the same steps on numpy arrays (_rms_ratio).
+    floats, which neither may change, and rhs returns a sequence of floats;
+    stages (_dp_row), solutions and error norm (_rms_ratio) are formed in
+    floats in numpy's order of operations, so with the bits of the same
+    steps on numpy arrays.  The seventh stage's state is the fifth-order
+    solution (FSAL), formed once.
 
     stop, unless None, is a predicate stop(t, y); when it first becomes
     true the trajectory is truncated at the crossing (bisected on the
@@ -282,8 +304,9 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
             break
         h = min(h, t1 - t)
         k = [f]
-        for i in range(1, 7):
-            ki = rhs(t + _DP_C[i] * h, _dp_combine(y, h, _DP_A[i], k))
+        for c, row in zip(_DP_C[1:], _DP_ROWS):
+            y_new = row(y, h, k)  # the last stage's state is the fifth-order solution
+            ki = rhs(t + c * h, y_new)
             if not all(map(math.isfinite, ki)):
                 break
             k.append(ki)
@@ -293,8 +316,7 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
                 status = "truncated"
                 break
             continue
-        y_new = _dp_combine(y, h, _DP_B5, k)
-        y4 = _dp_combine(y, h, _DP_B4, k)
+        y4 = _DP_ROW4(y, h, k)
         if not all(map(math.isfinite, y_new)):
             raise OdeFailure("non-finite state during integration", t, np.array(y))
         err = _rms_ratio([a - b for a, b in zip(y_new, y4)],
@@ -334,7 +356,8 @@ def integrate_ode(rhs, y0, t0: float, t1: float, *, abs_tol: float, rel_tol: flo
                 ta = tm
             if tb - ta <= 1e-13 * (1.0 + abs(tb)):
                 break
-        traj.times[-1], traj.states[-1] = tb, traj(tb)
+        traj.states[-1] = traj(tb)
+        traj.times[-1] = traj.time_list[-1] = tb
         traj.derivs[-1] = rhs(tb, traj.states[-1].tolist())
     return traj
 

@@ -16,12 +16,8 @@ __all__ = ["fmt_float", "write_csv", "write_json", "write_svg_chart"]
 
 
 def fmt_float(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    """x round-trip exact in 17 significant digits; nan, inf, -inf and -0 as Python writes them."""
+    return format(float(x), ".17g")
 
 
 def write_csv(path, header, rows) -> None:

@@ -895,7 +895,8 @@ def curvature_homogeneous_numpy(m):
     over the frame np.sum(rc / diag)."""
     from expanderlab.geometry import milnor_ricci_diag
 
-    q = milnor_ricci_diag(m.structure_constants, m.diag) / np.asarray(m.diag, dtype=float)
+    diag = tuple(map(float, m.diag))
+    q = milnor_ricci_diag(tuple(map(float, m.structure_constants)), diag) / np.asarray(diag)
     return float(np.sum(q))
 
 
@@ -915,6 +916,20 @@ def blowdown_params_at_times(h, alpha, ts):
     if h.kind == "conformal_torus":
         return p - 0.5 * math.log(alpha)
     return p / alpha
+
+
+def hermite_interval_searchsorted(times, t, slack):
+    """Reference for `numerics.hermite_interval`, which bisects a float list:
+    the interval found by np.searchsorted on the times array, with s and h
+    as numpy scalars."""
+    times = np.asarray(times, dtype=float)
+    lo, hi = times[0], times[-1]
+    if not lo - slack * (1 + abs(lo)) <= t <= hi + slack * (1 + abs(hi)):
+        raise ValueError(f"time {t} outside the sampled range [{lo}, {hi}]")
+    t = min(max(t, lo), hi)
+    i = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
+    h = times[i + 1] - times[i]
+    return i, (t - times[i]) / h, h
 
 
 def immortal_u_at_per_call(dens, t):

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import re
 import signal
@@ -25,7 +26,7 @@ from expanderlab.cli import (
     builtin_scenarios,
     main,
 )
-from expanderlab.reports import write_json
+from expanderlab.reports import fmt_float, write_json
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,15 @@ def test_reports_are_bitwise_deterministic(tmp_path, hyperbolic_doc):
         )
         blobs.append(blob)
     assert blobs[0] == blobs[1]
+
+
+def test_fmt_float_writes_special_values_and_subnormals():
+    # the strings Python's own ".17g" writes for them: the CSV and JSON bytes
+    assert [fmt_float(x) for x in (math.nan, math.inf, -math.inf, -0.0)] == [
+        "nan", "inf", "-inf", "-0"]
+    for x, text in ((5e-324, "4.9406564584124654e-324"),
+                    (np.float64(2.5e-310), "2.5000000000000171e-310")):
+        assert fmt_float(x) == text and float(text) == x
 
 
 def test_malformed_json_exits_2_without_partial_files(tmp_path, capsys):

@@ -389,6 +389,12 @@ def test_batched_history_lookup_equals_params_at():
         want = np.array([h.params_at(t) for t in ts])
         assert want.shape == (len(ts), h.params.shape[1])
         assert np.array_equal(bits(h.params_at_times(ts)), bits(want))
+        # params_at looks up its float list of times; on the times array the
+        # local coordinate is a numpy scalar, whose ** gives the same bits
+        on_array = np.array([hermite_cubic(s, w, h.params[i], h.param_rhs[i],
+                                           h.params[i + 1], h.param_rhs[i + 1])
+                             for i, s, w in (hermite_interval(h.times, t, 1e-10) for t in ts)])
+        assert np.array_equal(bits(on_array), bits(want))
         assert np.array_equal(bits(h.params_at_times(list(ts[::-1]))), bits(want[::-1]))
         assert h.params_at_times([]).shape == (0, h.params.shape[1])
         for m, t in zip(h.metrics_at(ts[:30]), ts[:30]):
@@ -407,6 +413,35 @@ def test_batched_history_lookup_equals_params_at():
                     h.params_at_times(batch)
             with pytest.raises(ValueError, match=f"time {bad} outside"):
                 h.params_at(bad)
+
+
+def test_hermite_interval_on_a_float_list_equals_the_array_lookup():
+    # every sample time, both clamped ends, points inside the clamp slack and
+    # between samples: the (i, s, h) bits of the searchsorted lookup, from the
+    # times as the float list a history holds and as an array; beyond the
+    # slack all three raise
+    from oracles import hermite_interval_searchsorted
+
+    rng = np.random.default_rng(3)
+    times = np.cumsum(rng.uniform(0.01, 0.3, 40)) - 0.5
+    slack = 1e-10
+    lo, hi = times[0], times[-1]
+    pad_lo, pad_hi = slack * (1 + abs(lo)), slack * (1 + abs(hi))
+    ts = [*times, lo - pad_lo, hi + pad_hi, lo - 0.5 * pad_lo, hi + 0.5 * pad_hi,
+          *rng.uniform(lo, hi, 200)]
+    for t in map(float, ts):
+        want_i, want_s, want_h = hermite_interval_searchsorted(times, t, slack)
+        for lookup in (times.tolist(), times):
+            i, s, h = hermite_interval(lookup, t, slack)
+            assert i == want_i
+            assert float(s).hex() == float(want_s).hex() and float(h).hex() == float(want_h).hex()
+        assert type(hermite_interval(times.tolist(), t, slack)[1]) is float
+    for bad in (lo - 2 * pad_lo, hi + 2 * pad_hi, math.nan, math.inf):
+        for lookup in (times.tolist(), times):
+            with pytest.raises(ValueError, match="outside"):
+                hermite_interval(lookup, bad, slack)
+        with pytest.raises(ValueError, match="outside"):
+            hermite_interval_searchsorted(times, bad, slack)
 
 
 def test_stencils_on_stacks_equal_per_grid_calls():

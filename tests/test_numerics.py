@@ -414,6 +414,13 @@ def bounded_growth(rejected):
     return rhs
 
 
+def signed_zeros(t, y):
+    """y' = (-0.0, y0 - y1 / 2, sign of y0): the first component stays a
+    signed zero, and the last turns the sign of that zero in each stage's
+    state into a value."""
+    return [-0.0 * y[1], y[0] - 0.5 * y[1], math.copysign(1.0, y[0])]
+
+
 def test_float_stages_match_numpy_stages_bit_for_bit(monkeypatch):
     from oracles import integrate_ode_numpy_stages
 
@@ -433,6 +440,9 @@ def test_float_stages_match_numpy_stages_bit_for_bit(monkeypatch):
         ((lambda t, y: [0.3 * y[0] - 1.0 * y[1], 1.0 * y[0] - 0.2 * y[1]], [1.0, -0.5], 0.0, 5.0),
          {**TIGHT, "abs_tol": 1e-9, "rel_tol": 1e-9, "max_step": lambda t: 0.02 + 0.001 * t},
          100),
+        # signed zeros in the state and every stage: the sums over the kept
+        # weights and the seventh stage's state as the new one, signs included
+        ((signed_zeros, [-0.0, 1.0, -0.0], 0.0, 2.0), TIGHT, budget),
     ]
     statuses = []
     for args, kwargs, budget in cases:
@@ -453,8 +463,12 @@ def test_float_stages_match_numpy_stages_bit_for_bit(monkeypatch):
         ("truncated", "step size underflow (non-finite stages)"),
         ("halted", "stop predicate fired"),
         ("truncated", "step budget exhausted"),
+        ("completed", ""),
     ]
     assert statuses[0][2] > 500
+    zeros = integrate_ode(*cases[-1][0], **cases[-1][1])
+    assert same_bits(zeros.states[0], [-0.0, 1.0, -0.0])
+    assert same_bits(zeros.derivs[:, 0], np.full(len(zeros.times), -0.0))
     assert rejected  # the halted run retried stages and went on
 
 
