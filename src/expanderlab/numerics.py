@@ -79,8 +79,9 @@ def _dp_row(weights):
     A dropped zero weight cannot move a bit: the sum starts at +0.0, so it is
     never -0.0, and a finite stage times 0.0 is a signed zero that leaves any
     such sum unchanged.  The terms are added left to right, numpy's order for
-    y + h * sum(w * ki ...); sum(), math.fsum and math.sumprod stay out, since
-    Python 3.12+ sums floats compensated and would move the rounding."""
+    y + h * sum(w * ki ...).  sum() (compensated on Python 3.12+), math.fsum
+    (exactly rounded) and math.sumprod (extended precision) would each move
+    the rounding."""
     kept = [(j, w) for j, w in enumerate(weights) if w != 0.0]
     terms = "".join(f" + {w!r} * k{j}" for j, w in kept)
     names = "".join(f", k{j}" for j, _ in kept)
